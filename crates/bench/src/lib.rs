@@ -17,6 +17,7 @@
 //! 2012 Sandia cluster.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod harness;
 

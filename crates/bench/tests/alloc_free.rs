@@ -81,17 +81,15 @@ fn cmt_bone_no_pool_baseline_does_allocate() {
     );
 }
 
-/// The hybrid worker pool must not reintroduce steady-state allocations:
-/// the overlap-window compute regions (flux-divergence derivatives and
-/// the dealias maps) stay at zero allocations per step with a 4-worker
-/// pool sharing the element loops. Worker-side allocations are charged
-/// back to the region via `Profiler::charge_allocs`, so a regression on
-/// either side of the pool shows up here.
-#[test]
-fn cmt_bone_worker_pool_adds_no_steady_state_allocations() {
-    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+/// Steady-state `(allocs, bytes)` per the 4 differential steps of the
+/// two volume-kernel regions (derivatives, dealias), dealiasing on.
+fn bone_volume_deltas(
+    variant: cmt_core::KernelVariant,
+    workers: usize,
+) -> [(&'static str, u64, u64); 2] {
     let cfg = |steps: usize| Config {
-        workers: 4,
+        variant,
+        workers,
         dealias_m: Some(8),
         ..bone_cfg(
             GsMethod::PairwiseExchange,
@@ -102,51 +100,40 @@ fn cmt_bone_worker_pool_adds_no_steady_state_allocations() {
     };
     let long = cmt_bone::run(&cfg(6));
     let short = cmt_bone::run(&cfg(2));
-    for prefix in ["ax_cmt", "dealias"] {
+    ["ax_cmt", "dealias"].map(|prefix| {
         let (a_l, b_l) = region_allocs(&long.profile, prefix);
         let (a_s, b_s) = region_allocs(&short.profile, prefix);
-        let (allocs, bytes) = (a_l.saturating_sub(a_s), b_l.saturating_sub(b_s));
-        assert_eq!(
-            (allocs, bytes),
-            (0, 0),
-            "{prefix}*: {allocs} allocs / {bytes} bytes per 4 steady-state \
-             steps with a 4-worker pool"
-        );
-    }
+        (prefix, a_l.saturating_sub(a_s), b_l.saturating_sub(b_s))
+    })
 }
 
-/// The simd kernel tier keeps the zero-allocation steady state: vector
-/// dispatch uses stack scratch only (the transposed-D buffer lives on
-/// the stack, dealias reuses the caller's scratch), so the compute
-/// regions show the same zero differential as the scalar tiers — with
-/// the worker pool on, the shape where a hidden per-call allocation
-/// would be multiplied by chunk count.
+/// The volume-kernel regions (flux-divergence derivatives and the
+/// dealias maps) stay at zero allocations per step on every path of the
+/// chunked element loop: the default single inline chunk (`workers: 1`,
+/// which once `vec!`-allocated its dealias scratch per call) and a
+/// 4-worker pool sharing the loops. Worker-side allocations are charged
+/// back to the region via `Profiler::charge_allocs`, so a regression on
+/// either side of the pool shows up here. The simd tier is held to the
+/// same zero: vector dispatch uses stack scratch only (the transposed-D
+/// buffer lives on the stack, dealias reuses the caller's scratch).
 #[test]
-fn cmt_bone_simd_variant_adds_no_steady_state_allocations() {
+fn cmt_bone_volume_kernels_allocation_free_at_steady_state() {
     assert!(cmt_perf::alloc::counting(), "counting allocator not active");
-    let cfg = |steps: usize| Config {
-        variant: cmt_core::KernelVariant::Simd,
-        workers: 4,
-        dealias_m: Some(8),
-        ..bone_cfg(
-            GsMethod::PairwiseExchange,
-            Pipeline::Overlapped,
-            true,
-            steps,
-        )
-    };
-    let long = cmt_bone::run(&cfg(6));
-    let short = cmt_bone::run(&cfg(2));
-    for prefix in ["ax_cmt", "dealias"] {
-        let (a_l, b_l) = region_allocs(&long.profile, prefix);
-        let (a_s, b_s) = region_allocs(&short.profile, prefix);
-        let (allocs, bytes) = (a_l.saturating_sub(a_s), b_l.saturating_sub(b_s));
-        assert_eq!(
-            (allocs, bytes),
-            (0, 0),
-            "{prefix}*: simd tier leaked {allocs} allocs / {bytes} bytes \
-             per 4 steady-state steps"
-        );
+    for variant in [
+        cmt_core::KernelVariant::Optimized,
+        cmt_core::KernelVariant::Simd,
+    ] {
+        for workers in [1, 4] {
+            for (prefix, allocs, bytes) in bone_volume_deltas(variant, workers) {
+                assert_eq!(
+                    (allocs, bytes),
+                    (0, 0),
+                    "{prefix}* ({}, {workers} workers): {allocs} allocs / {bytes} bytes \
+                     per 4 steady-state steps",
+                    variant.name()
+                );
+            }
+        }
     }
 }
 

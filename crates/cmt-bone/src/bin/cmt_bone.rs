@@ -18,7 +18,7 @@ use simmpi::{FaultPlan, NetworkModel, SocketConfig, TransportKind};
 fn usage() -> ! {
     eprintln!(
         "usage: cmt-bone [--ranks P] [--elems NEL_PER_RANK] [--n N] [--steps S]\n\
-         \x20                [--fields F] [--variant basic|opt|spec|batched|unroll|simd|auto]\n\
+         \x20                [--fields F] [--variant basic|opt|spec|simd|auto]\n\
          \x20                [--workers W]\n\
          \x20                [--method pairwise|crystal|allreduce]\n\
          \x20                [--pipeline blocking|overlapped] [--net qdr|exa|gbe]\n\
@@ -115,8 +115,6 @@ fn main() {
                 Some("basic") => cfg.variant = KernelVariant::Basic,
                 Some("opt") => cfg.variant = KernelVariant::Optimized,
                 Some("spec") => cfg.variant = KernelVariant::Specialized,
-                Some("batched") => cfg.variant = KernelVariant::Batched,
-                Some("unroll") => cfg.variant = KernelVariant::UnrollJam,
                 Some("simd") => cfg.variant = KernelVariant::Simd,
                 Some("auto") => cfg.kernel_autotune = true,
                 _ => usage(),

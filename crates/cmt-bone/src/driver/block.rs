@@ -1,0 +1,299 @@
+//! A rank's mutable run state: the per-partition [`Block`], the particle
+//! cloud and the clock — what a checkpoint captures and what a rollback
+//! or a rebalance replaces.
+
+use cmt_core::face;
+use cmt_core::Field;
+use cmt_gs::GsHandle;
+use cmt_mesh::{face_exchange_gids_for, ElemPartition, RankMesh};
+use cmt_particles::{Particle, ParticleSet};
+use cmt_perf::Profiler;
+use cmt_resilience::{hash, Checkpoint};
+use simmpi::{chunk_count, Rank};
+
+use super::{initial_profile, Env};
+
+/// BR1 viscous workspace: the gradient fields plus per-axis face-trace
+/// buffers (own and neighbor) for the q exchanges.
+pub(super) struct ViscousWs {
+    pub nu: f64,
+    pub q: [Field; 3],
+    pub qown: [Vec<f64>; 3],
+    pub qnbr: [Vec<f64>; 3],
+}
+
+/// Everything on a rank that is sized by (and bound to) its current
+/// element set: the solution fields, every scratch buffer, the
+/// gather-scatter plan, and the chunk grain of the element loops. A
+/// load-balancer migration replaces the whole block — the timestep loop
+/// only ever sees a consistent one.
+pub(super) struct Block {
+    /// Global ids of the owned elements, ascending — the local element
+    /// order of every buffer below.
+    pub owned: Vec<usize>,
+    pub nel: usize,
+    pub handle: GsHandle,
+    pub u: Vec<Field>,
+    pub u0: Vec<Field>,
+    pub rhs_all: Vec<Field>,
+    pub scratch: Field,
+    pub faces_all: Vec<Vec<f64>>,
+    pub faces_own_all: Vec<Vec<f64>>,
+    /// Fine-mesh dealias buffer (empty when dealiasing is off); the
+    /// interpolation matrices are partition-independent and live in
+    /// [`Env`].
+    pub dealias_fine: Vec<f64>,
+    /// Dealias contraction scratch: one `t1/t2` pair per element chunk.
+    pub dealias_scratch: Vec<f64>,
+    pub viscous: Option<ViscousWs>,
+    pub grain: usize,
+}
+
+impl Block {
+    /// Build the zeroed state block for this rank's share of `part` —
+    /// the caller fills the fields (initial condition, checkpoint
+    /// restore, or migration merge). Collective: the gather-scatter
+    /// setup discovers the face neighbors, so every rank must call it
+    /// with the same partition. All scratch is sized here, once per
+    /// partition, keeping the steady state allocation-free.
+    pub fn for_partition(env: &Env, rank: &mut Rank, part: &ElemPartition) -> Block {
+        let cfg = &env.cfg;
+        let owned = part.owned_by(rank.rank()).to_vec();
+        let gids = face_exchange_gids_for(env.mesh_cfg, &owned);
+        let handle = GsHandle::setup(rank, &gids);
+        let (n, nel) = (cfg.n, owned.len());
+        let fpe = face::face_values_per_element(n);
+        let grain = env.grain_for(nel);
+        let n_chunks = chunk_count(env.pool.as_deref(), nel, grain);
+        let fields = || (0..cfg.fields).map(|_| Field::zeros(n, nel)).collect();
+        let traces = || (0..cfg.fields).map(|_| vec![0.0; fpe * nel]).collect();
+        Block {
+            owned,
+            nel,
+            handle,
+            u: fields(),
+            u0: fields(),
+            rhs_all: fields(),
+            scratch: Field::zeros(n, nel),
+            faces_all: traces(),
+            faces_own_all: traces(),
+            dealias_fine: vec![0.0; cfg.dealias_m.map_or(0, |m| m * m * m * nel)],
+            dealias_scratch: vec![0.0; cfg.dealias_m.map_or(0, |m| n_chunks * 2 * m.max(n).pow(3))],
+            viscous: cfg.viscosity.map(|nu| ViscousWs {
+                nu,
+                q: std::array::from_fn(|_| Field::zeros(n, nel)),
+                qown: std::array::from_fn(|_| vec![0.0; fpe * nel]),
+                qnbr: std::array::from_fn(|_| vec![0.0; fpe * nel]),
+            }),
+            grain,
+        }
+    }
+}
+
+/// What a checkpoint captures: the element partition, the block built
+/// on it, the particle cloud, and the clock.
+pub(super) struct State {
+    pub part: ElemPartition,
+    pub blk: Block,
+    pub pset: Option<ParticleSet>,
+    pub time: f64,
+    pub step: u64,
+}
+
+impl State {
+    /// The step-0 state on `part`: fields on their smooth initial
+    /// profiles, particles seeded. Collective (builds the block).
+    pub fn initial(env: &Env, rank: &mut Rank, part: ElemPartition) -> State {
+        let cfg = &env.cfg;
+        let mut blk = Block::for_partition(env, rank, &part);
+        let lengths = env.mesh_cfg.global_elems().map(|e| e as f64);
+        let nodes = &env.basis.nodes;
+        for (f, uf) in blk.u.iter_mut().enumerate() {
+            *uf = Field::from_fn(cfg.n, blk.nel, |e, i, j, k| {
+                let gc = env.mesh_cfg.elem_coords(blk.owned[e]);
+                let x = gc[0] as f64 + (nodes[i] + 1.0) / 2.0;
+                let y = gc[1] as f64 + (nodes[j] + 1.0) / 2.0;
+                let z = gc[2] as f64 + (nodes[k] + 1.0) / 2.0;
+                initial_profile(f, x, y, z, lengths)
+            });
+        }
+        let pset = (cfg.particles_per_elem > 0).then(|| {
+            let pmesh = RankMesh::new(env.mesh_cfg.clone(), rank.rank());
+            let mut ps = ParticleSet::new(pmesh, &env.basis);
+            ps.set_partition(part.clone());
+            match cfg.particle_cluster {
+                Some(frac) => ps.seed_clustered(cfg.particles_per_elem, frac),
+                None => ps.seed_uniform(cfg.particles_per_elem),
+            }
+            ps
+        });
+        State {
+            part,
+            blk,
+            pset,
+            time: 0.0,
+            step: 0,
+        }
+    }
+
+    /// Replace this rank's block with a zeroed one for `new_part`
+    /// (collective: gather-scatter setup) and hand back the partition
+    /// and block it replaced. Departing residents must already be
+    /// drained from the particle set.
+    pub fn repartition(
+        &mut self,
+        env: &Env,
+        rank: &mut Rank,
+        new_part: ElemPartition,
+    ) -> (ElemPartition, Block) {
+        let blk = Block::for_partition(env, rank, &new_part);
+        if let Some(ps) = self.pset.as_mut() {
+            ps.set_partition(new_part.clone());
+        }
+        (
+            std::mem::replace(&mut self.part, new_part),
+            std::mem::replace(&mut self.blk, blk),
+        )
+    }
+
+    /// Particle phase: advect in the end-of-step field, then migrate;
+    /// returns how many particles left this rank. Interpolation is
+    /// per-element with identical arithmetic on every partition, and the
+    /// migrated set is sorted by particle id — the phase is bitwise
+    /// partition-independent, like the field physics.
+    pub fn particle_phase(&mut self, env: &Env, rank: &mut Rank, prof: &mut Profiler) -> u64 {
+        let Some(ps) = self.pset.as_mut() else {
+            return 0;
+        };
+        let (u, fields) = (&self.blk.u, env.cfg.fields);
+        prof.enter(cmt_perf::regions::PARTICLE_ADVECT);
+        ps.advect_field(env.dt, [&u[0], &u[1 % fields], &u[2 % fields]]);
+        prof.exit();
+        prof.enter(cmt_perf::regions::PARTICLE_MIGRATE);
+        let sent = ps.migrate(rank).sent as u64;
+        prof.exit();
+        sent
+    }
+
+    /// Capture the loop state at the top of a step (stage 0). With the
+    /// load balancer on, the scalars record the full element-owner
+    /// vector (identical on every rank), so a rollback — or a cross-run
+    /// restart — can rebuild the partition the fields were captured
+    /// under. With particles on, their `[id, x, y, z]` records ride
+    /// along as one extra field entry.
+    pub fn capture(&self, env: &Env, rank: &Rank) -> Checkpoint {
+        let scalars = if env.cfg.lb_every > 0 {
+            self.part.owner_vec().iter().map(|&r| r as f64).collect()
+        } else {
+            Vec::new()
+        };
+        let mut fields: Vec<Vec<f64>> = self.blk.u.iter().map(|f| f.as_slice().to_vec()).collect();
+        if let Some(ps) = &self.pset {
+            let mut rec = Vec::with_capacity(ps.len() * 4);
+            for p in ps.particles() {
+                rec.push(p.id as f64);
+                rec.extend_from_slice(&p.pos);
+            }
+            fields.push(rec);
+        }
+        Checkpoint {
+            rank: rank.rank() as u64,
+            step: self.step,
+            stage: 0,
+            time: self.time,
+            rng_state: rank.fault_rng_state().unwrap_or(0),
+            scalars,
+            fields,
+        }
+    }
+
+    /// Inverse of [`State::capture`], for `--restart` and for rollback
+    /// alike. When the checkpoint predates a rebalance, the block is
+    /// first rebuilt on the checkpoint's partition — its owner vector is
+    /// identical on every rank (captured from SPMD-uniform state), so
+    /// the collective gather-scatter setup is safe here.
+    pub fn restore(&mut self, env: &Env, rank: &mut Rank, ckpt: &Checkpoint) {
+        if let Some(ck_part) = checkpoint_partition(ckpt, rank.size()) {
+            if ck_part.owner_vec() != self.part.owner_vec() {
+                self.repartition(env, rank, ck_part);
+            }
+        }
+        // the checkpoint may carry one trailing particle record beyond
+        // the field set
+        let nf = self.blk.u.len();
+        assert!(
+            ckpt.fields.len() == nf || ckpt.fields.len() == nf + 1,
+            "checkpoint holds {} fields, run has {nf}",
+            ckpt.fields.len()
+        );
+        for (uf, cf) in self.blk.u.iter_mut().zip(&ckpt.fields) {
+            assert_eq!(
+                uf.as_slice().len(),
+                cf.len(),
+                "checkpoint field size mismatch"
+            );
+            uf.as_mut_slice().copy_from_slice(cf);
+        }
+        if let Some(ps) = self.pset.as_mut() {
+            assert_eq!(
+                ckpt.fields.len(),
+                nf + 1,
+                "checkpoint has no particle record"
+            );
+            let rec = &ckpt.fields[nf];
+            assert_eq!(rec.len() % 4, 0, "corrupt particle checkpoint record");
+            ps.set_particles(rec.chunks_exact(4).map(particle_from_record).collect());
+        }
+        self.time = ckpt.time;
+        self.step = ckpt.step;
+        rank.set_fault_rng_state(ckpt.rng_state);
+    }
+
+    /// Hash the final state element by element: each owned element's
+    /// bytes across every field, then its resident particles (ascending
+    /// by id). Returns `(gids, hashes)`; they are merged host-side in
+    /// ascending global-id order, so the combined fingerprint does not
+    /// depend on which rank ended up owning which element — the property
+    /// the load-balancer identity tests rely on.
+    pub fn hash_elements(&mut self) -> (Vec<u64>, Vec<u64>) {
+        let n3 = self.blk.u[0].n().pow(3);
+        let mut gids = Vec::with_capacity(self.blk.nel);
+        let mut hashes = Vec::with_capacity(self.blk.nel);
+        for (slot, &gid) in self.blk.owned.iter().enumerate() {
+            let mut h = hash::FNV_OFFSET;
+            for f in &self.blk.u {
+                hash::fnv1a_f64s(&mut h, &f.as_slice()[slot * n3..(slot + 1) * n3]);
+            }
+            if let Some(ps) = self.pset.as_mut() {
+                let mut residents: Vec<Particle> = ps.residents_of(slot).to_vec();
+                residents.sort_by_key(|p| p.id);
+                for p in &residents {
+                    hash::fnv1a(&mut h, &p.id.to_le_bytes());
+                    hash::fnv1a_f64s(&mut h, &p.pos);
+                }
+            }
+            gids.push(gid as u64);
+            hashes.push(h);
+        }
+        (gids, hashes)
+    }
+}
+
+/// One `[id, x, y, z]` record back to a particle (checkpoints and
+/// migration payloads share the layout).
+pub(super) fn particle_from_record(c: &[f64]) -> Particle {
+    Particle {
+        id: c[0] as u64,
+        pos: [c[1], c[2], c[3]],
+    }
+}
+
+/// The element partition a checkpoint was captured under, when one was
+/// recorded (load balancer on).
+pub(super) fn checkpoint_partition(ckpt: &Checkpoint, ranks: usize) -> Option<ElemPartition> {
+    if ckpt.scalars.is_empty() {
+        return None;
+    }
+    let owner: Vec<u32> = ckpt.scalars.iter().map(|&r| r as u32).collect();
+    Some(ElemPartition::from_owner(ranks, owner))
+}

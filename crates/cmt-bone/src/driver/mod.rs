@@ -1,0 +1,1220 @@
+//! The mini-app driver: setup, autotune, and the instrumented timestep
+//! loop. [`rank_main`] is the loop; the per-partition state lives in
+//! [`block`], the RK stage schedules in [`stage`], the load-balancer
+//! step in [`balance`], and the result codecs in [`wire`].
+
+mod balance;
+mod block;
+mod stage;
+mod wire;
+
+use std::f64::consts::PI;
+use std::sync::Arc;
+use std::time::Instant;
+
+use cmt_core::kernels::autotune::{time_candidates, KernelAutotuneOptions, KernelAutotuneReport};
+use cmt_core::ops::ElementGeom;
+use cmt_core::poly::Basis;
+use cmt_core::Field;
+use cmt_gs::{autotune, AutotuneReport, GsMethod};
+use cmt_mesh::{ElemPartition, MeshConfig};
+use cmt_perf::{MpipReport, Profiler};
+use cmt_resilience::{hash, load_checkpoint, Resilience};
+use cmt_verify::Verifier;
+use simmpi::{Rank, ReduceOp, WorkerPool, World};
+
+use crate::config::Config;
+use crate::report::{LbSummary, RunReport};
+use balance::balance;
+use block::{checkpoint_partition, State};
+use stage::rk_step;
+
+/// Profiler region names used by the driver, mirroring the routines of
+/// the paper's Fig. 4 call graph.
+pub(crate) mod regions {
+    /// The derivative (flux-divergence) kernel — the paper's `ax_`.
+    pub const DERIV: &str = "ax_cmt (flux divergence derivs)";
+    /// Surface extraction — the paper's `full2face_cmt`.
+    pub const FULL2FACE: &str = "full2face_cmt";
+    /// The gather-scatter surface exchange — the paper's `gs_op_`.
+    pub const GS_OP: &str = "gs_op_ (numerical flux exchange)";
+    /// Split-phase exchange start (gather + post sends/recvs). Nested
+    /// under [`GS_OP`] so the parent row keeps the total exchange time.
+    pub const GS_START: &str = "gs_op_start (post exchange)";
+    /// Split-phase exchange finish (wait + combine + scatter).
+    pub const GS_FINISH: &str = "gs_op_finish (wait + combine)";
+    /// Upwind lifting of the exchanged fluxes back into the volume.
+    pub const FLUX_LIFT: &str = "add_face2full (flux lift)";
+    /// Runge-Kutta stage update.
+    pub const RK: &str = "rk_stage_update";
+    /// Timestep-control reduction.
+    pub const CFL: &str = "cfl_allreduce";
+    /// Dealiasing fine-mesh map (paper §V's second matmul workload).
+    pub const DEALIAS: &str = "dealias (fine-mesh map)";
+    /// BR1 viscous passes (gradient + viscous divergence).
+    pub const VISCOUS: &str = "viscous_br1 (grad + div)";
+    /// Whole setup phase (mesh + gs_setup + autotune).
+    pub const SETUP: &str = "setup (gs_setup + autotune)";
+    /// The whole timestep loop.
+    pub const LOOP: &str = "timestep_loop";
+}
+
+/// Final state of one rank's fields, for validation against the serial
+/// reference solver.
+#[derive(Debug, Clone)]
+pub struct SolutionDump {
+    /// Global element id of each local element, in local order.
+    pub global_elem_ids: Vec<usize>,
+    /// Final per-field data, each in `Field` layout.
+    pub fields: Vec<Vec<f64>>,
+    /// Simulated time reached.
+    pub time: f64,
+    /// Timestep used.
+    pub dt: f64,
+}
+
+struct RankOutput {
+    profiler: Profiler,
+    autotune: Option<AutotuneReport>,
+    kernel_autotune: Option<KernelAutotuneReport>,
+    chosen: GsMethod,
+    checksum: f64,
+    /// Global ids of the elements this rank finished owning, with their
+    /// per-element state hashes — merged host-side in ascending-gid
+    /// order so the run fingerprint is independent of the partition.
+    elem_gids: Vec<u64>,
+    elem_hashes: Vec<u64>,
+    lb: Option<LbSummary>,
+    wall_s: f64,
+    modeled_s: f64,
+    solution: Option<SolutionDump>,
+}
+
+/// The smooth initial profile of proxy field `f` (periodic in the global
+/// box of extents `lengths`).
+fn initial_profile(f: usize, x: f64, y: f64, z: f64, lengths: [f64; 3]) -> f64 {
+    let fx = 2.0 * PI * x / lengths[0];
+    let fy = 2.0 * PI * y / lengths[1];
+    let fz = 2.0 * PI * z / lengths[2];
+    (fx + 0.3 * f as f64).sin() * fy.cos() + 0.25 * (fz + 0.7 * f as f64).cos()
+}
+
+/// Stable timestep mirroring [`cmt_core::solver::AdvectionSolver::stable_dt`]
+/// (plus the diffusive limit when viscosity is on, as
+/// [`cmt_core::diffusion::AdvDiffSolver::stable_dt`] computes it).
+fn stable_dt(cfg: &Config, geom: &ElementGeom) -> f64 {
+    let n2 = (cfg.n * cfg.n) as f64;
+    let mut dt = f64::INFINITY;
+    for axis in 0..3 {
+        let h = geom.extent(axis);
+        let c = cfg.velocity[axis].abs();
+        if c > 0.0 {
+            dt = dt.min(cfg.cfl * h / (n2 * c));
+        }
+        if let Some(nu) = cfg.viscosity {
+            dt = dt.min(cfg.cfl * h * h / (n2 * n2 * nu));
+        }
+    }
+    if dt.is_finite() {
+        dt
+    } else {
+        cfg.cfl
+    }
+}
+
+/// Per-rank invariants of a run: everything the step reads that no
+/// migration or rollback changes.
+struct Env<'a> {
+    /// The effective configuration: the kernel autotune's winner
+    /// overrides the requested variant; everything downstream reads the
+    /// resolved choice.
+    cfg: Config,
+    mesh_cfg: &'a MeshConfig,
+    basis: Basis,
+    /// Unit-cube elements.
+    geom: ElementGeom,
+    dt: f64,
+    /// Dealiasing operators `(m, up, down)`: interpolation to the
+    /// m-point fine mesh and back (paper §V: "an element is first mapped
+    /// to a finer mesh and later mapped back").
+    dealias: Option<(usize, Vec<f64>, Vec<f64>)>,
+    /// The rank's worker pool (`--workers` > 1) sharing the element loops.
+    pool: Option<Arc<WorkerPool>>,
+    /// The kernel autotune's chunk grain, when it ran.
+    tuned_grain: Option<usize>,
+}
+
+impl<'a> Env<'a> {
+    fn new(
+        rank: &Rank,
+        cfg: &Config,
+        mesh_cfg: &'a MeshConfig,
+        basis: Basis,
+        kernel_tune: Option<&KernelAutotuneReport>,
+    ) -> Self {
+        let mut cfg = cfg.clone();
+        if let Some(t) = kernel_tune {
+            cfg.variant = t.effective;
+        }
+        let geom = ElementGeom::cube(1.0);
+        Env {
+            dt: stable_dt(&cfg, &geom),
+            dealias: cfg
+                .dealias_m
+                .map(|m| (m, basis.dealias_to(m), basis.dealias_from(m))),
+            pool: rank.worker_pool(),
+            tuned_grain: kernel_tune.map(|t| t.chosen.grain),
+            cfg,
+            mesh_cfg,
+            basis,
+            geom,
+        }
+    }
+
+    /// Chunk grain of the element loops over `nel` elements: the tuned
+    /// grain, else ~4 chunks per worker (slack for stealing without
+    /// drowning in scheduling overhead).
+    fn grain_for(&self, nel: usize) -> usize {
+        self.tuned_grain.unwrap_or_else(|| {
+            nel.div_ceil(self.pool.as_ref().map_or(1, |p| p.workers()) * 4)
+                .max(1)
+        })
+    }
+}
+
+/// Kernel autotune (`--variant auto`): time every variant × chunk grain
+/// on this rank's shape, average across ranks (the gs-autotune
+/// protocol), and let every rank pick the same winner.
+fn tune_kernels(rank: &mut Rank, n: usize, nel: usize, basis: &Basis) -> KernelAutotuneReport {
+    let (cands, local) = time_candidates(n, nel, &basis.d, KernelAutotuneOptions::default());
+    rank.set_context("kernel_autotune");
+    let avg: Vec<f64> = local
+        .iter()
+        .map(|&t| rank.allreduce_scalar(t, ReduceOp::Sum) / rank.size() as f64)
+        .collect();
+    rank.set_context("main");
+    KernelAutotuneReport::from_avg_times(n, cands, avg)
+}
+
+/// Vector reduction: the timestep-control allreduce.
+fn cfl_reduce(rank: &mut Rank, prof: &mut Profiler, u: &[Field]) {
+    prof.enter(regions::CFL);
+    rank.set_context("cfl");
+    let local_max = u.iter().fold(0.0f64, |m, f| m.max(f.norm_inf()));
+    let _global_max = rank.allreduce_scalar(local_max, ReduceOp::Max);
+    rank.set_context("main");
+    prof.exit();
+}
+
+fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool) -> RankOutput {
+    let start = Instant::now();
+    let mut prof = Profiler::new();
+
+    // A restart checkpoint loads first: with the load balancer on it
+    // records the partition its fields were captured under, and the
+    // collective gather-scatter setup must run on that partition.
+    let restart = cfg.restart_from.as_ref().map(|dir| {
+        load_checkpoint(dir, rank.rank())
+            .unwrap_or_else(|e| panic!("rank {}: restart: {e}", rank.rank()))
+    });
+    let part = restart
+        .as_ref()
+        .and_then(|c| checkpoint_partition(c, rank.size()))
+        .unwrap_or_else(|| ElemPartition::initial(mesh_cfg));
+
+    // ---- setup: kernel autotune, partition block + gs discovery, gs autotune
+    prof.enter(regions::SETUP);
+    let basis = Basis::new(cfg.n);
+    let nel0 = part.owned_by(rank.rank()).len();
+    let kernel_tune = cfg
+        .kernel_autotune
+        .then(|| tune_kernels(rank, cfg.n, nel0, &basis));
+    let env = Env::new(rank, cfg, mesh_cfg, basis, kernel_tune.as_ref());
+    let mut st = State::initial(&env, rank, part);
+    let (chosen, tune_report) = match cfg.method {
+        Some(m) => (m, None),
+        None => {
+            let rep = autotune(rank, &st.blk.handle, cfg.autotune);
+            (rep.chosen, Some(rep))
+        }
+    };
+    prof.exit();
+    if let Some(ck) = &restart {
+        st.restore(&env, rank, ck);
+    }
+
+    // ---- timestep loop --------------------------------------------------
+    let mut rz = Resilience::new(cfg.checkpoint_every as u64, cfg.checkpoint_dir.clone());
+    let mut lb = LbSummary::default();
+    let steps = cfg.steps as u64;
+    prof.enter(regions::LOOP);
+    while st.step < steps {
+        // Checkpoint at the top of the step, before any kill scheduled
+        // here can fire, so a kill at step s rolls back to a capture
+        // taken at (or before) s.
+        if rz.checkpoint_due(st.step) {
+            prof.enter(cmt_perf::regions::CHECKPOINT);
+            rz.save(rank, &st.capture(&env, rank));
+            prof.exit();
+        }
+        // Scheduled rank kills: SPMD-known, so every rank detects them
+        // without communication and runs the coordinated rollback.
+        let killed = rz.killed_at(rank, st.step);
+        if !killed.is_empty() {
+            prof.enter(cmt_perf::regions::RECOVERY);
+            let back = rz.recover(rank, &killed);
+            st.restore(&env, rank, &back);
+            prof.exit();
+            continue;
+        }
+
+        rk_step(&env, chosen, rank, &mut prof, &mut st.blk);
+        st.time += env.dt;
+        lb.particles_moved += st.particle_phase(&env, rank, &mut prof);
+        if (st.step + 1) % cfg.cfl_interval as u64 == 0 {
+            cfl_reduce(rank, &mut prof, &st.blk.u);
+        }
+        st.step += 1;
+
+        // Load balancer, between steps; skipped after the last one (no
+        // work left to balance).
+        if cfg.lb_every > 0 && st.step % cfg.lb_every as u64 == 0 && st.step < steps {
+            balance(&env, rank, &mut prof, &mut st, &mut lb);
+        }
+    }
+    prof.exit();
+
+    // Determinism checksum: global sum over all fields. (Unlike the
+    // state hash this groups the sum by rank, so it is *not* bitwise
+    // partition-independent — the LB identity tests compare hashes.)
+    let local_sum: f64 = st.blk.u.iter().map(|f| f.sum()).sum();
+    rank.set_context("checksum");
+    let checksum = rank.allreduce_scalar(local_sum, ReduceOp::Sum);
+    rank.set_context("main");
+    let (elem_gids, elem_hashes) = st.hash_elements();
+
+    // Finalize-time verification sweep (leaked messages, abandoned
+    // exchanges), timed as its own region so overhead comparisons can
+    // isolate the checker's cost. `World::run` would run the sweep
+    // anyway; doing it here puts it on this rank's profile.
+    if rank.verifying() {
+        prof.enter(cmt_perf::regions::VERIFY);
+        rank.verify_finalize();
+        prof.exit();
+    }
+
+    RankOutput {
+        profiler: prof,
+        autotune: tune_report,
+        kernel_autotune: kernel_tune,
+        chosen,
+        checksum,
+        elem_gids,
+        elem_hashes,
+        lb: (cfg.lb_every > 0).then_some(lb),
+        wall_s: start.elapsed().as_secs_f64(),
+        modeled_s: rank.modeled_time_s(),
+        solution: collect.then(|| SolutionDump {
+            global_elem_ids: st.blk.owned.clone(),
+            fields: st.blk.u.iter().map(|f| f.as_slice().to_vec()).collect(),
+            time: st.time,
+            dt: env.dt,
+        }),
+    }
+}
+
+fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
+    cfg.validate().expect("invalid CMT-bone configuration");
+    let mesh_cfg = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, true);
+    let mut world = match cfg.net {
+        Some(net) => World::with_network(net),
+        None => World::new(),
+    };
+    world = world
+        .with_pooling(cfg.pool)
+        .with_workers(cfg.workers)
+        .with_worker_alloc_counters(cmt_perf::alloc::thread_counts);
+    if let Some(plan) = &cfg.fault_plan {
+        world = world.with_fault_plan(plan.clone());
+    }
+    if let Some(seed) = cfg.chaos_sched {
+        world = world.with_chaos_sched(seed);
+    }
+    let verifier = cfg.verify.then(|| Arc::new(Verifier::new()));
+    if let Some(v) = &verifier {
+        world = world.with_verifier(v.clone());
+    }
+    world = world.with_transport(cfg.transport.clone());
+    // run_dist: inproc worlds run rank threads exactly as before; socket
+    // worlds spawn one child process per rank (or run this process's
+    // single rank and exit, when the launcher spawned us).
+    let result = world.run_dist(cfg.ranks, |rank| rank_main(rank, cfg, &mesh_cfg, collect));
+
+    let mut merged = Profiler::new();
+    let mut autotune_rep = None;
+    let mut kernel_autotune_rep = None;
+    let mut chosen = None;
+    let mut checksum = f64::NAN;
+    let mut elem_pairs: Vec<(u64, u64)> = Vec::new();
+    let mut lb_total: Option<LbSummary> = None;
+    let mut rank_wall = Vec::with_capacity(cfg.ranks);
+    let mut rank_compute = Vec::with_capacity(cfg.ranks);
+    let mut modeled = Vec::with_capacity(cfg.ranks);
+    let mut dumps = Vec::new();
+    // The physics regions the load balancer redistributes; their summed
+    // self time per rank is the compute side of the critical path.
+    const COMPUTE_REGIONS: &[&str] = &[
+        regions::DERIV,
+        regions::FULL2FACE,
+        regions::FLUX_LIFT,
+        regions::RK,
+        regions::DEALIAS,
+        regions::VISCOUS,
+        cmt_perf::regions::PARTICLE_ADVECT,
+    ];
+    for out in result.results {
+        let rank_report = out.profiler.report();
+        rank_compute.push(
+            rank_report
+                .flat
+                .iter()
+                .filter(|(name, _)| COMPUTE_REGIONS.contains(&name.as_str()))
+                .map(|(_, s)| s.self_s())
+                .sum::<f64>(),
+        );
+        merged.merge(&out.profiler);
+        if out.autotune.is_some() && autotune_rep.is_none() {
+            autotune_rep = out.autotune;
+        }
+        if out.kernel_autotune.is_some() && kernel_autotune_rep.is_none() {
+            kernel_autotune_rep = out.kernel_autotune;
+        }
+        chosen.get_or_insert(out.chosen);
+        checksum = out.checksum; // identical on every rank
+        elem_pairs.extend(
+            out.elem_gids
+                .iter()
+                .copied()
+                .zip(out.elem_hashes.iter().copied()),
+        );
+        if let Some(l) = out.lb {
+            let t = lb_total.get_or_insert_with(LbSummary::default);
+            // rebalances and the peak are SPMD-identical across ranks;
+            // the traffic counters are per-rank and sum
+            t.rebalances = t.rebalances.max(l.rebalances);
+            t.peak_imbalance = t.peak_imbalance.max(l.peak_imbalance);
+            t.elems_moved += l.elems_moved;
+            t.particles_moved += l.particles_moved;
+        }
+        rank_wall.push(out.wall_s);
+        modeled.push(out.modeled_s);
+        if let Some(d) = out.solution {
+            dumps.push(d);
+        }
+    }
+    // Combine the per-element hashes host-side in ascending global-id
+    // order: the fingerprint is then independent of which rank owned
+    // which element at the end of the run.
+    elem_pairs.sort_unstable_by_key(|&(gid, _)| gid);
+    let mut state_hash = hash::FNV_OFFSET;
+    for (gid, h) in &elem_pairs {
+        hash::fnv1a(&mut state_hash, &gid.to_le_bytes());
+        hash::fnv1a(&mut state_hash, &h.to_le_bytes());
+    }
+    // The variant that actually ran: the autotune winner under
+    // `--variant auto`, otherwise the configured variant resolved for
+    // this n; the ISA only applies to the simd tier.
+    let kernel_variant = kernel_autotune_rep
+        .as_ref()
+        .map(|t: &KernelAutotuneReport| t.effective)
+        .unwrap_or_else(|| cfg.variant.resolve(cfg.n));
+    let kernel_isa = if kernel_variant == cmt_core::KernelVariant::Simd {
+        cmt_core::kernels::simd::active_isa().name()
+    } else {
+        "-"
+    };
+    let report = RunReport {
+        mesh_summary: mesh_cfg.summary(),
+        mesh: mesh_cfg,
+        chosen_method: chosen.expect("at least one rank"),
+        autotune: autotune_rep,
+        kernel_autotune: kernel_autotune_rep,
+        kernel_variant,
+        kernel_isa,
+        profile: merged.report(),
+        comm: MpipReport::from_stats(&result.stats),
+        rank_wall_s: rank_wall,
+        rank_compute_s: rank_compute,
+        modeled_comm_s: modeled,
+        checksum,
+        state_hash,
+        lb: lb_total,
+        steps: cfg.steps,
+        fields: cfg.fields,
+        verify: verifier.map(|v| v.findings()),
+    };
+    (report, dumps)
+}
+
+/// Execute the mini-app and collect the full measurement set.
+pub fn run(cfg: &Config) -> RunReport {
+    run_inner(cfg, false).0
+}
+
+/// Execute the mini-app and additionally return every rank's final fields
+/// (rank order), for validation against the serial reference solver.
+pub fn run_collecting_solution(cfg: &Config) -> (RunReport, Vec<SolutionDump>) {
+    run_inner(cfg, true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Pipeline;
+    use cmt_core::solver::{AdvectionConfig, AdvectionSolver};
+    use cmt_core::KernelVariant;
+
+    fn small_cfg() -> Config {
+        Config {
+            n: 5,
+            elems_per_rank: 8,
+            ranks: 4,
+            steps: 4,
+            fields: 2,
+            cfl_interval: 2,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn run_is_deterministic() {
+        // Force the method: the autotuned choice is timing-dependent, but
+        // a fixed method must yield a bitwise-identical checksum.
+        let cfg = Config {
+            method: Some(GsMethod::PairwiseExchange),
+            ..small_cfg()
+        };
+        let a = run(&cfg);
+        let b = run(&cfg);
+        assert!(a.checksum.is_finite());
+        assert_eq!(a.checksum, b.checksum, "checksum not deterministic");
+        assert_eq!(a.chosen_method, GsMethod::PairwiseExchange);
+    }
+
+    /// The hybrid MPI+workers overlap window must not change a single
+    /// bit: chunked element loops reuse the serial kernels on disjoint
+    /// subslices, so state hash and checksum are invariant in the worker
+    /// count (with and without dealiasing).
+    #[test]
+    fn hybrid_workers_are_bitwise_identical_to_serial() {
+        for dealias_m in [None, Some(7)] {
+            let cfg = Config {
+                method: Some(GsMethod::PairwiseExchange),
+                dealias_m,
+                ..small_cfg()
+            };
+            let serial = run(&cfg);
+            for workers in [2, 4] {
+                let hybrid = run(&Config {
+                    workers,
+                    ..cfg.clone()
+                });
+                assert_eq!(
+                    serial.state_hash, hybrid.state_hash,
+                    "state diverged with {workers} workers (dealias {dealias_m:?})"
+                );
+                assert_eq!(serial.checksum, hybrid.checksum);
+            }
+        }
+    }
+
+    /// The simd tier's end-to-end contract: runtime-dispatched
+    /// lane-parallel kernels must not change a single bit relative to
+    /// the scalar `opt` run — on both transports, under the dynamic
+    /// checker, and through a kill + rollback recovery.
+    #[test]
+    fn simd_variant_is_bitwise_identical_to_opt() {
+        let base = Config {
+            method: Some(GsMethod::PairwiseExchange),
+            dealias_m: Some(7),
+            ..small_cfg()
+        };
+        let opt = run(&base);
+        let simd_cfg = Config {
+            variant: KernelVariant::Simd,
+            ..base.clone()
+        };
+        let simd = run(&simd_cfg);
+        assert_eq!(opt.state_hash, simd.state_hash, "simd diverged from opt");
+        assert_eq!(opt.checksum, simd.checksum);
+        assert_eq!(simd.kernel_variant, KernelVariant::Simd);
+        assert!(["avx2", "sse2", "scalar"].contains(&simd.kernel_isa));
+        assert!(simd.render().contains(&format!(
+            "kernel variant: simd (effective isa: {})",
+            simd.kernel_isa
+        )));
+
+        // multi-process socket backend (thread mode): same bits
+        let socket = run(&Config {
+            transport: simmpi::TransportKind::Socket(simmpi::SocketConfig {
+                addr: None,
+                threads: true,
+            }),
+            ..simd_cfg.clone()
+        });
+        assert_eq!(opt.state_hash, socket.state_hash, "socket simd diverged");
+        assert_eq!(socket.kernel_isa, simd.kernel_isa);
+
+        // verified run stays clean and identical
+        let verified = run(&Config {
+            verify: true,
+            ..simd_cfg.clone()
+        });
+        assert_eq!(opt.state_hash, verified.state_hash);
+        assert!(verified.verify.as_ref().is_some_and(|f| f.is_empty()));
+
+        // kill + rollback recovery lands on the same bits
+        let ckpt = Config {
+            steps: 8,
+            checkpoint_every: 2,
+            ..simd_cfg
+        };
+        let clean = run(&ckpt);
+        let recovered = run(&Config {
+            fault_plan: Some(simmpi::FaultPlan::parse("kill:rank=2,step=5").unwrap()),
+            ..ckpt
+        });
+        assert_eq!(
+            clean.state_hash, recovered.state_hash,
+            "simd recovery diverged"
+        );
+    }
+
+    /// `--variant auto`: the startup kernel autotune must produce a
+    /// report, pick a resolved (effective) variant, and leave the run
+    /// numerically sane.
+    #[test]
+    fn kernel_autotune_runs_and_reports() {
+        let cfg = Config {
+            kernel_autotune: true,
+            method: Some(GsMethod::PairwiseExchange),
+            steps: 2,
+            ..small_cfg()
+        };
+        let rep = run(&cfg);
+        let tune = rep
+            .kernel_autotune
+            .as_ref()
+            .expect("kernel autotune report");
+        assert_eq!(tune.effective, tune.chosen.variant.resolve(cfg.n));
+        assert!(!tune.timings.is_empty());
+        assert!(rep.checksum.is_finite());
+        assert!(rep.render().contains("Kernel autotune"));
+    }
+
+    #[test]
+    fn forced_methods_agree_numerically() {
+        let mut cfg = small_cfg();
+        let mut sums = Vec::new();
+        for m in GsMethod::ALL {
+            cfg.method = Some(m);
+            sums.push(run(&cfg).checksum);
+        }
+        for s in &sums[1..] {
+            assert!((s - sums[0]).abs() < 1e-9 * (1.0 + sums[0].abs()));
+        }
+    }
+
+    #[test]
+    fn profile_contains_fig4_regions_and_deriv_dominates() {
+        let cfg = Config {
+            steps: 6,
+            ..small_cfg()
+        };
+        let rep = run(&cfg);
+        for name in [
+            regions::DERIV,
+            regions::FULL2FACE,
+            regions::GS_OP,
+            regions::RK,
+        ] {
+            assert!(
+                rep.profile.flat.iter().any(|(n, _)| n == name),
+                "missing region {name}"
+            );
+        }
+        // Fig. 4's headline: the derivative kernel is the dominant
+        // compute region (compare against other compute, not against the
+        // thread-contended exchange).
+        let deriv = rep.profile.share(regions::DERIV);
+        assert!(deriv > rep.profile.share(regions::FULL2FACE));
+        assert!(deriv > rep.profile.share(regions::RK));
+    }
+
+    /// The mini-app's proxy loop is a real distributed DG advection: its
+    /// result must match the single-process reference solver.
+    #[test]
+    fn distributed_solution_matches_serial_reference() {
+        let cfg = Config {
+            n: 6,
+            elems_per_rank: 4,
+            ranks: 4,
+            steps: 5,
+            fields: 1,
+            variant: KernelVariant::Optimized,
+            method: Some(GsMethod::PairwiseExchange),
+            ..Default::default()
+        };
+        let mesh_cfg = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, true);
+        let ge = mesh_cfg.global_elems();
+        let (_, dumps) = run_collecting_solution(&cfg);
+        let dt = dumps[0].dt;
+
+        // serial reference on the identical global mesh
+        let mut serial = AdvectionSolver::new(AdvectionConfig {
+            n: cfg.n,
+            elems: ge,
+            lengths: [ge[0] as f64, ge[1] as f64, ge[2] as f64],
+            velocity: cfg.velocity,
+            variant: cfg.variant,
+        });
+        let lengths = [ge[0] as f64, ge[1] as f64, ge[2] as f64];
+        serial.init(|x, y, z| initial_profile(0, x, y, z, lengths));
+        for _ in 0..cfg.steps {
+            serial.step(dt);
+        }
+
+        // compare element by element via global ids
+        let npts = cfg.n * cfg.n * cfg.n;
+        let mut checked = 0;
+        for dump in &dumps {
+            for (le, &geid) in dump.global_elem_ids.iter().enumerate() {
+                let data = &dump.fields[0][le * npts..(le + 1) * npts];
+                let sdata = &serial.solution().element(geid);
+                for (a, b) in data.iter().zip(sdata.iter()) {
+                    assert!(
+                        (a - b).abs() < 1e-10,
+                        "elem {geid}: {a} vs {b} (diff {})",
+                        (a - b).abs()
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, serial.nel() * npts);
+    }
+
+    #[test]
+    fn dealias_roundtrip_changes_nothing_but_adds_the_workload() {
+        let base = Config {
+            method: Some(GsMethod::PairwiseExchange),
+            ..small_cfg()
+        };
+        let plain = run(&base);
+        let dealiased = run(&Config {
+            dealias_m: Some(base.n + 3),
+            ..base.clone()
+        });
+        // identity on the polynomial data: same physics to roundoff
+        assert!(
+            (plain.checksum - dealiased.checksum).abs() < 1e-9 * (1.0 + plain.checksum.abs()),
+            "{} vs {}",
+            plain.checksum,
+            dealiased.checksum
+        );
+        // but the dealias region exists and did work
+        assert!(dealiased.profile.share(regions::DEALIAS) > 0.0);
+        assert!(plain.profile.share(regions::DEALIAS) == 0.0);
+    }
+
+    #[test]
+    fn dealias_mesh_must_be_at_least_n() {
+        let cfg = Config {
+            dealias_m: Some(3),
+            n: 5,
+            ..Default::default()
+        };
+        assert!(cfg.validate().is_err());
+    }
+
+    /// The viscous proxy loop is a real distributed advection–diffusion
+    /// solve: it must match the single-process BR1 reference solver.
+    #[test]
+    fn distributed_viscous_solution_matches_serial_reference() {
+        use cmt_core::diffusion::{AdvDiffConfig, AdvDiffSolver};
+        let cfg = Config {
+            n: 5,
+            elems_per_rank: 4,
+            ranks: 4,
+            steps: 4,
+            fields: 1,
+            viscosity: Some(0.02),
+            method: Some(GsMethod::PairwiseExchange),
+            ..Default::default()
+        };
+        let mesh_cfg = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, true);
+        let ge = mesh_cfg.global_elems();
+        let lengths = [ge[0] as f64, ge[1] as f64, ge[2] as f64];
+        let (_, dumps) = run_collecting_solution(&cfg);
+        let dt = dumps[0].dt;
+
+        let mut serial = AdvDiffSolver::new(AdvDiffConfig {
+            n: cfg.n,
+            elems: ge,
+            lengths,
+            velocity: cfg.velocity,
+            nu: 0.02,
+            variant: cfg.variant,
+        });
+        serial.init(|x, y, z| initial_profile(0, x, y, z, lengths));
+        for _ in 0..cfg.steps {
+            serial.step(dt);
+        }
+
+        let npts = cfg.n * cfg.n * cfg.n;
+        let mut max_diff = 0.0f64;
+        for dump in &dumps {
+            for (le, &geid) in dump.global_elem_ids.iter().enumerate() {
+                let data = &dump.fields[0][le * npts..(le + 1) * npts];
+                for (a, b) in data.iter().zip(serial.solution().element(geid)) {
+                    max_diff = max_diff.max((a - b).abs());
+                }
+            }
+        }
+        assert!(
+            max_diff < 1e-10,
+            "viscous distributed vs serial: {max_diff}"
+        );
+    }
+
+    #[test]
+    fn viscosity_adds_regions_and_shrinks_dt() {
+        let base = Config {
+            n: 6,
+            elems_per_rank: 8,
+            ranks: 2,
+            steps: 2,
+            fields: 1,
+            method: Some(GsMethod::PairwiseExchange),
+            ..Default::default()
+        };
+        let geom = cmt_core::ops::ElementGeom::cube(1.0);
+        let dt_inviscid = super::stable_dt(&base, &geom);
+        let viscous_cfg = Config {
+            viscosity: Some(0.5),
+            ..base.clone()
+        };
+        assert!(super::stable_dt(&viscous_cfg, &geom) < dt_inviscid);
+        let rep = run(&viscous_cfg);
+        assert!(rep.profile.share(regions::VISCOUS) > 0.0);
+        // viscous trace exchanges recorded under their own context
+        assert!(rep
+            .comm
+            .sites
+            .iter()
+            .any(|s| s.site.context.contains("faces_visc")));
+    }
+
+    /// The overlapped schedule only reorders *independent* work (volume
+    /// kernels of other fields run between start and finish), and `finish`
+    /// folds neighbor contributions in the same fixed order as the
+    /// blocking path — so the inviscid solve must be bitwise identical.
+    #[test]
+    fn overlapped_pipeline_is_bitwise_identical_to_blocking_inviscid() {
+        let base = Config {
+            n: 5,
+            elems_per_rank: 8,
+            ranks: 4,
+            steps: 3,
+            fields: 3,
+            dealias_m: Some(8),
+            method: Some(GsMethod::PairwiseExchange),
+            ..Default::default()
+        };
+        let (_, blocking) = run_collecting_solution(&Config {
+            pipeline: Pipeline::Blocking,
+            ..base.clone()
+        });
+        let (_, overlapped) = run_collecting_solution(&Config {
+            pipeline: Pipeline::Overlapped,
+            ..base.clone()
+        });
+        assert_eq!(blocking.len(), overlapped.len());
+        for (a, b) in blocking.iter().zip(&overlapped) {
+            assert_eq!(a.global_elem_ids, b.global_elem_ids);
+            for (fa, fb) in a.fields.iter().zip(&b.fields) {
+                assert_eq!(fa, fb, "overlapped inviscid must match blocking bitwise");
+            }
+        }
+    }
+
+    /// The overlapped viscous pass accumulates the three axis divergences
+    /// before the three surface corrections (the blocking path interleaves
+    /// them), so it is equal only to roundoff — but no looser.
+    #[test]
+    fn overlapped_viscous_matches_blocking_to_roundoff() {
+        let base = Config {
+            n: 5,
+            elems_per_rank: 4,
+            ranks: 4,
+            steps: 3,
+            fields: 2,
+            viscosity: Some(0.02),
+            method: Some(GsMethod::PairwiseExchange),
+            ..Default::default()
+        };
+        let a = run(&Config {
+            pipeline: Pipeline::Blocking,
+            ..base.clone()
+        })
+        .checksum;
+        let b = run(&Config {
+            pipeline: Pipeline::Overlapped,
+            ..base.clone()
+        })
+        .checksum;
+        assert!((a - b).abs() < 1e-11 * (1.0 + a.abs()), "{a} vs {b}");
+    }
+
+    /// One batched exchange carries all fields: the overlapped schedule
+    /// must send `fields`x fewer face messages than the blocking one.
+    #[test]
+    fn overlapped_pipeline_batches_field_exchanges() {
+        let base = Config {
+            n: 5,
+            elems_per_rank: 8,
+            ranks: 4,
+            steps: 2,
+            fields: 5,
+            method: Some(GsMethod::PairwiseExchange),
+            ..Default::default()
+        };
+        let face_isends = |rep: &RunReport| -> u64 {
+            rep.comm
+                .sites
+                .iter()
+                .filter(|s| {
+                    s.site.op == simmpi::MpiOp::Isend && s.site.context == "faces/gs:pairwise"
+                })
+                .map(|s| s.calls)
+                .sum()
+        };
+        let blocking = run(&Config {
+            pipeline: Pipeline::Blocking,
+            ..base.clone()
+        });
+        let overlapped = run(&Config {
+            pipeline: Pipeline::Overlapped,
+            ..base.clone()
+        });
+        let (nb, no) = (face_isends(&blocking), face_isends(&overlapped));
+        assert!(no > 0, "overlapped run sent no face messages");
+        assert_eq!(
+            nb,
+            base.fields as u64 * no,
+            "blocking sent {nb} face messages, overlapped {no}; expected a {}x reduction",
+            base.fields
+        );
+    }
+
+    #[test]
+    fn overlapped_profile_splits_gs_into_start_and_finish() {
+        let rep = run(&Config {
+            steps: 4,
+            ..small_cfg()
+        });
+        for name in [regions::GS_OP, regions::GS_START, regions::GS_FINISH] {
+            assert!(
+                rep.profile.flat.iter().any(|(n, _)| n == name),
+                "missing region {name}"
+            );
+        }
+        // start/finish nest under the gs_op_ parent row
+        for child in [regions::GS_START, regions::GS_FINISH] {
+            assert!(
+                rep.profile
+                    .edges
+                    .iter()
+                    .any(|(p, c, _, _)| p == regions::GS_OP && c == child),
+                "missing call-graph edge {} -> {child}",
+                regions::GS_OP
+            );
+        }
+        // the blocking baseline keeps the undivided gs_op_ row
+        let blocking = run(&Config {
+            steps: 2,
+            pipeline: Pipeline::Blocking,
+            ..small_cfg()
+        });
+        assert!(!blocking
+            .profile
+            .flat
+            .iter()
+            .any(|(n, _)| n == regions::GS_START));
+    }
+
+    #[test]
+    fn comm_stats_include_face_exchange() {
+        let rep = run(&Config {
+            method: Some(GsMethod::PairwiseExchange),
+            ..small_cfg()
+        });
+        // pairwise exchange under the "faces" context shows Isend/Wait
+        let found =
+            rep.comm.sites.iter().any(|s| {
+                s.site.op == simmpi::MpiOp::Wait && s.site.context.contains("gs:pairwise")
+            });
+        assert!(found, "missing MPI_Wait at gs:pairwise site");
+        let cfl = rep
+            .comm
+            .sites
+            .iter()
+            .any(|s| s.site.op == simmpi::MpiOp::Allreduce && s.site.context == "cfl");
+        assert!(cfl, "missing cfl allreduce site");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid CMT-bone configuration")]
+    fn invalid_config_rejected() {
+        let _ = run(&Config {
+            n: 1,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    fn injected_kill_recovers_to_identical_state() {
+        let base = Config {
+            steps: 8,
+            checkpoint_every: 2,
+            method: Some(GsMethod::PairwiseExchange),
+            ..small_cfg()
+        };
+        let clean = run(&base);
+        let faulty = run(&Config {
+            fault_plan: Some(simmpi::FaultPlan::parse("kill:rank=2,step=5").unwrap()),
+            ..base.clone()
+        });
+        // coordinated rollback + deterministic solver: the interrupted run
+        // must finish bitwise identical to the uninterrupted one
+        assert_eq!(clean.checksum, faulty.checksum);
+        assert_eq!(
+            clean.state_hash, faulty.state_hash,
+            "recovered run diverged from the uninterrupted run"
+        );
+        // recovery shows up as its own region in the Fig. 4 profile...
+        for name in [cmt_perf::regions::CHECKPOINT, cmt_perf::regions::RECOVERY] {
+            assert!(
+                faulty.profile.flat.iter().any(|(n, _)| n == name),
+                "missing region {name}"
+            );
+        }
+        assert!(!clean
+            .profile
+            .flat
+            .iter()
+            .any(|(n, _)| n == cmt_perf::regions::RECOVERY));
+        // ...and its traffic is a distinct context in the mpiP report
+        for ctx in ["checkpoint", "recovery"] {
+            assert!(
+                faulty.comm.sites.iter().any(|s| s.site.context == ctx),
+                "missing '{ctx}' comm context"
+            );
+        }
+    }
+
+    #[test]
+    fn message_faults_are_reported_and_harmless() {
+        let base = Config {
+            method: Some(GsMethod::PairwiseExchange),
+            ..small_cfg()
+        };
+        let clean = run(&base);
+        let faulty = run(&Config {
+            fault_plan: Some(
+                simmpi::FaultPlan::parse(
+                    "delay:prob=0.2,us=50;drop:prob=0.1,us=100,retries=3;seed=11",
+                )
+                .unwrap(),
+            ),
+            ..base.clone()
+        });
+        // delays and retransmissions never change what arrives
+        assert_eq!(clean.state_hash, faulty.state_hash);
+        assert_eq!(clean.checksum, faulty.checksum);
+        // injected events are distinct entries in the mpiP-style report
+        let injected: u64 = faulty
+            .comm
+            .sites
+            .iter()
+            .filter(|s| s.site.op.is_fault())
+            .map(|s| s.calls)
+            .sum();
+        assert!(injected > 0, "fault plan injected nothing");
+        assert!(!clean.comm.sites.iter().any(|s| s.site.op.is_fault()));
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpointing is off")]
+    fn kills_without_checkpointing_rejected() {
+        let _ = run(&Config {
+            fault_plan: Some(simmpi::FaultPlan::parse("kill:rank=1,step=2").unwrap()),
+            ..small_cfg()
+        });
+    }
+
+    /// A clustered-particle config that leaves most particles on a few
+    /// ranks: the canonical load-balancer workload.
+    fn lb_cfg() -> Config {
+        Config {
+            steps: 8,
+            particles_per_elem: 6,
+            particle_cluster: Some(0.25),
+            method: Some(GsMethod::PairwiseExchange),
+            ..small_cfg()
+        }
+    }
+
+    /// The load balancer's first law: migrating elements must not change
+    /// the physics. The per-element state hash (fields + resident
+    /// particles, merged in global-id order) must be bitwise identical
+    /// with the balancer off and on — including the particle cloud.
+    #[test]
+    fn rebalanced_run_is_bitwise_identical_to_static_run() {
+        let off = run(&lb_cfg());
+        let on = run(&Config {
+            lb_every: 2,
+            lb_threshold: 1.05,
+            ..lb_cfg()
+        });
+        let lb = on.lb.expect("lb summary present when enabled");
+        assert!(
+            lb.rebalances >= 1,
+            "clustered particles at threshold 1.05 should trigger: {lb:?}"
+        );
+        assert!(lb.peak_imbalance > 1.05);
+        assert_eq!(
+            off.state_hash, on.state_hash,
+            "rebalancing changed the physics"
+        );
+        assert!(off.lb.is_none());
+        // the balancer's traffic is first-class in the mpiP report:
+        // monitor gathers and element migration under the "lb" context
+        use simmpi::MpiOp;
+        for (op, ctx) in [(MpiOp::LbGather, "lb"), (MpiOp::LbMigrate, "lb")] {
+            assert!(
+                on.comm
+                    .sites
+                    .iter()
+                    .any(|s| s.site.op == op && s.site.context == ctx),
+                "missing {op:?} under context {ctx:?}"
+            );
+        }
+        // particle drift between ranks is badged too
+        assert!(on
+            .comm
+            .sites
+            .iter()
+            .any(|s| s.site.op == MpiOp::LbMigrate && s.site.context == "particle_migration"));
+        // and the monitor/migration phases appear in the Fig. 4 profile
+        for name in [cmt_perf::regions::LB_MONITOR, cmt_perf::regions::LB_MIGRATE] {
+            assert!(
+                on.profile.flat.iter().any(|(n, _)| n == name),
+                "missing region {name}"
+            );
+        }
+        assert!(on.render().contains("load balancing:"));
+    }
+
+    /// Deterministic straggler: a seeded per-rank delay hazard feeds the
+    /// monitor's injected-delay signal, the policy sheds elements from
+    /// the slow rank, and the run still reproduces the clean run exactly
+    /// (delays and migrations are both physics-neutral).
+    #[test]
+    fn straggler_delay_triggers_rebalance_and_preserves_state() {
+        let base = Config {
+            particles_per_elem: 4,
+            method: Some(GsMethod::PairwiseExchange),
+            ..small_cfg()
+        };
+        let clean = run(&base);
+        let balanced = run(&Config {
+            lb_every: 2,
+            lb_threshold: 1.1,
+            fault_plan: Some(
+                simmpi::FaultPlan::parse("delay:prob=1.0,us=500,rank=1;seed=9").unwrap(),
+            ),
+            ..base.clone()
+        });
+        let lb = balanced.lb.expect("lb summary");
+        assert!(
+            lb.rebalances >= 1,
+            "persistent straggler should trigger a rebalance: {lb:?}"
+        );
+        assert!(lb.elems_moved > 0);
+        assert_eq!(
+            clean.state_hash, balanced.state_hash,
+            "straggler-driven rebalance changed the physics"
+        );
+    }
+
+    /// Converged steady state: once the policy has evened out the load,
+    /// re-evaluations must not keep shuffling elements. With a static
+    /// imbalance source the rebalance count stays far below the number
+    /// of monitor evaluations.
+    #[test]
+    fn rebalance_converges_instead_of_thrashing() {
+        let rep = run(&Config {
+            steps: 16,
+            lb_every: 2,
+            lb_threshold: 1.05,
+            ..lb_cfg()
+        });
+        let lb = rep.lb.expect("lb summary");
+        // 7 in-run evaluations (steps 2..14): the cloud barely moves, so
+        // after the first correction the greedy plan is stable
+        assert!(
+            (1..=3).contains(&lb.rebalances),
+            "expected 1-3 rebalances over 16 steps, got {lb:?}"
+        );
+    }
+
+    /// Load balancing composes with checkpoint/rollback: a kill after a
+    /// rebalance rolls back to a checkpoint that may predate it; the
+    /// restored owner vector rebuilds that partition and the run still
+    /// finishes bitwise identical to the clean static run.
+    #[test]
+    fn lb_with_kill_and_rollback_stays_identical() {
+        let off = run(&lb_cfg());
+        let on = run(&Config {
+            lb_every: 2,
+            lb_threshold: 1.05,
+            checkpoint_every: 2,
+            fault_plan: Some(simmpi::FaultPlan::parse("kill:rank=2,step=5").unwrap()),
+            ..lb_cfg()
+        });
+        assert!(on.lb.expect("lb summary").rebalances >= 1);
+        assert_eq!(
+            off.state_hash, on.state_hash,
+            "kill+rollback under load balancing diverged"
+        );
+    }
+
+    /// The message-level verifier stays clean across migrations: every
+    /// shipped element and particle is received exactly once.
+    #[test]
+    fn lb_run_passes_verification() {
+        let rep = run(&Config {
+            lb_every: 2,
+            lb_threshold: 1.05,
+            verify: true,
+            ..lb_cfg()
+        });
+        assert!(rep.lb.expect("lb summary").rebalances >= 1);
+        let findings = rep.verify.expect("verification ran");
+        assert!(
+            findings.is_empty(),
+            "verifier found protocol violations in a balanced run: {findings:?}"
+        );
+    }
+}

@@ -1,0 +1,349 @@
+//! The RK step: per-field routines mirroring the paper's Fig. 4 call
+//! graph, and the two schedules — blocking and overlapped — that order
+//! them.
+
+use cmt_core::face::{self, Face};
+use cmt_core::kernels::{self, DerivDir};
+use cmt_core::ops::{advect_volume_rhs_slices, upwind_face_correction};
+use cmt_core::rk;
+use cmt_gs::{GsMethod, GsOp};
+use cmt_perf::Profiler;
+use simmpi::{for_each_chunk, Rank, Stride};
+
+use super::block::Block;
+use super::{regions, Env};
+use crate::config::Pipeline;
+
+const AXES: [(usize, DerivDir); 3] = [(0, DerivDir::R), (1, DerivDir::S), (2, DerivDir::T)];
+
+/// One rank's handles for a step: the run invariants, the exchange
+/// method, the communicator and the profiler every routine reports to.
+struct Stepper<'a> {
+    env: &'a Env<'a>,
+    chosen: GsMethod,
+    rank: &'a mut Rank,
+    prof: &'a mut Profiler,
+}
+
+/// Advance every field of `blk` by one timestep (all RK stages).
+pub(super) fn rk_step(
+    env: &Env,
+    chosen: GsMethod,
+    rank: &mut Rank,
+    prof: &mut Profiler,
+    blk: &mut Block,
+) {
+    let mut s = Stepper {
+        env,
+        chosen,
+        rank,
+        prof,
+    };
+    let fields = env.cfg.fields;
+    for (uf, u0f) in blk.u.iter().zip(blk.u0.iter_mut()) {
+        u0f.as_mut_slice().copy_from_slice(uf.as_slice());
+    }
+    for stage in 0..rk::STAGES {
+        match env.cfg.pipeline {
+            // Legacy schedule: one blocking exchange per field. The
+            // face-exchange ids pair each face point with exactly its
+            // across-face twin, so Add recovers own + neighbor.
+            Pipeline::Blocking => {
+                for f in 0..fields {
+                    s.volume(blk, f);
+                    s.prof.enter(regions::FULL2FACE);
+                    s.extract(blk, f);
+                    s.prof.exit();
+                    s.prof.enter(regions::GS_OP);
+                    s.rank.set_context("faces");
+                    blk.handle
+                        .gs_op(s.rank, &mut blk.faces_all[f], GsOp::Add, chosen);
+                    s.rank.set_context("main");
+                    s.prof.exit();
+                    s.lift_and_update(blk, f, stage);
+                }
+            }
+            // Split-phase schedule: ONE exchange carries all fields (a
+            // k-field payload per neighbor: `fields`x fewer messages),
+            // and every field's volume work runs while the face
+            // messages are in flight.
+            Pipeline::Overlapped => {
+                s.prof.enter(regions::FULL2FACE);
+                for f in 0..fields {
+                    s.extract(blk, f);
+                }
+                s.prof.exit();
+                // The slice-view lists are assembled before the gs
+                // regions open so their allocation never counts
+                // against the exchange.
+                let views: Vec<&[f64]> = blk.faces_all.iter().map(|v| v.as_slice()).collect();
+                s.prof.enter(regions::GS_OP);
+                s.prof.enter(regions::GS_START);
+                s.rank.set_context("faces");
+                let pending = blk.handle.gs_op_start(s.rank, &views, GsOp::Add, chosen);
+                s.rank.set_context("main");
+                s.prof.exit();
+                s.prof.exit();
+                for f in 0..fields {
+                    s.volume(blk, f);
+                }
+                let mut outs: Vec<&mut [f64]> =
+                    blk.faces_all.iter_mut().map(|v| v.as_mut_slice()).collect();
+                s.prof.enter(regions::GS_OP);
+                s.prof.enter(regions::GS_FINISH);
+                s.rank.set_context("faces");
+                blk.handle.gs_op_finish(s.rank, pending, &mut outs);
+                s.rank.set_context("main");
+                s.prof.exit();
+                s.prof.exit();
+                for f in 0..fields {
+                    s.lift_and_update(blk, f, stage);
+                }
+            }
+        }
+    }
+}
+
+impl Stepper<'_> {
+    /// Surface extraction (`full2face_cmt`): field `f`'s face traces,
+    /// plus the own-side copy the lift subtracts after the exchange.
+    fn extract(&mut self, blk: &mut Block, f: usize) {
+        face::full2face(
+            self.env.cfg.n,
+            blk.nel,
+            blk.u[f].as_slice(),
+            &mut blk.faces_all[f],
+        );
+        blk.faces_own_all[f].copy_from_slice(&blk.faces_all[f]);
+    }
+
+    /// Volume work of field `f`: the flux-divergence derivatives (the
+    /// small-matrix-multiply kernel), then the dealiasing round trip on
+    /// the RHS (identity on the resolved polynomial content; pure kernel
+    /// workload). Both element loops are chunked across the rank's
+    /// worker pool when it has one; chunks own disjoint element ranges
+    /// and nothing is reduced across them, so the result is bitwise
+    /// identical for every worker count.
+    fn volume(&mut self, blk: &mut Block, f: usize) {
+        let env = self.env;
+        let (cfg, pool) = (&env.cfg, env.pool.as_deref());
+        let (n, n3) = (cfg.n, cfg.n.pow(3));
+        let us = blk.u[f].as_slice();
+        let rhs = blk.rhs_all[f].as_mut_slice();
+
+        self.prof.enter(regions::DERIV);
+        let (allocs, bytes) = for_each_chunk(
+            pool,
+            blk.nel,
+            blk.grain,
+            [
+                (&mut *rhs, Stride::PerElem(n3)),
+                (blk.scratch.as_mut_slice(), Stride::PerElem(n3)),
+            ],
+            |lo, hi, [rhs, scratch]| {
+                advect_volume_rhs_slices(
+                    cfg.variant,
+                    &env.basis,
+                    &env.geom,
+                    cfg.velocity,
+                    n,
+                    hi - lo,
+                    &us[lo * n3..hi * n3],
+                    rhs,
+                    scratch,
+                )
+            },
+        );
+        self.prof.charge_allocs(allocs, bytes);
+        self.prof.exit();
+
+        if let Some((m, up, down)) = &env.dealias {
+            let (m, m3, big3) = (*m, m.pow(3), (*m).max(n).pow(3));
+            self.prof.enter(regions::DEALIAS);
+            let (allocs, bytes) = for_each_chunk(
+                pool,
+                blk.nel,
+                blk.grain,
+                [
+                    (rhs, Stride::PerElem(n3)),
+                    (&mut blk.dealias_fine, Stride::PerElem(m3)),
+                    (&mut blk.dealias_scratch, Stride::PerChunk(2 * big3)),
+                ],
+                |lo, hi, [rhs, fine, ts]| {
+                    let (t1, t2) = ts.split_at_mut(big3);
+                    let v = cfg.variant;
+                    kernels::tensor3_apply_scratch_variant(v, m, n, up, rhs, fine, hi - lo, t1, t2);
+                    kernels::tensor3_apply_scratch_variant(
+                        v,
+                        n,
+                        m,
+                        down,
+                        fine,
+                        rhs,
+                        hi - lo,
+                        t1,
+                        t2,
+                    );
+                },
+            );
+            self.prof.charge_allocs(allocs, bytes);
+            self.prof.exit();
+        }
+    }
+
+    /// After the exchange: recover the neighbor trace (sum − own), lift
+    /// the upwind flux into the RHS (`add_face2full`), run the viscous
+    /// passes when viscosity is on, and take the RK stage update.
+    fn lift_and_update(&mut self, blk: &mut Block, f: usize, stage: usize) {
+        let env = self.env;
+        self.prof.enter(regions::FLUX_LIFT);
+        for (s, o) in blk.faces_all[f].iter_mut().zip(&blk.faces_own_all[f]) {
+            *s -= o;
+        }
+        upwind_face_correction(
+            &env.basis,
+            &env.geom,
+            env.cfg.velocity,
+            &blk.faces_own_all[f],
+            &blk.faces_all[f],
+            &mut blk.rhs_all[f],
+        );
+        self.prof.exit();
+
+        if blk.viscous.is_some() {
+            self.viscous_pass(blk, f);
+        }
+
+        self.prof.enter(regions::RK);
+        rk::stage_update(stage, &mut blk.u[f], &blk.u0[f], &blk.rhs_all[f], env.dt);
+        self.prof.exit();
+    }
+
+    /// The BR1 viscous passes for field `f`: gradient with central
+    /// traces, then the viscous divergence with its q-trace exchange.
+    /// Under the blocking pipeline each axis runs its own blocking
+    /// `gs_op` (3 exchanges per field per stage); under the overlapped
+    /// pipeline all three axis traces go out in one bundled split-phase
+    /// exchange whose in-flight time the three volume divergence
+    /// derivatives overlap. On entry `faces_all[f]` holds the absolute
+    /// neighbor trace (after the flux lift).
+    fn viscous_pass(&mut self, blk: &mut Block, f: usize) {
+        let env = self.env;
+        let (cfg, basis, geom) = (&env.cfg, &env.basis, &env.geom);
+        let (n, nel) = (cfg.n, blk.nel);
+        let fpe = face::face_values_per_element(n);
+        let n2 = n * n;
+        let n3 = n2 * n;
+        let w_end = basis.weights[0];
+        let Block {
+            handle,
+            u,
+            rhs_all,
+            scratch,
+            faces_all,
+            faces_own_all,
+            viscous,
+            ..
+        } = blk;
+        let ws = viscous.as_mut().expect("viscous workspace");
+        let (faces, faces_own, rhs) = (&faces_all[f], &faces_own_all[f], &mut rhs_all[f]);
+        let nu = ws.nu;
+
+        self.prof.enter(regions::VISCOUS);
+        // gradient volume part
+        for (axis, dir) in AXES {
+            let q = ws.q[axis].as_mut_slice();
+            kernels::deriv(cfg.variant, dir, n, nel, &basis.d, u[f].as_slice(), q);
+            ws.q[axis].scale(geom.dscale(axis));
+        }
+        // gradient lifting: q_a += lift * sign * (u* - u_in),
+        // u* - u_in = (nbr - own)/2
+        for e in 0..nel {
+            for fc in Face::ALL {
+                let axis = fc.axis();
+                let sign = fc.sign() as f64;
+                let lift = geom.dscale(axis) / w_end;
+                let off = e * fpe + fc.index() * n2;
+                for p in 0..n2 {
+                    let jump = 0.5 * (faces[off + p] - faces_own[off + p]);
+                    let vi = face::face_point_volume_index(n, fc, p);
+                    ws.q[axis].as_mut_slice()[e * n3 + vi] += lift * sign * jump;
+                }
+            }
+        }
+        // viscous divergence: per axis a volume term and a central
+        // surface-flux correction with the q-trace exchange between them.
+        let mut volume = |q: &[f64], axis: usize, dir: DerivDir, rhs: &mut cmt_core::Field| {
+            kernels::deriv(
+                cfg.variant,
+                dir,
+                n,
+                nel,
+                &basis.d,
+                q,
+                scratch.as_mut_slice(),
+            );
+            rhs.axpy(nu * geom.dscale(axis), scratch);
+        };
+        // On entry `qnbr` holds the exchanged trace *sum* (own +
+        // neighbor); it is reduced to the absolute neighbor trace in
+        // place, then the correction is lifted into `rhs`.
+        let correct = |qnbr: &mut [f64], qown: &[f64], axis: usize, rhs: &mut cmt_core::Field| {
+            let lift = geom.dscale(axis) / w_end;
+            for (nb, ow) in qnbr.iter_mut().zip(qown) {
+                *nb -= ow;
+            }
+            for e in 0..nel {
+                for fc in Face::ALL.into_iter().filter(|fc| fc.axis() == axis) {
+                    let sign = fc.sign() as f64;
+                    let off = e * fpe + fc.index() * n2;
+                    for p in 0..n2 {
+                        // F* - F_in = sign nu ((q_own+q_nbr)/2 - q_own)
+                        //           = sign nu (q_nbr - q_own)/2
+                        let corr = lift * sign * nu * 0.5 * (qnbr[off + p] - qown[off + p]);
+                        let vi = face::face_point_volume_index(n, fc, p);
+                        rhs.as_mut_slice()[e * n3 + vi] += corr;
+                    }
+                }
+            }
+        };
+        match cfg.pipeline {
+            Pipeline::Blocking => {
+                for (axis, dir) in AXES {
+                    volume(ws.q[axis].as_slice(), axis, dir, rhs);
+                    face::full2face(n, nel, ws.q[axis].as_slice(), &mut ws.qown[axis]);
+                    ws.qnbr[axis].copy_from_slice(&ws.qown[axis]);
+                    self.rank.set_context("faces_visc");
+                    handle.gs_op(self.rank, &mut ws.qnbr[axis], GsOp::Add, self.chosen);
+                    self.rank.set_context("main");
+                    correct(&mut ws.qnbr[axis], &ws.qown[axis], axis, rhs);
+                }
+            }
+            Pipeline::Overlapped => {
+                for axis in 0..3 {
+                    face::full2face(n, nel, ws.q[axis].as_slice(), &mut ws.qown[axis]);
+                }
+                let views: Vec<&[f64]> = ws.qown.iter().map(|v| v.as_slice()).collect();
+                self.prof.enter(regions::GS_START);
+                self.rank.set_context("faces_visc");
+                let pending = handle.gs_op_start(self.rank, &views, GsOp::Add, self.chosen);
+                self.rank.set_context("main");
+                self.prof.exit();
+                for (axis, dir) in AXES {
+                    volume(ws.q[axis].as_slice(), axis, dir, rhs);
+                }
+                let mut outs: Vec<&mut [f64]> =
+                    ws.qnbr.iter_mut().map(|v| v.as_mut_slice()).collect();
+                self.prof.enter(regions::GS_FINISH);
+                self.rank.set_context("faces_visc");
+                handle.gs_op_finish(self.rank, pending, &mut outs);
+                self.rank.set_context("main");
+                self.prof.exit();
+                for axis in 0..3 {
+                    correct(&mut ws.qnbr[axis], &ws.qown[axis], axis, rhs);
+                }
+            }
+        }
+        self.prof.exit();
+    }
+}

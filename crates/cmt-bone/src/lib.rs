@@ -33,6 +33,7 @@
 //!   reports.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod config;
 mod driver;

@@ -200,13 +200,13 @@ mod tests {
     #[test]
     fn candidate_grid_covers_variants_and_grains() {
         let c = candidates(8);
-        // grains 1, 2, 4, 8 for each of the 6 variants
-        assert_eq!(c.len(), 6 * 4);
+        // grains 1, 2, 4, 8 for each variant
+        assert_eq!(c.len(), KernelVariant::ALL.len() * 4);
         for v in KernelVariant::ALL {
             assert!(c.iter().any(|k| k.variant == v && k.grain == 8));
         }
         // single-element rank: one grain only
-        assert_eq!(candidates(1).len(), 6);
+        assert_eq!(candidates(1).len(), KernelVariant::ALL.len());
     }
 
     #[test]

@@ -25,8 +25,6 @@
 //!   length-`N` inner products (the analogue of Nek's generated `mxm`
 //!   routines), dispatched for the paper's range `N in 5..=25` and a bit
 //!   beyond.
-//! * [`batched`] / [`unroll`] — all-element cache-blocked and
-//!   unroll-and-jam variants (summation-order preserving);
 //! * [`simd`] — hand-written lane-parallel AVX2/SSE2 kernels behind
 //!   runtime CPU-feature dispatch, **bitwise identical** to [`opt`]
 //!   because every lane keeps the scalar accumulation order.
@@ -38,11 +36,9 @@
 
 pub mod autotune;
 pub mod basic;
-pub mod batched;
 pub mod opt;
 pub mod simd;
 pub mod specialized;
-pub mod unroll;
 
 use crate::field::Field;
 
@@ -81,10 +77,6 @@ pub enum KernelVariant {
     /// Const-generic fully-unrolled inner products (Nek `mxm` analogue);
     /// falls back to [`KernelVariant::Optimized`] for unsupported `n`.
     Specialized,
-    /// All-elements batched, cache-blocked loop orders ([`batched`]).
-    Batched,
-    /// Unroll-and-jam: multiple output streams per input pass ([`unroll`]).
-    UnrollJam,
     /// Hand-written lane-parallel vector kernels with runtime ISA
     /// dispatch ([`simd`]); bitwise identical to [`KernelVariant::Optimized`]
     /// on every ISA (including the scalar fallback).
@@ -94,12 +86,10 @@ pub enum KernelVariant {
 impl KernelVariant {
     /// All variants, baseline first. New variants are appended so the
     /// `ALL`-index wire encoding of older variants stays stable.
-    pub const ALL: [KernelVariant; 6] = [
+    pub const ALL: [KernelVariant; 4] = [
         KernelVariant::Basic,
         KernelVariant::Optimized,
         KernelVariant::Specialized,
-        KernelVariant::Batched,
-        KernelVariant::UnrollJam,
         KernelVariant::Simd,
     ];
 
@@ -109,8 +99,6 @@ impl KernelVariant {
             KernelVariant::Basic => "basic",
             KernelVariant::Optimized => "optimized",
             KernelVariant::Specialized => "specialized",
-            KernelVariant::Batched => "batched",
-            KernelVariant::UnrollJam => "unrolljam",
             KernelVariant::Simd => "simd",
         }
     }
@@ -181,12 +169,6 @@ pub fn deriv(
         (KernelVariant::Specialized, DerivDir::R) => specialized::deriv_r(n, nel, d, u, out),
         (KernelVariant::Specialized, DerivDir::S) => specialized::deriv_s(n, nel, d, u, out),
         (KernelVariant::Specialized, DerivDir::T) => specialized::deriv_t(n, nel, d, u, out),
-        (KernelVariant::Batched, DerivDir::R) => batched::deriv_r(n, nel, d, u, out),
-        (KernelVariant::Batched, DerivDir::S) => batched::deriv_s(n, nel, d, u, out),
-        (KernelVariant::Batched, DerivDir::T) => batched::deriv_t(n, nel, d, u, out),
-        (KernelVariant::UnrollJam, DerivDir::R) => unroll::deriv_r(n, nel, d, u, out),
-        (KernelVariant::UnrollJam, DerivDir::S) => unroll::deriv_s(n, nel, d, u, out),
-        (KernelVariant::UnrollJam, DerivDir::T) => unroll::deriv_t(n, nel, d, u, out),
         (KernelVariant::Simd, DerivDir::R) => simd::deriv_r(n, nel, d, u, out),
         (KernelVariant::Simd, DerivDir::S) => simd::deriv_s(n, nel, d, u, out),
         (KernelVariant::Simd, DerivDir::T) => simd::deriv_t(n, nel, d, u, out),

@@ -36,6 +36,10 @@
 //! identical). Every `*_with` form takes an explicit [`SimdIsa`] so
 //! tests can compare the vector and fallback paths in-process.
 
+// One of the three modules inside the crate-level `deny(unsafe_code)`
+// boundary; every site carries a SAFETY comment (clippy enforces it).
+#![allow(unsafe_code)]
+
 use super::opt;
 
 /// Largest `n` (and dealias `m`) the vector kernels handle; beyond this

@@ -36,6 +36,7 @@
 //! the paper's kernel study.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod cost;
 pub mod diffusion;

@@ -38,6 +38,7 @@
 //!   its report is the paper's Fig. 7 table.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod autotune;
 mod handle;

@@ -37,6 +37,7 @@
 //! bit.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod migrate;
 pub mod monitor;

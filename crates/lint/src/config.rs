@@ -9,8 +9,7 @@
 //!   `alloc_free` counting-allocator tests assert dynamically
 //!   (CMT-L003 roots), plus the pool entry points blessed to allocate,
 //! * the socket wire format's closed payload registry in
-//!   `simmpi::wire` (CMT-L004),
-//! * the audited `unsafe` boundary (CMT-L005).
+//!   `simmpi::wire` (CMT-L004).
 //!
 //! Growing one of those surfaces means growing the matching registry
 //! here — the self-check test (`cmt-lint --workspace` must be clean)
@@ -193,8 +192,8 @@ pub const COLLECTIVES: &[&str] = &[
 /// crystal-router frames ride the same buffer pool.
 ///
 /// `tensor3_apply` (without `_scratch`) is deliberately absent: it is
-/// the documented allocating convenience wrapper; the worker-pooled
-/// dealias path calls the `_scratch` form with per-chunk buffers.
+/// the documented allocating convenience wrapper; the driver's dealias
+/// path calls the `_scratch` form with per-chunk buffers.
 pub const HOT_ROOTS: &[&str] = &[
     "gs_op",
     "gs_op_many",
@@ -307,17 +306,4 @@ pub const PAYLOAD_APIS: &[&str] = &[
     "crystal_router_into",
     "alltoallv",
     "gather",
-];
-
-// --------------------------------------------------------------- L005
-
-/// The audited unsafe boundary: path suffixes of the only files where
-/// `unsafe` is allowed to appear (each site still needs a `// SAFETY:`
-/// comment). Everything else fails the build with CMT-L005.
-pub const UNSAFE_FILE_ALLOWLIST: &[&str] = &[
-    "crates/simmpi/src/workers.rs",
-    "crates/perf/src/alloc.rs",
-    "crates/cmt-bone/src/driver.rs",
-    "crates/nekbone/src/ax.rs",
-    "crates/core/src/kernels/simd.rs",
 ];

@@ -3,8 +3,8 @@
 //! No AST: the scanner walks the token stream with a brace-matching
 //! cursor and extracts exactly what the rule engine needs — function
 //! items with body token ranges, `impl` headers (for the `WireCodec`
-//! coverage map), `unsafe` sites, and `#[cfg(test)] mod` regions (unit
-//! tests are excluded from analysis; rules target product code).
+//! coverage map), and `#[cfg(test)] mod` regions (unit tests are
+//! excluded from analysis; rules target product code).
 
 use std::path::PathBuf;
 
@@ -17,7 +17,6 @@ pub struct FileAnalysis {
     pub comments: Vec<Comment>,
     pub fns: Vec<FnItem>,
     pub impls: Vec<ImplItem>,
-    pub unsafe_sites: Vec<UnsafeSite>,
 }
 
 /// One `fn` item (free or associated).
@@ -32,7 +31,6 @@ pub struct FnItem {
     /// Inclusive token-index range of the body braces `{ .. }`;
     /// `None` for trait method declarations without a default body.
     pub body: Option<(usize, usize)>,
-    pub is_unsafe: bool,
 }
 
 /// One `impl` header: `impl Trait for Type` or `impl Type`.
@@ -43,32 +41,11 @@ pub struct ImplItem {
     pub line: u32,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
-    /// `unsafe { .. }` block inside a function body.
-    Block,
-    /// `unsafe fn` definition.
-    Fn,
-    /// `unsafe impl Trait for Type` (e.g. `Send`/`Sync` assertions).
-    Impl,
-}
-
-/// One occurrence of the `unsafe` keyword in product code.
-#[derive(Debug, Clone)]
-pub struct UnsafeSite {
-    pub kind: UnsafeKind,
-    pub line: u32,
-    pub col: u32,
-    /// Name of the enclosing function, when inside one.
-    pub in_fn: Option<String>,
-}
-
 /// Scan a source string into a [`FileAnalysis`].
 pub fn scan_file(path: PathBuf, src: &str) -> FileAnalysis {
     let (toks, comments) = lex(src);
     let mut fns = Vec::new();
     let mut impls = Vec::new();
-    let mut unsafe_sites = Vec::new();
 
     let test_ranges = find_test_mod_ranges(&toks);
     let in_test = |i: usize| test_ranges.iter().any(|&(a, b)| i >= a && i <= b);
@@ -122,7 +99,6 @@ pub fn scan_file(path: PathBuf, src: &str) -> FileAnalysis {
                         continue;
                     }
                 };
-                let is_unsafe = i > 0 && toks[i - 1].text == "unsafe";
                 let body = find_fn_body(&toks, i + 2);
                 if !in_test(i) {
                     fns.push(FnItem {
@@ -131,30 +107,12 @@ pub fn scan_file(path: PathBuf, src: &str) -> FileAnalysis {
                         line: t.line,
                         col: t.col,
                         body,
-                        is_unsafe,
                     });
                 }
                 if let Some((open, close)) = body {
                     fn_stack.push((name, close));
                     i = open + 1;
                     continue;
-                }
-                i += 1;
-            }
-            "unsafe" if !in_test(i) => {
-                let kind = match toks.get(i + 1).map(|n| n.text.as_str()) {
-                    Some("{") => Some(UnsafeKind::Block),
-                    Some("fn") => Some(UnsafeKind::Fn),
-                    Some("impl") | Some("trait") | Some("extern") => Some(UnsafeKind::Impl),
-                    _ => None,
-                };
-                if let Some(kind) = kind {
-                    unsafe_sites.push(UnsafeSite {
-                        kind,
-                        line: t.line,
-                        col: t.col,
-                        in_fn: fn_stack.last().map(|(n, _)| n.clone()),
-                    });
                 }
                 i += 1;
             }
@@ -168,7 +126,6 @@ pub fn scan_file(path: PathBuf, src: &str) -> FileAnalysis {
         comments,
         fns,
         impls,
-        unsafe_sites,
     }
 }
 
@@ -424,22 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_sites_classified_and_attributed() {
-        let fa = scan(
-            "unsafe impl Send for JobPtr {}\n\
-             pub unsafe fn range_mut() {}\n\
-             fn caller() { let x = unsafe { get() }; }\n",
-        );
-        let kinds: Vec<_> = fa.unsafe_sites.iter().map(|u| u.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![UnsafeKind::Impl, UnsafeKind::Fn, UnsafeKind::Block]
-        );
-        assert_eq!(fa.unsafe_sites[2].in_fn.as_deref(), Some("caller"));
-        assert!(fa.fns.iter().any(|f| f.name == "range_mut" && f.is_unsafe));
-    }
-
-    #[test]
     fn cfg_test_mods_are_excluded() {
         let fa = scan(
             "fn real() {}\n\
@@ -447,7 +388,6 @@ mod tests {
         );
         assert_eq!(fa.fns.len(), 1);
         assert_eq!(fa.fns[0].name, "real");
-        assert!(fa.unsafe_sites.is_empty());
     }
 
     #[test]

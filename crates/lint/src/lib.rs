@@ -1,11 +1,10 @@
 //! `cmt-lint` — a workspace static analyzer that proves simmpi's
-//! communication, pooling, and unsafe-boundary invariants before the
-//! code ever runs.
+//! communication and pooling invariants before the code ever runs.
 //!
 //! The dynamic checkers (`cmt-verify`, the counting allocator, TSan)
 //! only catch a bug if it executes on the right schedule; this crate is
 //! their static twin, catching the whole class at `cargo` time on every
-//! path. Five rule families, stable codes:
+//! path. Four rule families, stable codes:
 //!
 //! | code | invariant |
 //! |------|-----------|
@@ -13,13 +12,18 @@
 //! | CMT-L002 | rank-dependent branches execute identical collective skeletons |
 //! | CMT-L003 | zero-alloc steady-state functions contain no allocation constructs |
 //! | CMT-L004 | transport payload types are wire-registered or WireCodec-covered |
-//! | CMT-L005 | `unsafe` stays in the audited boundary, each site SAFETY-commented |
 //!
 //! The pipeline: [`lexer`] tokenizes, [`items`] extracts the structural
-//! skeleton (functions, impls, unsafe sites), [`model`] builds the
+//! skeleton (functions, impls), [`model`] builds the
 //! workspace call graph, [`rules`] runs the families, and [`diag`]
 //! applies the in-source escape hatch (`// cmt-lint: allow(CODE)`) and
 //! CLI filtering.
+//!
+//! The `unsafe` boundary is not a rule here: `#![forbid(unsafe_code)]` /
+//! `#![deny(unsafe_code)]` on the crate roots and clippy's
+//! `undocumented_unsafe_blocks` enforce it at compile time.
+
+#![forbid(unsafe_code)]
 
 pub mod audit;
 pub mod config;

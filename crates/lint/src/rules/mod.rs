@@ -5,7 +5,6 @@
 pub mod alloc;
 pub mod coll;
 pub mod split;
-pub mod unsafe_audit;
 pub mod wire;
 
 use crate::diag::Diagnostic;
@@ -18,7 +17,6 @@ pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
     out.extend(coll::check(ws));
     out.extend(alloc::check(ws));
     out.extend(wire::check(ws));
-    out.extend(unsafe_audit::check(ws));
     out.sort_by(|a, b| {
         (a.file.clone(), a.line, a.col, a.code).cmp(&(b.file.clone(), b.line, b.col, b.code))
     });

@@ -33,6 +33,7 @@
 //! the global ids of the elements", as the paper puts it.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use cmt_core::face::{face_point_volume_index, Face};
 

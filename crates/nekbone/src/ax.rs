@@ -25,7 +25,7 @@
 use cmt_core::kernels::{deriv, DerivDir};
 use cmt_core::poly::Basis;
 use cmt_core::{Field, KernelVariant};
-use simmpi::{chunk_count, chunk_range, SharedSliceMut, WorkerPool};
+use simmpi::{for_each_chunk, Stride, WorkerPool};
 
 /// Precomputed operator data shared by all `ax` applications.
 #[derive(Debug, Clone)]
@@ -75,39 +75,55 @@ impl AxOperator {
     ///
     /// `t1` and `t2` are scratch fields of the same shape.
     pub fn apply(&self, u: &Field, w: &mut Field, t1: &mut Field, t2: &mut Field) {
+        let _ = self.apply_pooled(None, u, w, t1, t2);
+    }
+
+    /// [`AxOperator::apply`] with the element loop shared across a
+    /// [`WorkerPool`] when one is given: elements are split into
+    /// contiguous chunks, each applied to its own subslices of
+    /// `w`/`t1`/`t2` by whichever worker claims (or steals) it. The
+    /// per-element arithmetic is identical for any chunking and nothing
+    /// is reduced across chunks, so the result is bitwise identical for
+    /// every worker count. Returns the worker-side `(allocations,
+    /// bytes)` for the caller's profiler region.
+    pub fn apply_pooled(
+        &self,
+        pool: Option<&WorkerPool>,
+        u: &Field,
+        w: &mut Field,
+        t1: &mut Field,
+        t2: &mut Field,
+    ) -> (u64, u64) {
         let n = u.n();
         let nel = u.nel();
         assert_eq!(n, self.basis.n, "order mismatch");
         assert_eq!((w.n(), w.nel()), (n, nel), "w shape");
         assert_eq!((t1.n(), t1.nel()), (n, nel), "t1 shape");
         assert_eq!((t2.n(), t2.nel()), (n, nel), "t2 shape");
-        self.apply_slices(
+        let n3 = n * n * n;
+        // ~4 chunks per participant: enough slack for stealing without
+        // drowning in scheduling overhead.
+        let grain = nel.div_ceil(pool.map_or(1, |p| p.workers()) * 4).max(1);
+        let us = u.as_slice();
+        let per_elem = Stride::PerElem(n3);
+        for_each_chunk(
+            pool,
             nel,
-            u.as_slice(),
-            w.as_mut_slice(),
-            t1.as_mut_slice(),
-            t2.as_mut_slice(),
-        );
+            grain,
+            [
+                (w.as_mut_slice(), per_elem),
+                (t1.as_mut_slice(), per_elem),
+                (t2.as_mut_slice(), per_elem),
+            ],
+            |lo, hi, [w, t1, t2]| self.apply_slices(hi - lo, &us[lo * n3..hi * n3], w, t1, t2),
+        )
     }
 
-    /// Slice form of [`AxOperator::apply`]: `nel` contiguous elements in
-    /// `Field` layout. The unit the hybrid worker pool chunks over — the
-    /// per-element arithmetic is identical for any chunking, so the
-    /// result is bitwise independent of the chunk grain.
-    pub fn apply_slices(
-        &self,
-        nel: usize,
-        u: &[f64],
-        w: &mut [f64],
-        t1: &mut [f64],
-        t2: &mut [f64],
-    ) {
+    /// `nel` contiguous elements in `Field` layout: the unit the chunked
+    /// element loop calls.
+    fn apply_slices(&self, nel: usize, u: &[f64], w: &mut [f64], t1: &mut [f64], t2: &mut [f64]) {
         let n = self.basis.n;
         let n3 = n * n * n;
-        assert_eq!(u.len(), n3 * nel, "u length");
-        assert_eq!(w.len(), n3 * nel, "w length");
-        assert_eq!(t1.len(), n3 * nel, "t1 length");
-        assert_eq!(t2.len(), n3 * nel, "t2 length");
         let stiff_coef = self.h / 2.0;
         let mass_coef = self.lambda * (self.h / 2.0).powi(3);
         // Fused accumulation: the first direction *assigns* `0.0 + t2`
@@ -150,51 +166,6 @@ impl AxOperator {
                 }
             }
         }
-    }
-
-    /// [`AxOperator::apply`] with the element loop shared across a
-    /// [`WorkerPool`]: elements are split into contiguous chunks, each
-    /// chunk applied to disjoint subslices of `w`/`t1`/`t2` by whichever
-    /// worker claims (or steals) it. Outputs are written disjointly and
-    /// never reduced across chunks, so the result is bitwise identical to
-    /// the serial [`AxOperator::apply`] for every worker count.
-    pub fn apply_pooled(
-        &self,
-        pool: &WorkerPool,
-        u: &Field,
-        w: &mut Field,
-        t1: &mut Field,
-        t2: &mut Field,
-    ) {
-        let n = u.n();
-        let nel = u.nel();
-        assert_eq!(n, self.basis.n, "order mismatch");
-        assert_eq!((w.n(), w.nel()), (n, nel), "w shape");
-        assert_eq!((t1.n(), t1.nel()), (n, nel), "t1 shape");
-        assert_eq!((t2.n(), t2.nel()), (n, nel), "t2 shape");
-        let n3 = n * n * n;
-        // ~4 chunks per participant: enough slack for stealing without
-        // drowning in scheduling overhead.
-        let grain = nel.div_ceil(pool.workers() * 4).max(1);
-        let n_chunks = chunk_count(nel, grain);
-        let us = u.as_slice();
-        let w_sh = SharedSliceMut::new(w.as_mut_slice());
-        let t1_sh = SharedSliceMut::new(t1.as_mut_slice());
-        let t2_sh = SharedSliceMut::new(t2.as_mut_slice());
-        pool.run(n_chunks, &|c| {
-            let (lo, hi) = chunk_range(nel, grain, c);
-            let (a, b) = (lo * n3, hi * n3);
-            // SAFETY: chunk ranges partition 0..nel, so every chunk
-            // touches a disjoint [a, b) range of each shared buffer.
-            let (wv, t1v, t2v) = unsafe {
-                (
-                    w_sh.range_mut(a, b),
-                    t1_sh.range_mut(a, b),
-                    t2_sh.range_mut(a, b),
-                )
-            };
-            self.apply_slices(hi - lo, &us[a..b], wv, t1v, t2v);
-        });
     }
 }
 
@@ -300,7 +271,7 @@ mod tests {
         for workers in [1, 2, 4] {
             let pool = WorkerPool::new(workers, None);
             let mut w = Field::zeros(n, nel);
-            op.apply_pooled(&pool, &u, &mut w, &mut t1, &mut t2);
+            let _ = op.apply_pooled(Some(&pool), &u, &mut w, &mut t1, &mut t2);
             assert_eq!(
                 w.as_slice(),
                 w_ref.as_slice(),

@@ -13,7 +13,7 @@ use simmpi::{FaultPlan, SocketConfig, TransportKind};
 fn usage() -> ! {
     eprintln!(
         "usage: nekbone [--ranks P] [--elems NEL_PER_RANK] [--n N] [--iters K]\n\
-         \x20              [--tol T] [--variant basic|opt|spec|batched|unroll|simd|auto]\n\
+         \x20              [--tol T] [--variant basic|opt|spec|simd|auto]\n\
          \x20              [--workers W]\n\
          \x20              [--method pairwise|crystal|allreduce] [--quiet]\n\
          \x20              [--checkpoint-every K] [--checkpoint-dir PATH]\n\
@@ -65,8 +65,6 @@ fn main() {
                 Some("basic") => cfg.variant = KernelVariant::Basic,
                 Some("opt") => cfg.variant = KernelVariant::Optimized,
                 Some("spec") => cfg.variant = KernelVariant::Specialized,
-                Some("batched") => cfg.variant = KernelVariant::Batched,
-                Some("unroll") => cfg.variant = KernelVariant::UnrollJam,
                 Some("simd") => cfg.variant = KernelVariant::Simd,
                 Some("auto") => cfg.kernel_autotune = true,
                 _ => usage(),

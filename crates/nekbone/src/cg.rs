@@ -292,11 +292,11 @@ fn restore_cg_state(
     rank.set_fault_rng_state(ckpt.rng_state);
 }
 
-/// The local `ax` body of an apply: element loop shared across the rank's
-/// worker pool when one is configured (`--workers`), serial otherwise.
-/// Worker-side heap counters (if any) are charged to the open `ax_e`
-/// profiler region, keeping the per-region allocation attribution exact
-/// under hybrid runs.
+/// The local `ax` body of an apply, under its profiler region: the
+/// element loop is shared across the rank's worker pool when one is
+/// configured (`--workers`), and worker-side heap counters are charged
+/// to the region, keeping per-region allocation attribution exact under
+/// hybrid runs.
 fn apply_ax(
     rank: &Rank,
     op: &AxOperator,
@@ -306,14 +306,10 @@ fn apply_ax(
     t2: &mut Field,
     prof: &mut Profiler,
 ) {
-    match rank.worker_pool() {
-        Some(pool) => {
-            op.apply_pooled(&pool, u, w, t1, t2);
-            let (allocs, bytes) = pool.drain_worker_allocs();
-            prof.charge_allocs(allocs, bytes);
-        }
-        None => op.apply(u, w, t1, t2),
-    }
+    prof.enter("ax_e (local stiffness+mass)");
+    let (allocs, bytes) = op.apply_pooled(rank.worker_pool().as_deref(), u, w, t1, t2);
+    prof.charge_allocs(allocs, bytes);
+    prof.exit();
 }
 
 /// Zero the masked (Dirichlet) degrees of freedom.
@@ -348,9 +344,7 @@ fn apply_assembled_dot(
     t2: &mut Field,
     prof: &mut Profiler,
 ) -> f64 {
-    prof.enter("ax_e (local stiffness+mass)");
     apply_ax(rank, op, u, w, t1, t2, prof);
-    prof.exit();
 
     prof.enter("dssum (gs_op)");
     prof.enter("dssum_start (post exchange)");
@@ -419,9 +413,7 @@ fn apply_assembled(
     t2: &mut Field,
     prof: &mut Profiler,
 ) {
-    prof.enter("ax_e (local stiffness+mass)");
     apply_ax(rank, op, u, w, t1, t2, prof);
-    prof.exit();
     prof.enter("dssum (gs_op)");
     rank.set_context("dssum");
     handle.gs_op(rank, w.as_mut_slice(), GsOp::Add, method);

@@ -26,6 +26,7 @@
 //! bare solver, and the `nekbone` binary.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ax;
 pub mod cg;

@@ -21,6 +21,7 @@
 //!   nearest-neighbor.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod interp;
 pub mod tracker;

@@ -22,6 +22,7 @@
 //!   plain-text renderers shaped like the paper's plots.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod alloc;
 pub mod mpip;

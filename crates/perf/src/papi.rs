@@ -115,18 +115,6 @@ pub fn kernel_model(variant: KernelVariant, dir: DerivDir) -> KernelModel {
                 ..base
             }
         }
-        // All-elements batched, cache-blocked loop orders: the same
-        // vector bodies as the optimized kernels; hoisting each D row
-        // over a tile trims a sliver of loop overhead. The real win is
-        // cache residence, which appears as the `CacheModel` inflation,
-        // not in the instruction count.
-        (Batched, d) => {
-            let base = kernel_model(Optimized, d);
-            KernelModel {
-                overhead_ipp: base.overhead_ipp * 0.9,
-                ..base
-            }
-        }
         // Hand-vectorized lane-parallel kernels: no FMA contraction (the
         // scalar accumulation order is preserved bitwise, so mul and add
         // stay separate — twice the arithmetic instructions per flop of
@@ -140,17 +128,6 @@ pub fn kernel_model(variant: KernelVariant, dir: DerivDir) -> KernelModel {
                 arith_ipf: base.arith_ipf * 2.0,
                 load_ipl: base.load_ipl * 0.5,
                 overhead_ipp: base.overhead_ipp * 0.4,
-                ..base
-            }
-        }
-        // Unroll-and-jam: several output streams per pass over the input,
-        // so each loaded value feeds multiple accumulators — fewer loads
-        // per flop and less per-output loop overhead.
-        (UnrollJam, d) => {
-            let base = kernel_model(Optimized, d);
-            KernelModel {
-                load_ipl: base.load_ipl * 0.6,
-                overhead_ipp: base.overhead_ipp * 0.7,
                 ..base
             }
         }
@@ -232,10 +209,6 @@ impl CacheModel {
         // strided ones pay for it
         let (p1, p2) = match (variant, dir) {
             (KernelVariant::Basic, DerivDir::T) => (2.0, 6.0),
-            // cache-blocked tiles keep their working set L1-resident, so
-            // the batched kernels tolerate large-N spilling best
-            (KernelVariant::Batched, DerivDir::T) => (0.1, 0.5),
-            (KernelVariant::Batched, DerivDir::S) => (0.8, 2.5),
             // lane-parallel kernels keep their accumulators in registers,
             // so the strided duds round-trips each output once instead of
             // n times — a milder spill penalty than the scalar kernels

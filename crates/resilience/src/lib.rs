@@ -26,6 +26,7 @@
 //! workspace's end-to-end resilience tests assert.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod hash;

@@ -28,9 +28,8 @@
 //!   (see `cmt-perf::alloc`), so anything a *worker* allocates would
 //!   vanish from the rank profiler's books. The pool therefore snapshots
 //!   a caller-supplied counter function around each worker's share of a
-//!   job and accumulates the deltas; drivers drain them with
-//!   [`WorkerPool::drain_worker_allocs`] and charge them to the open
-//!   profiler region.
+//!   job and accumulates the deltas; [`for_each_chunk`] drains them and
+//!   returns them for the driver to charge to the open profiler region.
 //!
 //! Stealing protocol: participant `p`'s remaining range is one packed
 //! `AtomicU64` (`lo` in the high half, `hi` in the low half). The owner
@@ -38,6 +37,10 @@
 //! (`hi - 1`), both by compare-and-swap on the whole word, so every chunk
 //! index is claimed exactly once. A participant retires when its own
 //! range and every victim's range are empty.
+
+// One of the three modules inside the crate-level `deny(unsafe_code)`
+// boundary; every site carries a SAFETY comment (clippy enforces it).
+#![allow(unsafe_code)]
 
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -50,29 +53,31 @@ use std::thread::JoinHandle;
 /// depending on that crate.
 pub type AllocCounterFn = fn() -> (u64, u64);
 
+/// Number of chunks [`for_each_chunk`] splits `nel` elements into: the
+/// grain-sized chunks covering them with a pool, one inline chunk
+/// without — i.e. how many `Stride::PerChunk` slabs a buffer needs.
+pub fn chunk_count(pool: Option<&WorkerPool>, nel: usize, grain: usize) -> usize {
+    pool.map_or(1, |_| pooled_chunks(nel, grain))
+}
+
 /// Number of grain-sized chunks covering `nel` elements.
 #[inline]
-pub fn chunk_count(nel: usize, grain: usize) -> usize {
-    let g = grain.max(1);
-    nel.div_ceil(g)
+fn pooled_chunks(nel: usize, grain: usize) -> usize {
+    nel.div_ceil(grain.max(1))
 }
 
 /// Element range `[lo, hi)` of chunk `c` at the given grain.
 #[inline]
-pub fn chunk_range(nel: usize, grain: usize, c: usize) -> (usize, usize) {
+fn chunk_range(nel: usize, grain: usize, c: usize) -> (usize, usize) {
     let g = grain.max(1);
     let lo = c * g;
     (lo, (lo + g).min(nel))
 }
 
 /// A mutable slice shareable across pool participants that write
-/// *disjoint* ranges — the element-chunked output arrays of the kernels.
-///
-/// The aliasing contract is the caller's: two concurrently-executing
-/// chunks must never receive overlapping ranges. The chunked element
-/// loops guarantee that structurally (chunk `c` owns elements
-/// `[c*grain, (c+1)*grain)` and nothing else).
-pub struct SharedSliceMut<'a, T> {
+/// *disjoint* ranges. Private: [`for_each_chunk`] is the only code that
+/// hands out ranges, and it derives them from the chunk index.
+struct SharedSliceMut<'a, T> {
     ptr: *mut T,
     len: usize,
     _marker: PhantomData<&'a mut [T]>,
@@ -90,23 +95,12 @@ unsafe impl<T: Send> Send for SharedSliceMut<'_, T> {}
 unsafe impl<T: Send> Sync for SharedSliceMut<'_, T> {}
 
 impl<'a, T> SharedSliceMut<'a, T> {
-    /// Wrap a slice for disjoint multi-participant writing.
-    pub fn new(slice: &'a mut [T]) -> Self {
+    fn new(slice: &'a mut [T]) -> Self {
         SharedSliceMut {
             ptr: slice.as_mut_ptr(),
             len: slice.len(),
             _marker: PhantomData,
         }
-    }
-
-    /// Length of the underlying slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the underlying slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Mutable access to `[lo, hi)`.
@@ -115,16 +109,98 @@ impl<'a, T> SharedSliceMut<'a, T> {
     /// The caller must ensure no two live borrows overlap — i.e. calls
     /// from concurrent chunks use disjoint ranges.
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn range_mut(&self, lo: usize, hi: usize) -> &mut [T] {
+    unsafe fn range_mut(&self, lo: usize, hi: usize) -> &mut [T] {
         assert!(lo <= hi && hi <= self.len, "range out of bounds");
-        std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo)
+        // SAFETY: `[lo, hi)` lies inside the borrowed slice (asserted
+        // above) and the caller guarantees it overlaps no live borrow.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo) }
     }
+}
+
+/// How much of a [`for_each_chunk`] buffer one chunk owns.
+#[derive(Debug, Clone, Copy)]
+pub enum Stride {
+    /// This many values per element: chunk `[lo, hi)` owns
+    /// `[lo * s, hi * s)` — the element-indexed arrays.
+    PerElem(usize),
+    /// This many values per chunk: chunk `c` owns `[c * s, (c + 1) * s)`
+    /// — per-chunk scratch that is not element-indexed.
+    PerChunk(usize),
+}
+
+/// The chunked element loop: split `0..nel` into `grain`-sized chunks,
+/// and run `body(lo, hi, slices)` once per chunk across the pool, where
+/// `slices[i]` is the part of `bufs[i]` that chunk owns per its
+/// [`Stride`]. The sub-slices of different chunks are disjoint by
+/// construction (chunk ranges partition `0..nel`; chunk indices are
+/// claimed exactly once), so the body is safe code and — because it
+/// never sees another chunk's data and nothing is reduced across chunks
+/// — results are bitwise independent of worker count and grain.
+///
+/// With no pool the loop is **one inline chunk** `0..nel` (`grain` is
+/// ignored; a `PerChunk` buffer needs a single slab).
+///
+/// Returns the worker-side `(allocations, bytes)` accrued by the job
+/// (zero without a pool) for the caller to charge to its open profiler
+/// region.
+///
+/// # Panics
+/// Panics if a buffer is shorter than its stride requires, or if a
+/// chunk panicked.
+#[must_use = "charge the worker-side allocation counts to the open profiler region"]
+pub fn for_each_chunk<const K: usize>(
+    pool: Option<&WorkerPool>,
+    nel: usize,
+    grain: usize,
+    bufs: [(&mut [f64], Stride); K],
+    body: impl Fn(usize, usize, [&mut [f64]; K]) + Sync,
+) -> (u64, u64) {
+    let Some(pool) = pool else {
+        body(
+            0,
+            nel,
+            bufs.map(|(buf, stride)| match stride {
+                Stride::PerElem(s) => &mut buf[..nel * s],
+                Stride::PerChunk(s) => &mut buf[..s],
+            }),
+        );
+        return (0, 0);
+    };
+    let n_chunks = pooled_chunks(nel, grain);
+    let shared = bufs.map(|(buf, stride)| {
+        let need = match stride {
+            Stride::PerElem(s) => nel * s,
+            Stride::PerChunk(s) => n_chunks * s,
+        };
+        assert!(buf.len() >= need, "chunked buffer too short for its stride");
+        (SharedSliceMut::new(buf), stride)
+    });
+    pool.run(n_chunks, &|c| {
+        let (lo, hi) = chunk_range(nel, grain, c);
+        let slices = shared.each_ref().map(|(buf, stride)| {
+            let (a, b) = match *stride {
+                Stride::PerElem(s) => (lo * s, hi * s),
+                Stride::PerChunk(s) => (c * s, (c + 1) * s),
+            };
+            // SAFETY: `pool.run` executes each chunk index exactly once,
+            // chunk ranges `[lo, hi)` partition `0..nel`, and both stride
+            // forms map distinct chunks to non-overlapping ranges of this
+            // buffer — so no two live borrows of it overlap. The buffers
+            // themselves are distinct `&mut` slices.
+            unsafe { buf.range_mut(a, b) }
+        });
+        body(lo, hi, slices);
+    });
+    pool.drain_worker_allocs()
 }
 
 /// Type-erased pointer to the caller-stack job closure. Only dereferenced
 /// while the owning [`WorkerPool::run`] frame is alive.
 #[derive(Clone, Copy)]
 struct JobPtr(*const (dyn Fn(usize) + Sync));
+// SAFETY: the pointee is `Sync` (shared calls from any thread are fine)
+// and outlives every use — see `WorkerPool::run`, which publishes the
+// pointer and does not return until all workers are done with it.
 unsafe impl Send for JobPtr {}
 
 struct JobState {
@@ -354,9 +430,8 @@ impl WorkerPool {
     }
 
     /// Drain the accumulated worker-side heap-allocation deltas
-    /// (`allocations, bytes`) since the last drain. The caller charges
-    /// them to whatever profiler region the pooled work ran under.
-    pub fn drain_worker_allocs(&self) -> (u64, u64) {
+    /// (`allocations, bytes`) since the last drain.
+    fn drain_worker_allocs(&self) -> (u64, u64) {
         (
             self.shared.worker_allocs.swap(0, Ordering::Relaxed),
             self.shared.worker_bytes.swap(0, Ordering::Relaxed),
@@ -384,11 +459,13 @@ mod tests {
 
     #[test]
     fn chunk_helpers_cover_everything() {
-        assert_eq!(chunk_count(10, 4), 3);
+        assert_eq!(pooled_chunks(10, 4), 3);
         assert_eq!(chunk_range(10, 4, 0), (0, 4));
         assert_eq!(chunk_range(10, 4, 2), (8, 10));
-        assert_eq!(chunk_count(0, 4), 0);
-        assert_eq!(chunk_count(5, 0), 5, "grain 0 clamps to 1");
+        assert_eq!(pooled_chunks(0, 4), 0);
+        assert_eq!(pooled_chunks(5, 0), 5, "grain 0 clamps to 1");
+        assert_eq!(chunk_count(None, 10, 4), 1, "no pool: one inline chunk");
+        assert_eq!(chunk_count(Some(&WorkerPool::new(2, None)), 10, 4), 3);
     }
 
     #[test]
@@ -431,27 +508,41 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_writes_are_bitwise_deterministic() {
-        // The pooled element loop must produce the identical buffer for
-        // every worker count: disjoint writes, no reductions.
+    fn chunked_loop_is_bitwise_deterministic_and_covers_every_element() {
+        // The chunked element loop must produce the identical buffers for
+        // every worker count (and with no pool): disjoint writes, no
+        // reductions. `tag` is per-chunk scratch: one slab per chunk.
         let nel = 37;
         let grain = 3;
         let reference: Vec<f64> = (0..nel * 8).map(|i| (i as f64).sin()).collect();
-        let mut first: Option<Vec<f64>> = None;
-        for workers in [1usize, 2, 4] {
-            let pool = WorkerPool::new(workers, None);
+        for workers in [0usize, 1, 2, 4] {
+            let pool = (workers > 0).then(|| WorkerPool::new(workers, None));
+            let slabs = chunk_count(pool.as_ref(), nel, grain);
             let mut out = vec![0.0f64; nel * 8];
-            let shared = SharedSliceMut::new(&mut out);
-            let refd = &reference;
-            pool.run(chunk_count(nel, grain), &|c| {
-                let (lo, hi) = chunk_range(nel, grain, c);
-                // SAFETY: chunk ranges are disjoint by construction.
-                let dst = unsafe { shared.range_mut(lo * 8, hi * 8) };
-                dst.copy_from_slice(&refd[lo * 8..hi * 8]);
-            });
-            match &first {
-                None => first = Some(out),
-                Some(f) => assert_eq!(f, &out, "workers={workers}"),
+            let mut tag = vec![-1.0f64; slabs * 2];
+            let allocs = for_each_chunk(
+                pool.as_ref(),
+                nel,
+                grain,
+                [
+                    (&mut out, Stride::PerElem(8)),
+                    (&mut tag, Stride::PerChunk(2)),
+                ],
+                |lo, hi, [dst, t]| {
+                    dst.copy_from_slice(&reference[lo * 8..hi * 8]);
+                    t.copy_from_slice(&[lo as f64, hi as f64]);
+                },
+            );
+            assert_eq!(allocs, (0, 0), "no counter function installed");
+            assert_eq!(out, reference, "workers={workers}");
+            // every slab written by exactly the chunk that owns it
+            for (c, t) in tag.chunks_exact(2).enumerate() {
+                let want = if pool.is_some() {
+                    chunk_range(nel, grain, c)
+                } else {
+                    (0, nel)
+                };
+                assert_eq!((t[0] as usize, t[1] as usize), want, "workers={workers}");
             }
         }
     }
@@ -465,14 +556,30 @@ mod tests {
         for workers in [1usize, 3, 4] {
             let pool = WorkerPool::new(workers, None);
             let mut partials = vec![0.0f64; n_chunks];
-            let shared = SharedSliceMut::new(&mut partials);
-            pool.run(n_chunks, &|c| {
-                let dst = unsafe { shared.range_mut(c, c + 1) };
-                dst[0] = 1.0 / (c as f64 + 1.0);
-            });
+            let _ = for_each_chunk(
+                Some(&pool),
+                n_chunks,
+                1,
+                [(&mut partials, Stride::PerChunk(1))],
+                |lo, _, [dst]| dst[0] = 1.0 / (lo as f64 + 1.0),
+            );
             let folded: f64 = partials.iter().sum();
             assert_eq!(folded.to_bits(), serial.to_bits(), "workers={workers}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "too short for its stride")]
+    fn short_buffer_is_rejected() {
+        let pool = WorkerPool::new(2, None);
+        let mut out = vec![0.0f64; 10];
+        let _ = for_each_chunk(
+            Some(&pool),
+            4,
+            2,
+            [(&mut out, Stride::PerElem(3))],
+            |_, _, _| {},
+        );
     }
 
     #[test]

@@ -33,6 +33,7 @@
 //! default schedule never exhibits, under the checker, in CI.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::collections::HashSet;

@@ -8,6 +8,7 @@
 //! `DESIGN.md` for the paper-to-code experiment index.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use cmt_bone;
 pub use cmt_core;

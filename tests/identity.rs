@@ -1,0 +1,179 @@
+//! Golden `state_hash` identities: one literal per configuration,
+//! recorded at the commit before the driver was split, asserted on every
+//! path that must not change a bit — both exchange schedules, serial and
+//! pooled element loops, both transports, every kernel tier, and a
+//! kill + rollback through a rebalanced partition.
+//!
+//! A refactor of either mini-app's step is bitwise neutral exactly when
+//! this file passes unchanged.
+
+use cmt_bone::{Config as BoneConfig, Pipeline};
+use cmt_core::KernelVariant;
+use cmt_gs::GsMethod;
+use nekbone::Config as NekConfig;
+use simmpi::{FaultPlan, SocketConfig, TransportKind};
+
+const G1: u64 = 0x81795925d0dba6b3;
+const G2: u64 = 0xeff671c5e0ad0c4d;
+const G3: u64 = 0x5e324d3607a72e6a;
+const G4: u64 = 0x23c764f9896122dd;
+/// The viscous pass orders its axis corrections differently per
+/// schedule (equal to roundoff, not bitwise), so each has its own golden.
+const G5_OVERLAPPED: u64 = 0x24342c951705f08b;
+const G5_BLOCKING: u64 = 0xd89f2adf16dcc17b;
+
+const VARIANTS: [KernelVariant; 4] = [
+    KernelVariant::Optimized,
+    KernelVariant::Simd,
+    KernelVariant::Specialized,
+    KernelVariant::Basic,
+];
+
+fn transports() -> [TransportKind; 2] {
+    [
+        TransportKind::Inproc,
+        TransportKind::Socket(SocketConfig {
+            addr: None,
+            threads: true,
+        }),
+    ]
+}
+
+fn g1() -> BoneConfig {
+    BoneConfig {
+        ranks: 4,
+        n: 5,
+        elems_per_rank: 8,
+        steps: 8,
+        fields: 2,
+        method: Some(GsMethod::PairwiseExchange),
+        ..Default::default()
+    }
+}
+
+fn g2() -> BoneConfig {
+    BoneConfig {
+        ranks: 2,
+        n: 6,
+        elems_per_rank: 12,
+        steps: 6,
+        fields: 5,
+        dealias_m: Some(9),
+        method: Some(GsMethod::CrystalRouter),
+        ..Default::default()
+    }
+}
+
+fn g3() -> BoneConfig {
+    BoneConfig {
+        fields: 3,
+        particles_per_elem: 8,
+        particle_cluster: Some(0.25),
+        lb_every: 2,
+        lb_threshold: 1.05,
+        checkpoint_every: 2,
+        ..g1()
+    }
+}
+
+fn g5() -> BoneConfig {
+    BoneConfig {
+        ranks: 4,
+        n: 5,
+        elems_per_rank: 4,
+        steps: 4,
+        fields: 2,
+        viscosity: Some(0.02),
+        method: Some(GsMethod::PairwiseExchange),
+        ..Default::default()
+    }
+}
+
+/// Run `base` over workers × transports × variants under `pipeline` and
+/// assert every run lands on `golden`.
+fn assert_bone(name: &str, base: &BoneConfig, pipeline: Pipeline, golden: u64) {
+    for workers in [1, 3] {
+        for transport in transports() {
+            for variant in VARIANTS {
+                let rep = cmt_bone::run(&BoneConfig {
+                    pipeline,
+                    workers,
+                    transport: transport.clone(),
+                    variant,
+                    ..base.clone()
+                });
+                assert_eq!(
+                    rep.state_hash,
+                    golden,
+                    "{name}: {:016x} != {golden:016x} under {}/workers {workers}/{transport:?}/{}",
+                    rep.state_hash,
+                    pipeline.name(),
+                    variant.name(),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn g1_plain_advection() {
+    for pipeline in [Pipeline::Overlapped, Pipeline::Blocking] {
+        assert_bone("G1", &g1(), pipeline, G1);
+    }
+}
+
+#[test]
+fn g2_dealiased_five_fields_crystal_router() {
+    for pipeline in [Pipeline::Overlapped, Pipeline::Blocking] {
+        assert_bone("G2", &g2(), pipeline, G2);
+    }
+}
+
+#[test]
+fn g3_particles_rebalance_checkpoints_and_kill() {
+    let rep = cmt_bone::run(&g3());
+    let lb = rep.lb.expect("lb summary");
+    assert_eq!((lb.rebalances, lb.elems_moved), (1, 24));
+    let killed = BoneConfig {
+        fault_plan: Some(FaultPlan::parse("kill:rank=2,step=5").expect("fault plan")),
+        ..g3()
+    };
+    for pipeline in [Pipeline::Overlapped, Pipeline::Blocking] {
+        assert_bone("G3", &g3(), pipeline, G3);
+        assert_bone("G3+kill", &killed, pipeline, G3);
+    }
+}
+
+#[test]
+fn g4_nekbone_cg() {
+    for workers in [1, 3] {
+        for transport in transports() {
+            for variant in VARIANTS {
+                let rep = nekbone::run(&NekConfig {
+                    ranks: 4,
+                    n: 6,
+                    elems_per_rank: 8,
+                    cg_iters: 20,
+                    method: Some(GsMethod::PairwiseExchange),
+                    workers,
+                    transport: transport.clone(),
+                    variant,
+                    ..Default::default()
+                });
+                assert_eq!(
+                    rep.state_hash,
+                    G4,
+                    "G4: {:016x} under workers {workers}/{transport:?}/{}",
+                    rep.state_hash,
+                    variant.name(),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn g5_viscous_per_schedule() {
+    assert_bone("G5", &g5(), Pipeline::Overlapped, G5_OVERLAPPED);
+    assert_bone("G5", &g5(), Pipeline::Blocking, G5_BLOCKING);
+}

@@ -39,14 +39,13 @@ fn kernel_variants_agree() {
     }
 }
 
-/// The batched and unroll-and-jam variants preserve the reference
-/// (`optimized`) per-output summation order exactly, and the pooled
-/// element-chunked dispatch writes disjoint ranges — so for the paper's
-/// whole N range and any worker count the result is bitwise identical,
-/// not merely close.
+/// The pooled element-chunked dispatch hands each chunk a disjoint
+/// element range of the output and reuses the serial kernel on it — so
+/// for the paper's whole N range and any worker count (or no pool at
+/// all) the result is bitwise identical, not merely close.
 #[test]
-fn new_variants_and_pooled_dispatch_are_bitwise_identical() {
-    use simmpi::{chunk_count, chunk_range, SharedSliceMut, WorkerPool};
+fn pooled_dispatch_is_bitwise_identical() {
+    use simmpi::{for_each_chunk, Stride, WorkerPool};
     let mut rng = SmallRng::seed_from_u64(0x7E57_0008);
     let max_workers = std::thread::available_parallelism().map_or(4, |p| p.get());
     for n in 5..=25 {
@@ -55,45 +54,29 @@ fn new_variants_and_pooled_dispatch_are_bitwise_identical() {
         let basis = Basis::new(n);
         let u: Vec<f64> = (0..n3 * nel).map(|_| rng.range_f64(-1.0, 1.0)).collect();
         for dir in DerivDir::ALL {
+            let variant = KernelVariant::Optimized;
             let mut reference = vec![0.0; u.len()];
-            deriv(
-                KernelVariant::Optimized,
-                dir,
-                n,
-                nel,
-                &basis.d,
-                &u,
-                &mut reference,
-            );
-            for variant in [
-                KernelVariant::Batched,
-                KernelVariant::UnrollJam,
-                KernelVariant::Simd,
-            ] {
+            deriv(variant, dir, n, nel, &basis.d, &u, &mut reference);
+            for workers in [0usize, 1, 2, max_workers] {
+                let pool = (workers > 0).then(|| WorkerPool::new(workers, None));
                 let mut out = vec![0.0; u.len()];
-                deriv(variant, dir, n, nel, &basis.d, &u, &mut out);
-                assert_eq!(reference, out, "n={n} {variant:?} {dir:?} not bitwise");
-            }
-            for workers in [1usize, 2, max_workers] {
-                let pool = WorkerPool::new(workers, None);
-                let grain = 2;
-                let mut out = vec![0.0; u.len()];
-                let sh = SharedSliceMut::new(&mut out);
-                pool.run(chunk_count(nel, grain), &|c| {
-                    let (lo, hi) = chunk_range(nel, grain, c);
-                    // SAFETY: chunk ranges partition 0..nel, so the
-                    // written ranges are disjoint across chunks.
-                    let out_c = unsafe { sh.range_mut(lo * n3, hi * n3) };
-                    deriv(
-                        KernelVariant::Batched,
-                        dir,
-                        n,
-                        hi - lo,
-                        &basis.d,
-                        &u[lo * n3..hi * n3],
-                        out_c,
-                    );
-                });
+                let _ = for_each_chunk(
+                    pool.as_ref(),
+                    nel,
+                    2,
+                    [(&mut out, Stride::PerElem(n3))],
+                    |lo, hi, [out_c]| {
+                        deriv(
+                            variant,
+                            dir,
+                            n,
+                            hi - lo,
+                            &basis.d,
+                            &u[lo * n3..hi * n3],
+                            out_c,
+                        );
+                    },
+                );
                 assert_eq!(reference, out, "n={n} workers={workers} {dir:?}");
             }
         }
