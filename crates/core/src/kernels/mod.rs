@@ -257,7 +257,6 @@ pub fn tensor3_apply_scratch(
         let ue = &u[e * n * n * n..(e + 1) * n * n * n];
         let oe = &mut out[e * m * m * m..(e + 1) * m * m * m];
         // r-direction: (m x n) * (n x n^2) -> t1 is m x n x n, i fastest.
-        t1[..m * n * n].fill(0.0);
         for c in 0..n * n {
             let ucol = &ue[c * n..c * n + n];
             let tcol = &mut t1[c * m..c * m + m];
@@ -271,7 +270,6 @@ pub fn tensor3_apply_scratch(
             }
         }
         // s-direction: per k-slab (m x n slab, i fastest now length m).
-        t2[..m * m * n].fill(0.0);
         for k in 0..n {
             let slab = &t1[k * m * n..(k + 1) * m * n]; // n columns of length m
             let oslab = &mut t2[k * m * m..(k + 1) * m * m]; // m columns of length m

@@ -10,18 +10,36 @@
 //! identical** to `opt` — all determinism, `--verify`, checkpoint, and
 //! state-hash guarantees carry over unchanged.
 //!
-//! Why this wins even though LLVM already auto-vectorizes `opt`:
+//! Every deriv direction and every dealias stage is the same batched
+//! small matrix product (`planes`), and all of them accumulate in one
+//! micro-kernel (`contract`): `out[i] = sum_k coef[k] * src[k*stride + i]`
+//! over a unit-stride run of outputs. Why this wins even though LLVM
+//! already auto-vectorizes `opt`:
 //!
 //! * `dudr` (and dealias stage 1) are per-output *dot products* — a
 //!   floating-point reduction LLVM must not reassociate, so `opt`'s
-//!   inner loop compiles to scalar adds. Laying four adjacent outputs
-//!   across lanes (via a transposed copy of `D` so lanes load
-//!   contiguously) turns the same arithmetic into full-width vector
-//!   code with no reduction at all.
+//!   inner loop compiles to scalar adds. Laying adjacent outputs across
+//!   lanes (via a transposed copy of `D` so lanes load contiguously)
+//!   turns the same arithmetic into full-width vector code with no
+//!   reduction at all.
 //! * `duds`/`dudt` (and dealias stages 2–3) are axpy accumulations that
 //!   do vectorize, but `opt` round-trips the output through memory once
-//!   per `m`. Here each 4-output chunk accumulates in a register across
-//!   the whole `m` loop — one store per output instead of `n`.
+//!   per `k`. Here each output accumulates in a register across the
+//!   whole `k` loop — one store per output instead of `n`.
+//! * **Register tile.** Up to four vectors of adjacent outputs share
+//!   each coefficient broadcast, so four independent add chains hide the
+//!   add latency a single chain would serialize on. Lanes never
+//!   interact, so how many are in flight cannot change any lane's value.
+//! * **No scalar tail.** The ragged end of a run is one *overlapped*
+//!   vector at `len - W`: its lanes redo outputs the previous vector
+//!   already produced, with the same operands in the same order, and
+//!   store the same bits again. Only runs shorter than one vector
+//!   (`len < W`) take a scalar loop.
+//! * **Const contraction length.** `K` (and, for `dudr`/`duds`, the run
+//!   length) is a const generic picked by one `match` per call
+//!   (`with_const_k!`), so the `k` loop unrolls, the tile choice folds
+//!   and `dudr`'s transposed `D` stays in registers across columns.
+//!   Unrolling keeps the ascending-`k` order; it only removes the loop.
 //!
 //! ## Dispatch
 //!
@@ -122,14 +140,34 @@ pub fn active_isa() -> SimdIsa {
     })
 }
 
-/// Clamp the requested ISA to what this shape supports: oversized
-/// operators fall back to the scalar (`opt`) path.
-fn clamp(isa: SimdIsa, max_order: usize) -> SimdIsa {
-    if max_order > MAX_SIMD_N {
+/// Clamp the requested ISA to what this shape supports: the vector
+/// kernels are instantiated for contraction lengths `2..=MAX_SIMD_N` and
+/// their transposed-operator buffer holds orders up to `MAX_SIMD_N`;
+/// any other shape falls back to the scalar (`opt`) path.
+fn clamp(isa: SimdIsa, k: usize, max_order: usize) -> SimdIsa {
+    if k < 2 || max_order > MAX_SIMD_N {
         SimdIsa::Scalar
     } else {
         isa
     }
+}
+
+/// Call `$isa::$f::<K> $args` with the runtime contraction length `$n`
+/// as the const `K`, so the kernel's `k` loop unrolls and, where the run
+/// length is `K` or `K^2`, its tile choice folds. [`clamp`] keeps `$n`
+/// inside the instantiated range.
+#[cfg(target_arch = "x86_64")]
+macro_rules! with_const_k {
+    ($n:expr, $isa:ident::$f:ident $args:tt) => {
+        with_const_k!(@arms $n, $isa::$f $args,
+            2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32)
+    };
+    (@arms $n:expr, $isa:ident::$f:ident $args:tt, $($k:literal)*) => {
+        match $n {
+            $($k => $isa::$f::<$k> $args,)*
+            _ => unreachable!("clamp() admits only 2..=MAX_SIMD_N"),
+        }
+    };
 }
 
 /// The x86_64 vector kernel bodies, generated once per ISA.
@@ -155,10 +193,11 @@ macro_rules! simd_kernel_impls {
             #[target_feature(enable = $feat)]
             fn ld(s: &[f64], at: usize) -> $vec {
                 debug_assert!(at + W <= s.len());
-                // SAFETY: every call site advances `at` under the loop
-                // invariant `at + W <= s.len()` (re-checked by the
-                // debug_assert above), so all W f64 lanes are in bounds
-                // of the borrowed slice.
+                // SAFETY: every call site keeps `at + W <= s.len()` —
+                // `tile` inside the window `contract` asserts, `rk_stage`
+                // by its loop bound (re-checked by the debug_assert
+                // above) — so all W f64 lanes are in bounds of the
+                // borrowed slice.
                 unsafe { $loadu(s.as_ptr().add(at)) }
             }
 
@@ -173,145 +212,167 @@ macro_rules! simd_kernel_impls {
                 unsafe { $storeu(s.as_mut_ptr().add(at), v) }
             }
 
-            /// Lane-parallel `dudr`: lanes own adjacent outputs `i`;
-            /// each accumulates `sum_m D[i,m] * u[c,m]` ascending from
-            /// an explicit zero, exactly like `opt::deriv_r`'s scalar
-            /// `s = 0.0; s += ...` sequence. A transposed copy of `D`
-            /// makes the per-`m` lane loads contiguous.
+            /// One register tile of [`contract`]: `T` vectors of adjacent
+            /// outputs from `out[at]` share each coefficient broadcast,
+            /// so `T` independent add chains are in flight. A vector
+            /// that would cross the end of the run is pulled back to
+            /// `len - W` and recomputes lanes its neighbour also owns —
+            /// the same per-lane sequence, so the same bits.
+            #[inline]
             #[target_feature(enable = $feat)]
-            pub(in super::super) fn deriv_r(
-                n: usize,
+            fn tile<const K: usize, const ZERO: bool, const T: usize>(
+                coef: &[f64],
+                src: &[f64],
+                stride: usize,
+                out: &mut [f64],
+                at: usize,
+            ) {
+                let mut pos = [0; T];
+                for (t, p) in pos.iter_mut().enumerate() {
+                    *p = (at + t * W).min(out.len() - W);
+                }
+                let mut acc = [$setzero(); T];
+                for k in 0..K {
+                    let c = $set1(coef[k]);
+                    for t in 0..T {
+                        let prod = $mul(c, ld(src, k * stride + pos[t]));
+                        acc[t] = if ZERO || k > 0 {
+                            $add(acc[t], prod)
+                        } else {
+                            prod
+                        };
+                    }
+                }
+                for t in 0..T {
+                    st(out, pos[t], acc[t]);
+                }
+            }
+
+            /// The contraction micro-kernel — the only place a lane
+            /// accumulates: `out[i] = sum_k coef[k] * src[k * stride + i]`
+            /// over one unit-stride run, ascending `k`, separate
+            /// multiply and add. `ZERO` picks the scalar code's init
+            /// flavour: start from an explicit `0.0` (`opt::deriv_r`,
+            /// the dealias stages) or let the `k = 0` product assign
+            /// (`opt::deriv_s`/`deriv_t`); they differ on signed zeros.
+            /// `P` is the run length where the caller knows it at
+            /// compile time (0: take `out.len()`); the tile choice below
+            /// then folds whether or not this body gets inlined.
+            #[inline]
+            #[target_feature(enable = $feat)]
+            fn contract<const K: usize, const ZERO: bool, const P: usize>(
+                coef: &[f64],
+                src: &[f64],
+                stride: usize,
+                out: &mut [f64],
+            ) {
+                let len = if P == 0 { out.len() } else { P };
+                // The window every `ld`/`st` of this run stays inside.
+                assert!(out.len() == len && coef.len() >= K);
+                assert!((K - 1) * stride + len <= src.len());
+                if len < W {
+                    for (i, o) in out.iter_mut().enumerate() {
+                        let mut s = if ZERO { 0.0 } else { coef[0] * src[i] };
+                        for k in usize::from(!ZERO)..K {
+                            s += coef[k] * src[k * stride + i];
+                        }
+                        *o = s;
+                    }
+                    return;
+                }
+                let mut at = 0;
+                while at < len {
+                    match (len - at).div_ceil(W) {
+                        1 => tile::<K, ZERO, 1>(coef, src, stride, out, at),
+                        2 => tile::<K, ZERO, 2>(coef, src, stride, out, at),
+                        3 => tile::<K, ZERO, 3>(coef, src, stride, out, at),
+                        _ => tile::<K, ZERO, 4>(coef, src, stride, out, at),
+                    }
+                    at += 4 * W;
+                }
+            }
+
+            /// Batched small matrix product `out_b = op * src_b` for
+            /// `b in 0..nblk`: `op` is `m x K` row-major, each `src_b`
+            /// is `K` contiguous planes of `plane` values and each
+            /// `out_b` is `m` such planes — one [`contract`] run per
+            /// output plane. Every deriv direction and dealias stage is
+            /// this with its own `(m, plane, nblk)`; `P` repeats `plane`
+            /// where it is a compile-time constant (0 elsewhere).
+            #[target_feature(enable = $feat)]
+            fn planes<const K: usize, const ZERO: bool, const P: usize>(
+                m: usize,
+                plane: usize,
+                op: &[f64],
+                src: &[f64],
+                out: &mut [f64],
+                nblk: usize,
+            ) {
+                debug_assert!(P == 0 || P == plane);
+                let plane = if P == 0 { plane } else { P };
+                for b in 0..nblk {
+                    let sb = &src[b * K * plane..(b + 1) * K * plane];
+                    let ob = &mut out[b * m * plane..(b + 1) * m * plane];
+                    for c in 0..m {
+                        let run = &mut ob[c * plane..(c + 1) * plane];
+                        contract::<K, ZERO, P>(&op[c * K..c * K + K], sb, plane, run);
+                    }
+                }
+            }
+
+            /// `dudr`: the data is the `n^2 nel x K` "operator" whose
+            /// rows broadcast, and a transposed copy of `D` supplies the
+            /// `K` planes of `K` adjacent outputs `i`. Zero-init like
+            /// `opt::deriv_r`.
+            #[target_feature(enable = $feat)]
+            pub(in super::super) fn deriv_r<const K: usize>(
                 nel: usize,
                 d: &[f64],
                 u: &[f64],
                 out: &mut [f64],
             ) {
-                debug_assert!(n <= MAX_SIMD_N);
                 let mut dt = [0.0f64; MAX_SIMD_N * MAX_SIMD_N];
-                for i in 0..n {
-                    for m in 0..n {
-                        dt[m * n + i] = d[i * n + m];
+                for i in 0..K {
+                    for m in 0..K {
+                        dt[m * K + i] = d[i * K + m];
                     }
                 }
-                let ncols = n * n * nel;
-                for c in 0..ncols {
-                    let ucol = &u[c * n..c * n + n];
-                    let ocol = &mut out[c * n..c * n + n];
-                    let mut i = 0;
-                    while i + W <= n {
-                        let mut acc = $setzero();
-                        for (m, &um) in ucol.iter().enumerate() {
-                            acc = $add(acc, $mul(ld(&dt, m * n + i), $set1(um)));
-                        }
-                        st(ocol, i, acc);
-                        i += W;
-                    }
-                    // ragged tail: the scalar opt accumulation verbatim
-                    for ii in i..n {
-                        let drow = &d[ii * n..ii * n + n];
-                        let mut s = 0.0;
-                        for (dv, uv) in drow.iter().zip(ucol) {
-                            s += dv * uv;
-                        }
-                        ocol[ii] = s;
-                    }
-                }
+                planes::<K, true, K>(K * K * nel, K, u, &dt[..K * K], out, 1);
             }
 
-            /// Lane-parallel `duds`: per `k`-slab, lanes own adjacent
-            /// outputs along `i`; the accumulator *initializes* with the
-            /// `m = 0` product (matching `opt::deriv_s`'s assign-first
-            /// pass) and adds the rest ascending, held in a register
-            /// across the whole `m` loop.
+            /// `duds`: per `k`-slab, `D` times the slab's `K` rows of
+            /// `K`; first-product-assigns like `opt::deriv_s`.
             #[target_feature(enable = $feat)]
-            pub(in super::super) fn deriv_s(
-                n: usize,
+            pub(in super::super) fn deriv_s<const K: usize>(
                 nel: usize,
                 d: &[f64],
                 u: &[f64],
                 out: &mut [f64],
             ) {
-                let n2 = n * n;
-                for sl in 0..n * nel {
-                    let slab = &u[sl * n2..(sl + 1) * n2];
-                    let oslab = &mut out[sl * n2..(sl + 1) * n2];
-                    for j in 0..n {
-                        let drow = &d[j * n..j * n + n];
-                        let ocol = &mut oslab[j * n..j * n + n];
-                        let d0 = drow[0];
-                        let mut i = 0;
-                        while i + W <= n {
-                            let mut acc = $mul($set1(d0), ld(slab, i));
-                            for (m, &dv) in drow.iter().enumerate().skip(1) {
-                                acc = $add(acc, $mul($set1(dv), ld(slab, m * n + i)));
-                            }
-                            st(ocol, i, acc);
-                            i += W;
-                        }
-                        for ii in i..n {
-                            let mut s = d0 * slab[ii];
-                            for (m, &dv) in drow.iter().enumerate().skip(1) {
-                                s += dv * slab[m * n + ii];
-                            }
-                            ocol[ii] = s;
-                        }
-                    }
-                }
+                planes::<K, false, K>(K, K, d, u, out, K * nel);
             }
 
-            /// Lane-parallel `dudt`: per element, lanes own adjacent
-            /// outputs in the fused `n^2` plane; assign-first `m = 0`
-            /// then ascending adds, register-resident across `m` —
-            /// the same per-output sequence as `opt::deriv_t`.
+            /// `dudt`: per element, `D` times the element's `K` fused
+            /// `K^2` planes; first-product-assigns like `opt::deriv_t`.
             #[target_feature(enable = $feat)]
-            pub(in super::super) fn deriv_t(
-                n: usize,
+            pub(in super::super) fn deriv_t<const K: usize>(
                 nel: usize,
                 d: &[f64],
                 u: &[f64],
                 out: &mut [f64],
             ) {
-                let n2 = n * n;
-                let n3 = n2 * n;
-                for e in 0..nel {
-                    let ue = &u[e * n3..(e + 1) * n3];
-                    let oe = &mut out[e * n3..(e + 1) * n3];
-                    for k in 0..n {
-                        let drow = &d[k * n..k * n + n];
-                        let ocol = &mut oe[k * n2..(k + 1) * n2];
-                        let d0 = drow[0];
-                        let mut i = 0;
-                        while i + W <= n2 {
-                            let mut acc = $mul($set1(d0), ld(ue, i));
-                            for (m, &dv) in drow.iter().enumerate().skip(1) {
-                                acc = $add(acc, $mul($set1(dv), ld(ue, m * n2 + i)));
-                            }
-                            st(ocol, i, acc);
-                            i += W;
-                        }
-                        for ii in i..n2 {
-                            let mut s = d0 * ue[ii];
-                            for (m, &dv) in drow.iter().enumerate().skip(1) {
-                                s += dv * ue[m * n2 + ii];
-                            }
-                            ocol[ii] = s;
-                        }
-                    }
-                }
+                planes::<K, false, 0>(K, K * K, d, u, out, nel);
             }
 
-            /// Vectorized three-stage dealias contraction, per-output
-            /// bitwise identical to `kernels::tensor3_apply_scratch`:
-            /// stage 1 is `deriv_r`-style dot products (zero-init,
-            /// ascending, via a transposed `J`), stages 2–3 accumulate
-            /// from an explicit zero ascending over the contraction
-            /// index — the same value sequence as the scalar
-            /// `fill(0.0)`-then-`+=` loops.
+            /// Three-stage dealias contraction (`K = n` in, runtime `m`
+            /// out), per-output bitwise identical to
+            /// `kernels::tensor3_apply_scratch`: every stage zero-inits
+            /// and ascends, stage 1 `deriv_r`-style through a transposed
+            /// `J`, stages 2-3 as `J` times planes of `m` and `m^2`.
             #[allow(clippy::too_many_arguments)]
             #[target_feature(enable = $feat)]
-            pub(in super::super) fn tensor3(
+            pub(in super::super) fn tensor3<const K: usize>(
                 m: usize,
-                n: usize,
                 j_mat: &[f64],
                 u: &[f64],
                 out: &mut [f64],
@@ -319,87 +380,22 @@ macro_rules! simd_kernel_impls {
                 t1: &mut [f64],
                 t2: &mut [f64],
             ) {
-                debug_assert!(m <= MAX_SIMD_N && n <= MAX_SIMD_N);
+                debug_assert!(m <= MAX_SIMD_N);
                 let mut jt = [0.0f64; MAX_SIMD_N * MAX_SIMD_N];
                 for a in 0..m {
-                    for mm in 0..n {
-                        jt[mm * m + a] = j_mat[a * n + mm];
+                    for mm in 0..K {
+                        jt[mm * m + a] = j_mat[a * K + mm];
                     }
                 }
-                let n3 = n * n * n;
-                let m2 = m * m;
-                let m3 = m2 * m;
+                let (n2, m2) = (K * K, m * m);
+                let t1 = &mut t1[..n2 * m];
+                let t2 = &mut t2[..K * m2];
                 for e in 0..nel {
-                    let ue = &u[e * n3..(e + 1) * n3];
-                    // r-direction: (m x n) * (n x n^2), dot products.
-                    for c in 0..n * n {
-                        let ucol = &ue[c * n..c * n + n];
-                        let tcol = &mut t1[c * m..c * m + m];
-                        let mut a = 0;
-                        while a + W <= m {
-                            let mut acc = $setzero();
-                            for (mm, &um) in ucol.iter().enumerate() {
-                                acc = $add(acc, $mul(ld(&jt, mm * m + a), $set1(um)));
-                            }
-                            st(tcol, a, acc);
-                            a += W;
-                        }
-                        for aa in a..m {
-                            let jrow = &j_mat[aa * n..aa * n + n];
-                            let mut s = 0.0;
-                            for (jm, um) in jrow.iter().zip(ucol) {
-                                s += jm * um;
-                            }
-                            tcol[aa] = s;
-                        }
-                    }
-                    // s-direction: per k-slab axpy runs of length m.
-                    for k in 0..n {
-                        let slab = &t1[k * m * n..(k + 1) * m * n];
-                        let oslab = &mut t2[k * m2..(k + 1) * m2];
-                        for b in 0..m {
-                            let jrow = &j_mat[b * n..b * n + n];
-                            let ocol = &mut oslab[b * m..b * m + m];
-                            let mut i = 0;
-                            while i + W <= m {
-                                let mut acc = $setzero();
-                                for (mcol, &jv) in jrow.iter().enumerate() {
-                                    acc = $add(acc, $mul($set1(jv), ld(slab, mcol * m + i)));
-                                }
-                                st(ocol, i, acc);
-                                i += W;
-                            }
-                            for ii in i..m {
-                                let mut s = 0.0;
-                                for (mcol, &jv) in jrow.iter().enumerate() {
-                                    s += jv * slab[mcol * m + ii];
-                                }
-                                ocol[ii] = s;
-                            }
-                        }
-                    }
-                    // t-direction: axpy runs of length m^2.
-                    let oe = &mut out[e * m3..(e + 1) * m3];
-                    for c in 0..m {
-                        let jrow = &j_mat[c * n..c * n + n];
-                        let ocol = &mut oe[c * m2..(c + 1) * m2];
-                        let mut i = 0;
-                        while i + W <= m2 {
-                            let mut acc = $setzero();
-                            for (kcol, &jv) in jrow.iter().enumerate() {
-                                acc = $add(acc, $mul($set1(jv), ld(t2, kcol * m2 + i)));
-                            }
-                            st(ocol, i, acc);
-                            i += W;
-                        }
-                        for ii in i..m2 {
-                            let mut s = 0.0;
-                            for (kcol, &jv) in jrow.iter().enumerate() {
-                                s += jv * t2[kcol * m2 + ii];
-                            }
-                            ocol[ii] = s;
-                        }
-                    }
+                    let ue = &u[e * n2 * K..(e + 1) * n2 * K];
+                    let oe = &mut out[e * m2 * m..(e + 1) * m2 * m];
+                    planes::<K, true, 0>(n2, m, ue, &jt[..K * m], t1, 1);
+                    planes::<K, true, 0>(m, m, j_mat, t1, t2, K);
+                    planes::<K, true, 0>(m, m2, j_mat, t2, oe, 1);
                 }
             }
 
@@ -471,17 +467,17 @@ pub fn deriv_r(n: usize, nel: usize, d: &[f64], u: &[f64], out: &mut [f64]) {
 
 /// `dudr` with an explicit ISA (tests compare vector vs fallback paths).
 pub fn deriv_r_with(isa: SimdIsa, n: usize, nel: usize, d: &[f64], u: &[f64], out: &mut [f64]) {
-    match clamp(isa, n) {
+    match clamp(isa, n, n) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2` only reaches a dispatch site after
         // `SimdIsa::available` / `detect()` confirmed the CPU supports
         // avx2 via `is_x86_feature_detected!` (the env override can
         // only lower the ISA), so the target-feature contract holds.
-        SimdIsa::Avx2 => unsafe { avx2::deriv_r(n, nel, d, u, out) },
+        SimdIsa::Avx2 => unsafe { with_const_k!(n, avx2::deriv_r(nel, d, u, out)) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: sse2 is part of the x86_64 baseline, statically enabled
         // on every x86_64 target, so the target-feature contract holds.
-        SimdIsa::Sse2 => unsafe { sse2::deriv_r(n, nel, d, u, out) },
+        SimdIsa::Sse2 => unsafe { with_const_k!(n, sse2::deriv_r(nel, d, u, out)) },
         _ => opt::deriv_r(n, nel, d, u, out),
     }
 }
@@ -493,14 +489,14 @@ pub fn deriv_s(n: usize, nel: usize, d: &[f64], u: &[f64], out: &mut [f64]) {
 
 /// `duds` with an explicit ISA.
 pub fn deriv_s_with(isa: SimdIsa, n: usize, nel: usize, d: &[f64], u: &[f64], out: &mut [f64]) {
-    match clamp(isa, n) {
+    match clamp(isa, n, n) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2` implies a successful runtime
         // `is_x86_feature_detected!("avx2")` (see `deriv_r_with`).
-        SimdIsa::Avx2 => unsafe { avx2::deriv_s(n, nel, d, u, out) },
+        SimdIsa::Avx2 => unsafe { with_const_k!(n, avx2::deriv_s(nel, d, u, out)) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: sse2 is the x86_64 baseline (see `deriv_r_with`).
-        SimdIsa::Sse2 => unsafe { sse2::deriv_s(n, nel, d, u, out) },
+        SimdIsa::Sse2 => unsafe { with_const_k!(n, sse2::deriv_s(nel, d, u, out)) },
         _ => opt::deriv_s(n, nel, d, u, out),
     }
 }
@@ -512,14 +508,14 @@ pub fn deriv_t(n: usize, nel: usize, d: &[f64], u: &[f64], out: &mut [f64]) {
 
 /// `dudt` with an explicit ISA.
 pub fn deriv_t_with(isa: SimdIsa, n: usize, nel: usize, d: &[f64], u: &[f64], out: &mut [f64]) {
-    match clamp(isa, n) {
+    match clamp(isa, n, n) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2` implies a successful runtime
         // `is_x86_feature_detected!("avx2")` (see `deriv_r_with`).
-        SimdIsa::Avx2 => unsafe { avx2::deriv_t(n, nel, d, u, out) },
+        SimdIsa::Avx2 => unsafe { with_const_k!(n, avx2::deriv_t(nel, d, u, out)) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: sse2 is the x86_64 baseline (see `deriv_r_with`).
-        SimdIsa::Sse2 => unsafe { sse2::deriv_t(n, nel, d, u, out) },
+        SimdIsa::Sse2 => unsafe { with_const_k!(n, sse2::deriv_t(nel, d, u, out)) },
         _ => opt::deriv_t(n, nel, d, u, out),
     }
 }
@@ -560,14 +556,14 @@ pub fn tensor3_apply_scratch_with(
     let big = m.max(n);
     assert!(t1.len() >= big * big * big, "t1 scratch too small");
     assert!(t2.len() >= big * big * big, "t2 scratch too small");
-    match clamp(isa, big) {
+    match clamp(isa, n, big) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2` implies a successful runtime
         // `is_x86_feature_detected!("avx2")` (see `deriv_r_with`).
-        SimdIsa::Avx2 => unsafe { avx2::tensor3(m, n, j_mat, u, out, nel, t1, t2) },
+        SimdIsa::Avx2 => unsafe { with_const_k!(n, avx2::tensor3(m, j_mat, u, out, nel, t1, t2)) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: sse2 is the x86_64 baseline (see `deriv_r_with`).
-        SimdIsa::Sse2 => unsafe { sse2::tensor3(m, n, j_mat, u, out, nel, t1, t2) },
+        SimdIsa::Sse2 => unsafe { with_const_k!(n, sse2::tensor3(m, j_mat, u, out, nel, t1, t2)) },
         _ => super::tensor3_apply_scratch(m, n, j_mat, u, out, nel, t1, t2),
     }
 }
@@ -625,6 +621,25 @@ mod tests {
             .collect()
     }
 
+    /// `nel` elements of `per_elem` values where the two init flavours
+    /// of `contract` part ways: every third element is random data laced
+    /// with `+0.0`/`-0.0`, the next all `+0.0`, the next zeros of random
+    /// sign (`0.0 + -0.0` is `+0.0`, a first product of `-0.0` is not).
+    fn zero_laced(per_elem: usize, nel: usize, seed: u64) -> Vec<f64> {
+        let mut u = pseudo_random(per_elem * nel, seed);
+        for (e, ue) in u.chunks_mut(per_elem).enumerate() {
+            for (i, v) in ue.iter_mut().enumerate() {
+                *v = match (e % 3, i % 7) {
+                    (0, 2) | (1, _) => 0.0,
+                    (0, 5) => -0.0,
+                    (0, _) => *v,
+                    _ => 0.0f64.copysign(*v),
+                };
+            }
+        }
+        u
+    }
+
     /// ISAs runnable on this machine (always includes Scalar).
     fn runnable() -> Vec<SimdIsa> {
         SimdIsa::ALL
@@ -634,16 +649,25 @@ mod tests {
             .collect()
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn all_isas_bitwise_match_opt_all_dirs_and_ragged_shapes() {
         // Ragged on every axis: n sweeps the full dispatch range (odd,
-        // even, < lane width), nel is not a multiple of anything.
+        // even, < lane width), nel is not a multiple of anything. The
+        // run lengths n and n^2 cover W-1, W, W+1, 4W, 4W+1 and 5W-1 for
+        // both lane widths, so every tile count and the overlapped tail
+        // are hit; `out` is NaN-poisoned and the debug-profile `ld`/`st`
+        // asserts catch a vector that leaves its run.
         for n in 2..=25 {
             for &nel in &[1usize, 3] {
                 let b = Basis::new(n);
-                let u = pseudo_random(n * n * n * nel, 17 + n as u64);
-                let mut want = vec![0.0; u.len()];
-                let mut got = vec![0.0; u.len()];
+                let random = pseudo_random(n * n * n * nel, 17 + n as u64);
+                let zeros = zero_laced(n * n * n, nel, 29 + n as u64);
+                let mut want = vec![0.0; random.len()];
+                let mut got = vec![0.0; random.len()];
                 type F = fn(SimdIsa, usize, usize, &[f64], &[f64], &mut [f64]);
                 type G = fn(usize, usize, &[f64], &[f64], &mut [f64]);
                 let pairs: [(F, G); 3] = [
@@ -652,16 +676,13 @@ mod tests {
                     (deriv_t_with, opt::deriv_t),
                 ];
                 for (fs, fo) in pairs {
-                    fo(n, nel, &b.d, &u, &mut want);
-                    for isa in runnable() {
-                        got.fill(f64::NAN);
-                        fs(isa, n, nel, &b.d, &u, &mut got);
-                        assert_eq!(
-                            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            "{} n={n} nel={nel}",
-                            isa.name()
-                        );
+                    for u in [&random, &zeros] {
+                        fo(n, nel, &b.d, u, &mut want);
+                        for isa in runnable() {
+                            got.fill(f64::NAN);
+                            fs(isa, n, nel, &b.d, u, &mut got);
+                            assert_eq!(bits(&got), bits(&want), "{} n={n} nel={nel}", isa.name());
+                        }
                     }
                 }
             }
@@ -684,29 +705,49 @@ mod tests {
 
     #[test]
     fn tensor3_bitwise_matches_scalar_both_directions() {
-        // Dealias up (m > n) and back down (m < n), odd/even orders.
-        for &(m, n) in &[(8usize, 5usize), (5, 8), (7, 6), (3, 2), (2, 3), (13, 9)] {
-            let xn = gll_nodes(n);
-            let xm = gll_nodes(m);
-            let j = interp_matrix(&xn, &xm);
-            let nel = 3;
-            let u = pseudo_random(n * n * n * nel, (m * 31 + n) as u64);
-            let big = m.max(n);
-            let mut t1 = vec![0.0; big * big * big];
-            let mut t2 = vec![0.0; big * big * big];
-            let mut want = vec![0.0; m * m * m * nel];
-            scalar_tensor3(m, n, &j, &u, &mut want, nel, &mut t1, &mut t2);
-            for isa in runnable() {
-                let mut got = vec![f64::NAN; want.len()];
-                t1.fill(f64::NAN);
-                t2.fill(f64::NAN);
-                tensor3_apply_scratch_with(isa, m, n, &j, &u, &mut got, nel, &mut t1, &mut t2);
-                assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{} m={m} n={n}",
-                    isa.name()
-                );
+        // Dealias up (m > n) and back down (m < n), odd/even orders, the
+        // benchmark's shapes, the largest instantiation, and for each
+        // lane width W an m of W-1, W, W+1, 4W, 4W+1 and 5W-1 (stage 1-2
+        // run length; stage 3 runs m^2; no GLL rule has m = 1).
+        let mut shapes = vec![(8usize, 5usize), (5, 8), (7, 6), (3, 2), (2, 3), (13, 9)];
+        shapes.extend([
+            (15, 10),
+            (10, 15),
+            (9, 6),
+            (6, 9),
+            (4, 4),
+            (25, 17),
+            (32, 21),
+        ]);
+        shapes.extend([2usize, 3, 4, 5, 8, 9, 16, 17, 19].map(|m| (m, 6)));
+        for (m, n) in shapes {
+            // The interpolation matrix, and an arbitrary operator whose
+            // first row is all negative: on zero data its products are
+            // all `-0.0`, the one case where the last stage's init
+            // flavour reaches `out` (stages 1-2 only feed zero-init sums).
+            let mut arbitrary = pseudo_random(m * n, (m * 41 + n) as u64);
+            arbitrary[..n].iter_mut().for_each(|v| *v = -v.abs());
+            let interp = interp_matrix(&gll_nodes(n), &gll_nodes(m));
+            for (j, nel) in [(&interp, 1usize), (&interp, 3), (&arbitrary, 3)] {
+                let big = m.max(n);
+                let mut t1 = vec![0.0; big * big * big];
+                let mut t2 = vec![0.0; big * big * big];
+                let mut want = vec![0.0; m * m * m * nel];
+                for u in [
+                    pseudo_random(n * n * n * nel, (m * 31 + n) as u64),
+                    zero_laced(n * n * n, nel, (m * 37 + n) as u64),
+                ] {
+                    scalar_tensor3(m, n, j, &u, &mut want, nel, &mut t1, &mut t2);
+                    for isa in runnable() {
+                        let mut got = vec![f64::NAN; want.len()];
+                        t1.fill(f64::NAN);
+                        t2.fill(f64::NAN);
+                        tensor3_apply_scratch_with(
+                            isa, m, n, j, &u, &mut got, nel, &mut t1, &mut t2,
+                        );
+                        assert_eq!(bits(&got), bits(&want), "{} m={m} n={n}", isa.name());
+                    }
+                }
             }
         }
     }
@@ -725,12 +766,7 @@ mod tests {
             for isa in runnable() {
                 let mut got = u_init.clone();
                 rk_stage_update_with(isa, a, b, cdt, &mut got, &u0, &rhs);
-                assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{} len={len}",
-                    isa.name()
-                );
+                assert_eq!(bits(&got), bits(&want), "{} len={len}", isa.name());
             }
         }
     }

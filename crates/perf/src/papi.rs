@@ -121,7 +121,12 @@ pub fn kernel_model(variant: KernelVariant, dir: DerivDir) -> KernelModel {
         // the FMA model), but each broadcast D entry feeds a full vector
         // of outputs (half the loads) and the accumulators stay in
         // registers across the reduction (well under half the per-output
-        // loop/reduction overhead).
+        // loop/reduction overhead). The register-tiled micro-kernel
+        // issues the same mul + add per lane and one load per vector
+        // step, so the arithmetic and load factors stand; a broadcast
+        // now feeds up to four vectors and the `k` loop is unrolled, so
+        // 0.5 and 0.4 are upper bounds rather than fits (the lanes an
+        // overlapped last vector redoes are not modelled).
         (Simd, d) => {
             let base = kernel_model(Optimized, d);
             KernelModel {
