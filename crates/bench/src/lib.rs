@@ -1,9 +1,9 @@
 //! # cmt-bench
 //!
-//! The benchmark harness of the CMT-bone reproduction: shared workload
-//! definitions used by both the micro-benchmarks and the `figures`
-//! binary that regenerates every table and figure of the paper's
-//! evaluation (see `DESIGN.md` for the experiment index).
+//! The `figures` binary regenerates every table and figure of the
+//! paper's evaluation (see `DESIGN.md` for the experiment index); this
+//! library is its Fig. 5/6 derivative-kernel measurement helper.
+//! Performance is measured by the `benchmark/` package, not here.
 //!
 //! Every experiment has two parameterizations:
 //! * **scaled** — finishes in seconds on a laptop-class machine, used by
@@ -18,8 +18,6 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-
-pub mod harness;
 
 use std::time::Instant;
 
@@ -65,12 +63,8 @@ impl DerivExperiment {
 pub struct DerivMeasurement {
     /// Which derivative.
     pub dir: DerivDir,
-    /// Which implementation was requested.
+    /// Which implementation.
     pub variant: KernelVariant,
-    /// Which implementation actually ran. `Specialized` resolves to
-    /// `Optimized` outside its supported orders, so the table reports
-    /// the variant measured — not just the one asked for.
-    pub effective: KernelVariant,
     /// Measured wall seconds for the whole run.
     pub runtime_s: f64,
     /// Modelled PAPI counters for the whole run.
@@ -91,8 +85,8 @@ pub fn measure_deriv(
         .map(|i| ((i % 1013) as f64) * 1e-3 - 0.5)
         .collect();
     let mut out = vec![0.0; npts];
-    // warmup; `deriv` reports back the variant it resolved to
-    let effective = deriv(variant, dir, exp.n, exp.nel, &basis.d, &u, &mut out);
+    // warmup
+    deriv(variant, dir, exp.n, exp.nel, &basis.d, &u, &mut out);
     let start = Instant::now();
     for _ in 0..exp.steps {
         deriv(variant, dir, exp.n, exp.nel, &basis.d, &u, &mut out);
@@ -103,10 +97,8 @@ pub fn measure_deriv(
     DerivMeasurement {
         dir,
         variant,
-        effective,
         runtime_s,
-        // model what actually ran, not what was asked for
-        papi: model_kernel(effective, dir, counts),
+        papi: model_kernel(variant, dir, counts),
     }
 }
 
@@ -117,18 +109,11 @@ pub fn deriv_table(title: &str, rows: &[DerivMeasurement]) -> String {
     );
     for r in rows {
         out.push_str(&format!(
-            "{:11} | {:17.3} | {:>29} | {:>23}{}\n",
+            "{:11} | {:17.3} | {:>29} | {:>23}\n",
             r.dir.kernel_name(),
             r.runtime_s,
             group_digits(r.papi.instructions),
             group_digits(r.papi.cycles),
-            if r.effective == r.variant {
-                String::new()
-            } else {
-                // requested variant fell back (e.g. specialized -> optimized
-                // outside the supported orders): say what actually ran
-                format!("  [{} -> {}]", r.variant.name(), r.effective.name())
-            },
         ));
     }
     out
@@ -174,37 +159,7 @@ mod tests {
         );
         assert!(m.runtime_s >= 0.0);
         assert!(m.papi.instructions > 0);
-        assert_eq!(m.effective, KernelVariant::Optimized);
         let table = deriv_table("t", &[m]);
         assert!(table.contains("dudt"));
-        assert!(!table.contains("->"), "no fallback marker expected");
-    }
-
-    /// `Specialized` outside its supported orders silently ran (and was
-    /// modelled as) `Optimized`; the measurement must expose the variant
-    /// that actually executed.
-    #[test]
-    fn specialized_fallback_is_reported() {
-        let m = measure_deriv(
-            DerivExperiment {
-                n: 26,
-                nel: 2,
-                steps: 1,
-            },
-            KernelVariant::Specialized,
-            DerivDir::R,
-        );
-        assert_eq!(m.variant, KernelVariant::Specialized);
-        assert_eq!(m.effective, KernelVariant::Optimized);
-        assert_eq!(
-            m.papi,
-            model_kernel(
-                KernelVariant::Optimized,
-                DerivDir::R,
-                deriv_counts(26, 2).times(1)
-            )
-        );
-        let table = deriv_table("t", &[m]);
-        assert!(table.contains("[specialized -> optimized]"));
     }
 }

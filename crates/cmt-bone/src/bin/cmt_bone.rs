@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cmt-bone [--ranks P] [--elems NEL] [--n N] [--steps S] [--fields F]
-//!          [--variant basic|opt|spec] [--method pairwise|crystal|allreduce]
+//!          [--variant basic|opt|simd|auto] [--method pairwise|crystal|allreduce]
 //!          [--pipeline blocking|overlapped] [--net qdr|exa|gbe] [--quiet]
 //! ```
 //!
@@ -18,7 +18,7 @@ use simmpi::{FaultPlan, NetworkModel, SocketConfig, TransportKind};
 fn usage() -> ! {
     eprintln!(
         "usage: cmt-bone [--ranks P] [--elems NEL_PER_RANK] [--n N] [--steps S]\n\
-         \x20                [--fields F] [--variant basic|opt|spec|simd|auto]\n\
+         \x20                [--fields F] [--variant basic|opt|simd|auto]\n\
          \x20                [--workers W]\n\
          \x20                [--method pairwise|crystal|allreduce]\n\
          \x20                [--pipeline blocking|overlapped] [--net qdr|exa|gbe]\n\
@@ -36,8 +36,8 @@ fn usage() -> ! {
          or tcp:127.0.0.1:0. Results are bitwise identical to inproc.\n\
          fault plan SPEC: semicolon-separated events, e.g.\n\
          \x20 'delay:prob=0.1,us=200;drop:prob=0.05;kill:rank=2,step=5;seed=7'\n\
-         --variant auto autotunes the derivative kernel at startup (variant x\n\
-         chunk grain, averaged across ranks — the Fig. 7 protocol for compute).\n\
+         --variant auto autotunes the derivative kernel at startup (every\n\
+         variant timed, averaged across ranks — the Fig. 7 protocol for compute).\n\
          --workers shares each rank's overlap-window element loops across a\n\
          work-stealing pool of W threads (1 = pure MPI); results are bitwise\n\
          identical across worker counts.\n\
@@ -114,7 +114,6 @@ fn main() {
             "--variant" => match args.next().as_deref() {
                 Some("basic") => cfg.variant = KernelVariant::Basic,
                 Some("opt") => cfg.variant = KernelVariant::Optimized,
-                Some("spec") => cfg.variant = KernelVariant::Specialized,
                 Some("simd") => cfg.variant = KernelVariant::Simd,
                 Some("auto") => cfg.kernel_autotune = true,
                 _ => usage(),

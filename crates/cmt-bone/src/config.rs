@@ -68,9 +68,9 @@ pub struct Config {
     /// is set — the startup kernel autotune picks it instead).
     pub variant: KernelVariant,
     /// Autotune the derivative kernel at startup (`--variant auto`): time
-    /// every variant × chunk-grain candidate on this run's `(N, elems)`
-    /// shape, average across ranks, and run the winner — the gs-style
-    /// Fig. 7 protocol applied to compute.
+    /// every variant on this run's `(N, elems)` shape, average across
+    /// ranks, and run the winner — the gs-style Fig. 7 protocol applied
+    /// to compute.
     pub kernel_autotune: bool,
     /// Worker threads per rank for the hybrid MPI+X element loops (1 =
     /// pure MPI; >1 shares the overlap-window element loops across a

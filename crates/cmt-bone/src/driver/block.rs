@@ -9,7 +9,7 @@ use cmt_mesh::{face_exchange_gids_for, ElemPartition, RankMesh};
 use cmt_particles::{Particle, ParticleSet};
 use cmt_perf::Profiler;
 use cmt_resilience::{hash, Checkpoint};
-use simmpi::{chunk_count, Rank};
+use simmpi::{chunk_count, chunk_grain, Rank};
 
 use super::{initial_profile, Env};
 
@@ -63,7 +63,7 @@ impl Block {
         let handle = GsHandle::setup(rank, &gids);
         let (n, nel) = (cfg.n, owned.len());
         let fpe = face::face_values_per_element(n);
-        let grain = env.grain_for(nel);
+        let grain = chunk_grain(env.pool.as_deref(), nel);
         let n_chunks = chunk_count(env.pool.as_deref(), nel, grain);
         let fields = || (0..cfg.fields).map(|_| Field::zeros(n, nel)).collect();
         let traces = || (0..cfg.fields).map(|_| vec![0.0; fpe * nel]).collect();

@@ -12,12 +12,13 @@ use std::f64::consts::PI;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cmt_core::kernels::autotune::{time_candidates, KernelAutotuneOptions, KernelAutotuneReport};
+use cmt_core::kernels::autotune::KernelAutotuneReport;
 use cmt_core::ops::ElementGeom;
 use cmt_core::poly::Basis;
 use cmt_core::Field;
 use cmt_gs::{autotune, AutotuneReport, GsMethod};
 use cmt_mesh::{ElemPartition, MeshConfig};
+use cmt_perf::kernel_tune::tune_kernels;
 use cmt_perf::{MpipReport, Profiler};
 use cmt_resilience::{hash, load_checkpoint, Resilience};
 use cmt_verify::Verifier;
@@ -126,8 +127,7 @@ fn stable_dt(cfg: &Config, geom: &ElementGeom) -> f64 {
 /// migration or rollback changes.
 struct Env<'a> {
     /// The effective configuration: the kernel autotune's winner
-    /// overrides the requested variant; everything downstream reads the
-    /// resolved choice.
+    /// overrides the requested variant.
     cfg: Config,
     mesh_cfg: &'a MeshConfig,
     basis: Basis,
@@ -140,8 +140,6 @@ struct Env<'a> {
     dealias: Option<(usize, Vec<f64>, Vec<f64>)>,
     /// The rank's worker pool (`--workers` > 1) sharing the element loops.
     pool: Option<Arc<WorkerPool>>,
-    /// The kernel autotune's chunk grain, when it ran.
-    tuned_grain: Option<usize>,
 }
 
 impl<'a> Env<'a> {
@@ -154,7 +152,7 @@ impl<'a> Env<'a> {
     ) -> Self {
         let mut cfg = cfg.clone();
         if let Some(t) = kernel_tune {
-            cfg.variant = t.effective;
+            cfg.variant = t.chosen();
         }
         let geom = ElementGeom::cube(1.0);
         Env {
@@ -163,37 +161,12 @@ impl<'a> Env<'a> {
                 .dealias_m
                 .map(|m| (m, basis.dealias_to(m), basis.dealias_from(m))),
             pool: rank.worker_pool(),
-            tuned_grain: kernel_tune.map(|t| t.chosen.grain),
             cfg,
             mesh_cfg,
             basis,
             geom,
         }
     }
-
-    /// Chunk grain of the element loops over `nel` elements: the tuned
-    /// grain, else ~4 chunks per worker (slack for stealing without
-    /// drowning in scheduling overhead).
-    fn grain_for(&self, nel: usize) -> usize {
-        self.tuned_grain.unwrap_or_else(|| {
-            nel.div_ceil(self.pool.as_ref().map_or(1, |p| p.workers()) * 4)
-                .max(1)
-        })
-    }
-}
-
-/// Kernel autotune (`--variant auto`): time every variant × chunk grain
-/// on this rank's shape, average across ranks (the gs-autotune
-/// protocol), and let every rank pick the same winner.
-fn tune_kernels(rank: &mut Rank, n: usize, nel: usize, basis: &Basis) -> KernelAutotuneReport {
-    let (cands, local) = time_candidates(n, nel, &basis.d, KernelAutotuneOptions::default());
-    rank.set_context("kernel_autotune");
-    let avg: Vec<f64> = local
-        .iter()
-        .map(|&t| rank.allreduce_scalar(t, ReduceOp::Sum) / rank.size() as f64)
-        .collect();
-    rank.set_context("main");
-    KernelAutotuneReport::from_avg_times(n, cands, avg)
 }
 
 /// Vector reduction: the timestep-control allreduce.
@@ -228,7 +201,7 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
     let nel0 = part.owned_by(rank.rank()).len();
     let kernel_tune = cfg
         .kernel_autotune
-        .then(|| tune_kernels(rank, cfg.n, nel0, &basis));
+        .then(|| tune_kernels(rank, cfg.n, nel0, &basis.d));
     let env = Env::new(rank, cfg, mesh_cfg, basis, kernel_tune.as_ref());
     let mut st = State::initial(&env, rank, part);
     let (chosen, tune_report) = match cfg.method {
@@ -421,13 +394,11 @@ fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
         hash::fnv1a(&mut state_hash, &gid.to_le_bytes());
         hash::fnv1a(&mut state_hash, &h.to_le_bytes());
     }
-    // The variant that actually ran: the autotune winner under
-    // `--variant auto`, otherwise the configured variant resolved for
-    // this n; the ISA only applies to the simd tier.
+    // The variant that ran: the autotune winner under `--variant auto`,
+    // otherwise the configured one; the ISA only applies to the simd tier.
     let kernel_variant = kernel_autotune_rep
         .as_ref()
-        .map(|t: &KernelAutotuneReport| t.effective)
-        .unwrap_or_else(|| cfg.variant.resolve(cfg.n));
+        .map_or(cfg.variant, KernelAutotuneReport::chosen);
     let kernel_isa = if kernel_variant == cmt_core::KernelVariant::Simd {
         cmt_core::kernels::simd::active_isa().name()
     } else {
@@ -591,8 +562,7 @@ mod tests {
     }
 
     /// `--variant auto`: the startup kernel autotune must produce a
-    /// report, pick a resolved (effective) variant, and leave the run
-    /// numerically sane.
+    /// report, run its winner, and leave the run numerically sane.
     #[test]
     fn kernel_autotune_runs_and_reports() {
         let cfg = Config {
@@ -606,8 +576,7 @@ mod tests {
             .kernel_autotune
             .as_ref()
             .expect("kernel autotune report");
-        assert_eq!(tune.effective, tune.chosen.variant.resolve(cfg.n));
-        assert!(!tune.timings.is_empty());
+        assert_eq!(rep.kernel_variant, tune.chosen());
         assert!(rep.checksum.is_finite());
         assert!(rep.render().contains("Kernel autotune"));
     }

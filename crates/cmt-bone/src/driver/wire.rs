@@ -2,71 +2,15 @@
 //!
 //! The socket transport ships each rank's measurement set back to the
 //! launcher as bytes, so everything in `RankOutput` needs a wire form.
-//! `KernelVariant` and the kernel-autotune report live in `cmt-core`,
-//! which does not depend on `simmpi` — the orphan rule keeps us from
-//! implementing `WireCodec` for them there, so they are encoded
-//! field-by-field with local helpers instead.
+//! The kernel-autotune report's codec is `cmt_perf::kernel_tune`'s.
 
-use cmt_core::kernels::autotune::{KernelAutotuneReport, KernelCandidate, KernelTiming};
-use cmt_core::KernelVariant;
 use cmt_gs::GsMethod;
+use cmt_perf::kernel_tune::{decode_kernel_tune, encode_kernel_tune};
 use cmt_perf::Profiler;
 use simmpi::{WireCodec, WireError, WireReader};
 
 use super::{RankOutput, SolutionDump};
 use crate::report::LbSummary;
-
-fn encode_variant(v: KernelVariant, buf: &mut Vec<u8>) {
-    let idx = KernelVariant::ALL
-        .iter()
-        .position(|&m| m == v)
-        .expect("variant in ALL") as u8;
-    idx.encode(buf);
-}
-
-fn decode_variant(r: &mut WireReader<'_>) -> Result<KernelVariant, WireError> {
-    let idx = u8::decode(r)? as usize;
-    KernelVariant::ALL
-        .get(idx)
-        .copied()
-        .ok_or(WireError::Malformed("unknown kernel variant"))
-}
-
-fn encode_kernel_tune(t: &KernelAutotuneReport, buf: &mut Vec<u8>) {
-    encode_variant(t.chosen.variant, buf);
-    t.chosen.grain.encode(buf);
-    encode_variant(t.effective, buf);
-    t.timings.len().encode(buf);
-    for timing in &t.timings {
-        encode_variant(timing.candidate.variant, buf);
-        timing.candidate.grain.encode(buf);
-        timing.avg_s.encode(buf);
-    }
-}
-
-fn decode_kernel_tune(r: &mut WireReader<'_>) -> Result<KernelAutotuneReport, WireError> {
-    let chosen = KernelCandidate {
-        variant: decode_variant(r)?,
-        grain: usize::decode(r)?,
-    };
-    let effective = decode_variant(r)?;
-    let n = r.count(17)?;
-    let mut timings = Vec::with_capacity(n);
-    for _ in 0..n {
-        timings.push(KernelTiming {
-            candidate: KernelCandidate {
-                variant: decode_variant(r)?,
-                grain: usize::decode(r)?,
-            },
-            avg_s: f64::decode(r)?,
-        });
-    }
-    Ok(KernelAutotuneReport {
-        chosen,
-        effective,
-        timings,
-    })
-}
 
 impl WireCodec for SolutionDump {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -106,13 +50,7 @@ impl WireCodec for RankOutput {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.profiler.encode(buf);
         self.autotune.encode(buf);
-        match &self.kernel_autotune {
-            None => false.encode(buf),
-            Some(t) => {
-                true.encode(buf);
-                encode_kernel_tune(t, buf);
-            }
-        }
+        encode_kernel_tune(self.kernel_autotune.as_ref(), buf);
         self.chosen.encode(buf);
         self.checksum.encode(buf);
         self.elem_gids.encode(buf);
@@ -126,11 +64,7 @@ impl WireCodec for RankOutput {
         Ok(RankOutput {
             profiler: Profiler::decode(r)?,
             autotune: Option::decode(r)?,
-            kernel_autotune: if bool::decode(r)? {
-                Some(decode_kernel_tune(r)?)
-            } else {
-                None
-            },
+            kernel_autotune: decode_kernel_tune(r)?,
             chosen: GsMethod::decode(r)?,
             checksum: f64::decode(r)?,
             elem_gids: Vec::decode(r)?,

@@ -40,7 +40,7 @@ fn state_hash(extra: &[&str]) -> String {
 #[test]
 fn every_variant_spelling_is_accepted_and_simd_matches_opt() {
     let opt = state_hash(&["--variant", "opt"]);
-    for v in ["basic", "spec", "simd", "auto"] {
+    for v in ["basic", "simd", "auto"] {
         let h = state_hash(&["--variant", v]);
         if v == "simd" {
             assert_eq!(h, opt, "--variant simd diverged from opt");
@@ -52,12 +52,12 @@ fn every_variant_spelling_is_accepted_and_simd_matches_opt() {
 #[test]
 fn unknown_variant_fails_with_usage_listing_all_tiers() {
     // never-shipped and removed tiers alike
-    for v in ["avx512", "batched", "unroll"] {
+    for v in ["avx512", "batched", "unroll", "spec"] {
         let out = run_bin(&["--variant", v]);
         assert_eq!(out.status.code(), Some(2), "{out:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains("basic|opt|spec|simd|auto"),
+            err.contains("basic|opt|simd|auto"),
             "usage does not list every variant:\n{err}"
         );
     }

@@ -15,16 +15,12 @@
 //!
 //! The paper's Figs. 5-6 compare a *basic* implementation against the
 //! loop-fused/unrolled production kernels inherited from Nek5000, finding
-//! speedups of 2.31x (`dudt`), 1.03x (`dudr`) and ~1x (`duds`). The three
-//! variants here mirror that study:
+//! speedups of 2.31x (`dudt`), 1.03x (`dudr`) and ~1x (`duds`). The first
+//! two variants here are that study; the third is the one tier above it:
 //!
 //! * [`basic`] — textbook nested loops, no fusion, no unrolling;
 //! * [`opt`] — loop fusion into flattened matrix products plus
 //!   vectorization-friendly inner loops (the Fig. 5 kernels);
-//! * [`specialized`] — const-generic `N` so the compiler fully unrolls the
-//!   length-`N` inner products (the analogue of Nek's generated `mxm`
-//!   routines), dispatched for the paper's range `N in 5..=25` and a bit
-//!   beyond.
 //! * [`simd`] — hand-written lane-parallel AVX2/SSE2 kernels behind
 //!   runtime CPU-feature dispatch, **bitwise identical** to [`opt`]
 //!   because every lane keeps the scalar accumulation order.
@@ -38,7 +34,6 @@ pub mod autotune;
 pub mod basic;
 pub mod opt;
 pub mod simd;
-pub mod specialized;
 
 use crate::field::Field;
 
@@ -74,9 +69,6 @@ pub enum KernelVariant {
     Basic,
     /// Loop-fused, vectorization-friendly kernels (paper Fig. 5).
     Optimized,
-    /// Const-generic fully-unrolled inner products (Nek `mxm` analogue);
-    /// falls back to [`KernelVariant::Optimized`] for unsupported `n`.
-    Specialized,
     /// Hand-written lane-parallel vector kernels with runtime ISA
     /// dispatch ([`simd`]); bitwise identical to [`KernelVariant::Optimized`]
     /// on every ISA (including the scalar fallback).
@@ -84,12 +76,10 @@ pub enum KernelVariant {
 }
 
 impl KernelVariant {
-    /// All variants, baseline first. New variants are appended so the
-    /// `ALL`-index wire encoding of older variants stays stable.
-    pub const ALL: [KernelVariant; 4] = [
+    /// All variants, baseline first.
+    pub const ALL: [KernelVariant; 3] = [
         KernelVariant::Basic,
         KernelVariant::Optimized,
-        KernelVariant::Specialized,
         KernelVariant::Simd,
     ];
 
@@ -98,29 +88,7 @@ impl KernelVariant {
         match self {
             KernelVariant::Basic => "basic",
             KernelVariant::Optimized => "optimized",
-            KernelVariant::Specialized => "specialized",
             KernelVariant::Simd => "simd",
-        }
-    }
-
-    /// The variant whose code actually runs for order `n`.
-    ///
-    /// [`KernelVariant::Specialized`] has const-generic instantiations
-    /// only for `n in 2..=25`; outside that range its entry points fall
-    /// back to the optimized kernels. Every layer that *reports* a
-    /// variant (the PAPI model, the autotuner, bench tables) must resolve
-    /// first, or it attributes measurements to code that never ran.
-    ///
-    /// [`KernelVariant::Simd`] resolves to itself for every `n`: its
-    /// ISA narrowing (avx2 -> sse2 -> scalar) is a *runtime* dispatch
-    /// reported separately as the effective ISA
-    /// ([`simd::active_isa`]), not a variant substitution.
-    pub fn resolve(self, n: usize) -> KernelVariant {
-        match self {
-            KernelVariant::Specialized if !specialized::is_specialized(n) => {
-                KernelVariant::Optimized
-            }
-            v => v,
         }
     }
 }
@@ -142,10 +110,6 @@ fn check_shapes(n: usize, nel: usize, d: &[f64], u: &[f64], out: &[f64]) {
 /// `out[e, i, j, k] = sum_m D[dir index][m] * u[e, ..m..]` — see the module
 /// docs for the exact contraction per direction.
 ///
-/// Returns the *effective* variant ([`KernelVariant::resolve`]) — the one
-/// whose code actually ran, which differs from the request when
-/// `Specialized` falls back for an unsupported `n`.
-///
 /// # Panics
 /// Panics on shape mismatches (wrong `D`, `u`, or `out` lengths).
 pub fn deriv(
@@ -156,24 +120,19 @@ pub fn deriv(
     d: &[f64],
     u: &[f64],
     out: &mut [f64],
-) -> KernelVariant {
+) {
     check_shapes(n, nel, d, u, out);
-    let effective = variant.resolve(n);
-    match (effective, dir) {
+    match (variant, dir) {
         (KernelVariant::Basic, DerivDir::R) => basic::deriv_r(n, nel, d, u, out),
         (KernelVariant::Basic, DerivDir::S) => basic::deriv_s(n, nel, d, u, out),
         (KernelVariant::Basic, DerivDir::T) => basic::deriv_t(n, nel, d, u, out),
         (KernelVariant::Optimized, DerivDir::R) => opt::deriv_r(n, nel, d, u, out),
         (KernelVariant::Optimized, DerivDir::S) => opt::deriv_s(n, nel, d, u, out),
         (KernelVariant::Optimized, DerivDir::T) => opt::deriv_t(n, nel, d, u, out),
-        (KernelVariant::Specialized, DerivDir::R) => specialized::deriv_r(n, nel, d, u, out),
-        (KernelVariant::Specialized, DerivDir::S) => specialized::deriv_s(n, nel, d, u, out),
-        (KernelVariant::Specialized, DerivDir::T) => specialized::deriv_t(n, nel, d, u, out),
         (KernelVariant::Simd, DerivDir::R) => simd::deriv_r(n, nel, d, u, out),
         (KernelVariant::Simd, DerivDir::S) => simd::deriv_s(n, nel, d, u, out),
         (KernelVariant::Simd, DerivDir::T) => simd::deriv_t(n, nel, d, u, out),
     }
-    effective
 }
 
 /// Compute all three partial derivatives of a [`Field`] at once.
@@ -388,9 +347,9 @@ mod tests {
 
     #[test]
     fn all_variants_match_reference_all_dirs() {
-        // The whole dispatch range 2..=25 plus 27 (the Specialized
-        // fallback), so every const instantiation, every jam remainder,
-        // and every tile split is pinned against the reference.
+        // The paper's whole range 2..=25 plus 27 beyond it, so every
+        // jam remainder and every tile split is pinned against the
+        // reference.
         for n in (2..=25).chain([27]) {
             let nel = 3;
             let b = Basis::new(n);
@@ -525,39 +484,6 @@ mod tests {
         tensor3_apply(5, 8, &down, &fine, &mut back, 1);
         for (a, b) in back.iter().zip(&u) {
             assert!((a - b).abs() < 1e-10, "dealias roundtrip: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn deriv_reports_effective_variant() {
-        // Specialized has no const instantiation at n = 27: the call must
-        // report the Optimized fallback, not the requested variant.
-        let n = 27;
-        let b = Basis::new(n);
-        let u = pseudo_random(n * n * n, 9);
-        let mut out = vec![0.0; u.len()];
-        let eff = deriv(
-            KernelVariant::Specialized,
-            DerivDir::T,
-            n,
-            1,
-            &b.d,
-            &u,
-            &mut out,
-        );
-        assert_eq!(eff, KernelVariant::Optimized);
-        assert_eq!(
-            KernelVariant::Specialized.resolve(10),
-            KernelVariant::Specialized
-        );
-        assert_eq!(
-            KernelVariant::Specialized.resolve(26),
-            KernelVariant::Optimized
-        );
-        for v in KernelVariant::ALL {
-            if v != KernelVariant::Specialized {
-                assert_eq!(v.resolve(27), v, "only Specialized falls back");
-            }
         }
     }
 

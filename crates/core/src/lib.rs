@@ -15,8 +15,8 @@
 //!   spot of the paper's Fig. 4 and the subject of its Figs. 5-6. Three
 //!   variants are provided: a straightforward [`kernels::basic`]
 //!   implementation, a loop-fused/vectorizing [`kernels::opt`]
-//!   implementation, and const-generic [`kernels::specialized`] versions
-//!   whose inner products the compiler fully unrolls.
+//!   implementation, and the hand-vectorized [`kernels::simd`] tier,
+//!   bitwise identical to `opt`.
 //! * **Face extraction** ([`face`]): `full2face` / `face2full`, building the
 //!   contiguous surface arrays exchanged with nearest neighbors.
 //! * **Polynomial machinery** ([`poly`]): Legendre-Gauss-Lobatto nodes,

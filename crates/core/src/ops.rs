@@ -245,7 +245,7 @@ mod tests {
         let mut rhs = Field::zeros(n, 1);
         let mut scratch = Field::zeros(n, 1);
         advect_volume_rhs(
-            KernelVariant::Specialized,
+            KernelVariant::Simd,
             &basis,
             &geom,
             [1.0, 2.0, 3.0],

@@ -5,8 +5,8 @@
 //!
 //! * the split-phase API surface of `cmt-gs` (CMT-L001),
 //! * the collective entry points of `simmpi` and `cmt-lb` (CMT-L002),
-//! * the zero-allocation regions `BENCH_alloc.json` and the
-//!   `alloc_free` counting-allocator tests assert dynamically
+//! * the zero-allocation regions the tier-1 `tests/alloc_free.rs`
+//!   counting-allocator tests assert dynamically
 //!   (CMT-L003 roots), plus the pool entry points blessed to allocate,
 //! * the socket wire format's closed payload registry in
 //!   `simmpi::wire` (CMT-L004).
@@ -185,7 +185,7 @@ pub const COLLECTIVES: &[&str] = &[
 // --------------------------------------------------------------- L003
 
 /// Zero-allocation roots: the functions behind the steady-state regions
-/// that `BENCH_alloc.json` + the `alloc_free` tests assert allocate
+/// that the `tests/alloc_free.rs` tests assert allocate
 /// nothing per timestep (`gs_op*` for cmt-bone, `dssum*` via nekbone's
 /// assembled apply, the overlap-window `deriv`/`dealias` kernels), plus
 /// the pooled LB traffic paths (`gather_costs`/`migrate_blocks`) whose

@@ -1,6 +1,6 @@
 //! CMT-L003 — hot-path allocation.
 //!
-//! `BENCH_alloc.json` and the `alloc_free` counting-allocator tests
+//! The tier-1 `tests/alloc_free.rs` counting-allocator tests
 //! assert that steady-state timesteps perform zero heap allocations in
 //! the gather–scatter and overlap-window regions — but only on the
 //! schedules CI happens to run. This rule proves the property's static

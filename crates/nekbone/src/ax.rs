@@ -25,7 +25,7 @@
 use cmt_core::kernels::{deriv, DerivDir};
 use cmt_core::poly::Basis;
 use cmt_core::{Field, KernelVariant};
-use simmpi::{for_each_chunk, Stride, WorkerPool};
+use simmpi::{chunk_grain, for_each_chunk, Stride, WorkerPool};
 
 /// Precomputed operator data shared by all `ax` applications.
 #[derive(Debug, Clone)]
@@ -101,15 +101,12 @@ impl AxOperator {
         assert_eq!((t1.n(), t1.nel()), (n, nel), "t1 shape");
         assert_eq!((t2.n(), t2.nel()), (n, nel), "t2 shape");
         let n3 = n * n * n;
-        // ~4 chunks per participant: enough slack for stealing without
-        // drowning in scheduling overhead.
-        let grain = nel.div_ceil(pool.map_or(1, |p| p.workers()) * 4).max(1);
         let us = u.as_slice();
         let per_elem = Stride::PerElem(n3);
         for_each_chunk(
             pool,
             nel,
-            grain,
+            chunk_grain(pool, nel),
             [
                 (w.as_mut_slice(), per_elem),
                 (t1.as_mut_slice(), per_elem),
@@ -203,7 +200,7 @@ mod tests {
 
     #[test]
     fn operator_is_positive_definite() {
-        let op = AxOperator::new(5, 0.7, 0.1, KernelVariant::Specialized);
+        let op = AxOperator::new(5, 0.7, 0.1, KernelVariant::Simd);
         for seed in 1..6 {
             let u = pseudo_random_field(5, 3, seed);
             let mut au = Field::zeros(5, 3);

@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! nekbone [--ranks P] [--elems NEL] [--n N] [--iters K] [--tol T]
+//!         [--variant basic|opt|simd|auto]
 //!         [--method pairwise|crystal|allreduce] [--quiet]
 //! ```
 
@@ -13,7 +14,7 @@ use simmpi::{FaultPlan, SocketConfig, TransportKind};
 fn usage() -> ! {
     eprintln!(
         "usage: nekbone [--ranks P] [--elems NEL_PER_RANK] [--n N] [--iters K]\n\
-         \x20              [--tol T] [--variant basic|opt|spec|simd|auto]\n\
+         \x20              [--tol T] [--variant basic|opt|simd|auto]\n\
          \x20              [--workers W]\n\
          \x20              [--method pairwise|crystal|allreduce] [--quiet]\n\
          \x20              [--checkpoint-every K] [--checkpoint-dir PATH]\n\
@@ -33,8 +34,8 @@ fn usage() -> ! {
          matching, message leaks, races); exit status 1 on findings.\n\
          --chaos-sched overlays seeded message delays to perturb the schedule.\n\
          --no-pool disables message-buffer recycling (allocate per message).\n\
-         --variant auto autotunes the ax derivative kernel at startup (variant\n\
-         x chunk grain, averaged across ranks); --variant simd dispatches to\n\
+         --variant auto autotunes the ax derivative kernel at startup (every\n\
+         variant timed, averaged across ranks); --variant simd dispatches to\n\
          the widest vector unit present (avx2/sse2, scalar fallback) with\n\
          bitwise-identical results."
     );
@@ -64,7 +65,6 @@ fn main() {
             "--variant" => match args.next().as_deref() {
                 Some("basic") => cfg.variant = KernelVariant::Basic,
                 Some("opt") => cfg.variant = KernelVariant::Optimized,
-                Some("spec") => cfg.variant = KernelVariant::Specialized,
                 Some("simd") => cfg.variant = KernelVariant::Simd,
                 Some("auto") => cfg.kernel_autotune = true,
                 _ => usage(),

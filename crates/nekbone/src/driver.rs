@@ -3,15 +3,16 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use cmt_core::kernels::autotune::{time_candidates, KernelAutotuneOptions, KernelAutotuneReport};
+use cmt_core::kernels::autotune::KernelAutotuneReport;
 use cmt_core::{Field, KernelVariant};
 use cmt_gs::{autotune, AutotuneOptions, AutotuneReport, GsHandle, GsMethod};
 use cmt_mesh::{MeshConfig, RankMesh};
+use cmt_perf::kernel_tune::{decode_kernel_tune, encode_kernel_tune, tune_kernels};
 use cmt_perf::{MpipReport, ProfileReport, Profiler};
 use cmt_resilience::{hash, load_checkpoint, Resilience};
 use cmt_verify::Verifier;
 use simmpi::{
-    FaultPlan, NetworkModel, Rank, ReduceOp, TransportKind, WireCodec, WireError, WireReader, World,
+    FaultPlan, NetworkModel, Rank, TransportKind, WireCodec, WireError, WireReader, World,
 };
 use std::sync::Arc;
 
@@ -40,9 +41,9 @@ pub struct Config {
     /// the startup kernel autotune picks it instead).
     pub variant: KernelVariant,
     /// Autotune the `ax` derivative kernel at startup (`--variant
-    /// auto`): time every variant × chunk-grain candidate on this run's
-    /// `(N, elems)` shape, average across ranks, and run the winner —
-    /// the same Fig. 7 protocol CMT-bone applies to compute.
+    /// auto`): time every variant on this run's `(N, elems)` shape,
+    /// average across ranks, and run the winner — the same Fig. 7
+    /// protocol CMT-bone applies to compute.
     pub kernel_autotune: bool,
     /// Worker threads per rank for the hybrid MPI+X element loops (1 =
     /// pure MPI; >1 shares the `ax` element loop across a work-stealing
@@ -121,13 +122,11 @@ pub struct NekboneReport {
     pub chosen_method: GsMethod,
     /// Startup tuning table (the Fig. 7 Nekbone rows), if autotuned.
     pub autotune: Option<AutotuneReport>,
-    /// The `ax`-kernel tuning table (`--variant auto`): variant ×
-    /// chunk-grain timings averaged across ranks, when the kernel
-    /// autotune ran.
+    /// The `ax`-kernel tuning table (`--variant auto`): per-variant
+    /// timings averaged across ranks, when the kernel autotune ran.
     pub kernel_autotune: Option<KernelAutotuneReport>,
-    /// The derivative-kernel variant that actually ran: the configured
-    /// variant resolved for this `n`, or the autotune winner under
-    /// `--variant auto`.
+    /// The derivative-kernel variant that ran: the configured variant,
+    /// or the autotune winner under `--variant auto`.
     pub kernel_variant: KernelVariant,
     /// The instruction set the simd kernel tier dispatched to
     /// (`avx2` / `sse2` / `scalar`); `-` when a non-simd variant ran.
@@ -182,7 +181,7 @@ impl NekboneReport {
             out.push_str(&t.table("Nekbone"));
         }
         if let Some(t) = &self.kernel_autotune {
-            out.push_str("\nKernel autotune (variant x grain, rank-averaged):\n");
+            out.push_str("\nKernel autotune (rank-averaged):\n");
             out.push_str(&t.table("Nekbone"));
         }
         out.push_str("\nExecution profile:\n");
@@ -209,67 +208,9 @@ struct RankOutput {
     wall_s: f64,
 }
 
-// `KernelVariant` and the kernel-autotune report live in `cmt-core`,
-// which does not depend on `simmpi` — the orphan rule keeps us from
-// implementing `WireCodec` for them there, so they are encoded
-// field-by-field with local helpers (as the CMT-bone driver does).
-
-fn encode_variant(v: KernelVariant, buf: &mut Vec<u8>) {
-    let idx = KernelVariant::ALL
-        .iter()
-        .position(|&m| m == v)
-        .expect("variant in ALL") as u8;
-    idx.encode(buf);
-}
-
-fn decode_variant(r: &mut WireReader<'_>) -> Result<KernelVariant, WireError> {
-    let idx = u8::decode(r)? as usize;
-    KernelVariant::ALL
-        .get(idx)
-        .copied()
-        .ok_or(WireError::Malformed("unknown kernel variant"))
-}
-
-fn encode_kernel_tune(t: &KernelAutotuneReport, buf: &mut Vec<u8>) {
-    encode_variant(t.chosen.variant, buf);
-    t.chosen.grain.encode(buf);
-    encode_variant(t.effective, buf);
-    t.timings.len().encode(buf);
-    for timing in &t.timings {
-        encode_variant(timing.candidate.variant, buf);
-        timing.candidate.grain.encode(buf);
-        timing.avg_s.encode(buf);
-    }
-}
-
-fn decode_kernel_tune(r: &mut WireReader<'_>) -> Result<KernelAutotuneReport, WireError> {
-    use cmt_core::kernels::autotune::{KernelCandidate, KernelTiming};
-    let chosen = KernelCandidate {
-        variant: decode_variant(r)?,
-        grain: usize::decode(r)?,
-    };
-    let effective = decode_variant(r)?;
-    let n = r.count(17)?;
-    let mut timings = Vec::with_capacity(n);
-    for _ in 0..n {
-        timings.push(KernelTiming {
-            candidate: KernelCandidate {
-                variant: decode_variant(r)?,
-                grain: usize::decode(r)?,
-            },
-            avg_s: f64::decode(r)?,
-        });
-    }
-    Ok(KernelAutotuneReport {
-        chosen,
-        effective,
-        timings,
-    })
-}
-
 // Wire codecs so the socket transport can ship each rank's measurement
-// set back to the launcher (the `Profiler`, `AutotuneReport` and
-// `GsMethod` codecs live with their own crates).
+// set back to the launcher (the `Profiler`, `AutotuneReport`, `GsMethod`
+// and kernel-autotune codecs live with their own crates).
 
 impl WireCodec for CgStats {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -288,13 +229,7 @@ impl WireCodec for RankOutput {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.profiler.encode(buf);
         self.autotune.encode(buf);
-        match &self.kernel_autotune {
-            None => false.encode(buf),
-            Some(t) => {
-                true.encode(buf);
-                encode_kernel_tune(t, buf);
-            }
-        }
+        encode_kernel_tune(self.kernel_autotune.as_ref(), buf);
         self.chosen.encode(buf);
         self.cg.encode(buf);
         self.checksum.encode(buf);
@@ -305,11 +240,7 @@ impl WireCodec for RankOutput {
         Ok(RankOutput {
             profiler: Profiler::decode(r)?,
             autotune: Option::decode(r)?,
-            kernel_autotune: if bool::decode(r)? {
-                Some(decode_kernel_tune(r)?)
-            } else {
-                None
-            },
+            kernel_autotune: decode_kernel_tune(r)?,
             chosen: GsMethod::decode(r)?,
             cg: CgStats::decode(r)?,
             checksum: f64::decode(r)?,
@@ -360,35 +291,18 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig) -> RankOutput
         .into_iter()
         .map(|m| 1.0 / m)
         .collect();
-    // Kernel autotune (`--variant auto`): time every variant × chunk
-    // grain on this rank's `(N, elems)` shape, average across ranks (the
-    // gs-autotune protocol), and let every rank adopt the same winner
-    // for the `ax` kernel.
-    let kernel_tune = cfg.kernel_autotune.then(|| {
-        let basis = cmt_core::poly::Basis::new(cfg.n);
-        let (cands, local) = time_candidates(
-            cfg.n,
-            mesh.nel(),
-            &basis.d,
-            KernelAutotuneOptions::default(),
-        );
-        rank.set_context("kernel_autotune");
-        let avg: Vec<f64> = local
-            .iter()
-            .map(|&t| rank.allreduce_scalar(t, ReduceOp::Sum) / rank.size() as f64)
-            .collect();
-        rank.set_context("main");
-        KernelAutotuneReport::from_avg_times(cfg.n, cands, avg)
-    });
-    prof.exit();
-
     let n = cfg.n;
     let nel = mesh.nel();
-    let variant = kernel_tune
-        .as_ref()
-        .map(|t| t.effective)
-        .unwrap_or(cfg.variant);
-    let op = AxOperator::new(n, 1.0, cfg.lambda, variant);
+    // Kernel autotune (`--variant auto`): every rank adopts the same
+    // rank-averaged winner for the `ax` kernel.
+    let mut op = AxOperator::new(n, 1.0, cfg.lambda, cfg.variant);
+    let kernel_tune = cfg
+        .kernel_autotune
+        .then(|| tune_kernels(rank, n, nel, &op.basis.d));
+    if let Some(t) = &kernel_tune {
+        op.variant = t.chosen();
+    }
+    prof.exit();
 
     // Consistent right-hand side: a smooth function of the global point
     // id (identical for every replica of a shared point), mass-weighted
@@ -572,8 +486,7 @@ pub fn run(cfg: &Config) -> NekboneReport {
     }
     let kernel_variant = kernel_autotune_rep
         .as_ref()
-        .map(|t| t.effective)
-        .unwrap_or_else(|| cfg.variant.resolve(cfg.n));
+        .map_or(cfg.variant, KernelAutotuneReport::chosen);
     let kernel_isa = if kernel_variant == KernelVariant::Simd {
         cmt_core::kernels::simd::active_isa().name()
     } else {
@@ -727,9 +640,6 @@ mod tests {
         let rep = run(&small_cfg());
         assert!(rep.profile.flat.iter().any(|(n, _)| n.starts_with("ax_e")));
         assert!(rep.profile.flat.iter().any(|(n, _)| n.starts_with("dssum")));
-        // the local stiffness work dominates dssum's self time in a
-        // shared-memory world
-        assert!(rep.profile.share("ax_e (local stiffness+mass)") > 0.05);
     }
 
     #[test]
@@ -853,7 +763,7 @@ mod tests {
     }
 
     /// `--variant auto`: the startup kernel autotune must produce a
-    /// report and every rank must adopt its effective winner.
+    /// report and every rank must adopt its winner.
     #[test]
     fn kernel_autotune_runs_and_reports() {
         let rep = run(&Config {
@@ -861,8 +771,7 @@ mod tests {
             ..small_cfg()
         });
         let t = rep.kernel_autotune.as_ref().expect("kernel autotune ran");
-        assert_eq!(rep.kernel_variant, t.effective);
-        assert!(!t.timings.is_empty());
+        assert_eq!(rep.kernel_variant, t.chosen());
         let text = rep.render();
         assert!(text.contains("Kernel autotune"));
         assert!(text.contains("kernel variant:"));

@@ -16,6 +16,8 @@
 //! * [`alloc`] — thread-local heap-allocation counters (feature-gated
 //!   counting global allocator) that the profiler attributes to regions,
 //!   turning "zero allocations at steady state" into an asserted fact.
+//! * [`kernel_tune`] — the collective step and wire form of the kernel
+//!   autotune (`--variant auto`), shared by both mini-app drivers.
 //! * [`mpip`] — mpiP-style aggregation of [`simmpi::CommStats`] across
 //!   ranks: per-rank MPI time fractions (Fig. 8), the most expensive call
 //!   sites (Fig. 9), and per-call-site message volumes (Fig. 10), with
@@ -25,6 +27,7 @@
 #![deny(unsafe_code)]
 
 pub mod alloc;
+pub mod kernel_tune;
 pub mod mpip;
 pub mod papi;
 pub mod profiler;

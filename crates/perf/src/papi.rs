@@ -106,15 +106,6 @@ pub fn kernel_model(variant: KernelVariant, dir: DerivDir) -> KernelModel {
             overhead_ipp: 3.0,
             cpi: 0.57,
         },
-        // Const-generic specialization: the optimized kernels with most of
-        // the loop overhead unrolled away.
-        (Specialized, d) => {
-            let base = kernel_model(Optimized, d);
-            KernelModel {
-                overhead_ipp: base.overhead_ipp * 0.3,
-                ..base
-            }
-        }
         // Hand-vectorized lane-parallel kernels: no FMA contraction (the
         // scalar accumulation order is preserved bitwise, so mul and add
         // stay separate — twice the arithmetic instructions per flop of
@@ -308,16 +299,6 @@ mod tests {
                 let cpi = est.cycles as f64 / est.instructions as f64;
                 assert!((cpi - m.cpi).abs() < 0.01, "{variant:?} {dir:?}: cpi {cpi}");
             }
-        }
-    }
-
-    #[test]
-    fn specialized_beats_optimized() {
-        let c = paper_counts();
-        for dir in DerivDir::ALL {
-            let o = model_kernel(KernelVariant::Optimized, dir, c);
-            let s = model_kernel(KernelVariant::Specialized, dir, c);
-            assert!(s.instructions < o.instructions, "{dir:?}");
         }
     }
 

@@ -66,7 +66,7 @@ pub use stats::{CommStats, MpiOp, SiteKey, SiteStats};
 pub use transport::{SocketConfig, TransportKind};
 pub use verify::{CollFingerprint, CollKind, LeakInfo, VerifyHooks};
 pub use wire::{WireCodec, WireError, WireReader};
-pub use workers::{chunk_count, for_each_chunk, AllocCounterFn, Stride, WorkerPool};
+pub use workers::{chunk_count, chunk_grain, for_each_chunk, AllocCounterFn, Stride, WorkerPool};
 pub use world::{World, WorldResult};
 
 /// Elementwise reduction operators for the typed collectives.

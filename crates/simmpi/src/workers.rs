@@ -53,6 +53,13 @@ use std::thread::JoinHandle;
 /// depending on that crate.
 pub type AllocCounterFn = fn() -> (u64, u64);
 
+/// Chunk grain of an element loop over `nel` elements: ~4 chunks per
+/// participant — enough slack for stealing without drowning in
+/// scheduling overhead.
+pub fn chunk_grain(pool: Option<&WorkerPool>, nel: usize) -> usize {
+    nel.div_ceil(pool.map_or(1, |p| p.workers()) * 4).max(1)
+}
+
 /// Number of chunks [`for_each_chunk`] splits `nel` elements into: the
 /// grain-sized chunks covering them with a pool, one inline chunk
 /// without — i.e. how many `Stride::PerChunk` slabs a buffer needs.
@@ -465,7 +472,11 @@ mod tests {
         assert_eq!(pooled_chunks(0, 4), 0);
         assert_eq!(pooled_chunks(5, 0), 5, "grain 0 clamps to 1");
         assert_eq!(chunk_count(None, 10, 4), 1, "no pool: one inline chunk");
-        assert_eq!(chunk_count(Some(&WorkerPool::new(2, None)), 10, 4), 3);
+        let pool = WorkerPool::new(2, None);
+        assert_eq!(chunk_count(Some(&pool), 10, 4), 3);
+        assert_eq!(chunk_grain(Some(&pool), 100), 13, "8 chunks of <= 13");
+        assert_eq!(chunk_grain(None, 100), 25);
+        assert_eq!(chunk_grain(Some(&pool), 0), 1, "never a zero grain");
     }
 
     #[test]

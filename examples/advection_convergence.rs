@@ -24,7 +24,7 @@ fn main() {
             elems: [2, 1, 1],
             lengths: [1.0, 1.0, 1.0],
             velocity: [1.0, 0.0, 0.0],
-            variant: KernelVariant::Specialized,
+            variant: KernelVariant::Simd,
         });
         solver.init(profile);
         let t_end = 0.25;

@@ -1,0 +1,171 @@
+//! The tentpole assertion: with pooling on, a steady-state timestep
+//! performs ZERO heap allocations inside the gather–scatter regions of
+//! both mini-apps — measured, not claimed.
+//!
+//! The counting global allocator comes from the root package's
+//! `[dev-dependencies] cmt-perf` entry (feature `count-alloc`), so plain
+//! `cargo test` runs these with the counter live; every test asserts
+//! `cmt_perf::alloc::counting()` rather than pass on frozen zeros.
+//!
+//! Method: run short and long versions of the same configuration and
+//! difference the per-region allocation counters, so setup, autotune,
+//! first-touch pool warm-up, and teardown are excluded and only the
+//! steady-state steps remain. A failing assertion prints every region's
+//! delta, so the stray allocation is localised without a second run.
+
+use cmt_bone::{Config, Pipeline};
+use cmt_gs::GsMethod;
+use cmt_perf::ProfileReport;
+
+/// Steady-state `(allocs, bytes)` of each region: its self counters in
+/// the `long` run minus those in the `short` one.
+fn region_deltas<'a>(
+    long: &'a ProfileReport,
+    short: &'a ProfileReport,
+) -> impl Iterator<Item = (&'a str, u64, u64)> {
+    long.flat.iter().map(|(name, l)| {
+        let (a_s, b_s) = short
+            .flat
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or((0, 0), |(_, s)| (s.self_allocs(), s.self_alloc_bytes()));
+        (
+            name.as_str(),
+            l.self_allocs().saturating_sub(a_s),
+            l.self_alloc_bytes().saturating_sub(b_s),
+        )
+    })
+}
+
+/// Steady-state `(allocs, bytes)` summed over the regions whose name
+/// starts with `prefix`.
+fn steady_delta(long: &ProfileReport, short: &ProfileReport, prefix: &str) -> (u64, u64) {
+    region_deltas(long, short)
+        .filter(|(name, ..)| name.starts_with(prefix))
+        .fold((0, 0), |(a, b), (_, da, db)| (a + da, b + db))
+}
+
+/// Assert the `prefix*` regions are allocation-free at steady state; on
+/// failure list every region that is not.
+fn assert_quiet(what: &str, long: &ProfileReport, short: &ProfileReport, prefix: &str) {
+    let (allocs, bytes) = steady_delta(long, short, prefix);
+    if (allocs, bytes) != (0, 0) {
+        let table: String = region_deltas(long, short)
+            .filter(|&(_, da, _)| da > 0)
+            .map(|(name, da, db)| format!("{da:>10} {db:>14}  {name}\n"))
+            .collect();
+        panic!(
+            "{what}: {allocs} allocs / {bytes} bytes at steady state in {prefix}* regions; \
+             per-region deltas (allocs, bytes):\n{table}"
+        );
+    }
+}
+
+fn bone_cfg(method: GsMethod, pipeline: Pipeline, pool: bool, steps: usize) -> Config {
+    Config {
+        ranks: 4,
+        n: 6,
+        elems_per_rank: 8,
+        steps,
+        fields: 3,
+        method: Some(method),
+        pipeline,
+        pool,
+        ..Default::default()
+    }
+}
+
+/// The 6-step and 2-step profiles whose difference is 4 steady-state
+/// CMT-bone steps.
+fn bone_profiles(cfg: impl Fn(usize) -> Config) -> (ProfileReport, ProfileReport) {
+    (
+        cmt_bone::run(&cfg(6)).profile,
+        cmt_bone::run(&cfg(2)).profile,
+    )
+}
+
+#[test]
+fn cmt_bone_gs_regions_allocation_free_at_steady_state() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    for pipeline in [Pipeline::Overlapped, Pipeline::Blocking] {
+        for method in GsMethod::ALL {
+            let (long, short) = bone_profiles(|steps| bone_cfg(method, pipeline, true, steps));
+            let what = format!("{method:?}/{}", pipeline.name());
+            assert_quiet(&what, &long, &short, "gs_op");
+        }
+    }
+}
+
+#[test]
+fn cmt_bone_no_pool_baseline_does_allocate() {
+    // The assertion above is only meaningful if the instrument can see
+    // the allocations the pool removes.
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    let (long, short) = bone_profiles(|steps| {
+        bone_cfg(
+            GsMethod::PairwiseExchange,
+            Pipeline::Overlapped,
+            false,
+            steps,
+        )
+    });
+    let (allocs, bytes) = steady_delta(&long, &short, "gs_op");
+    assert!(
+        allocs > 0 && bytes > 0,
+        "fresh-alloc baseline shows no gs allocations ({allocs}/{bytes}) — \
+         the counter or the differential is broken"
+    );
+}
+
+/// The volume-kernel regions (flux-divergence derivatives and the
+/// dealias maps) stay at zero allocations per step on every path of the
+/// chunked element loop: the default single inline chunk (`workers: 1`,
+/// which once `vec!`-allocated its dealias scratch per call) and a
+/// 4-worker pool sharing the loops. Worker-side allocations are charged
+/// back to the region via `Profiler::charge_allocs`, so a regression on
+/// either side of the pool shows up here. The simd tier is held to the
+/// same zero: vector dispatch uses stack scratch only (the transposed-D
+/// buffer lives on the stack, dealias reuses the caller's scratch).
+#[test]
+fn cmt_bone_volume_kernels_allocation_free_at_steady_state() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    for variant in [
+        cmt_core::KernelVariant::Optimized,
+        cmt_core::KernelVariant::Simd,
+    ] {
+        for workers in [1, 4] {
+            let (long, short) = bone_profiles(|steps| Config {
+                variant,
+                workers,
+                dealias_m: Some(8),
+                ..bone_cfg(
+                    GsMethod::PairwiseExchange,
+                    Pipeline::Overlapped,
+                    true,
+                    steps,
+                )
+            });
+            let what = format!("{}, {workers} workers", variant.name());
+            for prefix in ["ax_cmt", "dealias"] {
+                assert_quiet(&what, &long, &short, prefix);
+            }
+        }
+    }
+}
+
+#[test]
+fn nekbone_dssum_regions_allocation_free_at_steady_state() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    let cfg = |iters: usize| nekbone::Config {
+        ranks: 4,
+        n: 6,
+        elems_per_rank: 8,
+        cg_iters: iters,
+        tol: 0.0,
+        method: Some(GsMethod::PairwiseExchange),
+        ..Default::default()
+    };
+    let long = nekbone::run(&cfg(12)).profile;
+    let short = nekbone::run(&cfg(4)).profile;
+    assert_quiet("8 CG iterations", &long, &short, "dssum");
+}

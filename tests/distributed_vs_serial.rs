@@ -79,14 +79,8 @@ fn two_ranks_pairwise_optimized() {
 }
 
 #[test]
-fn eight_ranks_pairwise_specialized() {
-    check(
-        8,
-        8,
-        5,
-        KernelVariant::Specialized,
-        GsMethod::PairwiseExchange,
-    );
+fn eight_ranks_pairwise_simd() {
+    check(8, 8, 5, KernelVariant::Simd, GsMethod::PairwiseExchange);
 }
 
 #[test]

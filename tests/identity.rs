@@ -22,12 +22,21 @@ const G4: u64 = 0x23c764f9896122dd;
 const G5_OVERLAPPED: u64 = 0x24342c951705f08b;
 const G5_BLOCKING: u64 = 0xd89f2adf16dcc17b;
 
-const VARIANTS: [KernelVariant; 4] = [
+const VARIANTS: [KernelVariant; 3] = [
     KernelVariant::Optimized,
     KernelVariant::Simd,
-    KernelVariant::Specialized,
     KernelVariant::Basic,
 ];
+
+/// The kernel column: `(variant, kernel_autotune)` — each fixed tier,
+/// then the startup autotune, which must land on the same bits whichever
+/// tier it picks.
+fn kernels() -> impl Iterator<Item = (KernelVariant, bool)> {
+    VARIANTS
+        .into_iter()
+        .map(|v| (v, false))
+        .chain([(KernelVariant::Optimized, true)])
+}
 
 fn transports() -> [TransportKind; 2] {
     [
@@ -89,26 +98,27 @@ fn g5() -> BoneConfig {
     }
 }
 
-/// Run `base` over workers × transports × variants under `pipeline` and
+/// Run `base` over workers × transports × kernels under `pipeline` and
 /// assert every run lands on `golden`.
 fn assert_bone(name: &str, base: &BoneConfig, pipeline: Pipeline, golden: u64) {
     for workers in [1, 3] {
         for transport in transports() {
-            for variant in VARIANTS {
+            for (variant, kernel_autotune) in kernels() {
                 let rep = cmt_bone::run(&BoneConfig {
                     pipeline,
                     workers,
                     transport: transport.clone(),
                     variant,
+                    kernel_autotune,
                     ..base.clone()
                 });
                 assert_eq!(
                     rep.state_hash,
                     golden,
-                    "{name}: {:016x} != {golden:016x} under {}/workers {workers}/{transport:?}/{}",
+                    "{name}: {:016x} != {golden:016x} under {}/workers {workers}/{transport:?}/{} (auto: {kernel_autotune})",
                     rep.state_hash,
                     pipeline.name(),
-                    variant.name(),
+                    rep.kernel_variant.name(),
                 );
             }
         }
@@ -148,7 +158,7 @@ fn g3_particles_rebalance_checkpoints_and_kill() {
 fn g4_nekbone_cg() {
     for workers in [1, 3] {
         for transport in transports() {
-            for variant in VARIANTS {
+            for (variant, kernel_autotune) in kernels() {
                 let rep = nekbone::run(&NekConfig {
                     ranks: 4,
                     n: 6,
@@ -158,14 +168,15 @@ fn g4_nekbone_cg() {
                     workers,
                     transport: transport.clone(),
                     variant,
+                    kernel_autotune,
                     ..Default::default()
                 });
                 assert_eq!(
                     rep.state_hash,
                     G4,
-                    "G4: {:016x} under workers {workers}/{transport:?}/{}",
+                    "G4: {:016x} under workers {workers}/{transport:?}/{} (auto: {kernel_autotune})",
                     rep.state_hash,
-                    variant.name(),
+                    rep.kernel_variant.name(),
                 );
             }
         }
