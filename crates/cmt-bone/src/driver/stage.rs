@@ -263,12 +263,13 @@ impl Stepper<'_> {
                 let axis = fc.axis();
                 let sign = fc.sign() as f64;
                 let lift = geom.dscale(axis) / w_end;
+                let qe = &mut ws.q[axis].as_mut_slice()[e * n3..(e + 1) * n3];
                 let off = e * fpe + fc.index() * n2;
-                for p in 0..n2 {
-                    let jump = 0.5 * (faces[off + p] - faces_own[off + p]);
-                    let vi = face::face_point_volume_index(n, fc, p);
-                    ws.q[axis].as_mut_slice()[e * n3 + vi] += lift * sign * jump;
-                }
+                let (nbr, own) = (&faces[off..off + n2], &faces_own[off..off + n2]);
+                face::for_each_face_point(n, fc, qe, |p, q| {
+                    let jump = 0.5 * (nbr[p] - own[p]);
+                    *q += lift * sign * jump;
+                });
             }
         }
         // viscous divergence: per axis a volume term and a central
@@ -293,17 +294,16 @@ impl Stepper<'_> {
             for (nb, ow) in qnbr.iter_mut().zip(qown) {
                 *nb -= ow;
             }
-            for e in 0..nel {
+            for (e, re) in rhs.as_mut_slice().chunks_exact_mut(n3).enumerate() {
                 for fc in Face::ALL.into_iter().filter(|fc| fc.axis() == axis) {
                     let sign = fc.sign() as f64;
                     let off = e * fpe + fc.index() * n2;
-                    for p in 0..n2 {
+                    let (nbr, own) = (&qnbr[off..off + n2], &qown[off..off + n2]);
+                    face::for_each_face_point(n, fc, re, |p, r| {
                         // F* - F_in = sign nu ((q_own+q_nbr)/2 - q_own)
                         //           = sign nu (q_nbr - q_own)/2
-                        let corr = lift * sign * nu * 0.5 * (qnbr[off + p] - qown[off + p]);
-                        let vi = face::face_point_volume_index(n, fc, p);
-                        rhs.as_mut_slice()[e * n3 + vi] += corr;
-                    }
+                        *r += lift * sign * nu * 0.5 * (nbr[p] - own[p]);
+                    });
                 }
             }
         };
@@ -320,10 +320,13 @@ impl Stepper<'_> {
                 }
             }
             Pipeline::Overlapped => {
+                // The exchange is in place: it runs on `qnbr`, seeded
+                // with the own traces exactly as the blocking arm does.
                 for axis in 0..3 {
                     face::full2face(n, nel, ws.q[axis].as_slice(), &mut ws.qown[axis]);
+                    ws.qnbr[axis].copy_from_slice(&ws.qown[axis]);
                 }
-                let views: Vec<&[f64]> = ws.qown.iter().map(|v| v.as_slice()).collect();
+                let views: Vec<&[f64]> = ws.qnbr.iter().map(|v| v.as_slice()).collect();
                 self.prof.enter(regions::GS_START);
                 self.rank.set_context("faces_visc");
                 let pending = handle.gs_op_start(self.rank, &views, GsOp::Add, self.chosen);

@@ -99,23 +99,52 @@ pub fn face_values_per_element(n: usize) -> usize {
     6 * n * n
 }
 
+/// Stride table of face `f` within one element's `n^3` volume data:
+/// `(base, stride_a, stride_b)` such that face point `(a, b)` (face-local
+/// ordering documented above, `p = a + n*b`) sits at volume index
+/// `base + a * stride_a + b * stride_b`. Walking `(a, b)` with it costs
+/// two adds per point, where recovering them from `p` costs a division
+/// by a runtime `n`.
+#[inline]
+pub fn face_strides(n: usize, f: Face) -> (usize, usize, usize) {
+    let n2 = n * n;
+    let last = n - 1;
+    match f {
+        Face::RMinus => (0, n, n2),
+        Face::RPlus => (last, n, n2),
+        Face::SMinus => (0, 1, n2),
+        Face::SPlus => (last * n, 1, n2),
+        Face::TMinus => (0, 1, n),
+        Face::TPlus => (last * n2, 1, n),
+    }
+}
+
 /// Flat index *within one element's volume data* of face point `p` (with
 /// `p = a + n*b` in the face-local `(a, b)` ordering documented above) of
 /// face `f`.
 #[inline]
 pub fn face_point_volume_index(n: usize, f: Face, p: usize) -> usize {
-    let a = p % n;
-    let b = p / n;
-    let last = n - 1;
-    let (i, j, k) = match f {
-        Face::RMinus => (0, a, b),
-        Face::RPlus => (last, a, b),
-        Face::SMinus => (a, 0, b),
-        Face::SPlus => (a, last, b),
-        Face::TMinus => (a, b, 0),
-        Face::TPlus => (a, b, last),
-    };
-    (k * n + j) * n + i
+    let (base, stride_a, stride_b) = face_strides(n, f);
+    base + (p % n) * stride_a + (p / n) * stride_b
+}
+
+/// Walk face `f` of one element (`ue` is its `n^3` volume data) in
+/// face-point order, handing `visit` each face-point index `p` together
+/// with the volume value under it.
+#[inline]
+pub fn for_each_face_point(
+    n: usize,
+    f: Face,
+    ue: &mut [f64],
+    mut visit: impl FnMut(usize, &mut f64),
+) {
+    let (base, stride_a, stride_b) = face_strides(n, f);
+    for b in 0..n {
+        let row = base + b * stride_b;
+        for a in 0..n {
+            visit(b * n + a, &mut ue[row + a * stride_a]);
+        }
+    }
 }
 
 /// Gather all element faces into a contiguous surface array.
@@ -169,9 +198,7 @@ pub fn face2full_add(n: usize, nel: usize, faces: &[f64], u: &mut [f64]) {
         let fe = &faces[e * 6 * n2..(e + 1) * 6 * n2];
         for f in Face::ALL {
             let fv = &fe[f.index() * n2..(f.index() + 1) * n2];
-            for (p, &v) in fv.iter().enumerate() {
-                ue[face_point_volume_index(n, f, p)] += v;
-            }
+            for_each_face_point(n, f, ue, |p, u| *u += fv[p]);
         }
     }
 }
@@ -189,9 +216,7 @@ pub fn face2full_copy(n: usize, nel: usize, faces: &[f64], u: &mut [f64]) {
         let fe = &faces[e * 6 * n2..(e + 1) * 6 * n2];
         for f in Face::ALL {
             let fv = &fe[f.index() * n2..(f.index() + 1) * n2];
-            for (p, &v) in fv.iter().enumerate() {
-                ue[face_point_volume_index(n, f, p)] = v;
-            }
+            for_each_face_point(n, f, ue, |p, u| *u = fv[p]);
         }
     }
 }
@@ -248,6 +273,42 @@ mod tests {
                     u[face_point_volume_index(n, f, p)],
                     "face {f:?} point {p}"
                 );
+            }
+        }
+    }
+
+    /// The index formula `face_strides` replaced, kept as the oracle.
+    fn old_face_point_volume_index(n: usize, f: Face, p: usize) -> usize {
+        let (a, b, last) = (p % n, p / n, n - 1);
+        let (i, j, k) = match f {
+            Face::RMinus => (0, a, b),
+            Face::RPlus => (last, a, b),
+            Face::SMinus => (a, 0, b),
+            Face::SPlus => (a, last, b),
+            Face::TMinus => (a, b, 0),
+            Face::TPlus => (a, b, last),
+        };
+        (k * n + j) * n + i
+    }
+
+    #[test]
+    fn face_strides_agree_with_the_coordinate_formula() {
+        for n in 2..=12 {
+            for f in Face::ALL {
+                let (base, stride_a, stride_b) = face_strides(n, f);
+                let mut walked = Vec::new();
+                for_each_face_point(n, f, &mut vec![0.0; n * n * n], |p, _| walked.push(p));
+                assert_eq!(walked, (0..n * n).collect::<Vec<_>>(), "n={n} {f:?}");
+                for p in 0..n * n {
+                    let want = old_face_point_volume_index(n, f, p);
+                    assert_eq!(base + (p % n) * stride_a + (p / n) * stride_b, want);
+                    assert_eq!(face_point_volume_index(n, f, p), want, "n={n} {f:?} p={p}");
+                }
+                // the walker hands out exactly those volume points, in order
+                let mut ue: Vec<f64> = (0..n * n * n).map(|v| v as f64).collect();
+                for_each_face_point(n, f, &mut ue, |p, u| {
+                    assert_eq!(*u as usize, old_face_point_volume_index(n, f, p));
+                });
             }
         }
     }

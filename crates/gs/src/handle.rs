@@ -1,33 +1,10 @@
 //! `gs_setup`: the discovery phase and the exchange-topology handle.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use simmpi::{Rank, RecvRequest, ReduceOp};
 
-/// One gather group: all local indices that carry the same global id,
-/// plus where else in the world that id lives.
-#[derive(Debug, Clone)]
-pub(crate) struct Group {
-    /// The global id.
-    pub gid: u64,
-    /// Local indices (into the user's value array) holding this id.
-    pub local_indices: Vec<u32>,
-    /// Globally consistent compact index of this id (dense `0..total`),
-    /// used by the all_reduce method.
-    pub compact: u64,
-}
-
-/// Exchange topology with one touching neighbor rank.
-#[derive(Debug, Clone)]
-pub(crate) struct NeighborList {
-    /// The neighbor's rank.
-    pub rank: usize,
-    /// Group indices shared with this neighbor, ordered by gid — both
-    /// sides sort by gid, so position `i` on our side and theirs refer to
-    /// the same global id.
-    pub groups: Vec<u32>,
-}
+use crate::plan::{Plan, NOT_HALO};
 
 /// A configured gather–scatter handle (the result of `gs_setup`).
 ///
@@ -51,15 +28,14 @@ pub(crate) struct NeighborList {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GsHandle {
-    pub(crate) nlocal: usize,
-    pub(crate) groups: Vec<Group>,
-    pub(crate) neighbors: Vec<NeighborList>,
+    /// The flat exchange plan every `gs_op` runs on.
+    pub(crate) plan: Plan,
+    /// Globally consistent compact index (dense `0..total_compact`) of
+    /// each halo group, used by the all_reduce method.
+    pub(crate) halo_compact: Vec<u64>,
     /// Total distinct global ids across the world (the all_reduce vector
     /// length).
     pub(crate) total_compact: u64,
-    /// Exchanged global ids (deduplicated, ascending), precomputed at
-    /// setup so opening a verifier exchange epoch costs no allocation.
-    pub(crate) exchanged: Vec<u64>,
     /// Persistent-plan staging buffers, reused across `gs_op` calls (the
     /// owned-staging half of gslib's persistent handles).
     pub(crate) bufs: RefCell<PlanBufs>,
@@ -69,8 +45,8 @@ pub struct GsHandle {
 /// vector here is cleared and refilled in place each `gs_op`, so the
 /// steady state recycles capacity instead of allocating:
 ///
-/// * `combined`/`reqs` — stacks of per-operation buffers (stacks rather
-///   than single slots so several split-phase operations may be in
+/// * `combined`/`reqs`/`arrays` — stacks of per-operation buffers (stacks
+///   rather than single slots so several split-phase operations may be in
 ///   flight on one handle at once);
 /// * `outgoing`/`arrived` — the crystal-router message lists, whose
 ///   payload vectors cycle rank-to-rank through the router and back;
@@ -80,6 +56,7 @@ pub struct GsHandle {
 pub(crate) struct PlanBufs {
     pub combined: Vec<Vec<f64>>,
     pub reqs: Vec<Vec<RecvRequest>>,
+    pub arrays: Vec<Vec<(usize, usize)>>,
     pub outgoing: Vec<(usize, Vec<f64>)>,
     pub arrived: Vec<(usize, Vec<f64>)>,
     pub dense: Vec<f64>,
@@ -114,148 +91,103 @@ impl GsHandle {
         let p = rank.size();
         let me = rank.rank();
 
-        // ---- local grouping: distinct gid -> local indices --------------
-        let mut first_seen: HashMap<u64, u32> = HashMap::new();
-        let mut groups: Vec<Group> = Vec::new();
-        for (li, &gid) in ids.iter().enumerate() {
-            match first_seen.entry(gid) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    groups[*e.get() as usize].local_indices.push(li as u32);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(groups.len() as u32);
-                    groups.push(Group {
-                        gid,
-                        local_indices: vec![li as u32],
-                        compact: 0,
-                    });
-                }
-            }
-        }
-        // deterministic order for the exchange protocol
-        groups.sort_by_key(|g| g.gid);
-        let group_of_gid: HashMap<u64, u32> = groups
-            .iter()
-            .enumerate()
-            .map(|(gi, g)| (g.gid, gi as u32))
-            .collect();
-
         // ---- round 1: report each distinct gid to its home rank ---------
+        let mut distinct = ids.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
         let mut to_home: Vec<Vec<u64>> = vec![Vec::new(); p];
-        for g in &groups {
-            to_home[(g.gid % p as u64) as usize].push(g.gid);
+        for gid in distinct {
+            to_home[(gid % p as u64) as usize].push(gid);
         }
         let reported = rank.alltoallv(to_home);
 
         // ---- home side: sharer lists + compact numbering ----------------
-        // gid -> ranks that reported it (deduplicated by construction:
-        // each rank reports each distinct gid once).
-        let mut home: HashMap<u64, Vec<u64>> = HashMap::new();
-        for (src, gids) in reported.iter().enumerate() {
-            for &gid in gids {
-                home.entry(gid).or_default().push(src as u64);
-            }
-        }
-        // Deterministic compact numbering: sort this home's gids.
-        let mut home_gids: Vec<u64> = home.keys().copied().collect();
-        home_gids.sort_unstable();
-        // Exclusive prefix over per-home distinct counts gives each home
-        // its compact-id base; the sum is the universe size.
-        let my_count = home_gids.len() as u64;
-        let my_base = rank.exscan_u64(my_count);
-        let total_compact = rank.allreduce_u64(&[my_count], ReduceOp::Sum)[0];
-        let compact_of: HashMap<u64, u64> = home_gids
+        // Sorted (gid, reporter) pairs: each run is one gid's sharer list
+        // in ascending rank (a rank reports a gid once), and the run's
+        // position is the gid's deterministic compact number at this home.
+        let mut held: Vec<(u64, u64)> = reported
             .iter()
             .enumerate()
-            .map(|(i, &gid)| (gid, my_base + i as u64))
+            .flat_map(|(src, gids)| gids.iter().map(move |&gid| (gid, src as u64)))
             .collect();
+        held.sort_unstable();
+        // Exclusive prefix over per-home distinct counts gives each home
+        // its compact-id base; the sum is the universe size.
+        let my_count = held.chunk_by(|a, b| a.0 == b.0).count() as u64;
+        let my_base = rank.exscan_u64(my_count);
+        let total_compact = rank.allreduce_u64(&[my_count], ReduceOp::Sum)[0];
 
         // ---- round 2: answer each reporter ------------------------------
         // Per reporter: flat u64 records [gid, compact, nsharers, sharers...]
         let mut replies: Vec<Vec<u64>> = vec![Vec::new(); p];
-        for (src, gids) in reported.iter().enumerate() {
-            for &gid in gids {
-                let sharers = &home[&gid];
-                let reply = &mut replies[src];
-                reply.push(gid);
-                reply.push(compact_of[&gid]);
-                reply.push(sharers.len() as u64);
-                reply.extend_from_slice(sharers);
+        for (compact, run) in (my_base..).zip(held.chunk_by(|a, b| a.0 == b.0)) {
+            for &(gid, src) in run {
+                let reply = &mut replies[src as usize];
+                reply.extend([gid, compact, run.len() as u64]);
+                reply.extend(run.iter().map(|&(_, sharer)| sharer));
             }
         }
         let answers = rank.alltoallv(replies);
 
-        // ---- parse answers: per-gid compact id + remote sharers ---------
-        let mut shared_with: HashMap<usize, Vec<u32>> = HashMap::new(); // rank -> group idxs
+        // ---- parse answers: remote sharers + compact ids of shared gids --
+        let mut shared_with: Vec<(usize, u64)> = Vec::new(); // (neighbor, gid)
+        let mut compact_of: Vec<(u64, u64)> = Vec::new(); // (gid, compact)
         for buf in &answers {
             let mut i = 0;
             while i < buf.len() {
-                let gid = buf[i];
-                let compact = buf[i + 1];
-                let ns = buf[i + 2] as usize;
+                let (gid, compact, ns) = (buf[i], buf[i + 1], buf[i + 2] as usize);
                 let sharers = &buf[i + 3..i + 3 + ns];
                 i += 3 + ns;
-                let gi = group_of_gid[&gid];
-                groups[gi as usize].compact = compact;
-                for &q in sharers {
-                    let q = q as usize;
-                    if q != me {
-                        shared_with.entry(q).or_default().push(gi);
-                    }
+                // this rank is always among the sharers
+                if ns > 1 {
+                    compact_of.push((gid, compact));
                 }
+                shared_with.extend(
+                    sharers
+                        .iter()
+                        .filter(|&&q| q as usize != me)
+                        .map(|&q| (q as usize, gid)),
+                );
             }
         }
 
-        // ---- neighbor lists, sorted by gid on both sides ----------------
-        let mut neighbors: Vec<NeighborList> = shared_with
-            .into_iter()
-            .map(|(nrank, mut gis)| {
-                gis.sort_by_key(|&gi| groups[gi as usize].gid);
-                gis.dedup();
-                NeighborList {
-                    rank: nrank,
-                    groups: gis,
-                }
-            })
+        // ---- the plan: neighbor lists sorted by gid on both sides --------
+        shared_with.sort_unstable();
+        let shared: Vec<(usize, Vec<u64>)> = shared_with
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| (run[0].0, run.iter().map(|&(_, gid)| gid).collect()))
             .collect();
-        neighbors.sort_by_key(|nl| nl.rank);
-
-        let mut exchanged: Vec<u64> = neighbors
-            .iter()
-            .flat_map(|nl| nl.groups.iter().map(|&gi| groups[gi as usize].gid))
-            .collect();
-        exchanged.sort_unstable();
-        exchanged.dedup();
+        let plan = Plan::build(ids, &shared);
+        compact_of.sort_unstable();
+        debug_assert!(compact_of.iter().map(|c| &c.0).eq(&plan.halo_gids));
 
         GsHandle {
-            nlocal: ids.len(),
-            groups,
-            neighbors,
+            plan,
+            halo_compact: compact_of.into_iter().map(|(_, compact)| compact).collect(),
             total_compact,
-            exchanged,
             bufs: RefCell::new(PlanBufs::default()),
         }
     }
 
     /// Length of the value arrays this handle operates on.
     pub fn nlocal(&self) -> usize {
-        self.nlocal
+        self.plan.slot_halo.len()
     }
 
     /// Topology summary.
     pub fn stats(&self) -> HandleStats {
         HandleStats {
-            nlocal: self.nlocal,
-            distinct_local: self.groups.len(),
-            neighbors: self.neighbors.len(),
-            shared_slots: self.neighbors.iter().map(|nl| nl.groups.len()).sum(),
+            nlocal: self.nlocal(),
+            distinct_local: self.plan.distinct,
+            neighbors: self.plan.neighbors.len(),
+            shared_slots: self.plan.neighbors.iter().map(|nl| nl.halo.len()).sum(),
             total_global: self.total_compact,
         }
     }
 
     /// Ranks this handle exchanges with, ascending.
     pub fn neighbor_ranks(&self) -> Vec<usize> {
-        self.neighbors.iter().map(|nl| nl.rank).collect()
+        self.plan.neighbors.iter().map(|nl| nl.rank).collect()
     }
 
     /// Total distinct global ids in the world (the all_reduce method's
@@ -267,28 +199,16 @@ impl GsHandle {
     /// Per-slot flags: `true` iff the slot's value can change under any
     /// `gs_op` — its global id either appears more than once locally or
     /// is shared with a neighbor rank. Slots flagged `false` are
-    /// *interior*: every combine leaves them bitwise untouched, so work
-    /// on them may safely run inside a split-phase overlap window, before
-    /// [`GsHandle::gs_op_finish`] lands the exchanged values.
+    /// *interior*: no combine, by any method, reads or writes them, so
+    /// they stay bitwise untouched and work on them may safely run
+    /// inside a split-phase overlap window, before
+    /// [`GsHandle::gs_op_finish`] lands the combined values. Flagged
+    /// slots are the ones a caller must not write inside that window.
     pub fn shared_slot_flags(&self) -> Vec<bool> {
-        let mut group_shared = vec![false; self.groups.len()];
-        for (gi, g) in self.groups.iter().enumerate() {
-            if g.local_indices.len() > 1 {
-                group_shared[gi] = true;
-            }
-        }
-        for nl in &self.neighbors {
-            for &gi in &nl.groups {
-                group_shared[gi as usize] = true;
-            }
-        }
-        let mut flags = vec![false; self.nlocal];
-        for (gi, g) in self.groups.iter().enumerate() {
-            if group_shared[gi] {
-                for &li in &g.local_indices {
-                    flags[li as usize] = true;
-                }
-            }
+        let plan = &self.plan;
+        let mut flags: Vec<bool> = plan.slot_halo.iter().map(|&h| h != NOT_HALO).collect();
+        for &slot in plan.pairs.iter().flatten().chain(&plan.multi_slots) {
+            flags[slot as usize] = true;
         }
         flags
     }
@@ -297,17 +217,9 @@ impl GsHandle {
     /// local slot's id — computed with a unit `gs_op(Add)`; commonly used
     /// to build the inverse-multiplicity weights of an averaging exchange.
     pub fn multiplicities(&self, rank: &mut Rank, method: crate::GsMethod) -> Vec<f64> {
-        let mut ones = vec![1.0; self.nlocal];
+        let mut ones = vec![1.0; self.nlocal()];
         self.gs_op(rank, &mut ones, crate::GsOp::Add, method);
         ones
-    }
-
-    /// Global ids this handle exchanges with neighbor ranks (deduplicated,
-    /// ascending) — the shared slots the `cmt-verify` race detector
-    /// tracks. Interior ids never cross ranks and are not included.
-    /// Precomputed at setup.
-    pub(crate) fn exchanged_gids(&self) -> &[u64] {
-        &self.exchanged
     }
 
     /// Report an application-level read (`write == false`) or write of
@@ -324,21 +236,10 @@ impl GsHandle {
         if !rank.verifying() {
             return;
         }
-        assert!(local_index < self.nlocal, "slot index out of range");
-        let li = local_index as u32;
-        let Some(gi) = self
-            .groups
-            .iter()
-            .position(|g| g.local_indices.contains(&li))
-        else {
-            return;
-        };
-        let shared = self
-            .neighbors
-            .iter()
-            .any(|nl| nl.groups.contains(&(gi as u32)));
-        if shared {
-            rank.verify_slot_access(&[self.groups[gi].gid], write, label);
+        assert!(local_index < self.nlocal(), "slot index out of range");
+        let h = self.plan.slot_halo[local_index];
+        if h != NOT_HALO {
+            rank.verify_slot_access(&[self.plan.halo_gids[h as usize]], write, label);
         }
     }
 }

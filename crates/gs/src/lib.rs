@@ -21,18 +21,25 @@
 //! * [`GsHandle::setup`] — the discovery phase: distinct local ids are
 //!   routed to home ranks (`gid % P`) with an all-to-all, homes assign a
 //!   globally consistent compact numbering and return each id's sharer
-//!   list, and per-neighbor exchange lists (sorted by id, hence identical
-//!   on both sides) are built.
+//!   list, and the flat exchange plan is built from it: *halo* ids
+//!   (shared with a neighbor rank; per-neighbor lists sorted by id, hence
+//!   identical on both sides), rank-interior *pairs* (the DG face case)
+//!   and rank-interior ids with more copies, as index arrays. An id with
+//!   one copy in the world is in no list and is never touched.
 //! * [`GsHandle::gs_op`] — the combine-over-all-occurrences operation
 //!   (`Add`/`Mul`/`Min`/`Max`) with the three methods of [`GsMethod`]:
 //!   pairwise exchange (isend/irecv/wait with each touching neighbor),
 //!   crystal router (bundled hypercube routing, `log2 P` stages), and
-//!   all_reduce onto a dense vector over the compact id universe.
+//!   all_reduce onto a dense vector over the compact id universe. Only
+//!   the halo goes through a method; the interior is combined locally.
 //! * [`GsHandle::gs_op_start`] / [`GsHandle::gs_op_finish`] — the
-//!   split-phase form: `start` combines locally and posts the exchange,
-//!   the caller overlaps unrelated compute with the in-flight messages,
-//!   and `finish` drains and scatters. The blocking `gs_op` and the
-//!   multi-field `gs_op_many` are both built on this pair.
+//!   split-phase form, in place as gslib's is: `start` snapshots and
+//!   packs the halo and posts the exchange; the caller overlaps compute
+//!   with the in-flight messages, reading anything and writing only slots
+//!   that [`GsHandle::shared_slot_flags`] marks `false`; `finish`, handed
+//!   the same arrays, drains the receives, scatters the halo and combines
+//!   the interior in one sweep. The blocking `gs_op` and the multi-field
+//!   `gs_op_many` are both built on this pair.
 //! * [`autotune`] — times all three methods on the actual handle and
 //!   picks the fastest, exactly the startup protocol the paper describes;
 //!   its report is the paper's Fig. 7 table.
@@ -43,6 +50,7 @@
 mod autotune;
 mod handle;
 mod ops;
+mod plan;
 mod wire;
 
 pub use autotune::{autotune, AutotuneOptions, AutotuneReport, MethodTiming};

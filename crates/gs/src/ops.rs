@@ -34,12 +34,37 @@ impl GsOp {
     #[inline]
     pub fn combine(self, a: f64, b: f64) -> f64 {
         match self {
-            GsOp::Add => a + b,
-            GsOp::Mul => a * b,
-            GsOp::Min => a.min(b),
-            GsOp::Max => a.max(b),
+            GsOp::Add => add(a, b),
+            GsOp::Mul => mul(a, b),
+            GsOp::Min => f64::min(a, b),
+            GsOp::Max => f64::max(a, b),
         }
     }
+}
+
+#[inline]
+fn add(a: f64, b: f64) -> f64 {
+    a + b
+}
+
+#[inline]
+fn mul(a: f64, b: f64) -> f64 {
+    a * b
+}
+
+/// Call `$method` on `$handle` with `$op`'s combine appended as a
+/// concrete function item: the one place an operator is matched, so the
+/// gather, fold and scatter loops are compiled once per operator and
+/// carry no branch on it.
+macro_rules! with_combine {
+    ($op:expr, $handle:ident.$method:ident($($arg:expr),*)) => {
+        match $op {
+            GsOp::Add => $handle.$method($($arg,)* add),
+            GsOp::Mul => $handle.$method($($arg,)* mul),
+            GsOp::Min => $handle.$method($($arg,)* f64::min),
+            GsOp::Max => $handle.$method($($arg,)* f64::max),
+        }
+    };
 }
 
 /// The three exchange strategies evaluated at mini-app startup
@@ -84,7 +109,8 @@ impl GsMethod {
     /// flight for [`GsHandle::gs_op_finish`] to drain. Pairwise exchange
     /// posts non-blocking sends/receives and returns; the collective
     /// methods have no non-blocking form, so their `start` performs the
-    /// full exchange and `finish` only scatters.
+    /// full halo exchange and `finish` does only the local work (halo
+    /// scatter, interior combine).
     pub fn split_phase_overlaps(self) -> bool {
         matches!(self, GsMethod::PairwiseExchange)
     }
@@ -100,21 +126,24 @@ const SPLIT_SEQ_MASK: Tag = (1 << 40) - 1;
 /// An in-flight split-phase gather–scatter: the token returned by
 /// [`GsHandle::gs_op_start`] and consumed by [`GsHandle::gs_op_finish`].
 ///
-/// Owns the locally-combined per-group values and, for the pairwise
-/// method, the posted receive requests. Dropping it without finishing
-/// discards the operation's result, and — via the rank's
-/// [`DiscardList`] — cancels its in-flight neighbor messages so they
+/// Owns the snapshot of the halo groups' locally combined values, the
+/// identity (address and length) of every array the operation was
+/// started on, and, for the pairwise method, the posted receive
+/// requests. Dropping it without finishing discards the operation —
+/// the arrays keep their started values — and, via the rank's
+/// [`DiscardList`], cancels its in-flight neighbor messages so they
 /// cannot cross-match a later exchange; the `#[must_use]` lint flags
 /// the started-but-never-finished call sites at compile time.
 #[must_use = "a started gather–scatter must be finished with gs_op_finish \
               (dropping it discards the exchange)"]
 #[derive(Debug)]
 pub struct GsPending {
-    /// Number of value arrays bundled in this exchange.
-    k: usize,
     op: GsOp,
     method: GsMethod,
-    /// Locally combined values, laid out `[group][field]`.
+    /// `(address, length)` of each started array, in field order — what
+    /// `gs_op_finish` must be handed back.
+    arrays: Vec<(usize, usize)>,
+    /// Combined values of the halo groups, laid out `[halo group][field]`.
     combined: Vec<f64>,
     /// Posted receives, one per neighbor in neighbor order (pairwise
     /// method only; empty for the collective methods).
@@ -131,7 +160,7 @@ pub struct GsPending {
 impl GsPending {
     /// Number of value arrays bundled in this exchange.
     pub fn num_fields(&self) -> usize {
-        self.k
+        self.arrays.len()
     }
 
     /// The combining operator of this exchange.
@@ -167,8 +196,12 @@ impl GsHandle {
     /// pass the same `op` and `method`.
     ///
     /// Implemented as [`GsHandle::gs_op_start`] immediately followed by
-    /// [`GsHandle::gs_op_finish`] — the blocking form is the degenerate
-    /// split-phase call with an empty overlap window.
+    /// [`GsHandle::gs_op_finish`] on the same array — the blocking form
+    /// is the degenerate split-phase call with an empty overlap window.
+    ///
+    /// Combine order per id is fixed: this rank's copies in ascending
+    /// slot, then each neighbor's contribution in ascending rank — so a
+    /// result is reproducible bit for bit, whatever the message timing.
     ///
     /// # Panics
     /// Panics if `values.len() != self.nlocal()`.
@@ -202,25 +235,34 @@ impl GsHandle {
         self.gs_op_finish(rank, pending, fields);
     }
 
-    /// Start a split-phase gather–scatter over `fields`: combine local
-    /// occurrences per group and *post* the exchange, returning without
-    /// waiting for any remote data. The caller may run unrelated compute
-    /// while messages are in flight, then complete the operation with
-    /// [`GsHandle::gs_op_finish`] — the isend/irecv/compute/wait pipeline
-    /// the mini-app uses to hide face-exchange latency behind its volume
-    /// kernels.
+    /// Start a split-phase gather–scatter over `fields`: snapshot the
+    /// *halo* — for every id shared with a neighbor rank, combine its
+    /// local copies and pack the result — and *post* the exchange,
+    /// returning without waiting for any remote data. Ids whose copies
+    /// all live on this rank are not touched here. The caller may run
+    /// unrelated compute while messages are in flight, then complete the
+    /// operation with [`GsHandle::gs_op_finish`] — the
+    /// isend/irecv/compute/wait pipeline the mini-app uses to hide
+    /// face-exchange latency behind its volume kernels.
+    ///
+    /// The operation is **in place**, as gslib's is: `finish` must be
+    /// handed the very arrays `start` was handed, and it combines the
+    /// rank-interior ids from what those arrays hold *then*. Between the
+    /// two calls the caller may read anything, and may write any slot
+    /// whose [`GsHandle::shared_slot_flags`] entry is `false`; writing a
+    /// flagged slot in the window is a contract violation (a halo slot's
+    /// write is lost, an interior one's is combined).
     ///
     /// With the pairwise method the receives are genuinely outstanding
     /// when this returns. The crystal-router and all_reduce methods have
-    /// no non-blocking form, so their `start` runs the full exchange and
-    /// the matching `finish` only scatters
+    /// no non-blocking form, so their `start` runs the full halo exchange
+    /// and the matching `finish` does only the local work
     /// ([`GsMethod::split_phase_overlaps`]).
     ///
-    /// The input arrays are *not* modified; the combined results are
-    /// written back by `finish`. Several operations may be in flight at
-    /// once (tags carry a sequence number), but every started operation
-    /// must be finished, all ranks must start and finish the same
-    /// operations in the same order, and the handle must outlive them.
+    /// Several operations may be in flight at once (tags carry a
+    /// sequence number), but every started operation must be finished,
+    /// all ranks must start and finish the same operations in the same
+    /// order, and the handle must outlive them.
     ///
     /// # Panics
     /// Panics if any array's length differs from `self.nlocal()`.
@@ -231,71 +273,87 @@ impl GsHandle {
         op: GsOp,
         method: GsMethod,
     ) -> GsPending {
+        with_combine!(op, self.start_with(rank, fields, op, method))
+    }
+
+    fn start_with<S: AsRef<[f64]>>(
+        &self,
+        rank: &mut Rank,
+        fields: &[S],
+        op: GsOp,
+        method: GsMethod,
+        combine: impl Fn(f64, f64) -> f64 + Copy,
+    ) -> GsPending {
         let k = fields.len();
         assert!(k > 0, "gs_op_start with no fields");
         for f in fields {
             assert_eq!(
                 f.as_ref().len(),
-                self.nlocal,
+                self.nlocal(),
                 "gs_op_start on values of length {}, handle expects {}",
                 f.as_ref().len(),
-                self.nlocal
+                self.nlocal()
             );
         }
         // Open a verifier exchange epoch over the shared slots before
         // any message moves, so every in-window hazard is attributable.
         let verify_epoch = if rank.verifying() {
-            rank.verify_exchange_start(self.exchanged_gids(), method.context())
+            rank.verify_exchange_start(&self.plan.halo_gids, method.context())
         } else {
             None
         };
-        // Gather: combined values laid out [group][field] so one group's
-        // k values are contiguous in the exchange payloads. The buffer
-        // comes off the handle's persistent-plan stack and goes back on
-        // it in `gs_op_finish`, so the steady state recycles capacity.
-        let ng = self.groups.len();
-        let mut combined = self.bufs.borrow_mut().combined.pop().unwrap_or_default();
+        // The operation's buffers come off the handle's persistent-plan
+        // stacks and go back on them in `gs_op_finish`, so the steady
+        // state recycles capacity.
+        let (mut arrays, mut combined, mut reqs) = {
+            let mut bufs = self.bufs.borrow_mut();
+            (
+                bufs.arrays.pop().unwrap_or_default(),
+                bufs.combined.pop().unwrap_or_default(),
+                bufs.reqs.pop().unwrap_or_default(),
+            )
+        };
+        arrays.clear();
+        arrays.extend(fields.iter().map(|f| array_identity(f.as_ref())));
+        reqs.clear();
+
+        // Gather the halo only: one group's k values are contiguous, as
+        // they are in the exchange payloads.
+        let plan = &self.plan;
         combined.clear();
-        combined.resize(ng * k, 0.0);
-        for (gi, g) in self.groups.iter().enumerate() {
-            for (fi, f) in fields.iter().enumerate() {
+        combined.resize(plan.halo_gids.len() * k, 0.0);
+        for (slots, out) in plan.halo_groups().zip(combined.chunks_exact_mut(k)) {
+            for (f, out) in fields.iter().zip(out) {
                 let f = f.as_ref();
-                let mut acc = f[g.local_indices[0] as usize];
-                for &li in &g.local_indices[1..] {
-                    acc = op.combine(acc, f[li as usize]);
-                }
-                combined[gi * k + fi] = acc;
+                *out = slots[1..]
+                    .iter()
+                    .fold(f[slots[0] as usize], |acc, &s| combine(acc, f[s as usize]));
             }
         }
 
-        let mut reqs = self.bufs.borrow_mut().reqs.pop().unwrap_or_default();
-        reqs.clear();
         match method {
             GsMethod::PairwiseExchange => {
                 let tag = SPLIT_TAG_BASE | (rank.next_user_seq() & SPLIT_SEQ_MASK);
                 rank.with_subcontext(GsMethod::PairwiseExchange.context(), |rank| {
-                    reqs.extend(self.neighbors.iter().map(|nl| rank.irecv(nl.rank, tag)));
-                    for nl in &self.neighbors {
-                        // Pack the neighbor's plan (its sorted group index
-                        // list) into a pooled payload: the buffer moves
-                        // into the envelope and recycles at the receiver.
+                    reqs.extend(plan.neighbors.iter().map(|nl| rank.irecv(nl.rank, tag)));
+                    for nl in &plan.neighbors {
+                        // Pack the neighbor's halo list into a pooled
+                        // payload: the buffer moves into the envelope and
+                        // recycles at the receiver.
                         let mut payload = rank.pooled_vec::<f64>();
-                        for &gi in &nl.groups {
-                            payload
-                                .extend_from_slice(&combined[gi as usize * k..gi as usize * k + k]);
-                        }
+                        pack(&mut payload, &combined, &nl.halo, k);
                         rank.isend_pooled(nl.rank, tag, payload);
                     }
                 })
             }
-            GsMethod::CrystalRouter => self.exchange_crystal(rank, &mut combined, k, op),
-            GsMethod::AllReduce => self.exchange_allreduce(rank, &mut combined, k, op),
+            GsMethod::CrystalRouter => self.exchange_crystal(rank, &mut combined, k, combine),
+            GsMethod::AllReduce => self.exchange_allreduce(rank, &mut combined, k, op, combine),
         };
 
         GsPending {
-            k,
             op,
             method,
+            arrays,
             combined,
             reqs,
             discards: rank.discard_list(),
@@ -304,75 +362,105 @@ impl GsHandle {
     }
 
     /// Finish a split-phase gather–scatter started by
-    /// [`GsHandle::gs_op_start`]: drain the posted receives (blocking time
-    /// is attributed to `MPI_Wait`, as mpiP attributes it in the paper's
-    /// Fig. 9), fold remote contributions in — always in neighbor order,
-    /// so results are bitwise identical to the blocking path — and scatter
-    /// the combined value to every local slot of every field.
+    /// [`GsHandle::gs_op_start`], on the arrays it was started on: drain
+    /// the posted receives (blocking time is attributed to `MPI_Wait`, as
+    /// mpiP attributes it in the paper's Fig. 9), fold remote
+    /// contributions into the halo snapshot — always in neighbor order,
+    /// so results are bitwise identical to the blocking path — scatter it
+    /// to the halo slots, and combine every rank-interior id in place, in
+    /// one streaming sweep per field.
     ///
     /// # Panics
-    /// Panics if `fields` does not match the start call in count or
-    /// length.
-    pub fn gs_op_finish(&self, rank: &mut Rank, mut pending: GsPending, fields: &mut [&mut [f64]]) {
-        let k = pending.k;
-        let op = pending.op;
+    /// Panics if `fields` are not the arrays the operation was started
+    /// on, in the same order (compared by address and length).
+    pub fn gs_op_finish(&self, rank: &mut Rank, pending: GsPending, fields: &mut [&mut [f64]]) {
+        with_combine!(pending.op, self.finish_with(rank, pending, fields))
+    }
+
+    fn finish_with(
+        &self,
+        rank: &mut Rank,
+        mut pending: GsPending,
+        fields: &mut [&mut [f64]],
+        combine: impl Fn(f64, f64) -> f64 + Copy,
+    ) {
         let method = pending.method;
         // Take the buffers out so the subsequent drop of `pending` sees
         // an empty request list and cancels nothing.
+        let mut arrays = std::mem::take(&mut pending.arrays);
         let mut combined = std::mem::take(&mut pending.combined);
         let mut reqs = std::mem::take(&mut pending.reqs);
         let verify_epoch = pending.verify_epoch;
         drop(pending);
-        assert_eq!(
-            fields.len(),
-            k,
-            "gs_op_finish with {} fields, started with {k}",
-            fields.len()
+        assert!(
+            fields
+                .iter()
+                .map(|f| array_identity(f))
+                .eq(arrays.iter().copied()),
+            "gs_op_finish must be handed the arrays gs_op_start was handed, in the same \
+             order: the operation is in place"
         );
-        for f in fields.iter() {
-            assert_eq!(f.len(), self.nlocal, "gs_op_finish length mismatch");
-        }
+        let k = fields.len();
+        let plan = &self.plan;
 
         if method == GsMethod::PairwiseExchange {
             rank.with_subcontext(GsMethod::PairwiseExchange.context(), |rank| {
-                for (nl, &req) in self.neighbors.iter().zip(reqs.iter()) {
+                for (nl, &req) in plan.neighbors.iter().zip(reqs.iter()) {
                     // The pooled receive adopts the sender's buffer; its
                     // guard parks it in this rank's pool when dropped.
                     let got = rank.wait_recv_pooled::<f64>(req);
-                    debug_assert_eq!(got.len(), nl.groups.len() * k);
-                    for (slot, &gi) in nl.groups.iter().enumerate() {
-                        for fi in 0..k {
-                            let c = &mut combined[gi as usize * k + fi];
-                            *c = op.combine(*c, got[slot * k + fi]);
-                        }
-                    }
+                    fold_in(&mut combined, &got, &nl.halo, k, combine);
                 }
             });
         }
 
-        // Scatter: write the combined value to every local slot.
-        for (gi, g) in self.groups.iter().enumerate() {
-            for (fi, f) in fields.iter_mut().enumerate() {
-                let v = combined[gi * k + fi];
-                for &li in &g.local_indices {
-                    f[li as usize] = v;
+        // Scatter the halo: the combined value to every local copy.
+        for (slots, vals) in plan.halo_groups().zip(combined.chunks_exact(k)) {
+            for (f, &v) in fields.iter_mut().zip(vals) {
+                for &s in slots {
+                    f[s as usize] = v;
+                }
+            }
+        }
+        // Combine the interior in place, from the arrays as they are now.
+        for f in fields.iter_mut() {
+            for &[a, b] in &plan.pairs {
+                let v = combine(f[a as usize], f[b as usize]);
+                f[a as usize] = v;
+                f[b as usize] = v;
+            }
+            for slots in plan.multi_groups() {
+                let v = slots[1..]
+                    .iter()
+                    .fold(f[slots[0] as usize], |acc, &s| combine(acc, f[s as usize]));
+                for &s in slots {
+                    f[s as usize] = v;
                 }
             }
         }
         // The exchange's effects are fully landed: close the epoch.
         rank.verify_exchange_finish(verify_epoch);
         // Return the operation's staging buffers to the persistent plan.
+        arrays.clear();
         reqs.clear();
         let mut bufs = self.bufs.borrow_mut();
+        bufs.arrays.push(arrays);
         bufs.combined.push(combined);
         bufs.reqs.push(reqs);
     }
 
-    /// Crystal-router exchange: the per-neighbor payloads, bundled
-    /// through the hypercube router. Fully synchronous — used by `start`
-    /// with a no-op communication `finish`.
-    fn exchange_crystal(&self, rank: &mut Rank, combined: &mut [f64], k: usize, op: GsOp) {
+    /// Crystal-router exchange of the halo: the per-neighbor payloads,
+    /// bundled through the hypercube router. Fully synchronous — used by
+    /// `start` with a no-op communication `finish`.
+    fn exchange_crystal(
+        &self,
+        rank: &mut Rank,
+        combined: &mut [f64],
+        k: usize,
+        combine: impl Fn(f64, f64) -> f64 + Copy,
+    ) {
         rank.with_subcontext(GsMethod::CrystalRouter.context(), |rank| {
+            let neighbors = &self.plan.neighbors;
             let mut bufs = self.bufs.borrow_mut();
             let PlanBufs {
                 outgoing, arrived, ..
@@ -382,42 +470,41 @@ impl GsHandle {
             // relation is symmetric, so counts and sizes balance and the
             // steady state allocates nothing).
             debug_assert!(outgoing.is_empty());
-            for nl in &self.neighbors {
+            for nl in neighbors {
                 let mut payload = arrived.pop().map(|(_, v)| v).unwrap_or_default();
                 payload.clear();
-                for &gi in &nl.groups {
-                    payload.extend_from_slice(&combined[gi as usize * k..gi as usize * k + k]);
-                }
+                pack(&mut payload, combined, &nl.halo, k);
                 outgoing.push((nl.rank, payload));
             }
             arrived.clear();
             rank.crystal_router_into(outgoing, arrived);
-            debug_assert_eq!(arrived.len(), self.neighbors.len());
-            for (src, payload) in arrived.iter() {
-                let nl = self
-                    .neighbors
-                    .iter()
-                    .find(|nl| nl.rank == *src)
-                    .expect("crystal router delivered from a non-neighbor");
-                debug_assert_eq!(payload.len(), nl.groups.len() * k);
-                for (slot, &gi) in nl.groups.iter().enumerate() {
-                    for fi in 0..k {
-                        let c = &mut combined[gi as usize * k + fi];
-                        *c = op.combine(*c, payload[slot * k + fi]);
-                    }
-                }
+            debug_assert_eq!(arrived.len(), neighbors.len());
+            // The router delivers sorted by source, which is neighbor order.
+            for ((src, payload), nl) in arrived.iter().zip(neighbors) {
+                assert_eq!(
+                    *src, nl.rank,
+                    "crystal router delivered from a non-neighbor"
+                );
+                fold_in(combined, payload, &nl.halo, k, combine);
             }
             // `arrived` keeps its payload vectors for the next repack.
         });
     }
 
-    /// All_reduce onto a big vector: scatter combined values into a dense
-    /// vector over the compact global id universe, allreduce it with the
-    /// op, read back. "Too expensive for both mini-apps" at the paper's
-    /// problem setup — but exact, and competitive only for tiny worlds.
-    /// Fully synchronous — used by `start` with a no-op communication
-    /// `finish`.
-    fn exchange_allreduce(&self, rank: &mut Rank, combined: &mut [f64], k: usize, op: GsOp) {
+    /// All_reduce onto a big vector: scatter the halo's combined values
+    /// into a dense vector over the compact global id universe, allreduce
+    /// it with the op, read back. "Too expensive for both mini-apps" at
+    /// the paper's problem setup — but exact, and competitive only for
+    /// tiny worlds. Rank-interior ids never enter the vector. Fully
+    /// synchronous — used by `start` with a no-op communication `finish`.
+    fn exchange_allreduce(
+        &self,
+        rank: &mut Rank,
+        combined: &mut [f64],
+        k: usize,
+        op: GsOp,
+        combine: impl Fn(f64, f64) -> f64 + Copy,
+    ) {
         rank.with_subcontext(GsMethod::AllReduce.context(), |rank| {
             let total = self.total_compact as usize;
             // The dense vector is part of the persistent plan: cleared
@@ -426,15 +513,42 @@ impl GsHandle {
             let dense = &mut bufs.dense;
             dense.clear();
             dense.resize(total * k, op.identity());
-            for (gi, g) in self.groups.iter().enumerate() {
-                let base = g.compact as usize * k;
-                dense[base..base + k].copy_from_slice(&combined[gi * k..gi * k + k]);
+            for (&compact, vals) in self.halo_compact.iter().zip(combined.chunks_exact(k)) {
+                dense[compact as usize * k..][..k].copy_from_slice(vals);
             }
-            rank.allreduce_in_place(dense, |a, b| *a = op.combine(*a, *b));
-            for (gi, g) in self.groups.iter().enumerate() {
-                let base = g.compact as usize * k;
-                combined[gi * k..gi * k + k].copy_from_slice(&dense[base..base + k]);
+            rank.allreduce_in_place(dense, |a, b| *a = combine(*a, *b));
+            for (&compact, vals) in self.halo_compact.iter().zip(combined.chunks_exact_mut(k)) {
+                vals.copy_from_slice(&dense[compact as usize * k..][..k]);
             }
         });
+    }
+}
+
+/// What `gs_op_finish` compares to know it got the started arrays back.
+fn array_identity(f: &[f64]) -> (usize, usize) {
+    (f.as_ptr().addr(), f.len())
+}
+
+/// Append the `k` combined values of each halo group in `halo` to `payload`.
+fn pack(payload: &mut Vec<f64>, combined: &[f64], halo: &[u32], k: usize) {
+    for &h in halo {
+        payload.extend_from_slice(&combined[h as usize * k..][..k]);
+    }
+}
+
+/// Fold a neighbor's payload (packed by its [`pack`] over the same halo
+/// list) into the combined halo values.
+fn fold_in(
+    combined: &mut [f64],
+    payload: &[f64],
+    halo: &[u32],
+    k: usize,
+    combine: impl Fn(f64, f64) -> f64,
+) {
+    debug_assert_eq!(payload.len(), halo.len() * k);
+    for (&h, theirs) in halo.iter().zip(payload.chunks_exact(k)) {
+        for (mine, &v) in combined[h as usize * k..][..k].iter_mut().zip(theirs) {
+            *mine = combine(*mine, v);
+        }
     }
 }

@@ -583,3 +583,156 @@ fn gs_setup_records_communication() {
         assert!(found, "rank {} missing gs_setup alltoallv record", st.rank);
     }
 }
+
+/// Naive oracle in the documented combine order: rank `r`'s result for
+/// an id is its own copies folded in ascending slot, then each other
+/// holder's own fold, in ascending rank.
+fn ordered_reference(all_ids: &[Vec<u64>], all_vals: &[Vec<f64>], op: GsOp) -> Vec<Vec<f64>> {
+    let local_fold = |q: usize, gid: u64| {
+        all_ids[q]
+            .iter()
+            .zip(&all_vals[q])
+            .filter(|(&g, _)| g == gid)
+            .map(|(_, &v)| v)
+            .reduce(|acc, v| op.combine(acc, v))
+    };
+    (0..all_ids.len())
+        .map(|r| {
+            all_ids[r]
+                .iter()
+                .map(|&gid| {
+                    let own = local_fold(r, gid).expect("rank holds its own id");
+                    (0..all_ids.len())
+                        .filter(|&q| q != r)
+                        .filter_map(|q| local_fold(q, gid))
+                        .fold(own, |acc, v| op.combine(acc, v))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Property: `gs_op_many` equals the naive oracle on random id maps with
+/// 1–6 copies per id scattered over 2–5 ranks — bitwise for the two
+/// neighbor-ordered methods, to rounding for all_reduce's tree order
+/// (bitwise there too for the order-free Min/Max).
+#[test]
+#[cfg_attr(
+    miri,
+    ignore = "multi-rank World exchange; too slow under the interpreter"
+)]
+fn gs_op_matches_ordered_oracle_on_random_copy_counts() {
+    let mut rng = SmallRng::seed_from_u64(0x0EAC_1E17);
+    for _trial in 0..5 {
+        let p = rng.range_usize(2, 6);
+        let mut ids: Vec<Vec<u64>> = vec![Vec::new(); p];
+        for gid in 0..rng.range_u64(8, 40) {
+            for _copy in 0..rng.range_usize(1, 7) {
+                let holder = rng.range_usize(0, p);
+                // a random slot position, so copies of an id interleave
+                let at = rng.range_usize(0, ids[holder].len() + 1);
+                ids[holder].insert(at, gid * 3 + 1);
+            }
+        }
+        for k in [1usize, 3] {
+            let vals: Vec<Vec<Vec<f64>>> = (0..k)
+                .map(|_| {
+                    ids.iter()
+                        .map(|v| v.iter().map(|_| rng.range_f64(-2.0, 2.0)).collect())
+                        .collect()
+                })
+                .collect();
+            for op in [GsOp::Add, GsOp::Mul, GsOp::Min, GsOp::Max] {
+                let expect: Vec<Vec<Vec<f64>>> = vals
+                    .iter()
+                    .map(|field| ordered_reference(&ids, field, op))
+                    .collect();
+                for method in GsMethod::ALL {
+                    let (ids_c, vals_c) = (ids.clone(), vals.clone());
+                    let res = World::new().run(p, move |rank| {
+                        let me = rank.rank();
+                        let handle = GsHandle::setup(rank, &ids_c[me]);
+                        let mut mine: Vec<Vec<f64>> =
+                            vals_c.iter().map(|field| field[me].clone()).collect();
+                        let mut views: Vec<&mut [f64]> =
+                            mine.iter_mut().map(|f| f.as_mut_slice()).collect();
+                        handle.gs_op_many(rank, &mut views, op, method);
+                        mine
+                    });
+                    let exact =
+                        method != GsMethod::AllReduce || matches!(op, GsOp::Min | GsOp::Max);
+                    for (r, got) in res.results.iter().enumerate() {
+                        for (fi, field) in got.iter().enumerate() {
+                            for (i, (&g, &e)) in field.iter().zip(&expect[fi][r]).enumerate() {
+                                let ok = if exact {
+                                    g.to_bits() == e.to_bits()
+                                } else {
+                                    (g - e).abs() <= 1e-12 * (1.0 + e.abs())
+                                };
+                                assert!(
+                                    ok,
+                                    "{method:?} {op:?} p={p} k={k} rank {r} field {fi} slot {i}: \
+                                     {g:e} vs {e:e}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Regression: a slot no other rank shares — a singleton or a
+/// rank-interior pair — never enters an exchange, so every method leaves
+/// it the same bits. The all_reduce method used to route such ids through
+/// its identity-filled dense vector, turning `-0.0` into `+0.0`.
+#[test]
+#[cfg_attr(
+    miri,
+    ignore = "multi-rank World exchange; too slow under the interpreter"
+)]
+fn unshared_slots_keep_their_bits_under_every_method() {
+    // per rank: a singleton, an interior pair, and one id all ranks share
+    let ids_of = |r: u64| vec![100 + r, 200 + r, 7, 200 + r];
+    let bits_of = |method: GsMethod| {
+        World::new()
+            .run(3, move |rank| {
+                let handle = GsHandle::setup(rank, &ids_of(rank.rank() as u64));
+                assert_eq!(handle.shared_slot_flags(), [false, true, true, true]);
+                let mut vals = vec![-0.0, -0.0, 1.5, -0.0];
+                handle.gs_op(rank, &mut vals, GsOp::Add, method);
+                vals.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+            })
+            .results
+    };
+    let pairwise = bits_of(GsMethod::PairwiseExchange);
+    let neg_zero = (-0.0f64).to_bits();
+    for got in &pairwise {
+        assert_eq!(got[0], neg_zero, "singleton changed");
+        assert_eq!([got[1], got[3]], [neg_zero; 2], "-0.0 + -0.0 is -0.0");
+        assert_eq!(f64::from_bits(got[2]), 4.5);
+    }
+    for method in [GsMethod::CrystalRouter, GsMethod::AllReduce] {
+        assert_eq!(
+            bits_of(method),
+            pairwise,
+            "{method:?} differs from pairwise"
+        );
+    }
+}
+
+/// The operation is in place: finishing into arrays other than the ones
+/// the exchange was started on is refused, not silently mis-combined.
+#[test]
+#[should_panic(expected = "gs_op_finish must be handed the arrays gs_op_start was handed")]
+#[cfg_attr(miri, ignore = "spawns a World; too slow under the interpreter")]
+fn finishing_into_other_arrays_breaks_the_contract() {
+    World::new().run(1, |rank| {
+        let handle = GsHandle::setup(rank, &[4, 4, 9]);
+        let started = vec![1.0, 2.0, 3.0];
+        let mut other = started.clone();
+        let pending = handle.gs_op_start(rank, &[&started], GsOp::Add, GsMethod::PairwiseExchange);
+        handle.gs_op_finish(rank, pending, &mut [&mut other]);
+    });
+}

@@ -118,8 +118,8 @@ fn dropped_pending_leaves_runtime_clean() {
             // later exchanges on the same handle must be unaffected
             let mut after = base.clone();
             handle.gs_op(rank, &mut after, GsOp::Add, method);
-            let pending = handle.gs_op_start(rank, &[&after], GsOp::Max, method);
             let mut maxed = after.clone();
+            let pending = handle.gs_op_start(rank, &[&maxed], GsOp::Max, method);
             handle.gs_op_finish(rank, pending, &mut [&mut maxed]);
 
             assert_eq!(
