@@ -257,24 +257,21 @@ impl State {
     /// the load-balancer identity tests rely on.
     pub fn hash_elements(&mut self) -> (Vec<u64>, Vec<u64>) {
         let n3 = self.blk.u[0].n().pow(3);
-        let mut gids = Vec::with_capacity(self.blk.nel);
-        let mut hashes = Vec::with_capacity(self.blk.nel);
-        for (slot, &gid) in self.blk.owned.iter().enumerate() {
-            let mut h = hash::FNV_OFFSET;
-            for f in &self.blk.u {
-                hash::fnv1a_f64s(&mut h, &f.as_slice()[slot * n3..(slot + 1) * n3]);
-            }
-            if let Some(ps) = self.pset.as_mut() {
+        let mut hashes = vec![hash::FNV_OFFSET; self.blk.nel];
+        for f in &self.blk.u {
+            hash::fnv1a_f64s_lockstep(&mut hashes, f.as_slice(), n3);
+        }
+        if let Some(ps) = self.pset.as_mut() {
+            for (slot, h) in hashes.iter_mut().enumerate() {
                 let mut residents: Vec<Particle> = ps.residents_of(slot).to_vec();
                 residents.sort_by_key(|p| p.id);
                 for p in &residents {
-                    hash::fnv1a(&mut h, &p.id.to_le_bytes());
-                    hash::fnv1a_f64s(&mut h, &p.pos);
+                    hash::fnv1a(h, &p.id.to_le_bytes());
+                    hash::fnv1a_f64s(h, &p.pos);
                 }
             }
-            gids.push(gid as u64);
-            hashes.push(h);
         }
+        let gids = self.blk.owned.iter().map(|&gid| gid as u64).collect();
         (gids, hashes)
     }
 }

@@ -18,7 +18,7 @@ use cmt_core::Field;
 use cmt_mesh::{ElemPartition, RankMesh};
 use simmpi::{MpiOp, Rank};
 
-use crate::interp::ElementInterpolator;
+use crate::interp::{ElementInterpolator, LANES};
 
 /// One Lagrangian point particle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,6 +52,24 @@ pub struct ParticleSet {
     /// `s`'s residents.
     offsets: Vec<u32>,
     binned: bool,
+    /// Retained scratch, so a steady-state step allocates nothing: the
+    /// bin sort's home slots, the second particle buffer the sort and
+    /// `migrate` fill and swap in, and the lane-major cardinal bases of
+    /// [`ElementInterpolator::eval_lanes`].
+    homes: Vec<u32>,
+    spare: Vec<Particle>,
+    lane_basis: Vec<[f64; LANES]>,
+}
+
+/// Wrap one coordinate into the periodic `[0, len)`. A coordinate already
+/// inside (every one `advect_field` has just wrapped) skips the `fmod`;
+/// `rem_euclid` returns such an `x` unchanged, `-0.0` included.
+fn wrap_coord(x: f64, len: f64) -> f64 {
+    if (0.0..len).contains(&x) {
+        x
+    } else {
+        x.rem_euclid(len)
+    }
 }
 
 impl ParticleSet {
@@ -69,6 +87,9 @@ impl ParticleSet {
             part,
             offsets: Vec::new(),
             binned: false,
+            homes: Vec::new(),
+            spare: Vec::new(),
+            lane_basis: vec![[0.0; LANES]; 3 * basis.n],
             mesh,
         }
     }
@@ -171,11 +192,7 @@ impl ParticleSet {
 
     /// Wrap a position into the periodic box.
     fn wrap(&self, pos: [f64; 3]) -> [f64; 3] {
-        let mut out = pos;
-        for d in 0..3 {
-            out[d] = out[d].rem_euclid(self.lengths[d]);
-        }
-        out
+        std::array::from_fn(|d| wrap_coord(pos[d], self.lengths[d]))
     }
 
     /// Global id of the element containing a (wrapped) position — pure
@@ -220,42 +237,37 @@ impl ParticleSet {
         }
         let nel = self.owned_elems().len();
         let my_rank = self.mesh.rank();
-        let homes: Vec<u32> = self
-            .particles
-            .iter()
-            .map(|p| {
-                let gid = self.cell_of(p.pos);
-                let (rank, slot) = self.part.slot_of(gid);
-                assert_eq!(
-                    rank, my_rank,
-                    "particle {} at {:?} is not local; migrate() first",
-                    p.id, p.pos
-                );
-                slot as u32
-            })
-            .collect();
-        let mut offsets = vec![0u32; nel + 1];
-        for &h in &homes {
-            offsets[h as usize + 1] += 1;
+        self.homes.clear();
+        for i in 0..self.particles.len() {
+            let p = self.particles[i];
+            let (rank, slot) = self.part.slot_of(self.cell_of(p.pos));
+            assert_eq!(
+                rank, my_rank,
+                "particle {} at {:?} is not local; migrate() first",
+                p.id, p.pos
+            );
+            self.homes.push(slot as u32);
+        }
+        self.offsets.clear();
+        self.offsets.resize(nel + 1, 0);
+        for &h in &self.homes {
+            self.offsets[h as usize + 1] += 1;
         }
         for s in 1..=nel {
-            offsets[s] += offsets[s - 1];
+            self.offsets[s] += self.offsets[s - 1];
         }
-        let mut cursor: Vec<u32> = offsets[..nel].to_vec();
-        let mut grouped = vec![
-            Particle {
-                id: 0,
-                pos: [0.0; 3]
-            };
-            self.particles.len()
-        ];
-        for (p, &h) in self.particles.iter().zip(&homes) {
-            let c = &mut cursor[h as usize];
-            grouped[*c as usize] = *p;
+        // scatter with `offsets[s]` as slot `s`'s write cursor: it ends on
+        // the start of slot `s + 1`, so one shift restores the offsets
+        self.spare.clear();
+        self.spare.extend_from_slice(&self.particles);
+        for (p, &h) in self.particles.iter().zip(&self.homes) {
+            let c = &mut self.offsets[h as usize];
+            self.spare[*c as usize] = *p;
             *c += 1;
         }
-        self.particles = grouped;
-        self.offsets = offsets;
+        self.offsets.copy_within(0..nel, 1);
+        self.offsets[0] = 0;
+        std::mem::swap(&mut self.particles, &mut self.spare);
         self.binned = true;
     }
 
@@ -354,6 +366,7 @@ impl ParticleSet {
             );
         }
         self.ensure_bins();
+        let lengths = self.lengths;
         for slot in 0..self.owned_elems().len() {
             let range = self.offsets[slot] as usize..self.offsets[slot + 1] as usize;
             if range.is_empty() {
@@ -361,37 +374,31 @@ impl ParticleSet {
             }
             let gc = self.mesh.config().elem_coords(self.owned_elems()[slot]);
             let corner = [gc[0] as f64, gc[1] as f64, gc[2] as f64];
-            for idx in range {
-                let p = self.particles[idx];
-                let rst = [
-                    2.0 * (p.pos[0] - corner[0]) - 1.0,
-                    2.0 * (p.pos[1] - corner[1]) - 1.0,
-                    2.0 * (p.pos[2] - corner[2]) - 1.0,
-                ];
-                let mut v1 = [0.0; 3];
-                self.interp
-                    .eval_many(&[vel[0], vel[1], vel[2]], slot, rst, &mut v1);
-                let mid = [
-                    p.pos[0] + 0.5 * dt * v1[0],
-                    p.pos[1] + 0.5 * dt * v1[1],
-                    p.pos[2] + 0.5 * dt * v1[2],
-                ];
-                // midpoint reference coords w.r.t. the *same* element
-                // (may extrapolate slightly past +-1)
-                let mid_rst = [
-                    2.0 * (mid[0] - corner[0]) - 1.0,
-                    2.0 * (mid[1] - corner[1]) - 1.0,
-                    2.0 * (mid[2] - corner[2]) - 1.0,
-                ];
-                let mut v2 = [0.0; 3];
-                self.interp
-                    .eval_many(&[vel[0], vel[1], vel[2]], slot, mid_rst, &mut v2);
-                let moved = [
-                    p.pos[0] + dt * v2[0],
-                    p.pos[1] + dt * v2[1],
-                    p.pos[2] + dt * v2[2],
-                ];
-                self.particles[idx].pos = self.wrap(moved);
+            let data = vel.map(|f| f.element(slot));
+            // reference coords w.r.t. this element for both stages (the
+            // midpoint may extrapolate slightly past +-1)
+            let to_rst = |x: &[[f64; LANES]; 3]| -> [[f64; LANES]; 3] {
+                std::array::from_fn(|d| x[d].map(|xd| 2.0 * (xd - corner[d]) - 1.0))
+            };
+            // residents go LANES at a time, lane = fast index; a ragged
+            // last group repeats its last particle in the spare lanes
+            for group in self.particles[range].chunks_mut(LANES) {
+                let last = group.len() - 1;
+                let pos: [[f64; LANES]; 3] =
+                    std::array::from_fn(|d| std::array::from_fn(|l| group[l.min(last)].pos[d]));
+                let v1 = self
+                    .interp
+                    .eval_lanes(data, &to_rst(&pos), &mut self.lane_basis);
+                let mid: [[f64; LANES]; 3] = std::array::from_fn(|d| {
+                    std::array::from_fn(|l| pos[d][l] + 0.5 * dt * v1[d][l])
+                });
+                let v2 = self
+                    .interp
+                    .eval_lanes(data, &to_rst(&mid), &mut self.lane_basis);
+                for (l, p) in group.iter_mut().enumerate() {
+                    p.pos =
+                        std::array::from_fn(|d| wrap_coord(pos[d][l] + dt * v2[d][l], lengths[d]));
+                }
             }
         }
         self.binned = false;
@@ -409,10 +416,10 @@ impl ParticleSet {
         let my_rank = self.mesh.rank();
         debug_assert_eq!(my_rank, rank.rank(), "mesh/world rank mismatch");
         let p = self.part.ranks();
-        let mut keep = Vec::with_capacity(self.particles.len());
+        let mut keep = std::mem::take(&mut self.spare);
+        keep.clear();
         let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); p];
-        let local: Vec<Particle> = std::mem::take(&mut self.particles);
-        for prt in local {
+        for &prt in &self.particles {
             let owner = self.part.owner_of(self.cell_of(prt.pos));
             if owner == my_rank {
                 keep.push(prt);
@@ -450,7 +457,7 @@ impl ParticleSet {
         }
         // deterministic ordering regardless of arrival interleaving
         keep.sort_by_key(|p| p.id);
-        self.particles = keep;
+        self.spare = std::mem::replace(&mut self.particles, keep);
         self.binned = false;
         MigrationStats { sent, received }
     }
@@ -625,6 +632,154 @@ mod tests {
                 pf[d],
                 pa[d]
             );
+        }
+    }
+
+    /// The per-particle definition of one `advect_field` step — scalar
+    /// `cardinal`, one dependent add chain per field, `rem_euclid` on
+    /// every coordinate — kept here as the oracle the lane-batched
+    /// routine is held to, bit for bit. Returns the new position and the
+    /// midpoint's reference coordinates.
+    fn reference_advect(
+        set: &ParticleSet,
+        p: Particle,
+        dt: f64,
+        vel: [&Field; 3],
+    ) -> ([f64; 3], [f64; 3]) {
+        let n = set.nodes_n;
+        let (_, slot, _) = set.locate(p.pos);
+        let gc = set.mesh.config().elem_coords(set.owned_elems()[slot]);
+        let to_rst = |x: [f64; 3]| [0, 1, 2].map(|d| 2.0 * (x[d] - gc[d] as f64) - 1.0);
+        let eval_many = |rst: [f64; 3]| {
+            let (mut lr, mut ls, mut lt) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+            set.interp.cardinal(rst[0], &mut lr);
+            set.interp.cardinal(rst[1], &mut ls);
+            set.interp.cardinal(rst[2], &mut lt);
+            vel.map(|f| {
+                let data = f.element(slot);
+                let mut acc = 0.0;
+                for k in 0..n {
+                    let wk = lt[k];
+                    for j in 0..n {
+                        let wjk = wk * ls[j];
+                        let row = &data[(k * n + j) * n..(k * n + j) * n + n];
+                        let mut s = 0.0;
+                        for (li, ui) in lr.iter().zip(row) {
+                            s += li * ui;
+                        }
+                        acc += wjk * s;
+                    }
+                }
+                acc
+            })
+        };
+        let v1 = eval_many(to_rst(p.pos));
+        let mid = [0, 1, 2].map(|d| p.pos[d] + 0.5 * dt * v1[d]);
+        let v2 = eval_many(to_rst(mid));
+        let moved = [0, 1, 2].map(|d| (p.pos[d] + dt * v2[d]).rem_euclid(set.lengths[d]));
+        (moved, to_rst(mid))
+    }
+
+    #[test]
+    fn lane_batched_advection_is_bitwise_the_per_particle_reference() {
+        // one bin of every group shape, an empty element between two
+        // populated ones, and the special residents in element 6
+        let pops = [1, LANES - 1, 0, LANES, LANES + 1, 257, 0];
+        for n in 2..=10 {
+            let mut set = single_rank_set([pops.len(), 1, 1], n);
+            let nodes = Basis::new(n).nodes;
+            let vel: [Field; 3] = std::array::from_fn(|c| {
+                Field::from_fn(n, pops.len(), |e, i, j, k| {
+                    let x = e as f64 + (nodes[i] + 1.0) / 2.0;
+                    let (y, z) = (nodes[j], nodes[k]);
+                    0.4 + 0.3 * ((1.3 + c as f64) * x + 0.7 * y - 0.9 * z * (c + 1) as f64).sin()
+                })
+            });
+            let vel = [&vel[0], &vel[1], &vel[2]];
+            let mut lcg = 0x2545_F491_4F6C_DD1Du64;
+            let mut unit = || {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                0.02 + 0.96 * ((lcg >> 11) as f64 / (1u64 << 53) as f64)
+            };
+            // ids count insertions, so `want[id]` below finds a particle
+            let add = |set: &mut ParticleSet, pos| {
+                let id = set.len() as u64;
+                set.insert(Particle { id, pos });
+            };
+            for (e, &pop) in pops.iter().enumerate() {
+                for _ in 0..pop {
+                    add(&mut set, [e as f64 + unit(), unit(), unit()]);
+                }
+            }
+            // on a GLL node in each direction in turn, then in all three
+            // (the `delta` branch), sharing groups with off-node lanes
+            let on = |i: usize| (nodes[i] + 1.0) / 2.0;
+            add(&mut set, [6.0 + on(1), 0.3, 0.7]);
+            add(&mut set, [6.2, on(0), 0.7]);
+            add(&mut set, [6.2, 0.3, on(n - 1)]);
+            add(&mut set, [6.0 + on(n - 1), on(1), on(0)]);
+            add(&mut set, [6.4, 0.6, 0.1]);
+            let mut delta = vec![0.0; n];
+            set.interp.cardinal(2.0 * on(1) - 1.0, &mut delta);
+            assert_eq!(delta.iter().filter(|&&v| v == 0.0).count(), n - 1);
+            // hard against the +x and -y faces: the midpoint extrapolates
+            let edge = set.len();
+            add(&mut set, [6.999, 0.001, 0.5]);
+
+            let dt = 0.1;
+            for step in 0..2 {
+                // (new position, midpoint reference coords), by id
+                let mut want = vec![([0.0; 3], [0.0; 3]); set.len()];
+                for &p in set.particles() {
+                    want[p.id as usize] = reference_advect(&set, p, dt, vel);
+                }
+                if step == 0 {
+                    let (_, mid_rst) = want[edge];
+                    assert!(mid_rst[0] > 1.0, "midpoint stayed inside: {mid_rst:?}");
+                }
+                set.advect_field(dt, vel);
+                assert_eq!(set.len(), want.len());
+                for p in set.particles() {
+                    let (moved, _) = want[p.id as usize];
+                    assert_eq!(
+                        p.pos.map(f64::to_bits),
+                        moved.map(f64::to_bits),
+                        "n = {n}, step {step}, particle {}: {:?} vs {moved:?}",
+                        p.id,
+                        p.pos
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wrap_fast_path_is_rem_euclid() {
+        for len in [1.0f64, 3.0, 12.0] {
+            let mut xs = vec![
+                0.0,
+                -0.0,
+                len,
+                -len,
+                len.next_down(),
+                len.next_up(),
+                (-len).next_up(),
+                f64::MIN_POSITIVE,
+                -f64::MIN_POSITIVE,
+                -1e-300,
+                1e300,
+                -1e300,
+            ];
+            xs.extend((-500..=500).map(|i| i as f64 * len / 200.0));
+            for x in xs {
+                assert_eq!(
+                    wrap_coord(x, len).to_bits(),
+                    x.rem_euclid(len).to_bits(),
+                    "x = {x:e}, len = {len}"
+                );
+            }
         }
     }
 

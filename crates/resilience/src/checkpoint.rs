@@ -89,22 +89,73 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// CRC-64/ECMA-182 over `data` (bitwise; checkpoint payloads are small
-/// enough that a table is not worth the 2 KiB).
-pub fn crc64(data: &[u8]) -> u64 {
-    const POLY: u64 = 0x42F0_E1EB_A9EA_3693;
-    let mut crc = 0u64;
-    for &b in data {
-        crc ^= (b as u64) << 56;
-        for _ in 0..8 {
-            crc = if crc & (1 << 63) != 0 {
+/// CRC-64/ECMA-182 generator polynomial (MSB-first, init 0, no final xor).
+const POLY: u64 = 0x42F0_E1EB_A9EA_3693;
+
+/// Slice-by-8 tables: `CRC_TABLE[k][b]` is the CRC of byte `b` followed by
+/// `k` zero bytes.
+const CRC_TABLE: [[u64; 256]; 8] = {
+    let mut t = [[0u64; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = (b as u64) << 56;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc >> 63 != 0 {
                 (crc << 1) ^ POLY
             } else {
                 crc << 1
             };
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev << 8) ^ t[0][(prev >> 56) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-64/ECMA-182 over `data`, eight bytes per step through a 16 KiB
+/// table (slice-by-8): a checkpoint is over a megabyte every few steps,
+/// and a bit-at-a-time CRC would cost a tenth of the step it guards.
+pub fn crc64(data: &[u8]) -> u64 {
+    let t = &CRC_TABLE;
+    let mut crc = 0u64;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let x = crc ^ u64::from_be_bytes(w.try_into().expect("chunks_exact(8)"));
+        // spelled out: as a `for k in 0..8` loop this measured 15 % slower
+        crc = t[7][(x >> 56) as usize]
+            ^ t[6][(x >> 48) as usize & 0xFF]
+            ^ t[5][(x >> 40) as usize & 0xFF]
+            ^ t[4][(x >> 32) as usize & 0xFF]
+            ^ t[3][(x >> 24) as usize & 0xFF]
+            ^ t[2][(x >> 16) as usize & 0xFF]
+            ^ t[1][(x >> 8) as usize & 0xFF]
+            ^ t[0][x as usize & 0xFF];
+    }
+    for &b in words.remainder() {
+        crc = (crc << 8) ^ t[0][(crc >> 56) as usize ^ b as usize];
     }
     crc
+}
+
+/// Append `values` as little-endian bytes in one sweep.
+fn put_f64s(buf: &mut Vec<u8>, values: &[f64]) {
+    let at = buf.len();
+    buf.resize(at + 8 * values.len(), 0);
+    for (dst, v) in buf[at..].chunks_exact_mut(8).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 impl Checkpoint {
@@ -123,14 +174,10 @@ impl Checkpoint {
         buf.extend_from_slice(&self.rng_state.to_le_bytes());
         buf.extend_from_slice(&(self.scalars.len() as u64).to_le_bytes());
         buf.extend_from_slice(&(self.fields.len() as u64).to_le_bytes());
-        for s in &self.scalars {
-            buf.extend_from_slice(&s.to_le_bytes());
-        }
+        put_f64s(&mut buf, &self.scalars);
         for field in &self.fields {
             buf.extend_from_slice(&(field.len() as u64).to_le_bytes());
-            for v in field {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
+            put_f64s(&mut buf, field);
         }
         let crc = crc64(&buf);
         buf.extend_from_slice(&crc.to_le_bytes());
@@ -171,15 +218,20 @@ impl Checkpoint {
             }
             Ok(at)
         };
-        let mut scalars = Vec::with_capacity(nscalars);
-        for _ in 0..nscalars {
-            scalars.push(f64_at(take(&mut off, 8)?));
-        }
+        // `len` values as one sweep, after `take` has bounded them
+        let f64s = |off: &mut usize, len: usize| -> Result<Vec<f64>, CheckpointError> {
+            let nbytes = len.checked_mul(8).ok_or(CheckpointError::Truncated)?;
+            let at = take(off, nbytes)?;
+            Ok(content[at..at + nbytes]
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
+                .collect())
+        };
+        let scalars = f64s(&mut off, nscalars)?;
         let mut fields = Vec::with_capacity(nfields);
         for _ in 0..nfields {
             let len = u64_at(take(&mut off, 8)?) as usize;
-            let at = take(&mut off, 8 * len)?;
-            fields.push((0..len).map(|i| f64_at(at + 8 * i)).collect());
+            fields.push(f64s(&mut off, len)?);
         }
         if off != content.len() {
             return Err(CheckpointError::Truncated);
@@ -275,6 +327,67 @@ mod tests {
             Checkpoint::decode(&bytes),
             Err(CheckpointError::UnsupportedVersion(99))
         );
+    }
+
+    /// The bit-at-a-time definition of CRC-64/ECMA-182 — the oracle the
+    /// table-driven `crc64` is held to.
+    fn crc64_bitwise(data: &[u8]) -> u64 {
+        let mut crc = 0u64;
+        for &b in data {
+            crc ^= (b as u64) << 56;
+            for _ in 0..8 {
+                crc = if crc & (1 << 63) != 0 {
+                    (crc << 1) ^ POLY
+                } else {
+                    crc << 1
+                };
+            }
+        }
+        crc
+    }
+
+    #[test]
+    fn crc64_equals_the_bitwise_definition_at_every_length_and_alignment() {
+        // splitmix64 bytes; 8 spare so every offset 0..8 sees 0..=1024
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..1024 + 8)
+            .map(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=1024 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(
+                    crc64(data),
+                    crc64_bitwise(data),
+                    "offset {offset}, len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc64_check_value_is_the_published_ecma_182_one() {
+        assert_eq!(crc64(b"123456789"), 0x6C40_DF5F_0B49_7347);
+        assert_eq!(crc64_bitwise(b"123456789"), 0x6C40_DF5F_0B49_7347);
+    }
+
+    #[test]
+    fn encoded_format_is_pinned() {
+        // Length and trailer of `sample()` as the per-value encoder and
+        // bitwise CRC wrote them before either was replaced: stored
+        // checkpoints stay readable, `VERSION` stays 1.
+        let bytes = sample().encode();
+        assert_eq!(bytes.len(), 280);
+        assert_eq!(bytes[..8], *b"CMTR\x01\0\0\0");
+        let trailer = u64::from_le_bytes(bytes[272..].try_into().unwrap());
+        assert_eq!(trailer, 0xC59E_F7C7_FD74_F4D4);
+        assert_eq!(Checkpoint::decode(&bytes).unwrap(), sample());
     }
 
     #[test]

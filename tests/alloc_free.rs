@@ -153,6 +153,30 @@ fn cmt_bone_volume_kernels_allocation_free_at_steady_state() {
     }
 }
 
+/// The particle phase's advection allocates nothing per step: the lane
+/// scratch and the cell-grid sort's buffers live in the `ParticleSet`
+/// (the per-particle interpolation this replaced made six `Vec`s per
+/// particle per step, the sort four per call). 5 residents per element
+/// is a ragged lane group.
+#[test]
+fn cmt_bone_particle_advect_allocation_free_at_steady_state() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    let (long, short) = bone_profiles(|steps| Config {
+        particles_per_elem: 5,
+        ..bone_cfg(
+            GsMethod::PairwiseExchange,
+            Pipeline::Overlapped,
+            true,
+            steps,
+        )
+    });
+    assert!(
+        long.flat.iter().any(|(name, _)| name == "particle_advect"),
+        "the particle phase did not run"
+    );
+    assert_quiet("5 particles/elem", &long, &short, "particle_advect");
+}
+
 #[test]
 fn nekbone_dssum_regions_allocation_free_at_steady_state() {
     assert!(cmt_perf::alloc::counting(), "counting allocator not active");
