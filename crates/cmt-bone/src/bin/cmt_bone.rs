@@ -3,7 +3,7 @@
 //! ```text
 //! cmt-bone [--ranks P] [--elems NEL] [--n N] [--steps S] [--fields F]
 //!          [--variant basic|opt|simd|auto] [--method pairwise|crystal|allreduce]
-//!          [--pipeline blocking|overlapped] [--net qdr|exa|gbe] [--quiet]
+//!          [--pipeline blocking|overlapped] [--quiet]
 //! ```
 //!
 //! Runs the mini-app and prints the paper-style report (setup block,
@@ -13,7 +13,7 @@
 use cmt_bone::{run, Config, Pipeline};
 use cmt_core::KernelVariant;
 use cmt_gs::GsMethod;
-use simmpi::{FaultPlan, NetworkModel, SocketConfig, TransportKind};
+use simmpi::{FaultPlan, SocketConfig, TransportKind};
 
 fn usage() -> ! {
     eprintln!(
@@ -21,8 +21,8 @@ fn usage() -> ! {
          \x20                [--fields F] [--variant basic|opt|simd|auto]\n\
          \x20                [--workers W]\n\
          \x20                [--method pairwise|crystal|allreduce]\n\
-         \x20                [--pipeline blocking|overlapped] [--net qdr|exa|gbe]\n\
-         \x20                [--cfl-interval K] [--dealias M] [--euler] [--quiet]\n\
+         \x20                [--pipeline blocking|overlapped]\n\
+         \x20                [--cfl-interval K] [--dealias M] [--quiet]\n\
          \x20                [--checkpoint-every K] [--checkpoint-dir PATH]\n\
          \x20                [--restart PATH] [--fault-plan SPEC]\n\
          \x20                [--verify] [--chaos-sched SEED] [--no-pool]\n\
@@ -59,48 +59,9 @@ fn parse_usize(v: Option<String>) -> usize {
     v.and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
 }
 
-/// Run the compressible-Euler physics mode instead of the proxy loop.
-fn run_euler_mode(cfg: &Config, quiet: bool) {
-    use cmt_bone::{run_euler, EulerRunConfig};
-    use std::f64::consts::PI;
-    let ecfg = EulerRunConfig {
-        n: cfg.n,
-        elems_per_rank: cfg.elems_per_rank,
-        ranks: cfg.ranks,
-        steps: cfg.steps,
-        variant: cfg.variant,
-        method: cfg.method.unwrap_or(cmt_gs::GsMethod::PairwiseExchange),
-        cfl: cfg.cfl,
-        cfl_interval: cfg.cfl_interval,
-        particles_per_elem: if cfg.particles_per_elem > 0 {
-            cfg.particles_per_elem
-        } else {
-            2
-        },
-        ..Default::default()
-    };
-    let mesh = cmt_mesh::MeshConfig::for_ranks(ecfg.ranks, ecfg.elems_per_rank, ecfg.n, true);
-    let ge = mesh.global_elems();
-    let lengths = [ge[0] as f64, ge[1] as f64, ge[2] as f64];
-    let rep = run_euler(&ecfg, move |x, y, _z| cmt_core::eos::Primitive {
-        rho: 1.0 + 0.2 * (2.0 * PI * x / lengths[0]).sin(),
-        vel: [0.5, 0.1 * (2.0 * PI * y / lengths[1]).cos(), 0.0],
-        p: 1.0,
-    });
-    if quiet {
-        println!(
-            "t {:.6}  admissible {}  mass {:+.9e}  particles {}",
-            rep.time, rep.admissible, rep.totals_after[0], rep.particle_count
-        );
-    } else {
-        println!("{}", rep.render());
-    }
-}
-
 fn main() {
     let mut cfg = Config::default();
     let mut quiet = false;
-    let mut euler = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -131,14 +92,6 @@ fn main() {
                 cfg.pipeline = match args.next().as_deref() {
                     Some("blocking") => Pipeline::Blocking,
                     Some("overlapped") => Pipeline::Overlapped,
-                    _ => usage(),
-                }
-            }
-            "--net" => {
-                cfg.net = match args.next().as_deref() {
-                    Some("qdr") => Some(NetworkModel::qdr_infiniband()),
-                    Some("exa") => Some(NetworkModel::notional_exascale()),
-                    Some("gbe") => Some(NetworkModel::gigabit_ethernet()),
                     _ => usage(),
                 }
             }
@@ -199,7 +152,6 @@ fn main() {
                 cfg.chaos_sched = args.next().and_then(|s| s.parse().ok()).or_else(|| usage())
             }
             "--quiet" => quiet = true,
-            "--euler" => euler = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument: {other}");
@@ -210,10 +162,6 @@ fn main() {
     if let Err(e) = cfg.validate() {
         eprintln!("invalid configuration: {e}");
         std::process::exit(2);
-    }
-    if euler {
-        run_euler_mode(&cfg, quiet);
-        return;
     }
     let report = run(&cfg);
     if quiet {

@@ -1,7 +1,8 @@
-//! CLI-level checks of the `--variant` surface: every kernel tier the
-//! library exposes must be reachable (and spelled) from the binary, the
-//! simd tier must reproduce the scalar run bit for bit, and a bad
-//! spelling must fail fast with the full usage list instead of running.
+//! CLI-level checks: every kernel tier the library exposes must be
+//! reachable (and spelled) from the binary, the flags no other test
+//! spells must parse and reach their `Config` field, the bitwise-neutral
+//! ones must reproduce the default run bit for bit, and a bad `--variant`
+//! must fail fast with the full usage list instead of running.
 
 use std::process::Command;
 
@@ -38,15 +39,30 @@ fn state_hash(extra: &[&str]) -> String {
 }
 
 #[test]
-fn every_variant_spelling_is_accepted_and_simd_matches_opt() {
+fn every_flag_spelling_is_accepted_and_neutral_ones_match_opt() {
     let opt = state_hash(&["--variant", "opt"]);
-    for v in ["basic", "simd", "auto"] {
-        let h = state_hash(&["--variant", v]);
-        if v == "simd" {
-            assert_eq!(h, opt, "--variant simd diverged from opt");
+    let dir = std::env::temp_dir().join(format!("cmt-bone-cli-{}", std::process::id()));
+    let ckpt = dir.to_str().expect("utf8 temp dir");
+    // (flags, reproduces the `--variant opt` run bit for bit)
+    let rows: [(&[&str], bool); 8] = [
+        (&["--variant", "basic"], false),
+        (&["--variant", "simd"], true),
+        (&["--variant", "auto"], false),
+        (&["--pipeline", "blocking"], true),
+        (&["--cfl-interval", "2"], true),
+        (&["--dealias", "8"], false),
+        (&["--checkpoint-every", "2", "--checkpoint-dir", ckpt], true),
+        // resumes from the step-2 checkpoint the row above left on disk
+        (&["--restart", ckpt], true),
+    ];
+    for (flags, neutral) in rows {
+        let h = state_hash(flags);
+        assert_eq!(h.len(), 16, "{flags:?}: malformed state hash {h}");
+        if neutral {
+            assert_eq!(h, opt, "{flags:?} diverged from --variant opt");
         }
-        assert_eq!(h.len(), 16, "--variant {v}: malformed state hash {h}");
     }
+    std::fs::remove_dir_all(&dir).expect("checkpoint dir was written");
 }
 
 #[test]

@@ -68,10 +68,6 @@ pub fn migrate_blocks(
     let mut stats = MigrationStats::default();
     // wire format per element: [gid, nvals, vals...] — gids and lengths
     // fit f64 exactly (far below 2^53)
-    //
-    // cmt-lint: allow(CMT-L003) — O(ranks) table of *empty* (heapless)
-    // vectors, built once per migration pass at rebalance cadence; the
-    // payload bytes themselves ride the pooled crystal router.
     let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); new.ranks()];
     for &gid in old.owned_by(me) {
         let dest = new.owner_of(gid);
@@ -86,8 +82,6 @@ pub fn migrate_blocks(
         b.push(payload.len() as f64);
         b.extend_from_slice(&payload);
     }
-    // cmt-lint: allow(CMT-L003) — O(active destinations) per pass; the
-    // bucket payloads move, they are not copied.
     let outgoing: Vec<(usize, Vec<f64>)> = buckets
         .into_iter()
         .enumerate()

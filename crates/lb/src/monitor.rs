@@ -123,9 +123,9 @@ pub fn gather_costs(
     let e = part.total_elems();
     let p = part.ranks();
     let me = rank.rank();
-    // cmt-lint: allow(CMT-L003) — the allgather's dense staging vector,
-    // O(E + P) once per monitor cadence; the collective must materialize
-    // the full global vector on every rank anyway.
+    // The allgather's dense staging vector, O(E + P) once per monitor
+    // cadence: the collective materializes the full global vector on every
+    // rank anyway. `tests/alloc_free.rs` pins what a monitor step allocates.
     let mut slots = vec![0u64; e + p];
     let owned = part.owned_by(me);
     assert_eq!(counts.len(), owned.len(), "one count per owned element");

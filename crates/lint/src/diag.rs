@@ -1,8 +1,6 @@
-//! Diagnostics: stable codes, spans, rendering, and the two suppression
-//! layers — CLI `--allow`/`--deny` filters and the in-source escape
-//! hatch (`// cmt-lint: allow(CMT-L003)` comments).
+//! Diagnostics: stable codes, spans, rendering, and the in-source escape
+//! hatch (`// cmt-lint: allow(CMT-L001)` comments).
 
-use std::collections::HashSet;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -19,14 +17,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "CMT-L002",
         "collective-order consistency: rank-dependent branches must execute identical collective skeletons",
-    ),
-    (
-        "CMT-L003",
-        "hot-path allocation: no allocation constructs in functions reachable from the zero-alloc steady-state roots",
-    ),
-    (
-        "CMT-L004",
-        "wire-codec completeness: transport payload element types must be wire-registered or WireCodec-encodable",
     ),
 ];
 
@@ -57,34 +47,6 @@ impl fmt::Display for Diagnostic {
         }
         Ok(())
     }
-}
-
-/// CLI-level code filter. All rules are deny-by-default; `--allow CODE`
-/// suppresses a code everywhere, `--deny CODE` re-asserts it (wins over
-/// a preceding `--allow`, so scripted invocations can layer flags).
-#[derive(Debug, Default, Clone)]
-pub struct Filter {
-    allowed: HashSet<String>,
-    denied: HashSet<String>,
-}
-
-impl Filter {
-    pub fn allow(&mut self, code: &str) {
-        self.allowed.insert(code.to_uppercase());
-    }
-
-    pub fn deny(&mut self, code: &str) {
-        self.denied.insert(code.to_uppercase());
-    }
-
-    pub fn enabled(&self, code: &str) -> bool {
-        self.denied.contains(code) || !self.allowed.contains(code)
-    }
-}
-
-/// Is `code` a known rule code?
-pub fn known_code(code: &str) -> bool {
-    RULES.iter().any(|(c, _)| *c == code)
 }
 
 /// Apply the in-source escape hatch: drop findings covered by a
@@ -174,7 +136,7 @@ mod tests {
 
     fn diag(line: u32) -> Diagnostic {
         Diagnostic {
-            code: "CMT-L003",
+            code: "CMT-L001",
             file: PathBuf::from("x.rs"),
             line,
             col: 1,
@@ -184,18 +146,8 @@ mod tests {
     }
 
     #[test]
-    fn filter_deny_wins_over_allow() {
-        let mut f = Filter::default();
-        assert!(f.enabled("CMT-L001"));
-        f.allow("CMT-L001");
-        assert!(!f.enabled("CMT-L001"));
-        f.deny("CMT-L001");
-        assert!(f.enabled("CMT-L001"));
-    }
-
-    #[test]
     fn line_level_allow_suppresses_nearby_finding_only() {
-        let src = "\n".repeat(30) + "// cmt-lint: allow(CMT-L003)\nlet x = 1;\n";
+        let src = "\n".repeat(30) + "// cmt-lint: allow(CMT-L001)\nlet x = 1;\n";
         let fa = scan_file(PathBuf::from("x.rs"), &src);
         let files = vec![fa];
         // Comment is on line 31; finding on line 32 is covered, 35 not.
@@ -205,7 +157,7 @@ mod tests {
 
     #[test]
     fn file_level_allow_covers_everything() {
-        let src = "//! cmt-lint: allow(CMT-L003, CMT-L004)\n".to_string() + &"\n".repeat(50);
+        let src = "//! cmt-lint: allow(CMT-L002, CMT-L001)\n".to_string() + &"\n".repeat(50);
         let fa = scan_file(PathBuf::from("x.rs"), &src);
         let files = vec![fa];
         assert!(apply_source_allows(vec![diag(40)], &files).is_empty());
@@ -213,7 +165,7 @@ mod tests {
 
     #[test]
     fn other_codes_are_not_suppressed() {
-        let src = "// cmt-lint: allow(CMT-L001)\nlet x = 1;\n";
+        let src = "// cmt-lint: allow(CMT-L002)\nlet x = 1;\n";
         let fa = scan_file(PathBuf::from("x.rs"), src);
         assert_eq!(apply_source_allows(vec![diag(2)], &[fa]).len(), 1);
     }

@@ -1,31 +1,29 @@
-//! `cmt-lint` — a workspace static analyzer that proves simmpi's
-//! communication and pooling invariants before the code ever runs.
+//! `cmt-lint` — a workspace static analyzer that proves two simmpi
+//! communication invariants before the code ever runs.
 //!
-//! The dynamic checkers (`cmt-verify`, the counting allocator, TSan)
-//! only catch a bug if it executes on the right schedule; this crate is
-//! their static twin, catching the whole class at `cargo` time on every
-//! path. Four rule families, stable codes:
+//! `cmt-verify` only catches a communication bug if it executes on the
+//! right schedule; this crate is its static twin for the two invariants
+//! that neither the type system nor a tier-1 test can state, checked on
+//! every path at `cargo` time. Two rule families, stable codes:
 //!
 //! | code | invariant |
 //! |------|-----------|
 //! | CMT-L001 | split-phase `gs_op_start` pairs with `gs_op_finish` on all paths |
 //! | CMT-L002 | rank-dependent branches execute identical collective skeletons |
-//! | CMT-L003 | zero-alloc steady-state functions contain no allocation constructs |
-//! | CMT-L004 | transport payload types are wire-registered or WireCodec-covered |
 //!
-//! The pipeline: [`lexer`] tokenizes, [`items`] extracts the structural
-//! skeleton (functions, impls), [`model`] builds the
-//! workspace call graph, [`rules`] runs the families, and [`diag`]
-//! applies the in-source escape hatch (`// cmt-lint: allow(CODE)`) and
-//! CLI filtering.
+//! The pipeline: [`lexer`] tokenizes, [`items`] extracts the functions,
+//! [`model`] builds the workspace call graph, [`rules`] runs the
+//! families, and [`diag`] applies the in-source escape hatch
+//! (`// cmt-lint: allow(CODE)`).
 //!
-//! The `unsafe` boundary is not a rule here: `#![forbid(unsafe_code)]` /
-//! `#![deny(unsafe_code)]` on the crate roots and clippy's
-//! `undocumented_unsafe_blocks` enforce it at compile time.
+//! Every other invariant has a stronger witness elsewhere (DESIGN.md,
+//! *Static analysis*): payload encodability is the `simmpi::Msg` bound,
+//! the zero-allocation steady state is counted by `tests/alloc_free.rs`,
+//! and the `unsafe` boundary is `forbid`/`deny(unsafe_code)` on the crate
+//! roots plus clippy's `undocumented_unsafe_blocks`.
 
 #![forbid(unsafe_code)]
 
-pub mod audit;
 pub mod config;
 pub mod diag;
 pub mod items;
@@ -35,12 +33,12 @@ pub mod rules;
 
 use std::path::{Path, PathBuf};
 
-use diag::{Diagnostic, Filter};
+use diag::Diagnostic;
 use model::Workspace;
 
 /// Analyze a set of `.rs` files (or directories, walked recursively)
-/// and return the filtered findings.
-pub fn analyze(paths: &[PathBuf], filter: &Filter) -> std::io::Result<Vec<Diagnostic>> {
+/// and return the findings no in-source allow covers.
+pub fn analyze(paths: &[PathBuf]) -> std::io::Result<Vec<Diagnostic>> {
     let mut sources = Vec::new();
     for p in paths {
         collect_sources(p, &mut sources)?;
@@ -53,12 +51,7 @@ pub fn analyze(paths: &[PathBuf], filter: &Filter) -> std::io::Result<Vec<Diagno
         loaded.push((p, src));
     }
     let ws = Workspace::build(loaded);
-    let diags = rules::run_all(&ws);
-    let diags = diag::apply_source_allows(diags, &ws.files);
-    Ok(diags
-        .into_iter()
-        .filter(|d| filter.enabled(d.code))
-        .collect())
+    Ok(diag::apply_source_allows(rules::run_all(&ws), &ws.files))
 }
 
 /// Product source roots of the workspace at `root`: every crate's

@@ -3,9 +3,6 @@
 //! ```text
 //! cmt-lint --workspace                 # analyze every crate's src tree
 //! cmt-lint path/to/dir file.rs ...     # analyze explicit paths
-//! cmt-lint --workspace --allow CMT-L003
-//! cmt-lint --workspace --deny CMT-L003 # re-assert after an --allow
-//! cmt-lint --audit                     # manifest dependency/license audit
 //! cmt-lint --list-rules
 //! ```
 //!
@@ -14,39 +11,15 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cmt_lint::diag::{known_code, Filter, RULES};
+use cmt_lint::diag::RULES;
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mut filter = Filter::default();
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut workspace = false;
-    let mut audit = false;
-    let mut quiet = false;
 
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--workspace" => workspace = true,
-            "--audit" => audit = true,
-            "--quiet" | "-q" => quiet = true,
-            "--allow" | "--deny" => {
-                let Some(codes) = args.next() else {
-                    eprintln!("error: {arg} needs a code (e.g. {arg} CMT-L003)");
-                    return ExitCode::from(2);
-                };
-                for code in codes.split(',') {
-                    let code = code.trim().to_uppercase();
-                    if !known_code(&code) {
-                        eprintln!("error: unknown rule code `{code}` (see --list-rules)");
-                        return ExitCode::from(2);
-                    }
-                    if arg == "--allow" {
-                        filter.allow(&code);
-                    } else {
-                        filter.deny(&code);
-                    }
-                }
-            }
             "--list-rules" => {
                 for (code, summary) in RULES {
                     println!("{code}  {summary}");
@@ -66,44 +39,11 @@ fn main() -> ExitCode {
         }
     }
 
-    let cwd = match std::env::current_dir() {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: cannot determine working directory: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if audit {
-        let Some(root) = cmt_lint::find_workspace_root(&cwd) else {
-            eprintln!("error: --audit needs to run inside the workspace");
-            return ExitCode::from(2);
-        };
-        return match cmt_lint::audit::audit_workspace(&root) {
-            Ok(findings) if findings.is_empty() => {
-                if !quiet {
-                    println!(
-                        "cmt-lint --audit: manifests clean (path-only deps, licenses declared)"
-                    );
-                }
-                ExitCode::SUCCESS
-            }
-            Ok(findings) => {
-                for f in &findings {
-                    println!("{f}");
-                }
-                println!("cmt-lint --audit: {} finding(s)", findings.len());
-                ExitCode::FAILURE
-            }
-            Err(e) => {
-                eprintln!("error: audit failed: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
     if workspace {
-        let Some(root) = cmt_lint::find_workspace_root(&cwd) else {
+        let root = std::env::current_dir()
+            .ok()
+            .and_then(|cwd| cmt_lint::find_workspace_root(&cwd));
+        let Some(root) = root else {
             eprintln!("error: --workspace needs to run inside the workspace");
             return ExitCode::from(2);
         };
@@ -115,11 +55,9 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    match cmt_lint::analyze(&paths, &filter) {
+    match cmt_lint::analyze(&paths) {
         Ok(diags) if diags.is_empty() => {
-            if !quiet {
-                println!("cmt-lint: clean ({} rule families)", RULES.len());
-            }
+            println!("cmt-lint: clean ({} rule families)", RULES.len());
             ExitCode::SUCCESS
         }
         Ok(diags) => {
@@ -140,17 +78,13 @@ fn print_help() {
     println!(
         "cmt-lint: static analyzer for the CMT-bone workspace\n\
          \n\
-         USAGE: cmt-lint [--workspace] [PATH ...] [OPTIONS]\n\
+         USAGE: cmt-lint [--workspace] [PATH ...] [--list-rules]\n\
          \n\
          OPTIONS:\n\
            --workspace          analyze every crate's src/ tree\n\
-           --allow CODE[,..]    suppress a rule code\n\
-           --deny CODE[,..]     re-assert a rule code (wins over --allow)\n\
-           --audit              dependency/license audit of the manifests\n\
            --list-rules         print the rule table\n\
-           --quiet, -q          no output when clean\n\
          \n\
-         In-source escape hatch: `// cmt-lint: allow(CMT-L003)` on the\n\
+         In-source escape hatch: `// cmt-lint: allow(CMT-L001)` on the\n\
          finding's line or in the comment block introducing its\n\
          statement, or (file-wide) in the first 15 lines of the file."
     );

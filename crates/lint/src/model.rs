@@ -9,7 +9,7 @@
 //! workspace would connect everything to everything; those names are
 //! never resolved (see [`crate::config::CALL_NAME_STOPLIST`]).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
 
 use crate::config;
@@ -23,18 +23,9 @@ pub type FnId = (usize, usize);
 #[derive(Debug, Clone)]
 pub struct CallSite {
     /// Callee name: last path segment (`cmt_gs::setup` -> `setup`,
-    /// `handle.gs_op_start` -> `gs_op_start`), or macro name for
-    /// `name!(..)` invocations (flagged by `is_macro`).
+    /// `handle.gs_op_start` -> `gs_op_start`). Macro invocations are not
+    /// call sites.
     pub name: String,
-    /// `Type::name` qualifier when the call is written with a path
-    /// (`Vec::new`, `BufferPool::take`); `None` for method calls.
-    pub receiver_type: Option<String>,
-    /// Turbofish type arguments, identifiers only (`send::<Foo>` ->
-    /// `["Foo"]`), outermost level.
-    pub turbofish: Vec<String>,
-    pub is_macro: bool,
-    /// Whether this is a `.name(..)` method call.
-    pub is_method: bool,
     /// Token index of the callee name.
     pub tok: usize,
     pub line: u32,
@@ -48,8 +39,6 @@ pub struct Workspace {
     pub calls: HashMap<FnId, Vec<CallSite>>,
     /// Functions by bare name.
     pub fn_by_name: HashMap<String, Vec<FnId>>,
-    /// Type names with an `impl WireCodec for T` anywhere in the tree.
-    pub wirecodec_types: HashSet<String>,
 }
 
 impl Workspace {
@@ -61,13 +50,7 @@ impl Workspace {
             .collect();
         let mut fn_by_name: HashMap<String, Vec<FnId>> = HashMap::new();
         let mut calls = HashMap::new();
-        let mut wirecodec_types = HashSet::new();
         for (fi, fa) in files.iter().enumerate() {
-            for im in &fa.impls {
-                if im.trait_name.as_deref() == Some("WireCodec") {
-                    wirecodec_types.insert(im.type_name.clone());
-                }
-            }
             for (gi, f) in fa.fns.iter().enumerate() {
                 fn_by_name.entry(f.name.clone()).or_default().push((fi, gi));
                 if let Some((open, close)) = f.body {
@@ -79,7 +62,6 @@ impl Workspace {
             files,
             calls,
             fn_by_name,
-            wirecodec_types,
         }
     }
 
@@ -91,15 +73,6 @@ impl Workspace {
         &self.files[id.0].path
     }
 
-    /// Human-readable function label: `Type::name` or `name`.
-    pub fn fn_label(&self, id: FnId) -> String {
-        let f = self.fn_item(id);
-        match &f.impl_type {
-            Some(t) => format!("{}::{}", t, f.name),
-            None => f.name.clone(),
-        }
-    }
-
     /// Call-graph successors of `id`, name-resolved against the
     /// workspace, skipping stoplisted names.
     pub fn callees(&self, id: FnId) -> Vec<FnId> {
@@ -108,7 +81,7 @@ impl Workspace {
             return out;
         };
         for c in sites {
-            if c.is_macro || config::CALL_NAME_STOPLIST.contains(&c.name.as_str()) {
+            if config::CALL_NAME_STOPLIST.contains(&c.name.as_str()) {
                 continue;
             }
             if let Some(ids) = self.fn_by_name.get(&c.name) {
@@ -137,17 +110,8 @@ pub fn extract_calls(toks: &[Token], open: usize, close: usize) -> Vec<CallSite>
             i += 1;
             continue;
         }
-        let name = t.text.clone();
-        let is_method = i > open + 1 && toks[i - 1].text == ".";
-        let receiver_type = if !is_method && i >= 2 && toks[i - 1].text == "::" {
-            // `Seg::name` — record the qualifying segment.
-            (toks[i - 2].kind == TokKind::Ident).then(|| toks[i - 2].text.clone())
-        } else {
-            None
-        };
         // Look past an optional turbofish `::<..>` for the call paren.
         let mut j = i + 1;
-        let mut turbofish = Vec::new();
         if j + 1 < close && toks[j].text == "::" && toks[j + 1].text == "<" {
             let mut depth = 0i64;
             let mut k = j + 1;
@@ -160,38 +124,15 @@ pub fn extract_calls(toks: &[Token], open: usize, close: usize) -> Vec<CallSite>
                             break;
                         }
                     }
-                    _ => {
-                        if depth == 1 && toks[k].kind == TokKind::Ident {
-                            turbofish.push(toks[k].text.clone());
-                        }
-                    }
+                    _ => {}
                 }
                 k += 1;
             }
             j = k + 1;
         }
-        if j < close && toks[j].text == "!" {
-            // Macro invocation `name!(..)` / `name![..]` / `name!{..}`.
-            out.push(CallSite {
-                name,
-                receiver_type: None,
-                turbofish: Vec::new(),
-                is_macro: true,
-                is_method: false,
-                tok: i,
-                line: t.line,
-                col: t.col,
-            });
-            i += 1;
-            continue;
-        }
         if j < close && toks[j].text == "(" {
             out.push(CallSite {
-                name,
-                receiver_type,
-                turbofish,
-                is_macro: false,
-                is_method,
+                name: t.text.clone(),
                 tok: i,
                 line: t.line,
                 col: t.col,
@@ -212,7 +153,7 @@ mod tests {
     }
 
     #[test]
-    fn extracts_method_path_macro_and_turbofish_calls() {
+    fn extracts_method_path_and_turbofish_calls_but_not_macros() {
         let w = ws("fn f(rank: &mut Rank) {\n\
                let v = Vec::with_capacity(4);\n\
                rank.send::<f64>(1, TAG, &v);\n\
@@ -220,14 +161,8 @@ mod tests {
                helper(s);\n\
              }\n\
              fn helper(_s: String) {}\n");
-        let calls = &w.calls[&(0, 0)];
-        let wc = calls.iter().find(|c| c.name == "with_capacity").unwrap();
-        assert_eq!(wc.receiver_type.as_deref(), Some("Vec"));
-        let send = calls.iter().find(|c| c.name == "send").unwrap();
-        assert!(send.is_method);
-        assert_eq!(send.turbofish, vec!["f64".to_string()]);
-        assert!(calls.iter().any(|c| c.name == "format" && c.is_macro));
-        assert!(calls.iter().any(|c| c.name == "helper" && !c.is_method));
+        let names: Vec<&str> = w.calls[&(0, 0)].iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["with_capacity", "send", "helper"]);
     }
 
     #[test]
@@ -245,13 +180,6 @@ mod tests {
         let w = ws("fn a(v: &mut Vec<u8>) { v.push(1); }\nfn push(_v: u8) {}\n");
         let a = w.fn_by_name["a"][0];
         assert!(w.callees(a).is_empty());
-    }
-
-    #[test]
-    fn wirecodec_impls_collected() {
-        let w = ws("impl WireCodec for RankOutput { }\nimpl simmpi::WireCodec for Other { }\n");
-        assert!(w.wirecodec_types.contains("RankOutput"));
-        assert!(w.wirecodec_types.contains("Other"));
     }
 
     #[test]

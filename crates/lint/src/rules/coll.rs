@@ -43,7 +43,7 @@ fn collective_bearing(ws: &Workspace) -> HashSet<String> {
     for (&id, calls) in &ws.calls {
         if calls
             .iter()
-            .any(|c| !c.is_macro && config::COLLECTIVES.contains(&c.name.as_str()))
+            .any(|c| config::COLLECTIVES.contains(&c.name.as_str()))
         {
             bearing.insert(id);
             worklist.push(id);
@@ -170,7 +170,7 @@ fn skeleton(
     };
     calls
         .iter()
-        .filter(|c| c.tok >= a && c.tok < b && !c.is_macro)
+        .filter(|c| c.tok >= a && c.tok < b)
         .filter(|c| {
             config::COLLECTIVES.contains(&c.name.as_str())
                 || (!config::CALL_NAME_STOPLIST.contains(&c.name.as_str())

@@ -1,11 +1,8 @@
 //! The rule engine: each family takes the workspace model and returns
-//! raw findings; the driver applies the in-source escape hatch and the
-//! CLI filter afterwards.
+//! raw findings; the driver applies the in-source escape hatch afterwards.
 
-pub mod alloc;
 pub mod coll;
 pub mod split;
-pub mod wire;
 
 use crate::diag::Diagnostic;
 use crate::model::Workspace;
@@ -15,8 +12,6 @@ pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     out.extend(split::check(ws));
     out.extend(coll::check(ws));
-    out.extend(alloc::check(ws));
-    out.extend(wire::check(ws));
     out.sort_by(|a, b| {
         (a.file.clone(), a.line, a.col, a.code).cmp(&(b.file.clone(), b.line, b.col, b.code))
     });

@@ -7,7 +7,7 @@
 
 use std::path::{Path, PathBuf};
 
-use cmt_lint::diag::{Diagnostic, Filter};
+use cmt_lint::diag::Diagnostic;
 
 fn fixture(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -16,7 +16,7 @@ fn fixture(rel: &str) -> PathBuf {
 }
 
 fn analyze_fixture(rel: &str) -> Vec<Diagnostic> {
-    cmt_lint::analyze(&[fixture(rel)], &Filter::default()).expect("fixture analysis failed")
+    cmt_lint::analyze(&[fixture(rel)]).expect("fixture analysis failed")
 }
 
 /// `(code, line)` pairs, sorted, for exact-span assertions.
@@ -75,59 +75,6 @@ fn l002_symmetric_skeletons_are_clean() {
     assert!(d.is_empty(), "{d:#?}");
 }
 
-// --------------------------------------------------------------- L003
-
-#[test]
-fn l003_allocs_in_a_root_are_flagged_per_construct() {
-    let d = analyze_fixture("l003_hot_clone.rs");
-    assert_eq!(spans(&d), [("CMT-L003", 5), ("CMT-L003", 6)], "{d:#?}");
-    let messages: Vec<&str> = d.iter().map(|d| d.message.as_str()).collect();
-    assert!(
-        messages.iter().any(|m| m.contains(".clone()")),
-        "{messages:?}"
-    );
-    assert!(
-        messages.iter().any(|m| m.contains("format!")),
-        "{messages:?}"
-    );
-}
-
-#[test]
-fn l003_alloc_behind_a_helper_reports_the_call_chain() {
-    let d = analyze_fixture("l003_alloc_chain.rs");
-    assert_eq!(spans(&d), [("CMT-L003", 9)], "{d:#?}");
-    let note = d[0].note.as_deref().unwrap_or("");
-    assert!(note.contains("deriv -> stage_unpack"), "{note}");
-}
-
-#[test]
-fn l003_pooled_root_and_unreachable_setup_are_clean() {
-    let d = analyze_fixture("l003_clean.rs");
-    assert!(d.is_empty(), "{d:#?}");
-}
-
-// --------------------------------------------------------------- L004
-
-#[test]
-fn l004_unregistered_send_payload_is_flagged() {
-    let d = analyze_fixture("l004_unregistered_send.rs");
-    assert_eq!(spans(&d), [("CMT-L004", 6)], "{d:#?}");
-    assert!(d[0].message.contains("ParticleRecord"), "{}", d[0].message);
-}
-
-#[test]
-fn l004_unregistered_bcast_payload_is_flagged() {
-    let d = analyze_fixture("l004_unregistered_bcast.rs");
-    assert_eq!(spans(&d), [("CMT-L004", 4)], "{d:#?}");
-    assert!(d[0].message.contains("DiagRow"), "{}", d[0].message);
-}
-
-#[test]
-fn l004_primitives_and_wirecodec_types_are_clean() {
-    let d = analyze_fixture("l004_clean.rs");
-    assert!(d.is_empty(), "{d:#?}");
-}
-
 // ---------------------------------------------------- corpus sweeps
 
 const BAD_FIXTURES: &[&str] = &[
@@ -135,18 +82,9 @@ const BAD_FIXTURES: &[&str] = &[
     "l001_early_exit.rs",
     "l002_root_only.rs",
     "l002_match_helper.rs",
-    "l003_hot_clone.rs",
-    "l003_alloc_chain.rs",
-    "l004_unregistered_send.rs",
-    "l004_unregistered_bcast.rs",
 ];
 
-const CLEAN_FIXTURES: &[&str] = &[
-    "l001_clean.rs",
-    "l002_clean.rs",
-    "l003_clean.rs",
-    "l004_clean.rs",
-];
+const CLEAN_FIXTURES: &[&str] = &["l001_clean.rs", "l002_clean.rs"];
 
 #[test]
 fn every_bad_fixture_yields_findings_only_for_its_own_family() {
@@ -174,34 +112,16 @@ fn every_clean_fixture_is_finding_free() {
 fn cli_exits_nonzero_on_bad_fixtures_and_zero_on_clean() {
     let bin = env!("CARGO_BIN_EXE_cmt-lint");
     let bad = std::process::Command::new(bin)
-        .arg(fixture("l003_hot_clone.rs"))
+        .arg(fixture("l001_unpaired.rs"))
         .output()
         .expect("spawn cmt-lint");
     assert_eq!(bad.status.code(), Some(1), "{bad:?}");
     let stdout = String::from_utf8_lossy(&bad.stdout);
-    assert!(stdout.contains("CMT-L003"), "{stdout}");
+    assert!(stdout.contains("CMT-L001"), "{stdout}");
 
     let clean = std::process::Command::new(bin)
         .arg(fixture("l001_clean.rs"))
         .output()
         .expect("spawn cmt-lint");
     assert_eq!(clean.status.code(), Some(0), "{clean:?}");
-}
-
-#[test]
-fn cli_allow_flag_suppresses_a_family_and_deny_reasserts_it() {
-    let bin = env!("CARGO_BIN_EXE_cmt-lint");
-    let allowed = std::process::Command::new(bin)
-        .args(["--allow", "CMT-L003"])
-        .arg(fixture("l003_hot_clone.rs"))
-        .output()
-        .expect("spawn cmt-lint");
-    assert_eq!(allowed.status.code(), Some(0), "{allowed:?}");
-
-    let denied = std::process::Command::new(bin)
-        .args(["--allow", "CMT-L003", "--deny", "CMT-L003"])
-        .arg(fixture("l003_hot_clone.rs"))
-        .output()
-        .expect("spawn cmt-lint");
-    assert_eq!(denied.status.code(), Some(1), "{denied:?}");
 }

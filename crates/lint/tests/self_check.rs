@@ -1,12 +1,9 @@
 //! Self-check: the shipped workspace must be finding-free. This is the
-//! test-suite twin of the CI `cmt-lint --workspace` gate — any source
-//! change that starts an exchange without finishing it, skews a
-//! collective skeleton, allocates on a hot path, ships an unregistered
-//! payload type, or grows the unsafe boundary fails here first.
+//! gate (`cargo test --workspace` in CI runs it) — any source change
+//! that starts an exchange without finishing it on every path, or skews
+//! a collective skeleton across a rank-dependent branch, fails here.
 
 use std::path::Path;
-
-use cmt_lint::diag::Filter;
 
 #[test]
 fn shipped_workspace_is_finding_free() {
@@ -24,7 +21,7 @@ fn shipped_workspace_is_finding_free() {
         roots.len() > 10,
         "expected every crate's src tree, got {roots:#?}"
     );
-    let diags = cmt_lint::analyze(&roots, &Filter::default()).expect("workspace analysis failed");
+    let diags = cmt_lint::analyze(&roots).expect("workspace analysis failed");
     assert!(
         diags.is_empty(),
         "the shipped workspace must be cmt-lint clean; fix the finding or add a justified \

@@ -1,7 +1,7 @@
-//! CLI-level checks of nekbone's `--variant` surface. The help text
-//! once lagged behind the tiers the library shipped; these tests pin the
-//! parser and the usage string to the full variant set, including `simd`
-//! and `auto`.
+//! CLI-level checks of nekbone's flags. The help text once lagged behind
+//! the tiers the library shipped; these tests pin the parser and the usage
+//! string to the full variant set, including `simd` and `auto`, and spell
+//! the checkpoint flags no other test does.
 
 use std::process::Command;
 
@@ -37,15 +37,27 @@ fn state_hash(extra: &[&str]) -> String {
 }
 
 #[test]
-fn every_variant_spelling_is_accepted_and_simd_matches_opt() {
+fn every_flag_spelling_is_accepted_and_neutral_ones_match_opt() {
     let opt = state_hash(&["--variant", "opt"]);
-    for v in ["basic", "simd", "auto"] {
-        let h = state_hash(&["--variant", v]);
-        if v == "simd" {
-            assert_eq!(h, opt, "--variant simd diverged from opt");
+    let dir = std::env::temp_dir().join(format!("nekbone-cli-{}", std::process::id()));
+    let ckpt = dir.to_str().expect("utf8 temp dir");
+    // (flags, reproduces the `--variant opt` run bit for bit)
+    let rows: [(&[&str], bool); 5] = [
+        (&["--variant", "basic"], false),
+        (&["--variant", "simd"], true),
+        (&["--variant", "auto"], false),
+        (&["--checkpoint-every", "4", "--checkpoint-dir", ckpt], true),
+        // resumes from the last checkpoint the row above left on disk
+        (&["--restart", ckpt], true),
+    ];
+    for (flags, neutral) in rows {
+        let h = state_hash(flags);
+        assert_eq!(h.len(), 16, "{flags:?}: malformed state hash {h}");
+        if neutral {
+            assert_eq!(h, opt, "{flags:?} diverged from --variant opt");
         }
-        assert_eq!(h.len(), 16, "--variant {v}: malformed state hash {h}");
     }
+    std::fs::remove_dir_all(&dir).expect("checkpoint dir was written");
 }
 
 #[test]

@@ -252,9 +252,6 @@ impl Rank {
         );
         let p = self.size();
         let rank = self.rank();
-        // cmt-lint: allow(CMT-L003) — the accumulator IS the owned
-        // result this API returns; per-element reuse belongs to callers
-        // that keep the returned vector alive across calls.
         let mut acc = data.to_vec();
         let mut bytes = 0u64;
         let mut nmsgs = 0u64;
@@ -326,8 +323,6 @@ impl Rank {
         if nchildren > 0 && acc.len() > INLINE_ELEMS {
             // Arc-shared fan-out: N children cost zero clones; the last
             // opener (or this rank, reclaiming below) moves the buffer.
-            // cmt-lint: allow(CMT-L003) — one Arc shell replaces N
-            // payload copies; strictly fewer allocations than cloning.
             let shared = Arc::new(acc);
             while k >= 1 {
                 if (rank == 0 || k < my_lsb) && rank + k < p {
@@ -341,9 +336,9 @@ impl Rank {
                 }
                 k >>= 1;
             }
-            // cmt-lint: allow(CMT-L003) — the clone runs only when a
-            // child still holds the Arc (lost race), never on the common
-            // path where this rank is the last holder.
+            // The clone runs only when a child still holds the Arc (lost
+            // race), never on the common path where this rank is the last
+            // holder.
             acc = Arc::try_unwrap(shared).unwrap_or_else(|a| (*a).clone());
         } else {
             while k >= 1 {

@@ -55,8 +55,6 @@ impl Rank {
         &mut self,
         mut outgoing: Vec<(usize, Vec<T>)>,
     ) -> Vec<(usize, Vec<T>)> {
-        // cmt-lint: allow(CMT-L003) — the allocating convenience form;
-        // steady-state callers reuse staging via `crystal_router_into`.
         let mut arrived = Vec::new();
         self.crystal_router_into(&mut outgoing, &mut arrived);
         arrived
@@ -115,8 +113,6 @@ impl Rank {
         let hollow = || RoutedMsg {
             src: 0,
             dest: 0,
-            // cmt-lint: allow(CMT-L003) — an empty Vec has no heap
-            // behind it; this placeholder never allocates.
             data: Vec::new(),
         };
 

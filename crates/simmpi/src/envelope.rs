@@ -18,36 +18,107 @@
 //!   (`f64`/`u64`/`u8`, up to [`INLINE_ELEMS`] elements) ride inside the
 //!   envelope itself: the eager path that skips the heap entirely.
 
-use std::any::{Any, TypeId};
+use std::any::Any;
 use std::sync::Arc;
 
 use crate::pool::{BufferPool, PooledVec};
+pub(crate) use sealed::Payload;
 
-/// Marker trait for element types that may cross ranks.
+/// The crate-private half of [`Msg`]: nominally `pub` so the trait's
+/// signatures may mention it, unnameable from outside so the trait is sealed.
+pub(crate) mod sealed {
+    use std::any::Any;
+    use std::sync::Arc;
+
+    use super::INLINE_ELEMS;
+    use crate::wire::{WireError, WireReader};
+
+    /// What the transports need from an element type. The impls live in
+    /// [`crate::wire`], next to the ids they assign.
+    pub trait Elem: Clone + Send + Sync + 'static {
+        /// Wire id of a `Vec<Self>` payload.
+        const WIRE_ID: u16;
+        /// Fewest bytes one encoded element occupies: bounds a declared
+        /// element count by the bytes left in the frame.
+        const MIN_WIRE_BYTES: usize;
+        /// Append this element's little-endian encoding.
+        fn put(&self, buf: &mut Vec<u8>);
+        /// Decode one element.
+        fn get(r: &mut WireReader<'_>) -> Result<Self, WireError>;
+        /// Append every element of `data` (`u8` overrides this with one copy).
+        fn put_all(data: &[Self], buf: &mut Vec<u8>) {
+            for v in data {
+                v.put(buf);
+            }
+        }
+        /// Copy `data` into the inline payload form, if the type has one
+        /// and `data` fits.
+        fn to_inline(_data: &[Self]) -> Option<Payload> {
+            None
+        }
+        /// The elements of `p`, if it is this type's inline form.
+        fn as_inline(_p: &Payload) -> Option<&[Self]> {
+            None
+        }
+    }
+
+    /// A `Vec<T: Msg>` behind a vtable: what a boxed or shared payload holds.
+    /// It downcasts back to `Vec<T>` on open and serializes itself for the
+    /// socket backend.
+    pub trait ErasedVec: Any + Send + Sync {
+        /// Append the payload section of a data frame (see [`crate::wire`]).
+        fn put_wire(&self, buf: &mut Vec<u8>);
+    }
+
+    impl<T: Elem> ErasedVec for Vec<T> {
+        fn put_wire(&self, buf: &mut Vec<u8>) {
+            crate::wire::put_payload(self, buf);
+        }
+    }
+
+    /// The type-erased payload representations (see module docs).
+    pub enum Payload {
+        /// `Box<Vec<T>>`; shell and capacity are recyclable.
+        Boxed(Box<dyn ErasedVec>),
+        /// `Arc<Vec<T>>` shared by a one-to-many fan-out.
+        Shared(Arc<dyn ErasedVec>),
+        /// Small `f64` payload carried inline (length, storage).
+        InlineF64(u8, [f64; INLINE_ELEMS]),
+        /// Small `u64` payload carried inline.
+        InlineU64(u8, [u64; INLINE_ELEMS]),
+        /// Small `u8` payload carried inline.
+        InlineU8(u8, [u8; INLINE_ELEMS]),
+    }
+}
+
+/// Element types that may cross ranks: exactly `f64`, `u64`, `u8`, `u32`,
+/// `usize` and [`crate::crystal::RoutedMsg`] of those.
 ///
-/// Blanket-implemented for every `Clone + Send + Sync + 'static` type; in
-/// practice the mini-apps move `f64` field data and `u64`/`usize` id
-/// lists. (`Sync` is required so a payload can be `Arc`-shared across a
-/// broadcast fan-out.)
-pub trait Msg: Clone + Send + Sync + 'static {}
-impl<T: Clone + Send + Sync + 'static> Msg for T {}
+/// The trait is sealed — each implementor carries its wire id, its
+/// little-endian element codec and (for `f64`/`u64`/`u8`) its inline form,
+/// so whatever the in-process backend accepts the socket backend can
+/// serialize:
+///
+/// ```
+/// fn f(rank: &mut simmpi::Rank) {
+///     rank.send::<u32>(1, 0, &[7]);
+/// }
+/// ```
+///
+/// Any other element type is rejected at compile time, on both transports:
+///
+/// ```compile_fail
+/// fn f(rank: &mut simmpi::Rank) {
+///     rank.send::<String>(1, 0, &[String::new()]);
+/// }
+/// ```
+///
+/// Compound values travel as bytes through a [`crate::WireCodec`] impl.
+pub trait Msg: sealed::Elem {}
+impl<T: sealed::Elem> Msg for T {}
 
 /// Maximum element count of the inline (eager) payload representation.
 pub const INLINE_ELEMS: usize = 8;
-
-/// The type-erased payload representations (see module docs).
-pub(crate) enum Payload {
-    /// `Box<Vec<T>>` behind `dyn Any`; shell and capacity are recyclable.
-    Boxed(Box<dyn Any + Send>),
-    /// `Arc<Vec<T>>` shared by a one-to-many fan-out.
-    Shared(Arc<dyn Any + Send + Sync>),
-    /// Small `f64` payload carried inline (length, storage).
-    InlineF64(u8, [f64; INLINE_ELEMS]),
-    /// Small `u64` payload carried inline.
-    InlineU64(u8, [u64; INLINE_ELEMS]),
-    /// Small `u8` payload carried inline.
-    InlineU8(u8, [u8; INLINE_ELEMS]),
-}
 
 /// A message in flight: source rank, tag, type-erased payload, and its
 /// wire-equivalent size in bytes.
@@ -70,51 +141,6 @@ pub struct Envelope {
     pub clock: Option<Box<[u64]>>,
     /// Sender's context label at send time (verifier installed only).
     pub sender_ctx: Option<Box<str>>,
-}
-
-/// Copy a small slice into an inline payload, if the element type has an
-/// inline form. The per-element `dyn Any` downcast is how a generic `T`
-/// is matched against the concrete inline types without `unsafe`.
-fn to_inline<T: Msg>(data: &[T]) -> Option<Payload> {
-    if data.len() > INLINE_ELEMS {
-        return None;
-    }
-    let tid = TypeId::of::<T>();
-    if tid == TypeId::of::<f64>() {
-        let mut arr = [0.0f64; INLINE_ELEMS];
-        for (slot, v) in arr.iter_mut().zip(data) {
-            *slot = *(v as &dyn Any).downcast_ref::<f64>().unwrap();
-        }
-        Some(Payload::InlineF64(data.len() as u8, arr))
-    } else if tid == TypeId::of::<u64>() {
-        let mut arr = [0u64; INLINE_ELEMS];
-        for (slot, v) in arr.iter_mut().zip(data) {
-            *slot = *(v as &dyn Any).downcast_ref::<u64>().unwrap();
-        }
-        Some(Payload::InlineU64(data.len() as u8, arr))
-    } else if tid == TypeId::of::<u8>() {
-        let mut arr = [0u8; INLINE_ELEMS];
-        for (slot, v) in arr.iter_mut().zip(data) {
-            *slot = *(v as &dyn Any).downcast_ref::<u8>().unwrap();
-        }
-        Some(Payload::InlineU8(data.len() as u8, arr))
-    } else {
-        None
-    }
-}
-
-/// Copy inline elements of concrete type `E` out as `Vec<T>`; panics with
-/// the datatype-mismatch diagnostic if `T != E`.
-fn open_inline<T: Msg, E: Msg>(src: usize, tag: u64, vals: &[E], out: &mut Vec<T>) {
-    if TypeId::of::<T>() != TypeId::of::<E>() {
-        mismatch::<T>(src, tag);
-    }
-    out.extend(
-        vals.iter()
-            // cmt-lint: allow(CMT-L003) — `T` is an inline-eligible
-            // scalar (f64/u64/u8); this clone is a register copy.
-            .map(|v| (v as &dyn Any).downcast_ref::<T>().unwrap().clone()),
-    );
 }
 
 fn mismatch<T>(src: usize, tag: u64) -> ! {
@@ -165,7 +191,7 @@ impl Envelope {
     /// a supported element type; `None` if the payload is too large or
     /// the type has no inline form.
     pub(crate) fn inline_from<T: Msg>(src: usize, tag: u64, data: &[T]) -> Option<Self> {
-        let payload = to_inline(data)?;
+        let payload = T::to_inline(data)?;
         Some(Envelope {
             src,
             tag,
@@ -189,19 +215,18 @@ impl Envelope {
             src, tag, payload, ..
         } = self;
         match payload {
-            Payload::Boxed(b) => match b.downcast::<Vec<T>>() {
+            Payload::Boxed(b) => match (b as Box<dyn Any>).downcast::<Vec<T>>() {
                 Ok(v) => *v,
                 Err(_) => mismatch::<T>(src, tag),
             },
-            Payload::Shared(a) => match a.downcast::<Vec<T>>() {
+            Payload::Shared(a) => match (a as Arc<dyn Any + Send + Sync>).downcast::<Vec<T>>() {
                 Ok(arc) => Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()),
                 Err(_) => mismatch::<T>(src, tag),
             },
-            inline => {
-                let mut out = Vec::new();
-                open_inline_payload(src, tag, inline, &mut out);
-                out
-            }
+            inline => match T::as_inline(&inline) {
+                Some(vals) => vals.to_vec(),
+                None => mismatch::<T>(src, tag),
+            },
         }
     }
 
@@ -218,15 +243,14 @@ impl Envelope {
             src, tag, payload, ..
         } = self;
         match payload {
-            Payload::Boxed(b) => match b.downcast::<Vec<T>>() {
+            Payload::Boxed(b) => match (b as Box<dyn Any>).downcast::<Vec<T>>() {
                 Ok(v) => pool.adopt(v),
                 Err(_) => mismatch::<T>(src, tag),
             },
-            Payload::Shared(a) => match a.downcast::<Vec<T>>() {
+            Payload::Shared(a) => match (a as Arc<dyn Any + Send + Sync>).downcast::<Vec<T>>() {
                 Ok(arc) => match Arc::try_unwrap(arc) {
-                    // cmt-lint: allow(CMT-L003) — one box *shell* (not a
-                    // payload copy) so the uniquely-held broadcast buffer
-                    // can adopt into the pool; the shell itself recycles.
+                    // One box *shell* (not a payload copy) so the uniquely
+                    // held broadcast buffer can adopt into the pool.
                     Ok(v) => pool.adopt(Box::new(v)),
                     Err(arc) => {
                         let mut buf = pool.take::<T>();
@@ -237,22 +261,14 @@ impl Envelope {
                 Err(_) => mismatch::<T>(src, tag),
             },
             inline => {
+                let Some(vals) = T::as_inline(&inline) else {
+                    mismatch::<T>(src, tag)
+                };
                 let mut buf = pool.take::<T>();
-                open_inline_payload(src, tag, inline, &mut buf);
+                buf.extend_from_slice(vals);
                 buf
             }
         }
-    }
-}
-
-/// Dispatch an inline payload variant into `out` (panics on mismatch, or
-/// if called with a non-inline variant — the callers matched those away).
-fn open_inline_payload<T: Msg>(src: usize, tag: u64, payload: Payload, out: &mut Vec<T>) {
-    match payload {
-        Payload::InlineF64(len, arr) => open_inline::<T, f64>(src, tag, &arr[..len as usize], out),
-        Payload::InlineU64(len, arr) => open_inline::<T, u64>(src, tag, &arr[..len as usize], out),
-        Payload::InlineU8(len, arr) => open_inline::<T, u8>(src, tag, &arr[..len as usize], out),
-        _ => unreachable!("boxed/shared payloads are handled by the caller"),
     }
 }
 

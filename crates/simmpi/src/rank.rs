@@ -165,8 +165,6 @@ impl Rank {
     /// the `Arc` across a pooled region so the borrow of `self` ends.
     #[inline]
     pub fn worker_pool(&self) -> Option<Arc<crate::workers::WorkerPool>> {
-        // cmt-lint: allow(CMT-L003) — Arc refcount bump, not a heap
-        // allocation.
         self.workers.clone()
     }
 
@@ -263,8 +261,6 @@ impl Rank {
     /// A clone of this rank's [`DiscardList`], for library handles that
     /// must cancel in-flight messages from a `Drop` impl.
     pub fn discard_list(&self) -> DiscardList {
-        // cmt-lint: allow(CMT-L003) — DiscardList is an Arc handle; the
-        // clone is a refcount bump, not a heap allocation.
         self.discards.clone()
     }
 
@@ -404,9 +400,9 @@ impl Rank {
         if self.discards.is_empty() {
             return;
         }
-        // cmt-lint: allow(CMT-L003) — both are Arc handles cloned (one
-        // refcount bump each) to end the `&self` borrows before the
-        // `retain` below takes `&mut self.pending`.
+        // Both are Arc handles, cloned (one refcount bump each) to end the
+        // `&self` borrows before the `retain` below takes
+        // `&mut self.pending`.
         let (discards, verify) = (self.discards.clone(), self.verify.clone());
         let rank = self.rank;
         self.pending.retain(|e| {
@@ -527,16 +523,8 @@ impl Rank {
     /// the envelope — the eager path, free of heap traffic.
     pub fn send<T: Msg>(&mut self, dest: usize, tag: Tag, data: &[T]) {
         Self::assert_user_tag(tag);
-        match Envelope::inline_from(self.rank, tag, data) {
-            Some(env) => self.send_env_timed(dest, env, MpiOp::Send),
-            None => self.send_vec(dest, tag, data.to_vec()),
-        }
-    }
-
-    /// Blocking send that takes ownership of the buffer (no copy).
-    pub fn send_vec<T: Msg>(&mut self, dest: usize, tag: Tag, data: Vec<T>) {
-        Self::assert_user_tag(tag);
-        let env = Envelope::new(self.rank, tag, data);
+        let env = Envelope::inline_from(self.rank, tag, data)
+            .unwrap_or_else(|| Envelope::new(self.rank, tag, data.to_vec()));
         self.send_env_timed(dest, env, MpiOp::Send);
     }
 
@@ -559,16 +547,8 @@ impl Rank {
     /// as with [`Rank::send`].
     pub fn isend<T: Msg>(&mut self, dest: usize, tag: Tag, data: &[T]) {
         Self::assert_user_tag(tag);
-        match Envelope::inline_from(self.rank, tag, data) {
-            Some(env) => self.send_env_timed(dest, env, MpiOp::Isend),
-            None => self.isend_vec(dest, tag, data.to_vec()),
-        }
-    }
-
-    /// Non-blocking send taking ownership of the buffer.
-    pub fn isend_vec<T: Msg>(&mut self, dest: usize, tag: Tag, data: Vec<T>) {
-        Self::assert_user_tag(tag);
-        let env = Envelope::new(self.rank, tag, data);
+        let env = Envelope::inline_from(self.rank, tag, data)
+            .unwrap_or_else(|| Envelope::new(self.rank, tag, data.to_vec()));
         self.send_env_timed(dest, env, MpiOp::Isend);
     }
 
@@ -582,7 +562,7 @@ impl Rank {
     }
 
     /// Post a non-blocking receive. The returned request is completed by
-    /// [`Rank::wait_recv`] / [`Rank::waitall_recv`], where any blocking
+    /// [`Rank::wait_recv`], where any blocking
     /// time is attributed to `MPI_Wait` — the attribution behind the
     /// paper's Fig. 9, in which `MPI_Wait` dominates.
     pub fn irecv(&mut self, src: usize, tag: Tag) -> RecvRequest {
@@ -606,11 +586,6 @@ impl Rank {
             .record(MpiOp::Wait, &ctx, start.elapsed(), bytes, 0.0);
         self.context = ctx;
         data
-    }
-
-    /// Complete a set of posted receives in order.
-    pub fn waitall_recv<T: Msg>(&mut self, reqs: &[RecvRequest]) -> Vec<Vec<T>> {
-        reqs.iter().map(|&r| self.wait_recv(r)).collect()
     }
 
     /// Complete a posted receive into a pool-guarded buffer. Boxed

@@ -18,19 +18,20 @@
 //! wire-equivalent byte count (kept verbatim so mpiP books and the
 //! network model agree bitwise with the in-process backend), a send
 //! timestamp (feeding measured latency/bandwidth samples to
-//! [`crate::NetworkModel::fit`]), the payload element type as a small
-//! registry id, the elements, and — when a verifier is installed — the
-//! piggybacked vector clock and sender context.
+//! [`crate::NetworkModel::fit`]), the payload element type's wire id, the
+//! elements, and — when a verifier is installed — the piggybacked vector
+//! clock and sender context.
 //!
-//! **Payload registry.** Payloads are typed `Vec<T>`s behind `dyn Any`;
-//! the wire cannot ship a `TypeId`, so every element type that may cross
-//! a process boundary has a stable numeric id here: the primitive types
-//! the mini-apps exchange (`f64`/`u64`/`u8`/`u32`/`usize`) and the
-//! crystal router's [`RoutedMsg`] bundles. Sending an unregistered type
-//! over a socket transport panics with instructions; receiving an
-//! unknown id is a [`WireError::UnknownPayloadType`].
+//! **Payload element types.** Payloads are typed `Vec<T>`s behind a
+//! vtable, and `T` is bounded by the sealed [`Msg`] trait, implemented
+//! below for exactly `f64`/`u64`/`u8`/`u32`/`usize` and the crystal
+//! router's [`RoutedMsg`] bundles of those. Each impl carries its stable
+//! wire id (1–9) and its element codec, so a boxed or shared payload
+//! encodes itself through its vtable and nothing that compiles can fail
+//! to serialize. Decoding is the one place an id turns back into a type;
+//! an id outside the table is a [`WireError::UnknownPayloadType`].
 //!
-//! Decoded primitive payloads stage through the receiving rank's
+//! Decoded payloads stage through the receiving rank's
 //! [`BufferPool`] (the box shell and capacity recycle exactly as on the
 //! in-process path), so the zero-allocation steady state survives the
 //! serialization boundary. Inline (eager) payloads are re-materialized
@@ -41,10 +42,10 @@
 //! [`crate::World::run_dist`] can ship results from rank processes back
 //! to the launcher.
 
-use std::any::Any;
 use std::time::SystemTime;
 
 use crate::crystal::RoutedMsg;
+use crate::envelope::sealed::Elem;
 use crate::envelope::{Envelope, Msg, Payload, INLINE_ELEMS};
 use crate::pool::BufferPool;
 use crate::stats::{CommStats, MpiOp, SiteKey, SiteStats};
@@ -107,7 +108,7 @@ pub enum WireError {
     BadVersion(u16),
     /// Unknown frame kind byte.
     BadKind(u8),
-    /// Payload element type id not in the registry.
+    /// Payload wire id that no [`crate::Msg`] element type carries.
     UnknownPayloadType(u16),
     /// FNV-1a checksum mismatch: the frame was corrupted in flight.
     ChecksumMismatch,
@@ -418,207 +419,150 @@ pub(crate) fn decode_data(
 }
 
 // ---------------------------------------------------------------------
-// payload registry
+// payload section: the six `Msg` impls and the id -> type table
 // ---------------------------------------------------------------------
 
-const WIRE_F64: u16 = 1;
-const WIRE_U64: u16 = 2;
-const WIRE_U8: u16 = 3;
-const WIRE_U32: u16 = 4;
-const WIRE_USIZE: u16 = 5;
-const WIRE_ROUTED_F64: u16 = 6;
-const WIRE_ROUTED_U64: u16 = 7;
-const WIRE_ROUTED_U8: u16 = 8;
-const WIRE_ROUTED_USIZE: u16 = 9;
-
-/// Borrow a boxed/shared payload as a typed slice, if it holds `Vec<T>`.
-fn payload_slice<T: Msg>(p: &Payload) -> Option<&[T]> {
-    match p {
-        Payload::Boxed(b) => (&**b as &dyn Any).downcast_ref::<Vec<T>>(),
-        Payload::Shared(a) => (&**a as &dyn Any).downcast_ref::<Vec<T>>(),
-        _ => None,
-    }
-    .map(Vec::as_slice)
+/// Append the payload section for `data`: wire id (u16), element count
+/// (u64), elements.
+pub(crate) fn put_payload<T: Msg>(data: &[T], buf: &mut Vec<u8>) {
+    put_u16(buf, T::WIRE_ID);
+    put_u64(buf, data.len() as u64);
+    T::put_all(data, buf);
 }
 
-fn put_routed<T: Msg>(buf: &mut Vec<u8>, msgs: &[RoutedMsg<T>], put: fn(&mut Vec<u8>, &T)) {
-    put_u64(buf, msgs.len() as u64);
-    for m in msgs {
-        put_u64(buf, m.src as u64);
-        put_u64(buf, m.dest as u64);
-        put_u64(buf, m.data.len() as u64);
-        for v in &m.data {
-            put(buf, v);
-        }
-    }
-}
-
-/// Serialize the payload section: registry id (u16), element count
-/// (u64), elements. Returns whether the payload was inline (eager).
-///
-/// # Panics
-/// Panics when the element type is not in the registry — sending it over
-/// a socket transport is a programming error the in-process backend
-/// cannot catch for us.
-fn encode_payload(p: &Payload, buf: &mut Vec<u8>) -> bool {
-    match p {
-        Payload::InlineF64(n, arr) => {
-            put_u16(buf, WIRE_F64);
-            put_u64(buf, *n as u64);
-            for v in &arr[..*n as usize] {
-                put_f64(buf, *v);
+/// `Elem` for a scalar: its wire id, encoded size and `put_*`/reader pair,
+/// then any overrides (the inline form; `u8`'s bulk copy).
+macro_rules! scalar_msg {
+    ($t:ty, $id:expr, $bytes:expr, $put:ident, $get:ident $(, $($extra:tt)*)?) => {
+        impl Elem for $t {
+            const WIRE_ID: u16 = $id;
+            const MIN_WIRE_BYTES: usize = $bytes;
+            fn put(&self, buf: &mut Vec<u8>) {
+                $put(buf, *self as _);
             }
-            return true;
-        }
-        Payload::InlineU64(n, arr) => {
-            put_u16(buf, WIRE_U64);
-            put_u64(buf, *n as u64);
-            for v in &arr[..*n as usize] {
-                put_u64(buf, *v);
+            fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                Ok(r.$get()? as _)
             }
-            return true;
+            $($($extra)*)?
         }
-        Payload::InlineU8(n, arr) => {
-            put_u16(buf, WIRE_U8);
-            put_u64(buf, *n as u64);
-            buf.extend_from_slice(&arr[..*n as usize]);
-            return true;
-        }
-        _ => {}
-    }
-    if let Some(v) = payload_slice::<f64>(p) {
-        put_u16(buf, WIRE_F64);
-        put_u64(buf, v.len() as u64);
-        for &x in v {
-            put_f64(buf, x);
-        }
-    } else if let Some(v) = payload_slice::<u64>(p) {
-        put_u16(buf, WIRE_U64);
-        put_u64(buf, v.len() as u64);
-        for &x in v {
-            put_u64(buf, x);
-        }
-    } else if let Some(v) = payload_slice::<u8>(p) {
-        put_u16(buf, WIRE_U8);
-        put_u64(buf, v.len() as u64);
-        buf.extend_from_slice(v);
-    } else if let Some(v) = payload_slice::<u32>(p) {
-        put_u16(buf, WIRE_U32);
-        put_u64(buf, v.len() as u64);
-        for &x in v {
-            put_u32(buf, x);
-        }
-    } else if let Some(v) = payload_slice::<usize>(p) {
-        put_u16(buf, WIRE_USIZE);
-        put_u64(buf, v.len() as u64);
-        for &x in v {
-            put_u64(buf, x as u64);
-        }
-    } else if let Some(v) = payload_slice::<RoutedMsg<f64>>(p) {
-        put_u16(buf, WIRE_ROUTED_F64);
-        put_routed(buf, v, |b, x| put_f64(b, *x));
-    } else if let Some(v) = payload_slice::<RoutedMsg<u64>>(p) {
-        put_u16(buf, WIRE_ROUTED_U64);
-        put_routed(buf, v, |b, x| put_u64(b, *x));
-    } else if let Some(v) = payload_slice::<RoutedMsg<u8>>(p) {
-        put_u16(buf, WIRE_ROUTED_U8);
-        put_routed(buf, v, |b, x| put_u8(b, *x));
-    } else if let Some(v) = payload_slice::<RoutedMsg<usize>>(p) {
-        put_u16(buf, WIRE_ROUTED_USIZE);
-        put_routed(buf, v, |b, x| put_u64(b, *x as u64));
-    } else {
-        panic!(
-            "socket transport cannot serialize this payload element type; \
-             register it in simmpi::wire's payload registry"
-        );
-    }
-    false
+    };
 }
 
-/// Decode a flat primitive payload into a pool-staged `Box<Vec<T>>`.
-fn decode_flat<T: Msg>(
-    r: &mut WireReader<'_>,
-    pool: &BufferPool,
-    elem_bytes: usize,
-    get: impl Fn(&mut WireReader<'_>) -> Result<T, WireError>,
-) -> Result<Payload, WireError> {
-    let n = r.count(elem_bytes)?;
-    let mut v = pool.take::<T>().detach();
-    v.reserve(n);
-    for _ in 0..n {
-        v.push(get(r)?);
-    }
-    Ok(Payload::Boxed(v))
+/// The two inline-form methods of a scalar whose `Payload` variant is `$variant`.
+macro_rules! inline_form {
+    ($variant:ident) => {
+        fn to_inline(data: &[Self]) -> Option<Payload> {
+            let mut arr = [Self::default(); INLINE_ELEMS];
+            arr.get_mut(..data.len())?.copy_from_slice(data);
+            Some(Payload::$variant(data.len() as u8, arr))
+        }
+        fn as_inline(p: &Payload) -> Option<&[Self]> {
+            match p {
+                Payload::$variant(n, arr) => Some(&arr[..*n as usize]),
+                _ => None,
+            }
+        }
+    };
 }
 
-fn decode_routed<T: Msg>(
-    r: &mut WireReader<'_>,
-    pool: &BufferPool,
-    elem_bytes: usize,
-    get: impl Fn(&mut WireReader<'_>) -> Result<T, WireError>,
-) -> Result<Payload, WireError> {
-    let n = r.count(24)?;
-    let mut msgs = pool.take::<RoutedMsg<T>>().detach();
-    msgs.reserve(n);
-    for _ in 0..n {
+scalar_msg!(f64, 1, 8, put_f64, f64, inline_form!(InlineF64););
+scalar_msg!(u64, 2, 8, put_u64, u64, inline_form!(InlineU64););
+scalar_msg!(
+    u8,
+    3,
+    1,
+    put_u8,
+    u8,
+    inline_form!(InlineU8);
+    fn put_all(data: &[u8], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(data);
+    }
+);
+scalar_msg!(u32, 4, 4, put_u32, u32);
+scalar_msg!(usize, 5, 8, put_u64, u64);
+
+impl<T: Msg> Elem for RoutedMsg<T> {
+    const WIRE_ID: u16 = match T::WIRE_ID {
+        1 => 6,
+        2 => 7,
+        3 => 8,
+        5 => 9,
+        _ => panic!("RoutedMsg<T> has a wire id only for T = f64, u64, u8, usize"),
+    };
+    const MIN_WIRE_BYTES: usize = 24;
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u64(buf, self.src as u64);
+        put_u64(buf, self.dest as u64);
+        put_u64(buf, self.data.len() as u64);
+        T::put_all(&self.data, buf);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let src = r.u64()? as usize;
         let dest = r.u64()? as usize;
-        let len = r.count(elem_bytes)?;
+        let len = r.count(T::MIN_WIRE_BYTES)?;
         let mut data = Vec::with_capacity(len);
         for _ in 0..len {
-            data.push(get(r)?);
+            data.push(T::get(r)?);
         }
-        msgs.push(RoutedMsg { src, dest, data });
+        Ok(RoutedMsg { src, dest, data })
     }
-    Ok(Payload::Boxed(msgs))
 }
 
-/// Decode the payload section written by [`encode_payload`]. An inline
-/// payload is rebuilt inline, preserving the sender's representation.
+/// Serialize the payload section; returns whether the payload was inline
+/// (eager).
+fn encode_payload(p: &Payload, buf: &mut Vec<u8>) -> bool {
+    match p {
+        Payload::Boxed(v) => v.put_wire(buf),
+        Payload::Shared(v) => v.put_wire(buf),
+        Payload::InlineF64(n, arr) => put_payload(&arr[..*n as usize], buf),
+        Payload::InlineU64(n, arr) => put_payload(&arr[..*n as usize], buf),
+        Payload::InlineU8(n, arr) => put_payload(&arr[..*n as usize], buf),
+    }
+    !matches!(p, Payload::Boxed(_) | Payload::Shared(_))
+}
+
+/// Decode the count and elements of a `Vec<T>` payload through a buffer
+/// staged from `pool`: it becomes the boxed payload, or — for an inline
+/// payload, rebuilt inline to preserve the sender's representation — is
+/// copied into the envelope and parked again.
+fn decode_elems<T: Msg>(
+    r: &mut WireReader<'_>,
+    inline: bool,
+    pool: &BufferPool,
+) -> Result<Payload, WireError> {
+    let n = r.count(T::MIN_WIRE_BYTES)?;
+    if inline && n > INLINE_ELEMS {
+        return Err(WireError::Malformed("inline payload too long"));
+    }
+    let mut v = pool.take::<T>();
+    v.reserve(n);
+    for _ in 0..n {
+        v.push(T::get(r)?);
+    }
+    if inline {
+        T::to_inline(&v).ok_or(WireError::Malformed("inline flag on non-inline type"))
+    } else {
+        Ok(Payload::Boxed(v.detach()))
+    }
+}
+
+/// Decode the payload section written by [`encode_payload`]: the one
+/// place a wire id turns back into an element type.
 fn decode_payload(
     r: &mut WireReader<'_>,
     inline: bool,
     pool: &BufferPool,
 ) -> Result<Payload, WireError> {
-    let wire_id = r.u16()?;
-    if inline {
-        let n = r.count(1)?;
-        if n > INLINE_ELEMS {
-            return Err(WireError::Malformed("inline payload too long"));
-        }
-        return Ok(match wire_id {
-            WIRE_F64 => {
-                let mut arr = [0.0f64; INLINE_ELEMS];
-                for slot in arr.iter_mut().take(n) {
-                    *slot = r.f64()?;
-                }
-                Payload::InlineF64(n as u8, arr)
-            }
-            WIRE_U64 => {
-                let mut arr = [0u64; INLINE_ELEMS];
-                for slot in arr.iter_mut().take(n) {
-                    *slot = r.u64()?;
-                }
-                Payload::InlineU64(n as u8, arr)
-            }
-            WIRE_U8 => {
-                let mut arr = [0u8; INLINE_ELEMS];
-                arr[..n].copy_from_slice(r.bytes(n)?);
-                Payload::InlineU8(n as u8, arr)
-            }
-            _ => return Err(WireError::Malformed("inline flag on non-inline type")),
-        });
-    }
-    match wire_id {
-        WIRE_F64 => decode_flat(r, pool, 8, |r| r.f64()),
-        WIRE_U64 => decode_flat(r, pool, 8, |r| r.u64()),
-        WIRE_U8 => decode_flat(r, pool, 1, |r| r.u8()),
-        WIRE_U32 => decode_flat(r, pool, 4, |r| r.u32()),
-        WIRE_USIZE => decode_flat(r, pool, 8, |r| r.u64().map(|v| v as usize)),
-        WIRE_ROUTED_F64 => decode_routed(r, pool, 8, |r| r.f64()),
-        WIRE_ROUTED_U64 => decode_routed(r, pool, 8, |r| r.u64()),
-        WIRE_ROUTED_U8 => decode_routed(r, pool, 1, |r| r.u8()),
-        WIRE_ROUTED_USIZE => decode_routed(r, pool, 8, |r| r.u64().map(|v| v as usize)),
+    match r.u16()? {
+        1 => decode_elems::<f64>(r, inline, pool),
+        2 => decode_elems::<u64>(r, inline, pool),
+        3 => decode_elems::<u8>(r, inline, pool),
+        4 => decode_elems::<u32>(r, inline, pool),
+        5 => decode_elems::<usize>(r, inline, pool),
+        6 => decode_elems::<RoutedMsg<f64>>(r, inline, pool),
+        7 => decode_elems::<RoutedMsg<u64>>(r, inline, pool),
+        8 => decode_elems::<RoutedMsg<u8>>(r, inline, pool),
+        9 => decode_elems::<RoutedMsg<usize>>(r, inline, pool),
         other => Err(WireError::UnknownPayloadType(other)),
     }
 }
@@ -971,6 +915,170 @@ mod tests {
         }];
         let env = Envelope::new(1, 2, msgs.clone());
         assert_eq!(round_trip(env).0.env.open::<RoutedMsg<u8>>(), msgs);
+    }
+
+    /// One value of each of the nine wire ids as a boxed payload, then the
+    /// three inline forms, each with the payload section it must encode to:
+    /// wire id (u16), element count (u64), elements, all little-endian.
+    fn one_of_each_wire_id() -> Vec<(Envelope, bool, String)> {
+        fn routed<T>(v: T) -> Vec<RoutedMsg<T>> {
+            vec![RoutedMsg {
+                src: 2,
+                dest: 3,
+                data: vec![v],
+            }]
+        }
+        const ONE: &str = "0100000000000000";
+        // src 2, dest 3, one element
+        const ROUTE: &str = "020000000000000003000000000000000100000000000000";
+        const F64: &str = "000000000000f83f"; // 1.5
+        const U64: &str = "0807060504030201";
+        const USIZE: &str = "0201000000000000";
+        let (f, u, b, w, z) = (
+            1.5f64,
+            0x0102_0304_0506_0708u64,
+            0xabu8,
+            0x0102_0304u32,
+            0x0102usize,
+        );
+        vec![
+            (
+                Envelope::new(0, 0, vec![f]),
+                false,
+                format!("0100{ONE}{F64}"),
+            ),
+            (
+                Envelope::new(0, 0, vec![u]),
+                false,
+                format!("0200{ONE}{U64}"),
+            ),
+            (Envelope::new(0, 0, vec![b]), false, format!("0300{ONE}ab")),
+            (
+                Envelope::new(0, 0, vec![w]),
+                false,
+                format!("0400{ONE}04030201"),
+            ),
+            (
+                Envelope::new(0, 0, vec![z]),
+                false,
+                format!("0500{ONE}{USIZE}"),
+            ),
+            (
+                Envelope::new(0, 0, routed(f)),
+                false,
+                format!("0600{ONE}{ROUTE}{F64}"),
+            ),
+            (
+                Envelope::new(0, 0, routed(u)),
+                false,
+                format!("0700{ONE}{ROUTE}{U64}"),
+            ),
+            (
+                Envelope::new(0, 0, routed(b)),
+                false,
+                format!("0800{ONE}{ROUTE}ab"),
+            ),
+            (
+                Envelope::new(0, 0, routed(z)),
+                false,
+                format!("0900{ONE}{ROUTE}{USIZE}"),
+            ),
+            (
+                Envelope::inline_from(0, 0, &[f]).unwrap(),
+                true,
+                format!("0100{ONE}{F64}"),
+            ),
+            (
+                Envelope::inline_from(0, 0, &[u]).unwrap(),
+                true,
+                format!("0200{ONE}{U64}"),
+            ),
+            (
+                Envelope::inline_from(0, 0, &[b]).unwrap(),
+                true,
+                format!("0300{ONE}ab"),
+            ),
+        ]
+    }
+
+    fn payload_section(env: &Envelope) -> (bool, Vec<u8>) {
+        let mut buf = Vec::new();
+        let inline = encode_payload(&env.payload, &mut buf);
+        (inline, buf)
+    }
+
+    #[test]
+    fn payload_section_golden_bytes() {
+        assert_eq!(VERSION, 1);
+        for (env, inline, want) in one_of_each_wire_id() {
+            let (was_inline, bytes) = payload_section(&env);
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!((was_inline, hex), (inline, want));
+        }
+        // a shared payload crosses as the boxed bytes
+        let shared = Envelope::from_shared(0, 0, Arc::new(vec![1.5f64]));
+        let boxed = Envelope::new(0, 0, vec![1.5f64]);
+        assert_eq!(payload_section(&shared), payload_section(&boxed));
+    }
+
+    /// A well-framed (magic, version, checksum all valid) data frame around
+    /// an arbitrary payload section, decoded against a fresh pool.
+    fn decode_section(inline: bool, section: &[u8]) -> Result<DecodedData, WireError> {
+        let mut buf = Vec::new();
+        begin_frame(&mut buf, FrameKind::Data);
+        put_u32(&mut buf, 0); // src
+        put_u32(&mut buf, 1); // dest
+        put_u64(&mut buf, 7); // tag
+        put_u64(&mut buf, 0); // bytes
+        put_u64(&mut buf, 0); // stamp
+        put_u8(&mut buf, if inline { FLAG_INLINE } else { 0 });
+        buf.extend_from_slice(section);
+        end_frame(&mut buf);
+        let (_, mut r) = open_frame(&buf).expect("framing is valid");
+        decode_data(&mut r, &BufferPool::new(true))
+    }
+
+    /// Hostile payload sections behind valid framing, for every wire id:
+    /// each is a `WireError`, none panics, and a declared count is refused
+    /// before anything is reserved for it.
+    #[test]
+    fn hostile_payload_sections_are_errors_for_every_wire_id() {
+        let mut rng = crate::rng::SmallRng::seed_from_u64(0x0B5E_55ED);
+        for (env, inline, _) in one_of_each_wire_id() {
+            let (_, section) = payload_section(&env);
+            assert!(decode_section(inline, &section).is_ok());
+            // truncated at every length
+            for cut in 0..section.len() {
+                let got = decode_section(inline, &section[..cut]);
+                assert!(got.is_err(), "{cut} of {} bytes accepted", section.len());
+            }
+            // the wire id, then random bytes — under either flag
+            for _ in 0..64 {
+                let mut bad = section[..2].to_vec();
+                bad.extend((0..rng.range_usize(0, 96)).map(|_| rng.next_u64() as u8));
+                assert!(decode_section(false, &bad).is_err());
+                assert!(decode_section(true, &bad).is_err());
+            }
+            // one flipped bit anywhere: an error or a different value, no panic
+            for bit in 0..section.len() * 8 {
+                let mut bad = section.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                let _ = decode_section(inline, &bad);
+            }
+            // a count one past what the bytes that follow could hold
+            let id = u16::from_le_bytes([section[0], section[1]]);
+            let min_bytes = match id {
+                3 => 1,
+                4 => 4,
+                6..=9 => 24,
+                _ => 8,
+            };
+            let mut bad = section[..2].to_vec();
+            put_u64(&mut bad, 4);
+            bad.resize(bad.len() + 3 * min_bytes, 0);
+            let got = decode_section(inline, &bad).map(|_| ());
+            assert_eq!(got, Err(WireError::Oversized(4)), "wire id {id}");
+        }
     }
 
     #[test]

@@ -95,18 +95,18 @@ fn mixed_payload_types() {
         if rank.rank() == 0 {
             rank.send(1, 1, &[1.5f64, 2.5]);
             rank.send(1, 2, &[7u64, 8, 9]);
-            rank.send(1, 3, &[true, false]);
-            rank.send(1, 4, &["hello".to_string()]);
+            rank.send(1, 3, &[1u8, 0]);
+            rank.send(1, 4, &[0xdead_beefu32]);
             0
         } else {
             let f = rank.recv::<f64>(0, 1);
             let u = rank.recv::<u64>(0, 2);
-            let b = rank.recv::<bool>(0, 3);
-            let s = rank.recv::<String>(0, 4);
+            let b = rank.recv::<u8>(0, 3);
+            let s = rank.recv::<u32>(0, 4);
             assert_eq!(f, vec![1.5, 2.5]);
             assert_eq!(u, vec![7, 8, 9]);
-            assert_eq!(b, vec![true, false]);
-            assert_eq!(s, vec!["hello".to_string()]);
+            assert_eq!(b, vec![1, 0]);
+            assert_eq!(s, vec![0xdead_beef]);
             1
         }
     });

@@ -177,6 +177,44 @@ fn cmt_bone_particle_advect_allocation_free_at_steady_state() {
     assert_quiet("5 particles/elem", &long, &short, "particle_advect");
 }
 
+/// The load-balance monitor is the one steady-state region that does
+/// allocate, by design: `gather_costs` stages a dense `O(E + P)` vector
+/// for its allgather (whose result is an owned `Vec`) and `decide` builds
+/// three per-element/per-rank cost tables. A step that evaluates the
+/// balancer and does not rebalance costs 9–11 allocations and under
+/// 1.5 KiB per rank at this shape (32 elements) — not one fixed number,
+/// because which rank ends up the last holder of the allreduce's shared
+/// broadcast buffer is a race. Pin the ceiling, so a per-element or
+/// per-particle allocation slipping in is a failure. (A rebalancing step
+/// migrates elements; it is not steady state and stays unasserted.)
+#[test]
+fn cmt_bone_lb_monitor_allocations_per_quiet_step_are_bounded() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    let cfg = |steps| Config {
+        particles_per_elem: 5,
+        lb_every: 1,
+        lb_threshold: 1e9,
+        ..bone_cfg(
+            GsMethod::PairwiseExchange,
+            Pipeline::Overlapped,
+            true,
+            steps,
+        )
+    };
+    let (long, short) = (cmt_bone::run(&cfg(6)), cmt_bone::run(&cfg(2)));
+    assert_eq!(long.lb.expect("lb ran").rebalances, 0);
+    let (allocs, bytes) =
+        steady_delta(&long.profile, &short.profile, cmt_perf::regions::LB_MONITOR);
+    // 4 steps on each of 4 ranks, merged into one profile
+    let rank_steps = 16;
+    assert!(allocs > 0, "the monitor region was not counted");
+    assert!(
+        allocs <= 12 * rank_steps && bytes <= 2048 * rank_steps,
+        "lb monitor: {allocs} allocs / {bytes} bytes over {rank_steps} quiet rank-steps \
+         (ceiling 12 allocs and 2 KiB each)"
+    );
+}
+
 #[test]
 fn nekbone_dssum_regions_allocation_free_at_steady_state() {
     assert!(cmt_perf::alloc::counting(), "counting allocator not active");
@@ -191,5 +229,8 @@ fn nekbone_dssum_regions_allocation_free_at_steady_state() {
     };
     let long = nekbone::run(&cfg(12)).profile;
     let short = nekbone::run(&cfg(4)).profile;
-    assert_quiet("8 CG iterations", &long, &short, "dssum");
+    // the assembled apply: the exchange and the local `ax_e` kernel
+    for prefix in ["dssum", "ax_e"] {
+        assert_quiet("8 CG iterations", &long, &short, prefix);
+    }
 }
