@@ -6,7 +6,8 @@ use cmt_core::face::{self, Face};
 use cmt_core::kernels::{self, DerivDir};
 use cmt_core::ops::{advect_volume_rhs_slices, upwind_face_correction};
 use cmt_core::rk;
-use cmt_gs::{GsMethod, GsOp};
+use cmt_core::Field;
+use cmt_gs::{GsHandle, GsMethod, GsOp};
 use cmt_perf::Profiler;
 use simmpi::{for_each_chunk, Rank, Stride};
 
@@ -50,7 +51,7 @@ pub(super) fn rk_step(
             // across-face twin, so Add recovers own + neighbor.
             Pipeline::Blocking => {
                 for f in 0..fields {
-                    s.volume(blk, f);
+                    blk.split().2.apply(s.env, s.prof, f);
                     s.prof.enter(regions::FULL2FACE);
                     s.extract(blk, f);
                     s.prof.exit();
@@ -73,26 +74,26 @@ pub(super) fn rk_step(
                     s.extract(blk, f);
                 }
                 s.prof.exit();
-                // The slice-view lists are assembled before the gs
-                // regions open so their allocation never counts
-                // against the exchange.
-                let views: Vec<&[f64]> = blk.faces_all.iter().map(|v| v.as_slice()).collect();
+                // The face-trace list is assembled before the gs
+                // regions open so its allocation never counts against
+                // the exchange.
+                let (handle, faces_all, mut vol) = blk.split();
+                let mut faces: Vec<&mut [f64]> =
+                    faces_all.iter_mut().map(|v| v.as_mut_slice()).collect();
                 s.prof.enter(regions::GS_OP);
                 s.prof.enter(regions::GS_START);
                 s.rank.set_context("faces");
-                let pending = blk.handle.gs_op_start(s.rank, &views, GsOp::Add, chosen);
-                s.rank.set_context("main");
-                s.prof.exit();
-                s.prof.exit();
-                for f in 0..fields {
-                    s.volume(blk, f);
-                }
-                let mut outs: Vec<&mut [f64]> =
-                    blk.faces_all.iter_mut().map(|v| v.as_mut_slice()).collect();
-                s.prof.enter(regions::GS_OP);
-                s.prof.enter(regions::GS_FINISH);
-                s.rank.set_context("faces");
-                blk.handle.gs_op_finish(s.rank, pending, &mut outs);
+                handle.overlapped(s.rank, &mut faces, GsOp::Add, chosen, |rank, _| {
+                    rank.set_context("main");
+                    s.prof.exit();
+                    s.prof.exit();
+                    for f in 0..fields {
+                        vol.apply(s.env, s.prof, f);
+                    }
+                    s.prof.enter(regions::GS_OP);
+                    s.prof.enter(regions::GS_FINISH);
+                    rank.set_context("faces");
+                });
                 s.rank.set_context("main");
                 s.prof.exit();
                 s.prof.exit();
@@ -116,7 +117,49 @@ impl Stepper<'_> {
         );
         blk.faces_own_all[f].copy_from_slice(&blk.faces_all[f]);
     }
+}
 
+/// What the volume term touches: a [`Block`] without its gs plan and face
+/// traces, so it can run while an overlapped exchange holds those.
+struct VolumeTerm<'b> {
+    nel: usize,
+    grain: usize,
+    u: &'b [Field],
+    rhs_all: &'b mut [Field],
+    scratch: &'b mut Field,
+    dealias_fine: &'b mut [f64],
+    dealias_scratch: &'b mut [f64],
+}
+
+impl Block {
+    /// Split into the gs plan, the face traces and the volume term.
+    fn split(&mut self) -> (&GsHandle, &mut [Vec<f64>], VolumeTerm<'_>) {
+        let Block {
+            nel,
+            grain,
+            handle,
+            u,
+            rhs_all,
+            scratch,
+            faces_all,
+            dealias_fine,
+            dealias_scratch,
+            ..
+        } = self;
+        let vol = VolumeTerm {
+            nel: *nel,
+            grain: *grain,
+            u,
+            rhs_all,
+            scratch,
+            dealias_fine,
+            dealias_scratch,
+        };
+        (handle, faces_all, vol)
+    }
+}
+
+impl VolumeTerm<'_> {
     /// Volume work of field `f`: the flux-divergence derivatives (the
     /// small-matrix-multiply kernel), then the dealiasing round trip on
     /// the RHS (identity on the resolved polynomial content; pure kernel
@@ -124,21 +167,20 @@ impl Stepper<'_> {
     /// worker pool when it has one; chunks own disjoint element ranges
     /// and nothing is reduced across them, so the result is bitwise
     /// identical for every worker count.
-    fn volume(&mut self, blk: &mut Block, f: usize) {
-        let env = self.env;
+    fn apply(&mut self, env: &Env, prof: &mut Profiler, f: usize) {
         let (cfg, pool) = (&env.cfg, env.pool.as_deref());
         let (n, n3) = (cfg.n, cfg.n.pow(3));
-        let us = blk.u[f].as_slice();
-        let rhs = blk.rhs_all[f].as_mut_slice();
+        let us = self.u[f].as_slice();
+        let rhs = self.rhs_all[f].as_mut_slice();
 
-        self.prof.enter(regions::DERIV);
+        prof.enter(regions::DERIV);
         let (allocs, bytes) = for_each_chunk(
             pool,
-            blk.nel,
-            blk.grain,
+            self.nel,
+            self.grain,
             [
                 (&mut *rhs, Stride::PerElem(n3)),
-                (blk.scratch.as_mut_slice(), Stride::PerElem(n3)),
+                (self.scratch.as_mut_slice(), Stride::PerElem(n3)),
             ],
             |lo, hi, [rhs, scratch]| {
                 advect_volume_rhs_slices(
@@ -154,20 +196,20 @@ impl Stepper<'_> {
                 )
             },
         );
-        self.prof.charge_allocs(allocs, bytes);
-        self.prof.exit();
+        prof.charge_allocs(allocs, bytes);
+        prof.exit();
 
         if let Some((m, up, down)) = &env.dealias {
             let (m, m3, big3) = (*m, m.pow(3), (*m).max(n).pow(3));
-            self.prof.enter(regions::DEALIAS);
+            prof.enter(regions::DEALIAS);
             let (allocs, bytes) = for_each_chunk(
                 pool,
-                blk.nel,
-                blk.grain,
+                self.nel,
+                self.grain,
                 [
                     (rhs, Stride::PerElem(n3)),
-                    (&mut blk.dealias_fine, Stride::PerElem(m3)),
-                    (&mut blk.dealias_scratch, Stride::PerChunk(2 * big3)),
+                    (&mut *self.dealias_fine, Stride::PerElem(m3)),
+                    (&mut *self.dealias_scratch, Stride::PerChunk(2 * big3)),
                 ],
                 |lo, hi, [rhs, fine, ts]| {
                     let (t1, t2) = ts.split_at_mut(big3);
@@ -186,11 +228,13 @@ impl Stepper<'_> {
                     );
                 },
             );
-            self.prof.charge_allocs(allocs, bytes);
-            self.prof.exit();
+            prof.charge_allocs(allocs, bytes);
+            prof.exit();
         }
     }
+}
 
+impl Stepper<'_> {
     /// After the exchange: recover the neighbor trace (sum − own), lift
     /// the upwind flux into the RHS (`add_face2full`), run the viscous
     /// passes when viscosity is on, and take the RK stage update.
@@ -274,7 +318,7 @@ impl Stepper<'_> {
         }
         // viscous divergence: per axis a volume term and a central
         // surface-flux correction with the q-trace exchange between them.
-        let mut volume = |q: &[f64], axis: usize, dir: DerivDir, rhs: &mut cmt_core::Field| {
+        let mut volume = |q: &[f64], axis: usize, dir: DerivDir, rhs: &mut Field| {
             kernels::deriv(
                 cfg.variant,
                 dir,
@@ -289,7 +333,7 @@ impl Stepper<'_> {
         // On entry `qnbr` holds the exchanged trace *sum* (own +
         // neighbor); it is reduced to the absolute neighbor trace in
         // place, then the correction is lifted into `rhs`.
-        let correct = |qnbr: &mut [f64], qown: &[f64], axis: usize, rhs: &mut cmt_core::Field| {
+        let correct = |qnbr: &mut [f64], qown: &[f64], axis: usize, rhs: &mut Field| {
             let lift = geom.dscale(axis) / w_end;
             for (nb, ow) in qnbr.iter_mut().zip(qown) {
                 *nb -= ow;
@@ -326,20 +370,18 @@ impl Stepper<'_> {
                     face::full2face(n, nel, ws.q[axis].as_slice(), &mut ws.qown[axis]);
                     ws.qnbr[axis].copy_from_slice(&ws.qown[axis]);
                 }
-                let views: Vec<&[f64]> = ws.qnbr.iter().map(|v| v.as_slice()).collect();
+                let mut qnbr = ws.qnbr.each_mut().map(|v| v.as_mut_slice());
                 self.prof.enter(regions::GS_START);
                 self.rank.set_context("faces_visc");
-                let pending = handle.gs_op_start(self.rank, &views, GsOp::Add, self.chosen);
-                self.rank.set_context("main");
-                self.prof.exit();
-                for (axis, dir) in AXES {
-                    volume(ws.q[axis].as_slice(), axis, dir, rhs);
-                }
-                let mut outs: Vec<&mut [f64]> =
-                    ws.qnbr.iter_mut().map(|v| v.as_mut_slice()).collect();
-                self.prof.enter(regions::GS_FINISH);
-                self.rank.set_context("faces_visc");
-                handle.gs_op_finish(self.rank, pending, &mut outs);
+                handle.overlapped(self.rank, &mut qnbr, GsOp::Add, self.chosen, |rank, _| {
+                    rank.set_context("main");
+                    self.prof.exit();
+                    for (axis, dir) in AXES {
+                        volume(ws.q[axis].as_slice(), axis, dir, rhs);
+                    }
+                    self.prof.enter(regions::GS_FINISH);
+                    rank.set_context("faces_visc");
+                });
                 self.rank.set_context("main");
                 self.prof.exit();
                 for axis in 0..3 {

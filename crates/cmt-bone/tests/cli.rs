@@ -2,13 +2,15 @@
 //! reachable (and spelled) from the binary, the flags no other test
 //! spells must parse and reach their `Config` field, the bitwise-neutral
 //! ones must reproduce the default run bit for bit, and a bad `--variant`
-//! must fail fast with the full usage list instead of running.
+//! must fail fast with the full usage list instead of running. Every row
+//! runs under `--verify`: a collective some rank skips or reorders on any
+//! flag's code path is a finding, and a finding exits 1.
 
 use std::process::Command;
 
 const SMALL: &[&str] = &[
     "--ranks", "2", "--n", "5", "--elems", "4", "--steps", "4", "--fields", "2", "--method",
-    "pairwise", "--quiet",
+    "pairwise", "--quiet", "--verify",
 ];
 
 fn run_bin(extra: &[&str]) -> std::process::Output {
@@ -44,11 +46,15 @@ fn every_flag_spelling_is_accepted_and_neutral_ones_match_opt() {
     let dir = std::env::temp_dir().join(format!("cmt-bone-cli-{}", std::process::id()));
     let ckpt = dir.to_str().expect("utf8 temp dir");
     // (flags, reproduces the `--variant opt` run bit for bit)
-    let rows: [(&[&str], bool); 8] = [
+    let rows: [(&[&str], bool); 12] = [
         (&["--variant", "basic"], false),
         (&["--variant", "simd"], true),
         (&["--variant", "auto"], false),
         (&["--pipeline", "blocking"], true),
+        (&["--workers", "2"], true),
+        (&["--no-pool"], true),
+        (&["--method", "crystal"], true),
+        (&["--particles-per-elem", "8", "--lb-every", "2"], false),
         (&["--cfl-interval", "2"], true),
         (&["--dealias", "8"], false),
         (&["--checkpoint-every", "2", "--checkpoint-dir", ckpt], true),

@@ -32,14 +32,14 @@
 //!   crystal router (bundled hypercube routing, `log2 P` stages), and
 //!   all_reduce onto a dense vector over the compact id universe. Only
 //!   the halo goes through a method; the interior is combined locally.
-//! * [`GsHandle::gs_op_start`] / [`GsHandle::gs_op_finish`] — the
-//!   split-phase form, in place as gslib's is: `start` snapshots and
-//!   packs the halo and posts the exchange; the caller overlaps compute
-//!   with the in-flight messages, reading anything and writing only slots
-//!   that [`GsHandle::shared_slot_flags`] marks `false`; `finish`, handed
-//!   the same arrays, drains the receives, scatters the halo and combines
-//!   the interior in one sweep. The blocking `gs_op` and the multi-field
-//!   `gs_op_many` are both built on this pair.
+//! * [`GsHandle::overlapped`] — the split-phase form, in place as
+//!   gslib's is: [`GsHandle::gs_op_start`] snapshots and packs the halo
+//!   and posts the exchange; the caller's window computes while the
+//!   messages are in flight, seeing the exchanged arrays read-only;
+//!   [`GsHandle::gs_op_finish`] drains the receives, scatters the halo
+//!   and combines the interior in one sweep, however the window
+//!   returns. The blocking `gs_op` and the multi-field `gs_op_many` are
+//!   `overlapped` with an empty window.
 //! * [`autotune`] — times all three methods on the actual handle and
 //!   picks the fastest, exactly the startup protocol the paper describes;
 //!   its report is the paper's Fig. 7 table.
@@ -55,4 +55,4 @@ mod wire;
 
 pub use autotune::{autotune, AutotuneOptions, AutotuneReport, MethodTiming};
 pub use handle::{GsHandle, HandleStats};
-pub use ops::{GsMethod, GsOp, GsPending};
+pub use ops::{GsMethod, GsOp};

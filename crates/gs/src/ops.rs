@@ -104,16 +104,6 @@ impl GsMethod {
             GsMethod::AllReduce => "gs:allreduce",
         }
     }
-
-    /// Whether [`GsHandle::gs_op_start`] leaves real communication in
-    /// flight for [`GsHandle::gs_op_finish`] to drain. Pairwise exchange
-    /// posts non-blocking sends/receives and returns; the collective
-    /// methods have no non-blocking form, so their `start` performs the
-    /// full halo exchange and `finish` does only the local work (halo
-    /// scatter, interior combine).
-    pub fn split_phase_overlaps(self) -> bool {
-        matches!(self, GsMethod::PairwiseExchange)
-    }
 }
 
 /// Tag space for split-phase pairwise exchanges: a fixed prefix plus a
@@ -132,8 +122,9 @@ const SPLIT_SEQ_MASK: Tag = (1 << 40) - 1;
 /// requests. Dropping it without finishing discards the operation —
 /// the arrays keep their started values — and, via the rank's
 /// [`DiscardList`], cancels its in-flight neighbor messages so they
-/// cannot cross-match a later exchange; the `#[must_use]` lint flags
-/// the started-but-never-finished call sites at compile time.
+/// cannot cross-match a later exchange. Not nameable outside this
+/// crate: callers overlap work through [`GsHandle::overlapped`], which
+/// finishes the exchange however its window returns.
 #[must_use = "a started gather–scatter must be finished with gs_op_finish \
               (dropping it discards the exchange)"]
 #[derive(Debug)]
@@ -157,23 +148,6 @@ pub struct GsPending {
     verify_epoch: Option<u64>,
 }
 
-impl GsPending {
-    /// Number of value arrays bundled in this exchange.
-    pub fn num_fields(&self) -> usize {
-        self.arrays.len()
-    }
-
-    /// The combining operator of this exchange.
-    pub fn op(&self) -> GsOp {
-        self.op
-    }
-
-    /// The exchange method this operation was started with.
-    pub fn method(&self) -> GsMethod {
-        self.method
-    }
-}
-
 impl Drop for GsPending {
     /// Abandoning an unfinished exchange must not poison later matching:
     /// register every still-posted receive's `(source, tag)` with the
@@ -195,9 +169,8 @@ impl GsHandle {
     /// Collective over the world the handle was set up in; all ranks must
     /// pass the same `op` and `method`.
     ///
-    /// Implemented as [`GsHandle::gs_op_start`] immediately followed by
-    /// [`GsHandle::gs_op_finish`] on the same array — the blocking form
-    /// is the degenerate split-phase call with an empty overlap window.
+    /// Implemented as [`GsHandle::overlapped`] with an empty window — the
+    /// blocking form is the degenerate split-phase call.
     ///
     /// Combine order per id is fixed: this rank's copies in ascending
     /// slot, then each neighbor's contribution in ascending rank — so a
@@ -206,8 +179,7 @@ impl GsHandle {
     /// # Panics
     /// Panics if `values.len() != self.nlocal()`.
     pub fn gs_op(&self, rank: &mut Rank, values: &mut [f64], op: GsOp, method: GsMethod) {
-        let pending = self.gs_op_start(rank, &[&*values], op, method);
-        self.gs_op_finish(rank, pending, &mut [values]);
+        self.overlapped(rank, &mut [values], op, method, |_, _| ());
     }
 
     /// Vector gather–scatter: apply the same combine to `k` value arrays
@@ -229,10 +201,56 @@ impl GsHandle {
         if fields.is_empty() {
             return;
         }
-        // `gs_op_start` borrows the fields read-only via `AsRef`, so the
-        // `&mut` slices pass straight through — no per-call view vector.
+        self.overlapped(rank, fields, op, method, |_, _| ());
+    }
+
+    /// Run `window` while a gather–scatter over `fields` is in flight:
+    /// [`GsHandle::gs_op_start`] before it and [`GsHandle::gs_op_finish`]
+    /// after it, however the window returns — a `return` or `?` in
+    /// it leaves the closure, not the exchange. Returns what the window
+    /// returns. The window gets the rank back, and the exchanged arrays
+    /// only as a shared view, so writing them while the exchange is in
+    /// flight does not compile:
+    ///
+    /// ```compile_fail,E0594
+    /// # use cmt_gs::{GsHandle, GsMethod, GsOp};
+    /// # simmpi::World::new().run(2, |rank| {
+    /// let handle = GsHandle::setup(rank, &[7, 10 + rank.rank() as u64]);
+    /// let mut v = vec![1.0, 2.0];
+    /// handle.overlapped(rank, &mut [&mut v], GsOp::Add, GsMethod::PairwiseExchange, |_, f| {
+    ///     f[0][0] = 0.0; // a write inside the window
+    /// });
+    /// # });
+    /// ```
+    ///
+    /// while reading them does:
+    ///
+    /// ```
+    /// # use cmt_gs::{GsHandle, GsMethod, GsOp};
+    /// # simmpi::World::new().run(2, |rank| {
+    /// let handle = GsHandle::setup(rank, &[7, 10 + rank.rank() as u64]);
+    /// let mut v = vec![1.0, 2.0];
+    /// let before = handle.overlapped(rank, &mut [&mut v], GsOp::Add, GsMethod::PairwiseExchange, |_, f| {
+    ///     f[0][0] // a read inside the window: the started value
+    /// });
+    /// assert_eq!((before, v[0]), (1.0, 2.0));
+    /// # });
+    /// ```
+    ///
+    /// # Panics
+    /// As [`GsHandle::gs_op_start`] and [`GsHandle::gs_op_finish`].
+    pub fn overlapped<R>(
+        &self,
+        rank: &mut Rank,
+        fields: &mut [&mut [f64]],
+        op: GsOp,
+        method: GsMethod,
+        window: impl FnOnce(&mut Rank, &[&mut [f64]]) -> R,
+    ) -> R {
         let pending = self.gs_op_start(rank, &*fields, op, method);
+        let out = window(rank, fields);
         self.gs_op_finish(rank, pending, fields);
+        out
     }
 
     /// Start a split-phase gather–scatter over `fields`: snapshot the
@@ -243,21 +261,22 @@ impl GsHandle {
     /// unrelated compute while messages are in flight, then complete the
     /// operation with [`GsHandle::gs_op_finish`] — the
     /// isend/irecv/compute/wait pipeline the mini-app uses to hide
-    /// face-exchange latency behind its volume kernels.
+    /// face-exchange latency behind its volume kernels. This is the raw
+    /// layer; [`GsHandle::overlapped`] is the pair with its window
+    /// scoped, and the one the drivers use.
     ///
     /// The operation is **in place**, as gslib's is: `finish` must be
     /// handed the very arrays `start` was handed, and it combines the
     /// rank-interior ids from what those arrays hold *then*. Between the
-    /// two calls the caller may read anything, and may write any slot
-    /// whose [`GsHandle::shared_slot_flags`] entry is `false`; writing a
-    /// flagged slot in the window is a contract violation (a halo slot's
-    /// write is lost, an interior one's is combined).
+    /// two calls the caller must not write a slot whose
+    /// [`GsHandle::shared_slot_flags`] entry is `true` (a halo slot's
+    /// write is lost, an interior one's is combined); `overlapped`
+    /// enforces that by lending its window the arrays read-only.
     ///
     /// With the pairwise method the receives are genuinely outstanding
     /// when this returns. The crystal-router and all_reduce methods have
-    /// no non-blocking form, so their `start` runs the full halo exchange
-    /// and the matching `finish` does only the local work
-    /// ([`GsMethod::split_phase_overlaps`]).
+    /// no non-blocking form, so their `start` runs the whole halo
+    /// exchange and the matching `finish` does only the local work.
     ///
     /// Several operations may be in flight at once (tags carry a
     /// sequence number), but every started operation must be finished,

@@ -612,10 +612,20 @@ fn ordered_reference(all_ids: &[Vec<u64>], all_vals: &[Vec<f64>], op: GsOp) -> V
         .collect()
 }
 
+fn views(fields: &mut [Vec<f64>]) -> Vec<&mut [f64]> {
+    fields.iter_mut().map(|f| f.as_mut_slice()).collect()
+}
+
+fn bits(fields: &[Vec<f64>]) -> Vec<u64> {
+    fields.iter().flatten().map(|v| v.to_bits()).collect()
+}
+
 /// Property: `gs_op_many` equals the naive oracle on random id maps with
 /// 1–6 copies per id scattered over 2–5 ranks — bitwise for the two
 /// neighbor-ordered methods, to rounding for all_reduce's tree order
-/// (bitwise there too for the order-free Min/Max).
+/// (bitwise there too for the order-free Min/Max). `overlapped` equals
+/// per-field `gs_op` bitwise, with an empty window and with one that
+/// returns early.
 #[test]
 #[cfg_attr(
     miri,
@@ -652,12 +662,26 @@ fn gs_op_matches_ordered_oracle_on_random_copy_counts() {
                     let res = World::new().run(p, move |rank| {
                         let me = rank.rank();
                         let handle = GsHandle::setup(rank, &ids_c[me]);
-                        let mut mine: Vec<Vec<f64>> =
+                        let mine: Vec<Vec<f64>> =
                             vals_c.iter().map(|field| field[me].clone()).collect();
-                        let mut views: Vec<&mut [f64]> =
-                            mine.iter_mut().map(|f| f.as_mut_slice()).collect();
-                        handle.gs_op_many(rank, &mut views, op, method);
-                        mine
+                        let mut blocking = mine.clone();
+                        for f in &mut blocking {
+                            handle.gs_op(rank, f, op, method);
+                        }
+                        let mut empty = mine.clone();
+                        handle.overlapped(rank, &mut views(&mut empty), op, method, |_, _| ());
+                        let mut early = mine.clone();
+                        handle.overlapped(rank, &mut views(&mut early), op, method, |_, f| {
+                            if f.iter().flat_map(|x| x.iter()).all(|v| v.is_finite()) {
+                                return; // leaves the window, as seeded defect M1 does
+                            }
+                            panic!("non-finite input");
+                        });
+                        assert_eq!(bits(&empty), bits(&blocking), "empty window, rank {me}");
+                        assert_eq!(bits(&early), bits(&blocking), "early return, rank {me}");
+                        let mut many = mine;
+                        handle.gs_op_many(rank, &mut views(&mut many), op, method);
+                        many
                     });
                     let exact =
                         method != GsMethod::AllReduce || matches!(op, GsOp::Min | GsOp::Max);

@@ -1,12 +1,15 @@
 //! CLI-level checks of nekbone's flags. The help text once lagged behind
 //! the tiers the library shipped; these tests pin the parser and the usage
 //! string to the full variant set, including `simd` and `auto`, and spell
-//! the checkpoint flags no other test does.
+//! the checkpoint flags no other test does. Every row runs under
+//! `--verify`: a collective some rank skips or reorders on any flag's code
+//! path is a finding, and a finding exits 1.
 
 use std::process::Command;
 
 const SMALL: &[&str] = &[
     "--ranks", "2", "--n", "5", "--elems", "4", "--iters", "12", "--method", "pairwise", "--quiet",
+    "--verify",
 ];
 
 fn run_bin(extra: &[&str]) -> std::process::Output {
@@ -42,10 +45,15 @@ fn every_flag_spelling_is_accepted_and_neutral_ones_match_opt() {
     let dir = std::env::temp_dir().join(format!("nekbone-cli-{}", std::process::id()));
     let ckpt = dir.to_str().expect("utf8 temp dir");
     // (flags, reproduces the `--variant opt` run bit for bit)
-    let rows: [(&[&str], bool); 5] = [
+    let rows: [(&[&str], bool); 9] = [
         (&["--variant", "basic"], false),
         (&["--variant", "simd"], true),
         (&["--variant", "auto"], false),
+        // CG stops at its first residual check
+        (&["--tol", "10"], false),
+        (&["--workers", "2"], true),
+        (&["--no-pool"], true),
+        (&["--method", "crystal"], true),
         (&["--checkpoint-every", "4", "--checkpoint-dir", ckpt], true),
         // resumes from the last checkpoint the row above left on disk
         (&["--restart", ckpt], true),

@@ -666,7 +666,7 @@ impl VerifyHooks for Verifier {
                 FindingKind::AbandonedExchange,
                 rank,
                 format!(
-                    "cmt-verify: ABANDONED EXCHANGE — rank {rank} finalized with a split-phase gather–scatter still open (started at call site {ctx:?}): gs_op_start without a matching gs_op_finish"
+                    "cmt-verify: ABANDONED EXCHANGE — rank {rank} finalized with a split-phase gather–scatter still open (started at call site {ctx:?}): gs_op_start without a matching gs_op_finish; run the window through GsHandle::overlapped, which finishes it on every path"
                 ),
             );
         }

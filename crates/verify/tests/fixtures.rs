@@ -194,6 +194,38 @@ fn abandoned_gs_pending_is_detected() {
     assert!(verifier.findings_of(FindingKind::Deadlock).is_empty());
 }
 
+/// The same exchange through `GsHandle::overlapped`, whose window returns
+/// early: the `return` leaves the closure, the exchange still finishes,
+/// and the finalize sweep finds no abandoned epoch.
+#[test]
+fn overlapped_window_returning_early_abandons_nothing() {
+    let verifier = run_checked(2, |rank| {
+        let ids: Vec<u64> = if rank.rank() == 0 {
+            vec![0, 1]
+        } else {
+            vec![1, 2]
+        };
+        let handle = GsHandle::setup(rank, &ids);
+        let mut values = vec![1.0f64; handle.nlocal()];
+        let exchanged = &mut [values.as_mut_slice()];
+        handle.overlapped(
+            rank,
+            exchanged,
+            GsOp::Add,
+            GsMethod::PairwiseExchange,
+            |_, v| {
+                if v[0].iter().all(|x| x.is_finite()) {
+                    return;
+                }
+                unreachable!("the values are finite");
+            },
+        );
+        assert_eq!(values.iter().sum::<f64>(), 3.0, "gid 1 was combined");
+        rank.barrier();
+    });
+    assert!(verifier.is_clean(), "{}", verifier.render());
+}
+
 /// Happens-before-unordered writes to the same shared slot from two
 /// ranks (replica divergence) are flagged by the vector-clock detector.
 #[test]
