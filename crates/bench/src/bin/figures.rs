@@ -1,7 +1,7 @@
 //! Regenerate every table and figure of the CMT-bone paper's evaluation.
 //!
 //! ```text
-//! figures [--full] [fig4|fig5|fig6|fig7|fig8|fig9|fig10|netmodel|all]
+//! figures [--full] [fig4|fig5|fig6|fig7|fig8|fig9|fig10|netmodel|overlap|resilience|all]
 //! ```
 //!
 //! * `fig4` — CMT-bone execution profile + partial call graph (gprof view)
@@ -219,128 +219,6 @@ fn fig10(full: bool) {
     println!("(each pairwise face-exchange message carries the shared-face doubles: ~N^2 x 8 bytes per face; N = 10 here)\n");
 }
 
-fn scaling() {
-    println!("== Scaling study: weak scaling of the proxy timestep loop ==");
-    println!("(fixed 27 elements/rank, N = 8, 10 steps, 5 fields, pairwise exchange)\n");
-    println!("ranks | wall max (s) | efficiency vs 1 rank | avg %MPI | Gflop/s (modelled work)");
-    let mut base: Option<f64> = None;
-    for ranks in [1usize, 2, 4, 8, 16] {
-        let rep = cmt_bone::run(&BoneConfig {
-            ranks,
-            n: 8,
-            elems_per_rank: 27,
-            steps: 10,
-            fields: 5,
-            method: Some(cmt_gs::GsMethod::PairwiseExchange),
-            ..Default::default()
-        });
-        let wall = rep.max_wall_s();
-        let eff = base.map(|b| 100.0 * b / wall).unwrap_or(100.0);
-        if base.is_none() {
-            base = Some(wall);
-        }
-        let pct = rep.comm.mpi_percent_per_rank();
-        let avg_pct: f64 = pct.iter().sum::<f64>() / pct.len() as f64;
-        println!(
-            "{ranks:5} | {wall:12.4} | {eff:19.1}% | {avg_pct:8.2} | {:8.3}",
-            rep.flop_rate() / 1e9
-        );
-    }
-    println!("\n(Perfect weak scaling would hold wall time flat at 100% efficiency;");
-    println!(" on an oversubscribed host the curve bends at the core count —");
-    println!(" on a real cluster it bends where the network saturates, which is");
-    println!(" the co-design signal mini-apps like CMT-bone exist to expose.)\n");
-}
-
-fn kernelsweep() {
-    use cmt_core::cost::deriv_counts;
-    use cmt_perf::papi::CacheModel;
-    println!("== Ablation: derivative kernels across N = 5..25 (paper §V range) ==");
-    println!("(measured wall time vs cache-aware modelled cycles; constant total work)\n");
-    println!("  N | kernel | measured s | modelled Mcycles | modelled/measured (cycles/s)");
-    let cache = CacheModel::default();
-    for n in [5usize, 10, 15, 20, 25] {
-        let nel = (400_000 / (n * n * n)).max(1);
-        let steps = 20;
-        for dir in [DerivDir::T, DerivDir::S] {
-            let m = cmt_bench::measure_deriv(
-                cmt_bench::DerivExperiment { n, nel, steps },
-                KernelVariant::Optimized,
-                dir,
-            );
-            let counts = deriv_counts(n as u64, nel as u64).times(steps as u64);
-            let est = cache.model_kernel(KernelVariant::Optimized, dir, n as u64, counts);
-            println!(
-                "{n:3} | {:6} | {:10.4} | {:16.1} | {:12.3e}",
-                dir.kernel_name(),
-                m.runtime_s,
-                est.cycles as f64 / 1e6,
-                est.cycles as f64 / m.runtime_s.max(1e-12)
-            );
-        }
-    }
-    println!("\n(A flat cycles-per-second column means the model tracks the measured");
-    println!(" N-dependence; divergence marks where the cache model needs refitting.)\n");
-}
-
-fn crossover() {
-    println!("== Ablation: pairwise vs crystal-router crossover over rank count ==");
-    println!("(the paper notes the winner is setup/machine dependent: \"as new kernels");
-    println!(" get added ... it is possible that crystal router may be used instead\")\n");
-    println!("ranks | pairwise avg (s) | crystal avg (s) | winner");
-    let tune = AutotuneOptions {
-        trials: 3,
-        ..Default::default()
-    };
-    for ranks in [2usize, 4, 8, 16, 32] {
-        let rep = cmt_bone::run(&BoneConfig {
-            ranks,
-            elems_per_rank: 27,
-            n: 8,
-            steps: 1,
-            fields: 1,
-            autotune: tune,
-            ..Default::default()
-        });
-        let t = rep.autotune.as_ref().expect("autotuned");
-        let pw = t.timing(cmt_gs::GsMethod::PairwiseExchange).avg_s;
-        let cr = t.timing(cmt_gs::GsMethod::CrystalRouter).avg_s;
-        println!(
-            "{ranks:5} | {pw:16.9} | {cr:15.9} | {}",
-            if pw <= cr { "pairwise" } else { "crystal" }
-        );
-    }
-    println!();
-}
-
-fn dealias_fig() {
-    println!("== Ablation: dealiasing fine-mesh map (paper §V's second matmul workload) ==\n");
-    println!("dealias M | wall max (s) | dealias share of self time");
-    for m in [0usize, 12, 15] {
-        let rep = cmt_bone::run(&BoneConfig {
-            ranks: 2,
-            n: 10,
-            elems_per_rank: 27,
-            steps: 10,
-            fields: 5,
-            method: Some(cmt_gs::GsMethod::PairwiseExchange),
-            dealias_m: (m > 0).then_some(m),
-            ..Default::default()
-        });
-        println!(
-            "{:9} | {:12.4} | {:6.1}%",
-            if m == 0 {
-                "off".to_string()
-            } else {
-                m.to_string()
-            },
-            rep.max_wall_s(),
-            100.0 * rep.profile.share("dealias (fine-mesh map)")
-        );
-    }
-    println!();
-}
-
 fn overlap_fig(full: bool) {
     use cmt_bone::Pipeline;
     println!("== Ablation: split-phase overlap vs blocking exchange schedule ==");
@@ -494,10 +372,6 @@ fn main() {
             "netmodel" => netmodel(),
             "overlap" => overlap_fig(full),
             "resilience" => resilience_fig(full),
-            "crossover" => crossover(),
-            "kernelsweep" => kernelsweep(),
-            "scaling" => scaling(),
-            "dealias" => dealias_fig(),
             "all" => {
                 fig4(full);
                 fig5(full);
@@ -509,15 +383,11 @@ fn main() {
                 netmodel();
                 overlap_fig(full);
                 resilience_fig(full);
-                crossover();
-                dealias_fig();
-                kernelsweep();
-                scaling();
             }
             other => {
                 eprintln!("unknown figure: {other}");
                 eprintln!(
-                    "usage: figures [--full] [fig4|fig5|fig6|fig7|fig8|fig9|fig10|netmodel|overlap|resilience|crossover|dealias|kernelsweep|scaling|all]"
+                    "usage: figures [--full] [fig4|fig5|fig6|fig7|fig8|fig9|fig10|netmodel|overlap|resilience|all]"
                 );
                 std::process::exit(2);
             }

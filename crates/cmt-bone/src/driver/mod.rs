@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cmt_core::kernels::autotune::KernelAutotuneReport;
-use cmt_core::ops::ElementGeom;
+use cmt_core::ops::{stable_dt, ElementGeom};
 use cmt_core::poly::Basis;
 use cmt_core::Field;
 use cmt_gs::{autotune, AutotuneReport, GsMethod};
@@ -100,29 +100,6 @@ fn initial_profile(f: usize, x: f64, y: f64, z: f64, lengths: [f64; 3]) -> f64 {
     (fx + 0.3 * f as f64).sin() * fy.cos() + 0.25 * (fz + 0.7 * f as f64).cos()
 }
 
-/// Stable timestep mirroring [`cmt_core::solver::AdvectionSolver::stable_dt`]
-/// (plus the diffusive limit when viscosity is on, as
-/// [`cmt_core::diffusion::AdvDiffSolver::stable_dt`] computes it).
-fn stable_dt(cfg: &Config, geom: &ElementGeom) -> f64 {
-    let n2 = (cfg.n * cfg.n) as f64;
-    let mut dt = f64::INFINITY;
-    for axis in 0..3 {
-        let h = geom.extent(axis);
-        let c = cfg.velocity[axis].abs();
-        if c > 0.0 {
-            dt = dt.min(cfg.cfl * h / (n2 * c));
-        }
-        if let Some(nu) = cfg.viscosity {
-            dt = dt.min(cfg.cfl * h * h / (n2 * n2 * nu));
-        }
-    }
-    if dt.is_finite() {
-        dt
-    } else {
-        cfg.cfl
-    }
-}
-
 /// Per-rank invariants of a run: everything the step reads that no
 /// migration or rollback changes.
 struct Env<'a> {
@@ -155,8 +132,10 @@ impl<'a> Env<'a> {
             cfg.variant = t.chosen();
         }
         let geom = ElementGeom::cube(1.0);
+        // the serial reference solvers' formula, so both step alike
+        let nu = cfg.viscosity.unwrap_or(0.0);
         Env {
-            dt: stable_dt(&cfg, &geom),
+            dt: stable_dt(cfg.n, &geom, cfg.velocity, nu, cfg.cfl),
             dealias: cfg
                 .dealias_m
                 .map(|m| (m, basis.dealias_to(m), basis.dealias_from(m))),
@@ -442,7 +421,6 @@ pub fn run_collecting_solution(cfg: &Config) -> (RunReport, Vec<SolutionDump>) {
 mod tests {
     use super::*;
     use crate::config::Pipeline;
-    use cmt_core::solver::{AdvectionConfig, AdvectionSolver};
     use cmt_core::KernelVariant;
 
     fn small_cfg() -> Config {
@@ -620,59 +598,6 @@ mod tests {
         assert!(deriv > rep.profile.share(regions::RK));
     }
 
-    /// The mini-app's proxy loop is a real distributed DG advection: its
-    /// result must match the single-process reference solver.
-    #[test]
-    fn distributed_solution_matches_serial_reference() {
-        let cfg = Config {
-            n: 6,
-            elems_per_rank: 4,
-            ranks: 4,
-            steps: 5,
-            fields: 1,
-            variant: KernelVariant::Optimized,
-            method: Some(GsMethod::PairwiseExchange),
-            ..Default::default()
-        };
-        let mesh_cfg = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, true);
-        let ge = mesh_cfg.global_elems();
-        let (_, dumps) = run_collecting_solution(&cfg);
-        let dt = dumps[0].dt;
-
-        // serial reference on the identical global mesh
-        let mut serial = AdvectionSolver::new(AdvectionConfig {
-            n: cfg.n,
-            elems: ge,
-            lengths: [ge[0] as f64, ge[1] as f64, ge[2] as f64],
-            velocity: cfg.velocity,
-            variant: cfg.variant,
-        });
-        let lengths = [ge[0] as f64, ge[1] as f64, ge[2] as f64];
-        serial.init(|x, y, z| initial_profile(0, x, y, z, lengths));
-        for _ in 0..cfg.steps {
-            serial.step(dt);
-        }
-
-        // compare element by element via global ids
-        let npts = cfg.n * cfg.n * cfg.n;
-        let mut checked = 0;
-        for dump in &dumps {
-            for (le, &geid) in dump.global_elem_ids.iter().enumerate() {
-                let data = &dump.fields[0][le * npts..(le + 1) * npts];
-                let sdata = &serial.solution().element(geid);
-                for (a, b) in data.iter().zip(sdata.iter()) {
-                    assert!(
-                        (a - b).abs() < 1e-10,
-                        "elem {geid}: {a} vs {b} (diff {})",
-                        (a - b).abs()
-                    );
-                    checked += 1;
-                }
-            }
-        }
-        assert_eq!(checked, serial.nel() * npts);
-    }
-
     #[test]
     fn dealias_roundtrip_changes_nothing_but_adds_the_workload() {
         let base = Config {
@@ -706,56 +631,6 @@ mod tests {
         assert!(cfg.validate().is_err());
     }
 
-    /// The viscous proxy loop is a real distributed advection–diffusion
-    /// solve: it must match the single-process BR1 reference solver.
-    #[test]
-    fn distributed_viscous_solution_matches_serial_reference() {
-        use cmt_core::diffusion::{AdvDiffConfig, AdvDiffSolver};
-        let cfg = Config {
-            n: 5,
-            elems_per_rank: 4,
-            ranks: 4,
-            steps: 4,
-            fields: 1,
-            viscosity: Some(0.02),
-            method: Some(GsMethod::PairwiseExchange),
-            ..Default::default()
-        };
-        let mesh_cfg = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, true);
-        let ge = mesh_cfg.global_elems();
-        let lengths = [ge[0] as f64, ge[1] as f64, ge[2] as f64];
-        let (_, dumps) = run_collecting_solution(&cfg);
-        let dt = dumps[0].dt;
-
-        let mut serial = AdvDiffSolver::new(AdvDiffConfig {
-            n: cfg.n,
-            elems: ge,
-            lengths,
-            velocity: cfg.velocity,
-            nu: 0.02,
-            variant: cfg.variant,
-        });
-        serial.init(|x, y, z| initial_profile(0, x, y, z, lengths));
-        for _ in 0..cfg.steps {
-            serial.step(dt);
-        }
-
-        let npts = cfg.n * cfg.n * cfg.n;
-        let mut max_diff = 0.0f64;
-        for dump in &dumps {
-            for (le, &geid) in dump.global_elem_ids.iter().enumerate() {
-                let data = &dump.fields[0][le * npts..(le + 1) * npts];
-                for (a, b) in data.iter().zip(serial.solution().element(geid)) {
-                    max_diff = max_diff.max((a - b).abs());
-                }
-            }
-        }
-        assert!(
-            max_diff < 1e-10,
-            "viscous distributed vs serial: {max_diff}"
-        );
-    }
-
     #[test]
     fn viscosity_adds_regions_and_shrinks_dt() {
         let base = Config {
@@ -767,14 +642,12 @@ mod tests {
             method: Some(GsMethod::PairwiseExchange),
             ..Default::default()
         };
-        let geom = cmt_core::ops::ElementGeom::cube(1.0);
-        let dt_inviscid = super::stable_dt(&base, &geom);
-        let viscous_cfg = Config {
+        let (_, inviscid) = run_collecting_solution(&base);
+        let (rep, viscous) = run_collecting_solution(&Config {
             viscosity: Some(0.5),
             ..base.clone()
-        };
-        assert!(super::stable_dt(&viscous_cfg, &geom) < dt_inviscid);
-        let rep = run(&viscous_cfg);
+        });
+        assert!(viscous[0].dt < inviscid[0].dt);
         assert!(rep.profile.share(regions::VISCOUS) > 0.0);
         // viscous trace exchanges recorded under their own context
         assert!(rep

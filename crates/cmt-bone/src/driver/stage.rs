@@ -2,9 +2,12 @@
 //! graph, and the two schedules — blocking and overlapped — that order
 //! them.
 
-use cmt_core::face::{self, Face};
+use cmt_core::face;
 use cmt_core::kernels::{self, DerivDir};
-use cmt_core::ops::{advect_volume_rhs_slices, upwind_face_correction};
+use cmt_core::ops::{
+    advect_volume_rhs_slices, br1_central_correction, br1_gradient_lift, phys_grad,
+    upwind_face_correction,
+};
 use cmt_core::rk;
 use cmt_core::Field;
 use cmt_gs::{GsHandle, GsMethod, GsOp};
@@ -275,10 +278,6 @@ impl Stepper<'_> {
         let env = self.env;
         let (cfg, basis, geom) = (&env.cfg, &env.basis, &env.geom);
         let (n, nel) = (cfg.n, blk.nel);
-        let fpe = face::face_values_per_element(n);
-        let n2 = n * n;
-        let n3 = n2 * n;
-        let w_end = basis.weights[0];
         let Block {
             handle,
             u,
@@ -294,27 +293,11 @@ impl Stepper<'_> {
         let nu = ws.nu;
 
         self.prof.enter(regions::VISCOUS);
-        // gradient volume part
-        for (axis, dir) in AXES {
-            let q = ws.q[axis].as_mut_slice();
-            kernels::deriv(cfg.variant, dir, n, nel, &basis.d, u[f].as_slice(), q);
-            ws.q[axis].scale(geom.dscale(axis));
-        }
-        // gradient lifting: q_a += lift * sign * (u* - u_in),
-        // u* - u_in = (nbr - own)/2
-        for e in 0..nel {
-            for fc in Face::ALL {
-                let axis = fc.axis();
-                let sign = fc.sign() as f64;
-                let lift = geom.dscale(axis) / w_end;
-                let qe = &mut ws.q[axis].as_mut_slice()[e * n3..(e + 1) * n3];
-                let off = e * fpe + fc.index() * n2;
-                let (nbr, own) = (&faces[off..off + n2], &faces_own[off..off + n2]);
-                face::for_each_face_point(n, fc, qe, |p, q| {
-                    let jump = 0.5 * (nbr[p] - own[p]);
-                    *q += lift * sign * jump;
-                });
-            }
+        // gradient: volume part, then the central-trace lift
+        let [qx, qy, qz] = &mut ws.q;
+        phys_grad(cfg.variant, basis, geom, &u[f], qx, qy, qz);
+        for (axis, q) in ws.q.iter_mut().enumerate() {
+            br1_gradient_lift(basis, geom, axis, faces_own, faces, q);
         }
         // viscous divergence: per axis a volume term and a central
         // surface-flux correction with the q-trace exchange between them.
@@ -334,22 +317,10 @@ impl Stepper<'_> {
         // neighbor); it is reduced to the absolute neighbor trace in
         // place, then the correction is lifted into `rhs`.
         let correct = |qnbr: &mut [f64], qown: &[f64], axis: usize, rhs: &mut Field| {
-            let lift = geom.dscale(axis) / w_end;
             for (nb, ow) in qnbr.iter_mut().zip(qown) {
                 *nb -= ow;
             }
-            for (e, re) in rhs.as_mut_slice().chunks_exact_mut(n3).enumerate() {
-                for fc in Face::ALL.into_iter().filter(|fc| fc.axis() == axis) {
-                    let sign = fc.sign() as f64;
-                    let off = e * fpe + fc.index() * n2;
-                    let (nbr, own) = (&qnbr[off..off + n2], &qown[off..off + n2]);
-                    face::for_each_face_point(n, fc, re, |p, r| {
-                        // F* - F_in = sign nu ((q_own+q_nbr)/2 - q_own)
-                        //           = sign nu (q_nbr - q_own)/2
-                        *r += lift * sign * nu * 0.5 * (nbr[p] - own[p]);
-                    });
-                }
-            }
+            br1_central_correction(basis, geom, axis, nu, qown, qnbr, rhs);
         };
         match cfg.pipeline {
             Pipeline::Blocking => {

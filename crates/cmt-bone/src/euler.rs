@@ -10,15 +10,15 @@
 //! update — the identical operation sequence as the advection proxy, with
 //! the real compressible flux in the middle.
 //!
-//! The test suite validates the distributed run against
-//! [`cmt_core::euler::EulerSolver`] point-for-point.
-
-use std::time::Instant;
+//! The volume term and the Rusanov lift are [`cmt_core::euler`]'s, the
+//! same functions [`cmt_core::euler::EulerSolver`] calls; only the trace
+//! exchange differs. `tests/distributed_vs_serial.rs` holds the two
+//! point-for-point.
 
 use cmt_core::eos::{IdealGas, Primitive, NVARS};
-use cmt_core::face::{self, Face};
-use cmt_core::kernels::{self, DerivDir};
-use cmt_core::ops::ElementGeom;
+use cmt_core::euler::{is_admissible, max_wave_speed, rusanov_lift, volume_rhs};
+use cmt_core::face;
+use cmt_core::ops::{stable_dt, ElementGeom};
 use cmt_core::poly::Basis;
 use cmt_core::{rk, Field, KernelVariant};
 use cmt_gs::{GsHandle, GsMethod, GsOp};
@@ -71,6 +71,29 @@ impl Default for EulerRunConfig {
             cfl_interval: 5,
             particles_per_elem: 0,
         }
+    }
+}
+
+impl EulerRunConfig {
+    /// Validate parameter sanity; returns a description of the first
+    /// problem found.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(2..=25).contains(&self.n) {
+            return Err(format!("n must be in 2..=25, got {}", self.n));
+        }
+        if self.ranks == 0 {
+            return Err("ranks must be positive".into());
+        }
+        if self.elems_per_rank == 0 {
+            return Err("elems_per_rank must be positive".into());
+        }
+        if self.cfl_interval == 0 {
+            return Err("cfl_interval must be positive".into());
+        }
+        if !(self.cfl > 0.0) {
+            return Err("cfl must be positive".into());
+        }
+        Ok(())
     }
 }
 
@@ -152,10 +175,16 @@ struct RankOut {
 /// Run the distributed Euler solver with the given smooth initial
 /// primitive state (a function of global physical coordinates; elements
 /// are unit cubes, so the box is `global_elems` wide).
+///
+/// # Panics
+/// Panics with `invalid Euler configuration` when
+/// [`EulerRunConfig::validate`] rejects `cfg`.
 pub fn run_euler(
     cfg: &EulerRunConfig,
     init: impl Fn(f64, f64, f64) -> Primitive + Send + Sync,
 ) -> EulerRunReport {
+    cfg.validate()
+        .unwrap_or_else(|e| panic!("invalid Euler configuration: {e}"));
     let mesh_cfg = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, true);
     let init = &init;
     let result = World::new().run(cfg.ranks, |rank| rank_main(rank, cfg, &mesh_cfg, init));
@@ -198,10 +227,8 @@ fn rank_main(
     mesh_cfg: &MeshConfig,
     init: &(impl Fn(f64, f64, f64) -> Primitive + Send + Sync),
 ) -> RankOut {
-    let _start = Instant::now();
     let mut prof = Profiler::new();
     let n = cfg.n;
-    let n3 = n * n * n;
     let basis = Basis::new(n);
     let geom = ElementGeom::cube(1.0);
     let gas = cfg.gas;
@@ -270,26 +297,10 @@ fn rank_main(
     // Adaptive dt from the global wave speed (allreduce Max) — the
     // mini-app's vector-reduction component doing real work.
     let global_dt = |u: &[Field], rank: &mut Rank| -> f64 {
-        let mut s = 0.0f64;
-        for e in 0..nel {
-            for p in 0..n3 {
-                let idx = e * n3 + p;
-                let uu = [
-                    u[0].as_slice()[idx],
-                    u[1].as_slice()[idx],
-                    u[2].as_slice()[idx],
-                    u[3].as_slice()[idx],
-                    u[4].as_slice()[idx],
-                ];
-                for axis in 0..3 {
-                    s = s.max(gas.max_wave_speed(&uu, axis));
-                }
-            }
-        }
         rank.set_context("cfl");
-        let smax = rank.allreduce_scalar(s, ReduceOp::Max);
+        let smax = rank.allreduce_scalar(max_wave_speed(&gas, u), ReduceOp::Max);
         rank.set_context("main");
-        cfg.cfl / ((n * n) as f64 * smax.max(1e-30))
+        stable_dt(n, &geom, [smax.max(1e-30); 3], 0.0, cfg.cfl)
     };
 
     let eval_rhs = |u: &[Field],
@@ -300,45 +311,8 @@ fn rank_main(
                     faces_nbr: &mut [Vec<f64>],
                     rank: &mut Rank,
                     prof: &mut Profiler| {
-        // volume term
         prof.enter("ax_cmt (flux divergence derivs)");
-        for r in rhs.iter_mut() {
-            r.fill(0.0);
-        }
-        for (axis, dir) in [(0, DerivDir::R), (1, DerivDir::S), (2, DerivDir::T)] {
-            let scale = geom.dscale(axis);
-            // fused pointwise pass: one full flux-vector evaluation per
-            // point per axis, scattered to all five component fields (the
-            // unfused loop recomputed the vector per component — 15 flux
-            // evaluations per point per stage instead of 3). Component
-            // values are unchanged, so the per-component derivative and
-            // accumulation below stay bitwise identical.
-            for idx in 0..n3 * nel {
-                let uu = [
-                    u[0].as_slice()[idx],
-                    u[1].as_slice()[idx],
-                    u[2].as_slice()[idx],
-                    u[3].as_slice()[idx],
-                    u[4].as_slice()[idx],
-                ];
-                let f = gas.flux(&uu, axis);
-                for (c, &fc) in f.iter().enumerate() {
-                    flux[c].as_mut_slice()[idx] = fc;
-                }
-            }
-            for c in 0..NVARS {
-                kernels::deriv(
-                    cfg.variant,
-                    dir,
-                    n,
-                    nel,
-                    &basis.d,
-                    flux[c].as_slice(),
-                    scratch.as_mut_slice(),
-                );
-                rhs[c].axpy(-scale, scratch);
-            }
-        }
+        volume_rhs(cfg.variant, &basis, &geom, &gas, u, flux, scratch, rhs);
         prof.exit();
 
         // surface extraction + exchange: neighbor trace = gs_add - own
@@ -365,32 +339,7 @@ fn rank_main(
                 *nb -= own;
             }
         }
-        // Rusanov lifting
-        let n2 = n * n;
-        let w_end = basis.weights[0];
-        for e in 0..nel {
-            for f in Face::ALL {
-                let axis = f.axis();
-                let sign = f.sign() as f64;
-                let lift = geom.dscale(axis) / w_end;
-                let off = e * fpe + f.index() * n2;
-                for p in 0..n2 {
-                    let mut ul = [0.0; NVARS];
-                    let mut ur = [0.0; NVARS];
-                    for c in 0..NVARS {
-                        ul[c] = faces_own[c][off + p];
-                        ur[c] = faces_nbr[c][off + p];
-                    }
-                    let fstar = gas.rusanov_flux(&ul, &ur, axis, sign);
-                    let fown = gas.flux(&ul, axis);
-                    let vi = face::face_point_volume_index(n, f, p);
-                    let idx = e * n3 + vi;
-                    for c in 0..NVARS {
-                        rhs[c].as_mut_slice()[idx] -= lift * (fstar[c] - sign * fown[c]);
-                    }
-                }
-            }
-        }
+        rusanov_lift(&gas, &basis, &geom, faces_own, faces_nbr, rhs);
         prof.exit();
     };
 
@@ -471,16 +420,7 @@ fn rank_main(
     rank.set_context("main");
 
     let totals_after = totals(&u, rank);
-    let admissible = (0..n3 * nel).all(|idx| {
-        let uu = [
-            u[0].as_slice()[idx],
-            u[1].as_slice()[idx],
-            u[2].as_slice()[idx],
-            u[3].as_slice()[idx],
-            u[4].as_slice()[idx],
-        ];
-        gas.is_admissible(&uu)
-    });
+    let admissible = is_admissible(&gas, &u);
 
     RankOut {
         profiler: prof,
@@ -500,7 +440,6 @@ fn rank_main(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmt_core::euler::{EulerConfig, EulerSolver};
     use std::f64::consts::PI;
 
     fn wave(lengths: [f64; 3]) -> impl Fn(f64, f64, f64) -> Primitive + Send + Sync {
@@ -537,48 +476,32 @@ mod tests {
     }
 
     #[test]
-    fn distributed_euler_matches_serial_solver() {
+    #[should_panic(expected = "invalid Euler configuration")]
+    fn zero_cfl_interval_rejected() {
         let cfg = EulerRunConfig {
-            ranks: 4,
-            elems_per_rank: 4,
-            n: 5,
-            steps: 5,
-            cfl_interval: 1000, // fixed dt over the run
+            cfl_interval: 0,
+            steps: 2,
             ..Default::default()
         };
-        let mesh_cfg = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, true);
-        let ge = mesh_cfg.global_elems();
-        let lengths = [ge[0] as f64, ge[1] as f64, ge[2] as f64];
-        let rep = run_euler(&cfg, wave(lengths));
+        let _ = run_euler(&cfg, wave([1.0; 3]));
+    }
 
-        // serial reference with the identical dt schedule
-        let mut serial = EulerSolver::new(EulerConfig {
-            n: cfg.n,
-            elems: ge,
-            lengths,
-            gas: cfg.gas,
-            variant: cfg.variant,
-            artificial_viscosity: 0.0,
-        });
-        serial.init(wave(lengths));
-        let dt = rep.time / cfg.steps as f64;
-        for _ in 0..cfg.steps {
-            serial.step(dt);
+    #[test]
+    fn validation_catches_bad_params() {
+        for breaker in [
+            &(|c: &mut EulerRunConfig| c.n = 1) as &dyn Fn(&mut EulerRunConfig),
+            &|c| c.n = 26,
+            &|c| c.ranks = 0,
+            &|c| c.elems_per_rank = 0,
+            &|c| c.cfl_interval = 0,
+            &|c| c.cfl = 0.0,
+            &|c| c.cfl = f64::NAN,
+        ] {
+            let mut c = EulerRunConfig::default();
+            assert!(c.validate().is_ok());
+            breaker(&mut c);
+            assert!(c.validate().is_err());
         }
-
-        let npts = cfg.n * cfg.n * cfg.n;
-        let mut max_diff = 0.0f64;
-        for sol in &rep.solutions {
-            for (le, &geid) in sol.global_elem_ids.iter().enumerate() {
-                for c in 0..NVARS {
-                    let data = &sol.fields[c][le * npts..(le + 1) * npts];
-                    for (a, b) in data.iter().zip(serial.state()[c].element(geid)) {
-                        max_diff = max_diff.max((a - b).abs());
-                    }
-                }
-            }
-        }
-        assert!(max_diff < 1e-9, "distributed vs serial Euler: {max_diff}");
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //! implementation advances each field with a *real* DG advection operator
 //! assembled from exactly the proxy kernels (upwind fluxes recovered from
 //! the gather-scatter exchange), so the mini-app is simultaneously a
-//! faithful performance proxy and a numerically verifiable program: the
-//! test suite checks the distributed run against the single-process
-//! reference solver of [`cmt_core::solver`].
+//! faithful performance proxy and a numerically verifiable program. Its
+//! DG terms are `cmt-core`'s, the ones the single-process reference
+//! solvers ([`cmt_core::diffusion::AdvDiffSolver`],
+//! [`cmt_core::euler::EulerSolver`]) call, and the test suite checks the
+//! distributed runs against those solvers.
 //!
 //! Entry points:
 //! * [`Config`] + [`run`] — execute the mini-app and collect the full

@@ -1,6 +1,18 @@
-//! Advection–diffusion DG solver: the second-derivative (viscous)
-//! machinery of a compressible Navier–Stokes code, validated in
-//! isolation.
+//! Advection–diffusion DG solver: the serial reference for the mini-app's
+//! proxy step, and the second-derivative (viscous) machinery of a
+//! compressible Navier–Stokes code, validated in isolation.
+//!
+//! CMT-bone is a *proxy*: its timestep loop performs the derivative,
+//! face-extraction and exchange operations without claiming the results
+//! mean anything physically. This solver assembles the same terms
+//! ([`crate::ops`]) into a periodic solve of
+//!
+//! ```text
+//! u_t + c . grad u = nu lap u
+//! ```
+//!
+//! with upwind advective fluxes and SSP-RK3. At `nu = 0` it is pure
+//! linear advection, bit for bit the distributed proxy's inviscid step.
 //!
 //! CMT-nek solves the *Navier–Stokes* equations: its flux
 //! `f(U, grad U)` in the paper's conservation law (eq. 1) depends on the
@@ -9,22 +21,22 @@
 //! Rebay): an auxiliary gradient `q = grad u` is computed with
 //! central-averaged traces, exchanged like any other surface data, and
 //! the viscous flux `nu q` is then differenced like the inviscid one.
-//! Each right-hand-side evaluation therefore runs the mini-app's kernel
-//! pipeline **twice** (gradient pass + divergence pass), with four
+//! Each right-hand-side evaluation with `nu > 0` therefore runs the
+//! kernel pipeline **twice** (gradient pass + divergence pass), with four
 //! surface exchanges (`u` and the three `q` components) instead of one —
 //! the communication-intensity step-up viscous physics brings.
 //!
-//! The solver advances `u_t + c . grad u = nu lap u` on a periodic box
-//! and is validated against the exact decaying traveling wave
-//! `u = exp(-nu k^2 t) sin(k (x - c t))` (spectral convergence in `N`
+//! The tests validate against the exact decaying traveling wave
+//! `u = exp(-nu k^2 t) sin(k . (x - c t))` (spectral convergence in `N`
 //! and correct decay rate), plus conservation of the mean.
 
-use crate::face::{self, Face};
+use crate::face;
 use crate::field::Field;
-use crate::kernels::{self, DerivDir, KernelVariant};
-use crate::ops::{advect_volume_rhs, ElementGeom};
-use crate::poly::Basis;
+use crate::kernels::KernelVariant;
+use crate::ops::{self, advect_volume_rhs, upwind_face_correction};
+use crate::periodic::{PeriodicBox, Viscous};
 use crate::rk;
+use std::f64::consts::PI;
 
 /// Configuration of the periodic advection–diffusion solver.
 #[derive(Debug, Clone)]
@@ -37,7 +49,7 @@ pub struct AdvDiffConfig {
     pub lengths: [f64; 3],
     /// Advection velocity.
     pub velocity: [f64; 3],
-    /// Diffusivity `nu >= 0`.
+    /// Diffusivity `nu >= 0`; zero is pure advection.
     pub nu: f64,
     /// Kernel implementation.
     pub variant: KernelVariant,
@@ -56,60 +68,48 @@ impl Default for AdvDiffConfig {
     }
 }
 
-/// Periodic advection–diffusion DG solver (BR1 viscous fluxes).
+/// Periodic advection–diffusion DG solver (upwind advection, BR1 viscous
+/// fluxes).
 pub struct AdvDiffSolver {
     cfg: AdvDiffConfig,
-    basis: Basis,
-    geom: ElementGeom,
+    bx: PeriodicBox,
     u: Field,
     u0: Field,
     rhs: Field,
     scratch: Field,
-    q: [Field; 3],
-    faces_u_own: Vec<f64>,
-    faces_u_nbr: Vec<f64>,
-    faces_q_own: Vec<f64>,
-    faces_q_nbr: Vec<f64>,
+    faces_own: Vec<f64>,
+    faces_nbr: Vec<f64>,
+    /// The BR1 workspace, present when `nu > 0`.
+    viscous: Option<Viscous>,
     time: f64,
 }
 
 impl AdvDiffSolver {
     /// Build with a zero field.
+    ///
+    /// # Panics
+    /// Panics if `nu < 0`, any element count is zero, or `n < 2`.
     pub fn new(cfg: AdvDiffConfig) -> Self {
         assert!(cfg.nu >= 0.0, "diffusivity must be non-negative");
-        assert!(cfg.elems.iter().all(|&e| e > 0));
-        let nel = cfg.elems.iter().product();
-        let basis = Basis::new(cfg.n);
-        let geom = ElementGeom {
-            hx: cfg.lengths[0] / cfg.elems[0] as f64,
-            hy: cfg.lengths[1] / cfg.elems[1] as f64,
-            hz: cfg.lengths[2] / cfg.elems[2] as f64,
-        };
-        let fpe = face::face_values_per_element(cfg.n);
+        let bx = PeriodicBox::new(cfg.n, cfg.elems, cfg.lengths);
+        let field = || Field::zeros(cfg.n, bx.nel());
         AdvDiffSolver {
-            basis,
-            geom,
-            u: Field::zeros(cfg.n, nel),
-            u0: Field::zeros(cfg.n, nel),
-            rhs: Field::zeros(cfg.n, nel),
-            scratch: Field::zeros(cfg.n, nel),
-            q: [
-                Field::zeros(cfg.n, nel),
-                Field::zeros(cfg.n, nel),
-                Field::zeros(cfg.n, nel),
-            ],
-            faces_u_own: vec![0.0; fpe * nel],
-            faces_u_nbr: vec![0.0; fpe * nel],
-            faces_q_own: vec![0.0; fpe * nel],
-            faces_q_nbr: vec![0.0; fpe * nel],
+            u: field(),
+            u0: field(),
+            rhs: field(),
+            scratch: field(),
+            faces_own: bx.traces(),
+            faces_nbr: bx.traces(),
+            viscous: (cfg.nu > 0.0).then(|| Viscous::new(&bx, cfg.nu)),
             time: 0.0,
+            bx,
             cfg,
         }
     }
 
     /// Total elements.
     pub fn nel(&self) -> usize {
-        self.cfg.elems.iter().product()
+        self.bx.nel()
     }
 
     /// Simulation time.
@@ -122,194 +122,34 @@ impl AdvDiffSolver {
         &self.u
     }
 
-    /// Physical coordinates of a GLL point.
+    /// Physical coordinates of GLL point `(i, j, k)` of element `e`.
     pub fn point_coords(&self, e: usize, i: usize, j: usize, k: usize) -> [f64; 3] {
-        let [ex, ey, _] = self.cfg.elems;
-        let exi = e % ex;
-        let eyi = (e / ex) % ey;
-        let ezi = e / (ex * ey);
-        let map = |idx: usize, cell: usize, h: f64| {
-            (cell as f64 + (self.basis.nodes[idx] + 1.0) / 2.0) * h
-        };
-        [
-            map(i, exi, self.geom.hx),
-            map(j, eyi, self.geom.hy),
-            map(k, ezi, self.geom.hz),
-        ]
+        self.bx.point_coords(e, i, j, k)
     }
 
-    /// Initialize from a function of physical coordinates.
+    /// Initialize from a function of physical coordinates and reset the
+    /// clock to zero.
     pub fn init(&mut self, f: impl Fn(f64, f64, f64) -> f64) {
-        let n = self.cfg.n;
-        for e in 0..self.nel() {
-            for k in 0..n {
-                for j in 0..n {
-                    for i in 0..n {
-                        let [x, y, z] = self.point_coords(e, i, j, k);
-                        self.u.set(e, i, j, k, f(x, y, z));
-                    }
-                }
-            }
-        }
+        self.u = Field::from_fn(self.cfg.n, self.nel(), |e, i, j, k| {
+            let [x, y, z] = self.bx.point_coords(e, i, j, k);
+            f(x, y, z)
+        });
         self.time = 0.0;
     }
 
-    fn neighbor(&self, e: usize, f: Face) -> usize {
-        let [ex, ey, ez] = self.cfg.elems;
-        let mut exi = e % ex;
-        let mut eyi = (e / ex) % ey;
-        let mut ezi = e / (ex * ey);
-        let step = |v: usize, max: usize, sign: i64| -> usize {
-            if sign < 0 {
-                (v + max - 1) % max
-            } else {
-                (v + 1) % max
-            }
-        };
-        match f.axis() {
-            0 => exi = step(exi, ex, f.sign()),
-            1 => eyi = step(eyi, ey, f.sign()),
-            _ => ezi = step(ezi, ez, f.sign()),
-        }
-        (ezi * ey + eyi) * ex + exi
-    }
-
-    fn exchange(&self, own: &[f64], nbr: &mut [f64]) {
-        let n2 = self.cfg.n * self.cfg.n;
-        let fpe = face::face_values_per_element(self.cfg.n);
-        for e in 0..self.nel() {
-            for f in Face::ALL {
-                let ne = self.neighbor(e, f);
-                let nf = f.opposite();
-                let src = ne * fpe + nf.index() * n2;
-                let dst = e * fpe + f.index() * n2;
-                nbr[dst..dst + n2].copy_from_slice(&own[src..src + n2]);
-            }
-        }
-    }
-
-    /// BR1 gradient: `q_a = dscale_a D_a u + lift((u* - u_in) n_a)` with
-    /// the central trace `u* = (u_in + u_nbr)/2`.
-    fn compute_gradient(&mut self) {
-        let n = self.cfg.n;
-        let nel = self.nel();
-        let n2 = n * n;
-        let n3 = n2 * n;
-        let fpe = face::face_values_per_element(n);
-        for (axis, dir) in [(0, DerivDir::R), (1, DerivDir::S), (2, DerivDir::T)] {
-            kernels::deriv(
-                self.cfg.variant,
-                dir,
-                n,
-                nel,
-                &self.basis.d,
-                self.u.as_slice(),
-                self.q[axis].as_mut_slice(),
-            );
-            self.q[axis].scale(self.geom.dscale(axis));
-        }
-        face::full2face(n, nel, self.u.as_slice(), &mut self.faces_u_own);
-        let own = std::mem::take(&mut self.faces_u_own);
-        let mut nbr = std::mem::take(&mut self.faces_u_nbr);
-        self.exchange(&own, &mut nbr);
-        let w_end = self.basis.weights[0];
-        for e in 0..nel {
-            for f in Face::ALL {
-                let axis = f.axis();
-                let sign = f.sign() as f64;
-                let lift = self.geom.dscale(axis) / w_end;
-                let off = e * fpe + f.index() * n2;
-                for p in 0..n2 {
-                    let ustar = 0.5 * (own[off + p] + nbr[off + p]);
-                    let jump = ustar - own[off + p];
-                    let vi = face::face_point_volume_index(n, f, p);
-                    self.q[axis].as_mut_slice()[e * n3 + vi] += lift * sign * jump;
-                }
-            }
-        }
-        self.faces_u_own = own;
-        self.faces_u_nbr = nbr;
-    }
-
-    /// Full right-hand side: upwind advection + BR1 viscous divergence.
+    /// Full right-hand side: upwind advection, plus the BR1 viscous
+    /// divergence when `nu > 0`.
     fn eval_rhs(&mut self) {
-        let n = self.cfg.n;
-        let nel = self.nel();
-        let n2 = n * n;
-        let n3 = n2 * n;
-        let fpe = face::face_values_per_element(n);
-        let w_end = self.basis.weights[0];
-
-        // ---- advection part (same scheme as AdvectionSolver) ----------
-        advect_volume_rhs(
-            self.cfg.variant,
-            &self.basis,
-            &self.geom,
-            self.cfg.velocity,
-            &self.u,
-            &mut self.rhs,
-            &mut self.scratch,
-        );
-        face::full2face(n, nel, self.u.as_slice(), &mut self.faces_u_own);
-        let own = std::mem::take(&mut self.faces_u_own);
-        let mut nbr = std::mem::take(&mut self.faces_u_nbr);
-        self.exchange(&own, &mut nbr);
-        crate::ops::upwind_face_correction(
-            &self.basis,
-            &self.geom,
-            self.cfg.velocity,
-            &own,
-            &nbr,
-            &mut self.rhs,
-        );
-        self.faces_u_own = own;
-        self.faces_u_nbr = nbr;
-
-        if self.cfg.nu == 0.0 {
-            return;
-        }
-
-        // ---- viscous part: rhs += nu * div q ---------------------------
-        self.compute_gradient();
-        for (axis, dir) in [(0, DerivDir::R), (1, DerivDir::S), (2, DerivDir::T)] {
-            // volume: nu * dscale_a D_a q_a
-            kernels::deriv(
-                self.cfg.variant,
-                dir,
-                n,
-                nel,
-                &self.basis.d,
-                self.q[axis].as_slice(),
-                self.scratch.as_mut_slice(),
-            );
-            self.rhs
-                .axpy(self.cfg.nu * self.geom.dscale(axis), &self.scratch);
-
-            // surface: central flux of nu q_a on the two faces normal to
-            // this axis. For u_t = ... + div(nu q):
-            // rhs += lift * (F*_n - F_n),  F_n = sign * nu * q_a.
-            face::full2face(n, nel, self.q[axis].as_slice(), &mut self.faces_q_own);
-            let qown = std::mem::take(&mut self.faces_q_own);
-            let mut qnbr = std::mem::take(&mut self.faces_q_nbr);
-            self.exchange(&qown, &mut qnbr);
-            for e in 0..nel {
-                for f in Face::ALL {
-                    if f.axis() != axis {
-                        continue;
-                    }
-                    let sign = f.sign() as f64;
-                    let lift = self.geom.dscale(axis) / w_end;
-                    let off = e * fpe + f.index() * n2;
-                    for p in 0..n2 {
-                        let fin = sign * self.cfg.nu * qown[off + p];
-                        let fstar = sign * self.cfg.nu * 0.5 * (qown[off + p] + qnbr[off + p]);
-                        let vi = face::face_point_volume_index(n, f, p);
-                        self.rhs.as_mut_slice()[e * n3 + vi] += lift * (fstar - fin);
-                    }
-                }
-            }
-            self.faces_q_own = qown;
-            self.faces_q_nbr = qnbr;
+        let (bx, variant, vel) = (&self.bx, self.cfg.variant, self.cfg.velocity);
+        let (basis, geom) = (&bx.basis, &bx.geom);
+        let (u, rhs, scratch) = (&self.u, &mut self.rhs, &mut self.scratch);
+        advect_volume_rhs(variant, basis, geom, vel, u, rhs, scratch);
+        face::full2face(bx.n, bx.nel(), u.as_slice(), &mut self.faces_own);
+        bx.exchange(&self.faces_own, &mut self.faces_nbr);
+        let (own, nbr) = (&self.faces_own, &self.faces_nbr);
+        upwind_face_correction(basis, geom, vel, own, nbr, rhs);
+        if let Some(v) = &mut self.viscous {
+            v.add_to(bx, variant, u, own, nbr, rhs);
         }
     }
 
@@ -323,73 +163,36 @@ impl AdvDiffSolver {
         self.time += dt;
     }
 
-    /// Stable timestep: the minimum of the advective CFL limit and the
-    /// diffusive limit `~ h^2 / (nu N^4)`.
+    /// Stable timestep ([`ops::stable_dt`]): the minimum of the advective
+    /// CFL limit and the diffusive limit `~ h^2 / (nu N^4)`.
     pub fn stable_dt(&self, cfl: f64) -> f64 {
-        let n2 = (self.cfg.n * self.cfg.n) as f64;
-        let mut dt = f64::INFINITY;
-        for axis in 0..3 {
-            let h = self.geom.extent(axis);
-            let c = self.cfg.velocity[axis].abs();
-            if c > 0.0 {
-                dt = dt.min(cfl * h / (n2 * c));
-            }
-            if self.cfg.nu > 0.0 {
-                dt = dt.min(cfl * h * h / (n2 * n2 * self.cfg.nu));
-            }
-        }
-        if dt.is_finite() {
-            dt
-        } else {
-            cfl
-        }
+        let cfg = &self.cfg;
+        ops::stable_dt(cfg.n, &self.bx.geom, cfg.velocity, cfg.nu, cfl)
     }
 
     /// GLL-quadrature integral of `u` (conserved: both advection and
     /// diffusion preserve the mean on a periodic box).
     pub fn integral(&self) -> f64 {
-        let n = self.cfg.n;
-        let w = &self.basis.weights;
-        let jac = self.geom.hx * self.geom.hy * self.geom.hz / 8.0;
-        let mut total = 0.0;
-        for e in 0..self.nel() {
-            for k in 0..n {
-                for j in 0..n {
-                    for i in 0..n {
-                        total += w[i] * w[j] * w[k] * jac * self.u.get(e, i, j, k);
-                    }
-                }
-            }
-        }
-        total
+        self.bx.integral(&self.u)
     }
 
     /// Max-norm error against the exact decaying traveling wave solution
     /// for initial data `sin(k_vec . x)` (`k_vec = 2 pi m / L` per
-    /// direction): `u = exp(-nu |k|^2 t) sin(k . (x - c t))`.
+    /// direction): `u = exp(-nu |k|^2 t) sin(k . (x - c t))`. At `nu = 0`
+    /// this is the exact advected profile.
     pub fn error_vs_decaying_wave(&self, modes: [i32; 3]) -> f64 {
-        let n = self.cfg.n;
-        let kvec = [
-            2.0 * std::f64::consts::PI * modes[0] as f64 / self.cfg.lengths[0],
-            2.0 * std::f64::consts::PI * modes[1] as f64 / self.cfg.lengths[1],
-            2.0 * std::f64::consts::PI * modes[2] as f64 / self.cfg.lengths[2],
-        ];
+        let (c, t) = (self.cfg.velocity, self.time);
+        let kvec: [f64; 3] =
+            std::array::from_fn(|a| 2.0 * PI * modes[a] as f64 / self.cfg.lengths[a]);
         let k2 = kvec[0] * kvec[0] + kvec[1] * kvec[1] + kvec[2] * kvec[2];
-        let amp = (-self.cfg.nu * k2 * self.time).exp();
+        let amp = (-self.cfg.nu * k2 * t).exp();
         let mut err = 0.0f64;
-        for e in 0..self.nel() {
-            for k in 0..n {
-                for j in 0..n {
-                    for i in 0..n {
-                        let [x, y, z] = self.point_coords(e, i, j, k);
-                        let phase = kvec[0] * (x - self.cfg.velocity[0] * self.time)
-                            + kvec[1] * (y - self.cfg.velocity[1] * self.time)
-                            + kvec[2] * (z - self.cfg.velocity[2] * self.time);
-                        err = err.max((self.u.get(e, i, j, k) - amp * phase.sin()).abs());
-                    }
-                }
-            }
-        }
+        self.bx.for_each_point(|e, i, j, k| {
+            let [x, y, z] = self.bx.point_coords(e, i, j, k);
+            let phase =
+                kvec[0] * (x - c[0] * t) + kvec[1] * (y - c[1] * t) + kvec[2] * (z - c[2] * t);
+            err = err.max((self.u.get(e, i, j, k) - amp * phase.sin()).abs());
+        });
         err
     }
 }
@@ -397,26 +200,143 @@ impl AdvDiffSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::PI;
 
     fn sine_x(x: f64, _y: f64, _z: f64) -> f64 {
         (2.0 * PI * x).sin()
     }
 
+    fn gaussian(x: f64, y: f64, z: f64) -> f64 {
+        let d2 = (x - 0.5).powi(2) + (y - 0.5).powi(2) + (z - 0.5).powi(2);
+        (-40.0 * d2).exp()
+    }
+
+    /// Step to `t_end` in equal steps of at most `stable_dt(0.25)` and at
+    /// least `min_steps` of them.
     fn run_to(
         cfg: AdvDiffConfig,
         t_end: f64,
+        min_steps: usize,
         init: impl Fn(f64, f64, f64) -> f64,
     ) -> AdvDiffSolver {
         let mut s = AdvDiffSolver::new(cfg);
         s.init(init);
-        let dt = s.stable_dt(0.25).min(t_end / 20.0);
+        let dt = s.stable_dt(0.25).min(t_end / min_steps as f64);
         let steps = (t_end / dt).ceil() as usize;
         let dt = t_end / steps as f64;
         for _ in 0..steps {
             s.step(dt);
         }
         s
+    }
+
+    #[test]
+    fn spectral_convergence_in_n() {
+        // Smooth sine advected in x (nu = 0); error must drop fast with N.
+        let errs: Vec<f64> = [4usize, 6, 8]
+            .iter()
+            .map(|&n| {
+                let cfg = AdvDiffConfig {
+                    n,
+                    nu: 0.0,
+                    ..Default::default()
+                };
+                run_to(cfg, 0.25, 40, sine_x).error_vs_decaying_wave([1, 0, 0])
+            })
+            .collect();
+        assert!(
+            errs[1] < errs[0] * 0.2 && errs[2] < errs[1] * 0.2,
+            "not spectral: {errs:?}"
+        );
+        assert!(errs[2] < 1e-4, "final error too large: {errs:?}");
+    }
+
+    #[test]
+    fn advects_in_all_three_directions() {
+        for axis in 0..3 {
+            let mut velocity = [0.0; 3];
+            velocity[axis] = 1.0;
+            let cfg = AdvDiffConfig {
+                elems: [2, 2, 2],
+                velocity,
+                nu: 0.0,
+                ..Default::default()
+            };
+            let s = run_to(cfg, 0.1, 1, move |x, y, z| {
+                (2.0 * PI * [x, y, z][axis]).sin()
+            });
+            let mut modes = [0i32; 3];
+            modes[axis] = 1;
+            let err = s.error_vs_decaying_wave(modes);
+            assert!(err < 5e-4, "axis {axis}: err = {err}");
+        }
+    }
+
+    #[test]
+    fn diagonal_advection_of_a_multi_mode_sine() {
+        let cfg = AdvDiffConfig {
+            n: 10,
+            elems: [3, 3, 3],
+            velocity: [1.0, 0.5, -0.5],
+            nu: 0.0,
+            ..Default::default()
+        };
+        let s = run_to(cfg, 0.05, 1, |x, y, z| (2.0 * PI * (x + 2.0 * y - z)).sin());
+        let err = s.error_vs_decaying_wave([1, 2, -1]);
+        assert!(err < 2e-5, "err = {err}");
+    }
+
+    #[test]
+    fn conserves_integral_under_pure_advection() {
+        let mut s = AdvDiffSolver::new(AdvDiffConfig {
+            n: 7,
+            elems: [2, 2, 1],
+            velocity: [1.0, -0.3, 0.0],
+            nu: 0.0,
+            ..Default::default()
+        });
+        s.init(gaussian);
+        let before = s.integral();
+        let dt = s.stable_dt(0.3);
+        for _ in 0..50 {
+            s.step(dt);
+        }
+        let after = s.integral();
+        assert!(
+            (before - after).abs() < 1e-10 * before.abs().max(1.0),
+            "integral drifted: {before} -> {after}"
+        );
+    }
+
+    #[test]
+    fn kernel_variants_give_identical_dynamics() {
+        for nu in [0.0, 0.02] {
+            let sols: Vec<Field> = KernelVariant::ALL
+                .into_iter()
+                .map(|variant| {
+                    let mut s = AdvDiffSolver::new(AdvDiffConfig {
+                        n: 6,
+                        elems: [2, 2, 2],
+                        velocity: [0.7, 0.2, 0.1],
+                        nu,
+                        variant,
+                        ..Default::default()
+                    });
+                    s.init(gaussian);
+                    for _ in 0..10 {
+                        s.step(1e-3);
+                    }
+                    s.solution().clone()
+                })
+                .collect();
+            for s in &sols[1..] {
+                for (a, b) in sols[0].as_slice().iter().zip(s.as_slice()) {
+                    assert!(
+                        (a - b).abs() < 1e-12,
+                        "nu {nu}: variant mismatch: {a} vs {b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -431,6 +351,7 @@ mod tests {
                 ..Default::default()
             },
             0.5,
+            20,
             sine_x,
         );
         let err = s.error_vs_decaying_wave([1, 0, 0]);
@@ -457,6 +378,7 @@ mod tests {
                 ..Default::default()
             },
             0.25,
+            20,
             sine_x,
         );
         let err = s.error_vs_decaying_wave([1, 0, 0]);
@@ -476,42 +398,12 @@ mod tests {
                     ..Default::default()
                 },
                 0.2,
+                20,
                 sine_x,
             );
             errs.push(s.error_vs_decaying_wave([1, 0, 0]));
         }
         assert!(errs[2] < errs[0] * 0.05, "no spectral decay: {errs:?}");
-    }
-
-    #[test]
-    fn nu_zero_reduces_to_pure_advection() {
-        // with nu = 0 the solver must agree with AdvectionSolver bit-for-bit
-        use crate::solver::{AdvectionConfig, AdvectionSolver};
-        let cfg = AdvDiffConfig {
-            n: 6,
-            elems: [2, 2, 1],
-            velocity: [0.8, 0.3, 0.0],
-            nu: 0.0,
-            ..Default::default()
-        };
-        let mut a = AdvDiffSolver::new(cfg.clone());
-        let mut b = AdvectionSolver::new(AdvectionConfig {
-            n: cfg.n,
-            elems: cfg.elems,
-            lengths: cfg.lengths,
-            velocity: cfg.velocity,
-            variant: cfg.variant,
-        });
-        let init = |x: f64, y: f64, _z: f64| (2.0 * PI * x).sin() + (2.0 * PI * y).cos();
-        a.init(init);
-        b.init(init);
-        for _ in 0..10 {
-            a.step(1e-3);
-            b.step(1e-3);
-        }
-        for (x, y) in a.solution().as_slice().iter().zip(b.solution().as_slice()) {
-            assert!((x - y).abs() < 1e-14, "{x} vs {y}");
-        }
     }
 
     #[test]
@@ -528,6 +420,7 @@ mod tests {
                     ..Default::default()
                 },
                 0.3,
+                20,
                 move |x, y, z| (2.0 * PI * [x, y, z][axis]).sin(),
             );
             let mut modes = [0i32; 3];

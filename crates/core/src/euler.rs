@@ -16,19 +16,122 @@
 //! U_t = -div F(U)  -  L( (F* - F) . n_hat )
 //! ```
 //!
-//! with the same endpoint lifting as the advection solver. No shock
-//! capturing is included (the paper lists it as CMT-nek future work); the
-//! solver is validated on smooth flows: exact preservation of uniform
-//! states, spectral convergence on traveling density waves, and discrete
-//! conservation of all five invariants.
+//! with the same endpoint lifting as the advection terms. The volume term
+//! ([`volume_rhs`]) and the Rusanov lift ([`rusanov_lift`]) are free
+//! functions: [`EulerSolver`] calls them on a local periodic exchange, and
+//! the distributed mini-app (`cmt_bone::euler`) on the gather–scatter
+//! exchange. Optional Laplacian artificial viscosity (the BR1 terms of
+//! [`crate::ops`]) is the shock capturing the paper lists as CMT-nek
+//! future work. The solver is validated on smooth flows (exact
+//! preservation of uniform states, spectral convergence on traveling
+//! density waves, the isentropic vortex, discrete conservation of all five
+//! invariants) and on Sod's shock tube against the exact Riemann solution.
 
 use crate::eos::{IdealGas, Primitive, NVARS};
 use crate::face::{self, Face};
 use crate::field::Field;
 use crate::kernels::{self, DerivDir, KernelVariant};
-use crate::ops::ElementGeom;
+use crate::ops::{self, ElementGeom};
+use crate::periodic::{PeriodicBox, Viscous};
 use crate::poly::Basis;
 use crate::rk;
+
+/// The conserved state at flat point index `idx` of the five fields `u`.
+#[inline]
+fn point_state(u: &[Field], idx: usize) -> [f64; NVARS] {
+    std::array::from_fn(|c| u[c].as_slice()[idx])
+}
+
+/// Largest wave speed `|u_n| + c` over every point and axis of `u`.
+pub fn max_wave_speed(gas: &IdealGas, u: &[Field]) -> f64 {
+    (0..u[0].len()).fold(0.0f64, |s, idx| {
+        let w = point_state(u, idx);
+        (0..3).fold(s, |s, axis| s.max(gas.max_wave_speed(&w, axis)))
+    })
+}
+
+/// Whether every point of `u` is physically admissible.
+pub fn is_admissible(gas: &IdealGas, u: &[Field]) -> bool {
+    (0..u[0].len()).all(|idx| gas.is_admissible(&point_state(u, idx)))
+}
+
+/// Volume term of the Euler right-hand side,
+/// `rhs_c = -sum_a dscale_a D_a F_a,c(U)`.
+///
+/// Per axis, one fused pointwise pass evaluates each point's full
+/// five-component flux vector once into `flux`; each component is then
+/// differentiated into `scratch` and accumulated into `rhs`.
+#[allow(clippy::too_many_arguments)]
+pub fn volume_rhs(
+    variant: KernelVariant,
+    basis: &Basis,
+    geom: &ElementGeom,
+    gas: &IdealGas,
+    u: &[Field],
+    flux: &mut [Field],
+    scratch: &mut Field,
+    rhs: &mut [Field],
+) {
+    let (n, nel) = (u[0].n(), u[0].nel());
+    for r in rhs.iter_mut() {
+        r.fill(0.0);
+    }
+    for (axis, dir) in [(0, DerivDir::R), (1, DerivDir::S), (2, DerivDir::T)] {
+        for idx in 0..u[0].len() {
+            let f = gas.flux(&point_state(u, idx), axis);
+            for (c, &fc) in f.iter().enumerate() {
+                flux[c].as_mut_slice()[idx] = fc;
+            }
+        }
+        for c in 0..NVARS {
+            let (fc, s) = (flux[c].as_slice(), scratch.as_mut_slice());
+            kernels::deriv(variant, dir, n, nel, &basis.d, fc, s);
+            rhs[c].axpy(-geom.dscale(axis), scratch);
+        }
+    }
+}
+
+/// Rusanov (local Lax–Friedrichs) surface lift of the Euler right-hand
+/// side: on every face point,
+///
+/// ```text
+/// rhs_c[face node] -= (2 / h_axis) / w_end * (F*_c - sign F_axis,c(U_in))
+/// ```
+///
+/// with `F*` the Rusanov flux of the own and neighbor traces. `own[c]` and
+/// `nbr[c]` are component `c`'s traces, laid out as for
+/// [`ops::upwind_face_correction`].
+pub fn rusanov_lift(
+    gas: &IdealGas,
+    basis: &Basis,
+    geom: &ElementGeom,
+    own: &[Vec<f64>],
+    nbr: &[Vec<f64>],
+    rhs: &mut [Field],
+) {
+    let (n, nel) = (rhs[0].n(), rhs[0].nel());
+    let (n2, n3) = (n * n, n * n * n);
+    let fpe = face::face_values_per_element(n);
+    let w_end = basis.weights[0];
+    for e in 0..nel {
+        for f in Face::ALL {
+            let axis = f.axis();
+            let sign = f.sign() as f64;
+            let lift = geom.dscale(axis) / w_end;
+            let off = e * fpe + f.index() * n2;
+            for p in 0..n2 {
+                let ul: [f64; NVARS] = std::array::from_fn(|c| own[c][off + p]);
+                let ur: [f64; NVARS] = std::array::from_fn(|c| nbr[c][off + p]);
+                let fstar = gas.rusanov_flux(&ul, &ur, axis, sign);
+                let fown = gas.flux(&ul, axis);
+                let idx = e * n3 + face::face_point_volume_index(n, f, p);
+                for c in 0..NVARS {
+                    rhs[c].as_mut_slice()[idx] -= lift * (fstar[c] - sign * fown[c]);
+                }
+            }
+        }
+    }
+}
 
 /// Configuration of the periodic-box Euler solver.
 #[derive(Debug, Clone)]
@@ -68,21 +171,18 @@ impl Default for EulerConfig {
 /// Periodic compressible Euler DG solver.
 pub struct EulerSolver {
     cfg: EulerConfig,
-    basis: Basis,
-    geom: ElementGeom,
+    bx: PeriodicBox,
     /// The five conserved fields.
     u: Vec<Field>,
     u0: Vec<Field>,
     rhs: Vec<Field>,
-    /// All five flux components of the current axis, filled by one fused
-    /// pointwise pass per axis (each point's conserved state is loaded and
-    /// its full flux vector computed once, not once per component).
+    /// All five flux components of the current axis ([`volume_rhs`]).
     flux: Vec<Field>,
     scratch: Field,
     faces_own: Vec<Vec<f64>>,
     faces_nbr: Vec<Vec<f64>>,
-    qfaces_own: Vec<f64>,
-    qfaces_nbr: Vec<f64>,
+    /// The BR1 workspace, present when artificial viscosity is on.
+    viscous: Option<Viscous>,
     time: f64,
 }
 
@@ -91,41 +191,31 @@ impl EulerSolver {
     /// [`EulerSolver::init`] before stepping.
     pub fn new(cfg: EulerConfig) -> Self {
         assert!(
-            cfg.elems.iter().all(|&e| e > 0),
-            "element counts must be positive"
-        );
-        assert!(
             cfg.artificial_viscosity >= 0.0,
             "artificial viscosity must be non-negative"
         );
-        let nel = cfg.elems[0] * cfg.elems[1] * cfg.elems[2];
-        let basis = Basis::new(cfg.n);
-        let geom = ElementGeom {
-            hx: cfg.lengths[0] / cfg.elems[0] as f64,
-            hy: cfg.lengths[1] / cfg.elems[1] as f64,
-            hz: cfg.lengths[2] / cfg.elems[2] as f64,
-        };
-        let fpe = face::face_values_per_element(cfg.n);
+        let bx = PeriodicBox::new(cfg.n, cfg.elems, cfg.lengths);
+        let fields = || (0..NVARS).map(|_| Field::zeros(cfg.n, bx.nel())).collect();
+        let traces = || (0..NVARS).map(|_| bx.traces()).collect();
         EulerSolver {
-            basis,
-            geom,
-            u: (0..NVARS).map(|_| Field::zeros(cfg.n, nel)).collect(),
-            u0: (0..NVARS).map(|_| Field::zeros(cfg.n, nel)).collect(),
-            rhs: (0..NVARS).map(|_| Field::zeros(cfg.n, nel)).collect(),
-            flux: (0..NVARS).map(|_| Field::zeros(cfg.n, nel)).collect(),
-            scratch: Field::zeros(cfg.n, nel),
-            faces_own: (0..NVARS).map(|_| vec![0.0; fpe * nel]).collect(),
-            faces_nbr: (0..NVARS).map(|_| vec![0.0; fpe * nel]).collect(),
-            qfaces_own: vec![0.0; fpe * nel],
-            qfaces_nbr: vec![0.0; fpe * nel],
+            u: fields(),
+            u0: fields(),
+            rhs: fields(),
+            flux: fields(),
+            scratch: Field::zeros(cfg.n, bx.nel()),
+            faces_own: traces(),
+            faces_nbr: traces(),
+            viscous: (cfg.artificial_viscosity > 0.0)
+                .then(|| Viscous::new(&bx, cfg.artificial_viscosity)),
             time: 0.0,
+            bx,
             cfg,
         }
     }
 
     /// Total elements.
     pub fn nel(&self) -> usize {
-        self.cfg.elems.iter().product()
+        self.bx.nel()
     }
 
     /// Simulation time.
@@ -140,47 +230,25 @@ impl EulerSolver {
 
     /// Physical coordinates of a GLL point.
     pub fn point_coords(&self, e: usize, i: usize, j: usize, k: usize) -> [f64; 3] {
-        let [ex, ey, _] = self.cfg.elems;
-        let exi = e % ex;
-        let eyi = (e / ex) % ey;
-        let ezi = e / (ex * ey);
-        let map = |idx: usize, cell: usize, h: f64| {
-            (cell as f64 + (self.basis.nodes[idx] + 1.0) / 2.0) * h
-        };
-        [
-            map(i, exi, self.geom.hx),
-            map(j, eyi, self.geom.hy),
-            map(k, ezi, self.geom.hz),
-        ]
+        self.bx.point_coords(e, i, j, k)
     }
 
     /// Initialize from a primitive-state function of physical coordinates
     /// and reset the clock.
     pub fn init(&mut self, f: impl Fn(f64, f64, f64) -> Primitive) {
-        let n = self.cfg.n;
-        for e in 0..self.nel() {
-            for k in 0..n {
-                for j in 0..n {
-                    for i in 0..n {
-                        let [x, y, z] = self.point_coords(e, i, j, k);
-                        let cons = self.cfg.gas.conserved(f(x, y, z));
-                        for (c, &v) in cons.iter().enumerate() {
-                            self.u[c].set(e, i, j, k, v);
-                        }
-                    }
-                }
+        let (bx, u, gas) = (&self.bx, &mut self.u, self.cfg.gas);
+        bx.for_each_point(|e, i, j, k| {
+            let [x, y, z] = bx.point_coords(e, i, j, k);
+            for (uc, v) in u.iter_mut().zip(gas.conserved(f(x, y, z))) {
+                uc.set(e, i, j, k, v);
             }
-        }
+        });
         self.time = 0.0;
     }
 
     /// Conserved state at one point.
     pub fn conserved_at(&self, e: usize, i: usize, j: usize, k: usize) -> [f64; NVARS] {
-        let mut out = [0.0; NVARS];
-        for (c, o) in out.iter_mut().enumerate() {
-            *o = self.u[c].get(e, i, j, k);
-        }
-        out
+        point_state(&self.u, self.u[0].index(e, i, j, k))
     }
 
     /// Primitive state at one point.
@@ -190,270 +258,52 @@ impl EulerSolver {
 
     /// Largest wave speed anywhere in the domain (CFL driver).
     pub fn max_wave_speed(&self) -> f64 {
-        let n = self.cfg.n;
-        let mut s = 0.0f64;
-        for e in 0..self.nel() {
-            for k in 0..n {
-                for j in 0..n {
-                    for i in 0..n {
-                        let u = self.conserved_at(e, i, j, k);
-                        for axis in 0..3 {
-                            s = s.max(self.cfg.gas.max_wave_speed(&u, axis));
-                        }
-                    }
-                }
-            }
-        }
-        s
+        max_wave_speed(&self.cfg.gas, &self.u)
     }
 
-    /// CFL-stable timestep (advective limit, plus the diffusive limit
-    /// when artificial viscosity is on).
+    /// CFL-stable timestep ([`ops::stable_dt`] at the largest wave speed
+    /// on every axis, plus the diffusive limit when artificial viscosity
+    /// is on).
     pub fn stable_dt(&self, cfl: f64) -> f64 {
-        let n2 = (self.cfg.n * self.cfg.n) as f64;
-        let hmin = self.geom.hx.min(self.geom.hy).min(self.geom.hz);
-        let mut dt = cfl * hmin / (n2 * self.max_wave_speed().max(1e-30));
+        let s = self.max_wave_speed().max(1e-30);
         let nu = self.cfg.artificial_viscosity;
-        if nu > 0.0 {
-            dt = dt.min(cfl * hmin * hmin / (n2 * n2 * nu));
-        }
-        dt
+        ops::stable_dt(self.cfg.n, &self.bx.geom, [s; 3], nu, cfl)
     }
 
     /// GLL-quadrature integrals of the five conserved fields (the
     /// invariants a periodic run must preserve).
     pub fn totals(&self) -> [f64; NVARS] {
-        let n = self.cfg.n;
-        let w = &self.basis.weights;
-        let jac = self.geom.hx * self.geom.hy * self.geom.hz / 8.0;
-        let mut out = [0.0; NVARS];
-        for (c, tot) in out.iter_mut().enumerate() {
-            for e in 0..self.nel() {
-                for k in 0..n {
-                    for j in 0..n {
-                        for i in 0..n {
-                            *tot += w[i] * w[j] * w[k] * jac * self.u[c].get(e, i, j, k);
-                        }
-                    }
-                }
-            }
-        }
-        out
+        std::array::from_fn(|c| self.bx.integral(&self.u[c]))
     }
 
     /// Whether every point is physically admissible.
     pub fn is_admissible(&self) -> bool {
-        let n = self.cfg.n;
-        for e in 0..self.nel() {
-            for k in 0..n {
-                for j in 0..n {
-                    for i in 0..n {
-                        if !self.cfg.gas.is_admissible(&self.conserved_at(e, i, j, k)) {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Periodic neighbor element across a face (same convention as the
-    /// advection solver).
-    fn neighbor(&self, e: usize, f: Face) -> usize {
-        let [ex, ey, ez] = self.cfg.elems;
-        let mut exi = e % ex;
-        let mut eyi = (e / ex) % ey;
-        let mut ezi = e / (ex * ey);
-        let step = |v: usize, max: usize, sign: i64| -> usize {
-            if sign < 0 {
-                (v + max - 1) % max
-            } else {
-                (v + 1) % max
-            }
-        };
-        match f.axis() {
-            0 => exi = step(exi, ex, f.sign()),
-            1 => eyi = step(eyi, ey, f.sign()),
-            _ => ezi = step(ezi, ez, f.sign()),
-        }
-        (ezi * ey + eyi) * ex + exi
-    }
-
-    /// Copy one surface buffer's neighbor traces (periodic, local).
-    fn exchange_single(&self, own: &[f64], nbr: &mut [f64]) {
-        let n2 = self.cfg.n * self.cfg.n;
-        let fpe = face::face_values_per_element(self.cfg.n);
-        for e in 0..self.nel() {
-            for f in Face::ALL {
-                let ne = self.neighbor(e, f);
-                let nf = f.opposite();
-                let src = ne * fpe + nf.index() * n2;
-                let dst = e * fpe + f.index() * n2;
-                nbr[dst..dst + n2].copy_from_slice(&own[src..src + n2]);
-            }
-        }
-    }
-
-    fn exchange_faces(&mut self) {
-        for c in 0..NVARS {
-            let own = std::mem::take(&mut self.faces_own[c]);
-            let mut nbr = std::mem::take(&mut self.faces_nbr[c]);
-            self.exchange_single(&own, &mut nbr);
-            self.faces_own[c] = own;
-            self.faces_nbr[c] = nbr;
-        }
+        is_admissible(&self.cfg.gas, &self.u)
     }
 
     /// Evaluate the DG right-hand side of all five equations.
     fn eval_rhs(&mut self) {
-        let n = self.cfg.n;
-        let nel = self.nel();
-        let n3 = n * n * n;
-        let gas = self.cfg.gas;
-
-        // ---- volume term: rhs_c = -sum_a dscale_a * D_a F_a,c ----------
-        for r in &mut self.rhs {
-            r.fill(0.0);
-        }
-        for (axis, dir) in [(0, DerivDir::R), (1, DerivDir::S), (2, DerivDir::T)] {
-            let scale = self.geom.dscale(axis);
-            // fused pointwise pass: evaluate the full five-component flux
-            // vector of each point once and scatter it to all component
-            // fields (the unfused loop recomputed it per component — five
-            // evaluations per point per axis). Per-component values are
-            // unchanged, so the derivative/accumulation below is bitwise
-            // identical to the unfused form.
-            for e in 0..nel {
-                for p in 0..n3 {
-                    let idx = e * n3 + p;
-                    let u = [
-                        self.u[0].as_slice()[idx],
-                        self.u[1].as_slice()[idx],
-                        self.u[2].as_slice()[idx],
-                        self.u[3].as_slice()[idx],
-                        self.u[4].as_slice()[idx],
-                    ];
-                    let f = gas.flux(&u, axis);
-                    for (c, &fc) in f.iter().enumerate() {
-                        self.flux[c].as_mut_slice()[idx] = fc;
-                    }
-                }
-            }
-            for c in 0..NVARS {
-                kernels::deriv(
-                    self.cfg.variant,
-                    dir,
-                    n,
-                    nel,
-                    &self.basis.d,
-                    self.flux[c].as_slice(),
-                    self.scratch.as_mut_slice(),
-                );
-                self.rhs[c].axpy(-scale, &self.scratch);
-            }
-        }
-
-        // ---- surface term ------------------------------------------------
+        let (bx, gas, variant) = (&self.bx, &self.cfg.gas, self.cfg.variant);
+        let (basis, geom) = (&bx.basis, &bx.geom);
+        let (u, flux, scratch, rhs) = (&self.u, &mut self.flux, &mut self.scratch, &mut self.rhs);
+        volume_rhs(variant, basis, geom, gas, u, flux, scratch, rhs);
         for c in 0..NVARS {
-            face::full2face(n, nel, self.u[c].as_slice(), &mut self.faces_own[c]);
+            face::full2face(bx.n, bx.nel(), self.u[c].as_slice(), &mut self.faces_own[c]);
+            bx.exchange(&self.faces_own[c], &mut self.faces_nbr[c]);
         }
-        self.exchange_faces();
-        let n2 = n * n;
-        let fpe = face::face_values_per_element(n);
-        let w_end = self.basis.weights[0];
-        for e in 0..nel {
-            for f in Face::ALL {
-                let axis = f.axis();
-                let sign = f.sign() as f64;
-                let lift = self.geom.dscale(axis) / w_end;
-                let off = e * fpe + f.index() * n2;
-                for p in 0..n2 {
-                    let mut ul = [0.0; NVARS];
-                    let mut ur = [0.0; NVARS];
-                    for c in 0..NVARS {
-                        ul[c] = self.faces_own[c][off + p];
-                        ur[c] = self.faces_nbr[c][off + p];
-                    }
-                    let fstar = gas.rusanov_flux(&ul, &ur, axis, sign);
-                    let fown = gas.flux(&ul, axis);
-                    let vi = face::face_point_volume_index(n, f, p);
-                    let idx = e * n3 + vi;
-                    for c in 0..NVARS {
-                        self.rhs[c].as_mut_slice()[idx] -= lift * (fstar[c] - sign * fown[c]);
-                    }
-                }
-            }
-        }
-
-        // ---- artificial viscosity: rhs_c += nu lap u_c (BR1) -------------
-        let nu = self.cfg.artificial_viscosity;
-        if nu > 0.0 {
-            let w_end = self.basis.weights[0];
+        rusanov_lift(
+            gas,
+            basis,
+            geom,
+            &self.faces_own,
+            &self.faces_nbr,
+            &mut self.rhs,
+        );
+        // artificial viscosity: rhs_c += nu lap u_c
+        if let Some(v) = &mut self.viscous {
             for c in 0..NVARS {
-                for (axis, dir) in [(0, DerivDir::R), (1, DerivDir::S), (2, DerivDir::T)] {
-                    // q = dscale D_a u_c + lifting with central traces on
-                    // the two axis-normal faces
-                    kernels::deriv(
-                        self.cfg.variant,
-                        dir,
-                        n,
-                        nel,
-                        &self.basis.d,
-                        self.u[c].as_slice(),
-                        self.flux[c].as_mut_slice(),
-                    );
-                    self.flux[c].scale(self.geom.dscale(axis));
-                    for e in 0..nel {
-                        for f in Face::ALL {
-                            if f.axis() != axis {
-                                continue;
-                            }
-                            let sign = f.sign() as f64;
-                            let lift = self.geom.dscale(axis) / w_end;
-                            let off = e * fpe + f.index() * n2;
-                            for p in 0..n2 {
-                                let jump =
-                                    0.5 * (self.faces_nbr[c][off + p] - self.faces_own[c][off + p]);
-                                let vi = face::face_point_volume_index(n, f, p);
-                                self.flux[c].as_mut_slice()[e * n3 + vi] += lift * sign * jump;
-                            }
-                        }
-                    }
-                    // divergence of nu q: volume + central surface flux
-                    kernels::deriv(
-                        self.cfg.variant,
-                        dir,
-                        n,
-                        nel,
-                        &self.basis.d,
-                        self.flux[c].as_slice(),
-                        self.scratch.as_mut_slice(),
-                    );
-                    self.rhs[c].axpy(nu * self.geom.dscale(axis), &self.scratch);
-                    face::full2face(n, nel, self.flux[c].as_slice(), &mut self.qfaces_own);
-                    let qown = std::mem::take(&mut self.qfaces_own);
-                    let mut qnbr = std::mem::take(&mut self.qfaces_nbr);
-                    self.exchange_single(&qown, &mut qnbr);
-                    for e in 0..nel {
-                        for f in Face::ALL {
-                            if f.axis() != axis {
-                                continue;
-                            }
-                            let sign = f.sign() as f64;
-                            let lift = self.geom.dscale(axis) / w_end;
-                            let off = e * fpe + f.index() * n2;
-                            for p in 0..n2 {
-                                // F* - F_in = sign nu (q_nbr - q_own)/2
-                                let corr = lift * sign * nu * 0.5 * (qnbr[off + p] - qown[off + p]);
-                                let vi = face::face_point_volume_index(n, f, p);
-                                self.rhs[c].as_mut_slice()[e * n3 + vi] += corr;
-                            }
-                        }
-                    }
-                    self.qfaces_own = qown;
-                    self.qfaces_nbr = qnbr;
-                }
+                let (own, nbr) = (&self.faces_own[c], &self.faces_nbr[c]);
+                v.add_to(bx, variant, &self.u[c], own, nbr, &mut self.rhs[c]);
             }
         }
     }

@@ -25,10 +25,15 @@
 //!   paper mentions in Section V).
 //! * **Time stepping** ([`rk`]): the 3-stage low-storage TVD Runge-Kutta
 //!   scheme used by CMT-nek's explicit solver.
-//! * **A real DG solver** ([`solver`]): single-process periodic linear
-//!   advection solved with exactly these kernels, used to validate that the
-//!   proxy operations are the genuine spectral-element operations (spectral
-//!   convergence is asserted in the test suite).
+//! * **DG terms** ([`ops`], [`euler`]): the upwind advection lift, the
+//!   BR1 viscous lifts, the Euler volume term and Rusanov lift, and the
+//!   stable timestep — each written once and called by both the serial
+//!   reference solvers and the distributed mini-app.
+//! * **Serial reference solvers** ([`diffusion`], [`euler`]): periodic
+//!   advection–diffusion (pure advection at `nu = 0`) and compressible
+//!   Euler on one process, with their own local trace exchange. Their
+//!   tests check the shared terms against exact solutions: spectral
+//!   convergence, decay rates, conservation, and Sod against [`riemann`].
 //!
 //! The data layout follows Nek5000: element data is stored `[e][k][j][i]`
 //! with `i` fastest (Fortran-like), so the three derivative directions have
@@ -46,10 +51,10 @@ pub mod face;
 pub mod field;
 pub mod kernels;
 pub mod ops;
+mod periodic;
 pub mod poly;
 pub mod riemann;
 pub mod rk;
-pub mod solver;
 
 pub use field::Field;
 pub use kernels::{DerivDir, KernelVariant};

@@ -3,11 +3,12 @@
 //! CMT-bone's elements are uniform Cartesian hexahedra, so the mapping from
 //! the reference element `[-1,1]^3` to a physical element of extents
 //! `(hx, hy, hz)` is diagonal: `d/dx = (2/hx) d/dr` etc. This module builds
-//! the physical gradient and the discontinuous-Galerkin advection
-//! right-hand side (volume term + upwind surface lifting) on top of the
-//! [`crate::kernels`] and [`crate::face`] primitives. It is the glue that
-//! lets the test suite demonstrate that the mini-app's proxy operations are
-//! the *actual* spectral-element operations.
+//! the physical gradient, the discontinuous-Galerkin advection right-hand
+//! side (volume term + upwind surface lifting), the two BR1 viscous face
+//! terms and the stable timestep on top of the [`crate::kernels`] and
+//! [`crate::face`] primitives. The serial reference solvers and the
+//! distributed mini-app call these same functions; they differ only in how
+//! the neighbor traces arrive.
 
 use crate::face::{self, Face};
 use crate::field::Field;
@@ -199,6 +200,105 @@ pub fn upwind_face_correction(
     }
 }
 
+/// BR1 gradient lift on the two faces normal to `axis`. On entry `q`
+/// holds the volume part `dscale_axis D_axis u`; the central trace
+/// `u* = (u_in + u_nbr) / 2` then adds
+///
+/// ```text
+/// q[face node] += (2 / h_axis) / w_end * sign * (u* - u_in)
+///               = (2 / h_axis) / w_end * sign * (u_nbr - u_in) / 2
+/// ```
+///
+/// `own` and `nbr` are the traces of `u`, laid out as for
+/// [`upwind_face_correction`].
+pub fn br1_gradient_lift(
+    basis: &Basis,
+    geom: &ElementGeom,
+    axis: usize,
+    own: &[f64],
+    nbr: &[f64],
+    q: &mut Field,
+) {
+    let lift = geom.dscale(axis) / basis.weights[0];
+    for_each_axis_face_point(axis, own, nbr, q, |sign, own, nbr, q| {
+        *q += lift * sign * (0.5 * (nbr - own));
+    });
+}
+
+/// BR1 central viscous-flux correction on the two faces normal to `axis`,
+/// for `u_t = ... + div(nu q)`: the interior flux `F_n = sign nu q_in` is
+/// replaced by the central `F*_n = sign nu (q_in + q_nbr) / 2`,
+///
+/// ```text
+/// rhs[face node] += (2 / h_axis) / w_end * (F*_n - F_n)
+///                 = (2 / h_axis) / w_end * sign * nu * (q_nbr - q_in) / 2
+/// ```
+///
+/// `qown` and `qnbr` are the traces of the gradient component `q_axis`.
+pub fn br1_central_correction(
+    basis: &Basis,
+    geom: &ElementGeom,
+    axis: usize,
+    nu: f64,
+    qown: &[f64],
+    qnbr: &[f64],
+    rhs: &mut Field,
+) {
+    let lift = geom.dscale(axis) / basis.weights[0];
+    for_each_axis_face_point(axis, qown, qnbr, rhs, |sign, own, nbr, r| {
+        *r += lift * sign * nu * 0.5 * (nbr - own);
+    });
+}
+
+/// Walk the two faces normal to `axis` of every element of `out`, handing
+/// `visit` the face's sign, the point's own and neighbor traces, and the
+/// volume value under it.
+fn for_each_axis_face_point(
+    axis: usize,
+    own: &[f64],
+    nbr: &[f64],
+    out: &mut Field,
+    mut visit: impl FnMut(f64, f64, f64, &mut f64),
+) {
+    let n = out.n();
+    let n2 = n * n;
+    let fpe = face::face_values_per_element(n);
+    assert_eq!(own.len(), fpe * out.nel(), "own length");
+    assert_eq!(nbr.len(), fpe * out.nel(), "nbr length");
+    for (e, ue) in out.as_mut_slice().chunks_exact_mut(n * n2).enumerate() {
+        for f in [Face::from_index(2 * axis), Face::from_index(2 * axis + 1)] {
+            let sign = f.sign() as f64;
+            let off = e * fpe + f.index() * n2;
+            let (own, nbr) = (&own[off..off + n2], &nbr[off..off + n2]);
+            face::for_each_face_point(n, f, ue, |p, v| visit(sign, own[p], nbr[p], v));
+        }
+    }
+}
+
+/// CFL-stable timestep on congruent elements of order `n`: per axis the
+/// advective limit `cfl h / (N^2 |c|)` (GLL spacing near the endpoints
+/// scales like `h / N^2`) and, for `nu > 0`, the diffusive limit
+/// `cfl h^2 / (N^4 nu)`. With neither limit active it is `cfl` itself.
+pub fn stable_dt(n: usize, geom: &ElementGeom, velocity: [f64; 3], nu: f64, cfl: f64) -> f64 {
+    let n2 = (n * n) as f64;
+    let mut dt = f64::INFINITY;
+    for axis in 0..3 {
+        let h = geom.extent(axis);
+        let c = velocity[axis].abs();
+        if c > 0.0 {
+            dt = dt.min(cfl * h / (n2 * c));
+        }
+        if nu > 0.0 {
+            dt = dt.min(cfl * h * h / (n2 * n2 * nu));
+        }
+    }
+    if dt.is_finite() {
+        dt
+    } else {
+        cfl
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,6 +460,51 @@ mod tests {
             old_upwind_face_correction(&basis, &geom, vel, &uin, &unbr, &mut old);
             let bits = |f: &Field| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&new), bits(&old), "n={n}");
+        }
+    }
+
+    #[test]
+    fn stable_dt_takes_the_tighter_limit() {
+        let geom = ElementGeom::cube(1.0);
+        let advective = stable_dt(6, &geom, [0.8, -0.5, 0.3], 0.0, 0.25);
+        assert_eq!(advective, 0.25 / (36.0 * 0.8));
+        assert!(stable_dt(6, &geom, [0.8, -0.5, 0.3], 0.5, 0.25) < advective);
+        assert_eq!(stable_dt(6, &geom, [0.0; 3], 0.0, 0.25), 0.25);
+    }
+
+    #[test]
+    fn br1_terms_vanish_when_traces_agree_and_touch_only_their_axis() {
+        let n = 4;
+        let basis = Basis::new(n);
+        let geom = ElementGeom::cube(1.0);
+        let len = face::face_values_per_element(n) * 2;
+        let own: Vec<f64> = (0..len).map(|i| (i as f64 * 0.3).sin()).collect();
+        let mut q = Field::zeros(n, 2);
+        br1_gradient_lift(&basis, &geom, 1, &own, &own, &mut q);
+        br1_central_correction(&basis, &geom, 1, 0.7, &own, &own, &mut q);
+        assert!(q.as_slice().iter().all(|&v| v == 0.0));
+        // a unit jump lifts sign * (1 or nu) / 2 onto the s-faces only
+        let nbr: Vec<f64> = own.iter().map(|v| v + 1.0).collect();
+        let mut corr = Field::zeros(n, 2);
+        br1_gradient_lift(&basis, &geom, 1, &own, &nbr, &mut q);
+        br1_central_correction(&basis, &geom, 1, 0.7, &own, &nbr, &mut corr);
+        let lift = geom.dscale(1) / basis.weights[0];
+        for (field, scale) in [(&q, 1.0), (&corr, 0.7)] {
+            for e in 0..2 {
+                for k in 0..n {
+                    for j in 0..n {
+                        for i in 0..n {
+                            let sign = match j {
+                                0 => -1.0,
+                                j if j == n - 1 => 1.0,
+                                _ => 0.0,
+                            };
+                            let want = sign * scale * 0.5 * lift;
+                            assert!((field.get(e, i, j, k) - want).abs() < 1e-12);
+                        }
+                    }
+                }
+            }
         }
     }
 

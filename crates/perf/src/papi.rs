@@ -145,85 +145,6 @@ pub fn model_kernel(variant: KernelVariant, dir: DerivDir, counts: OpCounts) -> 
     }
 }
 
-/// A simple two-level cache model for the derivative kernels' cycle
-/// counts across the paper's element-order range.
-///
-/// The instruction count is working-set independent, but the *cycle*
-/// count is not: once an element (`8 N^3` bytes) plus the operator
-/// (`8 N^2`) no longer fit in L1 (48 KB on the paper's Opteron 6378,
-/// which is why §V highlights "a large number of cache misses due to
-/// poor data locality" for `duds` at larger N), strided accesses start
-/// paying an L2 penalty. The model inflates CPI smoothly with the
-/// fraction of the working set beyond each level:
-///
-/// ```text
-/// cpi_eff = cpi * (1 + p_l1 * f_beyond_l1 + p_l2 * f_beyond_l2)
-/// ```
-///
-/// where the penalty factors `p` are larger for the stride-`N`/`N^2`
-/// kernels (`duds`, basic `dudt`) than for the streaming ones.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheModel {
-    /// L1 data-cache capacity in bytes (Opteron 6378: 48 KB).
-    pub l1_bytes: f64,
-    /// L2 capacity in bytes (per-module 2 MB on the 6378).
-    pub l2_bytes: f64,
-}
-
-impl Default for CacheModel {
-    fn default() -> Self {
-        CacheModel {
-            l1_bytes: 48.0 * 1024.0,
-            l2_bytes: 2.0 * 1024.0 * 1024.0,
-        }
-    }
-}
-
-impl CacheModel {
-    /// Per-element working set of an order-`n` derivative kernel: input
-    /// element + output element + operator, in bytes.
-    pub fn working_set(n: u64) -> f64 {
-        8.0 * (2 * n * n * n + n * n) as f64
-    }
-
-    /// Smooth "fraction of the working set beyond `cap`".
-    fn beyond(ws: f64, cap: f64) -> f64 {
-        ((ws - cap) / ws).max(0.0)
-    }
-
-    /// Cycle estimate including cache effects for an order-`n` kernel.
-    pub fn model_kernel(
-        &self,
-        variant: KernelVariant,
-        dir: DerivDir,
-        n: u64,
-        counts: OpCounts,
-    ) -> PapiEstimate {
-        let base = model_kernel(variant, dir, counts);
-        let m = kernel_model(variant, dir);
-        // stride sensitivity: streaming kernels tolerate spilling, the
-        // strided ones pay for it
-        let (p1, p2) = match (variant, dir) {
-            (KernelVariant::Basic, DerivDir::T) => (2.0, 6.0),
-            // lane-parallel kernels keep their accumulators in registers,
-            // so the strided duds round-trips each output once instead of
-            // n times — a milder spill penalty than the scalar kernels
-            (KernelVariant::Simd, DerivDir::S) => (0.9, 3.0),
-            (_, DerivDir::S) => (1.2, 4.0),
-            (KernelVariant::Basic, _) => (0.6, 2.0),
-            (_, DerivDir::T) => (0.2, 1.0),
-            _ => (0.4, 1.5),
-        };
-        let ws = Self::working_set(n);
-        let infl =
-            1.0 + p1 * Self::beyond(ws, self.l1_bytes) + p2 * Self::beyond(ws, self.l2_bytes);
-        PapiEstimate {
-            instructions: base.instructions,
-            cycles: (base.instructions as f64 * m.cpi * infl).round() as u64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,38 +221,6 @@ mod tests {
                 assert!((cpi - m.cpi).abs() < 0.01, "{variant:?} {dir:?}: cpi {cpi}");
             }
         }
-    }
-
-    #[test]
-    fn cache_model_is_neutral_for_small_n_and_penalizes_large_strided() {
-        let cache = CacheModel::default();
-        // N = 5: working set 2.1 KB << 48 KB L1 -> identical to base model
-        let c5 = deriv_counts(5, 100);
-        for variant in KernelVariant::ALL {
-            for dir in DerivDir::ALL {
-                let base = model_kernel(variant, dir, c5);
-                let cm = cache.model_kernel(variant, dir, 5, c5);
-                assert_eq!(base.cycles, cm.cycles, "{variant:?} {dir:?}");
-            }
-        }
-        // N = 25: 253 KB working set exceeds L1; strided duds must pay a
-        // larger penalty than streaming dudt (the §V locality argument)
-        let c25 = deriv_counts(25, 100);
-        let pen = |dir| {
-            let base = model_kernel(KernelVariant::Optimized, dir, c25).cycles as f64;
-            let cm = cache
-                .model_kernel(KernelVariant::Optimized, dir, 25, c25)
-                .cycles as f64;
-            cm / base
-        };
-        assert!(pen(DerivDir::S) > pen(DerivDir::T), "duds must pay more");
-        assert!(pen(DerivDir::S) > 1.05, "no L1 penalty applied at N=25");
-    }
-
-    #[test]
-    fn cache_model_working_set_formula() {
-        // 2 n^3 + n^2 doubles
-        assert_eq!(CacheModel::working_set(5), 8.0 * (250.0 + 25.0));
     }
 
     #[test]

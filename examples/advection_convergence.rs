@@ -9,7 +9,7 @@
 
 use std::f64::consts::PI;
 
-use cmt_core::solver::{AdvectionConfig, AdvectionSolver};
+use cmt_core::diffusion::{AdvDiffConfig, AdvDiffSolver};
 use cmt_core::KernelVariant;
 
 fn main() {
@@ -19,11 +19,12 @@ fn main() {
     let profile = |x: f64, _y: f64, _z: f64| (2.0 * PI * x).sin();
     let mut prev: Option<f64> = None;
     for n in [4usize, 5, 6, 7, 8, 10, 12] {
-        let mut solver = AdvectionSolver::new(AdvectionConfig {
+        let mut solver = AdvDiffSolver::new(AdvDiffConfig {
             n,
             elems: [2, 1, 1],
             lengths: [1.0, 1.0, 1.0],
             velocity: [1.0, 0.0, 0.0],
+            nu: 0.0,
             variant: KernelVariant::Simd,
         });
         solver.init(profile);
@@ -34,7 +35,7 @@ fn main() {
         for _ in 0..steps {
             solver.step(dt);
         }
-        let err = solver.error_vs_exact(profile);
+        let err = solver.error_vs_decaying_wave([1, 0, 0]);
         match prev {
             Some(p) if err > 0.0 => println!("{n:3}    {err:12.3e}   {:8.1}x", p / err),
             _ => println!("{n:3}    {err:12.3e}          -"),

@@ -21,9 +21,11 @@ fn main() {
     let cfg = EulerRunConfig {
         ranks,
         elems_per_rank: 8,
-        n: 6,
+        n: 5,
         steps: 40,
-        particles_per_elem: 2, // one-way-coupled Lagrangian tracers
+        // one-way-coupled Lagrangian tracers, enough that some cross a
+        // rank boundary within the run
+        particles_per_elem: 4,
         ..Default::default()
     };
     let mesh = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, true);
@@ -63,4 +65,15 @@ fn main() {
     );
     println!("\nexecution profile:");
     println!("{}", rep.profile.render_flat());
+
+    assert!(rep.admissible, "the flow left the admissible set");
+    assert_eq!(
+        rep.particle_count,
+        (mesh.total_elems() * cfg.particles_per_elem) as u64,
+        "particles lost or duplicated"
+    );
+    assert!(
+        cfg.ranks == 1 || rep.particles_migrated > 0,
+        "no tracer crossed a rank boundary"
+    );
 }
