@@ -2,6 +2,7 @@
 
 use std::path::PathBuf;
 
+use cmt_core::eos::NVARS;
 use cmt_core::KernelVariant;
 use cmt_gs::{AutotuneOptions, GsMethod};
 use simmpi::{FaultPlan, NetworkModel, TransportKind};
@@ -63,6 +64,8 @@ pub struct Config {
     /// Timesteps to run.
     pub steps: usize,
     /// Number of conserved-variable fields (5 = mass, 3 momentum, energy).
+    /// The advection proxy steps any count; [`Config::euler`] needs
+    /// exactly 5.
     pub fields: usize,
     /// Derivative-kernel implementation (ignored when `kernel_autotune`
     /// is set — the startup kernel autotune picks it instead).
@@ -99,6 +102,14 @@ pub struct Config {
     pub viscosity: Option<f64>,
     /// Constant advection velocity driving the proxy fields.
     pub velocity: [f64; 3],
+    /// Step the compressible Euler equations of an ideal gas (gamma 1.4)
+    /// instead of the advection proxy. The five fields are then the
+    /// conserved variables, started on a density/shear wave; the volume
+    /// term is the real flux divergence, the lift a Rusanov flux, and
+    /// `dt` follows the global wave speed, re-adapted every
+    /// `cfl_interval` steps. Tracers ride the fluid velocity. Needs
+    /// `fields = 5` and no `viscosity`.
+    pub euler: bool,
     /// CFL number for the stable-timestep formula.
     pub cfl: f64,
     /// Optional network model for modelled-time accounting.
@@ -172,6 +183,7 @@ impl Default for Config {
             dealias_m: None,
             viscosity: None,
             velocity: [0.8, 0.53, 0.31],
+            euler: false,
             cfl: 0.25,
             net: None,
             pipeline: Pipeline::default(),
@@ -192,27 +204,6 @@ impl Default for Config {
 }
 
 impl Config {
-    /// The paper's Fig. 7 setup: 256 ranks, 100 elements/rank, N = 10.
-    pub fn paper_fig7() -> Self {
-        Config {
-            n: 10,
-            elems_per_rank: 100,
-            ranks: 256,
-            steps: 1,
-            ..Default::default()
-        }
-    }
-
-    /// Total elements across all ranks.
-    pub fn total_elems(&self) -> usize {
-        self.ranks * self.elems_per_rank
-    }
-
-    /// Grid points per element (`N^3`).
-    pub fn points_per_element(&self) -> usize {
-        self.n * self.n * self.n
-    }
-
     /// Validate parameter sanity; returns a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {
@@ -254,6 +245,17 @@ impl Config {
         if let Some(nu) = self.viscosity {
             if !(nu > 0.0) {
                 return Err(format!("viscosity must be positive, got {nu}"));
+            }
+        }
+        if self.euler {
+            if self.fields != NVARS {
+                return Err(format!(
+                    "Euler steps {NVARS} conserved fields, got fields = {}",
+                    self.fields
+                ));
+            }
+            if self.viscosity.is_some() {
+                return Err("viscosity applies to the advection proxy, not to Euler".into());
             }
         }
         if let Some(dir) = &self.restart_from {
@@ -304,16 +306,11 @@ mod tests {
     #[test]
     fn default_is_valid() {
         assert!(Config::default().validate().is_ok());
-    }
-
-    #[test]
-    fn paper_fig7_matches_paper_block() {
-        let c = Config::paper_fig7();
-        assert_eq!(c.ranks, 256);
-        assert_eq!(c.elems_per_rank, 100);
-        assert_eq!(c.n, 10);
-        assert_eq!(c.total_elems(), 25600);
-        assert_eq!(c.points_per_element(), 1000);
+        let euler = Config {
+            euler: true,
+            ..Default::default()
+        };
+        assert!(euler.validate().is_ok());
     }
 
     #[test]
@@ -327,6 +324,7 @@ mod tests {
             &|c| c.fields = 0,
             &|c| c.cfl_interval = 0,
             &|c| c.cfl = 0.0,
+            &|c| c.cfl = f64::NAN,
             // LB without particles: nothing to balance
             &|c| c.lb_every = 4,
             // non-triggering threshold
@@ -349,6 +347,15 @@ mod tests {
             &|c| {
                 c.particles_per_elem = 2;
                 c.particle_cluster = Some(1.5);
+            },
+            // Euler steps exactly the five conserved variables, inviscid
+            &|c| {
+                c.euler = true;
+                c.fields = 3;
+            },
+            &|c| {
+                c.euler = true;
+                c.viscosity = Some(0.1);
             },
         ] {
             let mut c = Config::default();

@@ -5,13 +5,14 @@
 use cmt_core::face;
 use cmt_core::Field;
 use cmt_gs::GsHandle;
-use cmt_mesh::{face_exchange_gids_for, ElemPartition, RankMesh};
+use cmt_mesh::{face_exchange_gids_for, ElemPartition, MeshConfig, RankMesh};
 use cmt_particles::{Particle, ParticleSet};
 use cmt_perf::Profiler;
 use cmt_resilience::{hash, Checkpoint};
 use simmpi::{chunk_count, chunk_grain, Rank};
 
-use super::{initial_profile, Env};
+use super::physics::Physics;
+use super::Env;
 
 /// BR1 viscous workspace: the gradient fields plus per-axis face-trace
 /// buffers (own and neighbor) for the q exchanges.
@@ -37,6 +38,8 @@ pub(super) struct Block {
     pub u0: Vec<Field>,
     pub rhs_all: Vec<Field>,
     pub scratch: Field,
+    /// [`Physics::flux_scratch`].
+    pub flux: Vec<Field>,
     pub faces_all: Vec<Vec<f64>>,
     pub faces_own_all: Vec<Vec<f64>>,
     /// Fine-mesh dealias buffer (empty when dealiasing is off); the
@@ -75,6 +78,7 @@ impl Block {
             u0: fields(),
             rhs_all: fields(),
             scratch: Field::zeros(n, nel),
+            flux: env.physics.flux_scratch(n, nel),
             faces_all: traces(),
             faces_own_all: traces(),
             dealias_fine: vec![0.0; cfg.dealias_m.map_or(0, |m| m * m * m * nel)],
@@ -98,11 +102,14 @@ pub(super) struct State {
     pub pset: Option<ParticleSet>,
     pub time: f64,
     pub step: u64,
+    /// The timestep ([`Physics::setup_dt`], [`Physics::cfl_reduce`]).
+    pub dt: f64,
 }
 
 impl State {
     /// The step-0 state on `part`: fields on their smooth initial
-    /// profiles, particles seeded. Collective (builds the block).
+    /// profiles, particles seeded, and the stable timestep. Collective
+    /// (builds the block; the setup dt may reduce).
     pub fn initial(env: &Env, rank: &mut Rank, part: ElemPartition) -> State {
         let cfg = &env.cfg;
         let mut blk = Block::for_partition(env, rank, &part);
@@ -114,9 +121,10 @@ impl State {
                 let x = gc[0] as f64 + (nodes[i] + 1.0) / 2.0;
                 let y = gc[1] as f64 + (nodes[j] + 1.0) / 2.0;
                 let z = gc[2] as f64 + (nodes[k] + 1.0) / 2.0;
-                initial_profile(f, x, y, z, lengths)
+                env.physics.initial_value(f, [x, y, z], lengths)
             });
         }
+        let dt = env.physics.setup_dt(env, rank, &blk.u);
         let pset = (cfg.particles_per_elem > 0).then(|| {
             let pmesh = RankMesh::new(env.mesh_cfg.clone(), rank.rank());
             let mut ps = ParticleSet::new(pmesh, &env.basis);
@@ -133,6 +141,7 @@ impl State {
             pset,
             time: 0.0,
             step: 0,
+            dt,
         }
     }
 
@@ -165,9 +174,9 @@ impl State {
         let Some(ps) = self.pset.as_mut() else {
             return 0;
         };
-        let (u, fields) = (&self.blk.u, env.cfg.fields);
+        let Block { u, flux, .. } = &mut self.blk;
         prof.enter(cmt_perf::regions::PARTICLE_ADVECT);
-        ps.advect_field(env.dt, [&u[0], &u[1 % fields], &u[2 % fields]]);
+        ps.advect_field(self.dt, env.physics.tracer_velocity(u, flux));
         prof.exit();
         prof.enter(cmt_perf::regions::PARTICLE_MIGRATE);
         let sent = ps.migrate(rank).sent as u64;
@@ -179,23 +188,18 @@ impl State {
     /// load balancer on, the scalars record the full element-owner
     /// vector (identical on every rank), so a rollback — or a cross-run
     /// restart — can rebuild the partition the fields were captured
-    /// under. With particles on, their `[id, x, y, z]` records ride
-    /// along as one extra field entry.
+    /// under; [`Physics::carried_dt`] follows as the last scalar.
+    /// With particles on, their `[id, x, y, z]` records ride along as
+    /// one extra field entry.
     pub fn capture(&self, env: &Env, rank: &Rank) -> Checkpoint {
-        let scalars = if env.cfg.lb_every > 0 {
+        let mut scalars: Vec<f64> = if env.cfg.lb_every > 0 {
             self.part.owner_vec().iter().map(|&r| r as f64).collect()
         } else {
             Vec::new()
         };
+        scalars.extend(env.physics.carried_dt(self.dt));
         let mut fields: Vec<Vec<f64>> = self.blk.u.iter().map(|f| f.as_slice().to_vec()).collect();
-        if let Some(ps) = &self.pset {
-            let mut rec = Vec::with_capacity(ps.len() * 4);
-            for p in ps.particles() {
-                rec.push(p.id as f64);
-                rec.extend_from_slice(&p.pos);
-            }
-            fields.push(rec);
-        }
+        fields.extend(self.particle_records());
         Checkpoint {
             rank: rank.rank() as u64,
             step: self.step,
@@ -213,10 +217,9 @@ impl State {
     /// identical on every rank (captured from SPMD-uniform state), so
     /// the collective gather-scatter setup is safe here.
     pub fn restore(&mut self, env: &Env, rank: &mut Rank, ckpt: &Checkpoint) {
-        if let Some(ck_part) = checkpoint_partition(ckpt, rank.size()) {
-            if ck_part.owner_vec() != self.part.owner_vec() {
-                self.repartition(env, rank, ck_part);
-            }
+        let (ck_part, dt) = checkpoint_scalars(&env.physics, ckpt, env.mesh_cfg, rank.size());
+        if let Some(ck_part) = ck_part.filter(|p| p.owner_vec() != self.part.owner_vec()) {
+            self.repartition(env, rank, ck_part);
         }
         // the checkpoint may carry one trailing particle record beyond
         // the field set
@@ -246,7 +249,20 @@ impl State {
         }
         self.time = ckpt.time;
         self.step = ckpt.step;
+        self.dt = dt.unwrap_or(self.dt);
         rank.set_fault_rng_state(ckpt.rng_state);
+    }
+
+    /// This rank's tracers as flat `[id, x, y, z]` records (the
+    /// checkpoint and migration layout); `None` without particles.
+    pub fn particle_records(&self) -> Option<Vec<f64>> {
+        let ps = self.pset.as_ref()?;
+        let mut rec = Vec::with_capacity(ps.len() * 4);
+        for p in ps.particles() {
+            rec.push(p.id as f64);
+            rec.extend_from_slice(&p.pos);
+        }
+        Some(rec)
     }
 
     /// Hash the final state element by element: each owned element's
@@ -285,12 +301,30 @@ pub(super) fn particle_from_record(c: &[f64]) -> Particle {
     }
 }
 
-/// The element partition a checkpoint was captured under, when one was
-/// recorded (load balancer on).
-pub(super) fn checkpoint_partition(ckpt: &Checkpoint, ranks: usize) -> Option<ElemPartition> {
-    if ckpt.scalars.is_empty() {
-        return None;
-    }
-    let owner: Vec<u32> = ckpt.scalars.iter().map(|&r| r as u32).collect();
-    Some(ElemPartition::from_owner(ranks, owner))
+/// A checkpoint's scalars: the element partition it was captured under
+/// (recorded when the load balancer is on) and the timestep the physics
+/// carries. Panics when they cannot come from this configuration — a
+/// restart directory written by another run, e.g. under the other
+/// physics.
+pub(super) fn checkpoint_scalars(
+    physics: &Physics,
+    ckpt: &Checkpoint,
+    mesh_cfg: &MeshConfig,
+    ranks: usize,
+) -> (Option<ElemPartition>, Option<f64>) {
+    let total = mesh_cfg.total_elems();
+    let is_rank = |r: &f64| r.fract() == 0.0 && (0.0..ranks as f64).contains(r);
+    let (owners, dt) = physics
+        .split_carried_dt(&ckpt.scalars)
+        .filter(|(o, _)| o.is_empty() || (o.len() == total && o.iter().all(is_rank)))
+        .unwrap_or_else(|| {
+            panic!(
+                "checkpoint does not match this configuration: {} scalars for {total} \
+                 elements on {ranks} ranks",
+                ckpt.scalars.len()
+            )
+        });
+    let part = (!owners.is_empty())
+        .then(|| ElemPartition::from_owner(ranks, owners.iter().map(|&r| r as u32).collect()));
+    (part, dt)
 }

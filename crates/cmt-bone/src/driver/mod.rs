@@ -5,17 +5,16 @@
 
 mod balance;
 mod block;
+mod physics;
 mod stage;
 mod wire;
 
-use std::f64::consts::PI;
 use std::sync::Arc;
 use std::time::Instant;
 
 use cmt_core::kernels::autotune::KernelAutotuneReport;
-use cmt_core::ops::{stable_dt, ElementGeom};
+use cmt_core::ops::ElementGeom;
 use cmt_core::poly::Basis;
-use cmt_core::Field;
 use cmt_gs::{autotune, AutotuneReport, GsMethod};
 use cmt_mesh::{ElemPartition, MeshConfig};
 use cmt_perf::kernel_tune::tune_kernels;
@@ -27,7 +26,8 @@ use simmpi::{Rank, ReduceOp, WorkerPool, World};
 use crate::config::Config;
 use crate::report::{LbSummary, RunReport};
 use balance::balance;
-use block::{checkpoint_partition, State};
+use block::{checkpoint_scalars, State};
+use physics::Physics;
 use stage::rk_step;
 
 /// Profiler region names used by the driver, mirroring the routines of
@@ -68,9 +68,13 @@ pub struct SolutionDump {
     pub global_elem_ids: Vec<usize>,
     /// Final per-field data, each in `Field` layout.
     pub fields: Vec<Vec<f64>>,
+    /// This rank's final tracers as flat `[id, x, y, z]` records (empty
+    /// without particles).
+    pub particles: Vec<f64>,
     /// Simulated time reached.
     pub time: f64,
-    /// Timestep used.
+    /// The timestep at the end of the run (under Euler, the last one
+    /// the wave-speed reduction set).
     pub dt: f64,
 }
 
@@ -91,26 +95,18 @@ struct RankOutput {
     solution: Option<SolutionDump>,
 }
 
-/// The smooth initial profile of proxy field `f` (periodic in the global
-/// box of extents `lengths`).
-fn initial_profile(f: usize, x: f64, y: f64, z: f64, lengths: [f64; 3]) -> f64 {
-    let fx = 2.0 * PI * x / lengths[0];
-    let fy = 2.0 * PI * y / lengths[1];
-    let fz = 2.0 * PI * z / lengths[2];
-    (fx + 0.3 * f as f64).sin() * fy.cos() + 0.25 * (fz + 0.7 * f as f64).cos()
-}
-
 /// Per-rank invariants of a run: everything the step reads that no
 /// migration or rollback changes.
 struct Env<'a> {
     /// The effective configuration: the kernel autotune's winner
     /// overrides the requested variant.
     cfg: Config,
+    /// The physics `cfg` selects.
+    physics: Physics,
     mesh_cfg: &'a MeshConfig,
     basis: Basis,
     /// Unit-cube elements.
     geom: ElementGeom,
-    dt: f64,
     /// Dealiasing operators `(m, up, down)`: interpolation to the
     /// m-point fine mesh and back (paper §V: "an element is first mapped
     /// to a finer mesh and later mapped back").
@@ -131,31 +127,18 @@ impl<'a> Env<'a> {
         if let Some(t) = kernel_tune {
             cfg.variant = t.chosen();
         }
-        let geom = ElementGeom::cube(1.0);
-        // the serial reference solvers' formula, so both step alike
-        let nu = cfg.viscosity.unwrap_or(0.0);
         Env {
-            dt: stable_dt(cfg.n, &geom, cfg.velocity, nu, cfg.cfl),
             dealias: cfg
                 .dealias_m
                 .map(|m| (m, basis.dealias_to(m), basis.dealias_from(m))),
             pool: rank.worker_pool(),
+            physics: Physics::of(&cfg),
             cfg,
             mesh_cfg,
             basis,
-            geom,
+            geom: ElementGeom::cube(1.0),
         }
     }
-}
-
-/// Vector reduction: the timestep-control allreduce.
-fn cfl_reduce(rank: &mut Rank, prof: &mut Profiler, u: &[Field]) {
-    prof.enter(regions::CFL);
-    rank.set_context("cfl");
-    let local_max = u.iter().fold(0.0f64, |m, f| m.max(f.norm_inf()));
-    let _global_max = rank.allreduce_scalar(local_max, ReduceOp::Max);
-    rank.set_context("main");
-    prof.exit();
 }
 
 fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool) -> RankOutput {
@@ -171,7 +154,7 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
     });
     let part = restart
         .as_ref()
-        .and_then(|c| checkpoint_partition(c, rank.size()))
+        .and_then(|c| checkpoint_scalars(&Physics::of(cfg), c, mesh_cfg, rank.size()).0)
         .unwrap_or_else(|| ElemPartition::initial(mesh_cfg));
 
     // ---- setup: kernel autotune, partition block + gs discovery, gs autotune
@@ -220,11 +203,13 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
             continue;
         }
 
-        rk_step(&env, chosen, rank, &mut prof, &mut st.blk);
-        st.time += env.dt;
+        rk_step(&env, chosen, rank, &mut prof, &mut st.blk, st.dt);
+        st.time += st.dt;
         lb.particles_moved += st.particle_phase(&env, rank, &mut prof);
         if (st.step + 1) % cfg.cfl_interval as u64 == 0 {
-            cfl_reduce(rank, &mut prof, &st.blk.u);
+            prof.enter(regions::CFL);
+            env.physics.cfl_reduce(&env, rank, &st.blk.u, &mut st.dt);
+            prof.exit();
         }
         st.step += 1;
 
@@ -269,8 +254,9 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
         solution: collect.then(|| SolutionDump {
             global_elem_ids: st.blk.owned.clone(),
             fields: st.blk.u.iter().map(|f| f.as_slice().to_vec()).collect(),
+            particles: st.particle_records().unwrap_or_default(),
             time: st.time,
-            dt: env.dt,
+            dt: st.dt,
         }),
     }
 }

@@ -1,0 +1,216 @@
+//! Which physics a run steps — the advection proxy or compressible Euler
+//! ([`Config::euler`]) — decided here and nowhere else. Everything the two
+//! differ in is one method of [`Physics`]: the initial state, the setup
+//! and adapted timestep (and whether a checkpoint carries it), the volume
+//! term, the lift, and the velocity the tracers ride. The step schedule,
+//! the checkpoint code and the particle phase call these without knowing
+//! which physics runs.
+
+use std::f64::consts::PI;
+
+use cmt_core::eos::{IdealGas, Primitive, NVARS};
+use cmt_core::euler::{max_wave_speed, rusanov_lift, volume_rhs};
+use cmt_core::ops::{stable_dt, upwind_face_correction};
+use cmt_core::Field;
+use cmt_perf::Profiler;
+use simmpi::{Rank, ReduceOp};
+
+use super::block::Block;
+use super::stage::{Stepper, VolumeTerm};
+use super::{regions, Env};
+use crate::config::Config;
+
+pub(super) enum Physics {
+    /// Every field advected at [`Config::velocity`], optionally viscous;
+    /// `dt` is fixed at setup.
+    Advection,
+    /// The five conserved variables of this gas; `dt` follows the global
+    /// wave speed.
+    Euler(IdealGas),
+}
+
+impl Physics {
+    pub fn of(cfg: &Config) -> Physics {
+        if cfg.euler {
+            Physics::Euler(IdealGas::default())
+        } else {
+            Physics::Advection
+        }
+    }
+
+    /// Field `f`'s smooth initial value at `(x, y, z)`, periodic in the
+    /// global box of extents `lengths`. The proxy fields are phase-shifted
+    /// waves; Euler starts on a density wave carried by a uniform stream
+    /// with a transverse shear: `rho = 1 + 0.15 sin(2 pi x / Lx)`,
+    /// `vel = [0.6, 0.1 cos(2 pi y / Ly), 0]`, `p = 1`.
+    pub fn initial_value(&self, f: usize, [x, y, z]: [f64; 3], lengths: [f64; 3]) -> f64 {
+        let fx = 2.0 * PI * x / lengths[0];
+        let fy = 2.0 * PI * y / lengths[1];
+        let fz = 2.0 * PI * z / lengths[2];
+        match self {
+            Physics::Advection => {
+                (fx + 0.3 * f as f64).sin() * fy.cos() + 0.25 * (fz + 0.7 * f as f64).cos()
+            }
+            Physics::Euler(gas) => gas.conserved(Primitive {
+                rho: 1.0 + 0.15 * fx.sin(),
+                vel: [0.6, 0.1 * fy.cos(), 0.0],
+                p: 1.0,
+            })[f],
+        }
+    }
+
+    /// The per-axis flux scratch of every conserved variable Euler's
+    /// volume term needs (empty for the proxy); the particle phase reuses
+    /// it for the fluid velocity.
+    pub fn flux_scratch(&self, n: usize, nel: usize) -> Vec<Field> {
+        match self {
+            Physics::Advection => Vec::new(),
+            Physics::Euler(_) => (0..NVARS).map(|_| Field::zeros(n, nel)).collect(),
+        }
+    }
+
+    /// The setup timestep. Collective under Euler (one `cfl` allreduce).
+    pub fn setup_dt(&self, env: &Env, rank: &mut Rank, u: &[Field]) -> f64 {
+        let cfg = &env.cfg;
+        match self {
+            // the serial reference solvers' formula, so both step alike
+            Physics::Advection => {
+                let nu = cfg.viscosity.unwrap_or(0.0);
+                stable_dt(cfg.n, &env.geom, cfg.velocity, nu, cfg.cfl)
+            }
+            Physics::Euler(gas) => wave_speed_dt(env, rank, gas, u),
+        }
+    }
+
+    /// Vector reduction: the timestep-control allreduce. Under Euler it
+    /// re-adapts `dt` to the wave speed; the proxy's advection speed is
+    /// fixed, so there it reduces the field maximum and `dt` stays.
+    pub fn cfl_reduce(&self, env: &Env, rank: &mut Rank, u: &[Field], dt: &mut f64) {
+        match self {
+            Physics::Advection => {
+                rank.set_context("cfl");
+                let local_max = u.iter().fold(0.0f64, |m, f| m.max(f.norm_inf()));
+                let _global_max = rank.allreduce_scalar(local_max, ReduceOp::Max);
+                rank.set_context("main");
+            }
+            Physics::Euler(gas) => *dt = wave_speed_dt(env, rank, gas, u),
+        }
+    }
+
+    /// The timestep a checkpoint carries as its last scalar: Euler's,
+    /// which a rollback must restore; the proxy's is fixed at setup.
+    pub fn carried_dt(&self, dt: f64) -> Option<f64> {
+        matches!(self, Physics::Euler(_)).then_some(dt)
+    }
+
+    /// Split a checkpoint's scalars into the leading element-owner vector
+    /// and the carried timestep; `None` when the timestep this physics
+    /// carries is missing.
+    pub fn split_carried_dt<'c>(&self, scalars: &'c [f64]) -> Option<(&'c [f64], Option<f64>)> {
+        match self {
+            Physics::Advection => Some((scalars, None)),
+            Physics::Euler(_) => scalars.split_last().map(|(dt, owners)| (owners, Some(*dt))),
+        }
+    }
+
+    /// The volume term of every field, then per field the dealiasing round
+    /// trip. The proxy differentiates field by field; Euler evaluates one
+    /// flux divergence over all five conserved variables, since each flux
+    /// reads them all.
+    pub fn volume(&self, vol: &mut VolumeTerm, env: &Env, prof: &mut Profiler) {
+        match self {
+            Physics::Advection => {
+                for f in 0..env.cfg.fields {
+                    vol.advect(env, prof, f);
+                    vol.dealias(env, prof, f);
+                }
+            }
+            Physics::Euler(gas) => {
+                let (basis, geom) = (&env.basis, &env.geom);
+                let VolumeTerm {
+                    u,
+                    flux,
+                    scratch,
+                    rhs_all,
+                    ..
+                } = vol;
+                prof.enter(regions::DERIV);
+                volume_rhs(env.cfg.variant, basis, geom, gas, u, flux, scratch, rhs_all);
+                prof.exit();
+                for f in 0..env.cfg.fields {
+                    vol.dealias(env, prof, f);
+                }
+            }
+        }
+    }
+
+    /// After the exchange: lift the numerical flux into the RHS
+    /// (`add_face2full`). The proxy lifts an upwind flux field by field,
+    /// each followed by its viscous passes when viscosity is on; Euler
+    /// lifts one Rusanov flux over all five conserved variables.
+    pub fn lift(&self, s: &mut Stepper, blk: &mut Block) {
+        let env = s.env;
+        let (cfg, basis, geom) = (&env.cfg, &env.basis, &env.geom);
+        match self {
+            Physics::Advection => {
+                for f in 0..cfg.fields {
+                    s.prof.enter(regions::FLUX_LIFT);
+                    blk.neighbor_trace(f);
+                    let (own, nbr) = (&blk.faces_own_all[f], &blk.faces_all[f]);
+                    upwind_face_correction(
+                        basis,
+                        geom,
+                        cfg.velocity,
+                        own,
+                        nbr,
+                        &mut blk.rhs_all[f],
+                    );
+                    s.prof.exit();
+                    if blk.viscous.is_some() {
+                        s.viscous_pass(blk, f);
+                    }
+                }
+            }
+            Physics::Euler(gas) => {
+                s.prof.enter(regions::FLUX_LIFT);
+                for f in 0..cfg.fields {
+                    blk.neighbor_trace(f);
+                }
+                let (own, nbr) = (&blk.faces_own_all, &blk.faces_all);
+                rusanov_lift(gas, basis, geom, own, nbr, &mut blk.rhs_all);
+                s.prof.exit();
+            }
+        }
+    }
+
+    /// The velocity the tracers ride: the first three proxy fields
+    /// (cycled when fewer), or the fluid velocity `m / rho`, written into
+    /// the flux scratch the RK stages are done with.
+    pub fn tracer_velocity<'a>(&self, u: &'a [Field], flux: &'a mut [Field]) -> [&'a Field; 3] {
+        match self {
+            Physics::Advection => {
+                let fields = u.len();
+                [&u[0], &u[1 % fields], &u[2 % fields]]
+            }
+            Physics::Euler(_) => {
+                let rho = u[0].as_slice();
+                for (v, m) in flux.iter_mut().zip(&u[1..4]) {
+                    let (v, m) = (v.as_mut_slice(), m.as_slice());
+                    for (v, (m, r)) in v.iter_mut().zip(m.iter().zip(rho)) {
+                        *v = m / r;
+                    }
+                }
+                [&flux[0], &flux[1], &flux[2]]
+            }
+        }
+    }
+}
+
+/// Euler's stable timestep at the global maximum wave speed of `u` (one
+/// `cfl` allreduce).
+fn wave_speed_dt(env: &Env, rank: &mut Rank, gas: &IdealGas, u: &[Field]) -> f64 {
+    rank.set_context("cfl");
+    let smax = rank.allreduce_scalar(max_wave_speed(gas, u), ReduceOp::Max);
+    rank.set_context("main");
+    stable_dt(env.cfg.n, &env.geom, [smax.max(1e-30); 3], 0.0, env.cfg.cfl)
+}

@@ -1,12 +1,14 @@
-//! The RK step: per-field routines mirroring the paper's Fig. 4 call
-//! graph, and the two schedules — blocking and overlapped — that order
-//! them.
+//! The RK step: per stage one sequence mirroring the paper's Fig. 4 call
+//! graph — volume term, surface extraction, exchange, lift, RK update —
+//! under two schedules, blocking and overlapped, that differ only in
+//! whether the volume term runs before the exchange or inside it.
+//! [`super::physics::Physics`] picks which volume term and lift run; the
+//! per-field routines they are built from live here.
 
 use cmt_core::face;
 use cmt_core::kernels::{self, DerivDir};
 use cmt_core::ops::{
     advect_volume_rhs_slices, br1_central_correction, br1_gradient_lift, phys_grad,
-    upwind_face_correction,
 };
 use cmt_core::rk;
 use cmt_core::Field;
@@ -22,20 +24,21 @@ const AXES: [(usize, DerivDir); 3] = [(0, DerivDir::R), (1, DerivDir::S), (2, De
 
 /// One rank's handles for a step: the run invariants, the exchange
 /// method, the communicator and the profiler every routine reports to.
-struct Stepper<'a> {
-    env: &'a Env<'a>,
+pub(super) struct Stepper<'a> {
+    pub env: &'a Env<'a>,
     chosen: GsMethod,
     rank: &'a mut Rank,
-    prof: &'a mut Profiler,
+    pub prof: &'a mut Profiler,
 }
 
-/// Advance every field of `blk` by one timestep (all RK stages).
+/// Advance every field of `blk` by one timestep `dt` (all RK stages).
 pub(super) fn rk_step(
     env: &Env,
     chosen: GsMethod,
     rank: &mut Rank,
     prof: &mut Profiler,
     blk: &mut Block,
+    dt: f64,
 ) {
     let mut s = Stepper {
         env,
@@ -49,12 +52,13 @@ pub(super) fn rk_step(
     }
     for stage in 0..rk::STAGES {
         match env.cfg.pipeline {
-            // Legacy schedule: one blocking exchange per field. The
-            // face-exchange ids pair each face point with exactly its
-            // across-face twin, so Add recovers own + neighbor.
+            // Legacy schedule: the volume term, then one blocking
+            // exchange per field. The face-exchange ids pair each face
+            // point with exactly its across-face twin, so Add recovers
+            // own + neighbor.
             Pipeline::Blocking => {
+                env.physics.volume(&mut blk.split().2, env, s.prof);
                 for f in 0..fields {
-                    blk.split().2.apply(s.env, s.prof, f);
                     s.prof.enter(regions::FULL2FACE);
                     s.extract(blk, f);
                     s.prof.exit();
@@ -64,13 +68,12 @@ pub(super) fn rk_step(
                         .gs_op(s.rank, &mut blk.faces_all[f], GsOp::Add, chosen);
                     s.rank.set_context("main");
                     s.prof.exit();
-                    s.lift_and_update(blk, f, stage);
                 }
             }
             // Split-phase schedule: ONE exchange carries all fields (a
             // k-field payload per neighbor: `fields`x fewer messages),
-            // and every field's volume work runs while the face
-            // messages are in flight.
+            // and the volume term runs while the face messages are in
+            // flight.
             Pipeline::Overlapped => {
                 s.prof.enter(regions::FULL2FACE);
                 for f in 0..fields {
@@ -90,9 +93,7 @@ pub(super) fn rk_step(
                     rank.set_context("main");
                     s.prof.exit();
                     s.prof.exit();
-                    for f in 0..fields {
-                        vol.apply(s.env, s.prof, f);
-                    }
+                    env.physics.volume(&mut vol, env, s.prof);
                     s.prof.enter(regions::GS_OP);
                     s.prof.enter(regions::GS_FINISH);
                     rank.set_context("faces");
@@ -100,10 +101,13 @@ pub(super) fn rk_step(
                 s.rank.set_context("main");
                 s.prof.exit();
                 s.prof.exit();
-                for f in 0..fields {
-                    s.lift_and_update(blk, f, stage);
-                }
             }
+        }
+        env.physics.lift(&mut s, blk);
+        for f in 0..fields {
+            s.prof.enter(regions::RK);
+            rk::stage_update(stage, &mut blk.u[f], &blk.u0[f], &blk.rhs_all[f], dt);
+            s.prof.exit();
         }
     }
 }
@@ -124,12 +128,13 @@ impl Stepper<'_> {
 
 /// What the volume term touches: a [`Block`] without its gs plan and face
 /// traces, so it can run while an overlapped exchange holds those.
-struct VolumeTerm<'b> {
+pub(super) struct VolumeTerm<'b> {
     nel: usize,
     grain: usize,
-    u: &'b [Field],
-    rhs_all: &'b mut [Field],
-    scratch: &'b mut Field,
+    pub u: &'b [Field],
+    pub rhs_all: &'b mut [Field],
+    pub scratch: &'b mut Field,
+    pub flux: &'b mut [Field],
     dealias_fine: &'b mut [f64],
     dealias_scratch: &'b mut [f64],
 }
@@ -144,6 +149,7 @@ impl Block {
             u,
             rhs_all,
             scratch,
+            flux,
             faces_all,
             dealias_fine,
             dealias_scratch,
@@ -155,6 +161,7 @@ impl Block {
             u,
             rhs_all,
             scratch,
+            flux,
             dealias_fine,
             dealias_scratch,
         };
@@ -163,14 +170,12 @@ impl Block {
 }
 
 impl VolumeTerm<'_> {
-    /// Volume work of field `f`: the flux-divergence derivatives (the
-    /// small-matrix-multiply kernel), then the dealiasing round trip on
-    /// the RHS (identity on the resolved polynomial content; pure kernel
-    /// workload). Both element loops are chunked across the rank's
-    /// worker pool when it has one; chunks own disjoint element ranges
-    /// and nothing is reduced across them, so the result is bitwise
-    /// identical for every worker count.
-    fn apply(&mut self, env: &Env, prof: &mut Profiler, f: usize) {
+    /// Field `f`'s advective flux divergence. The element loop (like the
+    /// dealias one) is chunked across the rank's worker pool when it has
+    /// one; chunks own disjoint element ranges and nothing is reduced
+    /// across them, so the result is bitwise identical for every worker
+    /// count.
+    pub(super) fn advect(&mut self, env: &Env, prof: &mut Profiler, f: usize) {
         let (cfg, pool) = (&env.cfg, env.pool.as_deref());
         let (n, n3) = (cfg.n, cfg.n.pow(3));
         let us = self.u[f].as_slice();
@@ -201,7 +206,13 @@ impl VolumeTerm<'_> {
         );
         prof.charge_allocs(allocs, bytes);
         prof.exit();
+    }
 
+    /// Field `f`'s dealiasing round trip, when dealiasing is on.
+    pub(super) fn dealias(&mut self, env: &Env, prof: &mut Profiler, f: usize) {
+        let (cfg, pool) = (&env.cfg, env.pool.as_deref());
+        let (n, n3) = (cfg.n, cfg.n.pow(3));
+        let rhs = self.rhs_all[f].as_mut_slice();
         if let Some((m, up, down)) = &env.dealias {
             let (m, m3, big3) = (*m, m.pow(3), (*m).max(n).pow(3));
             prof.enter(regions::DEALIAS);
@@ -237,35 +248,17 @@ impl VolumeTerm<'_> {
     }
 }
 
-impl Stepper<'_> {
-    /// After the exchange: recover the neighbor trace (sum − own), lift
-    /// the upwind flux into the RHS (`add_face2full`), run the viscous
-    /// passes when viscosity is on, and take the RK stage update.
-    fn lift_and_update(&mut self, blk: &mut Block, f: usize, stage: usize) {
-        let env = self.env;
-        self.prof.enter(regions::FLUX_LIFT);
-        for (s, o) in blk.faces_all[f].iter_mut().zip(&blk.faces_own_all[f]) {
+impl Block {
+    /// Reduce field `f`'s exchanged trace sum to the neighbor trace
+    /// (sum − own).
+    pub(super) fn neighbor_trace(&mut self, f: usize) {
+        for (s, o) in self.faces_all[f].iter_mut().zip(&self.faces_own_all[f]) {
             *s -= o;
         }
-        upwind_face_correction(
-            &env.basis,
-            &env.geom,
-            env.cfg.velocity,
-            &blk.faces_own_all[f],
-            &blk.faces_all[f],
-            &mut blk.rhs_all[f],
-        );
-        self.prof.exit();
-
-        if blk.viscous.is_some() {
-            self.viscous_pass(blk, f);
-        }
-
-        self.prof.enter(regions::RK);
-        rk::stage_update(stage, &mut blk.u[f], &blk.u0[f], &blk.rhs_all[f], env.dt);
-        self.prof.exit();
     }
+}
 
+impl Stepper<'_> {
     /// The BR1 viscous passes for field `f`: gradient with central
     /// traces, then the viscous divergence with its q-trace exchange.
     /// Under the blocking pipeline each axis runs its own blocking
@@ -274,7 +267,7 @@ impl Stepper<'_> {
     /// exchange whose in-flight time the three volume divergence
     /// derivatives overlap. On entry `faces_all[f]` holds the absolute
     /// neighbor trace (after the flux lift).
-    fn viscous_pass(&mut self, blk: &mut Block, f: usize) {
+    pub(super) fn viscous_pass(&mut self, blk: &mut Block, f: usize) {
         let env = self.env;
         let (cfg, basis, geom) = (&env.cfg, &env.basis, &env.geom);
         let (n, nel) = (cfg.n, blk.nel);

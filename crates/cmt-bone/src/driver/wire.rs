@@ -16,6 +16,7 @@ impl WireCodec for SolutionDump {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.global_elem_ids.encode(buf);
         self.fields.encode(buf);
+        self.particles.encode(buf);
         self.time.encode(buf);
         self.dt.encode(buf);
     }
@@ -23,6 +24,7 @@ impl WireCodec for SolutionDump {
         Ok(SolutionDump {
             global_elem_ids: Vec::decode(r)?,
             fields: Vec::decode(r)?,
+            particles: Vec::decode(r)?,
             time: f64::decode(r)?,
             dt: f64::decode(r)?,
         })

@@ -25,6 +25,11 @@
 //! [`cmt_core::euler::EulerSolver`]) call, and the test suite checks the
 //! distributed runs against those solvers.
 //!
+//! With [`Config::euler`] set, the same driver and operation sequence step
+//! compressible Euler instead: the real flux divergence, a Rusanov lift,
+//! and `dt` adapted to the global wave speed at every timestep-control
+//! allreduce.
+//!
 //! Entry points:
 //! * [`Config`] + [`run`] — execute the mini-app and collect the full
 //!   measurement set ([`RunReport`]: Fig. 4 profile, Fig. 7 autotune
@@ -39,10 +44,8 @@
 
 mod config;
 mod driver;
-pub mod euler;
 mod report;
 
 pub use config::{Config, Pipeline};
 pub use driver::{run, run_collecting_solution, SolutionDump};
-pub use euler::{run_euler, EulerRunConfig, EulerRunReport};
 pub use report::{LbSummary, RunReport};

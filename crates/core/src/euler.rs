@@ -19,10 +19,10 @@
 //! with the same endpoint lifting as the advection terms. The volume term
 //! ([`volume_rhs`]) and the Rusanov lift ([`rusanov_lift`]) are free
 //! functions: [`EulerSolver`] calls them on a local periodic exchange, and
-//! the distributed mini-app (`cmt_bone::euler`) on the gather–scatter
-//! exchange. Optional Laplacian artificial viscosity (the BR1 terms of
-//! [`crate::ops`]) is the shock capturing the paper lists as CMT-nek
-//! future work. The solver is validated on smooth flows (exact
+//! the distributed mini-app (`cmt_bone::Config::euler`) on the
+//! gather–scatter exchange. Optional Laplacian artificial viscosity (the
+//! BR1 terms of [`crate::ops`]) is the shock capturing the paper lists as
+//! CMT-nek future work. The solver is validated on smooth flows (exact
 //! preservation of uniform states, spectral convergence on traveling
 //! density waves, the isentropic vortex, discrete conservation of all five
 //! invariants) and on Sod's shock tube against the exact Riemann solution.

@@ -8,11 +8,11 @@
 //! the neighbor-trace exchange (gather–scatter against a local periodic
 //! copy) and the stepping around it.
 
-use cmt_bone::{run_collecting_solution, run_euler, Config, EulerRunConfig, Pipeline};
+use cmt_bone::{run_collecting_solution, Config, Pipeline};
 use cmt_core::diffusion::{AdvDiffConfig, AdvDiffSolver};
-use cmt_core::eos::Primitive;
-use cmt_core::euler::{EulerConfig, EulerSolver};
-use cmt_core::KernelVariant;
+use cmt_core::eos::{IdealGas, Primitive};
+use cmt_core::euler::{is_admissible, EulerConfig, EulerSolver};
+use cmt_core::{Field, KernelVariant};
 use cmt_gs::GsMethod;
 use cmt_mesh::MeshConfig;
 use std::f64::consts::PI;
@@ -165,31 +165,53 @@ fn four_ranks_viscous_under_both_pipelines() {
     }
 }
 
-/// Distributed compressible Euler (`cmt_bone::run_euler`) against
+/// The Euler configuration of a `ranks` x `elems` run at order `n`.
+fn euler_cfg(ranks: usize, elems: usize, n: usize, method: GsMethod) -> Config {
+    Config {
+        ranks,
+        elems_per_rank: elems,
+        n,
+        steps: 5,
+        fields: 5,
+        euler: true,
+        method: Some(method),
+        cfl: 0.2,
+        cfl_interval: 1000, // fixed dt over the run
+        ..Default::default()
+    }
+}
+
+/// Distributed compressible Euler (`Config::euler`) against
 /// [`EulerSolver`] on the same global box and timestep.
-fn check_euler(ranks: usize, elems: usize, n: usize, method: GsMethod) {
-    let (ge, lengths) = global_box(ranks, elems, n);
+fn check_euler(cfg: Config) {
+    let (ranks, n) = (cfg.ranks, cfg.n);
+    let (ge, lengths) = global_box(ranks, cfg.elems_per_rank, n);
+    // the driver's Euler initial state
     let wave = move |x: f64, y: f64, _z: f64| Primitive {
         rho: 1.0 + 0.15 * (2.0 * PI * x / lengths[0]).sin(),
         vel: [0.6, 0.1 * (2.0 * PI * y / lengths[1]).cos(), 0.0],
         p: 1.0,
     };
-    let cfg = EulerRunConfig {
-        ranks,
-        elems_per_rank: elems,
-        n,
-        steps: 5,
-        method,
-        cfl_interval: 1000, // fixed dt over the run
-        ..Default::default()
-    };
-    let rep = run_euler(&cfg, wave);
+    let gas = IdealGas::default();
+    let (_, dumps) = run_collecting_solution(&cfg);
+    for d in &dumps {
+        let nel = d.global_elem_ids.len();
+        let u: Vec<Field> = d
+            .fields
+            .iter()
+            .map(|f| Field::from_vec(n, nel, f.clone()))
+            .collect();
+        assert!(
+            is_admissible(&gas, &u),
+            "rank state left the admissible set"
+        );
+    }
 
     let mut serial = EulerSolver::new(EulerConfig {
         n,
         elems: ge,
         lengths,
-        gas: cfg.gas,
+        gas,
         variant: cfg.variant,
         artificial_viscosity: 0.0,
     });
@@ -197,28 +219,53 @@ fn check_euler(ranks: usize, elems: usize, n: usize, method: GsMethod) {
     // unit-cube elements and the same initial wave speeds: the distributed
     // run's dt, bit for bit
     let dt = serial.stable_dt(cfg.cfl);
+    assert_eq!(dumps[0].dt, dt);
     for _ in 0..cfg.steps {
         serial.step(dt);
     }
-    assert_eq!(serial.time(), rep.time);
+    assert_eq!(serial.time(), dumps[0].time);
 
-    let dumps = rep
-        .solutions
-        .into_iter()
-        .map(|s| (s.global_elem_ids, s.fields));
-    let diff = max_diff(n, dumps, serial.state());
-    assert!(
-        diff < 1e-9,
-        "Euler ranks={ranks} n={n} {method:?}: max diff {diff}"
+    let label = format!(
+        "Euler ranks={ranks} n={n} {:?} {} workers={}",
+        cfg.method,
+        cfg.pipeline.name(),
+        cfg.workers
     );
+    let dumps = dumps.into_iter().map(|d| (d.global_elem_ids, d.fields));
+    let diff = max_diff(n, dumps, serial.state());
+    assert!(diff < 1e-9, "{label}: max diff {diff}");
 }
 
 #[test]
 fn euler_four_ranks_pairwise() {
-    check_euler(4, 4, 5, GsMethod::PairwiseExchange);
+    check_euler(euler_cfg(4, 4, 5, GsMethod::PairwiseExchange));
 }
 
 #[test]
 fn euler_two_ranks_crystal_router() {
-    check_euler(2, 6, 4, GsMethod::CrystalRouter);
+    check_euler(euler_cfg(2, 6, 4, GsMethod::CrystalRouter));
+}
+
+#[test]
+fn euler_three_ranks_allreduce() {
+    check_euler(euler_cfg(3, 4, 4, GsMethod::AllReduce));
+}
+
+#[test]
+fn euler_blocking_pipeline() {
+    check_euler(Config {
+        pipeline: Pipeline::Blocking,
+        ..euler_cfg(4, 4, 5, GsMethod::PairwiseExchange)
+    });
+}
+
+/// Euler's volume term runs unchunked; the pooled loop under it is the
+/// per-field dealias round trip (identity to roundoff).
+#[test]
+fn euler_hybrid_workers() {
+    check_euler(Config {
+        workers: 3,
+        dealias_m: Some(7),
+        ..euler_cfg(4, 4, 5, GsMethod::PairwiseExchange)
+    });
 }

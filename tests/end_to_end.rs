@@ -224,3 +224,79 @@ fn netmodel_orders_fabrics_consistently() {
     assert!(exa < qdr, "exascale {exa} vs qdr {qdr}");
     assert!(qdr < gbe, "qdr {qdr} vs gbe {gbe}");
 }
+
+/// Particle-laden compressible flow (the `euler_wave` example's setup):
+/// one-way-coupled tracers ride the Euler fluid velocity across rank
+/// boundaries, none is lost or duplicated, and the five conserved
+/// integrals hold to roundoff.
+#[test]
+fn euler_tracers_cross_ranks_and_invariants_hold() {
+    use cmt_core::eos::NVARS;
+    use cmt_core::poly::Basis;
+    use cmt_mesh::{ElemPartition, MeshConfig};
+
+    let cfg = BoneConfig {
+        ranks: 4,
+        elems_per_rank: 8,
+        n: 5,
+        steps: 40,
+        fields: NVARS,
+        euler: true,
+        cfl: 0.2,
+        cfl_interval: 5,
+        particles_per_elem: 4,
+        method: Some(GsMethod::PairwiseExchange),
+        ..Default::default()
+    };
+    // GLL-weighted integral of every conserved variable over unit-cube
+    // elements
+    let w = Basis::new(cfg.n).weights;
+    let n = cfg.n;
+    let totals = |dumps: &[cmt_bone::SolutionDump]| -> Vec<f64> {
+        (0..NVARS)
+            .map(|c| {
+                let weighted =
+                    |(p, u): (usize, &f64)| u * w[p % n] * w[p / n % n] * w[p / (n * n) % n] / 8.0;
+                dumps
+                    .iter()
+                    .map(|d| d.fields[c].iter().enumerate().map(weighted).sum::<f64>())
+                    .sum()
+            })
+            .collect()
+    };
+    let (_, start) = cmt_bone::run_collecting_solution(&BoneConfig {
+        steps: 0,
+        ..cfg.clone()
+    });
+    let (rep, end) = cmt_bone::run_collecting_solution(&cfg);
+    for (c, (a, b)) in totals(&start).iter().zip(totals(&end)).enumerate() {
+        assert!(
+            (b - a).abs() < 1e-9 * a.abs().max(1.0),
+            "invariant {c}: {a} -> {b}"
+        );
+    }
+
+    // Tracer ids are `seed element * per_elem + q`: one whose final rank
+    // differs from its seed element's initial owner crossed a boundary.
+    let mesh = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, true);
+    let seeded = ElemPartition::initial(&mesh);
+    let mut tracers = 0;
+    let mut moved = 0;
+    for (r, d) in end.iter().enumerate() {
+        for rec in d.particles.chunks_exact(4) {
+            tracers += 1;
+            moved += usize::from(seeded.owner_of(rec[0] as usize / cfg.particles_per_elem) != r);
+        }
+    }
+    assert_eq!(tracers, mesh.total_elems() * cfg.particles_per_elem);
+    assert!(moved > 0, "no tracer crossed a rank boundary");
+    for name in [
+        cmt_perf::regions::PARTICLE_ADVECT,
+        cmt_perf::regions::PARTICLE_MIGRATE,
+    ] {
+        assert!(
+            rep.profile.flat.iter().any(|(r, _)| r == name),
+            "missing {name}"
+        );
+    }
+}

@@ -21,6 +21,10 @@ const G4: u64 = 0x23c764f9896122dd;
 /// schedule (equal to roundoff, not bitwise), so each has its own golden.
 const G5_OVERLAPPED: u64 = 0x24342c951705f08b;
 const G5_BLOCKING: u64 = 0xd89f2adf16dcc17b;
+/// Compressible Euler with tracers and adaptive dt, recorded when Euler
+/// joined the driver (its final fields matched the former stand-alone
+/// Euler driver bit for bit).
+const G6: u64 = 0x6523912c40a2a015;
 
 const VARIANTS: [KernelVariant; 3] = [
     KernelVariant::Optimized,
@@ -93,6 +97,24 @@ fn g5() -> BoneConfig {
         steps: 4,
         fields: 2,
         viscosity: Some(0.02),
+        method: Some(GsMethod::PairwiseExchange),
+        ..Default::default()
+    }
+}
+
+/// The `euler_wave` example's setup: five conserved variables, tracers,
+/// and `dt` re-adapted to the wave speed every 5 steps.
+fn g6() -> BoneConfig {
+    BoneConfig {
+        ranks: 4,
+        n: 5,
+        elems_per_rank: 8,
+        steps: 10,
+        fields: 5,
+        euler: true,
+        particles_per_elem: 4,
+        cfl: 0.2,
+        cfl_interval: 5,
         method: Some(GsMethod::PairwiseExchange),
         ..Default::default()
     }
@@ -187,4 +209,48 @@ fn g4_nekbone_cg() {
 fn g5_viscous_per_schedule() {
     assert_bone("G5", &g5(), Pipeline::Overlapped, G5_OVERLAPPED);
     assert_bone("G5", &g5(), Pipeline::Blocking, G5_BLOCKING);
+}
+
+#[test]
+fn g6_euler_tracers_adaptive_dt() {
+    for pipeline in [Pipeline::Overlapped, Pipeline::Blocking] {
+        assert_bone("G6", &g6(), pipeline, G6);
+    }
+    let verified = cmt_bone::run(&BoneConfig {
+        verify: true,
+        ..g6()
+    });
+    assert_eq!(verified.state_hash, G6, "G6 under --verify");
+    let findings = verified.verify.expect("verification ran");
+    assert!(findings.is_empty(), "G6 findings: {findings:?}");
+    // The kill rolls back to the step-3 checkpoint, taken before the
+    // step-5 dt adaptation: the rerun of steps 3-4 needs the dt the
+    // checkpoint carries.
+    let kill = |plan: &str| BoneConfig {
+        checkpoint_every: 3,
+        fault_plan: Some(FaultPlan::parse(plan).expect("fault plan")),
+        ..g6()
+    };
+    let killed = cmt_bone::run(&kill("kill:rank=2,step=5"));
+    assert_eq!(killed.state_hash, G6, "G6 kill + rollback");
+    // The uniform tracers barely drift in 10 steps, so a straggling rank
+    // is what makes the balancer migrate elements; with the kill on top,
+    // the checkpoint carries the owner vector and dt side by side.
+    let straggler = "delay:prob=1.0,us=500,rank=1;seed=9";
+    for plan in [
+        straggler.to_string(),
+        format!("{straggler};kill:rank=2,step=5"),
+    ] {
+        let balanced = cmt_bone::run(&BoneConfig {
+            lb_every: 2,
+            lb_threshold: 1.1,
+            ..kill(&plan)
+        });
+        let lb = balanced.lb.expect("lb summary");
+        assert!(lb.rebalances >= 1, "G6 straggler did not rebalance: {lb:?}");
+        assert_eq!(
+            balanced.state_hash, G6,
+            "G6 under the load balancer ({plan})"
+        );
+    }
 }

@@ -151,3 +151,50 @@ fn message_hazards_with_kills_still_converge_identically() {
     });
     assert_eq!(clean.state_hash, killed.state_hash);
 }
+
+/// A restart directory is input from outside the run: checkpoints written
+/// under the other physics (Euler carries its adapted `dt` as the last
+/// scalar, the load balancer the element-owner vector before it) are
+/// refused with a clear message instead of being misread as a partition
+/// or a timestep.
+#[test]
+fn cmt_bone_restart_across_physics_is_refused() {
+    let proxy = cmt_bone::Config {
+        fields: 5,
+        ..bone_cfg()
+    };
+    let euler = cmt_bone::Config {
+        euler: true,
+        cfl: 0.2,
+        ..proxy.clone()
+    };
+    let balanced = |c: &cmt_bone::Config| cmt_bone::Config {
+        particles_per_elem: 2,
+        lb_every: 2,
+        ..c.clone()
+    };
+    for (tag, written, restarted) in [
+        ("euler_to_proxy", euler.clone(), proxy.clone()),
+        ("euler_lb_to_proxy_lb", balanced(&euler), balanced(&proxy)),
+        ("proxy_lb_to_euler_lb", balanced(&proxy), balanced(&euler)),
+    ] {
+        let dir = scratch(tag);
+        cmt_bone::run(&cmt_bone::Config {
+            checkpoint_dir: Some(dir.clone()),
+            ..written
+        });
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cmt_bone::run(&cmt_bone::Config {
+                restart_from: Some(dir.clone()),
+                ..restarted
+            })
+        }))
+        .expect_err(tag);
+        let msg = refused.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(
+            msg.contains("checkpoint does not match this configuration"),
+            "{tag}: {msg}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
