@@ -1,7 +1,7 @@
 //! Regenerate every table and figure of the CMT-bone paper's evaluation.
 //!
 //! ```text
-//! figures [--full] [fig4|fig5|fig6|fig7|fig8|fig9|fig10|netmodel|overlap|resilience|all]
+//! figures [--full] [fig4|fig5|fig6|fig7|fig8|fig9|fig10|overlap|resilience|all]
 //! ```
 //!
 //! * `fig4` — CMT-bone execution profile + partial call graph (gprof view)
@@ -11,7 +11,6 @@
 //! * `fig8` — % time in MPI per rank
 //! * `fig9` — top-20 most expensive MPI call sites
 //! * `fig10` — total/average message sizes of the busiest MPI calls
-//! * `netmodel` — latency/bandwidth what-if ablation (paper §VI outlook)
 //! * `overlap` — split-phase overlapped vs blocking exchange schedule
 //! * `resilience` — recovery overhead vs checkpoint cadence under an
 //!   injected rank kill
@@ -25,7 +24,6 @@ use cmt_bone::Config as BoneConfig;
 use cmt_core::kernels::{DerivDir, KernelVariant};
 use cmt_gs::AutotuneOptions;
 use nekbone::Config as NekConfig;
-use simmpi::NetworkModel;
 
 fn fig4(full: bool) {
     println!("== Fig. 4: CMT-bone call graph and execution profile ==\n");
@@ -324,30 +322,6 @@ fn resilience_fig(full: bool) {
     println!(" 'bitwise ok = yes' — recovery replays the identical trajectory.)\n");
 }
 
-fn netmodel() {
-    println!("== Network-model ablation (paper §VI outlook): modelled exchange time ==\n");
-    println!("model               | avg modelled comm s/rank | max modelled comm s/rank");
-    for (name, net) in [
-        ("QDR InfiniBand", NetworkModel::qdr_infiniband()),
-        ("notional exascale", NetworkModel::notional_exascale()),
-        ("gigabit ethernet", NetworkModel::gigabit_ethernet()),
-    ] {
-        let rep = cmt_bone::run(&BoneConfig {
-            ranks: 16,
-            n: 10,
-            elems_per_rank: 27,
-            steps: 20,
-            fields: 2,
-            net: Some(net),
-            ..Default::default()
-        });
-        let avg: f64 = rep.modeled_comm_s.iter().sum::<f64>() / rep.modeled_comm_s.len() as f64;
-        let max = rep.modeled_comm_s.iter().fold(0.0f64, |m, &v| m.max(v));
-        println!("{name:19} | {avg:24.6} | {max:24.6}");
-    }
-    println!();
-}
-
 fn main() {
     let mut full = false;
     let mut which: Vec<String> = Vec::new();
@@ -369,7 +343,6 @@ fn main() {
             "fig8" => fig8(full),
             "fig9" => fig9(full),
             "fig10" => fig10(full),
-            "netmodel" => netmodel(),
             "overlap" => overlap_fig(full),
             "resilience" => resilience_fig(full),
             "all" => {
@@ -380,14 +353,13 @@ fn main() {
                 fig8(full);
                 fig9(full);
                 fig10(full);
-                netmodel();
                 overlap_fig(full);
                 resilience_fig(full);
             }
             other => {
                 eprintln!("unknown figure: {other}");
                 eprintln!(
-                    "usage: figures [--full] [fig4|fig5|fig6|fig7|fig8|fig9|fig10|netmodel|overlap|resilience|all]"
+                    "usage: figures [--full] [fig4|fig5|fig6|fig7|fig8|fig9|fig10|overlap|resilience|all]"
                 );
                 std::process::exit(2);
             }

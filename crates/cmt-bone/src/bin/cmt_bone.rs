@@ -25,7 +25,7 @@ fn usage() -> ! {
          \x20                [--cfl-interval K] [--dealias M] [--quiet]\n\
          \x20                [--checkpoint-every K] [--checkpoint-dir PATH]\n\
          \x20                [--restart PATH] [--fault-plan SPEC]\n\
-         \x20                [--verify] [--chaos-sched SEED] [--no-pool]\n\
+         \x20                [--verify] [--no-pool]\n\
          \x20                [--transport inproc|socket] [--transport-addr ADDR]\n\
          \x20                [--particles-per-elem Q] [--particle-cluster FRAC]\n\
          \x20                [--lb-every K] [--lb-threshold T]\n\
@@ -43,7 +43,6 @@ fn usage() -> ! {
          identical across worker counts.\n\
          --verify runs the cmt-verify dynamic checker (deadlock, collective\n\
          matching, message leaks, races); exit status 1 on findings.\n\
-         --chaos-sched overlays seeded message delays to perturb the schedule.\n\
          --no-pool disables message-buffer recycling (allocate per message).\n\
          --particles-per-elem seeds Q passive tracers per element (0 = off);\n\
          --particle-cluster FRAC crowds them into the first FRAC of the x\n\
@@ -147,9 +146,6 @@ fn main() {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage())
-            }
-            "--chaos-sched" => {
-                cfg.chaos_sched = args.next().and_then(|s| s.parse().ok()).or_else(|| usage())
             }
             "--quiet" => quiet = true,
             "--help" | "-h" => usage(),

@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use cmt_core::eos::NVARS;
 use cmt_core::KernelVariant;
 use cmt_gs::{AutotuneOptions, GsMethod};
-use simmpi::{FaultPlan, NetworkModel, TransportKind};
+use simmpi::{FaultPlan, TransportKind};
 
 /// How the RK stage schedules its face exchanges relative to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -112,8 +112,6 @@ pub struct Config {
     pub euler: bool,
     /// CFL number for the stable-timestep formula.
     pub cfl: f64,
-    /// Optional network model for modelled-time accounting.
-    pub net: Option<NetworkModel>,
     /// Exchange scheduling: blocking per-field `gs_op`s (the legacy
     /// baseline) or the batched split-phase overlap.
     pub pipeline: Pipeline,
@@ -127,17 +125,15 @@ pub struct Config {
     /// starting at step 0.
     pub restart_from: Option<PathBuf>,
     /// Deterministic fault schedule injected into the world (message
-    /// delays, drop/retransmit, scheduled rank kills).
+    /// delays, drop/retransmit, scheduled rank kills). A delay-only plan
+    /// such as `delay:prob=0.25,us=150;seed=7` perturbs the message
+    /// schedule without changing any result.
     pub fault_plan: Option<FaultPlan>,
     /// Run under the `cmt-verify` dynamic checker: deadlock detection
     /// over blocked receives, collective-matching verification, finalize
     /// message-leak sweep, and the vector-clock race detector. Findings
     /// land in [`crate::RunReport::verify`].
     pub verify: bool,
-    /// Seeded schedule perturbation (`--chaos-sched`): overlay random
-    /// message delays on the world to explore alternative interleavings.
-    /// Composes with `fault_plan` (kills and drops are kept).
-    pub chaos_sched: Option<u64>,
     /// Recycle message payload buffers through the per-rank
     /// [`simmpi::BufferPool`] (the zero-allocation steady state). `false`
     /// (`--no-pool`) falls back to plain allocation per message — the
@@ -185,14 +181,12 @@ impl Default for Config {
             velocity: [0.8, 0.53, 0.31],
             euler: false,
             cfl: 0.25,
-            net: None,
             pipeline: Pipeline::default(),
             checkpoint_every: 0,
             checkpoint_dir: None,
             restart_from: None,
             fault_plan: None,
             verify: false,
-            chaos_sched: None,
             pool: true,
             transport: TransportKind::default(),
             particles_per_elem: 0,

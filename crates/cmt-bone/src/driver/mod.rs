@@ -91,7 +91,6 @@ struct RankOutput {
     elem_hashes: Vec<u64>,
     lb: Option<LbSummary>,
     wall_s: f64,
-    modeled_s: f64,
     solution: Option<SolutionDump>,
 }
 
@@ -250,7 +249,6 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
         elem_hashes,
         lb: (cfg.lb_every > 0).then_some(lb),
         wall_s: start.elapsed().as_secs_f64(),
-        modeled_s: rank.modeled_time_s(),
         solution: collect.then(|| SolutionDump {
             global_elem_ids: st.blk.owned.clone(),
             fields: st.blk.u.iter().map(|f| f.as_slice().to_vec()).collect(),
@@ -264,19 +262,12 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
 fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
     cfg.validate().expect("invalid CMT-bone configuration");
     let mesh_cfg = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, true);
-    let mut world = match cfg.net {
-        Some(net) => World::with_network(net),
-        None => World::new(),
-    };
-    world = world
+    let mut world = World::new()
         .with_pooling(cfg.pool)
         .with_workers(cfg.workers)
         .with_worker_alloc_counters(cmt_perf::alloc::thread_counts);
     if let Some(plan) = &cfg.fault_plan {
         world = world.with_fault_plan(plan.clone());
-    }
-    if let Some(seed) = cfg.chaos_sched {
-        world = world.with_chaos_sched(seed);
     }
     let verifier = cfg.verify.then(|| Arc::new(Verifier::new()));
     if let Some(v) = &verifier {
@@ -297,7 +288,6 @@ fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
     let mut lb_total: Option<LbSummary> = None;
     let mut rank_wall = Vec::with_capacity(cfg.ranks);
     let mut rank_compute = Vec::with_capacity(cfg.ranks);
-    let mut modeled = Vec::with_capacity(cfg.ranks);
     let mut dumps = Vec::new();
     // The physics regions the load balancer redistributes; their summed
     // self time per rank is the compute side of the critical path.
@@ -345,7 +335,6 @@ fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
             t.particles_moved += l.particles_moved;
         }
         rank_wall.push(out.wall_s);
-        modeled.push(out.modeled_s);
         if let Some(d) = out.solution {
             dumps.push(d);
         }
@@ -381,7 +370,6 @@ fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
         comm: MpipReport::from_stats(&result.stats),
         rank_wall_s: rank_wall,
         rank_compute_s: rank_compute,
-        modeled_comm_s: modeled,
         checksum,
         state_hash,
         lb: lb_total,

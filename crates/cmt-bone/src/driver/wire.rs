@@ -59,7 +59,6 @@ impl WireCodec for RankOutput {
         self.elem_hashes.encode(buf);
         self.lb.encode(buf);
         self.wall_s.encode(buf);
-        self.modeled_s.encode(buf);
         self.solution.encode(buf);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -73,7 +72,6 @@ impl WireCodec for RankOutput {
             elem_hashes: Vec::decode(r)?,
             lb: Option::decode(r)?,
             wall_s: f64::decode(r)?,
-            modeled_s: f64::decode(r)?,
             solution: Option::decode(r)?,
         })
     }

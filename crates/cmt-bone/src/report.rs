@@ -56,9 +56,6 @@ pub struct RunReport {
     /// of rank computes — partition-independent — so balancing effects
     /// are only visible here.)
     pub rank_compute_s: Vec<f64>,
-    /// Per-rank modelled network time, seconds (zeros without a network
-    /// model).
-    pub modeled_comm_s: Vec<f64>,
     /// Deterministic global checksum of the final fields.
     pub checksum: f64,
     /// FNV-1a hash over every element's final state (field bytes plus
@@ -192,11 +189,6 @@ impl RunReport {
         out.push_str(&self.comm.render_top_sites(20));
         out.push_str("\nMessage sizes (Fig. 10):\n");
         out.push_str(&self.comm.render_msg_sizes(10));
-        let net = self.comm.render_net_fit();
-        if !net.is_empty() {
-            out.push_str("\nMeasured network (socket transport):\n");
-            out.push_str(&net);
-        }
         out
     }
 }

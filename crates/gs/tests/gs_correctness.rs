@@ -537,31 +537,37 @@ fn crystal_router_self_only_messages() {
     miri,
     ignore = "multi-rank World exchange; too slow under the interpreter"
 )]
-fn crystal_router_models_more_network_time_than_pairwise() {
+fn crystal_router_moves_more_bytes_than_pairwise() {
     // The router moves every payload through log2(P) hops (plus routing
-    // headers); direct pairwise sends it once. Under a network model the
-    // modelled time must reflect that, whatever the wall clock says.
-    use simmpi::NetworkModel;
+    // headers); direct pairwise sends it once. The measured mpiP byte
+    // books must show that, whatever the wall clock says.
+    use simmpi::MpiOp;
     let p = 8;
     let cfg = MeshConfig::for_ranks(p, 27, 6, true);
-    let modeled = |method: GsMethod| {
+    let bytes = |method: GsMethod, op: MpiOp| {
         let cfg2 = cfg.clone();
-        let res = World::with_network(NetworkModel::qdr_infiniband()).run(p, move |rank| {
+        let res = World::new().run(p, move |rank| {
             let mesh = RankMesh::new(cfg2.clone(), rank.rank());
             let ids = mesh.face_exchange_gids();
             let handle = GsHandle::setup(rank, &ids);
-            let before = rank.modeled_time_s();
             let mut vals = vec![1.0; ids.len()];
-            for _ in 0..5 {
-                handle.gs_op(rank, &mut vals, GsOp::Add, method);
-            }
-            rank.modeled_time_s() - before
+            rank.with_context("measured", |rank| {
+                for _ in 0..5 {
+                    handle.gs_op(rank, &mut vals, GsOp::Add, method);
+                }
+            });
         });
-        res.results.iter().sum::<f64>()
+        res.stats
+            .iter()
+            .flat_map(|st| &st.sites)
+            .filter(|(k, _)| k.op == op && k.context.starts_with("measured"))
+            .map(|(_, s)| s.bytes)
+            .sum::<u64>()
     };
-    let pw = modeled(GsMethod::PairwiseExchange);
-    let cr = modeled(GsMethod::CrystalRouter);
-    assert!(cr > pw, "crystal modelled {cr} should exceed pairwise {pw}");
+    let pw = bytes(GsMethod::PairwiseExchange, MpiOp::Isend);
+    let cr = bytes(GsMethod::CrystalRouter, MpiOp::CrystalRouter);
+    assert!(pw > 0, "pairwise sent nothing");
+    assert!(cr > pw, "crystal moved {cr} bytes, pairwise sent {pw}");
 }
 
 #[test]

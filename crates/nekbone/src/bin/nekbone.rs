@@ -19,7 +19,7 @@ fn usage() -> ! {
          \x20              [--method pairwise|crystal|allreduce] [--quiet]\n\
          \x20              [--checkpoint-every K] [--checkpoint-dir PATH]\n\
          \x20              [--restart PATH] [--fault-plan SPEC]\n\
-         \x20              [--verify] [--chaos-sched SEED] [--no-pool]\n\
+         \x20              [--verify] [--no-pool]\n\
          \x20              [--transport inproc|socket] [--transport-addr ADDR]\n\
          \n\
          --transport socket runs every rank as a child process over\n\
@@ -32,7 +32,6 @@ fn usage() -> ! {
          pool of W threads (1 = pure MPI); results are bitwise identical.\n\
          --verify runs the cmt-verify dynamic checker (deadlock, collective\n\
          matching, message leaks, races); exit status 1 on findings.\n\
-         --chaos-sched overlays seeded message delays to perturb the schedule.\n\
          --no-pool disables message-buffer recycling (allocate per message).\n\
          --variant auto autotunes the ax derivative kernel at startup (every\n\
          variant timed, averaged across ranks); --variant simd dispatches to\n\
@@ -115,9 +114,6 @@ fn main() {
                         })
                     }
                 }
-            }
-            "--chaos-sched" => {
-                cfg.chaos_sched = args.next().and_then(|s| s.parse().ok()).or_else(|| usage())
             }
             "--quiet" => quiet = true,
             "--help" | "-h" => usage(),

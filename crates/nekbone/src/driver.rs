@@ -11,9 +11,7 @@ use cmt_perf::kernel_tune::{decode_kernel_tune, encode_kernel_tune, tune_kernels
 use cmt_perf::{MpipReport, ProfileReport, Profiler};
 use cmt_resilience::{hash, load_checkpoint, Resilience};
 use cmt_verify::Verifier;
-use simmpi::{
-    FaultPlan, NetworkModel, Rank, TransportKind, WireCodec, WireError, WireReader, World,
-};
+use simmpi::{FaultPlan, Rank, TransportKind, WireCodec, WireError, WireReader, World};
 use std::sync::Arc;
 
 use crate::ax::AxOperator;
@@ -56,8 +54,6 @@ pub struct Config {
     pub method: Option<GsMethod>,
     /// Autotune options.
     pub autotune: AutotuneOptions,
-    /// Optional network model.
-    pub net: Option<NetworkModel>,
     /// Checkpoint the CG iteration state every this many iterations
     /// (0 disables). Required non-zero when the fault plan kills ranks.
     pub checkpoint_every: usize,
@@ -66,14 +62,13 @@ pub struct Config {
     pub checkpoint_dir: Option<PathBuf>,
     /// Resume the solve from the per-rank checkpoints in this directory.
     pub restart_from: Option<PathBuf>,
-    /// Deterministic fault schedule injected into the world.
+    /// Deterministic fault schedule injected into the world. A delay-only
+    /// plan such as `delay:prob=0.25,us=150;seed=7` perturbs the message
+    /// schedule without changing any result.
     pub fault_plan: Option<FaultPlan>,
     /// Run under the `cmt-verify` dynamic checker; findings land in
     /// [`NekboneReport::verify`].
     pub verify: bool,
-    /// Seeded schedule perturbation: overlay random message delays to
-    /// explore alternative interleavings (composes with `fault_plan`).
-    pub chaos_sched: Option<u64>,
     /// Recycle message payload buffers through the per-rank
     /// [`simmpi::BufferPool`]; `false` (`--no-pool`) allocates per message.
     pub pool: bool,
@@ -98,13 +93,11 @@ impl Default for Config {
             periodic: true,
             method: None,
             autotune: AutotuneOptions::default(),
-            net: None,
             checkpoint_every: 0,
             checkpoint_dir: None,
             restart_from: None,
             fault_plan: None,
             verify: false,
-            chaos_sched: None,
             pool: true,
             transport: TransportKind::default(),
         }
@@ -188,11 +181,6 @@ impl NekboneReport {
         out.push_str(&self.profile.render_flat());
         out.push_str("\nTop MPI call sites:\n");
         out.push_str(&self.comm.render_top_sites(20));
-        let net = self.comm.render_net_fit();
-        if !net.is_empty() {
-            out.push_str("\nMeasured network (socket transport):\n");
-            out.push_str(&net);
-        }
         out
     }
 }
@@ -441,19 +429,12 @@ pub fn run(cfg: &Config) -> NekboneReport {
     cfg.validate()
         .unwrap_or_else(|e| panic!("invalid Nekbone configuration: {e}"));
     let mesh_cfg = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, cfg.periodic);
-    let mut world = match cfg.net {
-        Some(net) => World::with_network(net),
-        None => World::new(),
-    };
-    world = world
+    let mut world = World::new()
         .with_pooling(cfg.pool)
         .with_workers(cfg.workers)
         .with_worker_alloc_counters(cmt_perf::alloc::thread_counts);
     if let Some(plan) = &cfg.fault_plan {
         world = world.with_fault_plan(plan.clone());
-    }
-    if let Some(seed) = cfg.chaos_sched {
-        world = world.with_chaos_sched(seed);
     }
     let verifier = cfg.verify.then(|| Arc::new(Verifier::new()));
     if let Some(v) = &verifier {

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use simmpi::{CommStats, MpiOp, NetworkModel, SiteKey};
+use simmpi::{CommStats, MpiOp, SiteKey};
 
 /// One call site aggregated across all ranks.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,11 +55,6 @@ pub struct MpipReport {
     pub mpi_time_per_rank: Vec<f64>,
     /// Aggregated call sites, sorted by total time descending.
     pub sites: Vec<SiteAggregate>,
-    /// Measured per-message `(bytes, seconds)` network samples pooled
-    /// over all ranks. Empty for in-process runs (delivery is a mailbox
-    /// push); the socket transport records one sample per received data
-    /// frame, so these are real wire latencies.
-    pub net_samples: Vec<(u64, f64)>,
 }
 
 impl MpipReport {
@@ -87,15 +82,10 @@ impl MpipReport {
         }
         let mut sites: Vec<SiteAggregate> = sites.into_values().collect();
         sites.sort_by(|a, b| b.time_s.total_cmp(&a.time_s).then(a.site.cmp(&b.site)));
-        let net_samples = stats
-            .iter()
-            .flat_map(|st| st.net_samples.iter().copied())
-            .collect();
         MpipReport {
             app_time_per_rank: app,
             mpi_time_per_rank: mpi,
             sites,
-            net_samples,
         }
     }
 
@@ -163,53 +153,6 @@ impl MpipReport {
                 pa,
                 pm,
                 s.calls
-            ));
-        }
-        out
-    }
-
-    /// Fit the latency/bandwidth model of [`simmpi::NetworkModel`] to the
-    /// pooled per-message samples. `None` when the run produced no usable
-    /// samples (in-process transport, or all messages the same size).
-    pub fn fit_network(&self) -> Option<NetworkModel> {
-        NetworkModel::fit(&self.net_samples)
-    }
-
-    /// Render the measured-network section: the fitted latency/bandwidth
-    /// parameters plus a measured-vs-predicted table over power-of-two
-    /// message-size buckets. Empty string when nothing could be fitted.
-    pub fn render_net_fit(&self) -> String {
-        let Some(model) = self.fit_network() else {
-            return String::new();
-        };
-        let mut out = format!(
-            "fitted from {} samples: latency {:.1} us, bandwidth {:.1} MB/s \
-             (half-power point {:.0} bytes)\n",
-            self.net_samples.len(),
-            model.latency_s * 1e6,
-            model.bandwidth_bps / 1e6,
-            model.half_power_bytes(),
-        );
-        // bucket by floor(log2(bytes)) and compare means against the fit
-        let mut buckets: HashMap<u32, (u64, f64, u64)> = HashMap::new();
-        for &(bytes, secs) in &self.net_samples {
-            let b = 63 - bytes.max(1).leading_zeros();
-            let e = buckets.entry(b).or_insert((0, 0.0, 0));
-            e.0 += 1;
-            e.1 += secs;
-            e.2 += bytes;
-        }
-        let mut rows: Vec<(u32, (u64, f64, u64))> = buckets.into_iter().collect();
-        rows.sort_by_key(|&(b, _)| b);
-        out.push_str("  size bucket      samples   measured(us)  predicted(us)\n");
-        for (b, (n, total_s, total_bytes)) in rows {
-            let avg_bytes = total_bytes / n;
-            out.push_str(&format!(
-                "  [{:>9}, ..) {:8} {:14.2} {:14.2}\n",
-                1u64 << b,
-                n,
-                1e6 * total_s / n as f64,
-                1e6 * model.message_time(avg_bytes),
             ));
         }
         out
@@ -303,42 +246,6 @@ mod tests {
         assert!(rep.render_rank_bars().contains("rank    0"));
         assert!(rep.render_top_sites(10).contains("MPI_"));
         assert!(rep.render_msg_sizes(10).contains("@halo"));
-    }
-
-    #[test]
-    fn inproc_runs_have_no_net_fit() {
-        let rep = MpipReport::from_stats(&sample_stats());
-        assert!(rep.net_samples.is_empty());
-        assert!(rep.fit_network().is_none());
-        assert_eq!(rep.render_net_fit(), "");
-    }
-
-    #[test]
-    fn net_fit_recovers_planted_model_and_renders_buckets() {
-        // Plant samples from a known latency + bandwidth line: 20 us
-        // latency, 100 MB/s.
-        let model_time = |bytes: u64| 20e-6 + bytes as f64 / 100e6;
-        let mut stats = sample_stats();
-        for (i, st) in stats.iter_mut().enumerate() {
-            for &bytes in &[64u64, 1024, 65536, 1 << 20] {
-                st.net_samples.push((bytes + i as u64, model_time(bytes)));
-            }
-        }
-        let rep = MpipReport::from_stats(&stats);
-        assert_eq!(rep.net_samples.len(), 16);
-        let fit = rep.fit_network().expect("enough samples to fit");
-        assert!((fit.latency_s - 20e-6).abs() < 5e-6, "{}", fit.latency_s);
-        assert!(
-            (fit.bandwidth_bps - 100e6).abs() < 5e6,
-            "{}",
-            fit.bandwidth_bps
-        );
-        let text = rep.render_net_fit();
-        assert!(text.contains("fitted from 16 samples"));
-        assert!(text.contains("measured(us)"));
-        // one bucket row per distinct power-of-two size
-        assert!(text.contains("[       64, ..)"), "{text}");
-        assert!(text.contains("[  1048576, ..)"), "{text}");
     }
 
     #[test]

@@ -38,15 +38,9 @@ impl Rank {
             k <<= 1;
             round += 1;
         }
-        let modeled = self.model_message(1) * round as f64;
         let ctx = std::mem::take(&mut self.context);
-        self.recorder.record(
-            self.badged(MpiOp::Barrier),
-            &ctx,
-            start.elapsed(),
-            bytes,
-            modeled,
-        );
+        self.recorder
+            .record(self.badged(MpiOp::Barrier), &ctx, start.elapsed(), bytes);
         self.context = ctx;
     }
 
@@ -105,7 +99,6 @@ impl Rank {
                 k >>= 1;
             }
         }
-        let mut nmsgs = 0u64;
         if nchildren > 0 && buf.len() > INLINE_ELEMS {
             // Share one Arc-backed payload across the whole fan-out: the
             // sends are reference bumps, and whichever consumer opens the
@@ -123,7 +116,6 @@ impl Rank {
                         Rank::coll_tag(seq, round),
                         Arc::clone(&shared),
                     );
-                    nmsgs += 1;
                 }
                 k >>= 1;
             }
@@ -136,21 +128,13 @@ impl Rank {
                     let child = (child_v + root) % p;
                     let round = k.trailing_zeros() as u64;
                     bytes += self.send_internal_slice(child, Rank::coll_tag(seq, round), &buf);
-                    nmsgs += 1;
                 }
                 k >>= 1;
             }
         }
-        let per_msg = (buf.len() * std::mem::size_of::<T>()) as u64;
-        let modeled = (0..nmsgs).map(|_| self.model_message(per_msg)).sum();
         let ctx = std::mem::take(&mut self.context);
-        self.recorder.record(
-            self.badged(MpiOp::Bcast),
-            &ctx,
-            start.elapsed(),
-            bytes,
-            modeled,
-        );
+        self.recorder
+            .record(self.badged(MpiOp::Bcast), &ctx, start.elapsed(), bytes);
         self.context = ctx;
         buf
     }
@@ -177,7 +161,6 @@ impl Rank {
         let vrank = (self.rank() + p - root) % p;
         let mut acc = data.to_vec();
         let mut bytes = 0u64;
-        let mut nmsgs = 0u64;
         // Binomial-tree reduce: at round r (mask = 1 << r), ranks with the
         // mask bit set send to (vrank - mask) and retire; others receive
         // from (vrank + mask) if it exists.
@@ -196,7 +179,6 @@ impl Rank {
                         Rank::coll_tag(seq, round),
                         std::mem::take(&mut acc),
                     );
-                    nmsgs += 1;
                     retired = true;
                 } else {
                     let src_v = vrank + mask;
@@ -219,16 +201,9 @@ impl Rank {
             mask <<= 1;
             round += 1;
         }
-        let per_msg = (data.len() * std::mem::size_of::<T>()) as u64;
-        let modeled = (0..nmsgs).map(|_| self.model_message(per_msg)).sum();
         let ctx = std::mem::take(&mut self.context);
-        self.recorder.record(
-            self.badged(MpiOp::Reduce),
-            &ctx,
-            start.elapsed(),
-            bytes,
-            modeled,
-        );
+        self.recorder
+            .record(self.badged(MpiOp::Reduce), &ctx, start.elapsed(), bytes);
         self.context = ctx;
         if self.rank() == root {
             Some(acc)
@@ -254,7 +229,6 @@ impl Rank {
         let rank = self.rank();
         let mut acc = data.to_vec();
         let mut bytes = 0u64;
-        let mut nmsgs = 0u64;
         // reduce to 0
         let mut mask = 1usize;
         let mut retired = false;
@@ -270,7 +244,6 @@ impl Rank {
                         Rank::coll_tag(seq, round),
                         std::mem::take(&mut acc),
                     );
-                    nmsgs += 1;
                     retired = true;
                 } else if rank + mask < p {
                     let (other, b) =
@@ -332,7 +305,6 @@ impl Rank {
                         Rank::coll_tag(seq, round),
                         Arc::clone(&shared),
                     );
-                    nmsgs += 1;
                 }
                 k >>= 1;
             }
@@ -345,21 +317,13 @@ impl Rank {
                 if (rank == 0 || k < my_lsb) && rank + k < p {
                     let round = 32 + k.trailing_zeros() as u64;
                     bytes += self.send_internal_slice(rank + k, Rank::coll_tag(seq, round), &acc);
-                    nmsgs += 1;
                 }
                 k >>= 1;
             }
         }
-        let per_msg = (data.len() * std::mem::size_of::<T>()) as u64;
-        let modeled = (0..nmsgs).map(|_| self.model_message(per_msg)).sum();
         let ctx = std::mem::take(&mut self.context);
-        self.recorder.record(
-            self.badged(MpiOp::Allreduce),
-            &ctx,
-            start.elapsed(),
-            bytes,
-            modeled,
-        );
+        self.recorder
+            .record(self.badged(MpiOp::Allreduce), &ctx, start.elapsed(), bytes);
         self.context = ctx;
         acc
     }
@@ -383,7 +347,6 @@ impl Rank {
         let p = self.size();
         let rank = self.rank();
         let mut bytes = 0u64;
-        let mut nmsgs = 0u64;
         // reduce to 0 (same binomial schedule as allreduce_with)
         let mut mask = 1usize;
         let mut retired = false;
@@ -392,7 +355,6 @@ impl Rank {
             if !retired {
                 if rank & mask != 0 {
                     bytes += self.send_internal_slice(rank - mask, Rank::coll_tag(seq, round), acc);
-                    nmsgs += 1;
                     retired = true;
                 } else if rank + mask < p {
                     let (other, b) =
@@ -432,20 +394,12 @@ impl Rank {
             if (rank == 0 || k < my_lsb) && rank + k < p {
                 let round = 32 + k.trailing_zeros() as u64;
                 bytes += self.send_internal_slice(rank + k, Rank::coll_tag(seq, round), acc);
-                nmsgs += 1;
             }
             k >>= 1;
         }
-        let per_msg = (acc.len() * std::mem::size_of::<T>()) as u64;
-        let modeled = (0..nmsgs).map(|_| self.model_message(per_msg)).sum();
         let ctx = std::mem::take(&mut self.context);
-        self.recorder.record(
-            self.badged(MpiOp::Allreduce),
-            &ctx,
-            start.elapsed(),
-            bytes,
-            modeled,
-        );
+        self.recorder
+            .record(self.badged(MpiOp::Allreduce), &ctx, start.elapsed(), bytes);
         self.context = ctx;
     }
 
@@ -480,7 +434,6 @@ impl Rank {
         let p = self.size();
         let rank = self.rank();
         let mut bytes = 0u64;
-        let mut nmsgs = 0u64;
         let mut inclusive = v; // sum over (rank - 2^d + 1 ..= rank) grows each round
         let mut k = 1usize;
         let mut round = 0u64;
@@ -488,7 +441,6 @@ impl Rank {
             if rank + k < p {
                 bytes +=
                     self.send_internal_slice(rank + k, Rank::coll_tag(seq, round), &[inclusive]);
-                nmsgs += 1;
             }
             if rank >= k {
                 let (got, b) =
@@ -499,15 +451,9 @@ impl Rank {
             k <<= 1;
             round += 1;
         }
-        let modeled = (0..nmsgs).map(|_| self.model_message(8)).sum();
         let ctx = std::mem::take(&mut self.context);
-        self.recorder.record(
-            self.badged(MpiOp::Scan),
-            &ctx,
-            start.elapsed(),
-            bytes,
-            modeled,
-        );
+        self.recorder
+            .record(self.badged(MpiOp::Scan), &ctx, start.elapsed(), bytes);
         self.context = ctx;
         inclusive - v
     }
@@ -545,19 +491,9 @@ impl Rank {
             bytes += self.send_internal(root, Rank::coll_tag(seq, 0), data);
             None
         };
-        let modeled = if self.rank() == root {
-            0.0
-        } else {
-            self.model_message(bytes)
-        };
         let ctx = std::mem::take(&mut self.context);
-        self.recorder.record(
-            self.badged(MpiOp::Gather),
-            &ctx,
-            start.elapsed(),
-            bytes,
-            modeled,
-        );
+        self.recorder
+            .record(self.badged(MpiOp::Gather), &ctx, start.elapsed(), bytes);
         self.context = ctx;
         out
     }
@@ -584,34 +520,18 @@ impl Rank {
         let mut recvs: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
         recvs[rank] = std::mem::take(&mut sends[rank]);
         let mut bytes = 0u64;
-        let mut nmsgs = 0u64;
-        let mut msg_bytes_total = 0u64;
         for step in 1..p {
             let to = (rank + step) % p;
             let from = (rank + p - step) % p;
             let payload = std::mem::take(&mut sends[to]);
-            let sent = self.send_internal(to, Rank::coll_tag(seq, step as u64), payload);
-            bytes += sent;
-            msg_bytes_total += sent;
-            nmsgs += 1;
+            bytes += self.send_internal(to, Rank::coll_tag(seq, step as u64), payload);
             let (got, b) = self.recv_internal::<T>(from, Rank::coll_tag(seq, step as u64));
             bytes += b;
             recvs[from] = got;
         }
-        let modeled = if nmsgs > 0 {
-            let avg = msg_bytes_total / nmsgs.max(1);
-            (0..nmsgs).map(|_| self.model_message(avg)).sum()
-        } else {
-            0.0
-        };
         let ctx = std::mem::take(&mut self.context);
-        self.recorder.record(
-            self.badged(MpiOp::Alltoallv),
-            &ctx,
-            start.elapsed(),
-            bytes,
-            modeled,
-        );
+        self.recorder
+            .record(self.badged(MpiOp::Alltoallv), &ctx, start.elapsed(), bytes);
         self.context = ctx;
         recvs
     }

@@ -97,7 +97,6 @@ impl Rank {
             });
         }
         let mut bytes = 0u64;
-        let mut modeled = 0.0f64;
 
         // Largest power of two <= p.
         let m = if p.is_power_of_two() {
@@ -123,7 +122,6 @@ impl Rank {
             self.send_internal_box(rank - m, Rank::coll_tag(seq, 100), boxed);
             held = self.pool.take();
             bytes += sent;
-            modeled += self.model_message(sent);
         } else if rank + m < p {
             let (mut got, _) =
                 self.recv_internal_pooled::<RoutedMsg<T>>(rank + m, Rank::coll_tag(seq, 100));
@@ -150,7 +148,6 @@ impl Rank {
                 let sent = bundle_bytes(&theirs);
                 self.send_internal_box(partner, Rank::coll_tag(seq, d), theirs.detach());
                 bytes += sent;
-                modeled += self.model_message(sent);
                 let (mut got, _) =
                     self.recv_internal_pooled::<RoutedMsg<T>>(partner, Rank::coll_tag(seq, d));
                 bytes += bundle_bytes(&got);
@@ -172,7 +169,6 @@ impl Rank {
             let sent = bundle_bytes(&theirs);
             self.send_internal_box(rank + m, Rank::coll_tag(seq, 101), theirs.detach());
             bytes += sent;
-            modeled += self.model_message(sent);
         } else if rank >= m {
             let (mut got, _) =
                 self.recv_internal_pooled::<RoutedMsg<T>>(rank - m, Rank::coll_tag(seq, 101));
@@ -192,7 +188,6 @@ impl Rank {
             &ctx,
             start.elapsed(),
             bytes,
-            modeled,
         );
         self.context = ctx;
     }

@@ -3,8 +3,7 @@
 //! Messages travel between ranks as type-erased payloads carrying a
 //! `Vec<T>`; no serialization happens (the ranks share an address space),
 //! but each envelope records the byte size the payload *would* occupy on
-//! a wire, which is what the mpiP-style statistics and the network model
-//! consume.
+//! a wire, which is what the mpiP-style statistics consume.
 //!
 //! Three payload representations keep the steady state allocation-free:
 //!

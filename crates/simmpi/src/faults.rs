@@ -32,6 +32,7 @@
 //! RNG state can be captured and restored ([`crate::Rank::fault_rng_state`])
 //! so a rollback replays the same decisions.
 
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -126,32 +127,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The `--chaos-sched` schedule-perturbation plan: a delay hazard
-    /// that holds a random (but seed-deterministic) quarter of all sends
-    /// for 150 µs. Nothing is dropped or killed, so a correct SPMD
-    /// program must produce bitwise-identical results under every seed —
-    /// the perturbation only explores message *interleavings* the
-    /// default schedule never exhibits, which is exactly what the
-    /// `cmt-verify` checker wants to run under in CI.
-    pub fn chaos(seed: u64) -> FaultPlan {
-        FaultPlan::chaos_over(FaultPlan::default(), seed)
-    }
-
-    /// Overlay the chaos delay hazard and seed onto `base`, keeping its
-    /// kills and drop hazard (so `--chaos-sched` composes with an
-    /// explicit `--fault-plan`).
-    pub fn chaos_over(base: FaultPlan, seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            delay: Some(DelayFault {
-                prob: 0.25,
-                delay: Duration::from_micros(150),
-                rank: None,
-            }),
-            ..base
-        }
-    }
-
     /// Whether the plan injects any message-level hazard (delay or drop).
     pub fn has_message_faults(&self) -> bool {
         self.delay.is_some() || self.drop.is_some()
@@ -185,31 +160,24 @@ impl FaultPlan {
             let (kind, args) = clause
                 .split_once(':')
                 .ok_or_else(|| format!("bad fault clause (want kind:k=v,...): {clause:?}"))?;
-            let kv = parse_kv(args)?;
-            let get = |key: &str| -> Result<f64, String> {
-                kv.iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| *v)
-                    .ok_or_else(|| format!("fault clause {clause:?} missing {key}="))
-            };
-            let opt = |key: &str| kv.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
+            let a = Args::parse(clause, args)?;
             match kind {
                 "kill" => plan.kills.push(KillEvent {
-                    rank: get("rank")? as usize,
-                    step: get("step")? as u64,
+                    rank: a.req("rank")?,
+                    step: a.req("step")?,
                 }),
                 "delay" => {
                     plan.delay = Some(DelayFault {
-                        prob: check_prob(get("prob")?, clause)?,
-                        delay: Duration::from_micros(get("us")? as u64),
-                        rank: opt("rank").map(|r| r as usize),
+                        prob: a.prob()?,
+                        delay: Duration::from_micros(a.req("us")?),
+                        rank: a.uint("rank")?,
                     })
                 }
                 "drop" => {
                     plan.drop = Some(DropFault {
-                        prob: check_prob(get("prob")?, clause)?,
-                        timeout: Duration::from_micros(opt("us").unwrap_or(200.0) as u64),
-                        max_retries: opt("retries").unwrap_or(4.0) as u32,
+                        prob: a.prob()?,
+                        timeout: Duration::from_micros(a.uint("us")?.unwrap_or(200)),
+                        max_retries: a.uint("retries")?.unwrap_or(4),
                     })
                 }
                 other => return Err(format!("unknown fault kind {other:?} in {clause:?}")),
@@ -244,27 +212,65 @@ impl FaultPlan {
     }
 }
 
-fn parse_kv(args: &str) -> Result<Vec<(String, f64)>, String> {
-    args.split(',')
-        .filter(|a| !a.trim().is_empty())
-        .map(|a| {
-            let (k, v) = a
-                .split_once('=')
-                .ok_or_else(|| format!("bad fault argument (want k=v): {a:?}"))?;
-            let v: f64 = v
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad fault value in {a:?}"))?;
-            Ok((k.trim().to_string(), v))
-        })
-        .collect()
+/// The `key=value` arguments of one fault clause.
+struct Args<'a> {
+    clause: &'a str,
+    kv: Vec<(&'a str, &'a str)>,
 }
 
-fn check_prob(p: f64, clause: &str) -> Result<f64, String> {
-    if (0.0..=1.0).contains(&p) {
-        Ok(p)
-    } else {
-        Err(format!("probability out of [0,1] in {clause:?}: {p}"))
+impl<'a> Args<'a> {
+    fn parse(clause: &'a str, args: &'a str) -> Result<Args<'a>, String> {
+        let kv = args
+            .split(',')
+            .filter(|a| !a.trim().is_empty())
+            .map(|a| {
+                a.split_once('=')
+                    .map(|(k, v)| (k.trim(), v.trim()))
+                    .ok_or_else(|| format!("bad fault argument (want k=v): {a:?}"))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Args { clause, kv })
+    }
+
+    fn raw(&self, key: &str) -> Option<&'a str> {
+        self.kv.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+    }
+
+    fn missing(&self, key: &str) -> String {
+        format!("fault clause {:?} missing {key}=", self.clause)
+    }
+
+    /// An optional unsigned integer argument. Digits only: a sign, a
+    /// fraction or a non-number is an error, never a saturating cast.
+    fn uint<T: FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.raw(key)
+            .map(|v| {
+                v.bytes()
+                    .all(|b| b.is_ascii_digit())
+                    .then(|| v.parse().ok())
+                    .flatten()
+                    .ok_or_else(|| {
+                        format!(
+                            "fault argument {key}={v} in {:?} is not an unsigned integer",
+                            self.clause
+                        )
+                    })
+            })
+            .transpose()
+    }
+
+    /// A required unsigned integer argument.
+    fn req<T: FromStr>(&self, key: &str) -> Result<T, String> {
+        self.uint(key)?.ok_or_else(|| self.missing(key))
+    }
+
+    /// The required `prob` argument, in `[0, 1]`.
+    fn prob(&self) -> Result<f64, String> {
+        let v = self.raw("prob").ok_or_else(|| self.missing("prob"))?;
+        match v.parse::<f64>() {
+            Ok(p) if (0.0..=1.0).contains(&p) => Ok(p),
+            _ => Err(format!("probability {v} not in [0,1] in {:?}", self.clause)),
+        }
     }
 }
 
@@ -313,6 +319,29 @@ mod tests {
             "drop:prob=x",          // unparseable value
             "seed=abc",             // bad seed
             "justtext",             // no kind separator
+        ] {
+            assert!(FaultPlan::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    /// Integer arguments are unsigned integers: a sign, a fraction or an
+    /// exponent is refused, not saturated or truncated into a valid rank,
+    /// step, delay or retry count.
+    #[test]
+    fn rejects_non_integer_arguments() {
+        for bad in [
+            "kill:rank=-1,step=5",
+            "kill:rank=1.9,step=5",
+            "kill:rank=1,step=2.5",
+            "kill:rank=+1,step=5",
+            "kill:rank=,step=5",
+            "delay:prob=0.5,us=-100",
+            "delay:prob=0.5,us=1e3",
+            "delay:prob=0.5,us=10,rank=0.5",
+            "drop:prob=0.1,us=-5",
+            "drop:prob=0.1,retries=-1",
+            "drop:prob=0.1,retries=2.5",
+            "drop:prob=0.1,retries=99999999999",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "accepted {bad:?}");
         }

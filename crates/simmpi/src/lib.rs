@@ -26,11 +26,9 @@
 //!   fold/unfold extension for non-power-of-two rank counts);
 //! * every operation records `(op, context, duration, bytes)` into a
 //!   per-rank [`stats::CommStats`], where `context` is a user-set label
-//!   ([`Rank::set_context`]) standing in for mpiP's call-site stacks;
-//! * a parametric [`netmodel::NetworkModel`] additionally accumulates
-//!   *modelled* transfer time (latency + size/bandwidth) so notional
-//!   future machines can be explored, as the paper's Section VI
-//!   co-design discussion anticipates.
+//!   ([`Rank::set_context`]) standing in for mpiP's call-site stacks.
+//!   Link latency and bandwidth are measured, not modelled: the
+//!   benchmark's ping-pong and bandwidth probes time both transports.
 //!
 //! Determinism: message *matching* is deterministic (FIFO per
 //! source/tag); completion *order* across ranks is scheduled by the OS, as
@@ -45,7 +43,6 @@ pub mod crystal;
 pub mod envelope;
 pub mod faults;
 pub(crate) mod mailbox;
-pub mod netmodel;
 pub mod pool;
 pub mod rank;
 pub mod rng;
@@ -59,7 +56,6 @@ pub mod world;
 
 pub use envelope::{Msg, INLINE_ELEMS};
 pub use faults::{DelayFault, DropFault, FaultPlan, KillEvent};
-pub use netmodel::NetworkModel;
 pub use pool::{BufferPool, PooledVec};
 pub use rank::{DiscardList, Rank, RecvRequest, Tag};
 pub use stats::{CommStats, MpiOp, SiteKey, SiteStats};

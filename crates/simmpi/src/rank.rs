@@ -7,7 +7,6 @@ use std::time::{Duration, Instant};
 
 use crate::envelope::{Envelope, Msg};
 use crate::faults::{FaultPlan, FaultState};
-use crate::netmodel::NetworkModel;
 use crate::pool::{BufferPool, PooledVec};
 use crate::stats::{CommRecorder, MpiOp};
 use crate::transport::Transport;
@@ -41,8 +40,6 @@ pub struct Rank {
     pub(crate) poisoned: Arc<AtomicBool>,
     pub(crate) recorder: CommRecorder,
     pub(crate) context: String,
-    pub(crate) net: Option<NetworkModel>,
-    pub(crate) modeled_time_s: f64,
     pub(crate) coll_seq: u64,
     pub(crate) user_seq: u64,
     pub(crate) faults: Option<FaultState>,
@@ -229,12 +226,6 @@ impl Rank {
         out
     }
 
-    /// Total *modelled* network time accumulated so far (seconds); zero if
-    /// the world has no [`NetworkModel`].
-    pub fn modeled_time_s(&self) -> f64 {
-        self.modeled_time_s
-    }
-
     /// The world's fault plan, if one was installed with
     /// [`crate::World::with_fault_plan`]. Drivers consult it for
     /// scheduled rank kills; message-level hazards are injected by the
@@ -310,7 +301,7 @@ impl Rank {
                 self.injected_delay_us += d.delay.as_micros() as u64;
                 let ctx = std::mem::take(&mut self.context);
                 self.recorder
-                    .record(MpiOp::FaultDelay, &ctx, d.delay, bytes, 0.0);
+                    .record(MpiOp::FaultDelay, &ctx, d.delay, bytes);
                 self.context = ctx;
             }
         }
@@ -326,7 +317,7 @@ impl Rank {
                 self.injected_delay_us += backoff.as_micros() as u64;
                 let ctx = std::mem::take(&mut self.context);
                 self.recorder
-                    .record(MpiOp::FaultRetransmit, &ctx, backoff, bytes, 0.0);
+                    .record(MpiOp::FaultRetransmit, &ctx, backoff, bytes);
                 self.context = ctx;
                 attempt += 1;
             }
@@ -368,7 +359,6 @@ impl Rank {
             &ctx,
             Duration::from_nanos(nanos),
             bytes,
-            0.0,
         );
         self.context = ctx;
     }
@@ -478,18 +468,6 @@ impl Rank {
         }
     }
 
-    /// Model the cost of one message of `bytes` and accumulate it.
-    pub(crate) fn model_message(&mut self, bytes: u64) -> f64 {
-        match self.net {
-            Some(m) => {
-                let t = m.message_time(bytes);
-                self.modeled_time_s += t;
-                t
-            }
-            None => 0.0,
-        }
-    }
-
     fn assert_user_tag(tag: Tag) {
         assert!(
             tag < USER_TAG_LIMIT,
@@ -508,11 +486,10 @@ impl Rank {
         let start = Instant::now();
         let bytes = env.bytes as u64;
         let ser = self.raw_send(dest, env);
-        let modeled = self.model_message(bytes);
         // Serialization cost is booked under transport_ser, not the op.
         let elapsed = start.elapsed().saturating_sub(Duration::from_nanos(ser));
         let ctx = std::mem::take(&mut self.context);
-        self.recorder.record(op, &ctx, elapsed, bytes, modeled);
+        self.recorder.record(op, &ctx, elapsed, bytes);
         self.context = ctx;
         self.note_ser(bytes, ser);
     }
@@ -537,7 +514,7 @@ impl Rank {
         let data = env.open();
         let ctx = std::mem::take(&mut self.context);
         self.recorder
-            .record(MpiOp::Recv, &ctx, start.elapsed(), bytes, 0.0);
+            .record(MpiOp::Recv, &ctx, start.elapsed(), bytes);
         self.context = ctx;
         data
     }
@@ -569,8 +546,7 @@ impl Rank {
         Self::assert_user_tag(tag);
         let start = Instant::now();
         let ctx = std::mem::take(&mut self.context);
-        self.recorder
-            .record(MpiOp::Irecv, &ctx, start.elapsed(), 0, 0.0);
+        self.recorder.record(MpiOp::Irecv, &ctx, start.elapsed(), 0);
         self.context = ctx;
         RecvRequest { src, tag }
     }
@@ -583,7 +559,7 @@ impl Rank {
         let data = env.open();
         let ctx = std::mem::take(&mut self.context);
         self.recorder
-            .record(MpiOp::Wait, &ctx, start.elapsed(), bytes, 0.0);
+            .record(MpiOp::Wait, &ctx, start.elapsed(), bytes);
         self.context = ctx;
         data
     }
@@ -599,7 +575,7 @@ impl Rank {
         let data = env.open_pooled(&self.pool);
         let ctx = std::mem::take(&mut self.context);
         self.recorder
-            .record(MpiOp::Wait, &ctx, start.elapsed(), bytes, 0.0);
+            .record(MpiOp::Wait, &ctx, start.elapsed(), bytes);
         self.context = ctx;
         data
     }

@@ -17,16 +17,14 @@
 //! data frames (staging payload buffers through the rank's shared
 //! [`BufferPool`]) into an in-memory [`Mailbox`], so the rank thread's
 //! receive path above the transport seam is byte-for-byte the same code
-//! as inproc. The reader also timestamps every frame against the
-//! sender's embedded send time, accumulating the measured
-//! `(wire_bytes, seconds)` samples that [`crate::NetworkModel::fit`]
-//! consumes.
+//! as inproc. The reader also counts decoded frames, their on-wire bytes
+//! and the largest one, which the rank books under `transport_ser`.
 //!
 //! Process-mode children are spawned as `current_exe()` with the
 //! launcher's own arguments plus three environment variables
 //! (`SIMMPI_SOCKET_RANK`/`_SIZE`/`_ADDR`); the child re-parses the
-//! identical argv, rebuilds the identical `World` (fault plans, network
-//! model, pooling, workers), and [`crate::World::run_dist`] diverts it
+//! identical argv, rebuilds the identical `World` (fault plans, verifier,
+//! pooling, workers), and [`crate::World::run_dist`] diverts it
 //! into [`child_env`]-guided [`run_child_process`], which never returns.
 
 use std::io::{self, Read, Write};
@@ -52,9 +50,6 @@ use crate::world::{World, WorldResult};
 const ENV_RANK: &str = "SIMMPI_SOCKET_RANK";
 const ENV_SIZE: &str = "SIMMPI_SOCKET_SIZE";
 const ENV_ADDR: &str = "SIMMPI_SOCKET_ADDR";
-
-/// Most latency/bandwidth samples retained per rank.
-const SAMPLE_CAP: usize = 4096;
 
 /// How long the hub waits for all ranks to connect at startup.
 const CONNECT_DEADLINE: Duration = Duration::from_secs(60);
@@ -282,7 +277,7 @@ struct Endpoint {
     rx_deser_nanos: AtomicU64,
     rx_frames: AtomicU64,
     rx_bytes: AtomicU64,
-    samples: Mutex<Vec<(u64, f64)>>,
+    rx_max_frame: AtomicU64,
     rpc: RpcSlot,
 }
 
@@ -307,13 +302,7 @@ fn reader_loop(ep: Arc<Endpoint>, mut conn: Conn) {
                         ep.rx_deser_nanos.fetch_add(dt, Ordering::Relaxed);
                         ep.rx_frames.fetch_add(1, Ordering::Relaxed);
                         ep.rx_bytes.fetch_add(d.wire_bytes, Ordering::Relaxed);
-                        let lat = wire::now_nanos().saturating_sub(d.stamp_nanos) as f64 * 1e-9;
-                        {
-                            let mut s = ep.samples.lock().unwrap();
-                            if s.len() < SAMPLE_CAP {
-                                s.push((d.wire_bytes, lat));
-                            }
-                        }
+                        ep.rx_max_frame.fetch_max(d.wire_bytes, Ordering::Relaxed);
                         ep.inbox.push(d.env);
                     }
                     Err(_) => break,
@@ -379,7 +368,7 @@ impl Transport for SocketTransport {
             deser_s: self.ep.rx_deser_nanos.swap(0, Ordering::Relaxed) as f64 * 1e-9,
             frames: self.ep.rx_frames.swap(0, Ordering::Relaxed),
             bytes: self.ep.rx_bytes.swap(0, Ordering::Relaxed),
-            samples: std::mem::take(&mut *self.ep.samples.lock().unwrap()),
+            max_frame: self.ep.rx_max_frame.swap(0, Ordering::Relaxed),
         }
     }
 }
@@ -861,7 +850,7 @@ where
         rx_deser_nanos: AtomicU64::new(0),
         rx_frames: AtomicU64::new(0),
         rx_bytes: AtomicU64::new(0),
-        samples: Mutex::new(Vec::new()),
+        rx_max_frame: AtomicU64::new(0),
         rpc: RpcSlot::default(),
     });
     let ep_r = Arc::clone(&ep);
@@ -1183,6 +1172,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
+    use crate::envelope::Envelope;
     use crate::rank::{Rank, Tag};
     use crate::stats::MpiOp;
     use crate::transport::{SocketConfig, TransportKind};
@@ -1243,17 +1233,23 @@ mod tests {
         }
     }
 
+    /// The receive row books every decoded frame, and its `max_bytes` is
+    /// the largest frame on the wire, not the mean.
     #[test]
-    fn socket_stats_carry_wire_overhead_and_samples() {
-        let program = |rank: &mut Rank| {
+    fn socket_stats_carry_wire_overhead_and_max_frame() {
+        let len = |i: u64| if i % 2 == 0 { 64 } else { 512 };
+        let program = move |rank: &mut Rank| {
             let next = (rank.rank() + 1) % rank.size();
             let prev = (rank.rank() + rank.size() - 1) % rank.size();
             for i in 0..4u64 {
-                rank.send(next, i, &[1.0f64; 512]);
+                rank.send(next, i, &vec![1.0f64; len(i)]);
                 let _ = rank.recv::<f64>(prev, i);
             }
             0u64
         };
+        let mut frame = Vec::new();
+        crate::wire::encode_data(&mut frame, 1, &Envelope::new(0, 1, vec![1.0f64; 512]));
+        let largest = frame.len() as u64;
         let res = socket_world().run_dist(3, program);
         for st in &res.stats {
             let tx = st
@@ -1263,21 +1259,13 @@ mod tests {
             assert!(tx, "rank {} recorded no serialization site", st.rank);
             let rx = st.site(MpiOp::TransportSer, "transport:rx").unwrap();
             assert_eq!(rx.calls, 4, "rank {} decoded frames", st.rank);
-            assert!(
-                !st.net_samples.is_empty(),
-                "rank {} has no samples",
-                st.rank
-            );
-            for &(bytes, secs) in &st.net_samples {
-                assert!(bytes > 4096, "wire bytes {bytes} below payload size");
-                assert!(secs >= 0.0);
-            }
+            assert_eq!(rx.max_bytes, largest, "rank {} largest frame", st.rank);
+            assert!(rx.max_bytes > rx.bytes / rx.calls, "max is the mean");
         }
-        // inproc books on the same program carry neither
+        // inproc books on the same program carry no wire rows
         let inproc = World::new().run(3, program);
         for st in &inproc.stats {
             assert!(st.sites.iter().all(|(k, _)| k.op != MpiOp::TransportSer));
-            assert!(st.net_samples.is_empty());
         }
     }
 

@@ -116,8 +116,6 @@ pub struct SiteStats {
     pub bytes: u64,
     /// Largest single-call byte count.
     pub max_bytes: u64,
-    /// Total *modelled* network time (latency/bandwidth model), seconds.
-    pub modeled_s: f64,
 }
 
 /// Task-local recorder owned by each [`crate::Rank`].
@@ -132,14 +130,7 @@ pub struct CommRecorder {
 
 impl CommRecorder {
     /// Record one completed operation.
-    pub fn record(
-        &mut self,
-        op: MpiOp,
-        context: &str,
-        elapsed: Duration,
-        bytes: u64,
-        modeled_s: f64,
-    ) {
+    pub fn record(&mut self, op: MpiOp, context: &str, elapsed: Duration, bytes: u64) {
         let by_ctx = self.sites.entry(op).or_default();
         let entry = match by_ctx.get_mut(context) {
             Some(e) => e,
@@ -149,14 +140,22 @@ impl CommRecorder {
         entry.time_s += elapsed.as_secs_f64();
         entry.bytes += bytes;
         entry.max_bytes = entry.max_bytes.max(bytes);
-        entry.modeled_s += modeled_s;
     }
 
     /// Record many completed operations in one shot — the drain path for
     /// work performed off the rank thread (a socket transport's rx
     /// deserialization, say), where per-event timing was accumulated
-    /// elsewhere and only the totals reach the recorder.
-    pub fn record_bulk(&mut self, op: MpiOp, context: &str, calls: u64, time_s: f64, bytes: u64) {
+    /// elsewhere and only the totals and the largest single call's bytes
+    /// reach the recorder.
+    pub fn record_bulk(
+        &mut self,
+        op: MpiOp,
+        context: &str,
+        calls: u64,
+        time_s: f64,
+        bytes: u64,
+        max_bytes: u64,
+    ) {
         if calls == 0 {
             return;
         }
@@ -168,7 +167,7 @@ impl CommRecorder {
         entry.calls += calls;
         entry.time_s += time_s;
         entry.bytes += bytes;
-        entry.max_bytes = entry.max_bytes.max(bytes / calls.max(1));
+        entry.max_bytes = entry.max_bytes.max(max_bytes);
     }
 
     /// Finish recording, producing the immutable per-rank stats.
@@ -187,7 +186,6 @@ impl CommRecorder {
             rank,
             app_time_s,
             sites,
-            net_samples: Vec::new(),
         }
     }
 }
@@ -202,12 +200,6 @@ pub struct CommStats {
     pub app_time_s: f64,
     /// Per-call-site statistics, sorted by key for determinism.
     pub sites: Vec<(SiteKey, SiteStats)>,
-    /// Measured per-message `(wire_bytes, transfer_seconds)` samples
-    /// collected by a real transport (the socket backend's rx path);
-    /// empty for the in-process backend. Feed to
-    /// [`crate::NetworkModel::fit`] to replace the synthetic
-    /// latency/bandwidth parameters with measured ones.
-    pub net_samples: Vec<(u64, f64)>,
 }
 
 impl CommStats {
@@ -247,10 +239,10 @@ mod tests {
     #[test]
     fn recorder_accumulates_per_site() {
         let mut r = CommRecorder::default();
-        r.record(MpiOp::Send, "a", Duration::from_millis(10), 100, 0.0);
-        r.record(MpiOp::Send, "a", Duration::from_millis(20), 300, 0.0);
-        r.record(MpiOp::Recv, "a", Duration::from_millis(5), 50, 0.0);
-        r.record(MpiOp::Send, "b", Duration::from_millis(1), 7, 0.0);
+        r.record(MpiOp::Send, "a", Duration::from_millis(10), 100);
+        r.record(MpiOp::Send, "a", Duration::from_millis(20), 300);
+        r.record(MpiOp::Recv, "a", Duration::from_millis(5), 50);
+        r.record(MpiOp::Send, "b", Duration::from_millis(1), 7);
         let stats = r.finish(2, 1.0);
         assert_eq!(stats.rank, 2);
         assert_eq!(stats.sites.len(), 3);

@@ -12,7 +12,7 @@
 //!   connected to a rank-0 launcher hub over Unix-domain sockets (or
 //!   TCP), speaking the versioned [`crate::wire`] frame format. This is
 //!   the backend that escapes the one-process core count and puts real
-//!   wire time behind the [`crate::NetworkModel`].
+//!   wire time behind every message.
 //!
 //! The trait is deliberately narrow — the entire matching machinery
 //! (FIFO per source/tag, discard lists, deadlock timers, verifier
@@ -59,9 +59,8 @@ pub(crate) struct RxDrain {
     pub frames: u64,
     /// On-wire bytes received (frame bodies, headers included).
     pub bytes: u64,
-    /// Per-message `(wire_bytes, transfer_seconds)` samples for
-    /// [`crate::NetworkModel::fit`].
-    pub samples: Vec<(u64, f64)>,
+    /// Largest single frame received, bytes.
+    pub max_frame: u64,
 }
 
 /// The in-process backend: a view over the world's shared mailbox array.
@@ -141,8 +140,7 @@ mod tests {
         let boxes = Arc::new(vec![Mailbox::new()]);
         let mut t = InprocTransport::new(boxes, 0);
         let d = t.rx_drain();
-        assert_eq!(d.frames, 0);
-        assert!(d.samples.is_empty());
+        assert_eq!((d.frames, d.bytes, d.max_frame), (0, 0, 0));
     }
 
     #[test]

@@ -15,12 +15,10 @@
 //! refuses trailing bytes so a frame cannot smuggle data past the codec.
 //!
 //! **Data frames** carry one envelope: source, destination, tag, the
-//! wire-equivalent byte count (kept verbatim so mpiP books and the
-//! network model agree bitwise with the in-process backend), a send
-//! timestamp (feeding measured latency/bandwidth samples to
-//! [`crate::NetworkModel::fit`]), the payload element type's wire id, the
-//! elements, and — when a verifier is installed — the piggybacked vector
-//! clock and sender context.
+//! wire-equivalent byte count (kept verbatim so the mpiP books agree
+//! bitwise with the in-process backend), the payload element type's wire
+//! id, the elements, and — when a verifier is installed — the
+//! piggybacked vector clock and sender context.
 //!
 //! **Payload element types.** Payloads are typed `Vec<T>`s behind a
 //! vtable, and `T` is bounded by the sealed [`Msg`] trait, implemented
@@ -42,8 +40,6 @@
 //! [`crate::World::run_dist`] can ship results from rank processes back
 //! to the launcher.
 
-use std::time::SystemTime;
-
 use crate::crystal::RoutedMsg;
 use crate::envelope::sealed::Elem;
 use crate::envelope::{Envelope, Msg, Payload, INLINE_ELEMS};
@@ -54,7 +50,7 @@ use crate::verify::LeakInfo;
 /// Frame magic: `"SMPW"` (simmpi wire).
 pub(crate) const MAGIC: u32 = 0x534D_5057;
 /// Wire-format version; bumped on any incompatible layout change.
-pub(crate) const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 2;
 /// Upper bound on one frame body, to reject absurd lengths from a
 /// corrupt or hostile peer before allocating.
 pub(crate) const MAX_FRAME: usize = 1 << 30;
@@ -319,14 +315,6 @@ pub(crate) fn peek_data_dest(body: &[u8]) -> Option<usize> {
     Some(u32::from_le_bytes(body[11..15].try_into().unwrap()) as usize)
 }
 
-/// Nanoseconds since the UNIX epoch (the data-frame send timestamp).
-pub(crate) fn now_nanos() -> u64 {
-    SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0)
-}
-
 // ---------------------------------------------------------------------
 // envelope (data frame) codec
 // ---------------------------------------------------------------------
@@ -338,7 +326,6 @@ pub(crate) fn encode_data(buf: &mut Vec<u8>, dest: usize, env: &Envelope) {
     put_u32(buf, dest as u32);
     put_u64(buf, env.tag);
     put_u64(buf, env.bytes as u64);
-    put_u64(buf, now_nanos());
     let flags_at = buf.len();
     put_u8(buf, 0);
     let inline = encode_payload(&env.payload, buf);
@@ -361,11 +348,10 @@ pub(crate) fn encode_data(buf: &mut Vec<u8>, dest: usize, env: &Envelope) {
     end_frame(buf);
 }
 
-/// A decoded data frame: the reconstructed envelope plus the send
-/// timestamp and on-wire size used for latency/bandwidth sampling.
+/// A decoded data frame: the reconstructed envelope plus its on-wire
+/// size, which the receive-side `transport_ser` books count.
 pub(crate) struct DecodedData {
     pub env: Envelope,
-    pub stamp_nanos: u64,
     pub wire_bytes: u64,
 }
 
@@ -380,7 +366,6 @@ pub(crate) fn decode_data(
     let _dest = r.u32()?;
     let tag = r.u64()?;
     let bytes = r.u64()? as usize;
-    let stamp_nanos = r.u64()?;
     let flags = r.u8()?;
     let payload = decode_payload(r, flags & FLAG_INLINE != 0, pool)?;
     let clock = if flags & FLAG_CLOCK != 0 {
@@ -413,7 +398,6 @@ pub(crate) fn decode_data(
             clock,
             sender_ctx,
         },
-        stamp_nanos,
         wire_bytes,
     })
 }
@@ -748,7 +732,6 @@ impl WireCodec for SiteStats {
         put_f64(buf, self.time_s);
         put_u64(buf, self.bytes);
         put_u64(buf, self.max_bytes);
-        put_f64(buf, self.modeled_s);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(SiteStats {
@@ -756,7 +739,6 @@ impl WireCodec for SiteStats {
             time_s: r.f64()?,
             bytes: r.u64()?,
             max_bytes: r.u64()?,
-            modeled_s: r.f64()?,
         })
     }
 }
@@ -779,14 +761,12 @@ impl WireCodec for CommStats {
         put_u64(buf, self.rank as u64);
         put_f64(buf, self.app_time_s);
         self.sites.encode(buf);
-        self.net_samples.encode(buf);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(CommStats {
             rank: r.u64()? as usize,
             app_time_s: r.f64()?,
             sites: Vec::decode(r)?,
-            net_samples: Vec::decode(r)?,
         })
     }
 }
@@ -1009,7 +989,7 @@ mod tests {
 
     #[test]
     fn payload_section_golden_bytes() {
-        assert_eq!(VERSION, 1);
+        assert_eq!(VERSION, 2);
         for (env, inline, want) in one_of_each_wire_id() {
             let (was_inline, bytes) = payload_section(&env);
             let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
@@ -1030,7 +1010,6 @@ mod tests {
         put_u32(&mut buf, 1); // dest
         put_u64(&mut buf, 7); // tag
         put_u64(&mut buf, 0); // bytes
-        put_u64(&mut buf, 0); // stamp
         put_u8(&mut buf, if inline { FLAG_INLINE } else { 0 });
         buf.extend_from_slice(section);
         end_frame(&mut buf);
@@ -1149,8 +1128,8 @@ mod tests {
     fn unknown_payload_type_is_rejected() {
         let mut buf = Vec::new();
         encode_data(&mut buf, 1, &Envelope::new(0, 1, vec![1u64]));
-        // the wire id sits right after src/dest/tag/bytes/stamp/flags
-        let id_at = 7 + 4 + 4 + 8 + 8 + 8 + 1;
+        // the wire id sits right after src/dest/tag/bytes/flags
+        let id_at = 7 + 4 + 4 + 8 + 8 + 1;
         let mut bad = buf.clone();
         bad[id_at] = 0x99;
         let head_len = bad.len() - 8;
@@ -1169,7 +1148,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_data(&mut buf, 1, &Envelope::new(0, 1, vec![1.0f64]));
         // corrupt the element count to something enormous
-        let count_at = 7 + 4 + 4 + 8 + 8 + 8 + 1 + 2;
+        let count_at = 7 + 4 + 4 + 8 + 8 + 1 + 2;
         let mut bad = buf.clone();
         bad[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let head_len = bad.len() - 8;
@@ -1233,11 +1212,9 @@ mod tests {
             "gs:pairwise",
             std::time::Duration::from_millis(3),
             128,
-            1e-6,
         );
-        rec.record_bulk(MpiOp::TransportSer, "transport:rx", 10, 0.5e-3, 4096);
-        let mut stats = rec.finish(3, 1.25);
-        stats.net_samples = vec![(128, 1e-5), (4096, 4e-5)];
+        rec.record_bulk(MpiOp::TransportSer, "transport:rx", 10, 0.5e-3, 4096, 700);
+        let stats = rec.finish(3, 1.25);
         let mut buf = Vec::new();
         stats.encode(&mut buf);
         let mut r = WireReader::new(&buf);

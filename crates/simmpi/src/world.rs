@@ -7,7 +7,6 @@ use std::time::Instant;
 
 use crate::faults::{FaultPlan, FaultState};
 use crate::mailbox::Mailbox;
-use crate::netmodel::NetworkModel;
 use crate::pool::BufferPool;
 use crate::rank::{DiscardList, Rank};
 use crate::stats::{CommRecorder, CommStats, MpiOp};
@@ -31,7 +30,6 @@ use crate::wire::WireCodec;
 /// ```
 #[derive(Debug, Clone)]
 pub struct World {
-    pub(crate) net: Option<NetworkModel>,
     pub(crate) faults: Option<Arc<FaultPlan>>,
     pub(crate) verify: Option<Arc<dyn VerifyHooks>>,
     pub(crate) pooling: bool,
@@ -43,7 +41,6 @@ pub struct World {
 impl Default for World {
     fn default() -> Self {
         World {
-            net: None,
             faults: None,
             verify: None,
             pooling: true,
@@ -65,17 +62,10 @@ pub struct WorldResult<T> {
 }
 
 impl World {
-    /// A world without a network model (only real time is recorded).
+    /// A world with the in-process transport, pooling on, one worker per
+    /// rank, and no fault plan or verifier.
     pub fn new() -> Self {
         World::default()
-    }
-
-    /// A world that additionally accumulates modelled network time.
-    pub fn with_network(net: NetworkModel) -> Self {
-        World {
-            net: Some(net),
-            ..World::default()
-        }
     }
 
     /// Install a deterministic [`FaultPlan`]. Message-level hazards
@@ -99,22 +89,6 @@ impl World {
     /// each rank's closure returns.
     pub fn with_verifier(mut self, hooks: Arc<dyn VerifyHooks>) -> Self {
         self.verify = Some(hooks);
-        self
-    }
-
-    /// Seeded schedule perturbation: install a [`FaultPlan`] whose delay
-    /// hazard jitters a random-but-deterministic subset of sends
-    /// ([`FaultPlan::chaos`]), exploring message interleavings the normal
-    /// schedule never exhibits — pointed at CI runs under the checker.
-    /// Overlays the delay hazard and seed onto any fault plan already
-    /// installed, keeping its kills and drop hazard.
-    pub fn with_chaos_sched(mut self, seed: u64) -> Self {
-        let base = self
-            .faults
-            .as_ref()
-            .map(|p| (**p).clone())
-            .unwrap_or_default();
-        self.faults = Some(Arc::new(FaultPlan::chaos_over(base, seed)));
         self
     }
 
@@ -301,8 +275,6 @@ where
         poisoned,
         recorder: CommRecorder::default(),
         context: String::from("main"),
-        net: world.net,
-        modeled_time_s: 0.0,
         coll_seq: 0,
         user_seq: 0,
         faults,
@@ -334,11 +306,10 @@ where
             drain.frames,
             drain.deser_s,
             drain.bytes,
+            drain.max_frame,
         );
     }
-    let mut stats = rank.recorder.finish(r, app_time);
-    stats.net_samples = drain.samples;
-    (out, stats)
+    (out, rank.recorder.finish(r, app_time))
 }
 
 #[cfg(test)]
@@ -600,26 +571,6 @@ mod tests {
         let r = res.stats[1].site(MpiOp::Recv, "exchange").unwrap();
         assert_eq!(r.bytes, 128);
         assert!(res.stats[0].mpi_fraction() <= 1.0 + 1e-9);
-    }
-
-    #[test]
-    fn network_model_accumulates_modeled_time() {
-        let net = NetworkModel {
-            latency_s: 1e-3,
-            bandwidth_bps: 1e9,
-        };
-        let res = World::with_network(net).run(2, |rank| {
-            if rank.rank() == 0 {
-                rank.send(1, 1, &[0u8; 1000]);
-            } else {
-                let _ = rank.recv::<u8>(0, 1);
-            }
-            rank.modeled_time_s()
-        });
-        // sender modelled one 1000-byte message
-        let expect = 1e-3 + 1000.0 / 1e9;
-        assert!((res.results[0] - expect).abs() < 1e-12);
-        assert_eq!(res.results[1], 0.0);
     }
 
     #[test]

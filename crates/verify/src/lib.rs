@@ -28,9 +28,10 @@
 //!   cross-rank write conflicts ("replica divergence") and for accesses
 //!   made while the owning rank's own split-phase exchange is in flight.
 //!
-//! Pair with the seeded schedule perturbation
-//! ([`simmpi::World::with_chaos_sched`]) to explore interleavings the
-//! default schedule never exhibits, under the checker, in CI.
+//! Pair with a seeded delay fault plan
+//! ([`simmpi::World::with_fault_plan`], e.g.
+//! `delay:prob=0.25,us=150;seed=7`) to explore interleavings the default
+//! schedule never exhibits, under the checker, in CI.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use cmt_gs::{GsHandle, GsMethod, GsOp};
 use cmt_verify::{FindingKind, Verifier};
-use simmpi::{Rank, ReduceOp, World};
+use simmpi::{FaultPlan, Rank, ReduceOp, World};
 
 /// Run `f` on `p` ranks under a fresh checker, tolerating (and
 /// swallowing) the world panic a fatal diagnostic triggers.
@@ -328,12 +328,12 @@ fn clean_gs_workload_and_autotune_have_zero_findings() {
     assert!(verifier.is_clean(), "{}", verifier.render());
 }
 
-/// `--chaos-sched`: seeded delay perturbation explores different message
-/// interleavings, but a correct program's results stay bitwise identical
-/// to the unperturbed run, under every seed, with zero findings — for
-/// the dissemination barrier and the allreduce (the checker's CI mode).
+/// A seeded delay fault plan explores different message interleavings,
+/// but a correct program's results stay bitwise identical to the
+/// unperturbed run, under every seed, with zero findings — for the
+/// dissemination barrier and the allreduce (the checker's CI mode).
 #[test]
-fn chaos_sched_runs_are_bitwise_identical_and_clean() {
+fn delay_plan_runs_are_bitwise_identical_and_clean() {
     let p = 8;
     let program = |rank: &mut Rank| -> Vec<f64> {
         let mut out = Vec::new();
@@ -352,13 +352,14 @@ fn chaos_sched_runs_are_bitwise_identical_and_clean() {
     let reference = World::new().run(p, program).results;
     for seed in [1u64, 7, 42, 1234, 0xdead_beef] {
         let verifier = Arc::new(Verifier::new());
+        let plan = FaultPlan::parse(&format!("delay:prob=0.25,us=150;seed={seed}")).unwrap();
         let world = World::new()
-            .with_chaos_sched(seed)
+            .with_fault_plan(plan)
             .with_verifier(verifier.clone());
         let perturbed = world.run(p, program);
         assert_eq!(
             perturbed.results, reference,
-            "chaos seed {seed} changed results"
+            "delay seed {seed} changed results"
         );
         assert!(verifier.is_clean(), "seed {seed}: {}", verifier.render());
         // The perturbation really injected delays (it is not a no-op).

@@ -1,8 +1,7 @@
 //! Weak-scaling study: hold the per-rank workload fixed (the mini-app's
 //! whole point is to characterize scaling behaviour for co-design) and
-//! grow the rank count, reporting wall time, the MPI fraction (Fig. 8's
-//! quantity) and the modelled network time under a QDR-InfiniBand-class
-//! model.
+//! grow the rank count, reporting wall time and the MPI fraction (Fig. 8's
+//! quantity).
 //!
 //! ```text
 //! cargo run --release --example scaling_study
@@ -10,12 +9,11 @@
 
 use cmt_bone::{run, Config};
 use cmt_gs::GsMethod;
-use simmpi::NetworkModel;
 
 fn main() {
     println!("CMT-bone weak scaling: 27 elements/rank, N = 8, 10 steps, 5 fields");
-    println!("(thread ranks; modelled time uses the QDR InfiniBand latency/bandwidth model)\n");
-    println!("ranks | wall max (s) | avg %MPI | modelled comm avg (s)");
+    println!("(thread ranks)\n");
+    println!("ranks | wall max (s) | avg %MPI");
     for ranks in [1usize, 2, 4, 8, 16] {
         let rep = run(&Config {
             ranks,
@@ -24,16 +22,11 @@ fn main() {
             steps: 10,
             fields: 5,
             method: Some(GsMethod::PairwiseExchange),
-            net: Some(NetworkModel::qdr_infiniband()),
             ..Default::default()
         });
         let pct = rep.comm.mpi_percent_per_rank();
         let avg_pct: f64 = pct.iter().sum::<f64>() / pct.len() as f64;
-        let modeled: f64 = rep.modeled_comm_s.iter().sum::<f64>() / rep.modeled_comm_s.len() as f64;
-        println!(
-            "{ranks:5} | {:12.4} | {avg_pct:8.2} | {modeled:21.6}",
-            rep.max_wall_s()
-        );
+        println!("{ranks:5} | {:12.4} | {avg_pct:8.2}", rep.max_wall_s());
     }
     println!("\nPerfect weak scaling would hold wall time flat; the MPI fraction");
     println!("growth with rank count is the signal the paper's Fig. 8 tracks.");

@@ -202,29 +202,6 @@ fn nekbone_and_cmtbone_have_different_exchange_topologies() {
     }
 }
 
-#[test]
-fn netmodel_orders_fabrics_consistently() {
-    use simmpi::NetworkModel;
-    let run_with = |net| {
-        let rep = cmt_bone::run(&BoneConfig {
-            ranks: 4,
-            n: 6,
-            elems_per_rank: 8,
-            steps: 3,
-            fields: 2,
-            method: Some(GsMethod::PairwiseExchange),
-            net: Some(net),
-            ..Default::default()
-        });
-        rep.modeled_comm_s.iter().sum::<f64>()
-    };
-    let qdr = run_with(NetworkModel::qdr_infiniband());
-    let exa = run_with(NetworkModel::notional_exascale());
-    let gbe = run_with(NetworkModel::gigabit_ethernet());
-    assert!(exa < qdr, "exascale {exa} vs qdr {qdr}");
-    assert!(qdr < gbe, "qdr {qdr} vs gbe {gbe}");
-}
-
 /// Particle-laden compressible flow (the `euler_wave` example's setup):
 /// one-way-coupled tracers ride the Euler fluid velocity across rank
 /// boundaries, none is lost or duplicated, and the five conserved

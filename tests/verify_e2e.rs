@@ -1,9 +1,16 @@
 //! End-to-end `cmt-verify` runs of both mini-apps: clean 8-rank
-//! executions must report zero findings, with and without schedule
-//! perturbation, and the checked run must stay bitwise identical to the
-//! unchecked one.
+//! executions must report zero findings, with and without a delay fault
+//! plan perturbing the message schedule, and the checked run must stay
+//! bitwise identical to the unchecked one.
 
 use cmt_gs::GsMethod;
+use simmpi::FaultPlan;
+
+/// A delay-only fault plan: a seeded quarter of all sends held for
+/// 150 us. It reorders message arrivals and changes no result.
+fn delay_plan(seed: u64) -> Option<FaultPlan> {
+    Some(FaultPlan::parse(&format!("delay:prob=0.25,us=150;seed={seed}")).unwrap())
+}
 
 fn bone_cfg() -> cmt_bone::Config {
     cmt_bone::Config {
@@ -73,17 +80,17 @@ fn cmt_bone_autotuned_run_verifies_clean() {
 }
 
 #[test]
-fn cmt_bone_chaos_sched_is_deterministic_and_clean() {
+fn cmt_bone_delay_plan_is_deterministic_and_clean() {
     let reference = cmt_bone::run(&bone_cfg());
     for seed in [3u64, 77] {
         let perturbed = cmt_bone::run(&cmt_bone::Config {
             verify: true,
-            chaos_sched: Some(seed),
+            fault_plan: delay_plan(seed),
             ..bone_cfg()
         });
         assert_eq!(
             reference.state_hash, perturbed.state_hash,
-            "chaos seed {seed} changed the final state"
+            "delay seed {seed} changed the final state"
         );
         assert_eq!(reference.checksum, perturbed.checksum);
         let findings = perturbed.verify.as_deref().expect("verification ran");
@@ -106,7 +113,7 @@ fn cmt_bone_pooled_buffers_are_not_message_leaks() {
         let cfg = cmt_bone::Config {
             method: Some(method),
             verify: true,
-            chaos_sched: Some(11),
+            fault_plan: delay_plan(11),
             ..bone_cfg()
         };
         let pooled = cmt_bone::run(&cmt_bone::Config {
@@ -150,11 +157,11 @@ fn nekbone_8_ranks_verifies_clean() {
 }
 
 #[test]
-fn nekbone_chaos_sched_is_deterministic_and_clean() {
+fn nekbone_delay_plan_is_deterministic_and_clean() {
     let reference = nekbone::run(&nek_cfg());
     let perturbed = nekbone::run(&nekbone::Config {
         verify: true,
-        chaos_sched: Some(42),
+        fault_plan: delay_plan(42),
         ..nek_cfg()
     });
     assert_eq!(reference.state_hash, perturbed.state_hash);
