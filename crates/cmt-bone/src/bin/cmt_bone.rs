@@ -42,7 +42,8 @@ fn usage() -> ! {
          work-stealing pool of W threads (1 = pure MPI); results are bitwise\n\
          identical across worker counts.\n\
          --verify runs the cmt-verify dynamic checker (deadlock, collective\n\
-         matching, message leaks, races); exit status 1 on findings.\n\
+         matching, message leaks, abandoned exchanges); exit status 1 on\n\
+         findings.\n\
          --no-pool disables message-buffer recycling (allocate per message).\n\
          --particles-per-elem seeds Q passive tracers per element (0 = off);\n\
          --particle-cluster FRAC crowds them into the first FRAC of the x\n\

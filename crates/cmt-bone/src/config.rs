@@ -130,9 +130,9 @@ pub struct Config {
     /// schedule without changing any result.
     pub fault_plan: Option<FaultPlan>,
     /// Run under the `cmt-verify` dynamic checker: deadlock detection
-    /// over blocked receives, collective-matching verification, finalize
-    /// message-leak sweep, and the vector-clock race detector. Findings
-    /// land in [`crate::RunReport::verify`].
+    /// over blocked receives, collective-matching verification, and the
+    /// finalize sweep for leaked messages and abandoned exchanges.
+    /// Findings land in [`crate::RunReport::verify`].
     pub verify: bool,
     /// Recycle message payload buffers through the per-rank
     /// [`simmpi::BufferPool`] (the zero-allocation steady state). `false`

@@ -221,25 +221,4 @@ impl GsHandle {
         self.gs_op(rank, &mut ones, crate::GsOp::Add, method);
         ones
     }
-
-    /// Report an application-level read (`write == false`) or write of
-    /// local slot `local_index` to the world's verifier, feeding the
-    /// happens-before race detector over this handle's shared slots.
-    ///
-    /// Only accesses to *exchanged* slots are material (interior slots
-    /// never leave the rank), so the call is a no-op for interior slots
-    /// and for worlds without a verifier. The verifier flags two kinds of
-    /// hazard: accesses made while this rank's own split-phase exchange
-    /// is in flight, and cross-rank write conflicts with no
-    /// happens-before ordering (replica divergence).
-    pub fn verify_note_access(&self, rank: &Rank, local_index: usize, write: bool, label: &str) {
-        if !rank.verifying() {
-            return;
-        }
-        assert!(local_index < self.nlocal(), "slot index out of range");
-        let h = self.plan.slot_halo[local_index];
-        if h != NOT_HALO {
-            rank.verify_slot_access(&[self.plan.halo_gids[h as usize]], write, label);
-        }
-    }
 }

@@ -314,13 +314,9 @@ impl GsHandle {
                 self.nlocal()
             );
         }
-        // Open a verifier exchange epoch over the shared slots before
-        // any message moves, so every in-window hazard is attributable.
-        let verify_epoch = if rank.verifying() {
-            rank.verify_exchange_start(&self.plan.halo_gids, method.context())
-        } else {
-            None
-        };
+        // Open a verifier exchange epoch before any message moves, so an
+        // exchange that is never finished is named at finalize.
+        let verify_epoch = rank.verify_exchange_start(method.context());
         // The operation's buffers come off the handle's persistent-plan
         // stacks and go back on them in `gs_op_finish`, so the steady
         // state recycles capacity.

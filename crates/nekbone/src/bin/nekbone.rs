@@ -31,7 +31,8 @@ fn usage() -> ! {
          --workers shares each rank's ax element loop across a work-stealing\n\
          pool of W threads (1 = pure MPI); results are bitwise identical.\n\
          --verify runs the cmt-verify dynamic checker (deadlock, collective\n\
-         matching, message leaks, races); exit status 1 on findings.\n\
+         matching, message leaks, abandoned exchanges); exit status 1 on\n\
+         findings.\n\
          --no-pool disables message-buffer recycling (allocate per message).\n\
          --variant auto autotunes the ax derivative kernel at startup (every\n\
          variant timed, averaged across ranks); --variant simd dispatches to\n\

@@ -123,10 +123,9 @@ pub const INLINE_ELEMS: usize = 8;
 /// wire-equivalent size in bytes.
 ///
 /// When a verifier is installed ([`crate::World::with_verifier`]) the
-/// envelope additionally piggybacks the sender's vector clock — the
-/// happens-before edge the race detector rides on — and the sender's
-/// context label, so message-leak diagnostics can name the send site.
-/// Both stay `None` (zero cost beyond the option) in unverified worlds.
+/// envelope additionally carries the sender's context label, so
+/// message-leak diagnostics can name the send site. It stays `None`
+/// (zero cost beyond the option) in unverified worlds.
 pub struct Envelope {
     /// Sending rank.
     pub src: usize,
@@ -136,8 +135,6 @@ pub struct Envelope {
     pub(crate) payload: Payload,
     /// Wire-equivalent payload size in bytes.
     pub bytes: usize,
-    /// Piggybacked sender vector clock (verifier installed only).
-    pub clock: Option<Box<[u64]>>,
     /// Sender's context label at send time (verifier installed only).
     pub sender_ctx: Option<Box<str>>,
 }
@@ -168,7 +165,6 @@ impl Envelope {
             tag,
             payload: Payload::Boxed(data),
             bytes,
-            clock: None,
             sender_ctx: None,
         }
     }
@@ -181,7 +177,6 @@ impl Envelope {
             tag,
             payload: Payload::Shared(data),
             bytes,
-            clock: None,
             sender_ctx: None,
         }
     }
@@ -196,7 +191,6 @@ impl Envelope {
             tag,
             payload,
             bytes: data.len() * std::mem::size_of::<T>(),
-            clock: None,
             sender_ctx: None,
         })
     }

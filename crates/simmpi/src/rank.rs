@@ -332,10 +332,7 @@ impl Rank {
     /// in-process backend); callers book it via [`Rank::note_ser`].
     pub(crate) fn raw_send(&self, dest: usize, mut env: Envelope) -> u64 {
         assert!(dest < self.size, "send to rank {dest} of {}", self.size);
-        if let Some(v) = &self.verify {
-            env.clock = v
-                .on_send(self.rank, dest, env.tag, env.bytes as u64, &self.context)
-                .map(Vec::into_boxed_slice);
+        if self.verify.is_some() {
             env.sender_ctx = Some(self.context.as_str().into());
         }
         // Incoming queues are unbounded: a send never blocks, matching
@@ -361,13 +358,6 @@ impl Rank {
             bytes,
         );
         self.context = ctx;
-    }
-
-    /// Tell the verifier (if any) that a receive matched `env`.
-    fn note_recv(&self, env: &Envelope) {
-        if let Some(v) = &self.verify {
-            v.on_recv(self.rank, env.src, env.tag, env.clock.as_deref());
-        }
     }
 
     /// Tell the verifier (if any) that `env` was silently consumed as
@@ -417,9 +407,7 @@ impl Rank {
             .iter()
             .position(|e| e.src == src && e.tag == tag)
         {
-            let env = self.pending.remove(pos).unwrap();
-            self.note_recv(&env);
-            return env;
+            return self.pending.remove(pos).unwrap();
         }
         let start = Instant::now();
         // Registered with the verifier's wait-for graph after the first
@@ -437,7 +425,6 @@ impl Rank {
                         if let (Some(v), Some(id)) = (&self.verify, block_id) {
                             v.on_unblock(self.rank, id);
                         }
-                        self.note_recv(&env);
                         return env;
                     }
                     self.pending.push_back(env);
@@ -748,13 +735,13 @@ impl Rank {
         }
     }
 
-    /// Report the start of a split-phase exchange over the shared slots
-    /// `gids` to the verifier; the returned epoch id must be closed with
+    /// Report the start of a split-phase exchange to the verifier; the
+    /// returned epoch id must be closed with
     /// [`Rank::verify_exchange_finish`]. `None` without a verifier.
-    pub fn verify_exchange_start(&self, gids: &[u64], label: &str) -> Option<u64> {
+    pub fn verify_exchange_start(&self, label: &str) -> Option<u64> {
         self.verify
             .as_ref()
-            .map(|v| v.on_exchange_start(self.rank, gids, label))
+            .map(|v| v.on_exchange_start(self.rank, label))
     }
 
     /// Close a split-phase exchange epoch opened by
@@ -762,15 +749,6 @@ impl Rank {
     pub fn verify_exchange_finish(&self, epoch: Option<u64>) {
         if let (Some(v), Some(e)) = (&self.verify, epoch) {
             v.on_exchange_finish(self.rank, e);
-        }
-    }
-
-    /// Report an application-level read (`write == false`) or write of
-    /// the shared slots `gids` to the verifier's happens-before race
-    /// detector. No-op without a verifier.
-    pub fn verify_slot_access(&self, gids: &[u64], write: bool, label: &str) {
-        if let Some(v) = &self.verify {
-            v.on_slot_access(self.rank, gids, write, label);
         }
     }
 

@@ -377,17 +377,15 @@ impl Transport for SocketTransport {
 // verifier RPC
 // ---------------------------------------------------------------------
 
-const M_SEND: u8 = 1;
-const M_RECV: u8 = 2;
-const M_COLLECTIVE: u8 = 3;
-const M_BLOCK: u8 = 4;
-const M_BLOCK_POLL: u8 = 5;
-const M_UNBLOCK: u8 = 6;
-const M_EXCHANGE_START: u8 = 7;
-const M_EXCHANGE_FINISH: u8 = 8;
-const M_SLOT_ACCESS: u8 = 9;
-const M_DISCARDED: u8 = 10;
-const M_FINALIZE: u8 = 11;
+// A request names no rank: the hub takes it from the connection.
+const M_COLLECTIVE: u8 = 1;
+const M_BLOCK: u8 = 2;
+const M_BLOCK_POLL: u8 = 3;
+const M_UNBLOCK: u8 = 4;
+const M_EXCHANGE_START: u8 = 5;
+const M_EXCHANGE_FINISH: u8 = 6;
+const M_DISCARDED: u8 = 7;
+const M_FINALIZE: u8 = 8;
 
 fn coll_kind_to_u8(k: CollKind) -> u8 {
     match k {
@@ -414,23 +412,6 @@ fn coll_kind_from_u8(v: u8) -> Result<CollKind, WireError> {
         7 => CollKind::CrystalRouter,
         _ => return Err(WireError::Malformed("collective kind")),
     })
-}
-
-fn put_u64_slice(buf: &mut Vec<u8>, s: &[u64]) {
-    put_u64(buf, s.len() as u64);
-    for &x in s {
-        put_u64(buf, x);
-    }
-}
-
-fn put_opt_u64_slice(buf: &mut Vec<u8>, s: Option<&[u64]>) {
-    match s {
-        None => put_u8(buf, 0),
-        Some(s) => {
-            put_u8(buf, 1);
-            put_u64_slice(buf, s);
-        }
-    }
 }
 
 fn put_opt_str(buf: &mut Vec<u8>, s: Option<&str>) {
@@ -512,40 +493,9 @@ impl VerifyHooks for VerifyClient {
         // The hub announces the world before spawning children.
     }
 
-    fn on_send(
-        &self,
-        from: usize,
-        to: usize,
-        tag: Tag,
-        bytes: u64,
-        context: &str,
-    ) -> Option<Vec<u64>> {
-        let rep = self.rpc(|b| {
-            put_u8(b, M_SEND);
-            put_u32(b, from as u32);
-            put_u32(b, to as u32);
-            put_u64(b, tag);
-            put_u64(b, bytes);
-            put_str(b, context);
-        });
-        let mut r = WireReader::new(&rep);
-        Option::<Vec<u64>>::decode(&mut r).expect("on_send reply")
-    }
-
-    fn on_recv(&self, rank: usize, src: usize, tag: Tag, clock: Option<&[u64]>) {
-        self.notify(|b| {
-            put_u8(b, M_RECV);
-            put_u32(b, rank as u32);
-            put_u32(b, src as u32);
-            put_u64(b, tag);
-            put_opt_u64_slice(b, clock);
-        });
-    }
-
-    fn on_collective(&self, rank: usize, seq: u64, fp: CollFingerprint<'_>) -> Result<(), String> {
+    fn on_collective(&self, _rank: usize, seq: u64, fp: CollFingerprint<'_>) -> Result<(), String> {
         let rep = self.rpc(|b| {
             put_u8(b, M_COLLECTIVE);
-            put_u32(b, rank as u32);
             put_u64(b, seq);
             put_u8(b, coll_kind_to_u8(fp.kind));
             fp.root.map(|v| v as u64).encode(b);
@@ -560,10 +510,9 @@ impl VerifyHooks for VerifyClient {
         }
     }
 
-    fn on_block(&self, rank: usize, src: usize, tag: Tag, context: &str) -> u64 {
+    fn on_block(&self, _rank: usize, src: usize, tag: Tag, context: &str) -> u64 {
         let rep = self.rpc(|b| {
             put_u8(b, M_BLOCK);
-            put_u32(b, rank as u32);
             put_u32(b, src as u32);
             put_u64(b, tag);
             put_str(b, context);
@@ -572,56 +521,41 @@ impl VerifyHooks for VerifyClient {
         u64::decode(&mut r).expect("on_block reply")
     }
 
-    fn on_block_poll(&self, rank: usize, block_id: u64) -> Option<String> {
+    fn on_block_poll(&self, _rank: usize, block_id: u64) -> Option<String> {
         let rep = self.rpc(|b| {
             put_u8(b, M_BLOCK_POLL);
-            put_u32(b, rank as u32);
             put_u64(b, block_id);
         });
         let mut r = WireReader::new(&rep);
         Option::<String>::decode(&mut r).expect("on_block_poll reply")
     }
 
-    fn on_unblock(&self, rank: usize, block_id: u64) {
+    fn on_unblock(&self, _rank: usize, block_id: u64) {
         self.notify(|b| {
             put_u8(b, M_UNBLOCK);
-            put_u32(b, rank as u32);
             put_u64(b, block_id);
         });
     }
 
-    fn on_exchange_start(&self, rank: usize, gids: &[u64], context: &str) -> u64 {
+    fn on_exchange_start(&self, _rank: usize, context: &str) -> u64 {
         let rep = self.rpc(|b| {
             put_u8(b, M_EXCHANGE_START);
-            put_u32(b, rank as u32);
-            put_u64_slice(b, gids);
             put_str(b, context);
         });
         let mut r = WireReader::new(&rep);
         u64::decode(&mut r).expect("on_exchange_start reply")
     }
 
-    fn on_exchange_finish(&self, rank: usize, epoch: u64) {
+    fn on_exchange_finish(&self, _rank: usize, epoch: u64) {
         self.notify(|b| {
             put_u8(b, M_EXCHANGE_FINISH);
-            put_u32(b, rank as u32);
             put_u64(b, epoch);
-        });
-    }
-
-    fn on_slot_access(&self, rank: usize, gids: &[u64], write: bool, context: &str) {
-        self.notify(|b| {
-            put_u8(b, M_SLOT_ACCESS);
-            put_u32(b, rank as u32);
-            put_u64_slice(b, gids);
-            put_u8(b, write as u8);
-            put_str(b, context);
         });
     }
 
     fn on_discarded(
         &self,
-        rank: usize,
+        _rank: usize,
         src: usize,
         tag: Tag,
         bytes: u64,
@@ -629,7 +563,6 @@ impl VerifyHooks for VerifyClient {
     ) {
         self.notify(|b| {
             put_u8(b, M_DISCARDED);
-            put_u32(b, rank as u32);
             put_u32(b, src as u32);
             put_u64(b, tag);
             put_u64(b, bytes);
@@ -639,14 +572,13 @@ impl VerifyHooks for VerifyClient {
 
     fn on_finalize(
         &self,
-        rank: usize,
+        _rank: usize,
         coll_seq: u64,
         leaked: &[LeakInfo],
         unclaimed: &[(usize, Tag, u64)],
     ) {
         self.notify(|b| {
             put_u8(b, M_FINALIZE);
-            put_u32(b, rank as u32);
             put_u64(b, coll_seq);
             put_u64(b, leaked.len() as u64);
             for l in leaked {
@@ -662,34 +594,16 @@ impl VerifyHooks for VerifyClient {
     }
 }
 
-/// Hub side: decode one verify-hook request and dispatch it to the real
-/// checker. Returns the encoded reply for reply-bearing methods.
+/// Hub side: decode one verify-hook request from the child connected as
+/// `rank` and dispatch it to the real checker. Returns the encoded reply
+/// for reply-bearing methods.
 fn serve_verify(
     hooks: &dyn VerifyHooks,
+    rank: usize,
     r: &mut WireReader<'_>,
 ) -> Result<Option<Vec<u8>>, WireError> {
     match r.u8()? {
-        M_SEND => {
-            let from = r.u32()? as usize;
-            let to = r.u32()? as usize;
-            let tag = r.u64()?;
-            let bytes = r.u64()?;
-            let ctx = r.str()?;
-            let clock = hooks.on_send(from, to, tag, bytes, ctx);
-            let mut out = Vec::new();
-            clock.encode(&mut out);
-            Ok(Some(out))
-        }
-        M_RECV => {
-            let rank = r.u32()? as usize;
-            let src = r.u32()? as usize;
-            let tag = r.u64()?;
-            let clock = Option::<Vec<u64>>::decode(r)?;
-            hooks.on_recv(rank, src, tag, clock.as_deref());
-            Ok(None)
-        }
         M_COLLECTIVE => {
-            let rank = r.u32()? as usize;
             let seq = r.u64()?;
             let kind = coll_kind_from_u8(r.u8()?)?;
             let root = Option::<u64>::decode(r)?.map(|v| v as usize);
@@ -709,7 +623,6 @@ fn serve_verify(
             Ok(Some(out))
         }
         M_BLOCK => {
-            let rank = r.u32()? as usize;
             let src = r.u32()? as usize;
             let tag = r.u64()?;
             let ctx = r.str()?;
@@ -719,7 +632,6 @@ fn serve_verify(
             Ok(Some(out))
         }
         M_BLOCK_POLL => {
-            let rank = r.u32()? as usize;
             let block_id = r.u64()?;
             let diag = hooks.on_block_poll(rank, block_id);
             let mut out = Vec::new();
@@ -727,36 +639,23 @@ fn serve_verify(
             Ok(Some(out))
         }
         M_UNBLOCK => {
-            let rank = r.u32()? as usize;
             let block_id = r.u64()?;
             hooks.on_unblock(rank, block_id);
             Ok(None)
         }
         M_EXCHANGE_START => {
-            let rank = r.u32()? as usize;
-            let gids = Vec::<u64>::decode(r)?;
             let ctx = r.str()?;
-            let epoch = hooks.on_exchange_start(rank, &gids, ctx);
+            let epoch = hooks.on_exchange_start(rank, ctx);
             let mut out = Vec::new();
             epoch.encode(&mut out);
             Ok(Some(out))
         }
         M_EXCHANGE_FINISH => {
-            let rank = r.u32()? as usize;
             let epoch = r.u64()?;
             hooks.on_exchange_finish(rank, epoch);
             Ok(None)
         }
-        M_SLOT_ACCESS => {
-            let rank = r.u32()? as usize;
-            let gids = Vec::<u64>::decode(r)?;
-            let write = r.u8()? != 0;
-            let ctx = r.str()?;
-            hooks.on_slot_access(rank, &gids, write, ctx);
-            Ok(None)
-        }
         M_DISCARDED => {
-            let rank = r.u32()? as usize;
             let src = r.u32()? as usize;
             let tag = r.u64()?;
             let bytes = r.u64()?;
@@ -765,7 +664,6 @@ fn serve_verify(
             Ok(None)
         }
         M_FINALIZE => {
-            let rank = r.u32()? as usize;
             let coll_seq = r.u64()?;
             let leaked = Vec::<LeakInfo>::decode(r)?;
             let n = r.count(24)?;
@@ -943,7 +841,7 @@ fn hub_reader(
         match wire::open_frame(&buf) {
             Ok((FrameKind::VerifyReq, mut rd)) => {
                 let Some(v) = verify.as_deref() else { break };
-                match serve_verify(v, &mut rd) {
+                match serve_verify(v, r, &mut rd) {
                     Ok(Some(reply)) => {
                         let mut body = Vec::new();
                         wire::begin_frame(&mut body, FrameKind::VerifyRep);
@@ -1169,15 +1067,10 @@ where
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    use crate::envelope::Envelope;
-    use crate::rank::{Rank, Tag};
+    use super::*;
     use crate::stats::MpiOp;
-    use crate::transport::{SocketConfig, TransportKind};
-    use crate::verify::{CollFingerprint, LeakInfo, VerifyHooks};
-    use crate::{ReduceOp, World};
+    use crate::transport::TransportKind;
+    use crate::ReduceOp;
 
     /// A socket-backend world in thread mode (children as threads of the
     /// test process; process mode would re-exec the test harness).
@@ -1287,33 +1180,15 @@ mod tests {
     #[derive(Debug, Default)]
     struct CountingHooks {
         starts: AtomicU64,
-        sends: AtomicU64,
-        recvs: AtomicU64,
-        clocked_recvs: AtomicU64,
         colls: AtomicU64,
-        finals: AtomicU64,
+        /// Bit `r` is set once rank `r` finalized.
+        finalized: AtomicU64,
+        leaks: AtomicU64,
     }
 
     impl VerifyHooks for CountingHooks {
         fn on_start(&self, _size: usize) {
             self.starts.fetch_add(1, Ordering::Relaxed);
-        }
-        fn on_send(
-            &self,
-            from: usize,
-            _to: usize,
-            _tag: Tag,
-            _bytes: u64,
-            _ctx: &str,
-        ) -> Option<Vec<u64>> {
-            self.sends.fetch_add(1, Ordering::Relaxed);
-            Some(vec![from as u64, 7])
-        }
-        fn on_recv(&self, _rank: usize, src: usize, _tag: Tag, clock: Option<&[u64]>) {
-            self.recvs.fetch_add(1, Ordering::Relaxed);
-            if clock == Some(&[src as u64, 7]) {
-                self.clocked_recvs.fetch_add(1, Ordering::Relaxed);
-            }
         }
         fn on_collective(
             &self,
@@ -1331,11 +1206,10 @@ mod tests {
             None
         }
         fn on_unblock(&self, _rank: usize, _block_id: u64) {}
-        fn on_exchange_start(&self, _rank: usize, _gids: &[u64], _ctx: &str) -> u64 {
+        fn on_exchange_start(&self, _rank: usize, _ctx: &str) -> u64 {
             0
         }
         fn on_exchange_finish(&self, _rank: usize, _epoch: u64) {}
-        fn on_slot_access(&self, _rank: usize, _gids: &[u64], _write: bool, _ctx: &str) {}
         fn on_discarded(
             &self,
             _rank: usize,
@@ -1347,13 +1221,14 @@ mod tests {
         }
         fn on_finalize(
             &self,
-            _rank: usize,
+            rank: usize,
             _seq: u64,
             leaked: &[LeakInfo],
             unclaimed: &[(usize, Tag, u64)],
         ) {
-            assert!(leaked.is_empty() && unclaimed.is_empty());
-            self.finals.fetch_add(1, Ordering::Relaxed);
+            let n = (leaked.len() + unclaimed.len()) as u64;
+            self.leaks.fetch_add(n, Ordering::Relaxed);
+            self.finalized.fetch_or(1 << rank, Ordering::Relaxed);
         }
     }
 
@@ -1371,17 +1246,82 @@ mod tests {
             });
         assert_eq!(res.results, vec![96, 96, 96]);
         assert_eq!(hooks.starts.load(Ordering::Relaxed), 1);
-        // 3 user sends plus collective-internal traffic, all via RPC
-        assert!(hooks.sends.load(Ordering::Relaxed) >= 3);
-        assert!(hooks.recvs.load(Ordering::Relaxed) >= 3);
-        assert_eq!(
-            hooks.clocked_recvs.load(Ordering::Relaxed),
-            hooks.recvs.load(Ordering::Relaxed),
-            "piggybacked clocks must survive the wire"
-        );
         // allreduce + the finalize barrier, fingerprinted on each rank
         assert!(hooks.colls.load(Ordering::Relaxed) >= 6);
-        assert_eq!(hooks.finals.load(Ordering::Relaxed), 3);
+        // each rank finalized once, under the rank of its own connection
+        assert_eq!(hooks.finalized.load(Ordering::Relaxed), 0b111);
+        assert_eq!(hooks.leaks.load(Ordering::Relaxed), 0);
+    }
+
+    /// One valid request body per verify method, in the layout
+    /// `VerifyClient` writes.
+    fn verify_requests() -> Vec<(u8, Vec<u8>)> {
+        let mut collective = Vec::new();
+        put_u64(&mut collective, 5); // seq
+        put_u8(&mut collective, 3); // allreduce
+        Some(0u64).encode(&mut collective);
+        put_str(&mut collective, "f64");
+        Some(4u64).encode(&mut collective);
+        put_str(&mut collective, "dot");
+        let mut block = Vec::new();
+        put_u32(&mut block, 1);
+        put_u64(&mut block, 9);
+        put_str(&mut block, "halo");
+        let mut exchange_start = Vec::new();
+        put_str(&mut exchange_start, "gs");
+        let mut discarded = Vec::new();
+        put_u32(&mut discarded, 1);
+        put_u64(&mut discarded, 9);
+        put_u64(&mut discarded, 64);
+        Some(String::from("gs")).encode(&mut discarded);
+        let mut finalize = Vec::new();
+        put_u64(&mut finalize, 5); // collective count
+        put_u64(&mut finalize, 1);
+        LeakInfo {
+            src: 1,
+            tag: 9,
+            bytes: 64,
+            sender_context: Some("orphan".into()),
+        }
+        .encode(&mut finalize);
+        put_u64(&mut finalize, 1);
+        for v in [1, 9, 2] {
+            put_u64(&mut finalize, v);
+        }
+        vec![
+            (M_COLLECTIVE, collective),
+            (M_BLOCK, block),
+            (M_BLOCK_POLL, 11u64.to_le_bytes().to_vec()),
+            (M_UNBLOCK, 11u64.to_le_bytes().to_vec()),
+            (M_EXCHANGE_START, exchange_start),
+            (M_EXCHANGE_FINISH, 0u64.to_le_bytes().to_vec()),
+            (M_DISCARDED, discarded),
+            (M_FINALIZE, finalize),
+        ]
+    }
+
+    /// The hub's request decoder on hostile bodies: every method's valid
+    /// body serves, the same body cut short anywhere is an error (before
+    /// any hook runs), and an unknown method byte is refused.
+    #[test]
+    fn truncated_verify_requests_are_errors() {
+        let hooks = CountingHooks::default();
+        hooks.on_start(2);
+        for (method, body) in verify_requests() {
+            let mut req = vec![method];
+            req.extend_from_slice(&body);
+            let ok = serve_verify(&hooks, 1, &mut WireReader::new(&req));
+            assert!(ok.is_ok(), "method {method}: {ok:?}");
+            for cut in 0..req.len() {
+                let got = serve_verify(&hooks, 1, &mut WireReader::new(&req[..cut]));
+                assert!(got.is_err(), "method {method} accepted {cut} bytes");
+            }
+        }
+        assert_eq!(hooks.finalized.load(Ordering::Relaxed), 0b10);
+        for method in [0u8, 9, 0xff] {
+            let got = serve_verify(&hooks, 0, &mut WireReader::new(&[method]));
+            assert_eq!(got, Err(WireError::Malformed("verify method")));
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Verifier hook interface: the runtime side of the `cmt-verify` checker.
 //!
 //! The runtime stays checker-agnostic: it defines the [`VerifyHooks`]
-//! trait and calls it at every event a dynamic MPI verifier cares about —
-//! sends (where a vector clock may be piggybacked on the envelope),
-//! matched receives, blocking-receive entry/poll/exit (the wait-for-graph
-//! feed), collective entry (fingerprint matching), gather–scatter
-//! shared-slot accesses, and rank finalization (message-leak detection).
+//! trait and calls it at every event a dynamic MPI verifier cares about
+//! that no type can rule out — blocking-receive entry/poll/exit (the
+//! wait-for-graph feed), collective entry (fingerprint matching),
+//! split-phase exchange epochs, discarded exchange traffic, and rank
+//! finalization (message-leak detection).
 //! The `cmt-verify` crate supplies the implementation; a world without a
 //! verifier pays one `Option` check per event.
 //!
@@ -99,21 +99,6 @@ pub trait VerifyHooks: Send + Sync + std::fmt::Debug {
     /// The world is about to spawn `size` ranks.
     fn on_start(&self, size: usize);
 
-    /// `from` is sending `bytes` bytes to `to` under `tag`. The returned
-    /// vector clock (if any) is piggybacked on the envelope and handed to
-    /// [`VerifyHooks::on_recv`] when the message is matched.
-    fn on_send(
-        &self,
-        from: usize,
-        to: usize,
-        tag: Tag,
-        bytes: u64,
-        context: &str,
-    ) -> Option<Vec<u64>>;
-
-    /// A receive on `rank` matched a message from `src` carrying `clock`.
-    fn on_recv(&self, rank: usize, src: usize, tag: Tag, clock: Option<&[u64]>);
-
     /// `rank` entered collective `seq` with fingerprint `fp`. An `Err`
     /// diagnostic makes the rank poison the world and panic before the
     /// collective exchanges anything.
@@ -132,19 +117,14 @@ pub trait VerifyHooks: Send + Sync + std::fmt::Debug {
     /// The blocked receive `block_id` on `rank` matched a message.
     fn on_unblock(&self, rank: usize, block_id: u64);
 
-    /// `rank` started a split-phase exchange covering the shared slots
-    /// `gids`. Returns an epoch id the matching
+    /// `rank` started a split-phase exchange at call site `context`.
+    /// Returns an epoch id the matching
     /// [`VerifyHooks::on_exchange_finish`] closes; epochs still open at
     /// finalize are abandoned exchanges.
-    fn on_exchange_start(&self, rank: usize, gids: &[u64], context: &str) -> u64;
+    fn on_exchange_start(&self, rank: usize, context: &str) -> u64;
 
     /// `rank` finished (drained and scattered) exchange `epoch`.
     fn on_exchange_finish(&self, rank: usize, epoch: u64);
-
-    /// Application code on `rank` read (`write == false`) or wrote the
-    /// shared slots `gids` outside the exchange protocol. Fed to the
-    /// happens-before race detector.
-    fn on_slot_access(&self, rank: usize, gids: &[u64], write: bool, context: &str);
 
     /// The matching engine on `rank` silently consumed a message whose
     /// receiver had cancelled it (an abandoned split-phase exchange).

@@ -17,8 +17,9 @@
 //! **Data frames** carry one envelope: source, destination, tag, the
 //! wire-equivalent byte count (kept verbatim so the mpiP books agree
 //! bitwise with the in-process backend), the payload element type's wire
-//! id, the elements, and — when a verifier is installed — the
-//! piggybacked vector clock and sender context.
+//! id, the elements, and — when a verifier is installed — the sender's
+//! context label. A flag bit the decoder does not know is
+//! [`WireError::Malformed`], never skipped.
 //!
 //! **Payload element types.** Payloads are typed `Vec<T>`s behind a
 //! vtable, and `T` is bounded by the sealed [`Msg`] trait, implemented
@@ -50,13 +51,12 @@ use crate::verify::LeakInfo;
 /// Frame magic: `"SMPW"` (simmpi wire).
 pub(crate) const MAGIC: u32 = 0x534D_5057;
 /// Wire-format version; bumped on any incompatible layout change.
-pub(crate) const VERSION: u16 = 2;
+pub(crate) const VERSION: u16 = 3;
 /// Upper bound on one frame body, to reject absurd lengths from a
 /// corrupt or hostile peer before allocating.
 pub(crate) const MAX_FRAME: usize = 1 << 30;
 
 pub(crate) const FLAG_INLINE: u8 = 1;
-pub(crate) const FLAG_CLOCK: u8 = 2;
 pub(crate) const FLAG_CTX: u8 = 4;
 
 /// Frame kinds exchanged between rank processes and the launcher hub.
@@ -333,13 +333,6 @@ pub(crate) fn encode_data(buf: &mut Vec<u8>, dest: usize, env: &Envelope) {
     if inline {
         flags |= FLAG_INLINE;
     }
-    if let Some(clock) = &env.clock {
-        flags |= FLAG_CLOCK;
-        put_u32(buf, clock.len() as u32);
-        for &c in clock.iter() {
-            put_u64(buf, c);
-        }
-    }
     if let Some(ctx) = &env.sender_ctx {
         flags |= FLAG_CTX;
         put_str(buf, ctx);
@@ -367,20 +360,10 @@ pub(crate) fn decode_data(
     let tag = r.u64()?;
     let bytes = r.u64()? as usize;
     let flags = r.u8()?;
+    if flags & !(FLAG_INLINE | FLAG_CTX) != 0 {
+        return Err(WireError::Malformed("data frame flags"));
+    }
     let payload = decode_payload(r, flags & FLAG_INLINE != 0, pool)?;
-    let clock = if flags & FLAG_CLOCK != 0 {
-        let n = r.u32()? as usize;
-        if n.saturating_mul(8) > r.remaining() {
-            return Err(WireError::Oversized(n as u64));
-        }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(r.u64()?);
-        }
-        Some(v.into_boxed_slice())
-    } else {
-        None
-    };
     let sender_ctx = if flags & FLAG_CTX != 0 {
         Some(r.str()?.into())
     } else {
@@ -395,7 +378,6 @@ pub(crate) fn decode_data(
             tag,
             payload,
             bytes,
-            clock,
             sender_ctx,
         },
         wire_bytes,
@@ -989,7 +971,7 @@ mod tests {
 
     #[test]
     fn payload_section_golden_bytes() {
-        assert_eq!(VERSION, 2);
+        assert_eq!(VERSION, 3);
         for (env, inline, want) in one_of_each_wire_id() {
             let (was_inline, bytes) = payload_section(&env);
             let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
@@ -1001,20 +983,26 @@ mod tests {
         assert_eq!(payload_section(&shared), payload_section(&boxed));
     }
 
-    /// A well-framed (magic, version, checksum all valid) data frame around
-    /// an arbitrary payload section, decoded against a fresh pool.
-    fn decode_section(inline: bool, section: &[u8]) -> Result<DecodedData, WireError> {
+    /// A well-framed (magic, version, checksum all valid) data frame with
+    /// flag byte `flags` before an arbitrary tail, decoded against a fresh
+    /// pool.
+    fn decode_flagged(flags: u8, tail: &[u8]) -> Result<DecodedData, WireError> {
         let mut buf = Vec::new();
         begin_frame(&mut buf, FrameKind::Data);
         put_u32(&mut buf, 0); // src
         put_u32(&mut buf, 1); // dest
         put_u64(&mut buf, 7); // tag
         put_u64(&mut buf, 0); // bytes
-        put_u8(&mut buf, if inline { FLAG_INLINE } else { 0 });
-        buf.extend_from_slice(section);
+        put_u8(&mut buf, flags);
+        buf.extend_from_slice(tail);
         end_frame(&mut buf);
         let (_, mut r) = open_frame(&buf).expect("framing is valid");
         decode_data(&mut r, &BufferPool::new(true))
+    }
+
+    /// [`decode_flagged`] around an arbitrary payload section.
+    fn decode_section(inline: bool, section: &[u8]) -> Result<DecodedData, WireError> {
+        decode_flagged(if inline { FLAG_INLINE } else { 0 }, section)
     }
 
     /// Hostile payload sections behind valid framing, for every wire id:
@@ -1078,13 +1066,40 @@ mod tests {
     }
 
     #[test]
-    fn clock_and_ctx_piggyback_round_trip() {
+    fn ctx_piggyback_round_trip() {
         let mut env = Envelope::new(4, 8, vec![1u64]);
-        env.clock = Some(vec![1, 2, 3].into_boxed_slice());
         env.sender_ctx = Some("faces/gs:pairwise".into());
         let (d, _) = round_trip(env);
-        assert_eq!(d.env.clock.as_deref(), Some(&[1u64, 2, 3][..]));
         assert_eq!(d.env.sender_ctx.as_deref(), Some("faces/gs:pairwise"));
+    }
+
+    /// Every flag byte, over a frame shaped to match its known bits: only
+    /// the four combinations of `FLAG_INLINE` and `FLAG_CTX` decode, and
+    /// any other bit (a stale frame's clock flag among them) is refused
+    /// rather than skipped.
+    #[test]
+    fn unknown_flag_bits_are_rejected() {
+        let (_, boxed) = payload_section(&Envelope::new(0, 0, vec![1.5f64]));
+        let (_, inline) = payload_section(&Envelope::inline_from(0, 0, &[1.5f64]).unwrap());
+        let mut decoded = Vec::new();
+        for flags in 0..=u8::MAX {
+            let mut tail = if flags & FLAG_INLINE != 0 {
+                inline.clone()
+            } else {
+                boxed.clone()
+            };
+            if flags & FLAG_CTX != 0 {
+                put_str(&mut tail, "site");
+            }
+            match decode_flagged(flags, &tail) {
+                Ok(d) => {
+                    assert_eq!(d.env.open::<f64>(), vec![1.5]);
+                    decoded.push(flags);
+                }
+                Err(e) => assert_eq!(e, WireError::Malformed("data frame flags"), "{flags:#04x}"),
+            }
+        }
+        assert_eq!(decoded, [0, FLAG_INLINE, FLAG_CTX, FLAG_INLINE | FLAG_CTX]);
     }
 
     #[test]

@@ -83,10 +83,10 @@ impl World {
 
     /// Install a dynamic verifier (the `cmt-verify` checker, or any
     /// [`VerifyHooks`] implementation). The runtime then feeds it every
-    /// send, matched receive, blocked-receive episode, collective
-    /// fingerprint, and shared-slot access, piggybacks vector clocks on
-    /// message envelopes, and runs a finalize-time message-leak sweep as
-    /// each rank's closure returns.
+    /// blocked-receive episode, collective fingerprint and split-phase
+    /// exchange epoch, stamps each message envelope with its send site,
+    /// and runs a finalize-time message-leak sweep as each rank's closure
+    /// returns.
     pub fn with_verifier(mut self, hooks: Arc<dyn VerifyHooks>) -> Self {
         self.verify = Some(hooks);
         self

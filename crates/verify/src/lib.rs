@@ -21,12 +21,10 @@
 //!   the runtime barriers and sweeps its mailbox: unreceived sends,
 //!   discard credits for messages that never came, and split-phase
 //!   exchange epochs never finished are all reported per rank.
-//! * **Race detection** — each rank carries a vector clock, ticked on
-//!   sends and joined on matched receives (the clock rides piggybacked
-//!   on the message envelope). Application-level accesses to
-//!   gather–scatter shared slots are checked for happens-before-unordered
-//!   cross-rank write conflicts ("replica divergence") and for accesses
-//!   made while the owning rank's own split-phase exchange is in flight.
+//!
+//! It holds only what the types cannot: a write to exchanged slots while
+//! an exchange is in flight is a compile error through
+//! `cmt_gs::GsHandle::overlapped`, so no runtime race detector backs it.
 //!
 //! Pair with a seeded delay fault plan
 //! ([`simmpi::World::with_fault_plan`], e.g.
@@ -37,7 +35,6 @@
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -59,9 +56,6 @@ pub enum FindingKind {
     /// never finished, its in-flight messages were silently discarded,
     /// or discard credits outlived the run.
     AbandonedExchange,
-    /// A happens-before-unordered conflicting access to a gather–scatter
-    /// shared slot.
-    Race,
 }
 
 impl FindingKind {
@@ -72,7 +66,6 @@ impl FindingKind {
             FindingKind::CollectiveMismatch => "collective-mismatch",
             FindingKind::MessageLeak => "message-leak",
             FindingKind::AbandonedExchange => "abandoned-exchange",
-            FindingKind::Race => "race",
         }
     }
 }
@@ -143,16 +136,6 @@ fn fmt_root(root: Option<usize>) -> String {
     }
 }
 
-/// `a` happens-before-or-equals `b` in vector-clock order.
-fn vc_leq(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x <= y)
-}
-
-/// Neither order holds: the events are concurrent.
-fn vc_concurrent(a: &[u64], b: &[u64]) -> bool {
-    !vc_leq(a, b) && !vc_leq(b, a)
-}
-
 /// A blocked-receive episode, one node of the wait-for graph.
 #[derive(Debug, Clone)]
 struct Blocked {
@@ -200,32 +183,12 @@ fn describe_fp(fp: &CollFingerprint<'_>) -> String {
 #[derive(Debug)]
 struct Epoch {
     id: u64,
-    gids: HashSet<u64>,
     context: String,
 }
-
-/// One application-level access to a shared slot, for the race detector.
-#[derive(Debug)]
-struct SlotAccess {
-    rank: usize,
-    write: bool,
-    clock: Vec<u64>,
-    context: String,
-}
-
-/// Per-(gid, rank) history cap: enough to witness any unordered pair in
-/// the fixtures while bounding memory on long runs.
-const MAX_ACCESSES_PER_GID: usize = 32;
-
-/// Cap on findings recorded per event, so a single buggy sweep over
-/// thousands of slots cannot flood the report.
-const MAX_FINDINGS_PER_EVENT: usize = 8;
 
 #[derive(Debug, Default)]
 struct Inner {
     size: usize,
-    /// Per-rank vector clocks. Component `r` counts rank `r`'s events.
-    clocks: Vec<Vec<u64>>,
     /// Currently blocked ranks (wait-for graph nodes).
     blocked: HashMap<usize, Blocked>,
     next_block_id: u64,
@@ -242,8 +205,6 @@ struct Inner {
     /// Open split-phase exchange epochs, per rank.
     open_epochs: Vec<Vec<Epoch>>,
     next_epoch: u64,
-    /// Application-level shared-slot accesses, per gid.
-    accesses: HashMap<u64, Vec<SlotAccess>>,
     findings: Vec<Finding>,
 }
 
@@ -369,37 +330,12 @@ impl VerifyHooks for Verifier {
     fn on_start(&self, size: usize) {
         let mut inner = self.inner.lock().unwrap();
         inner.size = size;
-        inner.clocks = vec![vec![0; size]; size];
         inner.blocked.clear();
         inner.candidate = None;
         inner.collectives.clear();
         inner.final_seqs = vec![None; size];
         inner.final_seq_checked = false;
         inner.open_epochs = (0..size).map(|_| Vec::new()).collect();
-        inner.accesses.clear();
-    }
-
-    fn on_send(
-        &self,
-        from: usize,
-        _to: usize,
-        _tag: Tag,
-        _bytes: u64,
-        _context: &str,
-    ) -> Option<Vec<u64>> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.clocks[from][from] += 1;
-        Some(inner.clocks[from].clone())
-    }
-
-    fn on_recv(&self, rank: usize, _src: usize, _tag: Tag, clock: Option<&[u64]>) {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(c) = clock {
-            for (mine, theirs) in inner.clocks[rank].iter_mut().zip(c) {
-                *mine = (*mine).max(*theirs);
-            }
-        }
-        inner.clocks[rank][rank] += 1;
     }
 
     fn on_collective(&self, rank: usize, seq: u64, fp: CollFingerprint<'_>) -> Result<(), String> {
@@ -507,13 +443,12 @@ impl VerifyHooks for Verifier {
         }
     }
 
-    fn on_exchange_start(&self, rank: usize, gids: &[u64], context: &str) -> u64 {
+    fn on_exchange_start(&self, rank: usize, context: &str) -> u64 {
         let mut inner = self.inner.lock().unwrap();
         let id = inner.next_epoch;
         inner.next_epoch += 1;
         inner.open_epochs[rank].push(Epoch {
             id,
-            gids: gids.iter().copied().collect(),
             context: context.to_owned(),
         });
         id
@@ -522,79 +457,6 @@ impl VerifyHooks for Verifier {
     fn on_exchange_finish(&self, rank: usize, epoch: u64) {
         let mut inner = self.inner.lock().unwrap();
         inner.open_epochs[rank].retain(|e| e.id != epoch);
-    }
-
-    fn on_slot_access(&self, rank: usize, gids: &[u64], write: bool, context: &str) {
-        let mut inner = self.inner.lock().unwrap();
-        let mut budget = MAX_FINDINGS_PER_EVENT;
-        // Rule 1: touching a slot while this rank's own split-phase
-        // exchange over it is in flight — the exchange may or may not
-        // observe the new value depending on scheduling.
-        let mut window_hits: Vec<(u64, String)> = Vec::new();
-        for ep in &inner.open_epochs[rank] {
-            for g in gids {
-                if ep.gids.contains(g) && budget > 0 {
-                    window_hits.push((*g, ep.context.clone()));
-                    budget -= 1;
-                }
-            }
-        }
-        for (g, ep_ctx) in window_hits {
-            let verb = if write { "wrote" } else { "read" };
-            Self::push_finding(
-                &mut inner,
-                FindingKind::Race,
-                rank,
-                format!(
-                    "cmt-verify: RACE — rank {rank} {verb} shared slot gid {g} at call site {context:?} while its split-phase exchange (started at {ep_ctx:?}) was still in flight"
-                ),
-            );
-        }
-        // Rule 2: cross-rank replica divergence — two application-level
-        // accesses to the same shared slot, at least one a write, with no
-        // happens-before path (no exchange, barrier, or message chain)
-        // ordering them.
-        inner.clocks[rank][rank] += 1;
-        let clock = inner.clocks[rank].clone();
-        let mut race_hits: Vec<(u64, usize, bool, String)> = Vec::new();
-        for g in gids {
-            if let Some(prior) = inner.accesses.get(g) {
-                for pa in prior {
-                    if pa.rank != rank
-                        && (write || pa.write)
-                        && vc_concurrent(&clock, &pa.clock)
-                        && budget > 0
-                    {
-                        race_hits.push((*g, pa.rank, pa.write, pa.context.clone()));
-                        budget -= 1;
-                    }
-                }
-            }
-        }
-        for (g, other_rank, other_write, other_ctx) in race_hits {
-            let verb = if write { "write" } else { "read" };
-            let other_verb = if other_write { "write" } else { "read" };
-            Self::push_finding(
-                &mut inner,
-                FindingKind::Race,
-                rank,
-                format!(
-                    "cmt-verify: RACE — unordered cross-rank access to shared slot gid {g}: {verb} on rank {rank} at call site {context:?} is concurrent (no happens-before path) with {other_verb} on rank {other_rank} at call site {other_ctx:?}; the replicas can diverge"
-                ),
-            );
-        }
-        for g in gids {
-            let list = inner.accesses.entry(*g).or_default();
-            if list.len() >= MAX_ACCESSES_PER_GID {
-                list.remove(0);
-            }
-            list.push(SlotAccess {
-                rank,
-                write,
-                clock: clock.clone(),
-                context: context.to_owned(),
-            });
-        }
     }
 
     fn on_discarded(
@@ -698,15 +560,6 @@ impl VerifyHooks for Verifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vector_clock_order() {
-        assert!(vc_leq(&[1, 2], &[1, 2]));
-        assert!(vc_leq(&[1, 2], &[2, 2]));
-        assert!(!vc_leq(&[3, 0], &[2, 2]));
-        assert!(vc_concurrent(&[3, 0], &[0, 3]));
-        assert!(!vc_concurrent(&[1, 1], &[2, 2]));
-    }
 
     #[test]
     fn tag_rendering_decodes_collective_tags() {

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use cmt_gs::{GsHandle, GsMethod, GsOp};
 use cmt_verify::{FindingKind, Verifier};
-use simmpi::{FaultPlan, Rank, ReduceOp, World};
+use simmpi::{FaultPlan, Rank, ReduceOp, SocketConfig, TransportKind, World};
 
 /// Run `f` on `p` ranks under a fresh checker, tolerating (and
 /// swallowing) the world panic a fatal diagnostic triggers.
@@ -128,17 +128,20 @@ fn collective_kind_mismatch_is_detected() {
     );
 }
 
+/// Rank 0 sends a message rank 1 never receives.
+fn leak_one_send(rank: &mut Rank) {
+    if rank.rank() == 0 {
+        rank.set_context("orphan-send");
+        rank.send(1, 7, &[1.0f64, 2.0]); // bug: rank 1 never receives
+        rank.set_context("main");
+    }
+    rank.barrier();
+}
+
 /// A send nobody receives is reported at finalize, with the send site.
 #[test]
 fn leaked_send_is_detected() {
-    let verifier = run_checked(2, |rank| {
-        if rank.rank() == 0 {
-            rank.set_context("orphan-send");
-            rank.send(1, 7, &[1.0f64, 2.0]); // bug: rank 1 never receives
-            rank.set_context("main");
-        }
-        rank.barrier();
-    });
+    let verifier = run_checked(2, leak_one_send);
     let leaks = verifier.findings_of(FindingKind::MessageLeak);
     assert_eq!(leaks.len(), 1, "{}", verifier.render());
     let d = &leaks[0].detail;
@@ -148,6 +151,32 @@ fn leaked_send_is_detected() {
     assert!(d.contains("16 bytes"), "diagnostic: {d}");
     assert!(
         d.contains("orphan-send"),
+        "diagnostic must carry the send site: {d}"
+    );
+}
+
+/// The same leak over the socket transport (ranks as threads): the send
+/// site crosses the wire in the data frame, and the hub's checker names
+/// it.
+#[test]
+fn leaked_send_is_detected_over_sockets() {
+    let verifier = Arc::new(Verifier::new());
+    let world = World::new()
+        .with_transport(TransportKind::Socket(SocketConfig {
+            addr: None,
+            threads: true,
+        }))
+        .with_verifier(verifier.clone());
+    world.run_dist(2, |rank: &mut Rank| {
+        leak_one_send(rank);
+        0u64
+    });
+    let leaks = verifier.findings_of(FindingKind::MessageLeak);
+    assert_eq!(leaks.len(), 1, "{}", verifier.render());
+    assert_eq!(leaks[0].rank, 1, "the leak lands in rank 1's mailbox");
+    let d = &leaks[0].detail;
+    assert!(
+        d.contains("sent at call site \"orphan-send\""),
         "diagnostic must carry the send site: {d}"
     );
 }
@@ -224,80 +253,6 @@ fn overlapped_window_returning_early_abandons_nothing() {
         rank.barrier();
     });
     assert!(verifier.is_clean(), "{}", verifier.render());
-}
-
-/// Happens-before-unordered writes to the same shared slot from two
-/// ranks (replica divergence) are flagged by the vector-clock detector.
-#[test]
-fn unordered_cross_rank_writes_are_a_race() {
-    let verifier = run_checked(2, |rank| {
-        let ids: Vec<u64> = if rank.rank() == 0 {
-            vec![0, 7]
-        } else {
-            vec![7, 2]
-        };
-        let handle = GsHandle::setup(rank, &ids);
-        let shared_slot = if rank.rank() == 0 { 1 } else { 0 };
-        // Bug: both ranks update their replica of gid 7 with no ordering
-        // exchange or barrier between the writes.
-        handle.verify_note_access(rank, shared_slot, true, "unsynced-update");
-        rank.barrier();
-    });
-    let races = verifier.findings_of(FindingKind::Race);
-    assert!(!races.is_empty(), "{}", verifier.render());
-    let d = &races[0].detail;
-    assert!(d.contains("unordered cross-rank access"), "diagnostic: {d}");
-    assert!(d.contains("gid 7"), "diagnostic: {d}");
-    assert!(d.contains("unsynced-update"), "diagnostic: {d}");
-}
-
-/// The same two writes separated by a barrier are happens-before ordered
-/// (the piggybacked clocks ride the barrier's messages): no finding.
-#[test]
-fn barrier_ordered_cross_rank_writes_are_clean() {
-    let verifier = run_checked(2, |rank| {
-        let ids: Vec<u64> = if rank.rank() == 0 {
-            vec![0, 7]
-        } else {
-            vec![7, 2]
-        };
-        let handle = GsHandle::setup(rank, &ids);
-        let shared_slot = if rank.rank() == 0 { 1 } else { 0 };
-        if rank.rank() == 0 {
-            handle.verify_note_access(rank, shared_slot, true, "writer-before");
-        }
-        rank.barrier();
-        if rank.rank() == 1 {
-            handle.verify_note_access(rank, shared_slot, true, "writer-after");
-        }
-        rank.barrier();
-    });
-    assert!(verifier.is_clean(), "{}", verifier.render());
-}
-
-/// Touching a shared slot while this rank's own split-phase exchange is
-/// in flight is flagged, whichever way the scheduler lands it.
-#[test]
-fn write_inside_open_exchange_window_is_a_race() {
-    let verifier = run_checked(2, |rank| {
-        let ids: Vec<u64> = if rank.rank() == 0 {
-            vec![0, 7]
-        } else {
-            vec![7, 2]
-        };
-        let handle = GsHandle::setup(rank, &ids);
-        let shared_slot = if rank.rank() == 0 { 1 } else { 0 };
-        let mut values = vec![1.0f64; handle.nlocal()];
-        let pending = handle.gs_op_start(rank, &[&values], GsOp::Add, GsMethod::PairwiseExchange);
-        // Bug: the exchange is in flight and will scatter over this slot.
-        handle.verify_note_access(rank, shared_slot, true, "mid-window-write");
-        handle.gs_op_finish(rank, pending, &mut [&mut values]);
-    });
-    let races = verifier.findings_of(FindingKind::Race);
-    assert!(!races.is_empty(), "{}", verifier.render());
-    let d = &races[0].detail;
-    assert!(d.contains("still in flight"), "diagnostic: {d}");
-    assert!(d.contains("mid-window-write"), "diagnostic: {d}");
 }
 
 /// A clean gather–scatter workload over every method produces zero

@@ -1,6 +1,6 @@
 //! Nekbone in action: solve the spectral-element Helmholtz system with
-//! distributed CG and print the residual history — the baseline mini-app
-//! the paper compares CMT-bone against in Fig. 7.
+//! distributed CG to tolerance and print the residual history — the
+//! baseline mini-app the paper compares CMT-bone against in Fig. 7.
 //!
 //! ```text
 //! cargo run --release --example nekbone_cg [ranks]
@@ -18,7 +18,7 @@ fn main() {
         ranks,
         n: 8,
         elems_per_rank: 8,
-        cg_iters: 60,
+        cg_iters: 500,
         tol: 1e-8,
         method: Some(GsMethod::PairwiseExchange),
         ..Default::default()
@@ -40,5 +40,10 @@ fn main() {
         rep.cg.iterations,
         rep.cg.final_residual(),
         rep.chosen_method.name()
+    );
+    assert!(
+        rep.cg.iterations < cfg.cg_iters && rep.cg.final_residual() <= cfg.tol,
+        "CG did not reach tolerance {:e}",
+        cfg.tol
     );
 }

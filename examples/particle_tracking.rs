@@ -1,7 +1,8 @@
 //! Lagrangian point-particle tracking across ranks — the paper's named
 //! future-work capability, built on the crystal router: particles swirl
 //! through the periodic box under an analytic velocity field, migrating
-//! between ranks whenever they cross block boundaries.
+//! between ranks whenever they cross block boundaries. Asserts that no
+//! particle is lost or duplicated and that some do migrate.
 //!
 //! ```text
 //! cargo run --release --example particle_tracking [ranks]
@@ -32,6 +33,7 @@ fn main() {
         let (lx, ly) = (ge[0] as f64, ge[1] as f64);
         let mut set = ParticleSet::new(mesh, &basis);
         set.seed_uniform(4);
+        let seeded = set.global_count(rank);
         // a swirling, divergence-free-ish velocity field
         let vel = move |p: [f64; 3]| {
             let (x, y) = (p[0] / lx, p[1] / ly);
@@ -51,10 +53,21 @@ fn main() {
                 log.push((step, total, moved));
             }
         }
-        log
+        (seeded, log)
     });
-    for (step, total, moved) in &res.results[0] {
+    let (seeded, log) = &res.results[0];
+    for (step, total, moved) in log {
         println!("{step:4} | {total:16} | {moved}");
+    }
+    assert!(
+        log.iter().all(|(_, total, _)| total == seeded),
+        "the global particle count left {seeded}"
+    );
+    if ranks > 1 {
+        assert!(
+            log.iter().any(|&(_, _, moved)| moved > 0),
+            "no particle migrated"
+        );
     }
     println!("\nEvery migration is a crystal-router exchange: particle traffic");
     println!("quickly stops being nearest-neighbor, which is exactly the");
