@@ -40,16 +40,11 @@ pub(crate) mod sealed {
         /// Fewest bytes one encoded element occupies: bounds a declared
         /// element count by the bytes left in the frame.
         const MIN_WIRE_BYTES: usize;
-        /// Append this element's little-endian encoding.
-        fn put(&self, buf: &mut Vec<u8>);
-        /// Decode one element.
-        fn get(r: &mut WireReader<'_>) -> Result<Self, WireError>;
-        /// Append every element of `data` (`u8` overrides this with one copy).
-        fn put_all(data: &[Self], buf: &mut Vec<u8>) {
-            for v in data {
-                v.put(buf);
-            }
-        }
+        /// Append the little-endian encoding of every element of `data`.
+        fn put_all(data: &[Self], buf: &mut Vec<u8>);
+        /// Decode `n` elements onto `out`. The caller has bounded `n` by
+        /// the bytes left ([`WireReader::count`]).
+        fn get_all(r: &mut WireReader<'_>, n: usize, out: &mut Vec<Self>) -> Result<(), WireError>;
         /// Copy `data` into the inline payload form, if the type has one
         /// and `data` fits.
         fn to_inline(_data: &[Self]) -> Option<Payload> {

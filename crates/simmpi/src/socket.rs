@@ -189,10 +189,14 @@ fn connect(addr: &str) -> io::Result<Conn> {
     Err(last)
 }
 
-/// Read one length-prefixed frame body into `buf`. `Ok(false)` is a clean
-/// EOF at a frame boundary; EOF mid-frame is an error.
-fn read_frame(r: &mut Conn, buf: &mut Vec<u8>) -> io::Result<bool> {
-    let mut len4 = [0u8; 4];
+/// Read one frame, length prefix included, into `buf` (what
+/// [`wire::open_frame`] takes and the hub forwards). `Ok(false)` is a
+/// clean EOF at a frame boundary; EOF mid-frame is an error.
+///
+/// The prefix bounds the read but never sizes an allocation: the body
+/// grows `buf` only as its bytes arrive.
+fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<bool> {
+    let mut len4 = [0u8; wire::LEN_BYTES];
     match r.read_exact(&mut len4) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(false),
@@ -202,22 +206,19 @@ fn read_frame(r: &mut Conn, buf: &mut Vec<u8>) -> io::Result<bool> {
     if len > wire::MAX_FRAME {
         return Err(io::Error::other(format!("oversized frame ({len} bytes)")));
     }
-    buf.resize(len, 0);
-    r.read_exact(buf)?;
+    buf.clear();
+    buf.extend_from_slice(&len4);
+    if r.take(len as u64).read_to_end(buf)? != len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     Ok(true)
 }
 
-/// Write one length-prefixed frame.
-fn write_frame(w: &mut Conn, body: &[u8]) -> io::Result<()> {
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)
-}
-
 fn control_frame(kind: FrameKind) -> Vec<u8> {
-    let mut body = Vec::with_capacity(16);
-    wire::begin_frame(&mut body, kind);
-    wire::end_frame(&mut body);
-    body
+    let mut frame = Vec::with_capacity(wire::LEN_BYTES + 16);
+    wire::begin_frame(&mut frame, kind);
+    wire::end_frame(&mut frame);
+    frame
 }
 
 // ---------------------------------------------------------------------
@@ -282,8 +283,10 @@ struct Endpoint {
 }
 
 impl Endpoint {
-    fn send_frame(&self, body: &[u8]) -> io::Result<()> {
-        write_frame(&mut self.writer.lock().unwrap(), body)
+    /// Write one complete frame: a single `write_all`, so the peer is
+    /// woken once per frame, not once for the prefix and again for the body.
+    fn send_frame(&self, frame: &[u8]) -> io::Result<()> {
+        self.writer.lock().unwrap().write_all(frame)
     }
 }
 
@@ -727,7 +730,8 @@ where
     put_u32(&mut buf, rank as u32);
     put_u32(&mut buf, size as u32);
     wire::end_frame(&mut buf);
-    write_frame(&mut conn, &buf).unwrap_or_else(|e| panic!("rank {rank}: hello failed: {e}"));
+    conn.write_all(&buf)
+        .unwrap_or_else(|e| panic!("rank {rank}: hello failed: {e}"));
     let got =
         read_frame(&mut conn, &mut buf).unwrap_or_else(|e| panic!("rank {rank}: lost hub: {e}"));
     assert!(got, "rank {rank}: hub closed before go");
@@ -835,7 +839,7 @@ fn hub_reader(
             // have finished and exited (its unreceived messages are the
             // same app-level leak the inproc backend tolerates); genuine
             // deaths are caught by that child's own EOF.
-            let _ = write_frame(&mut writers[dest].lock().unwrap(), &buf);
+            let _ = writers[dest].lock().unwrap().write_all(&buf);
             continue;
         }
         match wire::open_frame(&buf) {
@@ -847,7 +851,7 @@ fn hub_reader(
                         wire::begin_frame(&mut body, FrameKind::VerifyRep);
                         body.extend_from_slice(&reply);
                         wire::end_frame(&mut body);
-                        let _ = write_frame(&mut writers[r].lock().unwrap(), &body);
+                        let _ = writers[r].lock().unwrap().write_all(&body);
                     }
                     Ok(None) => {}
                     Err(_) => break,
@@ -861,7 +865,7 @@ fn hub_reader(
         let poison = control_frame(FrameKind::Poison);
         for (q, w) in writers.iter().enumerate() {
             if q != r {
-                let _ = write_frame(&mut w.lock().unwrap(), &poison);
+                let _ = w.lock().unwrap().write_all(&poison);
             }
         }
     }
@@ -1005,7 +1009,7 @@ where
         );
         let go = control_frame(FrameKind::Go);
         for w in writers.iter() {
-            write_frame(&mut w.lock().unwrap(), &go).expect("go frame");
+            w.lock().unwrap().write_all(&go).expect("go frame");
         }
 
         let mut readers = Vec::with_capacity(p);
@@ -1142,7 +1146,7 @@ mod tests {
         };
         let mut frame = Vec::new();
         crate::wire::encode_data(&mut frame, 1, &Envelope::new(0, 1, vec![1.0f64; 512]));
-        let largest = frame.len() as u64;
+        let largest = (frame.len() - wire::LEN_BYTES) as u64;
         let res = socket_world().run_dist(3, program);
         for st in &res.stats {
             let tx = st
@@ -1322,6 +1326,43 @@ mod tests {
             let got = serve_verify(&hooks, 0, &mut WireReader::new(&[method]));
             assert_eq!(got, Err(WireError::Malformed("verify method")));
         }
+    }
+
+    /// A prefix that claims a gigabyte, sixteen body bytes, then EOF: an
+    /// error, and the buffer grew with the bytes that came, not the claim.
+    #[test]
+    fn read_frame_does_not_allocate_what_a_prefix_claims() {
+        let mut stream = (1u32 << 30).to_le_bytes().to_vec();
+        stream.extend_from_slice(&[7u8; 16]);
+        let mut buf = Vec::new();
+        assert!(read_frame(&mut stream.as_slice(), &mut buf).is_err());
+        assert!(buf.capacity() < 1 << 20, "grew to {} bytes", buf.capacity());
+    }
+
+    /// Frames of falling and rising sizes through one reused buffer come
+    /// back whole, prefix included; EOF between frames is clean.
+    #[test]
+    fn read_frame_returns_each_frame_whole() {
+        let frames: Vec<Vec<u8>> = [3000usize, 2, 200_000, 40]
+            .iter()
+            .map(|&n| {
+                let mut f = Vec::new();
+                wire::encode_data(&mut f, 1, &Envelope::new(0, 1, vec![0x5Au8; n]));
+                f
+            })
+            .collect();
+        let stream = frames.concat();
+        let mut rd = stream.as_slice();
+        let mut buf = Vec::new();
+        for f in &frames {
+            assert!(read_frame(&mut rd, &mut buf).unwrap());
+            assert_eq!(buf, *f);
+            assert!(wire::open_frame(&buf).is_ok());
+        }
+        assert!(!read_frame(&mut rd, &mut buf).unwrap());
+        // EOF inside a body is an error, not a clean end
+        let mut rd = &stream[..frames[0].len() - 1];
+        assert!(read_frame(&mut rd, &mut buf).is_err());
     }
 
     #[test]
