@@ -228,6 +228,11 @@ impl Checkpoint {
                 .collect())
         };
         let scalars = f64s(&mut off, nscalars)?;
+        // Each field carries at least its 8-byte length, so the bytes left
+        // bound `nfields` before it sizes an allocation.
+        if nfields > (content.len() - off) / 8 {
+            return Err(CheckpointError::Truncated);
+        }
         let mut fields = Vec::with_capacity(nfields);
         for _ in 0..nfields {
             let len = u64_at(take(&mut off, 8)?) as usize;
@@ -327,6 +332,25 @@ mod tests {
             Checkpoint::decode(&bytes),
             Err(CheckpointError::UnsupportedVersion(99))
         );
+    }
+
+    /// A field count no file could hold, under a valid trailer, is
+    /// `Truncated` before it sizes an allocation (`1 << 60` fields would
+    /// overflow the capacity; `1 << 40` would try to reserve 24 TiB).
+    #[test]
+    fn absurd_field_count_is_truncated_not_reserved() {
+        for nfields in [1u64 << 60, 1 << 40, 4] {
+            let mut bytes = sample().encode();
+            bytes[56..64].copy_from_slice(&nfields.to_le_bytes());
+            let n = bytes.len();
+            let crc = crc64(&bytes[..n - 8]);
+            bytes[n - 8..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                Checkpoint::decode(&bytes),
+                Err(CheckpointError::Truncated),
+                "nfields = {nfields}"
+            );
+        }
     }
 
     /// The bit-at-a-time definition of CRC-64/ECMA-182 — the oracle the

@@ -84,7 +84,6 @@ impl Rank {
         self.verify_collective(
             seq,
             crate::verify::CollKind::CrystalRouter,
-            None,
             std::any::type_name::<T>(),
             None,
         );

@@ -5,20 +5,16 @@
 //! but each envelope records the byte size the payload *would* occupy on
 //! a wire, which is what the mpiP-style statistics consume.
 //!
-//! Three payload representations keep the steady state allocation-free:
+//! Two payload representations keep the steady state allocation-free:
 //!
 //! * **Boxed** — the general case: a `Box<Vec<T>>` whose box shell *and*
 //!   vector capacity both recycle through the receiving rank's
 //!   [`crate::BufferPool`].
-//! * **Shared** — an `Arc<Vec<T>>` for one-to-many fan-outs (broadcast
-//!   trees): `N` children cost zero payload clones, and the last opener
-//!   moves the buffer out instead of cloning it.
 //! * **Inline** — small payloads of the workhorse element types
 //!   (`f64`/`u64`/`u8`, up to [`INLINE_ELEMS`] elements) ride inside the
 //!   envelope itself: the eager path that skips the heap entirely.
 
 use std::any::Any;
-use std::sync::Arc;
 
 use crate::pool::{BufferPool, PooledVec};
 pub(crate) use sealed::Payload;
@@ -27,7 +23,6 @@ pub(crate) use sealed::Payload;
 /// signatures may mention it, unnameable from outside so the trait is sealed.
 pub(crate) mod sealed {
     use std::any::Any;
-    use std::sync::Arc;
 
     use super::INLINE_ELEMS;
     use crate::wire::{WireError, WireReader};
@@ -56,10 +51,10 @@ pub(crate) mod sealed {
         }
     }
 
-    /// A `Vec<T: Msg>` behind a vtable: what a boxed or shared payload holds.
+    /// A `Vec<T: Msg>` behind a vtable: what a boxed payload holds.
     /// It downcasts back to `Vec<T>` on open and serializes itself for the
     /// socket backend.
-    pub trait ErasedVec: Any + Send + Sync {
+    pub trait ErasedVec: Any + Send {
         /// Append the payload section of a data frame (see [`crate::wire`]).
         fn put_wire(&self, buf: &mut Vec<u8>);
     }
@@ -74,8 +69,6 @@ pub(crate) mod sealed {
     pub enum Payload {
         /// `Box<Vec<T>>`; shell and capacity are recyclable.
         Boxed(Box<dyn ErasedVec>),
-        /// `Arc<Vec<T>>` shared by a one-to-many fan-out.
-        Shared(Arc<dyn ErasedVec>),
         /// Small `f64` payload carried inline (length, storage).
         InlineF64(u8, [f64; INLINE_ELEMS]),
         /// Small `u64` payload carried inline.
@@ -164,18 +157,6 @@ impl Envelope {
         }
     }
 
-    /// Wrap a shared payload for a one-to-many fan-out.
-    pub(crate) fn from_shared<T: Msg>(src: usize, tag: u64, data: Arc<Vec<T>>) -> Self {
-        let bytes = data.len() * std::mem::size_of::<T>();
-        Envelope {
-            src,
-            tag,
-            payload: Payload::Shared(data),
-            bytes,
-            sender_ctx: None,
-        }
-    }
-
     /// Build an inline (eager, heap-free) envelope for a small payload of
     /// a supported element type; `None` if the payload is too large or
     /// the type has no inline form.
@@ -192,9 +173,6 @@ impl Envelope {
 
     /// Recover the typed payload.
     ///
-    /// For a shared payload the last opener moves the buffer out; earlier
-    /// openers clone it.
-    ///
     /// # Panics
     /// Panics if the stored type differs from `T` — that is a programming
     /// error equivalent to an MPI datatype mismatch.
@@ -207,10 +185,6 @@ impl Envelope {
                 Ok(v) => *v,
                 Err(_) => mismatch::<T>(src, tag),
             },
-            Payload::Shared(a) => match (a as Arc<dyn Any + Send + Sync>).downcast::<Vec<T>>() {
-                Ok(arc) => Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()),
-                Err(_) => mismatch::<T>(src, tag),
-            },
             inline => match T::as_inline(&inline) {
                 Some(vals) => vals.to_vec(),
                 None => mismatch::<T>(src, tag),
@@ -221,8 +195,8 @@ impl Envelope {
     /// Recover the typed payload into a pool-guarded buffer: the general
     /// (boxed) case adopts the sender's box wholesale — zero copies, zero
     /// allocations — and the guard parks it in `pool` when the receiver
-    /// is done. Inline and still-shared payloads copy into a recycled
-    /// buffer taken from `pool`.
+    /// is done. An inline payload copies into a recycled buffer taken
+    /// from `pool`.
     ///
     /// # Panics
     /// Panics on a datatype mismatch, as [`Envelope::open`] does.
@@ -233,19 +207,6 @@ impl Envelope {
         match payload {
             Payload::Boxed(b) => match (b as Box<dyn Any>).downcast::<Vec<T>>() {
                 Ok(v) => pool.adopt(v),
-                Err(_) => mismatch::<T>(src, tag),
-            },
-            Payload::Shared(a) => match (a as Arc<dyn Any + Send + Sync>).downcast::<Vec<T>>() {
-                Ok(arc) => match Arc::try_unwrap(arc) {
-                    // One box *shell* (not a payload copy) so the uniquely
-                    // held broadcast buffer can adopt into the pool.
-                    Ok(v) => pool.adopt(Box::new(v)),
-                    Err(arc) => {
-                        let mut buf = pool.take::<T>();
-                        buf.extend_from_slice(&arc);
-                        buf
-                    }
-                },
                 Err(_) => mismatch::<T>(src, tag),
             },
             inline => {
@@ -308,16 +269,5 @@ mod tests {
     fn inline_type_mismatch_panics() {
         let env = Envelope::inline_from(0, 0, &[1u64]).unwrap();
         let _ = env.open::<f64>();
-    }
-
-    #[test]
-    fn shared_payload_last_opener_moves() {
-        let arc = Arc::new(vec![4.0f64, 5.0]);
-        let a = Envelope::from_shared(0, 1, Arc::clone(&arc));
-        let b = Envelope::from_shared(0, 1, Arc::clone(&arc));
-        drop(arc);
-        assert_eq!(a.bytes, 16);
-        assert_eq!(a.open::<f64>(), vec![4.0, 5.0]); // clones (b still holds it)
-        assert_eq!(b.open::<f64>(), vec![4.0, 5.0]); // moves (last reference)
     }
 }

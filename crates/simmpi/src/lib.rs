@@ -19,8 +19,9 @@
 //!   [`Rank::wait_recv`] (time blocked in wait is attributed to a `Wait`
 //!   op, exactly how mpiP attributes it in the paper's Fig. 9);
 //! * collectives implemented with the textbook distributed algorithms over
-//!   the same p2p layer: dissemination barrier, binomial-tree
-//!   broadcast/reduce, allreduce, pairwise-exchange alltoall(v);
+//!   the same p2p layer, exactly the ones the mini-apps call:
+//!   dissemination barrier, binomial-tree allreduce, Hillis–Steele
+//!   exclusive scan, pairwise-exchange alltoallv;
 //! * the [`crystal`] module implements Nek5000's crystal-router
 //!   generalized all-to-all (hypercube staging, `log2 P` rounds, with the
 //!   fold/unfold extension for non-power-of-two rank counts);

@@ -121,7 +121,7 @@ impl BufferPool {
             let slot = slots.entry(tid).or_default();
             // Cap the parked stock per type. Balanced patterns (gather–
             // scatter, allreduce) park exactly what they take, staying far
-            // below the cap; asymmetric ones (a root that only receives)
+            // below the cap; asymmetric ones (a rank that receives more than it sends)
             // would otherwise accumulate buffers without bound.
             if slot.len() < PARK_CAP {
                 slot.push(buf);

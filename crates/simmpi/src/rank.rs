@@ -579,17 +579,6 @@ impl Rank {
         self.pool.take()
     }
 
-    /// Probe (non-blocking) whether a matching message has arrived.
-    pub fn iprobe(&mut self, src: usize, tag: Tag) -> bool {
-        Self::assert_user_tag(tag);
-        // Drain arrived messages into the pending queue, then search it.
-        while let Some(env) = self.transport.try_pop() {
-            self.pending.push_back(env);
-        }
-        self.purge_discarded();
-        self.pending.iter().any(|e| e.src == src && e.tag == tag)
-    }
-
     /// Allocate a fresh user-level sequence number. Like the collective
     /// sequence, every rank advances it identically in SPMD code, so it
     /// lets libraries derive per-operation tags that keep *overlapping*
@@ -663,23 +652,6 @@ impl Rank {
         bytes
     }
 
-    /// Internal untimed send of an `Arc`-shared payload (one-to-many
-    /// fan-out: the clones are reference bumps, and the last opener moves
-    /// the buffer out).
-    pub(crate) fn send_internal_shared<T: Msg>(
-        &mut self,
-        dest: usize,
-        tag: Tag,
-        data: Arc<Vec<T>>,
-    ) -> u64 {
-        let env = Envelope::from_shared(self.rank, tag, data);
-        let bytes = env.bytes as u64;
-        self.inject_send_faults(bytes);
-        let ser = self.raw_send(dest, env);
-        self.note_ser(bytes, ser);
-        bytes
-    }
-
     /// Internal untimed receive used inside collective algorithms.
     pub(crate) fn recv_internal<T: Msg>(&mut self, src: usize, tag: Tag) -> (Vec<T>, u64) {
         let env = self.raw_recv(src, tag);
@@ -717,14 +689,12 @@ impl Rank {
         &self,
         seq: u64,
         kind: CollKind,
-        root: Option<usize>,
         elem_type: &'static str,
         len: Option<usize>,
     ) {
         let Some(v) = &self.verify else { return };
         let fp = CollFingerprint {
             kind,
-            root,
             elem_type,
             len,
             context: &self.context,

@@ -393,26 +393,20 @@ const M_FINALIZE: u8 = 8;
 fn coll_kind_to_u8(k: CollKind) -> u8 {
     match k {
         CollKind::Barrier => 0,
-        CollKind::Bcast => 1,
-        CollKind::Reduce => 2,
-        CollKind::Allreduce => 3,
-        CollKind::Exscan => 4,
-        CollKind::Gather => 5,
-        CollKind::Alltoallv => 6,
-        CollKind::CrystalRouter => 7,
+        CollKind::Allreduce => 1,
+        CollKind::Exscan => 2,
+        CollKind::Alltoallv => 3,
+        CollKind::CrystalRouter => 4,
     }
 }
 
 fn coll_kind_from_u8(v: u8) -> Result<CollKind, WireError> {
     Ok(match v {
         0 => CollKind::Barrier,
-        1 => CollKind::Bcast,
-        2 => CollKind::Reduce,
-        3 => CollKind::Allreduce,
-        4 => CollKind::Exscan,
-        5 => CollKind::Gather,
-        6 => CollKind::Alltoallv,
-        7 => CollKind::CrystalRouter,
+        1 => CollKind::Allreduce,
+        2 => CollKind::Exscan,
+        3 => CollKind::Alltoallv,
+        4 => CollKind::CrystalRouter,
         _ => return Err(WireError::Malformed("collective kind")),
     })
 }
@@ -501,7 +495,6 @@ impl VerifyHooks for VerifyClient {
             put_u8(b, M_COLLECTIVE);
             put_u64(b, seq);
             put_u8(b, coll_kind_to_u8(fp.kind));
-            fp.root.map(|v| v as u64).encode(b);
             put_str(b, fp.elem_type);
             fp.len.map(|v| v as u64).encode(b);
             put_str(b, fp.context);
@@ -609,13 +602,11 @@ fn serve_verify(
         M_COLLECTIVE => {
             let seq = r.u64()?;
             let kind = coll_kind_from_u8(r.u8()?)?;
-            let root = Option::<u64>::decode(r)?.map(|v| v as usize);
             let elem_type = intern(r.str()?);
             let len = Option::<u64>::decode(r)?.map(|v| v as usize);
             let context = r.str()?;
             let fp = CollFingerprint {
                 kind,
-                root,
                 elem_type,
                 len,
                 context,
@@ -1105,20 +1096,13 @@ mod tests {
         let program = |rank: &mut Rank| {
             rank.set_context("smoke");
             let sum = rank.allreduce_f64(&[rank.rank() as f64 + 0.25], ReduceOp::Sum)[0];
-            let bc = rank.bcast(
-                0,
-                if rank.rank() == 0 {
-                    vec![41u64, 7]
-                } else {
-                    Vec::new()
-                },
-            );
+            let base = rank.exscan_u64(rank.rank() as u64 * 41 + 7);
             let outgoing: Vec<(usize, Vec<u64>)> = (0..rank.size())
                 .map(|q| (q, vec![(rank.rank() * 100 + q) as u64; 40]))
                 .collect();
             let arrived = rank.crystal_router(outgoing);
             let routed: u64 = arrived.iter().flat_map(|(_, d)| d.iter()).sum();
-            (sum, bc[0] + routed, arrived.len())
+            (sum, base + routed, arrived.len())
         };
         let p = 5;
         let inproc = World::new().run(p, program);
@@ -1262,8 +1246,7 @@ mod tests {
     fn verify_requests() -> Vec<(u8, Vec<u8>)> {
         let mut collective = Vec::new();
         put_u64(&mut collective, 5); // seq
-        put_u8(&mut collective, 3); // allreduce
-        Some(0u64).encode(&mut collective);
+        put_u8(&mut collective, coll_kind_to_u8(CollKind::Allreduce));
         put_str(&mut collective, "f64");
         Some(4u64).encode(&mut collective);
         put_str(&mut collective, "dot");

@@ -12,8 +12,9 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// The MPI operation kinds distinguished by the recorder (the union of
-/// everything CMT-bone/Nekbone call).
+/// The MPI operation kinds distinguished by the recorder: exactly the
+/// operations CMT-bone and Nekbone call, plus the fault-injection, wire
+/// and load-balancer rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MpiOp {
     /// Blocking send.
@@ -28,14 +29,8 @@ pub enum MpiOp {
     Wait,
     /// Barrier.
     Barrier,
-    /// Broadcast.
-    Bcast,
-    /// Reduce-to-root.
-    Reduce,
     /// Allreduce.
     Allreduce,
-    /// Gather-to-root.
-    Gather,
     /// Prefix scan.
     Scan,
     /// All-to-all with per-peer counts.
@@ -74,10 +69,7 @@ impl MpiOp {
             MpiOp::Irecv => "MPI_Irecv",
             MpiOp::Wait => "MPI_Wait",
             MpiOp::Barrier => "MPI_Barrier",
-            MpiOp::Bcast => "MPI_Bcast",
-            MpiOp::Reduce => "MPI_Reduce",
             MpiOp::Allreduce => "MPI_Allreduce",
-            MpiOp::Gather => "MPI_Gather",
             MpiOp::Scan => "MPI_Scan",
             MpiOp::Alltoallv => "MPI_Alltoallv",
             MpiOp::CrystalRouter => "crystal_router",

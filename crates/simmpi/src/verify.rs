@@ -26,16 +26,10 @@ use crate::rank::Tag;
 pub enum CollKind {
     /// Dissemination barrier.
     Barrier,
-    /// Binomial-tree broadcast.
-    Bcast,
-    /// Binomial-tree reduce-to-root.
-    Reduce,
     /// Allreduce (reduce-to-0 + broadcast).
     Allreduce,
     /// Hillis–Steele exclusive scan.
     Exscan,
-    /// Gather-to-root.
-    Gather,
     /// Pairwise-exchange alltoallv.
     Alltoallv,
     /// Crystal-router generalized all-to-all.
@@ -47,11 +41,8 @@ impl CollKind {
     pub fn name(self) -> &'static str {
         match self {
             CollKind::Barrier => "barrier",
-            CollKind::Bcast => "bcast",
-            CollKind::Reduce => "reduce",
             CollKind::Allreduce => "allreduce",
             CollKind::Exscan => "exscan",
-            CollKind::Gather => "gather",
             CollKind::Alltoallv => "alltoallv",
             CollKind::CrystalRouter => "crystal_router",
         }
@@ -60,15 +51,14 @@ impl CollKind {
 
 /// One rank's view of one collective call, checked against its peers'.
 ///
-/// `len` is `None` where the call carries no length contract for this
-/// rank (a non-root `bcast` buffer is ignored; `gather` contributions and
-/// crystal-router payloads may legitimately differ per rank).
+/// `len` is `Some` exactly for the kinds whose element count every rank
+/// must agree on (allreduce, exscan); it is `None` for a barrier and for
+/// alltoallv and crystal-router payloads, which legitimately differ per
+/// rank.
 #[derive(Debug, Clone, Copy)]
 pub struct CollFingerprint<'a> {
     /// The collective's kind.
     pub kind: CollKind,
-    /// Root rank, for rooted collectives.
-    pub root: Option<usize>,
     /// Element type name (`std::any::type_name`), empty for barriers.
     pub elem_type: &'static str,
     /// Element count this rank contributed, where the algorithm requires

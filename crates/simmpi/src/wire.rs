@@ -31,7 +31,7 @@
 //! vtable, and `T` is bounded by the sealed [`Msg`] trait, implemented
 //! below for exactly `f64`/`u64`/`u8`/`u32`/`usize` and the crystal
 //! router's [`RoutedMsg`] bundles of those. Each impl carries its stable
-//! wire id (1–9) and its element codec, so a boxed or shared payload
+//! wire id (1–9) and its element codec, so a boxed payload
 //! encodes itself through its vtable and nothing that compiles can fail
 //! to serialize. Decoding is the one place an id turns back into a type;
 //! an id outside the table is a [`WireError::UnknownPayloadType`].
@@ -57,7 +57,7 @@ use crate::verify::LeakInfo;
 /// Frame magic: `"SMPW"` (simmpi wire).
 pub(crate) const MAGIC: u32 = 0x534D_5057;
 /// Wire-format version; bumped on any incompatible layout change.
-pub(crate) const VERSION: u16 = 4;
+pub(crate) const VERSION: u16 = 5;
 /// Upper bound on one frame body, to reject absurd lengths from a
 /// corrupt or hostile peer before reading.
 pub(crate) const MAX_FRAME: usize = 1 << 30;
@@ -580,12 +580,11 @@ impl<T: Msg> Elem for RoutedMsg<T> {
 fn encode_payload(p: &Payload, buf: &mut Vec<u8>) -> bool {
     match p {
         Payload::Boxed(v) => v.put_wire(buf),
-        Payload::Shared(v) => v.put_wire(buf),
         Payload::InlineF64(n, arr) => put_payload(&arr[..*n as usize], buf),
         Payload::InlineU64(n, arr) => put_payload(&arr[..*n as usize], buf),
         Payload::InlineU8(n, arr) => put_payload(&arr[..*n as usize], buf),
     }
-    !matches!(p, Payload::Boxed(_) | Payload::Shared(_))
+    !matches!(p, Payload::Boxed(_))
 }
 
 /// Decode the count and elements of a `Vec<T>` payload through a buffer
@@ -777,10 +776,7 @@ impl WireCodec for MpiOp {
             MpiOp::Irecv => 3,
             MpiOp::Wait => 4,
             MpiOp::Barrier => 5,
-            MpiOp::Bcast => 6,
-            MpiOp::Reduce => 7,
             MpiOp::Allreduce => 8,
-            MpiOp::Gather => 9,
             MpiOp::Scan => 10,
             MpiOp::Alltoallv => 11,
             MpiOp::CrystalRouter => 12,
@@ -800,10 +796,7 @@ impl WireCodec for MpiOp {
             3 => MpiOp::Irecv,
             4 => MpiOp::Wait,
             5 => MpiOp::Barrier,
-            6 => MpiOp::Bcast,
-            7 => MpiOp::Reduce,
             8 => MpiOp::Allreduce,
-            9 => MpiOp::Gather,
             10 => MpiOp::Scan,
             11 => MpiOp::Alltoallv,
             12 => MpiOp::CrystalRouter,
@@ -882,7 +875,6 @@ impl WireCodec for LeakInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn round_trip(env: Envelope) -> (DecodedData, BufferPool) {
         let pool = BufferPool::new(true);
@@ -945,15 +937,6 @@ mod tests {
         let env = Envelope::inline_from(0, 5, &[1u8]).unwrap();
         let (d, _) = round_trip(env);
         assert!(matches!(d.env.payload, Payload::InlineU8(1, _)));
-    }
-
-    #[test]
-    fn shared_payload_crosses_as_boxed() {
-        let arc = Arc::new(vec![5.0f64, 6.0]);
-        let env = Envelope::from_shared(3, 9, arc);
-        let (d, _) = round_trip(env);
-        assert!(matches!(d.env.payload, Payload::Boxed(_)));
-        assert_eq!(d.env.open::<f64>(), vec![5.0, 6.0]);
     }
 
     #[test]
@@ -1080,16 +1063,12 @@ mod tests {
 
     #[test]
     fn payload_section_golden_bytes() {
-        assert_eq!(VERSION, 4);
+        assert_eq!(VERSION, 5);
         for (env, inline, want) in one_of_each_wire_id() {
             let (was_inline, bytes) = payload_section(&env);
             let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!((was_inline, hex), (inline, want));
         }
-        // a shared payload crosses as the boxed bytes
-        let shared = Envelope::from_shared(0, 0, Arc::new(vec![1.5f64]));
-        let boxed = Envelope::new(0, 0, vec![1.5f64]);
-        assert_eq!(payload_section(&shared), payload_section(&boxed));
     }
 
     /// A well-framed (magic, version, checksum all valid) data frame with
@@ -1325,7 +1304,7 @@ mod tests {
         let buf = sample_frame();
         assert_eq!(buf.len(), 107);
         let trailer = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
-        assert_eq!(trailer, 0x3B76_C7B4_CE69_681F);
+        assert_eq!(trailer, 0x41A3_2C96_E087_C4A5);
     }
 
     /// A version-3 peer sealed its frames with byte-serial FNV-1a; it is

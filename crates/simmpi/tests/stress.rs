@@ -114,92 +114,70 @@ fn mixed_payload_types() {
 }
 
 /// Random interleavings of collectives keep their sequence numbers
-/// straight: a mix of barriers, bcasts and allreduces in a random
-/// (but SPMD-identical) order produces the right values.
+/// straight: a mix of barriers, allreduces (copying and in place, some
+/// past the inline limit), exclusive scans and alltoallvs in a random
+/// (but SPMD-identical) order produces, on every rank, the values a
+/// serial computation predicts.
 #[test]
 fn random_collective_sequences() {
+    /// Allreduce vector length of op `i`: 1..=12, so both inline and
+    /// pooled payloads run through the tree.
+    fn len(seed: u64, i: usize) -> usize {
+        1 + (seed as usize + i) % 12
+    }
+    /// What rank `r` of `p` sees from op `i` of kind `op`.
+    fn expect(op: u8, seed: u64, i: usize, r: usize, p: usize) -> Vec<u64> {
+        let ranks: u64 = (0..p as u64).sum();
+        match op {
+            0 => Vec::new(),
+            1 | 2 => (0..len(seed, i) as u64)
+                .map(|j| 31 * ranks + p as u64 * (7 * i as u64 + j))
+                .collect(),
+            3 => vec![(0..r as u64).map(|q| q + i as u64).sum()],
+            _ => (0..p)
+                .flat_map(|q| vec![(q * 100 + r + i) as u64; (q + r + i) % 3])
+                .collect(),
+        }
+    }
     let mut rng = SmallRng::seed_from_u64(0x5EED_C011);
     for _ in 0..12 {
         let p = rng.range_usize(1, 6);
         let nops = rng.range_usize(1, 12);
-        let ops: Vec<u8> = (0..nops).map(|_| rng.range_u64(0, 3) as u8).collect();
+        let ops: Vec<u8> = (0..nops).map(|_| rng.range_u64(0, 5) as u8).collect();
         let seed = rng.next_u64();
         let ops2 = ops.clone();
         let res = World::new().run(p, move |rank| {
-            let mut acc = Vec::new();
+            let (me, size) = (rank.rank(), rank.size());
+            let mut got = Vec::new();
             for (i, &op) in ops2.iter().enumerate() {
-                match op {
-                    0 => rank.barrier(),
-                    1 => {
-                        let root = (seed as usize + i) % rank.size();
-                        let data = if rank.rank() == root {
-                            vec![i as u64, seed % 1000]
-                        } else {
-                            Vec::new()
-                        };
-                        let got = rank.bcast(root, data);
-                        acc.push(got[0]);
+                let data: Vec<u64> = (0..len(seed, i) as u64)
+                    .map(|j| 31 * me as u64 + 7 * i as u64 + j)
+                    .collect();
+                got.push(match op {
+                    0 => {
+                        rank.barrier();
+                        Vec::new()
                     }
+                    1 => rank.allreduce_u64(&data, ReduceOp::Sum),
+                    2 => {
+                        let mut acc: Vec<f64> = data.iter().map(|&v| v as f64).collect();
+                        rank.allreduce_in_place(&mut acc, |a, b| *a += *b);
+                        acc.iter().map(|&v| v as u64).collect()
+                    }
+                    3 => vec![rank.exscan_u64((me + i) as u64)],
                     _ => {
-                        let v = rank.allreduce_scalar(rank.rank() as f64 + i as f64, ReduceOp::Sum);
-                        acc.push(v as u64);
+                        let sends = (0..size)
+                            .map(|q| vec![(me * 100 + q + i) as u64; (me + q + i) % 3])
+                            .collect();
+                        rank.alltoallv(sends).concat()
                     }
-                }
+                });
             }
-            acc
+            got
         });
-        // all ranks observed identical collective results
-        for r in &res.results[1..] {
-            assert_eq!(r, &res.results[0]);
-        }
-        // spot-check allreduce values
-        let rank_sum: usize = (0..p).sum();
-        let mut k = 0;
-        for (i, &op) in ops.iter().enumerate() {
-            match op {
-                0 => {}
-                1 => {
-                    assert_eq!(res.results[0][k], i as u64);
-                    k += 1;
-                }
-                _ => {
-                    let expect = (rank_sum + p * i) as u64;
-                    assert_eq!(res.results[0][k], expect);
-                    k += 1;
-                }
-            }
-        }
-    }
-}
-
-/// Gather returns per-rank buffers in rank order for random shapes.
-#[test]
-fn gather_preserves_rank_order() {
-    let mut rng = SmallRng::seed_from_u64(0x6A7 << 12);
-    for _ in 0..12 {
-        let p = rng.range_usize(1, 6);
-        let root = rng.range_usize(0, p);
-        let lens: Vec<usize> = (0..6).map(|_| rng.range_usize(0, 7)).collect();
-        let lens2 = lens.clone();
-        let res = World::new().run(p, move |rank| {
-            let len = lens2[rank.rank() % lens2.len()];
-            let data: Vec<u64> = (0..len as u64)
-                .map(|i| rank.rank() as u64 * 1000 + i)
-                .collect();
-            rank.gather(root, data)
-        });
-        for (r, out) in res.results.iter().enumerate() {
-            if r == root {
-                let all = out.as_ref().unwrap();
-                assert_eq!(all.len(), p);
-                for (q, buf) in all.iter().enumerate() {
-                    assert_eq!(buf.len(), lens[q % lens.len()]);
-                    for (i, &v) in buf.iter().enumerate() {
-                        assert_eq!(v, q as u64 * 1000 + i as u64);
-                    }
-                }
-            } else {
-                assert!(out.is_none());
+        for (r, got) in res.results.iter().enumerate() {
+            for (i, &op) in ops.iter().enumerate() {
+                assert_eq!(got[i], expect(op, seed, i, r, p), "p={p} rank {r} op {i}");
             }
         }
     }

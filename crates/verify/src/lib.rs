@@ -13,7 +13,7 @@
 //!   rank-by-rank dump (call site, awaited source, tag) instead of a
 //!   timeout.
 //! * **Collective matching** — every collective entry registers a
-//!   fingerprint (kind, root, element type, length, call site) under its
+//!   fingerprint (kind, element type, length, call site) under its
 //!   SPMD sequence number; the first cross-rank disagreement aborts the
 //!   collective with both call sites named, before its internal messages
 //!   can entangle the tag space.
@@ -129,13 +129,6 @@ fn fmt_len(len: Option<usize>) -> String {
     }
 }
 
-fn fmt_root(root: Option<usize>) -> String {
-    match root {
-        Some(r) => format!("root={r}, "),
-        None => String::new(),
-    }
-}
-
 /// A blocked-receive episode, one node of the wait-for graph.
 #[derive(Debug, Clone)]
 struct Blocked {
@@ -149,7 +142,6 @@ struct Blocked {
 #[derive(Debug)]
 struct CollRecord {
     kind: CollKind,
-    root: Option<usize>,
     elem_type: &'static str,
     len: Option<usize>,
     context: String,
@@ -157,26 +149,8 @@ struct CollRecord {
     arrived: usize,
 }
 
-impl CollRecord {
-    fn describe(&self) -> String {
-        format!(
-            "{}({}{}, len={})",
-            self.kind.name(),
-            fmt_root(self.root),
-            self.elem_type,
-            fmt_len(self.len)
-        )
-    }
-}
-
-fn describe_fp(fp: &CollFingerprint<'_>) -> String {
-    format!(
-        "{}({}{}, len={})",
-        fp.kind.name(),
-        fmt_root(fp.root),
-        fp.elem_type,
-        fmt_len(fp.len)
-    )
+fn describe(kind: CollKind, elem_type: &str, len: Option<usize>) -> String {
+    format!("{}({elem_type}, len={})", kind.name(), fmt_len(len))
 }
 
 /// An open split-phase exchange on one rank.
@@ -347,7 +321,6 @@ impl VerifyHooks for Verifier {
                     seq,
                     CollRecord {
                         kind: fp.kind,
-                        root: fp.root,
                         elem_type: fp.elem_type,
                         len: fp.len,
                         context: fp.context.to_owned(),
@@ -359,17 +332,14 @@ impl VerifyHooks for Verifier {
             }
             Some(rec) => rec,
         };
-        let mismatch = rec.kind != fp.kind
-            || rec.root != fp.root
-            || rec.elem_type != fp.elem_type
-            || matches!((rec.len, fp.len), (Some(a), Some(b)) if a != b);
-        if mismatch {
+        // Within one kind `len` is either always or never `Some`.
+        if rec.kind != fp.kind || rec.elem_type != fp.elem_type || rec.len != fp.len {
             let diag = format!(
                 "cmt-verify: COLLECTIVE MISMATCH at collective #{seq}: rank {rank} called {} at call site {:?}, but rank {} called {} at call site {:?}",
-                describe_fp(&fp),
+                describe(fp.kind, fp.elem_type, fp.len),
                 fp.context,
                 rec.first_rank,
-                rec.describe(),
+                describe(rec.kind, rec.elem_type, rec.len),
                 rec.context,
             );
             Self::push_finding(
@@ -379,11 +349,6 @@ impl VerifyHooks for Verifier {
                 diag.clone(),
             );
             return Err(diag);
-        }
-        if rec.len.is_none() {
-            // e.g. the bcast root announcing the authoritative length
-            // after a non-root rank opened the record.
-            rec.len = fp.len;
         }
         rec.arrived += 1;
         if rec.arrived == size {

@@ -69,24 +69,28 @@ fn three_rank_cycle_deadlock_is_detected() {
     );
 }
 
-/// Ranks disagree on the broadcast root.
+/// Ranks disagree on the allreduce element type.
 #[test]
-fn bcast_root_mismatch_is_detected() {
+fn allreduce_elem_type_mismatch_is_detected() {
     let verifier = run_checked(2, |rank| {
-        // Bug: each rank names itself the root.
-        let _ = rank.bcast(rank.rank(), vec![rank.rank() as u64]);
+        // Bug: rank 0 reduces doubles, rank 1 integers.
+        if rank.rank() == 0 {
+            let _ = rank.allreduce_f64(&[1.0], ReduceOp::Sum);
+        } else {
+            let _ = rank.allreduce_u64(&[1], ReduceOp::Sum);
+        }
     });
     let mismatches = verifier.findings_of(FindingKind::CollectiveMismatch);
     assert!(!mismatches.is_empty(), "{}", verifier.render());
     let d = &mismatches[0].detail;
     assert!(d.contains("COLLECTIVE MISMATCH"), "diagnostic: {d}");
     assert!(
-        d.contains("bcast(root=0,"),
-        "diagnostic must show one root: {d}"
+        d.contains("allreduce(f64, len=1)"),
+        "diagnostic must show one type: {d}"
     );
     assert!(
-        d.contains("bcast(root=1,"),
-        "diagnostic must show the other root: {d}"
+        d.contains("allreduce(u64, len=1)"),
+        "diagnostic must show the other type: {d}"
     );
 }
 
@@ -341,8 +345,8 @@ fn clean_p2p_and_collectives_have_zero_findings() {
             let _ = rank.recv::<f64>(prev, round);
             let _ = rank.allreduce_u64(&[round], ReduceOp::Sum);
         }
-        let _ = rank.bcast(2, vec![1u8, 2, 3]);
-        let _ = rank.gather(0, vec![rank.rank() as u64; rank.rank()]);
+        let _ = rank.exscan_u64(rank.rank() as u64);
+        let _ = rank.alltoallv(vec![vec![rank.rank() as u64; rank.rank()]; rank.size()]);
         let outgoing = vec![(next, vec![9.0f64])];
         let _ = rank.crystal_router(outgoing);
         rank.barrier();

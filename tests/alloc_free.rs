@@ -178,15 +178,14 @@ fn cmt_bone_particle_advect_allocation_free_at_steady_state() {
 }
 
 /// The load-balance monitor is the one steady-state region that does
-/// allocate, by design: `gather_costs` stages a dense `O(E + P)` vector
-/// for its allgather (whose result is an owned `Vec`) and `decide` builds
-/// three per-element/per-rank cost tables. A step that evaluates the
-/// balancer and does not rebalance costs 9–11 allocations and under
-/// 1.5 KiB per rank at this shape (32 elements) — not one fixed number,
-/// because which rank ends up the last holder of the allreduce's shared
-/// broadcast buffer is a race. Pin the ceiling, so a per-element or
-/// per-particle allocation slipping in is a failure. (A rebalancing step
-/// migrates elements; it is not steady state and stays unasserted.)
+/// allocate, by design. A step that evaluates the balancer and does not
+/// rebalance costs exactly 7 allocations and 960 bytes per rank at this
+/// shape (32 elements, 4 ranks): the owned-element particle counts,
+/// `gather_costs`' dense `O(E + P)` staging vector, the allreduce's owned
+/// result and the delay tail split off it, and `decide`'s three
+/// per-element/per-rank cost tables. Pinned exactly, so any allocation
+/// slipping in (or out) is a failure. (A rebalancing step migrates
+/// elements; it is not steady state and stays unasserted.)
 #[test]
 fn cmt_bone_lb_monitor_allocations_per_quiet_step_are_bounded() {
     assert!(cmt_perf::alloc::counting(), "counting allocator not active");
@@ -207,11 +206,11 @@ fn cmt_bone_lb_monitor_allocations_per_quiet_step_are_bounded() {
         steady_delta(&long.profile, &short.profile, cmt_perf::regions::LB_MONITOR);
     // 4 steps on each of 4 ranks, merged into one profile
     let rank_steps = 16;
-    assert!(allocs > 0, "the monitor region was not counted");
-    assert!(
-        allocs <= 12 * rank_steps && bytes <= 2048 * rank_steps,
-        "lb monitor: {allocs} allocs / {bytes} bytes over {rank_steps} quiet rank-steps \
-         (ceiling 12 allocs and 2 KiB each)"
+    assert_eq!(
+        (allocs, bytes),
+        (7 * rank_steps, 960 * rank_steps),
+        "lb monitor: allocs / bytes over {rank_steps} quiet rank-steps \
+         (expected 7 allocs and 960 bytes each)"
     );
 }
 

@@ -401,36 +401,59 @@ fn crystal_router_equals_alltoallv() {
     }
 }
 
-/// allreduce equals the serial fold for random vectors, sizes and ops.
+/// allreduce equals the serial fold for random vectors, sizes and ops,
+/// for `f64` and `u64` alike. Lengths reach past the inline limit, so
+/// pooled payloads run through the tree too. The inputs are integers, so
+/// the fold is exact and the results must match bit for bit.
 #[test]
 fn allreduce_matches_serial_fold() {
     let mut rng = SmallRng::seed_from_u64(0x7E57_0004);
     for trial in 0..24 {
         let p = rng.range_usize(1, 7);
-        let len = rng.range_usize(1, 9);
+        let len = rng.range_usize(1, 65);
         let op = [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max][trial % 3];
         let seed = rng.next_u64();
-        let data: Vec<Vec<f64>> = (0..p)
+        let ints: Vec<Vec<u64>> = (0..p)
             .map(|r| {
                 (0..len)
-                    .map(|i| {
-                        ((seed.wrapping_mul(r as u64 * 31 + i as u64 + 1) % 1000) as f64) - 500.0
-                    })
+                    .map(|i| seed.wrapping_mul(r as u64 * 31 + i as u64 + 1) % 1000)
                     .collect()
             })
             .collect();
-        let mut expect = data[0].clone();
-        for row in &data[1..] {
-            for (e, v) in expect.iter_mut().zip(row) {
-                *e = op.apply_f64(*e, *v);
+        let floats: Vec<Vec<f64>> = ints
+            .iter()
+            .map(|row| row.iter().map(|&v| v as f64 - 500.0).collect())
+            .collect();
+        let fold_f64 = |rows: &[Vec<f64>]| {
+            let mut acc = rows[0].clone();
+            for row in &rows[1..] {
+                for (a, v) in acc.iter_mut().zip(row) {
+                    *a = op.apply_f64(*a, *v);
+                }
             }
-        }
-        let data2 = data.clone();
-        let res = World::new().run(p, move |rank| rank.allreduce_f64(&data2[rank.rank()], op));
-        for got in &res.results {
-            for (g, e) in got.iter().zip(&expect) {
-                assert!((g - e).abs() < 1e-9, "{g} vs {e}");
+            acc
+        };
+        let fold_u64 = |rows: &[Vec<u64>]| {
+            let mut acc = rows[0].clone();
+            for row in &rows[1..] {
+                for (a, v) in acc.iter_mut().zip(row) {
+                    *a = op.apply_u64(*a, *v);
+                }
             }
+            acc
+        };
+        let (expect_f64, expect_u64) = (fold_f64(&floats), fold_u64(&ints));
+        let res = World::new().run(p, |rank| {
+            let me = rank.rank();
+            (
+                rank.allreduce_f64(&floats[me], op),
+                rank.allreduce_u64(&ints[me], op),
+            )
+        });
+        for (got_f64, got_u64) in &res.results {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got_f64), bits(&expect_f64), "p={p} len={len}");
+            assert_eq!(got_u64, &expect_u64, "p={p} len={len}");
         }
     }
 }
