@@ -14,13 +14,12 @@ use simmpi::{chunk_count, chunk_grain, Rank};
 use super::physics::Physics;
 use super::Env;
 
-/// BR1 viscous workspace: the gradient fields plus per-axis face-trace
-/// buffers (own and neighbor) for the q exchanges.
+/// BR1 viscous workspace: the gradient fields plus one face-trace buffer
+/// per axis, which the q exchange turns into own + neighbor sums.
 pub(super) struct ViscousWs {
     pub nu: f64,
     pub q: [Field; 3],
-    pub qown: [Vec<f64>; 3],
-    pub qnbr: [Vec<f64>; 3],
+    pub qfaces: [Vec<f64>; 3],
 }
 
 /// Everything on a rank that is sized by (and bound to) its current
@@ -40,8 +39,9 @@ pub(super) struct Block {
     pub scratch: Field,
     /// [`Physics::flux_scratch`].
     pub flux: Vec<Field>,
+    /// Each field's face traces ([`cmt_core::face::full2face`]), which
+    /// the exchange turns into own + neighbor sums in place.
     pub faces_all: Vec<Vec<f64>>,
-    pub faces_own_all: Vec<Vec<f64>>,
     /// Fine-mesh dealias buffer (empty when dealiasing is off); the
     /// interpolation matrices are partition-independent and live in
     /// [`Env`].
@@ -69,7 +69,6 @@ impl Block {
         let grain = chunk_grain(env.pool.as_deref(), nel);
         let n_chunks = chunk_count(env.pool.as_deref(), nel, grain);
         let fields = || (0..cfg.fields).map(|_| Field::zeros(n, nel)).collect();
-        let traces = || (0..cfg.fields).map(|_| vec![0.0; fpe * nel]).collect();
         Block {
             owned,
             nel,
@@ -79,15 +78,13 @@ impl Block {
             rhs_all: fields(),
             scratch: Field::zeros(n, nel),
             flux: env.physics.flux_scratch(n, nel),
-            faces_all: traces(),
-            faces_own_all: traces(),
+            faces_all: (0..cfg.fields).map(|_| vec![0.0; fpe * nel]).collect(),
             dealias_fine: vec![0.0; cfg.dealias_m.map_or(0, |m| m * m * m * nel)],
             dealias_scratch: vec![0.0; cfg.dealias_m.map_or(0, |m| n_chunks * 2 * m.max(n).pow(3))],
             viscous: cfg.viscosity.map(|nu| ViscousWs {
                 nu,
                 q: std::array::from_fn(|_| Field::zeros(n, nel)),
-                qown: std::array::from_fn(|_| vec![0.0; fpe * nel]),
-                qnbr: std::array::from_fn(|_| vec![0.0; fpe * nel]),
+                qfaces: std::array::from_fn(|_| vec![0.0; fpe * nel]),
             }),
             grain,
         }

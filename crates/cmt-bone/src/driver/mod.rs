@@ -24,7 +24,7 @@ use cmt_verify::Verifier;
 use simmpi::{Rank, ReduceOp, WorkerPool, World};
 
 use crate::config::Config;
-use crate::report::{LbSummary, RunReport};
+use crate::report::{modeled_flops, LbSummary, RunReport};
 use balance::balance;
 use block::{checkpoint_scalars, State};
 use physics::Physics;
@@ -358,6 +358,7 @@ fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
     } else {
         "-"
     };
+    let flops = modeled_flops(cfg, &mesh_cfg);
     let report = RunReport {
         mesh_summary: mesh_cfg.summary(),
         mesh: mesh_cfg,
@@ -375,6 +376,7 @@ fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
         lb: lb_total,
         steps: cfg.steps,
         fields: cfg.fields,
+        modeled_flops: flops,
         verify: verifier.map(|v| v.findings()),
     };
     (report, dumps)

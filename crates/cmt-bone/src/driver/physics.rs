@@ -10,7 +10,7 @@ use std::f64::consts::PI;
 
 use cmt_core::eos::{IdealGas, Primitive, NVARS};
 use cmt_core::euler::{max_wave_speed, rusanov_lift, volume_rhs};
-use cmt_core::ops::{stable_dt, upwind_face_correction};
+use cmt_core::ops::{stable_dt, upwind_lift};
 use cmt_core::Field;
 use cmt_perf::Profiler;
 use simmpi::{Rank, ReduceOp};
@@ -145,9 +145,11 @@ impl Physics {
     }
 
     /// After the exchange: lift the numerical flux into the RHS
-    /// (`add_face2full`). The proxy lifts an upwind flux field by field,
-    /// each followed by its viscous passes when viscosity is on; Euler
-    /// lifts one Rusanov flux over all five conserved variables.
+    /// (`add_face2full`). `faces_all` holds each field's own + neighbor
+    /// trace sums; the lifts read the own side from `u` and recover the
+    /// neighbor as `sum - own`. The proxy lifts an upwind flux field by
+    /// field, each followed by its viscous passes when viscosity is on;
+    /// Euler lifts one Rusanov flux over all five conserved variables.
     pub fn lift(&self, s: &mut Stepper, blk: &mut Block) {
         let env = s.env;
         let (cfg, basis, geom) = (&env.cfg, &env.basis, &env.geom);
@@ -155,16 +157,8 @@ impl Physics {
             Physics::Advection => {
                 for f in 0..cfg.fields {
                     s.prof.enter(regions::FLUX_LIFT);
-                    blk.neighbor_trace(f);
-                    let (own, nbr) = (&blk.faces_own_all[f], &blk.faces_all[f]);
-                    upwind_face_correction(
-                        basis,
-                        geom,
-                        cfg.velocity,
-                        own,
-                        nbr,
-                        &mut blk.rhs_all[f],
-                    );
+                    let (u, sum) = (blk.u[f].as_slice(), &blk.faces_all[f]);
+                    upwind_lift(basis, geom, cfg.velocity, u, sum, &mut blk.rhs_all[f]);
                     s.prof.exit();
                     if blk.viscous.is_some() {
                         s.viscous_pass(blk, f);
@@ -173,11 +167,7 @@ impl Physics {
             }
             Physics::Euler(gas) => {
                 s.prof.enter(regions::FLUX_LIFT);
-                for f in 0..cfg.fields {
-                    blk.neighbor_trace(f);
-                }
-                let (own, nbr) = (&blk.faces_own_all, &blk.faces_all);
-                rusanov_lift(gas, basis, geom, own, nbr, &mut blk.rhs_all);
+                rusanov_lift(gas, basis, geom, &blk.u, &blk.faces_all, &mut blk.rhs_all);
                 s.prof.exit();
             }
         }

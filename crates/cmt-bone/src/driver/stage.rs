@@ -113,8 +113,9 @@ pub(super) fn rk_step(
 }
 
 impl Stepper<'_> {
-    /// Surface extraction (`full2face_cmt`): field `f`'s face traces,
-    /// plus the own-side copy the lift subtracts after the exchange.
+    /// Surface extraction (`full2face_cmt`): field `f`'s face traces. The
+    /// exchange adds the neighbor's in place; `u` does not change before
+    /// the lift, which reads the own side from it again.
     fn extract(&mut self, blk: &mut Block, f: usize) {
         face::full2face(
             self.env.cfg.n,
@@ -122,7 +123,6 @@ impl Stepper<'_> {
             blk.u[f].as_slice(),
             &mut blk.faces_all[f],
         );
-        blk.faces_own_all[f].copy_from_slice(&blk.faces_all[f]);
     }
 }
 
@@ -248,16 +248,6 @@ impl VolumeTerm<'_> {
     }
 }
 
-impl Block {
-    /// Reduce field `f`'s exchanged trace sum to the neighbor trace
-    /// (sum − own).
-    pub(super) fn neighbor_trace(&mut self, f: usize) {
-        for (s, o) in self.faces_all[f].iter_mut().zip(&self.faces_own_all[f]) {
-            *s -= o;
-        }
-    }
-}
-
 impl Stepper<'_> {
     /// The BR1 viscous passes for field `f`: gradient with central
     /// traces, then the viscous divergence with its q-trace exchange.
@@ -265,8 +255,9 @@ impl Stepper<'_> {
     /// `gs_op` (3 exchanges per field per stage); under the overlapped
     /// pipeline all three axis traces go out in one bundled split-phase
     /// exchange whose in-flight time the three volume divergence
-    /// derivatives overlap. On entry `faces_all[f]` holds the absolute
-    /// neighbor trace (after the flux lift).
+    /// derivatives overlap. On entry `faces_all[f]` holds field `f`'s
+    /// exchanged trace sum (own + neighbor), as for the flux lift; every
+    /// lift here reads its own side from the volume data (`u`, then `q`).
     pub(super) fn viscous_pass(&mut self, blk: &mut Block, f: usize) {
         let env = self.env;
         let (cfg, basis, geom) = (&env.cfg, &env.basis, &env.geom);
@@ -277,12 +268,11 @@ impl Stepper<'_> {
             rhs_all,
             scratch,
             faces_all,
-            faces_own_all,
             viscous,
             ..
         } = blk;
         let ws = viscous.as_mut().expect("viscous workspace");
-        let (faces, faces_own, rhs) = (&faces_all[f], &faces_own_all[f], &mut rhs_all[f]);
+        let (uf, sum, rhs) = (u[f].as_slice(), &faces_all[f], &mut rhs_all[f]);
         let nu = ws.nu;
 
         self.prof.enter(regions::VISCOUS);
@@ -290,7 +280,7 @@ impl Stepper<'_> {
         let [qx, qy, qz] = &mut ws.q;
         phys_grad(cfg.variant, basis, geom, &u[f], qx, qy, qz);
         for (axis, q) in ws.q.iter_mut().enumerate() {
-            br1_gradient_lift(basis, geom, axis, faces_own, faces, q);
+            br1_gradient_lift(basis, geom, axis, uf, sum, q);
         }
         // viscous divergence: per axis a volume term and a central
         // surface-flux correction with the q-trace exchange between them.
@@ -306,38 +296,31 @@ impl Stepper<'_> {
             );
             rhs.axpy(nu * geom.dscale(axis), scratch);
         };
-        // On entry `qnbr` holds the exchanged trace *sum* (own +
-        // neighbor); it is reduced to the absolute neighbor trace in
-        // place, then the correction is lifted into `rhs`.
-        let correct = |qnbr: &mut [f64], qown: &[f64], axis: usize, rhs: &mut Field| {
-            for (nb, ow) in qnbr.iter_mut().zip(qown) {
-                *nb -= ow;
-            }
-            br1_central_correction(basis, geom, axis, nu, qown, qnbr, rhs);
+        // `qfaces` holds the exchanged q-trace sum (own + neighbor); the
+        // correction reads the own side from `q`, which the exchange
+        // leaves untouched.
+        let correct = |q: &Field, qsum: &[f64], axis: usize, rhs: &mut Field| {
+            br1_central_correction(basis, geom, axis, nu, q.as_slice(), qsum, rhs);
         };
         match cfg.pipeline {
             Pipeline::Blocking => {
                 for (axis, dir) in AXES {
                     volume(ws.q[axis].as_slice(), axis, dir, rhs);
-                    face::full2face(n, nel, ws.q[axis].as_slice(), &mut ws.qown[axis]);
-                    ws.qnbr[axis].copy_from_slice(&ws.qown[axis]);
+                    face::full2face(n, nel, ws.q[axis].as_slice(), &mut ws.qfaces[axis]);
                     self.rank.set_context("faces_visc");
-                    handle.gs_op(self.rank, &mut ws.qnbr[axis], GsOp::Add, self.chosen);
+                    handle.gs_op(self.rank, &mut ws.qfaces[axis], GsOp::Add, self.chosen);
                     self.rank.set_context("main");
-                    correct(&mut ws.qnbr[axis], &ws.qown[axis], axis, rhs);
+                    correct(&ws.q[axis], &ws.qfaces[axis], axis, rhs);
                 }
             }
             Pipeline::Overlapped => {
-                // The exchange is in place: it runs on `qnbr`, seeded
-                // with the own traces exactly as the blocking arm does.
                 for axis in 0..3 {
-                    face::full2face(n, nel, ws.q[axis].as_slice(), &mut ws.qown[axis]);
-                    ws.qnbr[axis].copy_from_slice(&ws.qown[axis]);
+                    face::full2face(n, nel, ws.q[axis].as_slice(), &mut ws.qfaces[axis]);
                 }
-                let mut qnbr = ws.qnbr.each_mut().map(|v| v.as_mut_slice());
+                let mut qfaces = ws.qfaces.each_mut().map(|v| v.as_mut_slice());
                 self.prof.enter(regions::GS_START);
                 self.rank.set_context("faces_visc");
-                handle.overlapped(self.rank, &mut qnbr, GsOp::Add, self.chosen, |rank, _| {
+                handle.overlapped(self.rank, &mut qfaces, GsOp::Add, self.chosen, |rank, _| {
                     rank.set_context("main");
                     self.prof.exit();
                     for (axis, dir) in AXES {
@@ -349,7 +332,7 @@ impl Stepper<'_> {
                 self.rank.set_context("main");
                 self.prof.exit();
                 for axis in 0..3 {
-                    correct(&mut ws.qnbr[axis], &ws.qown[axis], axis, rhs);
+                    correct(&ws.q[axis], &ws.qfaces[axis], axis, rhs);
                 }
             }
         }

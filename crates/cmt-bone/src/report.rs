@@ -5,6 +5,8 @@ use cmt_gs::{AutotuneReport, GsMethod};
 use cmt_mesh::MeshConfig;
 use cmt_perf::{MpipReport, ProfileReport};
 
+use crate::config::Config;
+
 /// Aggregate load-balancer activity over one run (all ranks), present
 /// when `Config::lb_every` enabled the balancer.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -72,32 +74,50 @@ pub struct RunReport {
     pub steps: usize,
     /// Conserved-variable fields stepped.
     pub fields: usize,
+    /// [`modeled_flops`] of the run; `None` when it ran work the model
+    /// does not count.
+    pub modeled_flops: Option<u64>,
     /// `cmt-verify` findings when the run was checked (`Config::verify`);
     /// `None` when verification was off, `Some(vec![])` for a clean run.
     pub verify: Option<Vec<cmt_verify::Finding>>,
 }
 
-impl RunReport {
-    /// Modelled floating-point work of the whole run (all ranks): the
-    /// derivative kernels (3 per field per stage), the RK updates, and
-    /// the face lift — from the exact operation counts of
-    /// [`cmt_core::cost`].
-    pub fn modeled_flops(&self) -> u64 {
-        use cmt_core::cost;
-        let n = self.mesh.n as u64;
-        let nel = (self.mesh.total_elems()) as u64;
-        let per_stage = cost::grad_counts(n, nel)
-            .plus(cost::rk_stage_counts(n, nel))
-            .plus(cost::face2full_counts(n, nel));
-        per_stage
-            .times(3 * self.steps as u64 * self.fields as u64)
-            .flops
+/// Modelled floating-point work of a whole run of `cfg` on `mesh` (all
+/// ranks): per field per RK stage the derivative kernels, the dealias
+/// round trip when it is on, the RK update and the face lift — from the
+/// exact operation counts of [`cmt_core::cost`]. `None` when the run does
+/// work the model has no counts for: Euler fluxes, the BR1 viscous
+/// passes, or the particle phase.
+pub(crate) fn modeled_flops(cfg: &Config, mesh: &MeshConfig) -> Option<u64> {
+    use cmt_core::cost;
+    if cfg.euler || cfg.viscosity.is_some() || cfg.particles_per_elem > 0 {
+        return None;
     }
+    let n = mesh.n as u64;
+    let nel = mesh.total_elems() as u64;
+    let mut per_stage = cost::grad_counts(n, nel)
+        .plus(cost::rk_stage_counts(n, nel))
+        .plus(cost::face2full_counts(n, nel));
+    if let Some(m) = cfg.dealias_m.map(|m| m as u64) {
+        per_stage = per_stage
+            .plus(cost::tensor3_counts(m, n, nel))
+            .plus(cost::tensor3_counts(n, m, nel));
+    }
+    let stages = cmt_core::rk::STAGES as u64;
+    Some(
+        per_stage
+            .times(stages * cfg.steps as u64 * cfg.fields as u64)
+            .flops,
+    )
+}
 
+impl RunReport {
     /// Achieved modelled flop rate over the slowest rank's wall time,
-    /// flops/second (a coarse utilization indicator, not a benchmark).
-    pub fn flop_rate(&self) -> f64 {
-        self.modeled_flops() as f64 / self.max_wall_s().max(1e-12)
+    /// flops/second (a coarse utilization indicator, not a benchmark);
+    /// `None` when the run is not modelled.
+    pub fn flop_rate(&self) -> Option<f64> {
+        self.modeled_flops
+            .map(|flops| flops as f64 / self.max_wall_s().max(1e-12))
     }
 
     /// Slowest rank's wall time (the run's critical path).
@@ -143,12 +163,18 @@ impl RunReport {
         ));
         out.push_str(&format!("state hash: {:016x}\n", self.state_hash));
         out.push_str(&format!(
-            "wall time: avg {:.4}s  max {:.4}s   modelled kernel work: {:.2} Gflop ({:.2} Gflop/s)\n",
+            "wall time: avg {:.4}s  max {:.4}s",
             self.avg_wall_s(),
             self.max_wall_s(),
-            self.modeled_flops() as f64 / 1e9,
-            self.flop_rate() / 1e9,
         ));
+        if let (Some(flops), Some(rate)) = (self.modeled_flops, self.flop_rate()) {
+            out.push_str(&format!(
+                "   modelled kernel work: {:.2} Gflop ({:.2} Gflop/s)",
+                flops as f64 / 1e9,
+                rate / 1e9,
+            ));
+        }
+        out.push('\n');
         out.push_str(&format!(
             "chosen gs method: {}\n",
             self.chosen_method.name()
@@ -255,9 +281,58 @@ mod tests {
             fields: 2,
             ..base
         });
-        assert_eq!(b.modeled_flops(), 4 * a.modeled_flops());
-        assert!(a.flop_rate() > 0.0);
+        let flops = |r: &crate::RunReport| r.modeled_flops.expect("the proxy is modelled");
+        assert_eq!(flops(&b), 4 * flops(&a));
+        assert!(a.flop_rate().is_some_and(|r| r > 0.0));
         assert!(a.render().contains("Gflop"));
+    }
+
+    #[test]
+    fn dealiased_run_counts_the_dealias_round_trip() {
+        let base = Config {
+            n: 4,
+            elems_per_rank: 2,
+            ranks: 2,
+            steps: 2,
+            fields: 2,
+            method: Some(GsMethod::PairwiseExchange),
+            ..Default::default()
+        };
+        let plain = run(&base);
+        let dealiased = run(&Config {
+            dealias_m: Some(6),
+            ..base
+        });
+        let (n, m, nel) = (4, 6, 4);
+        let round_trip = cmt_core::cost::tensor3_counts(m, n, nel)
+            .plus(cmt_core::cost::tensor3_counts(n, m, nel))
+            .times(cmt_core::rk::STAGES as u64 * 2 * 2)
+            .flops;
+        assert_eq!(
+            dealiased.modeled_flops,
+            plain.modeled_flops.map(|f| f + round_trip)
+        );
+        assert!(dealiased.render().contains("Gflop/s"));
+    }
+
+    #[test]
+    fn euler_run_prints_no_flop_rate() {
+        let rep = run(&Config {
+            n: 4,
+            elems_per_rank: 2,
+            ranks: 2,
+            steps: 2,
+            fields: 5,
+            euler: true,
+            method: Some(GsMethod::PairwiseExchange),
+            ..Default::default()
+        });
+        assert_eq!((rep.modeled_flops, rep.flop_rate()), (None, None));
+        let text = rep.render();
+        assert!(
+            text.contains("wall time:") && !text.contains("Gflop"),
+            "{text}"
+        );
     }
 
     #[test]

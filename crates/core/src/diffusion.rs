@@ -33,7 +33,7 @@
 use crate::face;
 use crate::field::Field;
 use crate::kernels::KernelVariant;
-use crate::ops::{self, advect_volume_rhs, upwind_face_correction};
+use crate::ops::{self, advect_volume_rhs, upwind_lift};
 use crate::periodic::{PeriodicBox, Viscous};
 use crate::rk;
 use std::f64::consts::PI;
@@ -77,8 +77,8 @@ pub struct AdvDiffSolver {
     u0: Field,
     rhs: Field,
     scratch: Field,
-    faces_own: Vec<f64>,
-    faces_nbr: Vec<f64>,
+    /// `u`'s face traces, exchanged to own + neighbor sums.
+    faces: Vec<f64>,
     /// The BR1 workspace, present when `nu > 0`.
     viscous: Option<Viscous>,
     time: f64,
@@ -98,8 +98,7 @@ impl AdvDiffSolver {
             u0: field(),
             rhs: field(),
             scratch: field(),
-            faces_own: bx.traces(),
-            faces_nbr: bx.traces(),
+            faces: bx.traces(),
             viscous: (cfg.nu > 0.0).then(|| Viscous::new(&bx, cfg.nu)),
             time: 0.0,
             bx,
@@ -144,12 +143,11 @@ impl AdvDiffSolver {
         let (basis, geom) = (&bx.basis, &bx.geom);
         let (u, rhs, scratch) = (&self.u, &mut self.rhs, &mut self.scratch);
         advect_volume_rhs(variant, basis, geom, vel, u, rhs, scratch);
-        face::full2face(bx.n, bx.nel(), u.as_slice(), &mut self.faces_own);
-        bx.exchange(&self.faces_own, &mut self.faces_nbr);
-        let (own, nbr) = (&self.faces_own, &self.faces_nbr);
-        upwind_face_correction(basis, geom, vel, own, nbr, rhs);
+        face::full2face(bx.n, bx.nel(), u.as_slice(), &mut self.faces);
+        bx.exchange(&mut self.faces);
+        upwind_lift(basis, geom, vel, u.as_slice(), &self.faces, rhs);
         if let Some(v) = &mut self.viscous {
-            v.add_to(bx, variant, u, own, nbr, rhs);
+            v.add_to(bx, variant, u, &self.faces, rhs);
         }
     }
 

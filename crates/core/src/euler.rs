@@ -98,20 +98,25 @@ pub fn volume_rhs(
 /// rhs_c[face node] -= (2 / h_axis) / w_end * (F*_c - sign F_axis,c(U_in))
 /// ```
 ///
-/// with `F*` the Rusanov flux of the own and neighbor traces. `own[c]` and
-/// `nbr[c]` are component `c`'s traces, laid out as for
-/// [`ops::upwind_face_correction`].
+/// with `F*` the Rusanov flux of the own and neighbor traces. Each face
+/// point reads its own state from the conserved fields `u` and recovers
+/// the neighbor's as `sum[c] - own`, where `sum[c]` is component `c`'s
+/// exchanged trace sum, as for [`ops::upwind_lift`].
 pub fn rusanov_lift(
     gas: &IdealGas,
     basis: &Basis,
     geom: &ElementGeom,
-    own: &[Vec<f64>],
-    nbr: &[Vec<f64>],
+    u: &[Field],
+    sum: &[Vec<f64>],
     rhs: &mut [Field],
 ) {
     let (n, nel) = (rhs[0].n(), rhs[0].nel());
     let (n2, n3) = (n * n, n * n * n);
     let fpe = face::face_values_per_element(n);
+    for (uc, sc) in u.iter().zip(sum) {
+        assert_eq!(uc.len(), n3 * nel, "volume length");
+        assert_eq!(sc.len(), fpe * nel, "trace sum length");
+    }
     let w_end = basis.weights[0];
     for e in 0..nel {
         for f in Face::ALL {
@@ -119,16 +124,16 @@ pub fn rusanov_lift(
             let sign = f.sign() as f64;
             let lift = geom.dscale(axis) / w_end;
             let off = e * fpe + f.index() * n2;
-            for p in 0..n2 {
-                let ul: [f64; NVARS] = std::array::from_fn(|c| own[c][off + p]);
-                let ur: [f64; NVARS] = std::array::from_fn(|c| nbr[c][off + p]);
+            face::for_each_face_index(n, f, |p, i| {
+                let idx = e * n3 + i;
+                let ul = point_state(u, idx);
+                let ur: [f64; NVARS] = std::array::from_fn(|c| sum[c][off + p] - ul[c]);
                 let fstar = gas.rusanov_flux(&ul, &ur, axis, sign);
                 let fown = gas.flux(&ul, axis);
-                let idx = e * n3 + face::face_point_volume_index(n, f, p);
                 for c in 0..NVARS {
                     rhs[c].as_mut_slice()[idx] -= lift * (fstar[c] - sign * fown[c]);
                 }
-            }
+            });
         }
     }
 }
@@ -179,8 +184,9 @@ pub struct EulerSolver {
     /// All five flux components of the current axis ([`volume_rhs`]).
     flux: Vec<Field>,
     scratch: Field,
-    faces_own: Vec<Vec<f64>>,
-    faces_nbr: Vec<Vec<f64>>,
+    /// Each conserved field's face traces, exchanged to own + neighbor
+    /// sums.
+    faces: Vec<Vec<f64>>,
     /// The BR1 workspace, present when artificial viscosity is on.
     viscous: Option<Viscous>,
     time: f64,
@@ -196,15 +202,13 @@ impl EulerSolver {
         );
         let bx = PeriodicBox::new(cfg.n, cfg.elems, cfg.lengths);
         let fields = || (0..NVARS).map(|_| Field::zeros(cfg.n, bx.nel())).collect();
-        let traces = || (0..NVARS).map(|_| bx.traces()).collect();
         EulerSolver {
             u: fields(),
             u0: fields(),
             rhs: fields(),
             flux: fields(),
             scratch: Field::zeros(cfg.n, bx.nel()),
-            faces_own: traces(),
-            faces_nbr: traces(),
+            faces: (0..NVARS).map(|_| bx.traces()).collect(),
             viscous: (cfg.artificial_viscosity > 0.0)
                 .then(|| Viscous::new(&bx, cfg.artificial_viscosity)),
             time: 0.0,
@@ -287,23 +291,15 @@ impl EulerSolver {
         let (basis, geom) = (&bx.basis, &bx.geom);
         let (u, flux, scratch, rhs) = (&self.u, &mut self.flux, &mut self.scratch, &mut self.rhs);
         volume_rhs(variant, basis, geom, gas, u, flux, scratch, rhs);
-        for c in 0..NVARS {
-            face::full2face(bx.n, bx.nel(), self.u[c].as_slice(), &mut self.faces_own[c]);
-            bx.exchange(&self.faces_own[c], &mut self.faces_nbr[c]);
+        for (uc, faces) in u.iter().zip(self.faces.iter_mut()) {
+            face::full2face(bx.n, bx.nel(), uc.as_slice(), faces);
+            bx.exchange(faces);
         }
-        rusanov_lift(
-            gas,
-            basis,
-            geom,
-            &self.faces_own,
-            &self.faces_nbr,
-            &mut self.rhs,
-        );
+        rusanov_lift(gas, basis, geom, u, &self.faces, rhs);
         // artificial viscosity: rhs_c += nu lap u_c
         if let Some(v) = &mut self.viscous {
             for c in 0..NVARS {
-                let (own, nbr) = (&self.faces_own[c], &self.faces_nbr[c]);
-                v.add_to(bx, variant, &self.u[c], own, nbr, &mut self.rhs[c]);
+                v.add_to(bx, variant, &u[c], &self.faces[c], &mut rhs[c]);
             }
         }
     }
@@ -688,5 +684,111 @@ mod tests {
             s.stable_dt(0.3)
         };
         assert!(mk(2.0) < mk(0.1));
+    }
+
+    /// The Rusanov lift as it was when it took own and neighbor traces.
+    fn old_rusanov_lift(
+        gas: &IdealGas,
+        basis: &Basis,
+        geom: &ElementGeom,
+        own: &[Vec<f64>],
+        nbr: &[Vec<f64>],
+        rhs: &mut [Field],
+    ) {
+        let (n, nel) = (rhs[0].n(), rhs[0].nel());
+        let (n2, n3) = (n * n, n * n * n);
+        let fpe = face::face_values_per_element(n);
+        let w_end = basis.weights[0];
+        for e in 0..nel {
+            for f in Face::ALL {
+                let axis = f.axis();
+                let sign = f.sign() as f64;
+                let lift = geom.dscale(axis) / w_end;
+                let off = e * fpe + f.index() * n2;
+                for p in 0..n2 {
+                    let ul: [f64; NVARS] = std::array::from_fn(|c| own[c][off + p]);
+                    let ur: [f64; NVARS] = std::array::from_fn(|c| nbr[c][off + p]);
+                    let fstar = gas.rusanov_flux(&ul, &ur, axis, sign);
+                    let fown = gas.flux(&ul, axis);
+                    let idx = e * n3 + face::face_point_volume_index(n, f, p);
+                    for c in 0..NVARS {
+                        rhs[c].as_mut_slice()[idx] -= lift * (fstar[c] - sign * fown[c]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rusanov_lift_is_bitwise_the_recovered_trace_path() {
+        let (n, nel) = (5, 3);
+        let gas = IdealGas::default();
+        let basis = Basis::new(n);
+        let geom = ElementGeom {
+            hx: 0.5,
+            hy: 1.25,
+            hz: 2.0,
+        };
+        let n3 = n * n * n;
+        // a perturbed stream into each face in turn
+        for (seed, f) in Face::ALL.into_iter().enumerate() {
+            let state = |seed: u64| -> Vec<Field> {
+                let r = crate::ops::tests::noise(5 * n3 * nel, seed);
+                let mut u: Vec<Field> = (0..NVARS).map(|_| Field::zeros(n, nel)).collect();
+                for idx in 0..n3 * nel {
+                    let d = |k: usize| r[k * n3 * nel + idx];
+                    let mut vel = [0.2 * d(1), 0.2 * d(2), 0.2 * d(3)];
+                    vel[f.axis()] -= 0.6 * f.sign() as f64;
+                    let w = gas.conserved(Primitive {
+                        rho: 1.0 + 0.3 * d(0),
+                        vel,
+                        p: 1.0 + 0.3 * d(4),
+                    });
+                    for c in 0..NVARS {
+                        u[c].as_mut_slice()[idx] = w[c];
+                    }
+                }
+                u
+            };
+            let traces = |u: &[Field]| -> Vec<Vec<f64>> {
+                u.iter()
+                    .map(|uc| {
+                        let mut t = vec![0.0; face::face_values_per_element(n) * nel];
+                        face::full2face(n, nel, uc.as_slice(), &mut t);
+                        t
+                    })
+                    .collect()
+            };
+            let (u, other) = (state(100 + seed as u64), state(200 + seed as u64));
+            let own = traces(&u);
+            let sum: Vec<Vec<f64>> = own
+                .iter()
+                .zip(traces(&other))
+                .map(|(o, b)| o.iter().zip(&b).map(|(o, b)| o + b).collect())
+                .collect();
+            let nbr: Vec<Vec<f64>> = own
+                .iter()
+                .zip(&sum)
+                .map(|(o, s)| crate::ops::tests::recovered(o, s))
+                .collect();
+            let start: Vec<Field> = (0..NVARS)
+                .map(|c| {
+                    Field::from_fn(n, nel, |e, i, j, k| {
+                        0.1 * (c + e + 2 * i + 3 * j + k) as f64
+                    })
+                })
+                .collect();
+            let (mut new, mut old) = (start.clone(), start);
+            rusanov_lift(&gas, &basis, &geom, &u, &sum, &mut new);
+            old_rusanov_lift(&gas, &basis, &geom, &own, &nbr, &mut old);
+            for c in 0..NVARS {
+                let bits = |f: &Field| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&new[c]),
+                    bits(&old[c]),
+                    "inflow face {f:?}, component {c}"
+                );
+            }
+        }
     }
 }

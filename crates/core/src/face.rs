@@ -128,6 +128,20 @@ pub fn face_point_volume_index(n: usize, f: Face, p: usize) -> usize {
     base + (p % n) * stride_a + (p / n) * stride_b
 }
 
+/// Walk face `f` of one element in face-point order, handing `visit`
+/// each face-point index `p` together with its index within the
+/// element's `n^3` volume data.
+#[inline]
+pub fn for_each_face_index(n: usize, f: Face, mut visit: impl FnMut(usize, usize)) {
+    let (base, stride_a, stride_b) = face_strides(n, f);
+    for b in 0..n {
+        let row = base + b * stride_b;
+        for a in 0..n {
+            visit(b * n + a, row + a * stride_a);
+        }
+    }
+}
+
 /// Walk face `f` of one element (`ue` is its `n^3` volume data) in
 /// face-point order, handing `visit` each face-point index `p` together
 /// with the volume value under it.
@@ -138,13 +152,7 @@ pub fn for_each_face_point(
     ue: &mut [f64],
     mut visit: impl FnMut(usize, &mut f64),
 ) {
-    let (base, stride_a, stride_b) = face_strides(n, f);
-    for b in 0..n {
-        let row = base + b * stride_b;
-        for a in 0..n {
-            visit(b * n + a, &mut ue[row + a * stride_a]);
-        }
-    }
+    for_each_face_index(n, f, |p, i| visit(p, &mut ue[i]));
 }
 
 /// Gather all element faces into a contiguous surface array.
@@ -157,27 +165,25 @@ pub fn for_each_face_point(
 pub fn full2face(n: usize, nel: usize, u: &[f64], faces: &mut [f64]) {
     assert_eq!(u.len(), n * n * n * nel, "volume length mismatch");
     assert_eq!(faces.len(), 6 * n * n * nel, "surface length mismatch");
-    let n2 = n * n;
-    let n3 = n2 * n;
+    let (n2, n3) = (n * n, n * n * n);
     let last = n - 1;
-    for e in 0..nel {
-        let ue = &u[e * n3..(e + 1) * n3];
-        let fe = &mut faces[e * 6 * n2..(e + 1) * 6 * n2];
-        // Unrolled per-face loops keep every gather's source stride explicit.
+    for (ue, fe) in u.chunks_exact(n3).zip(faces.chunks_exact_mut(6 * n2)) {
         let (f0, rest) = fe.split_at_mut(n2);
         let (f1, rest) = rest.split_at_mut(n2);
         let (f2, rest) = rest.split_at_mut(n2);
         let (f3, rest) = rest.split_at_mut(n2);
         let (f4, f5) = rest.split_at_mut(n2);
-        for b in 0..n {
-            for a in 0..n {
-                let p = b * n + a;
-                f0[p] = ue[(b * n + a) * n]; // (0, a, b)
-                f1[p] = ue[(b * n + a) * n + last]; // (last, a, b)
-                f2[p] = ue[(b * n) * n + a]; // (a, 0, b)
-                f3[p] = ue[(b * n + last) * n + a]; // (a, last, b)
-                f4[p] = ue[b * n + a]; // (a, b, 0)
-                f5[p] = ue[(last * n + b) * n + a]; // (a, b, last)
+        // Walked plane by plane (`b` = k): the t faces are whole planes,
+        // the s faces one row of each plane, and only the r faces gather
+        // at stride `n`.
+        f4.copy_from_slice(&ue[..n2]); // (a, b, 0)
+        f5.copy_from_slice(&ue[last * n2..]); // (a, b, last)
+        for (b, plane) in ue.chunks_exact(n2).enumerate() {
+            f2[b * n..][..n].copy_from_slice(&plane[..n]); // (a, 0, b)
+            f3[b * n..][..n].copy_from_slice(&plane[last * n..]); // (a, last, b)
+            for (a, row) in plane.chunks_exact(n).enumerate() {
+                f0[b * n + a] = row[0]; // (0, a, b)
+                f1[b * n + a] = row[last]; // (last, a, b)
             }
         }
     }

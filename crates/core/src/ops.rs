@@ -7,8 +7,9 @@
 //! side (volume term + upwind surface lifting), the two BR1 viscous face
 //! terms and the stable timestep on top of the [`crate::kernels`] and
 //! [`crate::face`] primitives. The serial reference solvers and the
-//! distributed mini-app call these same functions; they differ only in how
-//! the neighbor traces arrive.
+//! distributed mini-app call these same functions on the volume data and
+//! the exchanged own + neighbor trace sums; they differ only in how the
+//! sums are exchanged.
 
 use crate::face::{self, Face};
 use crate::field::Field;
@@ -164,8 +165,9 @@ pub fn advect_volume_rhs_slices(
 /// flux equals the interior flux and the correction vanishes.
 ///
 /// `uin` are the element's own face traces (from [`face::full2face`]) and
-/// `unbr` the neighbor traces in *matching face-point order* (what the
-/// gather-scatter exchange delivers).
+/// `unbr` the neighbor traces in *matching face-point order*. The
+/// solvers call [`upwind_lift`], which takes what an Add exchange
+/// delivers instead; both wrap the same per-face kernel.
 pub fn upwind_face_correction(
     basis: &Basis,
     geom: &ElementGeom,
@@ -174,14 +176,55 @@ pub fn upwind_face_correction(
     unbr: &[f64],
     rhs: &mut Field,
 ) {
+    let fpe = face::face_values_per_element(rhs.n());
+    assert_eq!(uin.len(), fpe * rhs.nel(), "uin length");
+    assert_eq!(unbr.len(), fpe * rhs.nel(), "unbr length");
+    let traces = Traces::Pair {
+        own: uin,
+        nbr: unbr,
+    };
+    upwind_inflow_faces(basis, geom, vel, traces, rhs);
+}
+
+/// [`upwind_face_correction`] from the volume data `u` and `sum`, the
+/// exchanged own + neighbor trace sum (an Add exchange of
+/// [`face::full2face`] of `u`): each inflow face point reads its own
+/// trace from `u` and recovers the neighbor trace as `sum - own`.
+pub fn upwind_lift(
+    basis: &Basis,
+    geom: &ElementGeom,
+    vel: [f64; 3],
+    u: &[f64],
+    sum: &[f64],
+    rhs: &mut Field,
+) {
+    check_volume_and_sum(rhs, u, sum);
+    upwind_inflow_faces(basis, geom, vel, Traces::Sum { u, sum }, rhs);
+}
+
+/// Where a lift reads a face point's own and neighbor traces.
+#[derive(Clone, Copy)]
+enum Traces<'a> {
+    /// Both traces given, in surface layout.
+    Pair { own: &'a [f64], nbr: &'a [f64] },
+    /// The volume data and the exchanged own + neighbor trace sum.
+    Sum { u: &'a [f64], sum: &'a [f64] },
+}
+
+/// The element and face loop of both upwind forms: each inflow face gets
+/// its traces sliced out of `traces` and handed to [`upwind_face`].
+fn upwind_inflow_faces(
+    basis: &Basis,
+    geom: &ElementGeom,
+    vel: [f64; 3],
+    traces: Traces,
+    rhs: &mut Field,
+) {
     let n = rhs.n();
-    let nel = rhs.nel();
-    let n2 = n * n;
+    let (n2, n3) = (n * n, n * n * n);
     let fpe = face::face_values_per_element(n);
-    assert_eq!(uin.len(), fpe * nel, "uin length");
-    assert_eq!(unbr.len(), fpe * nel, "unbr length");
     let w_end = basis.weights[0];
-    for (e, ue) in rhs.as_mut_slice().chunks_exact_mut(n * n2).enumerate() {
+    for (e, re) in rhs.as_mut_slice().chunks_exact_mut(n3).enumerate() {
         for f in Face::ALL {
             let axis = f.axis();
             let cn = vel[axis] * f.sign() as f64;
@@ -190,14 +233,41 @@ pub fn upwind_face_correction(
             }
             let lift = geom.dscale(axis) / w_end;
             let off = e * fpe + f.index() * n2;
-            let (own, nbr) = (&uin[off..off + n2], &unbr[off..off + n2]);
-            face::for_each_face_point(n, f, ue, |p, r| {
-                let jump = nbr[p] - own[p];
-                // -(2/h)/w * (F*_n - F_n) with F*_n - F_n = cn * jump
-                *r += -lift * cn * jump;
-            });
+            match traces {
+                Traces::Pair { own, nbr } => {
+                    let (own, nbr) = (&own[off..][..n2], &nbr[off..][..n2]);
+                    upwind_face(n, f, lift, cn, re, |p, _| (own[p], nbr[p]));
+                }
+                Traces::Sum { u, sum } => {
+                    let (ue, sum) = (&u[e * n3..][..n3], &sum[off..][..n2]);
+                    upwind_face(n, f, lift, cn, re, |p, i| {
+                        let own = ue[i];
+                        (own, sum[p] - own)
+                    });
+                }
+            }
         }
     }
+}
+
+/// The upwind correction on one inflow face `f` of one element (`re` is
+/// its RHS): `trace(p, i)` gives the own and neighbor trace of face point
+/// `p`, whose volume index is `i`.
+#[inline(always)]
+fn upwind_face(
+    n: usize,
+    f: Face,
+    lift: f64,
+    cn: f64,
+    re: &mut [f64],
+    trace: impl Fn(usize, usize) -> (f64, f64),
+) {
+    face::for_each_face_index(n, f, |p, i| {
+        let (own, nbr) = trace(p, i);
+        let jump = nbr - own;
+        // -(2/h)/w * (F*_n - F_n) with F*_n - F_n = cn * jump
+        re[i] += -lift * cn * jump;
+    });
 }
 
 /// BR1 gradient lift on the two faces normal to `axis`. On entry `q`
@@ -209,18 +279,18 @@ pub fn upwind_face_correction(
 ///               = (2 / h_axis) / w_end * sign * (u_nbr - u_in) / 2
 /// ```
 ///
-/// `own` and `nbr` are the traces of `u`, laid out as for
-/// [`upwind_face_correction`].
+/// `u` is the volume data and `sum` its exchanged trace sum, as for
+/// [`upwind_lift`].
 pub fn br1_gradient_lift(
     basis: &Basis,
     geom: &ElementGeom,
     axis: usize,
-    own: &[f64],
-    nbr: &[f64],
+    u: &[f64],
+    sum: &[f64],
     q: &mut Field,
 ) {
     let lift = geom.dscale(axis) / basis.weights[0];
-    for_each_axis_face_point(axis, own, nbr, q, |sign, own, nbr, q| {
+    for_each_axis_face_point(axis, u, sum, q, |sign, own, nbr, q| {
         *q += lift * sign * (0.5 * (nbr - own));
     });
 }
@@ -234,45 +304,65 @@ pub fn br1_gradient_lift(
 ///                 = (2 / h_axis) / w_end * sign * nu * (q_nbr - q_in) / 2
 /// ```
 ///
-/// `qown` and `qnbr` are the traces of the gradient component `q_axis`.
+/// `q` is the gradient component `q_axis` and `qsum` its exchanged trace
+/// sum, as for [`upwind_lift`].
 pub fn br1_central_correction(
     basis: &Basis,
     geom: &ElementGeom,
     axis: usize,
     nu: f64,
-    qown: &[f64],
-    qnbr: &[f64],
+    q: &[f64],
+    qsum: &[f64],
     rhs: &mut Field,
 ) {
     let lift = geom.dscale(axis) / basis.weights[0];
-    for_each_axis_face_point(axis, qown, qnbr, rhs, |sign, own, nbr, r| {
+    for_each_axis_face_point(axis, q, qsum, rhs, |sign, own, nbr, r| {
         *r += lift * sign * nu * 0.5 * (nbr - own);
     });
 }
 
 /// Walk the two faces normal to `axis` of every element of `out`, handing
-/// `visit` the face's sign, the point's own and neighbor traces, and the
-/// volume value under it.
+/// `visit` the face's sign, the point's own trace (read from the volume
+/// data `u`) and neighbor trace (`sum - own`), and the value of `out`
+/// under it.
 fn for_each_axis_face_point(
     axis: usize,
-    own: &[f64],
-    nbr: &[f64],
+    u: &[f64],
+    sum: &[f64],
     out: &mut Field,
     mut visit: impl FnMut(f64, f64, f64, &mut f64),
 ) {
+    check_volume_and_sum(out, u, sum);
     let n = out.n();
-    let n2 = n * n;
+    let (n2, n3) = (n * n, n * n * n);
     let fpe = face::face_values_per_element(n);
-    assert_eq!(own.len(), fpe * out.nel(), "own length");
-    assert_eq!(nbr.len(), fpe * out.nel(), "nbr length");
-    for (e, ue) in out.as_mut_slice().chunks_exact_mut(n * n2).enumerate() {
+    for (e, (oe, ue)) in out
+        .as_mut_slice()
+        .chunks_exact_mut(n3)
+        .zip(u.chunks_exact(n3))
+        .enumerate()
+    {
         for f in [Face::from_index(2 * axis), Face::from_index(2 * axis + 1)] {
             let sign = f.sign() as f64;
-            let off = e * fpe + f.index() * n2;
-            let (own, nbr) = (&own[off..off + n2], &nbr[off..off + n2]);
-            face::for_each_face_point(n, f, ue, |p, v| visit(sign, own[p], nbr[p], v));
+            let se = &sum[e * fpe + f.index() * n2..][..n2];
+            face::for_each_face_index(n, f, |p, i| {
+                let own = ue[i];
+                visit(sign, own, se[p] - own, &mut oe[i]);
+            });
         }
     }
+}
+
+/// Length checks of the (volume, trace sum) pair a lift reads against
+/// the field it writes.
+fn check_volume_and_sum(out: &Field, u: &[f64], sum: &[f64]) {
+    let n = out.n();
+    assert_eq!(u.len(), n * n * n * out.nel(), "volume length");
+    assert_eq!(
+        sum.len(),
+        face::face_values_per_element(n) * out.nel(),
+        "trace sum length"
+    );
 }
 
 /// CFL-stable timestep on congruent elements of order `n`: per axis the
@@ -300,7 +390,7 @@ pub fn stable_dt(n: usize, geom: &ElementGeom, velocity: [f64; 3], nu: f64, cfl:
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -477,17 +567,22 @@ mod tests {
         let n = 4;
         let basis = Basis::new(n);
         let geom = ElementGeom::cube(1.0);
-        let len = face::face_values_per_element(n) * 2;
-        let own: Vec<f64> = (0..len).map(|i| (i as f64 * 0.3).sin()).collect();
+        let u = Field::from_fn(n, 2, |e, i, j, k| {
+            ((e + 3 * i + 5 * j + 7 * k) as f64).sin()
+        });
+        let mut own = vec![0.0; face::face_values_per_element(n) * 2];
+        face::full2face(n, 2, u.as_slice(), &mut own);
+        // a neighbor equal to the own trace: the sum is twice the trace
+        let agree: Vec<f64> = own.iter().map(|v| 2.0 * v).collect();
         let mut q = Field::zeros(n, 2);
-        br1_gradient_lift(&basis, &geom, 1, &own, &own, &mut q);
-        br1_central_correction(&basis, &geom, 1, 0.7, &own, &own, &mut q);
+        br1_gradient_lift(&basis, &geom, 1, u.as_slice(), &agree, &mut q);
+        br1_central_correction(&basis, &geom, 1, 0.7, u.as_slice(), &agree, &mut q);
         assert!(q.as_slice().iter().all(|&v| v == 0.0));
         // a unit jump lifts sign * (1 or nu) / 2 onto the s-faces only
-        let nbr: Vec<f64> = own.iter().map(|v| v + 1.0).collect();
+        let jump: Vec<f64> = own.iter().map(|v| 2.0 * v + 1.0).collect();
         let mut corr = Field::zeros(n, 2);
-        br1_gradient_lift(&basis, &geom, 1, &own, &nbr, &mut q);
-        br1_central_correction(&basis, &geom, 1, 0.7, &own, &nbr, &mut corr);
+        br1_gradient_lift(&basis, &geom, 1, u.as_slice(), &jump, &mut q);
+        br1_central_correction(&basis, &geom, 1, 0.7, u.as_slice(), &jump, &mut corr);
         let lift = geom.dscale(1) / basis.weights[0];
         for (field, scale) in [(&q, 1.0), (&corr, 0.7)] {
             for e in 0..2 {
@@ -505,6 +600,138 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Pseudo-random values in `[-1, 1)` (xorshift64*), so the kernel
+    /// checks below see no structure a face walk could hide behind.
+    pub(crate) fn noise(len: usize, seed: u64) -> Vec<f64> {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                let r = x.wrapping_mul(0x2545_f491_4f6c_dd1d);
+                (r >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+            })
+            .collect()
+    }
+
+    /// Volume data, its own traces and an Add-exchange trace sum with
+    /// pseudo-random neighbor traces: what a lift sees after the exchange.
+    fn volume_and_sum(n: usize, nel: usize, seed: u64) -> (Field, Vec<f64>, Vec<f64>) {
+        let u = noise(n * n * n * nel, seed);
+        let mut own = vec![0.0; face::face_values_per_element(n) * nel];
+        face::full2face(n, nel, &u, &mut own);
+        let nbr = noise(own.len(), seed + 1);
+        let sum = own.iter().zip(&nbr).map(|(o, b)| o + b).collect();
+        let mut field = Field::zeros(n, nel);
+        field.as_mut_slice().copy_from_slice(&u);
+        (field, own, sum)
+    }
+
+    /// The neighbor traces the exchange sum stands for, recovered the way
+    /// the solvers did before the lifts took the sum: `sum - own`.
+    pub(crate) fn recovered(own: &[f64], sum: &[f64]) -> Vec<f64> {
+        sum.iter().zip(own).map(|(s, o)| s - o).collect()
+    }
+
+    fn bits(f: &Field) -> Vec<u64> {
+        f.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The BR1 lifts as they were when they took own and neighbor traces.
+    fn old_br1_walk(
+        axis: usize,
+        own: &[f64],
+        nbr: &[f64],
+        out: &mut Field,
+        mut visit: impl FnMut(f64, f64, f64, &mut f64),
+    ) {
+        let n = out.n();
+        let n2 = n * n;
+        let fpe = face::face_values_per_element(n);
+        for (e, ue) in out.as_mut_slice().chunks_exact_mut(n * n2).enumerate() {
+            for f in [Face::from_index(2 * axis), Face::from_index(2 * axis + 1)] {
+                let sign = f.sign() as f64;
+                let off = e * fpe + f.index() * n2;
+                let (own, nbr) = (&own[off..off + n2], &nbr[off..off + n2]);
+                face::for_each_face_point(n, f, ue, |p, v| visit(sign, own[p], nbr[p], v));
+            }
+        }
+    }
+
+    #[test]
+    fn upwind_lift_is_bitwise_the_recovered_trace_path() {
+        let (n, nel) = (5, 4);
+        let basis = Basis::new(n);
+        let geom = ElementGeom {
+            hx: 0.5,
+            hy: 1.25,
+            hz: 2.0,
+        };
+        // each face alone the inflow one, then every sign pattern of a
+        // full velocity (three inflow faces, one per axis)
+        let mut velocities: Vec<[f64; 3]> = Face::ALL
+            .iter()
+            .map(|f| {
+                let mut v = [0.0; 3];
+                v[f.axis()] = -0.7 * f.sign() as f64;
+                v
+            })
+            .collect();
+        velocities.extend((0..8).map(|m| {
+            let s = |bit: usize| if m >> bit & 1 == 0 { 1.0 } else { -1.0 };
+            [0.8 * s(0), 0.53 * s(1), 0.31 * s(2)]
+        }));
+        for (seed, vel) in velocities.into_iter().enumerate() {
+            let (u, own, sum) = volume_and_sum(n, nel, 10 + seed as u64);
+            let start = Field::from_fn(n, nel, |e, i, j, k| {
+                0.1 * (e + 2 * i + 3 * j + 5 * k) as f64
+            });
+            let (mut new, mut old) = (start.clone(), start.clone());
+            upwind_lift(&basis, &geom, vel, u.as_slice(), &sum, &mut new);
+            let nbr = recovered(&own, &sum);
+            upwind_face_correction(&basis, &geom, vel, &own, &nbr, &mut old);
+            assert_eq!(bits(&new), bits(&old), "vel={vel:?}");
+            assert_ne!(bits(&new), bits(&start), "vel={vel:?}: no face lifted");
+        }
+    }
+
+    #[test]
+    fn br1_lifts_are_bitwise_the_recovered_trace_path() {
+        let (n, nel) = (5, 4);
+        let basis = Basis::new(n);
+        let geom = ElementGeom {
+            hx: 0.5,
+            hy: 1.25,
+            hz: 2.0,
+        };
+        let nu = 0.02;
+        for axis in 0..3 {
+            let (u, own, sum) = volume_and_sum(n, nel, 40 + axis as u64);
+            let nbr = recovered(&own, &sum);
+            let lift = geom.dscale(axis) / basis.weights[0];
+            let start = Field::from_fn(n, nel, |e, i, j, k| {
+                0.1 * (e + 2 * i + 3 * j + 5 * k) as f64
+            });
+
+            let (mut new, mut old) = (start.clone(), start.clone());
+            br1_gradient_lift(&basis, &geom, axis, u.as_slice(), &sum, &mut new);
+            old_br1_walk(axis, &own, &nbr, &mut old, |sign, own, nbr, q| {
+                *q += lift * sign * (0.5 * (nbr - own));
+            });
+            assert_eq!(bits(&new), bits(&old), "gradient lift, axis {axis}");
+            assert_ne!(bits(&new), bits(&start));
+
+            let (mut new, mut old) = (start.clone(), start.clone());
+            br1_central_correction(&basis, &geom, axis, nu, u.as_slice(), &sum, &mut new);
+            old_br1_walk(axis, &own, &nbr, &mut old, |sign, own, nbr, r| {
+                *r += lift * sign * nu * 0.5 * (nbr - own);
+            });
+            assert_eq!(bits(&new), bits(&old), "central correction, axis {axis}");
+            assert_ne!(bits(&new), bits(&start));
         }
     }
 

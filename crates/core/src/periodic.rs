@@ -66,20 +66,26 @@ impl PeriodicBox {
         (idx[2] * ey + idx[1]) * ex + idx[0]
     }
 
-    /// Fill `nbr` with each face's neighbor trace out of `own`.
+    /// Add each face's neighbor trace to its own, in place: `faces` holds
+    /// [`face::full2face`] traces on entry and own + neighbor sums on
+    /// return — what an Add gather–scatter of the same traces delivers.
     ///
     /// On a conforming Cartesian mesh the face-point ordering of a face
-    /// and of its neighbor's opposite face coincide, so this is a straight
-    /// copy — the same identity the distributed gather-scatter exchange
-    /// relies on.
-    pub fn exchange(&self, own: &[f64], nbr: &mut [f64]) {
+    /// and of its neighbor's opposite face coincide, so every minus face
+    /// and the plus face across it are one pair of point-wise sums — the
+    /// same identity the distributed gather–scatter exchange relies on.
+    pub fn exchange(&self, faces: &mut [f64]) {
         let n2 = self.n * self.n;
         let fpe = face::face_values_per_element(self.n);
         for e in 0..self.nel() {
-            for f in Face::ALL {
-                let src = self.neighbor(e, f) * fpe + f.opposite().index() * n2;
-                let dst = e * fpe + f.index() * n2;
-                nbr[dst..dst + n2].copy_from_slice(&own[src..src + n2]);
+            for f in [Face::RMinus, Face::SMinus, Face::TMinus] {
+                let a = e * fpe + f.index() * n2;
+                let b = self.neighbor(e, f) * fpe + f.opposite().index() * n2;
+                for p in 0..n2 {
+                    let s = faces[a + p] + faces[b + p];
+                    faces[a + p] = s;
+                    faces[b + p] = s;
+                }
             }
         }
     }
@@ -122,14 +128,13 @@ impl PeriodicBox {
 }
 
 /// The serial BR1 viscous term `rhs += nu lap u` and its workspace: per
-/// axis the gradient component `q`, its traces, and the divergence
-/// scratch.
+/// axis the gradient component `q`, its exchanged traces, and the
+/// divergence scratch.
 pub(crate) struct Viscous {
     nu: f64,
     q: Field,
     scratch: Field,
-    qown: Vec<f64>,
-    qnbr: Vec<f64>,
+    qfaces: Vec<f64>,
 }
 
 impl Viscous {
@@ -138,22 +143,20 @@ impl Viscous {
             nu,
             q: Field::zeros(bx.n, bx.nel()),
             scratch: Field::zeros(bx.n, bx.nel()),
-            qown: bx.traces(),
-            qnbr: bx.traces(),
+            qfaces: bx.traces(),
         }
     }
 
-    /// Add `nu lap u` to `rhs`, given `u`'s own and neighbor traces. Per
-    /// axis: the gradient component with its central-trace lift, the
-    /// volume divergence, then the q-trace exchange and central flux
-    /// correction.
+    /// Add `nu lap u` to `rhs`, given `u`'s exchanged trace sum
+    /// ([`PeriodicBox::exchange`]). Per axis: the gradient component with
+    /// its central-trace lift, the volume divergence, then the q-trace
+    /// exchange and central flux correction.
     pub fn add_to(
         &mut self,
         bx: &PeriodicBox,
         variant: KernelVariant,
         u: &Field,
-        own: &[f64],
-        nbr: &[f64],
+        sum: &[f64],
         rhs: &mut Field,
     ) {
         let (n, nel, d) = (bx.n, bx.nel(), &bx.basis.d);
@@ -161,14 +164,13 @@ impl Viscous {
             let scale = bx.geom.dscale(axis);
             kernels::deriv(variant, dir, n, nel, d, u.as_slice(), self.q.as_mut_slice());
             self.q.scale(scale);
-            br1_gradient_lift(&bx.basis, &bx.geom, axis, own, nbr, &mut self.q);
+            br1_gradient_lift(&bx.basis, &bx.geom, axis, u.as_slice(), sum, &mut self.q);
             let (q, scratch) = (self.q.as_slice(), self.scratch.as_mut_slice());
             kernels::deriv(variant, dir, n, nel, d, q, scratch);
             rhs.axpy(self.nu * scale, &self.scratch);
-            face::full2face(n, nel, self.q.as_slice(), &mut self.qown);
-            bx.exchange(&self.qown, &mut self.qnbr);
-            let (qown, qnbr) = (&self.qown, &self.qnbr);
-            br1_central_correction(&bx.basis, &bx.geom, axis, self.nu, qown, qnbr, rhs);
+            face::full2face(n, nel, q, &mut self.qfaces);
+            bx.exchange(&mut self.qfaces);
+            br1_central_correction(&bx.basis, &bx.geom, axis, self.nu, q, &self.qfaces, rhs);
         }
     }
 }
@@ -192,17 +194,25 @@ mod tests {
     }
 
     #[test]
-    fn exchange_hands_each_face_its_neighbors_opposite_face() {
+    fn exchange_adds_each_face_its_neighbors_opposite_face() {
         // two elements along x: each one's r-faces see the other's
         let bx = PeriodicBox::new(2, [2, 1, 1], [1.0; 3]);
         let own: Vec<f64> = (0..bx.traces().len()).map(|v| v as f64).collect();
-        let mut nbr = bx.traces();
-        bx.exchange(&own, &mut nbr);
+        let mut sum = own.clone();
+        bx.exchange(&mut sum);
         let face = |buf: &[f64], e: usize, f: Face| buf[(e * 6 + f.index()) * 4..][..4].to_vec();
-        assert_eq!(face(&nbr, 0, Face::RPlus), face(&own, 1, Face::RMinus));
-        assert_eq!(face(&nbr, 0, Face::RMinus), face(&own, 1, Face::RPlus));
-        assert_eq!(face(&nbr, 1, Face::RMinus), face(&own, 0, Face::RPlus));
-        // a single element along y: the box wraps onto itself
-        assert_eq!(face(&nbr, 0, Face::SPlus), face(&own, 0, Face::SMinus));
+        let plus =
+            |a: Vec<f64>, b: Vec<f64>| a.iter().zip(&b).map(|(x, y)| x + y).collect::<Vec<_>>();
+        for (e, f, ne) in [
+            (0, Face::RPlus, 1),
+            (0, Face::RMinus, 1),
+            (1, Face::RMinus, 0),
+            // a single element along y: the box wraps onto itself
+            (0, Face::SPlus, 0),
+            (1, Face::TMinus, 1),
+        ] {
+            let want = plus(face(&own, e, f), face(&own, ne, f.opposite()));
+            assert_eq!(face(&sum, e, f), want, "e={e} {f:?}");
+        }
     }
 }

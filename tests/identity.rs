@@ -25,6 +25,9 @@ const G5_BLOCKING: u64 = 0xd89f2adf16dcc17b;
 /// joined the driver (its final fields matched the former stand-alone
 /// Euler driver bit for bit).
 const G6: u64 = 0x6523912c40a2a015;
+/// G1 at a mixed-sign velocity: the plus faces of the y axis are the
+/// inflow ones, so the upwind lift reads own traces on both face kinds.
+const G7: u64 = 0xaa1d3736840007f4;
 
 const VARIANTS: [KernelVariant; 3] = [
     KernelVariant::Optimized,
@@ -99,6 +102,13 @@ fn g5() -> BoneConfig {
         viscosity: Some(0.02),
         method: Some(GsMethod::PairwiseExchange),
         ..Default::default()
+    }
+}
+
+fn g7() -> BoneConfig {
+    BoneConfig {
+        velocity: [0.7, -0.45, 0.3],
+        ..g1()
     }
 }
 
@@ -252,5 +262,12 @@ fn g6_euler_tracers_adaptive_dt() {
             balanced.state_hash, G6,
             "G6 under the load balancer ({plan})"
         );
+    }
+}
+
+#[test]
+fn g7_mixed_sign_velocity() {
+    for pipeline in [Pipeline::Overlapped, Pipeline::Blocking] {
+        assert_bone("G7", &g7(), pipeline, G7);
     }
 }
