@@ -25,7 +25,12 @@
 use cmt_core::kernels::{deriv, DerivDir};
 use cmt_core::poly::Basis;
 use cmt_core::{Field, KernelVariant};
-use simmpi::{chunk_grain, for_each_chunk, Stride, WorkerPool};
+use simmpi::{chunk_count, chunk_grain, for_each_chunk, Stride, WorkerPool};
+
+/// Byte budget of one element block's `u`, `w`, `t1` and `t2` (4
+/// elements at N = 10): small enough that the block stays in L2 across
+/// the six contractions and the mass term of one apply.
+const BLOCK_BYTES: usize = 128 * 1024;
 
 /// Precomputed operator data shared by all `ax` applications.
 #[derive(Debug, Clone)]
@@ -73,19 +78,46 @@ impl AxOperator {
     /// The caller completes assembly with a `dssum` over the continuous
     /// numbering.
     ///
-    /// `t1` and `t2` are scratch fields of the same shape.
+    /// `t1` and `t2` are scratch fields of order `n` holding at least
+    /// [`AxOperator::scratch_elems`]`(None, nel)` elements; fields of
+    /// `u`'s shape always do.
     pub fn apply(&self, u: &Field, w: &mut Field, t1: &mut Field, t2: &mut Field) {
         let _ = self.apply_pooled(None, u, w, t1, t2);
     }
 
+    /// `(elements per chunk slab, chunks)` of an apply over `nel`
+    /// elements. A slab is one block — as many elements as keep their
+    /// `u`, `w`, `t1` and `t2` within [`BLOCK_BYTES`], so the three
+    /// directions and the mass term run on data still in cache — or the
+    /// whole chunk when that is smaller.
+    fn scratch_layout(&self, pool: Option<&WorkerPool>, nel: usize) -> (usize, usize) {
+        let n3 = self.basis.n.pow(3);
+        let block = (BLOCK_BYTES / (4 * n3 * std::mem::size_of::<f64>())).max(1);
+        let grain = chunk_grain(pool, nel);
+        let largest = if pool.is_some() { grain } else { nel };
+        (block.min(largest), chunk_count(pool, nel, grain))
+    }
+
+    /// Elements each of `t1` and `t2` must hold for an apply over `nel`
+    /// elements, with or without `pool`: one block per pool chunk.
+    pub fn scratch_elems(&self, pool: Option<&WorkerPool>, nel: usize) -> usize {
+        let (slab, chunks) = self.scratch_layout(pool, nel);
+        slab * chunks
+    }
+
     /// [`AxOperator::apply`] with the element loop shared across a
     /// [`WorkerPool`] when one is given: elements are split into
-    /// contiguous chunks, each applied to its own subslices of
-    /// `w`/`t1`/`t2` by whichever worker claims (or steals) it. The
-    /// per-element arithmetic is identical for any chunking and nothing
-    /// is reduced across chunks, so the result is bitwise identical for
-    /// every worker count. Returns the worker-side `(allocations,
-    /// bytes)` for the caller's profiler region.
+    /// contiguous chunks, each applied to its own subslice of `w` (and
+    /// its own block of `t1`/`t2` scratch) by whichever worker claims
+    /// (or steals) it. The per-element arithmetic is identical for any
+    /// chunking or blocking and nothing is reduced across chunks, so the
+    /// result is bitwise identical for every worker count. Returns the
+    /// worker-side `(allocations, bytes)` for the caller's profiler
+    /// region.
+    ///
+    /// # Panics
+    /// Panics if `w` is not `u`'s shape, or if `t1`/`t2` are not of
+    /// order `n` with at least [`AxOperator::scratch_elems`] elements.
     pub fn apply_pooled(
         &self,
         pool: Option<&WorkerPool>,
@@ -98,27 +130,43 @@ impl AxOperator {
         let nel = u.nel();
         assert_eq!(n, self.basis.n, "order mismatch");
         assert_eq!((w.n(), w.nel()), (n, nel), "w shape");
-        assert_eq!((t1.n(), t1.nel()), (n, nel), "t1 shape");
-        assert_eq!((t2.n(), t2.nel()), (n, nel), "t2 shape");
+        let (slab, chunks) = self.scratch_layout(pool, nel);
+        for (name, t) in [("t1", &*t1), ("t2", &*t2)] {
+            assert!(
+                t.n() == n && t.nel() >= slab * chunks,
+                "{name} shape: order {} x {} elements, need order {n} x at least {} \
+                 ({chunks} chunk(s) of {slab}) for {nel} elements",
+                t.n(),
+                t.nel(),
+                slab * chunks,
+            );
+        }
         let n3 = n * n * n;
         let us = u.as_slice();
-        let per_elem = Stride::PerElem(n3);
+        let scratch = Stride::PerChunk(slab * n3);
         for_each_chunk(
             pool,
             nel,
             chunk_grain(pool, nel),
             [
-                (w.as_mut_slice(), per_elem),
-                (t1.as_mut_slice(), per_elem),
-                (t2.as_mut_slice(), per_elem),
+                (w.as_mut_slice(), Stride::PerElem(n3)),
+                (t1.as_mut_slice(), scratch),
+                (t2.as_mut_slice(), scratch),
             ],
-            |lo, hi, [w, t1, t2]| self.apply_slices(hi - lo, &us[lo * n3..hi * n3], w, t1, t2),
+            |lo, hi, [w, t1, t2]| {
+                // `max`: an empty apply has an empty slab
+                let block = t1.len().max(n3);
+                for (u, w) in us[lo * n3..hi * n3].chunks(block).zip(w.chunks_mut(block)) {
+                    let len = u.len();
+                    self.apply_block(len / n3, u, w, &mut t1[..len], &mut t2[..len]);
+                }
+            },
         )
     }
 
-    /// `nel` contiguous elements in `Field` layout: the unit the chunked
-    /// element loop calls.
-    fn apply_slices(&self, nel: usize, u: &[f64], w: &mut [f64], t1: &mut [f64], t2: &mut [f64]) {
+    /// `nel` contiguous elements in `Field` layout, with `t1`/`t2` of
+    /// the same length: the unit the blocked element loop calls.
+    fn apply_block(&self, nel: usize, u: &[f64], w: &mut [f64], t1: &mut [f64], t2: &mut [f64]) {
         let n = self.basis.n;
         let n3 = n * n * n;
         let stiff_coef = self.h / 2.0;
@@ -255,26 +303,61 @@ mod tests {
         }
     }
 
+    fn bits(f: &Field) -> Vec<u64> {
+        f.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `apply` on `nel` elements equals `apply` on each element alone,
+    /// bit for bit, whatever block and pool chunk an element lands in —
+    /// including minimum-size scratch. At N = 10 a block is 4 elements,
+    /// at N = 6 it is 18 and at N = 5 it is 32, so 7, 13 and 37 leave a
+    /// partial block for each order.
     #[test]
-    fn pooled_apply_bitwise_matches_serial_for_all_worker_counts() {
-        let n = 6;
-        let nel = 13;
-        let op = AxOperator::new(n, 1.3, 0.1, KernelVariant::Optimized);
-        let u = pseudo_random_field(n, nel, 5);
-        let mut w_ref = Field::zeros(n, nel);
-        let mut t1 = Field::zeros(n, nel);
-        let mut t2 = Field::zeros(n, nel);
-        op.apply(&u, &mut w_ref, &mut t1, &mut t2);
-        for workers in [1, 2, 4] {
-            let pool = WorkerPool::new(workers, None);
-            let mut w = Field::zeros(n, nel);
-            let _ = op.apply_pooled(Some(&pool), &u, &mut w, &mut t1, &mut t2);
-            assert_eq!(
-                w.as_slice(),
-                w_ref.as_slice(),
-                "pooled apply diverged at {workers} workers"
-            );
+    fn apply_is_independent_of_blocking() {
+        let pools: Vec<WorkerPool> = [1, 2, 4].map(|w| WorkerPool::new(w, None)).into();
+        for variant in KernelVariant::ALL {
+            for n in [5, 6, 10] {
+                let n3 = n * n * n;
+                for nel in [7, 13, 37] {
+                    let op = AxOperator::new(n, 1.3, 0.1, variant);
+                    let u = pseudo_random_field(n, nel, (100 * n + nel) as u64);
+                    let mut want = Vec::with_capacity(nel * n3);
+                    for e in 0..nel {
+                        let ue = Field::from_vec(n, 1, u.as_slice()[e * n3..(e + 1) * n3].to_vec());
+                        let mut we = Field::zeros(n, 1);
+                        let mut t1 = Field::zeros(n, 1);
+                        let mut t2 = Field::zeros(n, 1);
+                        op.apply(&ue, &mut we, &mut t1, &mut t2);
+                        want.extend(bits(&we));
+                    }
+                    let label = format!("{} n={n} nel={nel}", variant.name());
+                    for pool in [None].into_iter().chain(pools.iter().map(Some)) {
+                        let need = op.scratch_elems(pool, nel);
+                        assert!(need <= nel || pool.is_some(), "{label}: serial scratch");
+                        let mut w = Field::zeros(n, nel);
+                        let mut t1 = Field::zeros(n, need);
+                        let mut t2 = Field::zeros(n, need);
+                        let _ = op.apply_pooled(pool, &u, &mut w, &mut t1, &mut t2);
+                        let workers = pool.map_or(0, |p| p.workers());
+                        assert!(
+                            bits(&w) == want,
+                            "{label}: blocked apply diverged, workers {workers}"
+                        );
+                    }
+                }
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "t1 shape: order 10 x 3 elements, need order 10 x at least 4")]
+    fn too_small_scratch_is_refused() {
+        let op = AxOperator::new(10, 1.0, 0.1, KernelVariant::Optimized);
+        let u = pseudo_random_field(10, 7, 1);
+        let mut w = Field::zeros(10, 7);
+        let mut t1 = Field::zeros(10, 3);
+        let mut t2 = Field::zeros(10, 4);
+        op.apply(&u, &mut w, &mut t1, &mut t2);
     }
 
     #[test]

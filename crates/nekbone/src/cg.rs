@@ -17,7 +17,15 @@
 //! whose values no `gs_op` can change, per
 //! [`GsHandle::shared_slot_flags`] — accumulates while the face messages
 //! are in flight, and only then does the exchange finish and the shared
-//! portion complete the reduction.
+//! portion complete the reduction. Both portions walk ascending runs of
+//! their slots ([`SlotRuns`]), built once per solve, so no per-point
+//! branch on the flag remains.
+//!
+//! The vector tail is two sweeps: `r -= alpha w` with the local `<r, r>`
+//! before the allreduce, then `x += alpha p` and `p = r + beta p` in one
+//! pass once `beta` is known.
+
+use std::ops::Range;
 
 use cmt_core::Field;
 use cmt_gs::{GsHandle, GsMethod, GsOp};
@@ -119,11 +127,13 @@ pub fn cg_solve_resilient(
         assert_eq!(m.len(), b.len(), "mask length");
     }
     let mut w = Field::zeros(n, nel);
-    let mut t1 = Field::zeros(n, nel);
-    let mut t2 = Field::zeros(n, nel);
+    // `ax` scratch: one element block per pool chunk.
+    let scratch = op.scratch_elems(rank.worker_pool().as_deref(), nel);
+    let mut t1 = Field::zeros(n, scratch);
+    let mut t2 = Field::zeros(n, scratch);
     // Interior slots are untouched by dssum: their dot-product partial can
     // run inside the split-phase overlap window.
-    let shared = handle.shared_slot_flags();
+    let runs = SlotRuns::new(&handle.shared_slot_flags());
 
     // r = b - A x (skip the apply when x = 0, the usual Nekbone start)
     let mut r = b.clone();
@@ -189,38 +199,37 @@ pub fn cg_solve_resilient(
             break;
         }
         let pap = apply_assembled_dot(
-            rank, op, handle, method, mask, inv_mult, &shared, &p, &mut w, &mut t1, &mut t2, prof,
+            rank, op, handle, method, mask, inv_mult, &runs, &p, &mut w, &mut t1, &mut t2, prof,
         );
         assert!(
             pap > 0.0,
             "CG breakdown: p^T A p = {pap} (operator not SPD?)"
         );
         let alpha = rz / pap;
-        // Fused triple pass: x += alpha p, r -= alpha w, and the local
-        // <r, r> partial in one sweep. Each array's per-index update and
-        // the ascending-index accumulation match the separate
-        // axpy/axpy/glsc3 passes exactly, so the residual history stays
-        // bitwise identical (the kill+rollback test pins this).
-        let rz_new = {
-            let xs = x.as_mut_slice();
-            let rs = r.as_mut_slice();
-            let ps = p.as_slice();
-            let ws = w.as_slice();
-            let mut local = 0.0;
-            for i in 0..xs.len() {
-                xs[i] += alpha * ps[i];
-                rs[i] += -alpha * ws[i];
-                local += rs[i] * rs[i] * inv_mult[i];
-            }
-            rank.set_context("glsc3");
-            let out = rank.allreduce_scalar(local, ReduceOp::Sum);
-            rank.set_context("main");
-            out
-        };
+        // The vector tail in two sweeps. The first needs only `w`:
+        // `r -= alpha w` and the local `<r, r>` in ascending order,
+        // before the allreduce. The second waits for beta and reads each
+        // `p` once for both `x += alpha p` and `p = r + beta p`. Nothing
+        // reads `x` between the two, and every per-point expression is
+        // the one `axpy`/`axpby` computes, so each bit holds (the
+        // kill+rollback test pins the residual history).
+        prof.enter("cg_residual (r -= alpha w, <r, r>)");
+        let local = residual_sweep(r.as_mut_slice(), w.as_slice(), inv_mult, alpha);
+        prof.exit();
+        rank.set_context("glsc3");
+        let rz_new = rank.allreduce_scalar(local, ReduceOp::Sum);
+        rank.set_context("main");
         let beta = rz_new / rz;
         rz = rz_new;
-        // p = r + beta p
-        p.axpby(1.0, &r, beta);
+        prof.enter("cg_update (x += alpha p, p = r + beta p)");
+        update_sweep(
+            x.as_mut_slice(),
+            p.as_mut_slice(),
+            r.as_slice(),
+            alpha,
+            beta,
+        );
+        prof.exit();
         history.push(rz.max(0.0).sqrt());
         iters += 1;
     }
@@ -229,6 +238,87 @@ pub fn cg_solve_resilient(
         iterations: iters,
         res_history: history,
     }
+}
+
+/// The first sweep of the CG tail: `r -= alpha w`, returning the local
+/// weighted `<r, r>` partial summed in ascending index order.
+fn residual_sweep(r: &mut [f64], w: &[f64], inv_mult: &[f64], alpha: f64) -> f64 {
+    let (w, inv_mult) = (&w[..r.len()], &inv_mult[..r.len()]);
+    let mut local = 0.0;
+    for ((rv, &wv), &im) in r.iter_mut().zip(w).zip(inv_mult) {
+        *rv += -alpha * wv;
+        local += *rv * *rv * im;
+    }
+    local
+}
+
+/// The second sweep of the CG tail, once `beta` is known: per point,
+/// `x += alpha p` with the old `p`, then `p = beta p + 1.0 r` — the
+/// [`Field::axpy`] and [`Field::axpby`] expressions.
+fn update_sweep(x: &mut [f64], p: &mut [f64], r: &[f64], alpha: f64, beta: f64) {
+    let (p, r) = (&mut p[..x.len()], &r[..x.len()]);
+    for ((xv, pv), &rv) in x.iter_mut().zip(p).zip(r) {
+        let old = *pv;
+        *xv += alpha * old;
+        *pv = beta * old + 1.0 * rv;
+    }
+}
+
+/// A rank's slots split by [`GsHandle::shared_slot_flags`] into
+/// ascending runs: `interior` slots, which no `gs_op` changes, and
+/// `shared` ones. Walking runs keeps each dot product's ascending order
+/// within its half without a per-point branch.
+struct SlotRuns {
+    interior: Vec<Range<usize>>,
+    shared: Vec<Range<usize>>,
+}
+
+impl SlotRuns {
+    fn new(shared: &[bool]) -> Self {
+        let mut runs = SlotRuns {
+            interior: Vec::new(),
+            shared: Vec::new(),
+        };
+        let mut lo = 0;
+        for (i, &sh) in shared.iter().enumerate() {
+            if shared.get(i + 1) != Some(&sh) {
+                let kind = if sh {
+                    &mut runs.shared
+                } else {
+                    &mut runs.interior
+                };
+                kind.push(lo..i + 1);
+                lo = i + 1;
+            }
+        }
+        runs
+    }
+}
+
+/// `sum u_i w_i m_i` (times `mask_i` when given) over `runs`, in
+/// ascending order: one partial of the weighted `<u, w>`.
+fn runs_dot(
+    runs: &[Range<usize>],
+    us: &[f64],
+    ws: &[f64],
+    inv_mult: &[f64],
+    mask: Option<&[f64]>,
+) -> f64 {
+    let mut acc = 0.0;
+    for run in runs {
+        let terms = us[run.clone()]
+            .iter()
+            .zip(&ws[run.clone()])
+            .zip(&inv_mult[run.clone()])
+            .map(|((&u, &w), &im)| u * w * im);
+        match mask {
+            None => terms.for_each(|t| acc += t),
+            Some(m) => terms
+                .zip(&m[run.clone()])
+                .for_each(|(t, &mw)| acc += t * mw),
+        }
+    }
+    acc
 }
 
 /// Capture the CG iteration state at the top of iteration `iters`:
@@ -337,7 +427,7 @@ fn apply_assembled_dot(
     method: GsMethod,
     mask: Option<&[f64]>,
     inv_mult: &[f64],
-    shared: &[bool],
+    runs: &SlotRuns,
     u: &Field,
     w: &mut Field,
     t1: &mut Field,
@@ -359,7 +449,7 @@ fn apply_assembled_dot(
         // multiplies w *after* dssum, but interior slots keep their
         // pre-exchange values, so folding it in here is exact.
         prof.enter("glsc3_interior (overlap window)");
-        let interior = interior_dot(u.as_slice(), w[0], shared, inv_mult, mask);
+        let interior = runs_dot(&runs.interior, u.as_slice(), w[0], inv_mult, mask);
         prof.exit();
 
         prof.enter("dssum (gs_op)");
@@ -375,41 +465,14 @@ fn apply_assembled_dot(
         apply_mask(w, m);
     }
 
-    let mut shared_part = 0.0;
-    {
-        let us = u.as_slice();
-        let ws = w.as_slice();
-        for (i, (&sh, &im)) in shared.iter().zip(inv_mult).enumerate() {
-            if sh {
-                shared_part += us[i] * ws[i] * im;
-            }
-        }
-    }
+    // The mask is already in `w` here.
+    prof.enter("glsc3_shared");
+    let shared = runs_dot(&runs.shared, u.as_slice(), w.as_slice(), inv_mult, None);
+    prof.exit();
     rank.set_context("glsc3");
-    let out = rank.allreduce_scalar(interior + shared_part, ReduceOp::Sum);
+    let out = rank.allreduce_scalar(interior + shared, ReduceOp::Sum);
     rank.set_context("main");
     out
-}
-
-/// The interior (unshared-slot) partial of the masked, multiplicity-
-/// weighted `<u, w>`. A function of its own, taking slices, rather than
-/// inline in the overlap window's closure: measured on `cg_n10`, the
-/// whole CG step is ~4 % faster this way.
-fn interior_dot(
-    us: &[f64],
-    ws: &[f64],
-    shared: &[bool],
-    inv_mult: &[f64],
-    mask: Option<&[f64]>,
-) -> f64 {
-    let mut interior = 0.0;
-    for (i, (&sh, &im)) in shared.iter().zip(inv_mult).enumerate() {
-        if !sh {
-            let mw = mask.map_or(1.0, |m| m[i]);
-            interior += us[i] * ws[i] * im * mw;
-        }
-    }
-    interior
 }
 
 /// One assembled operator application: `w = mask(dssum(A_local u))`.
@@ -434,5 +497,149 @@ fn apply_assembled(
     prof.exit();
     if let Some(m) = mask {
         apply_mask(w, m);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Xorshift values in `[-1, 1)` scaled by `10^-3 .. 10^3`, so that
+    /// any change of summation order shows in the low bits.
+    fn values(len: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).max(1);
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..len)
+            .map(|_| {
+                let v = (next() as f64 / u64::MAX as f64) * 2.0 - 1.0;
+                v * 10f64.powi((next() % 7) as i32 - 3)
+            })
+            .collect()
+    }
+
+    /// Shared flags in runs of 1–6 slots, starting and ending on the
+    /// given kinds.
+    fn flags(len: usize, first: bool, last: bool, seed: u64) -> Vec<bool> {
+        let lens = values(len, seed);
+        let mut out = Vec::with_capacity(len);
+        let mut kind = first;
+        for l in lens {
+            let run = 1 + (l.to_bits() % 6) as usize;
+            out.extend(std::iter::repeat_n(kind, run));
+            kind = !kind;
+            if out.len() >= len {
+                break;
+            }
+        }
+        out.truncate(len);
+        out[len - 1] = last;
+        out
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn slot_runs_partition_the_slots_in_ascending_alternating_runs() {
+        for (first, last) in [(false, false), (false, true), (true, false), (true, true)] {
+            let sh = flags(101, first, last, 3);
+            let runs = SlotRuns::new(&sh);
+            let mut all: Vec<(Range<usize>, bool)> = runs
+                .interior
+                .iter()
+                .map(|r| (r.clone(), false))
+                .chain(runs.shared.iter().map(|r| (r.clone(), true)))
+                .collect();
+            all.sort_by_key(|(r, _)| r.start);
+            assert_eq!(all[0].0.start, 0);
+            assert_eq!(all.last().expect("runs").0.end, sh.len());
+            for pair in all.windows(2) {
+                assert_eq!(pair[0].0.end, pair[1].0.start, "runs leave a gap");
+                assert_ne!(pair[0].1, pair[1].1, "adjacent runs of one kind");
+            }
+            for (run, kind) in &all {
+                assert!(!run.is_empty() && sh[run.clone()].iter().all(|&s| s == *kind));
+            }
+        }
+        let none = SlotRuns::new(&[]);
+        assert!(none.interior.is_empty() && none.shared.is_empty());
+    }
+
+    /// The fused `x`/`r`/`<r, r>` loop and `Field::axpby` the two sweeps
+    /// replace, as the oracle: the sweeps must match them bit for bit.
+    #[test]
+    fn two_sweep_tail_matches_the_fused_loop_and_axpby() {
+        let (n, nel) = (4, 5);
+        let len = n * n * n * nel;
+        for seed in 1..6 {
+            let [x0, r0, p0, w, im] = [0, 1, 2, 3, 4].map(|k| values(len, 10 * seed + k));
+            let im: Vec<f64> = im.iter().map(|v| v.abs()).collect();
+            let alpha = values(1, seed)[0];
+            let beta = values(1, seed + 100)[0];
+
+            let (mut x, mut r, p) = (x0.clone(), r0.clone(), p0.clone());
+            let mut local = 0.0;
+            for i in 0..x.len() {
+                x[i] += alpha * p[i];
+                r[i] += -alpha * w[i];
+                local += r[i] * r[i] * im[i];
+            }
+            let mut pf = Field::from_vec(n, nel, p);
+            pf.axpby(1.0, &Field::from_vec(n, nel, r.clone()), beta);
+
+            let (mut x1, mut r1, mut p1) = (x0, r0, p0);
+            let local1 = residual_sweep(&mut r1, &w, &im, alpha);
+            update_sweep(&mut x1, &mut p1, &r1, alpha, beta);
+            assert_eq!(local1.to_bits(), local.to_bits(), "seed {seed}: <r, r>");
+            assert_eq!(bits(&r1), bits(&r), "seed {seed}: r");
+            assert_eq!(bits(&x1), bits(&x), "seed {seed}: x");
+            assert_eq!(bits(&p1), bits(pf.as_slice()), "seed {seed}: p");
+        }
+    }
+
+    /// The per-point flag loops the run-length partials replace (the
+    /// interior one with its `* mw` mask factor), as the oracle.
+    #[test]
+    fn run_length_partials_match_the_flag_loops() {
+        let len = 500;
+        for (first, last) in [(false, false), (false, true), (true, false), (true, true)] {
+            for seed in 1..4 {
+                let sh = flags(len, first, last, seed);
+                let [us, ws, im, m] = [0, 1, 2, 3].map(|k| values(len, 10 * seed + k));
+                let im: Vec<f64> = im.iter().map(|v| v.abs()).collect();
+                let mask: Vec<f64> = m.iter().map(|&v| f64::from(u8::from(v > -0.3))).collect();
+                let runs = SlotRuns::new(&sh);
+                for mask in [None, Some(&mask[..])] {
+                    let mut interior = 0.0;
+                    for (i, (&s, &im)) in sh.iter().zip(&im).enumerate() {
+                        if !s {
+                            let mw = mask.map_or(1.0, |m| m[i]);
+                            interior += us[i] * ws[i] * im * mw;
+                        }
+                    }
+                    let got = runs_dot(&runs.interior, &us, &ws, &im, mask);
+                    let label = format!("{first}/{last} seed {seed} mask {}", mask.is_some());
+                    assert_eq!(got.to_bits(), interior.to_bits(), "interior, {label}");
+                }
+                let mut shared = 0.0;
+                for (i, (&s, &im)) in sh.iter().zip(&im).enumerate() {
+                    if s {
+                        shared += us[i] * ws[i] * im;
+                    }
+                }
+                let got = runs_dot(&runs.shared, &us, &ws, &im, None);
+                assert_eq!(
+                    got.to_bits(),
+                    shared.to_bits(),
+                    "shared, {first}/{last} seed {seed}"
+                );
+            }
+        }
     }
 }

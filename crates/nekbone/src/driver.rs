@@ -621,6 +621,24 @@ mod tests {
         let rep = run(&small_cfg());
         assert!(rep.profile.flat.iter().any(|(n, _)| n.starts_with("ax_e")));
         assert!(rep.profile.flat.iter().any(|(n, _)| n.starts_with("dssum")));
+        // the CG tail and both dot partials: once per iteration per rank
+        let per_iter = (rep.cg.iterations * small_cfg().ranks) as u64;
+        for prefix in [
+            "ax_e",
+            "cg_residual",
+            "cg_update",
+            "glsc3_interior",
+            "glsc3_shared",
+        ] {
+            let calls: u64 = rep
+                .profile
+                .flat
+                .iter()
+                .filter(|(n, _)| n.starts_with(prefix))
+                .map(|(_, s)| s.calls)
+                .sum();
+            assert_eq!(calls, per_iter, "{prefix} calls");
+        }
     }
 
     #[test]
