@@ -25,17 +25,17 @@ fn usage() -> ! {
          \x20                [--cfl-interval K] [--dealias M] [--quiet]\n\
          \x20                [--checkpoint-every K] [--checkpoint-dir PATH]\n\
          \x20                [--restart PATH] [--fault-plan SPEC]\n\
-         \x20                [--verify] [--no-pool]\n\
+         \x20                [--verify]\n\
          \x20                [--transport inproc|socket] [--transport-addr ADDR]\n\
          \x20                [--particles-per-elem Q] [--particle-cluster FRAC]\n\
          \x20                [--lb-every K] [--lb-threshold T]\n\
          \n\
          --transport socket runs every rank as a child process over\n\
          Unix-domain sockets (rank 0's process is the launcher/hub);\n\
-         --transport-addr overrides the endpoint, e.g. unix:/tmp/w.sock\n\
-         or tcp:127.0.0.1:0. Results are bitwise identical to inproc.\n\
+         --transport-addr overrides the endpoint, unix:<path> (e.g.\n\
+         unix:/tmp/w.sock). Results are bitwise identical to inproc.\n\
          fault plan SPEC: semicolon-separated events, e.g.\n\
-         \x20 'delay:prob=0.1,us=200;drop:prob=0.05;kill:rank=2,step=5;seed=7'\n\
+         \x20 'delay:prob=0.1,us=200;kill:rank=2,step=5;seed=7'\n\
          --variant auto autotunes the derivative kernel at startup (every\n\
          variant timed, averaged across ranks — the Fig. 7 protocol for compute).\n\
          --workers shares each rank's overlap-window element loops across a\n\
@@ -44,7 +44,6 @@ fn usage() -> ! {
          --verify runs the cmt-verify dynamic checker (deadlock, collective\n\
          matching, message leaks, abandoned exchanges); exit status 1 on\n\
          findings.\n\
-         --no-pool disables message-buffer recycling (allocate per message).\n\
          --particles-per-elem seeds Q passive tracers per element (0 = off);\n\
          --particle-cluster FRAC crowds them into the first FRAC of the x\n\
          extent (the imbalanced cloud). --lb-every K evaluates the dynamic\n\
@@ -111,7 +110,6 @@ fn main() {
                 }
             }
             "--verify" => cfg.verify = true,
-            "--no-pool" => cfg.pool = false,
             "--transport" => match args.next().as_deref() {
                 Some("inproc") => cfg.transport = TransportKind::Inproc,
                 Some("socket") => {

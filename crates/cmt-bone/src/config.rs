@@ -125,7 +125,7 @@ pub struct Config {
     /// starting at step 0.
     pub restart_from: Option<PathBuf>,
     /// Deterministic fault schedule injected into the world (message
-    /// delays, drop/retransmit, scheduled rank kills). A delay-only plan
+    /// delays, scheduled rank kills). A delay-only plan
     /// such as `delay:prob=0.25,us=150;seed=7` perturbs the message
     /// schedule without changing any result.
     pub fault_plan: Option<FaultPlan>,
@@ -134,14 +134,9 @@ pub struct Config {
     /// finalize sweep for leaked messages and abandoned exchanges.
     /// Findings land in [`crate::RunReport::verify`].
     pub verify: bool,
-    /// Recycle message payload buffers through the per-rank
-    /// [`simmpi::BufferPool`] (the zero-allocation steady state). `false`
-    /// (`--no-pool`) falls back to plain allocation per message — the
-    /// escape hatch for A/B comparisons and for debugging buffer reuse.
-    pub pool: bool,
     /// Communication backend: in-process mailboxes (the default, every
     /// rank a thread) or the multi-process socket transport (`--transport
-    /// socket`, every rank a spawned child over Unix-domain or TCP
+    /// socket`, every rank a spawned child over Unix-domain
     /// sockets). Results are bitwise identical between backends.
     pub transport: TransportKind,
     /// Passive tracer particles per element seeded at startup (0
@@ -187,7 +182,6 @@ impl Default for Config {
             restart_from: None,
             fault_plan: None,
             verify: false,
-            pool: true,
             transport: TransportKind::default(),
             particles_per_elem: 0,
             particle_cluster: None,

@@ -46,7 +46,7 @@ fn every_flag_spelling_is_accepted_and_neutral_ones_match_opt() {
     let dir = std::env::temp_dir().join(format!("cmt-bone-cli-{}", std::process::id()));
     let ckpt = dir.to_str().expect("utf8 temp dir");
     // (flags, reproduces the `--variant opt` run bit for bit)
-    let rows: [(&[&str], bool); 14] = [
+    let rows: [(&[&str], bool); 13] = [
         // a seeded delay plan reorders arrivals, never results
         (&["--fault-plan", "delay:prob=0.25,us=150;seed=7"], true),
         // every rank a child process, every message a checksummed frame
@@ -56,7 +56,6 @@ fn every_flag_spelling_is_accepted_and_neutral_ones_match_opt() {
         (&["--variant", "auto"], false),
         (&["--pipeline", "blocking"], true),
         (&["--workers", "2"], true),
-        (&["--no-pool"], true),
         (&["--method", "crystal"], true),
         (&["--particles-per-elem", "8", "--lb-every", "2"], false),
         (&["--cfl-interval", "2"], true),

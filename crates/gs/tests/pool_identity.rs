@@ -1,6 +1,6 @@
 //! The pooled zero-copy messaging path and the persistent exchange plans
 //! are pure plumbing: every `gs_op` under a pooled world must be
-//! *bitwise* identical to the fresh-allocation (`--no-pool`) path, for
+//! *bitwise* identical to the fresh-allocation (pooling off) path, for
 //! every method and combine op, including repeated steady-state calls
 //! (which hit the recycled buffers) and split-phase overlap.
 

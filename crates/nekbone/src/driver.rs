@@ -69,9 +69,6 @@ pub struct Config {
     /// Run under the `cmt-verify` dynamic checker; findings land in
     /// [`NekboneReport::verify`].
     pub verify: bool,
-    /// Recycle message payload buffers through the per-rank
-    /// [`simmpi::BufferPool`]; `false` (`--no-pool`) allocates per message.
-    pub pool: bool,
     /// Communication backend: in-process mailboxes (default) or the
     /// multi-process socket transport (`--transport socket`). Results are
     /// bitwise identical between backends.
@@ -98,7 +95,6 @@ impl Default for Config {
             restart_from: None,
             fault_plan: None,
             verify: false,
-            pool: true,
             transport: TransportKind::default(),
         }
     }
@@ -430,7 +426,6 @@ pub fn run(cfg: &Config) -> NekboneReport {
         .unwrap_or_else(|e| panic!("invalid Nekbone configuration: {e}"));
     let mesh_cfg = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, cfg.periodic);
     let mut world = World::new()
-        .with_pooling(cfg.pool)
         .with_workers(cfg.workers)
         .with_worker_alloc_counters(cmt_perf::alloc::thread_counts);
     if let Some(plan) = &cfg.fault_plan {

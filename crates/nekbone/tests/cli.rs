@@ -45,7 +45,7 @@ fn every_flag_spelling_is_accepted_and_neutral_ones_match_opt() {
     let dir = std::env::temp_dir().join(format!("nekbone-cli-{}", std::process::id()));
     let ckpt = dir.to_str().expect("utf8 temp dir");
     // (flags, reproduces the `--variant opt` run bit for bit)
-    let rows: [(&[&str], bool); 11] = [
+    let rows: [(&[&str], bool); 10] = [
         // a seeded delay plan reorders arrivals, never results
         (&["--fault-plan", "delay:prob=0.25,us=150;seed=7"], true),
         // every rank a child process, every message a checksummed frame
@@ -56,7 +56,6 @@ fn every_flag_spelling_is_accepted_and_neutral_ones_match_opt() {
         // CG stops at its first residual check
         (&["--tol", "10"], false),
         (&["--workers", "2"], true),
-        (&["--no-pool"], true),
         (&["--method", "crystal"], true),
         (&["--checkpoint-every", "4", "--checkpoint-dir", ckpt], true),
         // resumes from the last checkpoint the row above left on disk

@@ -9,20 +9,14 @@
 //! * **message delays** — with probability `prob`, a point-to-point send
 //!   is held for a fixed time before delivery (a congested or degraded
 //!   link);
-//! * **message drops with retransmit** — with probability `prob`, the
-//!   first transmission attempt of a send is lost; the sender times out
-//!   and retransmits with exponential backoff until an attempt succeeds
-//!   (the delivered payload is always intact, so drops perturb *timing*
-//!   and *cost*, never results);
 //! * **rank kills** — at a chosen application step, a chosen rank loses
 //!   its in-memory state. The runtime does not act on kill events itself:
 //!   drivers consult the plan ([`FaultPlan::kills`]) and run their
 //!   checkpoint/restart recovery (see the `resilience` crate).
 //!
-//! Every injected delay and retransmit is recorded in the rank's
-//! mpiP-style statistics under its own operation kind
-//! ([`crate::MpiOp::FaultDelay`], [`crate::MpiOp::FaultRetransmit`]), so
-//! the cost of running through faults is measurable per call site, not
+//! Every injected delay is recorded in the rank's mpiP-style statistics
+//! under its own operation kind ([`crate::MpiOp::FaultDelay`]), so the
+//! cost of running through faults is measurable per call site, not
 //! anecdotal.
 //!
 //! Determinism: each rank derives its own [`crate::rng::SmallRng`] stream
@@ -73,22 +67,6 @@ pub struct DelayFault {
     pub rank: Option<usize>,
 }
 
-/// Drop-and-retransmit hazard: each transmission attempt of a send is
-/// lost with probability `prob`; the sender waits one timeout (doubling
-/// per attempt) and retransmits, up to `max_retries` forced attempts —
-/// after which the transmission is treated as delivered, modelling a
-/// reliable link layer that eventually gets through.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DropFault {
-    /// Per-attempt probability of losing the transmission, in `[0, 1]`.
-    pub prob: f64,
-    /// Retransmit timeout of the first attempt; attempt `k` waits
-    /// `timeout * 2^k` (exponential backoff).
-    pub timeout: Duration,
-    /// Maximum number of retransmissions per send.
-    pub max_retries: u32,
-}
-
 /// A scheduled rank kill: at the top of application step `step`, rank
 /// `rank` loses its in-memory state. Fires once (drivers mark events
 /// consumed so a post-recovery replay of the same step does not re-kill).
@@ -108,11 +86,11 @@ pub struct KillEvent {
 /// ```
 /// use simmpi::FaultPlan;
 ///
-/// let plan = FaultPlan::parse("kill:rank=2,step=5;drop:prob=0.1;seed=7").unwrap();
+/// let plan = FaultPlan::parse("kill:rank=2,step=5;delay:prob=0.1,us=50;seed=7").unwrap();
 /// assert_eq!(plan.kills.len(), 1);
 /// assert_eq!(plan.kills[0].rank, 2);
 /// assert_eq!(plan.seed, 7);
-/// assert!(plan.delay.is_none());
+/// assert_eq!(plan.delay.map(|d| d.delay.as_micros()), Some(50));
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
@@ -120,18 +98,11 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Optional message-delay hazard.
     pub delay: Option<DelayFault>,
-    /// Optional drop-and-retransmit hazard.
-    pub drop: Option<DropFault>,
     /// Scheduled rank kills, in the order given.
     pub kills: Vec<KillEvent>,
 }
 
 impl FaultPlan {
-    /// Whether the plan injects any message-level hazard (delay or drop).
-    pub fn has_message_faults(&self) -> bool {
-        self.delay.is_some() || self.drop.is_some()
-    }
-
     /// Kill events scheduled for `step`, in plan order.
     pub fn kills_at(&self, step: u64) -> impl Iterator<Item = &KillEvent> {
         self.kills.iter().filter(move |k| k.step == step)
@@ -143,9 +114,6 @@ impl FaultPlan {
     /// * `delay:prob=P,us=U[,rank=R]` — delay each send with probability
     ///   `P` by `U` microseconds; `rank=R` restricts the hazard to rank
     ///   `R`'s sends (a deterministic straggler);
-    /// * `drop:prob=P[,us=U][,retries=K]` — lose each transmission
-    ///   attempt with probability `P`, retransmit after `U` microseconds
-    ///   (default 200) with backoff, at most `K` retries (default 4);
     /// * `seed=N` — RNG seed (default 0).
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
@@ -171,13 +139,6 @@ impl FaultPlan {
                         prob: a.prob()?,
                         delay: Duration::from_micros(a.req("us")?),
                         rank: a.uint("rank")?,
-                    })
-                }
-                "drop" => {
-                    plan.drop = Some(DropFault {
-                        prob: a.prob()?,
-                        timeout: Duration::from_micros(a.uint("us")?.unwrap_or(200)),
-                        max_retries: a.uint("retries")?.unwrap_or(4),
                     })
                 }
                 other => return Err(format!("unknown fault kind {other:?} in {clause:?}")),
@@ -280,10 +241,9 @@ mod tests {
 
     #[test]
     fn parses_full_grammar() {
-        let plan = FaultPlan::parse(
-            "kill:rank=2,step=5;kill:rank=0,step=9;delay:prob=0.5,us=100;drop:prob=0.25,us=50,retries=2;seed=99",
-        )
-        .unwrap();
+        let plan =
+            FaultPlan::parse("kill:rank=2,step=5;kill:rank=0,step=9;delay:prob=0.5,us=100;seed=99")
+                .unwrap();
         assert_eq!(
             plan.kills,
             vec![
@@ -294,20 +254,15 @@ mod tests {
         let d = plan.delay.unwrap();
         assert_eq!(d.prob, 0.5);
         assert_eq!(d.delay, Duration::from_micros(100));
-        let dr = plan.drop.unwrap();
-        assert_eq!(dr.prob, 0.25);
-        assert_eq!(dr.timeout, Duration::from_micros(50));
-        assert_eq!(dr.max_retries, 2);
         assert_eq!(plan.seed, 99);
-        assert!(plan.has_message_faults());
     }
 
+    /// `drop` is not a fault kind: a plan naming it is refused, not
+    /// silently read as fault-free.
     #[test]
-    fn drop_defaults_apply() {
-        let plan = FaultPlan::parse("drop:prob=0.1").unwrap();
-        let dr = plan.drop.unwrap();
-        assert_eq!(dr.timeout, Duration::from_micros(200));
-        assert_eq!(dr.max_retries, 4);
+    fn drop_clause_is_unknown() {
+        let err = FaultPlan::parse("drop:prob=0.1").unwrap_err();
+        assert!(err.contains("unknown fault kind"), "{err}");
     }
 
     #[test]
@@ -316,7 +271,7 @@ mod tests {
             "kill:rank=2",          // missing step
             "explode:rank=1",       // unknown kind
             "delay:prob=1.5,us=10", // probability out of range
-            "drop:prob=x",          // unparseable value
+            "delay:prob=x,us=10",   // unparseable value
             "seed=abc",             // bad seed
             "justtext",             // no kind separator
         ] {
@@ -324,9 +279,9 @@ mod tests {
         }
     }
 
-    /// Integer arguments are unsigned integers: a sign, a fraction or an
-    /// exponent is refused, not saturated or truncated into a valid rank,
-    /// step, delay or retry count.
+    /// Integer arguments are unsigned integers: a sign, a fraction, an
+    /// exponent or an overflow is refused, not saturated or truncated into
+    /// a valid rank, step or delay.
     #[test]
     fn rejects_non_integer_arguments() {
         for bad in [
@@ -338,10 +293,8 @@ mod tests {
             "delay:prob=0.5,us=-100",
             "delay:prob=0.5,us=1e3",
             "delay:prob=0.5,us=10,rank=0.5",
-            "drop:prob=0.1,us=-5",
-            "drop:prob=0.1,retries=-1",
-            "drop:prob=0.1,retries=2.5",
-            "drop:prob=0.1,retries=99999999999",
+            "delay:prob=0.1,us=99999999999999999999",
+            "kill:rank=1,step=99999999999999999999999",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -351,7 +304,6 @@ mod tests {
     fn empty_spec_is_empty_plan() {
         let plan = FaultPlan::parse("").unwrap();
         assert_eq!(plan, FaultPlan::default());
-        assert!(!plan.has_message_faults());
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod workers;
 pub mod world;
 
 pub use envelope::{Msg, INLINE_ELEMS};
-pub use faults::{DelayFault, DropFault, FaultPlan, KillEvent};
+pub use faults::{DelayFault, FaultPlan, KillEvent};
 pub use pool::{BufferPool, PooledVec};
 pub use rank::{DiscardList, Rank, RecvRequest, Tag};
 pub use stats::{CommStats, MpiOp, SiteKey, SiteStats};

@@ -12,7 +12,7 @@
 //! Buffers are keyed by their concrete `Vec<T>` type, so an `f64` field
 //! payload never collides with a `u64` id list. A pool constructed
 //! disabled ([`BufferPool::new(false)`]) degrades to plain allocation:
-//! takes allocate, parks drop — the `--no-pool` escape hatch.
+//! takes allocate, parks drop — the baseline tests compare against.
 
 // The double indirection of `Box<Vec<T>>` is deliberate: the *box shell*
 // is what travels behind `dyn Any` and recycles along with the vector's

@@ -256,8 +256,7 @@ impl Rank {
     }
 
     /// Total injected-fault stall served by this rank so far, in
-    /// microseconds (delay hazards plus drop-retransmit backoff). The
-    /// hazards are drawn from seeded per-rank streams, so this counter is
+    /// microseconds (the plan's message delays). The delays are drawn from seeded per-rank streams, so this counter is
     /// bitwise deterministic — the load balancer's straggler signal,
     /// usable in SPMD decisions where wall-clock time is not.
     pub fn injected_delay_us(&self) -> u64 {
@@ -286,41 +285,25 @@ impl Rank {
         self.op_badge.unwrap_or(op)
     }
 
-    /// Inject configured message-level hazards for one outbound send of
-    /// `bytes` bytes. Called before the operation's own timer starts, so
-    /// the regular `MPI_Send`/`MPI_Isend` rows stay comparable across
+    /// Inject the plan's message delay, if it fires, for one outbound send
+    /// of `bytes` bytes. Called before the operation's own timer starts,
+    /// so the regular `MPI_Send`/`MPI_Isend` rows stay comparable across
     /// faulty and fault-free runs and the injected cost shows up only
-    /// under its own `fault_*` entries.
+    /// under its own `fault_delay` entries.
     fn inject_send_faults(&mut self, bytes: u64) {
         let Some(fs) = self.faults.as_mut() else {
             return;
         };
-        if let Some(d) = fs.plan.delay {
-            if d.rank.is_none_or(|r| r == self.rank) && fs.rng.unit_f64() < d.prob {
-                std::thread::sleep(d.delay);
-                self.injected_delay_us += d.delay.as_micros() as u64;
-                let ctx = std::mem::take(&mut self.context);
-                self.recorder
-                    .record(MpiOp::FaultDelay, &ctx, d.delay, bytes);
-                self.context = ctx;
-            }
-        }
-        if let Some(dr) = fs.plan.drop {
-            let mut attempt = 0u32;
-            while attempt < dr.max_retries && fs.rng.unit_f64() < dr.prob {
-                // The attempt was lost: serve the retransmit timeout
-                // (doubling per attempt), then try again. The payload is
-                // only ever handed to the transport once, after this
-                // loop, so drops cost time but never corrupt delivery.
-                let backoff = dr.timeout.saturating_mul(1u32 << attempt.min(20));
-                std::thread::sleep(backoff);
-                self.injected_delay_us += backoff.as_micros() as u64;
-                let ctx = std::mem::take(&mut self.context);
-                self.recorder
-                    .record(MpiOp::FaultRetransmit, &ctx, backoff, bytes);
-                self.context = ctx;
-                attempt += 1;
-            }
+        let Some(d) = fs.plan.delay else {
+            return;
+        };
+        if d.rank.is_none_or(|r| r == self.rank) && fs.rng.unit_f64() < d.prob {
+            std::thread::sleep(d.delay);
+            self.injected_delay_us += d.delay.as_micros() as u64;
+            let ctx = std::mem::take(&mut self.context);
+            self.recorder
+                .record(MpiOp::FaultDelay, &ctx, d.delay, bytes);
+            self.context = ctx;
         }
     }
 

@@ -1,17 +1,26 @@
 //! The multi-process socket backend.
 //!
 //! Topology is a star: the launcher (the process the user started) binds
-//! a Unix-domain or TCP listener and acts as a **hub**; every rank is a
-//! **child** — a re-executed copy of the current binary in process mode,
-//! or a thread of the launcher in [`crate::SocketConfig::threads`] test
-//! mode — holding exactly one connection to the hub. The hub forwards
-//! data frames between children by peeking the destination rank at a
-//! fixed offset ([`crate::wire::peek_data_dest`]), serves verifier-hook
-//! RPCs against the launcher's single [`VerifyHooks`] instance (checker
-//! state must be global across ranks), collects each child's encoded
-//! return value + [`CommStats`], and broadcasts a poison frame when a
-//! child dies so blocked peers abort instead of deadlocking — the same
-//! guarantee the in-process backend gets from its shared poison flag.
+//! a Unix-domain listener (`unix:<path>`, the only address form) and acts
+//! as a **hub**; every rank is a **child** — a re-executed copy of the
+//! current binary in process mode, or a thread of the launcher in
+//! [`crate::SocketConfig::threads`] test mode — holding exactly one
+//! connection to the hub. The hub forwards data frames between children
+//! by peeking their source and destination ranks at fixed offsets
+//! ([`crate::wire::peek_data_ends`]), serves verifier-hook RPCs against
+//! the launcher's single [`VerifyHooks`] instance (checker state must be
+//! global across ranks), collects each child's encoded return value +
+//! [`CommStats`], and broadcasts a poison frame when a child dies so
+//! blocked peers abort instead of deadlocking — the same guarantee the
+//! in-process backend gets from its shared poison flag.
+//!
+//! Each of the hub's decisions is a plain function over one frame's
+//! bytes: [`hello`] names a new connection's rank, [`route`] says what to
+//! do with every later frame, [`serve_verify`] answers a verify request,
+//! and [`poisoned_by_close`] names the peers a closed connection poisons.
+//! `hub_reader` (one thread per connection, writing straight to the
+//! destination's connection) and `run_launcher` are the I/O shell around
+//! them, so every hostile-input case is a unit test without a socket.
 //!
 //! Each child runs a detached **reader thread** that decodes incoming
 //! data frames (staging payload buffers through the rank's shared
@@ -28,7 +37,7 @@
 //! into [`child_env`]-guided [`run_child_process`], which never returns.
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -55,85 +64,8 @@ const ENV_ADDR: &str = "SIMMPI_SOCKET_ADDR";
 const CONNECT_DEADLINE: Duration = Duration::from_secs(60);
 
 // ---------------------------------------------------------------------
-// connections and addressing
+// addressing
 // ---------------------------------------------------------------------
-
-/// One duplex connection, Unix-domain or TCP.
-pub(crate) enum Conn {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Conn {
-    fn try_clone(&self) -> io::Result<Conn> {
-        match self {
-            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
-            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
-        }
-    }
-
-    fn set_nonblocking(&self, v: bool) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.set_nonblocking(v),
-            Conn::Tcp(s) => s.set_nonblocking(v),
-        }
-    }
-
-    fn shutdown_write(&self) {
-        let _ = match self {
-            Conn::Unix(s) => s.shutdown(Shutdown::Write),
-            Conn::Tcp(s) => s.shutdown(Shutdown::Write),
-        };
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
-    }
-}
-
-enum Listener {
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
-impl Listener {
-    fn set_nonblocking(&self, v: bool) -> io::Result<()> {
-        match self {
-            Listener::Unix(l) => l.set_nonblocking(v),
-            Listener::Tcp(l) => l.set_nonblocking(v),
-        }
-    }
-
-    fn accept(&self) -> io::Result<Conn> {
-        match self {
-            Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| {
-                let _ = s.set_nodelay(true);
-                Conn::Tcp(s)
-            }),
-        }
-    }
-}
 
 /// A fresh auto-assigned Unix-domain address under the temp directory.
 fn auto_addr() -> String {
@@ -146,41 +78,27 @@ fn auto_addr() -> String {
     )
 }
 
-/// Bind `addr`, returning the listener and the *resolved* address string
-/// children must connect to (TCP port 0 resolves to the assigned port).
-fn bind(addr: &str) -> io::Result<(Listener, String)> {
-    if let Some(path) = addr.strip_prefix("unix:") {
-        let _ = std::fs::remove_file(path);
-        Ok((Listener::Unix(UnixListener::bind(path)?), addr.to_owned()))
-    } else if let Some(hp) = addr.strip_prefix("tcp:") {
-        let l = TcpListener::bind(hp)?;
-        let actual = format!("tcp:{}", l.local_addr()?);
-        Ok((Listener::Tcp(l), actual))
-    } else {
-        Err(io::Error::other(format!(
-            "bad transport address {addr:?} (want unix:<path> or tcp:<host>:<port>)"
-        )))
-    }
+/// The socket path of a transport address; `unix:<path>` is the only form.
+fn unix_path(addr: &str) -> io::Result<&str> {
+    addr.strip_prefix("unix:").ok_or_else(|| {
+        io::Error::other(format!("bad transport address {addr:?} (want unix:<path>)"))
+    })
+}
+
+/// Bind the hub's listener at `addr`, replacing a stale socket file.
+fn bind(addr: &str) -> io::Result<UnixListener> {
+    let path = unix_path(addr)?;
+    let _ = std::fs::remove_file(path);
+    UnixListener::bind(path)
 }
 
 /// Connect to the hub, retrying briefly (a process-mode child can win the
 /// race against the launcher finishing its spawn loop).
-fn connect(addr: &str) -> io::Result<Conn> {
+fn connect(addr: &str) -> io::Result<UnixStream> {
+    let path = unix_path(addr)?;
     let mut last = io::Error::other("no connection attempt made");
     for _ in 0..500 {
-        let res = if let Some(path) = addr.strip_prefix("unix:") {
-            UnixStream::connect(path).map(Conn::Unix)
-        } else if let Some(hp) = addr.strip_prefix("tcp:") {
-            TcpStream::connect(hp).map(|s| {
-                let _ = s.set_nodelay(true);
-                Conn::Tcp(s)
-            })
-        } else {
-            return Err(io::Error::other(format!(
-                "bad transport address {addr:?} (want unix:<path> or tcp:<host>:<port>)"
-            )));
-        };
-        match res {
+        match UnixStream::connect(path) {
             Ok(c) => return Ok(c),
             Err(e) => last = e,
         }
@@ -268,7 +186,7 @@ impl RpcSlot {
 /// drains at rank epilogue.
 struct Endpoint {
     me: usize,
-    writer: Mutex<Conn>,
+    writer: Mutex<UnixStream>,
     /// Reused serialization scratch buffer — steady-state sends reuse its
     /// capacity instead of allocating per message.
     tx: Mutex<Vec<u8>>,
@@ -293,7 +211,7 @@ impl Endpoint {
 /// The child's receive loop, run on a detached thread: decode data
 /// frames into the inbox, hand verify replies to the waiting RPC slot,
 /// and raise the poison flag on a poison frame or on any disconnect.
-fn reader_loop(ep: Arc<Endpoint>, mut conn: Conn) {
+fn reader_loop(ep: Arc<Endpoint>, mut conn: UnixStream) {
     let mut buf = Vec::new();
     while let Ok(true) = read_frame(&mut conn, &mut buf) {
         match wire::open_frame(&buf) {
@@ -411,16 +329,6 @@ fn coll_kind_from_u8(v: u8) -> Result<CollKind, WireError> {
     })
 }
 
-fn put_opt_str(buf: &mut Vec<u8>, s: Option<&str>) {
-    match s {
-        None => put_u8(buf, 0),
-        Some(s) => {
-            put_u8(buf, 1);
-            put_str(buf, s);
-        }
-    }
-}
-
 /// Intern a decoded element-type name: [`CollFingerprint::elem_type`]
 /// wants `&'static str`. The distinct type names per program are a
 /// handful, so the leak is bounded.
@@ -460,13 +368,18 @@ impl std::fmt::Debug for VerifyClient {
 }
 
 impl VerifyClient {
+    /// Send one request frame, its body written by `build`.
+    fn request(&self, build: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        let mut frame = Vec::new();
+        wire::begin_frame(&mut frame, FrameKind::VerifyReq);
+        build(&mut frame);
+        wire::end_frame(&mut frame);
+        self.ep.send_frame(&frame)
+    }
+
     /// Fire-and-forget notification.
     fn notify(&self, build: impl FnOnce(&mut Vec<u8>)) {
-        let mut body = Vec::new();
-        wire::begin_frame(&mut body, FrameKind::VerifyReq);
-        build(&mut body);
-        wire::end_frame(&mut body);
-        if self.ep.send_frame(&body).is_err() {
+        if self.request(build).is_err() {
             self.ep.poisoned.store(true, Ordering::Relaxed);
         }
     }
@@ -474,11 +387,7 @@ impl VerifyClient {
     /// Reply-bearing call: send the request and block for the hub's reply.
     fn rpc(&self, build: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         let _g = self.call.lock().unwrap();
-        let mut body = Vec::new();
-        wire::begin_frame(&mut body, FrameKind::VerifyReq);
-        build(&mut body);
-        wire::end_frame(&mut body);
-        if self.ep.send_frame(&body).is_err() {
+        if self.request(build).is_err() {
             panic!("verify channel lost: the launcher hub went away");
         }
         self.ep.rpc.wait()
@@ -562,7 +471,7 @@ impl VerifyHooks for VerifyClient {
             put_u32(b, src as u32);
             put_u64(b, tag);
             put_u64(b, bytes);
-            put_opt_str(b, sender_context);
+            sender_context.map(String::from).encode(b);
         });
     }
 
@@ -587,91 +496,6 @@ impl VerifyHooks for VerifyClient {
                 put_u64(b, n);
             }
         });
-    }
-}
-
-/// Hub side: decode one verify-hook request from the child connected as
-/// `rank` and dispatch it to the real checker. Returns the encoded reply
-/// for reply-bearing methods.
-fn serve_verify(
-    hooks: &dyn VerifyHooks,
-    rank: usize,
-    r: &mut WireReader<'_>,
-) -> Result<Option<Vec<u8>>, WireError> {
-    match r.u8()? {
-        M_COLLECTIVE => {
-            let seq = r.u64()?;
-            let kind = coll_kind_from_u8(r.u8()?)?;
-            let elem_type = intern(r.str()?);
-            let len = Option::<u64>::decode(r)?.map(|v| v as usize);
-            let context = r.str()?;
-            let fp = CollFingerprint {
-                kind,
-                elem_type,
-                len,
-                context,
-            };
-            let reply: Option<String> = hooks.on_collective(rank, seq, fp).err();
-            let mut out = Vec::new();
-            reply.encode(&mut out);
-            Ok(Some(out))
-        }
-        M_BLOCK => {
-            let src = r.u32()? as usize;
-            let tag = r.u64()?;
-            let ctx = r.str()?;
-            let id = hooks.on_block(rank, src, tag, ctx);
-            let mut out = Vec::new();
-            id.encode(&mut out);
-            Ok(Some(out))
-        }
-        M_BLOCK_POLL => {
-            let block_id = r.u64()?;
-            let diag = hooks.on_block_poll(rank, block_id);
-            let mut out = Vec::new();
-            diag.encode(&mut out);
-            Ok(Some(out))
-        }
-        M_UNBLOCK => {
-            let block_id = r.u64()?;
-            hooks.on_unblock(rank, block_id);
-            Ok(None)
-        }
-        M_EXCHANGE_START => {
-            let ctx = r.str()?;
-            let epoch = hooks.on_exchange_start(rank, ctx);
-            let mut out = Vec::new();
-            epoch.encode(&mut out);
-            Ok(Some(out))
-        }
-        M_EXCHANGE_FINISH => {
-            let epoch = r.u64()?;
-            hooks.on_exchange_finish(rank, epoch);
-            Ok(None)
-        }
-        M_DISCARDED => {
-            let src = r.u32()? as usize;
-            let tag = r.u64()?;
-            let bytes = r.u64()?;
-            let sender_ctx = Option::<String>::decode(r)?;
-            hooks.on_discarded(rank, src, tag, bytes, sender_ctx.as_deref());
-            Ok(None)
-        }
-        M_FINALIZE => {
-            let coll_seq = r.u64()?;
-            let leaked = Vec::<LeakInfo>::decode(r)?;
-            let n = r.count(24)?;
-            let mut unclaimed = Vec::with_capacity(n);
-            for _ in 0..n {
-                let src = r.u64()? as usize;
-                let tag = r.u64()?;
-                let count = r.u64()?;
-                unclaimed.push((src, tag, count));
-            }
-            hooks.on_finalize(rank, coll_seq, &leaked, &unclaimed);
-            Ok(None)
-        }
-        _ => Err(WireError::Malformed("verify method")),
     }
 }
 
@@ -711,7 +535,7 @@ where
 /// One rank's life on the socket backend: handshake, run the SPMD
 /// closure over a [`SocketTransport`], ship the encoded result. Shared
 /// verbatim by process-mode children and thread-mode child threads.
-fn child_session<T, F>(world: &World, rank: usize, size: usize, mut conn: Conn, f: &F)
+fn child_session<T, F>(world: &World, rank: usize, size: usize, mut conn: UnixStream, f: &F)
 where
     T: Send + WireCodec,
     F: Fn(&mut Rank) -> T + Send + Sync,
@@ -760,7 +584,7 @@ where
         fn drop(&mut self) {
             if std::thread::panicking() {
                 if let Ok(w) = self.0.writer.lock() {
-                    w.shutdown_write();
+                    let _ = w.shutdown(Shutdown::Write);
                 }
             }
         }
@@ -800,65 +624,213 @@ where
     // Clean-EOF the hub's reader; the write half going down is the
     // "this rank is done" signal, the read half stays open for late
     // traffic until the launcher tears the world down.
-    ep.writer.lock().unwrap().shutdown_write();
+    let _ = ep.writer.lock().unwrap().shutdown(Shutdown::Write);
 }
 
 // ---------------------------------------------------------------------
-// launcher hub
+// launcher hub: decisions over one frame
 // ---------------------------------------------------------------------
 
-/// Per-child hub loop: forward data frames to their destination writer,
-/// serve verify RPCs, capture the result frame. Returns the child's
-/// encoded result, or `None` if it disconnected without one (died) —
+/// Why the hub refuses a frame. A refused frame closes its connection,
+/// and a rank whose connection closes before its result poisons its peers.
+#[derive(Debug, PartialEq)]
+enum HubError {
+    /// The frame does not open, or its body does not decode.
+    Wire(WireError),
+    /// A frame kind a child does not send at this point of the protocol.
+    Unexpected(FrameKind),
+    /// A hello naming rank `rank` of a `size`-rank world that is not this one.
+    Misfit { rank: usize, size: usize },
+    /// A data frame not from its connection's rank or not to a rank of the world.
+    Misaddressed { src: usize, dest: usize },
+    /// A verify request in a world that runs no verifier.
+    NoVerifier,
+}
+
+impl From<WireError> for HubError {
+    fn from(e: WireError) -> Self {
+        HubError::Wire(e)
+    }
+}
+
+/// The rank that a connection's first frame, its hello, names in a
+/// `p`-rank world.
+fn hello(frame: &[u8], p: usize) -> Result<usize, HubError> {
+    let (kind, mut rd) = wire::open_frame(frame)?;
+    if kind != FrameKind::Hello {
+        return Err(HubError::Unexpected(kind));
+    }
+    let rank = rd.u32()? as usize;
+    let size = rd.u32()? as usize;
+    if rd.remaining() != 0 {
+        return Err(WireError::Malformed("hello").into());
+    }
+    if size != p || rank >= p {
+        return Err(HubError::Misfit { rank, size });
+    }
+    Ok(rank)
+}
+
+/// What the hub does with one frame read from rank `r`'s connection.
+#[derive(Debug, PartialEq)]
+enum Route<'a> {
+    /// Write the frame, verbatim, to rank `dest`.
+    Forward(usize),
+    /// Serve this verify-request body for rank `r` ([`serve_verify`]).
+    Verify(&'a [u8]),
+    /// Rank `r`'s encoded return value and [`CommStats`].
+    Result(&'a [u8]),
+    /// Stop reading the connection.
+    Close(HubError),
+}
+
+/// Route one frame from rank `r` of a `p`-rank world. A data frame is
+/// routed on a peek at its two rank fields and never opened: the
+/// destination child checks magic, version and checksum when it decodes.
+fn route(r: usize, p: usize, frame: &[u8]) -> Route<'_> {
+    if let Some((src, dest)) = wire::peek_data_ends(frame) {
+        return if src == r && dest < p {
+            Route::Forward(dest)
+        } else {
+            Route::Close(HubError::Misaddressed { src, dest })
+        };
+    }
+    match wire::open_frame(frame) {
+        Ok((FrameKind::VerifyReq, mut rd)) => Route::Verify(rd.rest()),
+        Ok((FrameKind::Result, mut rd)) => Route::Result(rd.rest()),
+        Ok((kind, _)) => Route::Close(HubError::Unexpected(kind)),
+        Err(e) => Route::Close(e.into()),
+    }
+}
+
+/// The peers poisoned when rank `r`'s connection closes: every other rank
+/// if `r` never delivered its result (it died), none once it has.
+fn poisoned_by_close(r: usize, p: usize, delivered: bool) -> impl Iterator<Item = usize> {
+    (0..p).filter(move |&q| !delivered && q != r)
+}
+
+/// A verify-reply frame carrying `value`.
+fn reply_frame(value: &impl WireCodec) -> Option<Vec<u8>> {
+    let mut frame = Vec::new();
+    wire::begin_frame(&mut frame, FrameKind::VerifyRep);
+    value.encode(&mut frame);
+    wire::end_frame(&mut frame);
+    Some(frame)
+}
+
+/// Serve one verify request `body` from the child connected as `rank`
+/// against the launcher's checker, and return the reply frame of a
+/// reply-bearing method. The whole request decodes before any hook runs.
+fn serve_verify(
+    hooks: Option<&dyn VerifyHooks>,
+    rank: usize,
+    body: &[u8],
+) -> Result<Option<Vec<u8>>, HubError> {
+    let hooks = hooks.ok_or(HubError::NoVerifier)?;
+    let r = &mut WireReader::new(body);
+    Ok(match r.u8()? {
+        M_COLLECTIVE => {
+            let seq = r.u64()?;
+            let kind = coll_kind_from_u8(r.u8()?)?;
+            let elem_type = r.str()?;
+            let len = Option::<u64>::decode(r)?.map(|v| v as usize);
+            let context = r.str()?;
+            let fp = CollFingerprint {
+                kind,
+                elem_type: intern(elem_type),
+                len,
+                context,
+            };
+            reply_frame(&hooks.on_collective(rank, seq, fp).err())
+        }
+        M_BLOCK => {
+            let src = r.u32()? as usize;
+            let tag = r.u64()?;
+            let ctx = r.str()?;
+            reply_frame(&hooks.on_block(rank, src, tag, ctx))
+        }
+        M_BLOCK_POLL => {
+            let block_id = r.u64()?;
+            reply_frame(&hooks.on_block_poll(rank, block_id))
+        }
+        M_UNBLOCK => {
+            hooks.on_unblock(rank, r.u64()?);
+            None
+        }
+        M_EXCHANGE_START => {
+            let ctx = r.str()?;
+            reply_frame(&hooks.on_exchange_start(rank, ctx))
+        }
+        M_EXCHANGE_FINISH => {
+            hooks.on_exchange_finish(rank, r.u64()?);
+            None
+        }
+        M_DISCARDED => {
+            let src = r.u32()? as usize;
+            let tag = r.u64()?;
+            let bytes = r.u64()?;
+            let sender_ctx = Option::<String>::decode(r)?;
+            hooks.on_discarded(rank, src, tag, bytes, sender_ctx.as_deref());
+            None
+        }
+        M_FINALIZE => {
+            let coll_seq = r.u64()?;
+            let leaked = Vec::<LeakInfo>::decode(r)?;
+            let n = r.count(24)?;
+            let mut unclaimed = Vec::with_capacity(n);
+            for _ in 0..n {
+                let src = r.u64()? as usize;
+                let tag = r.u64()?;
+                let count = r.u64()?;
+                unclaimed.push((src, tag, count));
+            }
+            hooks.on_finalize(rank, coll_seq, &leaked, &unclaimed);
+            None
+        }
+        _ => return Err(WireError::Malformed("verify method").into()),
+    })
+}
+
+// ---------------------------------------------------------------------
+// launcher hub: the I/O shell
+// ---------------------------------------------------------------------
+
+/// Per-child hub loop: read rank `r`'s frames and do what [`route`] says
+/// until the connection closes or a frame is refused. Returns the
+/// child's encoded result, or `None` if it closed without one (died) —
 /// in which case every other child has been sent a poison frame.
 fn hub_reader(
     r: usize,
     p: usize,
-    mut conn: Conn,
-    writers: Arc<Vec<Mutex<Conn>>>,
-    verify: Option<Arc<dyn VerifyHooks>>,
+    mut conn: UnixStream,
+    writers: &[Mutex<UnixStream>],
+    verify: Option<&dyn VerifyHooks>,
 ) -> Option<Vec<u8>> {
     let mut buf = Vec::new();
     let mut result: Option<Vec<u8>> = None;
     while let Ok(true) = read_frame(&mut conn, &mut buf) {
-        if let Some(dest) = wire::peek_data_dest(&buf) {
-            if dest >= p {
-                break; // corrupt destination
+        match route(r, p, &buf) {
+            // Write errors are ignored: the destination may have finished
+            // and exited (its unreceived messages are the same app-level
+            // leak the inproc backend tolerates); genuine deaths are
+            // caught by that child's own EOF.
+            Route::Forward(dest) => {
+                let _ = writers[dest].lock().unwrap().write_all(&buf);
             }
-            // Forwarded verbatim — the destination child validates the
-            // checksum. Write errors are ignored: the destination may
-            // have finished and exited (its unreceived messages are the
-            // same app-level leak the inproc backend tolerates); genuine
-            // deaths are caught by that child's own EOF.
-            let _ = writers[dest].lock().unwrap().write_all(&buf);
-            continue;
-        }
-        match wire::open_frame(&buf) {
-            Ok((FrameKind::VerifyReq, mut rd)) => {
-                let Some(v) = verify.as_deref() else { break };
-                match serve_verify(v, r, &mut rd) {
-                    Ok(Some(reply)) => {
-                        let mut body = Vec::new();
-                        wire::begin_frame(&mut body, FrameKind::VerifyRep);
-                        body.extend_from_slice(&reply);
-                        wire::end_frame(&mut body);
-                        let _ = writers[r].lock().unwrap().write_all(&body);
-                    }
-                    Ok(None) => {}
-                    Err(_) => break,
+            Route::Verify(body) => match serve_verify(verify, r, body) {
+                Ok(Some(reply)) => {
+                    let _ = writers[r].lock().unwrap().write_all(&reply);
                 }
-            }
-            Ok((FrameKind::Result, mut rd)) => result = Some(rd.rest().to_vec()),
-            _ => break,
+                Ok(None) => {}
+                Err(_) => break,
+            },
+            Route::Result(bytes) => result = Some(bytes.to_vec()),
+            Route::Close(_) => break,
         }
     }
-    if result.is_none() {
-        let poison = control_frame(FrameKind::Poison);
-        for (q, w) in writers.iter().enumerate() {
-            if q != r {
-                let _ = w.lock().unwrap().write_all(&poison);
-            }
-        }
+    let poison = control_frame(FrameKind::Poison);
+    for q in poisoned_by_close(r, p, result.is_some()) {
+        let _ = writers[q].lock().unwrap().write_all(&poison);
     }
     result
 }
@@ -876,9 +848,9 @@ where
     T: Send + WireCodec,
     F: Fn(&mut Rank) -> T + Send + Sync,
 {
-    let requested = cfg.addr.clone().unwrap_or_else(auto_addr);
-    let (listener, addr) = bind(&requested)
-        .unwrap_or_else(|e| panic!("socket transport cannot bind {requested}: {e}"));
+    let addr = cfg.addr.clone().unwrap_or_else(auto_addr);
+    let listener =
+        bind(&addr).unwrap_or_else(|e| panic!("socket transport cannot bind {addr}: {e}"));
     if let Some(v) = &world.verify {
         v.on_start(p);
     }
@@ -888,7 +860,7 @@ where
         let exe = std::env::current_exe().expect("current_exe for child re-exec");
         for r in 0..p {
             // The child re-parses the identical argv, rebuilds the
-            // identical World (fault plan, net model, pooling, workers),
+            // identical World (fault plan, verifier, pooling, workers),
             // and diverts into child_session via the env triple.
             let child = Command::new(&exe)
                 .args(std::env::args_os().skip(1))
@@ -909,10 +881,10 @@ where
         let mut kids = Vec::new();
         if cfg.threads {
             for r in 0..p {
-                let addr = addr.clone();
+                let addr = &addr;
                 kids.push(scope.spawn(move || {
-                    let conn = connect(&addr)
-                        .unwrap_or_else(|e| panic!("rank {r}: cannot reach hub: {e}"));
+                    let conn =
+                        connect(addr).unwrap_or_else(|e| panic!("rank {r}: cannot reach hub: {e}"));
                     child_session(world, r, p, conn, f);
                 }));
             }
@@ -922,33 +894,20 @@ where
         // before connecting fails the launch instead of hanging it).
         listener.set_nonblocking(true).expect("listener mode");
         let deadline = Instant::now() + CONNECT_DEADLINE;
-        let mut conns: Vec<Option<Conn>> = (0..p).map(|_| None).collect();
+        let mut conns: Vec<Option<UnixStream>> = (0..p).map(|_| None).collect();
         let mut accepted = 0usize;
         let mut startup_err: Option<String> = None;
         while accepted < p {
             match listener.accept() {
-                Ok(conn) => {
+                Ok((mut conn, _)) => {
                     conn.set_nonblocking(false).expect("conn mode");
-                    let mut conn = conn;
                     let mut buf = Vec::new();
-                    let hello = (|| -> Result<usize, String> {
-                        if !read_frame(&mut conn, &mut buf).map_err(|e| e.to_string())? {
-                            return Err("closed before hello".into());
-                        }
-                        let (kind, mut rd) = wire::open_frame(&buf).map_err(|e| e.to_string())?;
-                        if kind != FrameKind::Hello {
-                            return Err(format!("expected hello, got {kind:?}"));
-                        }
-                        let rank = rd.u32().map_err(|e| e.to_string())? as usize;
-                        let size = rd.u32().map_err(|e| e.to_string())? as usize;
-                        if size != p || rank >= p {
-                            return Err(format!(
-                                "rank {rank}/{size} does not fit a {p}-rank world"
-                            ));
-                        }
-                        Ok(rank)
-                    })();
-                    match hello {
+                    let rank = match read_frame(&mut conn, &mut buf) {
+                        Ok(true) => hello(&buf, p).map_err(|e| format!("{e:?}")),
+                        Ok(false) => Err("closed before hello".into()),
+                        Err(e) => Err(e.to_string()),
+                    };
+                    match rank {
                         Ok(rank) if conns[rank].is_none() => {
                             conns[rank] = Some(conn);
                             accepted += 1;
@@ -992,31 +951,32 @@ where
             panic!("socket transport startup failed: {e}");
         }
 
-        let writers: Arc<Vec<Mutex<Conn>>> = Arc::new(
-            conns
-                .iter()
-                .map(|c| Mutex::new(c.as_ref().unwrap().try_clone().expect("connection clone")))
-                .collect(),
-        );
+        // Every rank connected exactly once, so every slot is filled.
+        let conns: Vec<UnixStream> = conns.into_iter().flatten().collect();
+        let writers: Vec<Mutex<UnixStream>> = conns
+            .iter()
+            .map(|c| c.try_clone().map(Mutex::new))
+            .collect::<io::Result<_>>()
+            .expect("connection clone");
         let go = control_frame(FrameKind::Go);
-        for w in writers.iter() {
+        for w in &writers {
             w.lock().unwrap().write_all(&go).expect("go frame");
         }
 
-        let mut readers = Vec::with_capacity(p);
-        for (r, slot) in conns.iter_mut().enumerate() {
-            let conn = slot.take().unwrap();
-            let writers = Arc::clone(&writers);
-            let verify = world.verify.clone();
-            readers.push(scope.spawn(move || hub_reader(r, p, conn, writers, verify)));
-        }
-        for (r, h) in readers.into_iter().enumerate() {
-            match h.join() {
-                Ok(Some(bytes)) => result_bytes[r] = Some(bytes),
-                Ok(None) => failed.push(r),
-                Err(_) => failed.push(r),
+        let (writers, verify) = (&writers, world.verify.as_deref());
+        std::thread::scope(|hub| {
+            let readers: Vec<_> = conns
+                .into_iter()
+                .enumerate()
+                .map(|(r, conn)| hub.spawn(move || hub_reader(r, p, conn, writers, verify)))
+                .collect();
+            for (r, h) in readers.into_iter().enumerate() {
+                match h.join() {
+                    Ok(Some(bytes)) => result_bytes[r] = Some(bytes),
+                    Ok(None) | Err(_) => failed.push(r),
+                }
             }
-        }
+        });
         for h in kids {
             if let Err(payload) = h.join() {
                 if child_panic.is_none() {
@@ -1032,7 +992,7 @@ where
             _ => failed.push(r),
         }
     }
-    if let Some(path) = addr.strip_prefix("unix:") {
+    if let Ok(path) = unix_path(&addr) {
         let _ = std::fs::remove_file(path);
     }
     // Thread-mode parity with inproc: re-raise the original panic payload.
@@ -1241,9 +1201,9 @@ mod tests {
         assert_eq!(hooks.leaks.load(Ordering::Relaxed), 0);
     }
 
-    /// One valid request body per verify method, in the layout
-    /// `VerifyClient` writes.
-    fn verify_requests() -> Vec<(u8, Vec<u8>)> {
+    /// One valid request per verify method, method byte first, in the
+    /// layout `VerifyClient` writes.
+    fn verify_requests() -> Vec<Vec<u8>> {
         let mut collective = Vec::new();
         put_u64(&mut collective, 5); // seq
         put_u8(&mut collective, coll_kind_to_u8(CollKind::Allreduce));
@@ -1275,7 +1235,7 @@ mod tests {
         for v in [1, 9, 2] {
             put_u64(&mut finalize, v);
         }
-        vec![
+        [
             (M_COLLECTIVE, collective),
             (M_BLOCK, block),
             (M_BLOCK_POLL, 11u64.to_le_bytes().to_vec()),
@@ -1285,30 +1245,244 @@ mod tests {
             (M_DISCARDED, discarded),
             (M_FINALIZE, finalize),
         ]
+        .into_iter()
+        .map(|(method, body)| [&[method][..], &body].concat())
+        .collect()
+    }
+
+    // The hub's decisions, over byte slices: no socket, thread or process.
+
+    const P: usize = 4;
+    const R: usize = 1;
+
+    /// A complete frame of `kind` carrying `body`.
+    fn frame(kind: FrameKind, body: &[u8]) -> Vec<u8> {
+        let mut f = Vec::new();
+        wire::begin_frame(&mut f, kind);
+        f.extend_from_slice(body);
+        wire::end_frame(&mut f);
+        f
+    }
+
+    fn hello_frame(rank: u32, size: u32) -> Vec<u8> {
+        let mut body = Vec::new();
+        put_u32(&mut body, rank);
+        put_u32(&mut body, size);
+        frame(FrameKind::Hello, &body)
+    }
+
+    fn data_frame(src: usize, dest: usize) -> Vec<u8> {
+        let mut f = Vec::new();
+        wire::encode_data(&mut f, dest, &Envelope::new(src, 9, vec![1.5f64; 3]));
+        f
+    }
+
+    /// What a result frame carries; the hub hands it on undecoded.
+    const RESULT: &[u8] = b"result and stats";
+
+    /// Every kind of frame rank `R` sends: its hello, then one data frame
+    /// per peer, one verify request per method and its result.
+    fn child_frames() -> Vec<Vec<u8>> {
+        let mut frames = vec![hello_frame(R as u32, P as u32)];
+        frames.extend((0..P).filter(|&q| q != R).map(|q| data_frame(R, q)));
+        frames.extend(
+            verify_requests()
+                .iter()
+                .map(|req| frame(FrameKind::VerifyReq, req)),
+        );
+        frames.push(frame(FrameKind::Result, RESULT));
+        frames
+    }
+
+    #[test]
+    fn hello_names_a_rank_of_this_world_only() {
+        assert_eq!(hello(&hello_frame(R as u32, P as u32), P), Ok(R));
+        let misfit = |rank, size| Err(HubError::Misfit { rank, size });
+        assert_eq!(hello(&hello_frame(P as u32, P as u32), P), misfit(P, P));
+        assert_eq!(hello(&hello_frame(1, 3), P), misfit(1, 3));
+        let mut long = Vec::new();
+        for v in [1, 4, 0] {
+            put_u32(&mut long, v);
+        }
+        let long = frame(FrameKind::Hello, &long);
+        assert_eq!(hello(&long, P), Err(WireError::Malformed("hello").into()));
+        // every later frame a child sends, and every frame only the hub sends
+        for f in &child_frames()[1..] {
+            assert!(hello(f, P).is_err());
+        }
+        for kind in [FrameKind::Go, FrameKind::Poison, FrameKind::VerifyRep] {
+            assert_eq!(hello(&frame(kind, &[]), P), Err(HubError::Unexpected(kind)));
+        }
+    }
+
+    #[test]
+    fn route_sends_every_child_frame_where_it_belongs() {
+        for q in (0..P).filter(|&q| q != R) {
+            assert_eq!(route(R, P, &data_frame(R, q)), Route::Forward(q));
+        }
+        for req in verify_requests() {
+            let f = frame(FrameKind::VerifyReq, &req);
+            assert_eq!(route(R, P, &f), Route::Verify(&req));
+        }
+        let f = frame(FrameKind::Result, RESULT);
+        assert_eq!(route(R, P, &f), Route::Result(RESULT));
+        // a second hello, and the kinds only the hub sends
+        for kind in [
+            FrameKind::Hello,
+            FrameKind::Go,
+            FrameKind::Poison,
+            FrameKind::VerifyRep,
+        ] {
+            let f = frame(kind, &[]);
+            assert_eq!(route(R, P, &f), Route::Close(HubError::Unexpected(kind)));
+        }
+    }
+
+    #[test]
+    fn route_refuses_a_misaddressed_data_frame() {
+        let misaddressed = |src, dest| Route::Close(HubError::Misaddressed { src, dest });
+        assert_eq!(route(R, P, &data_frame(R, P)), misaddressed(R, P));
+        let far = u32::MAX as usize;
+        assert_eq!(route(R, P, &data_frame(R, far)), misaddressed(R, far));
+        // a child sends only as itself
+        assert_eq!(route(R, P, &data_frame(2, 0)), misaddressed(2, 0));
+        // forwarded unopened: the destination checks the checksum
+        let mut torn = data_frame(R, 0);
+        *torn.last_mut().unwrap() ^= 1;
+        assert_eq!(route(R, P, &torn), Route::Forward(0));
+    }
+
+    #[test]
+    fn every_truncation_of_a_child_frame_is_refused() {
+        for f in child_frames() {
+            for cut in 0..f.len() {
+                let got = route(R, P, &f[..cut]);
+                assert!(matches!(got, Route::Close(_)), "{cut} bytes: {got:?}");
+                assert!(hello(&f[..cut], P).is_err(), "{cut} bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn a_close_poisons_the_peers_only_before_a_result() {
+        let poisoned = |r, p, delivered| poisoned_by_close(r, p, delivered).collect::<Vec<_>>();
+        assert_eq!(poisoned(R, P, false), [0, 2, 3]);
+        assert_eq!(poisoned(R, P, true), []);
+        assert_eq!(poisoned(0, 1, false), []);
+    }
+
+    /// Seeded arbitrary bytes, raw, framed as every kind, and as a child
+    /// frame with one byte bent: the hub's decisions refuse or route them
+    /// and never panic.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_hub() {
+        use crate::rng::SmallRng;
+        let kinds = [
+            FrameKind::Hello,
+            FrameKind::Go,
+            FrameKind::Data,
+            FrameKind::VerifyReq,
+            FrameKind::VerifyRep,
+            FrameKind::Result,
+            FrameKind::Poison,
+        ];
+        let valid = child_frames();
+        let hooks = CountingHooks::default();
+        let decide = |f: &[u8]| {
+            let _ = hello(f, P);
+            match route(R, P, f) {
+                Route::Forward(dest) => assert!(dest < P),
+                Route::Verify(body) => {
+                    let _ = serve_verify(Some(&hooks), R, body);
+                }
+                Route::Result(_) | Route::Close(_) => {}
+            }
+        };
+        let mut rng = SmallRng::seed_from_u64(0x4855_4231);
+        for _ in 0..20_000 {
+            let junk: Vec<u8> = (0..rng.range_usize(0, 96))
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+            assert!(hello(&junk, P).is_err());
+            assert!(matches!(route(R, P, &junk), Route::Close(_)));
+            let _ = serve_verify(Some(&hooks), R, &junk);
+            decide(&frame(kinds[rng.range_usize(0, kinds.len())], &junk));
+            let mut bent = valid[rng.range_usize(0, valid.len())].clone();
+            let at = rng.range_usize(0, bent.len());
+            bent[at] ^= rng.range_u64(1, 256) as u8;
+            decide(&bent);
+        }
     }
 
     /// The hub's request decoder on hostile bodies: every method's valid
-    /// body serves, the same body cut short anywhere is an error (before
-    /// any hook runs), and an unknown method byte is refused.
+    /// body serves, and a reply-bearing one is answered with one
+    /// verify-reply frame; the same body cut short anywhere is an error
+    /// (before any hook runs), and an unknown method byte is refused.
     #[test]
     fn truncated_verify_requests_are_errors() {
         let hooks = CountingHooks::default();
         hooks.on_start(2);
-        for (method, body) in verify_requests() {
-            let mut req = vec![method];
-            req.extend_from_slice(&body);
-            let ok = serve_verify(&hooks, 1, &mut WireReader::new(&req));
-            assert!(ok.is_ok(), "method {method}: {ok:?}");
+        for req in verify_requests() {
+            let method = req[0];
+            match serve_verify(Some(&hooks), 1, &req) {
+                Ok(Some(reply)) => {
+                    assert!(matches!(
+                        wire::open_frame(&reply),
+                        Ok((FrameKind::VerifyRep, _))
+                    ))
+                }
+                Ok(None) => {}
+                Err(e) => panic!("method {method}: {e:?}"),
+            }
             for cut in 0..req.len() {
-                let got = serve_verify(&hooks, 1, &mut WireReader::new(&req[..cut]));
+                let got = serve_verify(Some(&hooks), 1, &req[..cut]);
                 assert!(got.is_err(), "method {method} accepted {cut} bytes");
             }
         }
         assert_eq!(hooks.finalized.load(Ordering::Relaxed), 0b10);
         for method in [0u8, 9, 0xff] {
-            let got = serve_verify(&hooks, 0, &mut WireReader::new(&[method]));
-            assert_eq!(got, Err(WireError::Malformed("verify method")));
+            let got = serve_verify(Some(&hooks), 0, &[method]);
+            assert_eq!(got, Err(WireError::Malformed("verify method").into()));
         }
+    }
+
+    /// A verify request reaches a world without a verifier only from a
+    /// broken or hostile child: refused, whatever the method.
+    #[test]
+    fn verify_request_without_a_verifier_is_refused() {
+        for req in verify_requests() {
+            assert_eq!(serve_verify(None, 1, &req), Err(HubError::NoVerifier));
+        }
+    }
+
+    /// Counts a request claims are bounded by the bytes that follow them,
+    /// before anything is reserved.
+    #[test]
+    fn claimed_counts_are_bounded_by_the_request() {
+        let hooks = CountingHooks::default();
+        let mut leaks = vec![M_FINALIZE];
+        put_u64(&mut leaks, 5);
+        put_u64(&mut leaks, 1 << 40); // leaked messages
+        leaks.extend_from_slice(&[0u8; 64]);
+        let mut unclaimed = vec![M_FINALIZE];
+        put_u64(&mut unclaimed, 5);
+        put_u64(&mut unclaimed, 0);
+        put_u64(&mut unclaimed, 1 << 40); // unclaimed messages
+        unclaimed.extend_from_slice(&[0u8; 64]);
+        for req in [leaks, unclaimed] {
+            assert_eq!(
+                serve_verify(Some(&hooks), 1, &req),
+                Err(WireError::Oversized(1 << 40).into())
+            );
+        }
+        let mut context = vec![M_EXCHANGE_START];
+        put_u32(&mut context, u32::MAX); // string length
+        context.extend_from_slice(b"gs");
+        assert_eq!(
+            serve_verify(Some(&hooks), 1, &context),
+            Err(WireError::Truncated.into())
+        );
+        assert_eq!(hooks.finalized.load(Ordering::Relaxed), 0);
     }
 
     /// A prefix that claims a gigabyte, sixteen body bytes, then EOF: an
@@ -1346,17 +1520,5 @@ mod tests {
         // EOF inside a body is an error, not a clean end
         let mut rd = &stream[..frames[0].len() - 1];
         assert!(read_frame(&mut rd, &mut buf).is_err());
-    }
-
-    #[test]
-    fn socket_transport_works_over_tcp() {
-        let world = World::new().with_transport(TransportKind::Socket(SocketConfig {
-            addr: Some("tcp:127.0.0.1:0".into()),
-            threads: true,
-        }));
-        let res = world.run_dist(3, |rank: &mut Rank| {
-            rank.allreduce_u64(&[rank.rank() as u64 + 1], ReduceOp::Sum)[0]
-        });
-        assert_eq!(res.results, vec![6, 6, 6]);
     }
 }

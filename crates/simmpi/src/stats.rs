@@ -39,9 +39,6 @@ pub enum MpiOp {
     CrystalRouter,
     /// Injected message delay (fault injection; time is the delay served).
     FaultDelay,
-    /// Injected drop + retransmit (fault injection; time is the
-    /// timeout/backoff served before the retransmission got through).
-    FaultRetransmit,
     /// Wire serialization/deserialization performed by a non-in-process
     /// transport (the socket backend). Recorded as its own row so wire
     /// overhead never silently folds into `MPI_Send`/`MPI_Wait`.
@@ -74,7 +71,6 @@ impl MpiOp {
             MpiOp::Alltoallv => "MPI_Alltoallv",
             MpiOp::CrystalRouter => "crystal_router",
             MpiOp::FaultDelay => "fault_delay",
-            MpiOp::FaultRetransmit => "fault_retransmit",
             MpiOp::TransportSer => "transport_ser",
             MpiOp::LbGather => "lb_gather",
             MpiOp::LbMigrate => "lb_migrate",
@@ -84,7 +80,7 @@ impl MpiOp {
     /// Whether this entry is an injected-fault record rather than a real
     /// communication operation.
     pub fn is_fault(self) -> bool {
-        matches!(self, MpiOp::FaultDelay | MpiOp::FaultRetransmit)
+        self == MpiOp::FaultDelay
     }
 }
 

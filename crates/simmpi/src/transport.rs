@@ -9,8 +9,8 @@
 //!   steady-state allocation; all determinism, verification, and BENCH
 //!   guarantees are native to this path.
 //! * **socket** (`crate::socket`) — every rank is a child *process*
-//!   connected to a rank-0 launcher hub over Unix-domain sockets (or
-//!   TCP), speaking the versioned [`crate::wire`] frame format. This is
+//!   connected to a rank-0 launcher hub over a Unix-domain socket,
+//!   speaking the versioned [`crate::wire`] frame format. This is
 //!   the backend that escapes the one-process core count and puts real
 //!   wire time behind every message.
 //!
@@ -100,7 +100,7 @@ pub enum TransportKind {
     #[default]
     Inproc,
     /// Ranks are separate processes (or, in test mode, threads) speaking
-    /// the wire format over Unix-domain/TCP sockets via a rank-0 hub.
+    /// the wire format over Unix-domain sockets via a rank-0 hub.
     /// Usable via [`crate::World::run_dist`].
     Socket(SocketConfig),
 }
@@ -108,7 +108,7 @@ pub enum TransportKind {
 /// Configuration of the socket backend.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SocketConfig {
-    /// Listen/connect address: `"unix:/path/sock"` or `"tcp:host:port"`.
+    /// Listen/connect address, `"unix:<path>"` (the only form).
     /// `None` picks a fresh Unix-domain socket under the temp directory.
     pub addr: Option<String>,
     /// Run rank "children" as threads of the launcher process instead of

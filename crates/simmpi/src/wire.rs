@@ -57,7 +57,7 @@ use crate::verify::LeakInfo;
 /// Frame magic: `"SMPW"` (simmpi wire).
 pub(crate) const MAGIC: u32 = 0x534D_5057;
 /// Wire-format version; bumped on any incompatible layout change.
-pub(crate) const VERSION: u16 = 5;
+pub(crate) const VERSION: u16 = 6;
 /// Upper bound on one frame body, to reject absurd lengths from a
 /// corrupt or hostile peer before reading.
 pub(crate) const MAX_FRAME: usize = 1 << 30;
@@ -354,16 +354,21 @@ pub(crate) fn open_frame(frame: &[u8]) -> Result<(FrameKind, WireReader<'_>), Wi
     Ok((kind, r))
 }
 
-/// Destination rank of a data frame, read without decoding the payload —
-/// the hub's routing peek. `None` if the frame is too short or not Data.
-pub(crate) fn peek_data_dest(frame: &[u8]) -> Option<usize> {
+/// Source and destination rank of a data frame, read without decoding
+/// the payload — the hub's routing peek. `None` if the frame is not Data,
+/// is too short, or its length prefix disagrees with its length.
+pub(crate) fn peek_data_ends(frame: &[u8]) -> Option<(usize, usize)> {
     // len(4) magic(4) version(2) kind(1) src(4) dest(4)
     const KIND_AT: usize = LEN_BYTES + 6;
-    const DEST_AT: usize = LEN_BYTES + HEADER + 4;
-    if frame.len() < DEST_AT + 4 || frame[KIND_AT] != FrameKind::Data as u8 {
+    const SRC_AT: usize = LEN_BYTES + HEADER;
+    let u32_at = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().unwrap());
+    if frame.len() < SRC_AT + 8
+        || frame[KIND_AT] != FrameKind::Data as u8
+        || u32_at(0) as usize != frame.len() - LEN_BYTES
+    {
         return None;
     }
-    Some(u32::from_le_bytes(frame[DEST_AT..DEST_AT + 4].try_into().unwrap()) as usize)
+    Some((u32_at(SRC_AT) as usize, u32_at(SRC_AT + 4) as usize))
 }
 
 // ---------------------------------------------------------------------
@@ -656,8 +661,10 @@ pub trait WireCodec: Sized {
         }
     }
     /// Decode `n` values in order, `n` already bounded by the bytes left.
+    /// A value can take more memory than wire bytes, so the reservation is
+    /// capped at the bytes left as well; a longer vector grows as it decodes.
     fn decode_vec(r: &mut WireReader<'_>, n: usize) -> Result<Vec<Self>, WireError> {
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n.min(r.remaining() / size_of::<Self>().max(1)));
         for _ in 0..n {
             out.push(Self::decode(r)?);
         }
@@ -781,7 +788,6 @@ impl WireCodec for MpiOp {
             MpiOp::Alltoallv => 11,
             MpiOp::CrystalRouter => 12,
             MpiOp::FaultDelay => 13,
-            MpiOp::FaultRetransmit => 14,
             MpiOp::TransportSer => 15,
             MpiOp::LbGather => 16,
             MpiOp::LbMigrate => 17,
@@ -801,7 +807,6 @@ impl WireCodec for MpiOp {
             11 => MpiOp::Alltoallv,
             12 => MpiOp::CrystalRouter,
             13 => MpiOp::FaultDelay,
-            14 => MpiOp::FaultRetransmit,
             15 => MpiOp::TransportSer,
             16 => MpiOp::LbGather,
             17 => MpiOp::LbMigrate,
@@ -1063,7 +1068,7 @@ mod tests {
 
     #[test]
     fn payload_section_golden_bytes() {
-        assert_eq!(VERSION, 5);
+        assert_eq!(VERSION, 6);
         for (env, inline, want) in one_of_each_wire_id() {
             let (was_inline, bytes) = payload_section(&env);
             let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
@@ -1304,7 +1309,7 @@ mod tests {
         let buf = sample_frame();
         assert_eq!(buf.len(), 107);
         let trailer = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
-        assert_eq!(trailer, 0x41A3_2C96_E087_C4A5);
+        assert_eq!(trailer, 0x77D1_36E0_CFA4_B59E);
     }
 
     /// A version-3 peer sealed its frames with byte-serial FNV-1a; it is
@@ -1409,11 +1414,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_dest_matches_encoded_dest() {
+    fn peek_ends_match_encoded_ends() {
         let mut buf = Vec::new();
-        encode_data(&mut buf, 13, &Envelope::new(0, 1, vec![1u8]));
-        assert_eq!(peek_data_dest(&buf), Some(13));
-        assert_eq!(peek_data_dest(&buf[..10]), None);
+        encode_data(&mut buf, 13, &Envelope::new(4, 1, vec![1u8]));
+        assert_eq!(peek_data_ends(&buf), Some((4, 13)));
+        assert_eq!(peek_data_ends(&buf[..10]), None);
+        assert_eq!(peek_data_ends(&buf[..buf.len() - 1]), None);
     }
 
     #[test]

@@ -68,8 +68,8 @@ impl World {
         World::default()
     }
 
-    /// Install a deterministic [`FaultPlan`]. Message-level hazards
-    /// (delays, drop/retransmit) are injected by the runtime on every
+    /// Install a deterministic [`FaultPlan`]. Message delays are
+    /// injected by the runtime on every
     /// point-to-point and collective-internal send; scheduled rank kills
     /// are surfaced to drivers via [`Rank::fault_plan`].
     ///
@@ -112,8 +112,8 @@ impl World {
 
     /// Enable or disable per-rank payload-buffer recycling (the
     /// [`BufferPool`]); on by default. With pooling off, every receive
-    /// allocates and every returned buffer is freed — the `--no-pool`
-    /// escape hatch for isolating pool bugs or measuring its benefit.
+    /// allocates and every returned buffer is freed — the baseline the
+    /// pool-identity and allocation tests compare the pooled path against.
     pub fn with_pooling(mut self, on: bool) -> Self {
         self.pooling = on;
         self
@@ -122,7 +122,7 @@ impl World {
     /// Select the transport backend for [`World::run_dist`]:
     /// [`TransportKind::Inproc`] (the default — ranks as threads of this
     /// process) or [`TransportKind::Socket`] (ranks as child processes
-    /// over Unix-domain/TCP sockets). [`World::run`] always uses the
+    /// over Unix-domain sockets). [`World::run`] always uses the
     /// in-process backend regardless of this setting, because it cannot
     /// ship arbitrary `T` results across a process boundary.
     pub fn with_transport(mut self, kind: TransportKind) -> Self {
@@ -540,8 +540,7 @@ mod tests {
         });
     }
 
-    /// Injected message faults (delay and drop/retransmit) perturb timing
-    /// only: results are identical to a fault-free run, and every injected
+    /// Injected message delays perturb timing only: results are identical to a fault-free run, and every injected
     /// event appears in the mpiP-style books under its own operation.
     #[test]
     fn message_faults_preserve_results_and_are_recorded() {
@@ -558,8 +557,7 @@ mod tests {
             acc
         };
         let clean = World::new().run(p, program);
-        let plan =
-            crate::FaultPlan::parse("delay:prob=0.5,us=300;drop:prob=0.5,us=100;seed=3").unwrap();
+        let plan = crate::FaultPlan::parse("delay:prob=0.5,us=300;seed=3").unwrap();
         let faulty = World::new().with_fault_plan(plan).run(p, program);
         assert_eq!(clean.results, faulty.results);
         let injected: u64 = faulty
@@ -582,7 +580,7 @@ mod tests {
     /// injected event counts.
     #[test]
     fn fault_schedule_is_deterministic() {
-        let plan = crate::FaultPlan::parse("drop:prob=0.4,us=50,retries=3;seed=11").unwrap();
+        let plan = crate::FaultPlan::parse("delay:prob=0.4,us=50;seed=11").unwrap();
         let count = |res: &WorldResult<()>| -> Vec<u64> {
             res.stats
                 .iter()

@@ -14,8 +14,10 @@
 //! delta, so the stray allocation is localised without a second run.
 
 use cmt_bone::{Config, Pipeline};
-use cmt_gs::GsMethod;
+use cmt_gs::{GsHandle, GsMethod, GsOp};
+use cmt_mesh::{MeshConfig, RankMesh};
 use cmt_perf::ProfileReport;
+use simmpi::World;
 
 /// Steady-state `(allocs, bytes)` of each region: its self counters in
 /// the `long` run minus those in the `short` one.
@@ -61,7 +63,7 @@ fn assert_quiet(what: &str, long: &ProfileReport, short: &ProfileReport, prefix:
     }
 }
 
-fn bone_cfg(method: GsMethod, pipeline: Pipeline, pool: bool, steps: usize) -> Config {
+fn bone_cfg(method: GsMethod, pipeline: Pipeline, steps: usize) -> Config {
     Config {
         ranks: 4,
         n: 6,
@@ -70,7 +72,6 @@ fn bone_cfg(method: GsMethod, pipeline: Pipeline, pool: bool, steps: usize) -> C
         fields: 3,
         method: Some(method),
         pipeline,
-        pool,
         ..Default::default()
     }
 }
@@ -89,7 +90,7 @@ fn cmt_bone_gs_regions_allocation_free_at_steady_state() {
     assert!(cmt_perf::alloc::counting(), "counting allocator not active");
     for pipeline in [Pipeline::Overlapped, Pipeline::Blocking] {
         for method in GsMethod::ALL {
-            let (long, short) = bone_profiles(|steps| bone_cfg(method, pipeline, true, steps));
+            let (long, short) = bone_profiles(|steps| bone_cfg(method, pipeline, steps));
             let what = format!("{method:?}/{}", pipeline.name());
             assert_quiet(&what, &long, &short, "gs_op");
         }
@@ -99,22 +100,45 @@ fn cmt_bone_gs_regions_allocation_free_at_steady_state() {
 #[test]
 fn cmt_bone_no_pool_baseline_does_allocate() {
     // The assertion above is only meaningful if the instrument can see
-    // the allocations the pool removes.
+    // the allocations the pool removes: CMT-bone's face exchange on the
+    // mesh above, four steady-state rounds per rank after two warm-up
+    // rounds, counted on the rank thread, with the world's buffer pool
+    // off and on.
     assert!(cmt_perf::alloc::counting(), "counting allocator not active");
-    let (long, short) = bone_profiles(|steps| {
-        bone_cfg(
-            GsMethod::PairwiseExchange,
-            Pipeline::Overlapped,
-            false,
-            steps,
-        )
-    });
-    let (allocs, bytes) = steady_delta(&long, &short, "gs_op");
-    assert!(
-        allocs > 0 && bytes > 0,
-        "fresh-alloc baseline shows no gs allocations ({allocs}/{bytes}) — \
-         the counter or the differential is broken"
-    );
+    let cfg = bone_cfg(GsMethod::PairwiseExchange, Pipeline::Blocking, 0);
+    let mesh = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, true);
+    let steady = |pooling: bool| {
+        let mesh = mesh.clone();
+        World::new()
+            .with_pooling(pooling)
+            .run(cfg.ranks, move |rank| {
+                let ids = RankMesh::new(mesh.clone(), rank.rank()).face_exchange_gids();
+                let handle = GsHandle::setup(rank, &ids);
+                let mut v = vec![1.0f64; ids.len()];
+                let mut round = |rank: &mut simmpi::Rank| {
+                    handle.gs_op(rank, &mut v, GsOp::Add, GsMethod::PairwiseExchange)
+                };
+                round(rank);
+                round(rank);
+                let (a0, b0) = cmt_perf::alloc::thread_counts();
+                for _ in 0..4 {
+                    round(rank);
+                }
+                let (a1, b1) = cmt_perf::alloc::thread_counts();
+                (a1 - a0, b1 - b0)
+            })
+            .results
+    };
+    for (r, (allocs, bytes)) in steady(false).into_iter().enumerate() {
+        assert!(
+            allocs > 0 && bytes > 0,
+            "rank {r}: fresh-alloc baseline shows no gs allocations ({allocs}/{bytes}) — \
+             the counter or the differential is broken"
+        );
+    }
+    for (r, counts) in steady(true).into_iter().enumerate() {
+        assert_eq!(counts, (0, 0), "rank {r}: pooled exchange allocated");
+    }
 }
 
 /// The volume-kernel regions (flux-divergence derivatives and the
@@ -138,12 +162,7 @@ fn cmt_bone_volume_kernels_allocation_free_at_steady_state() {
                 variant,
                 workers,
                 dealias_m: Some(8),
-                ..bone_cfg(
-                    GsMethod::PairwiseExchange,
-                    Pipeline::Overlapped,
-                    true,
-                    steps,
-                )
+                ..bone_cfg(GsMethod::PairwiseExchange, Pipeline::Overlapped, steps)
             });
             let what = format!("{}, {workers} workers", variant.name());
             for prefix in ["ax_cmt", "dealias"] {
@@ -163,12 +182,7 @@ fn cmt_bone_particle_advect_allocation_free_at_steady_state() {
     assert!(cmt_perf::alloc::counting(), "counting allocator not active");
     let (long, short) = bone_profiles(|steps| Config {
         particles_per_elem: 5,
-        ..bone_cfg(
-            GsMethod::PairwiseExchange,
-            Pipeline::Overlapped,
-            true,
-            steps,
-        )
+        ..bone_cfg(GsMethod::PairwiseExchange, Pipeline::Overlapped, steps)
     });
     assert!(
         long.flat.iter().any(|(name, _)| name == "particle_advect"),
@@ -193,12 +207,7 @@ fn cmt_bone_lb_monitor_allocations_per_quiet_step_are_bounded() {
         particles_per_elem: 5,
         lb_every: 1,
         lb_threshold: 1e9,
-        ..bone_cfg(
-            GsMethod::PairwiseExchange,
-            Pipeline::Overlapped,
-            true,
-            steps,
-        )
+        ..bone_cfg(GsMethod::PairwiseExchange, Pipeline::Overlapped, steps)
     };
     let (long, short) = (cmt_bone::run(&cfg(6)), cmt_bone::run(&cfg(2)));
     assert_eq!(long.lb.expect("lb ran").rebalances, 0);

@@ -26,13 +26,26 @@ fn cmt_bone_full_pipeline_all_methods() {
     }
 }
 
+/// `MPI_Allreduce@cfl` calls summed over ranks. Every rank reduces after
+/// each `cfl_interval`-th step; Euler adds one more per rank at setup,
+/// where its first `dt` comes from the global wave speed
+/// (`Physics::setup_dt`).
+fn cfl_allreduce_calls(rep: &cmt_bone::RunReport) -> usize {
+    rep.comm
+        .sites
+        .iter()
+        .filter(|s| s.site.op == MpiOp::Allreduce && s.site.context == "cfl")
+        .map(|s| s.calls as usize)
+        .sum()
+}
+
 #[test]
 fn paper_fig9_shape_wait_dominates_pairwise_mpi_time() {
     // Fig. 9 characterizes the paper's blocking per-field exchange — the
     // overlapped pipeline deliberately destroys this shape by hiding the
     // wait behind the volume kernels (see the `overlap` ablation), so the
     // reproduction pins the blocking schedule.
-    let rep = cmt_bone::run(&BoneConfig {
+    let cfg = BoneConfig {
         ranks: 4,
         n: 8,
         elems_per_rank: 27,
@@ -41,7 +54,13 @@ fn paper_fig9_shape_wait_dominates_pairwise_mpi_time() {
         method: Some(GsMethod::PairwiseExchange),
         pipeline: cmt_bone::Pipeline::Blocking,
         ..Default::default()
-    });
+    };
+    let rep = cmt_bone::run(&cfg);
+    // the proxy's setup `dt` is a fixed formula: only the loop reduces
+    assert_eq!(
+        cfl_allreduce_calls(&rep),
+        cfg.ranks * (cfg.steps / cfg.cfl_interval)
+    );
     let wait = rep.comm.time_of_op(MpiOp::Wait);
     let isend = rep.comm.time_of_op(MpiOp::Isend);
     assert!(
@@ -246,6 +265,11 @@ fn euler_tracers_cross_ranks_and_invariants_hold() {
         ..cfg.clone()
     });
     let (rep, end) = cmt_bone::run_collecting_solution(&cfg);
+    // one wave-speed reduction per rank at setup, then one per interval
+    assert_eq!(
+        cfl_allreduce_calls(&rep),
+        cfg.ranks * (cfg.steps / cfg.cfl_interval + 1)
+    );
     for (c, (a, b)) in totals(&start).iter().zip(totals(&end)).enumerate() {
         assert!(
             (b - a).abs() < 1e-9 * a.abs().max(1.0),

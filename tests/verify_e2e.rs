@@ -104,36 +104,33 @@ fn cmt_bone_delay_plan_is_deterministic_and_clean() {
 
 #[test]
 fn cmt_bone_pooled_buffers_are_not_message_leaks() {
-    // Buffer pooling (the default) parks payload buffers on each rank
-    // between timesteps; the finalize leak sweep must distinguish those
-    // from genuinely undelivered messages, under every exchange method
-    // and with the scheduler perturbed. The pooled verified run must
-    // also stay bitwise identical to the `--no-pool` verified run.
+    // Buffer pooling parks payload buffers on each rank between
+    // timesteps; the finalize leak sweep must distinguish those from
+    // genuinely undelivered messages, under every exchange method and
+    // with the scheduler perturbed. The verified run must also stay
+    // bitwise identical to the plain run.
     for method in GsMethod::ALL {
-        let cfg = cmt_bone::Config {
+        let plain = cmt_bone::Config {
             method: Some(method),
-            verify: true,
-            fault_plan: delay_plan(11),
             ..bone_cfg()
         };
-        let pooled = cmt_bone::run(&cmt_bone::Config {
-            pool: true,
-            ..cfg.clone()
+        let checked = cmt_bone::run(&cmt_bone::Config {
+            verify: true,
+            fault_plan: delay_plan(11),
+            ..plain.clone()
         });
-        let fresh = cmt_bone::run(&cmt_bone::Config { pool: false, ..cfg });
-        for (label, run) in [("pool", &pooled), ("no-pool", &fresh)] {
-            let findings = run.verify.as_deref().expect("verification ran");
-            assert!(
-                findings.is_empty(),
-                "{method:?}/{label}: {}",
-                cmt_verify::render_findings(findings)
-            );
-        }
-        assert_eq!(
-            pooled.state_hash, fresh.state_hash,
-            "{method:?}: pooling changed the verified final state"
+        let findings = checked.verify.as_deref().expect("verification ran");
+        assert!(
+            findings.is_empty(),
+            "{method:?}: {}",
+            cmt_verify::render_findings(findings)
         );
-        assert_eq!(pooled.checksum, fresh.checksum);
+        let plain = cmt_bone::run(&plain);
+        assert_eq!(
+            checked.state_hash, plain.state_hash,
+            "{method:?}: the checker changed the final state"
+        );
+        assert_eq!(checked.checksum, plain.checksum);
     }
 }
 
