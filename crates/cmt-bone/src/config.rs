@@ -219,6 +219,7 @@ impl Config {
         if self.cfl_interval == 0 {
             return Err("cfl_interval must be positive".into());
         }
+        self.transport.validate()?;
         if !(self.cfl > 0.0) {
             return Err("cfl must be positive".into());
         }

@@ -283,7 +283,7 @@ impl Stepper<'_> {
             br1_gradient_lift(basis, geom, axis, uf, sum, q);
         }
         // viscous divergence: per axis a volume term and a central
-        // surface-flux correction with the q-trace exchange between them.
+        // surface-flux correction, which needs the exchanged q traces.
         let mut volume = |q: &[f64], axis: usize, dir: DerivDir, rhs: &mut Field| {
             kernels::deriv(
                 cfg.variant,
@@ -296,27 +296,25 @@ impl Stepper<'_> {
             );
             rhs.axpy(nu * geom.dscale(axis), scratch);
         };
-        // `qfaces` holds the exchanged q-trace sum (own + neighbor); the
-        // correction reads the own side from `q`, which the exchange
-        // leaves untouched.
-        let correct = |q: &Field, qsum: &[f64], axis: usize, rhs: &mut Field| {
-            br1_central_correction(basis, geom, axis, nu, q.as_slice(), qsum, rhs);
-        };
+        // Both schedules exchange the three q traces, add the three volume
+        // divergences, then apply the three corrections: one order, so
+        // they agree bit for bit. The overlapped one adds the volume terms
+        // while its exchange is in flight.
+        for axis in 0..3 {
+            face::full2face(n, nel, ws.q[axis].as_slice(), &mut ws.qfaces[axis]);
+        }
         match cfg.pipeline {
             Pipeline::Blocking => {
+                self.rank.set_context("faces_visc");
+                for qfaces in &mut ws.qfaces {
+                    handle.gs_op(self.rank, qfaces, GsOp::Add, self.chosen);
+                }
+                self.rank.set_context("main");
                 for (axis, dir) in AXES {
                     volume(ws.q[axis].as_slice(), axis, dir, rhs);
-                    face::full2face(n, nel, ws.q[axis].as_slice(), &mut ws.qfaces[axis]);
-                    self.rank.set_context("faces_visc");
-                    handle.gs_op(self.rank, &mut ws.qfaces[axis], GsOp::Add, self.chosen);
-                    self.rank.set_context("main");
-                    correct(&ws.q[axis], &ws.qfaces[axis], axis, rhs);
                 }
             }
             Pipeline::Overlapped => {
-                for axis in 0..3 {
-                    face::full2face(n, nel, ws.q[axis].as_slice(), &mut ws.qfaces[axis]);
-                }
                 let mut qfaces = ws.qfaces.each_mut().map(|v| v.as_mut_slice());
                 self.prof.enter(regions::GS_START);
                 self.rank.set_context("faces_visc");
@@ -331,10 +329,13 @@ impl Stepper<'_> {
                 });
                 self.rank.set_context("main");
                 self.prof.exit();
-                for axis in 0..3 {
-                    correct(&ws.q[axis], &ws.qfaces[axis], axis, rhs);
-                }
             }
+        }
+        // `qfaces` holds the exchanged q-trace sum (own + neighbor); the
+        // correction reads the own side from `q`, which the exchange
+        // leaves untouched.
+        for (axis, (q, qsum)) in ws.q.iter().zip(&ws.qfaces).enumerate() {
+            br1_central_correction(basis, geom, axis, nu, q.as_slice(), qsum, rhs);
         }
         self.prof.exit();
     }

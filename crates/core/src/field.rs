@@ -139,13 +139,6 @@ impl Field {
         &self.data[e * np..(e + 1) * np]
     }
 
-    /// Mutable view of one element's `n^3` values.
-    #[inline]
-    pub fn element_mut(&mut self, e: usize) -> &mut [f64] {
-        let np = self.points_per_element();
-        &mut self.data[e * np..(e + 1) * np]
-    }
-
     /// Fill every value with `v`.
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);

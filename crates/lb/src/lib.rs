@@ -8,10 +8,8 @@
 //! at the pace of the most loaded rank. This crate supplies the three
 //! pieces the driver wires together to fix that at runtime:
 //!
-//! * [`monitor`] — a per-rank **cost monitor**: a rolling window of
-//!   observed per-step samples (region timers from [`cmt_perf`],
-//!   particle populations) for reporting, plus [`monitor::gather_costs`],
-//!   the collective that allgathers the *deterministic* cost inputs
+//! * [`monitor`] — the **cost monitor** [`monitor::gather_costs`], the
+//!   collective that allgathers the *deterministic* cost inputs
 //!   (per-element particle counts, per-rank injected-delay totals) every
 //!   `--lb-every` steps — badged as the dedicated `lb_gather` mpiP
 //!   operation.
@@ -44,5 +42,5 @@ pub mod monitor;
 pub mod policy;
 
 pub use migrate::{migrate_blocks, MigrationStats};
-pub use monitor::{gather_costs, CostMonitor, GlobalCost, StepSample};
+pub use monitor::{gather_costs, GlobalCost};
 pub use policy::{decide, CostModel, Decision};

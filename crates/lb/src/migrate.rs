@@ -29,16 +29,6 @@ pub struct MigrationStats {
     pub values_received: usize,
 }
 
-impl MigrationStats {
-    /// Merge another rank's (or pass's) accounting into this one.
-    pub fn absorb(&mut self, o: MigrationStats) {
-        self.elems_sent += o.elems_sent;
-        self.elems_received += o.elems_received;
-        self.values_sent += o.values_sent;
-        self.values_received += o.values_received;
-    }
-}
-
 /// Ship every element this rank owns under `old` but not under `new` to
 /// its new owner; receive the elements this rank gains. `pack(gid)` is
 /// called once per departing element (ascending gid) and must produce

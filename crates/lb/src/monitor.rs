@@ -1,92 +1,15 @@
-//! The per-rank cost monitor: rolling observed samples for reporting,
-//! and the collective gather of the deterministic cost inputs.
+//! The collective gather of the load balancer's deterministic cost
+//! inputs.
 //!
-//! Two kinds of numbers flow through here and they must never mix:
-//!
-//! * **Observed** samples (step wall time, region timers) go into the
-//!   rolling [`CostMonitor`] window. They are honest measurements and
-//!   therefore differ across ranks, machines and runs — they feed the
-//!   load-balancer *summary line*, never a decision.
-//! * **Deterministic** inputs (per-element particle populations,
-//!   per-rank injected-delay totals from the fault injector) are exact
-//!   integers that every run reproduces. [`gather_costs`] allgathers
-//!   them so each rank holds the identical [`GlobalCost`], which is the
-//!   *only* input [`crate::policy::decide`] accepts.
-
-use std::collections::VecDeque;
+//! Per-element particle populations and per-rank injected-delay totals
+//! from the fault injector are exact integers that every run reproduces.
+//! [`gather_costs`] allgathers them so each rank holds the identical
+//! [`GlobalCost`], which is the *only* input [`crate::policy::decide`]
+//! accepts. Observed timings (step wall time, region timers) differ
+//! across ranks, machines and runs, and never reach a decision.
 
 use cmt_mesh::ElemPartition;
-use cmt_perf::Profiler;
 use simmpi::{MpiOp, Rank, ReduceOp};
-
-/// One observed step, recorded after the step completes.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StepSample {
-    /// Wall seconds the step took on this rank.
-    pub step_s: f64,
-    /// Particles resident on this rank during the step.
-    pub particles: u64,
-}
-
-/// Rolling window of per-step observations on one rank.
-#[derive(Debug, Clone)]
-pub struct CostMonitor {
-    window: usize,
-    samples: VecDeque<StepSample>,
-}
-
-impl CostMonitor {
-    /// A monitor keeping the most recent `window` steps (at least 1).
-    pub fn new(window: usize) -> Self {
-        CostMonitor {
-            window: window.max(1),
-            samples: VecDeque::new(),
-        }
-    }
-
-    /// Record one step's observations, evicting the oldest beyond the
-    /// window.
-    pub fn record(&mut self, s: StepSample) {
-        if self.samples.len() == self.window {
-            self.samples.pop_front();
-        }
-        self.samples.push_back(s);
-    }
-
-    /// Steps currently in the window.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no steps have been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Mean observed step wall time over the window (0 when empty).
-    pub fn mean_step_s(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(|s| s.step_s).sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Mean resident-particle count over the window (0 when empty).
-    pub fn mean_particles(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(|s| s.particles as f64).sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Cumulative self seconds booked to `region` so far — the
-    /// profiler-side sample (difference two snapshots to get a
-    /// per-interval reading).
-    pub fn region_s(prof: &Profiler, region: &str) -> f64 {
-        let report = prof.report();
-        report.share(region) * report.total_self_s()
-    }
-}
 
 /// The allgathered deterministic cost vector: identical on every rank
 /// after [`gather_costs`] returns.
@@ -97,13 +20,6 @@ pub struct GlobalCost {
     /// Cumulative injected-delay microseconds per rank (the fault
     /// injector's deterministic straggler signal).
     pub delay_us: Vec<u64>,
-}
-
-impl GlobalCost {
-    /// Total particles in the domain.
-    pub fn total_particles(&self) -> u64 {
-        self.particles.iter().sum()
-    }
 }
 
 /// Allgather the deterministic cost inputs: each rank contributes the
@@ -152,22 +68,6 @@ pub fn gather_costs(
 mod tests {
     use super::*;
     use simmpi::World;
-
-    #[test]
-    fn window_rolls_and_averages() {
-        let mut m = CostMonitor::new(3);
-        assert!(m.is_empty());
-        for i in 1..=5u64 {
-            m.record(StepSample {
-                step_s: i as f64,
-                particles: 10 * i,
-            });
-        }
-        assert_eq!(m.len(), 3);
-        // window holds steps 3, 4, 5
-        assert!((m.mean_step_s() - 4.0).abs() < 1e-12);
-        assert!((m.mean_particles() - 40.0).abs() < 1e-12);
-    }
 
     #[test]
     fn gather_is_identical_on_every_rank() {

@@ -400,6 +400,7 @@ impl Config {
                 self.lambda
             ));
         }
+        self.transport.validate()?;
         if let Some(dir) = &self.restart_from {
             if !dir.is_dir() {
                 return Err(format!(

@@ -86,6 +86,19 @@ fn unknown_variant_fails_with_usage_listing_all_tiers() {
 }
 
 #[test]
+fn non_unix_transport_address_fails_before_running() {
+    let out = run_bin(&[
+        "--transport",
+        "socket",
+        "--transport-addr",
+        "tcp:127.0.0.1:0",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unix:<path>"), "no address form named:\n{err}");
+}
+
+#[test]
 fn removed_spellings_fail_with_usage() {
     // The schedule-perturbation flag is now the delay fault plan above;
     // its old spelling is assembled here so only this check names it.

@@ -196,11 +196,6 @@ impl Profiler {
         out
     }
 
-    /// Whether any region is currently open.
-    pub fn in_region(&self) -> bool {
-        !self.stack.is_empty()
-    }
-
     /// Freeze into a report.
     ///
     /// # Panics

@@ -222,13 +222,6 @@ impl Resilience {
         });
         Checkpoint::decode(&own).unwrap_or_else(|e| panic!("rank {r}: restoring checkpoint: {e}"))
     }
-
-    /// Decode this rank's current in-memory checkpoint without any
-    /// communication (used by restart paths that already hold valid
-    /// bytes).
-    pub fn decode_own(&self) -> Option<Result<Checkpoint, CheckpointError>> {
-        self.vault.own.as_deref().map(Checkpoint::decode)
-    }
 }
 
 /// The on-disk path of rank `r`'s checkpoint under `dir`.

@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-use crate::envelope::Msg;
+use crate::envelope::{sealed::Elem, Msg};
 use crate::rank::Rank;
 use crate::stats::MpiOp;
 use crate::verify::CollKind;
@@ -24,7 +24,7 @@ impl Rank {
     pub fn barrier(&mut self) {
         let start = Instant::now();
         let seq = self.next_coll_seq();
-        self.verify_collective(seq, CollKind::Barrier, "", None);
+        self.verify_collective(seq, CollKind::Barrier, 0, None);
         let p = self.size();
         let mut bytes = 0;
         let mut k = 1usize;
@@ -45,18 +45,12 @@ impl Rank {
 
     /// Elementwise allreduce performed *in place* on `acc`: a binomial
     /// reduce to rank 0, then a binomial broadcast back (rounds offset by
-    /// 32). Every allreduce runs this one tree. Payloads move inline
-    /// (small) or through pooled buffers (large), so a warm rank performs
-    /// no heap allocation here.
+    /// 32). Every allreduce runs this one tree. Payloads move through
+    /// pooled buffers, so a warm rank performs no heap allocation here.
     pub fn allreduce_in_place<T: Msg>(&mut self, acc: &mut [T], combine: impl Fn(&mut T, &T)) {
         let start = Instant::now();
         let seq = self.next_coll_seq();
-        self.verify_collective(
-            seq,
-            CollKind::Allreduce,
-            std::any::type_name::<T>(),
-            Some(acc.len()),
-        );
+        self.verify_collective(seq, CollKind::Allreduce, T::WIRE_ID, Some(acc.len()));
         let p = self.size();
         let rank = self.rank();
         let mut bytes = 0u64;
@@ -144,7 +138,7 @@ impl Rank {
     pub fn exscan_u64(&mut self, v: u64) -> u64 {
         let start = Instant::now();
         let seq = self.next_coll_seq();
-        self.verify_collective(seq, CollKind::Exscan, "u64", Some(1));
+        self.verify_collective(seq, CollKind::Exscan, u64::WIRE_ID, Some(1));
         let p = self.size();
         let rank = self.rank();
         let mut bytes = 0u64;
@@ -183,7 +177,7 @@ impl Rank {
         let seq = self.next_coll_seq();
         // Per-peer buffer lengths legitimately differ; the contract is
         // one buffer per rank, already asserted above.
-        self.verify_collective(seq, CollKind::Alltoallv, std::any::type_name::<T>(), None);
+        self.verify_collective(seq, CollKind::Alltoallv, T::WIRE_ID, None);
         let rank = self.rank();
         let mut recvs: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
         recvs[rank] = std::mem::take(&mut sends[rank]);
@@ -191,11 +185,11 @@ impl Rank {
         for step in 1..p {
             let to = (rank + step) % p;
             let from = (rank + p - step) % p;
-            let payload = std::mem::take(&mut sends[to]);
-            bytes += self.send_internal(to, Rank::coll_tag(seq, step as u64), payload);
-            let (got, b) = self.recv_internal::<T>(from, Rank::coll_tag(seq, step as u64));
+            let tag = Rank::coll_tag(seq, step as u64);
+            bytes += self.send_internal_box(to, tag, Box::new(std::mem::take(&mut sends[to])));
+            let (got, b) = self.recv_internal_pooled::<T>(from, tag);
             bytes += b;
-            recvs[from] = got;
+            recvs[from] = got.take();
         }
         let ctx = std::mem::take(&mut self.context);
         self.recorder

@@ -84,7 +84,7 @@ impl Rank {
         self.verify_collective(
             seq,
             crate::verify::CollKind::CrystalRouter,
-            std::any::type_name::<T>(),
+            T::WIRE_ID,
             None,
         );
         let mut held = self.pool.take::<RoutedMsg<T>>();

@@ -103,11 +103,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Kill events scheduled for `step`, in plan order.
-    pub fn kills_at(&self, step: u64) -> impl Iterator<Item = &KillEvent> {
-        self.kills.iter().filter(move |k| k.step == step)
-    }
-
     /// Parse the `--fault-plan` grammar: semicolon-separated clauses
     ///
     /// * `kill:rank=R,step=S` — schedule a rank kill (repeatable);
@@ -304,15 +299,6 @@ mod tests {
     fn empty_spec_is_empty_plan() {
         let plan = FaultPlan::parse("").unwrap();
         assert_eq!(plan, FaultPlan::default());
-    }
-
-    #[test]
-    fn kills_at_filters_by_step() {
-        let plan =
-            FaultPlan::parse("kill:rank=1,step=3;kill:rank=2,step=3;kill:rank=0,step=7").unwrap();
-        let at3: Vec<usize> = plan.kills_at(3).map(|k| k.rank).collect();
-        assert_eq!(at3, vec![1, 2]);
-        assert_eq!(plan.kills_at(4).count(), 0);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod wire;
 pub mod workers;
 pub mod world;
 
-pub use envelope::{Msg, INLINE_ELEMS};
+pub use envelope::Msg;
 pub use faults::{DelayFault, FaultPlan, KillEvent};
 pub use pool::{BufferPool, PooledVec};
 pub use rank::{DiscardList, Rank, RecvRequest, Tag};

@@ -465,13 +465,11 @@ impl Rank {
     }
 
     /// Blocking send of a typed slice (internally buffered; completes
-    /// locally, like an eager-protocol `MPI_Send`). Payloads of at most
-    /// [`crate::INLINE_ELEMS`] `f64`/`u64`/`u8` elements travel inline in
-    /// the envelope — the eager path, free of heap traffic.
+    /// locally, like an eager-protocol `MPI_Send`). The copy goes into a
+    /// buffer from this rank's pool, so a warm send allocates nothing.
     pub fn send<T: Msg>(&mut self, dest: usize, tag: Tag, data: &[T]) {
         Self::assert_user_tag(tag);
-        let env = Envelope::inline_from(self.rank, tag, data)
-            .unwrap_or_else(|| Envelope::new(self.rank, tag, data.to_vec()));
+        let env = Envelope::from_box(self.rank, tag, self.pooled_copy(data));
         self.send_env_timed(dest, env, MpiOp::Send);
     }
 
@@ -490,12 +488,10 @@ impl Rank {
     }
 
     /// Non-blocking send (recorded as `MPI_Isend`; completes immediately —
-    /// the eager regime). Small `f64`/`u64`/`u8` payloads travel inline,
-    /// as with [`Rank::send`].
+    /// the eager regime). Copies through a pooled buffer, as [`Rank::send`].
     pub fn isend<T: Msg>(&mut self, dest: usize, tag: Tag, data: &[T]) {
         Self::assert_user_tag(tag);
-        let env = Envelope::inline_from(self.rank, tag, data)
-            .unwrap_or_else(|| Envelope::new(self.rank, tag, data.to_vec()));
+        let env = Envelope::from_box(self.rank, tag, self.pooled_copy(data));
         self.send_env_timed(dest, env, MpiOp::Isend);
     }
 
@@ -562,6 +558,15 @@ impl Rank {
         self.pool.take()
     }
 
+    /// A copy of `data` in a buffer from this rank's pool, detached for
+    /// an envelope: the receiver parks it in its own pool.
+    #[allow(clippy::box_collection)]
+    fn pooled_copy<T: Msg>(&self, data: &[T]) -> Box<Vec<T>> {
+        let mut buf = self.pool.take::<T>();
+        buf.extend_from_slice(data);
+        buf.detach()
+    }
+
     /// Allocate a fresh user-level sequence number. Like the collective
     /// sequence, every rank advances it identically in SPMD code, so it
     /// lets libraries derive per-operation tags that keep *overlapping*
@@ -593,29 +598,11 @@ impl Rank {
         USER_TAG_LIMIT | (seq << 12) | round
     }
 
-    /// Internal untimed send used inside collective algorithms.
-    pub(crate) fn send_internal<T: Msg>(&mut self, dest: usize, tag: Tag, data: Vec<T>) -> u64 {
-        let env = Envelope::new(self.rank, tag, data);
-        let bytes = env.bytes as u64;
-        self.inject_send_faults(bytes);
-        let ser = self.raw_send(dest, env);
-        self.note_ser(bytes, ser);
-        bytes
-    }
-
-    /// Internal untimed send of a slice: inline when small, through a
-    /// pooled buffer otherwise — never a fresh allocation once warm.
+    /// Internal untimed send of a slice, copied through a pooled buffer —
+    /// never a fresh allocation once warm.
     pub(crate) fn send_internal_slice<T: Msg>(&mut self, dest: usize, tag: Tag, data: &[T]) -> u64 {
-        if let Some(env) = Envelope::inline_from(self.rank, tag, data) {
-            let bytes = env.bytes as u64;
-            self.inject_send_faults(bytes);
-            let ser = self.raw_send(dest, env);
-            self.note_ser(bytes, ser);
-            return bytes;
-        }
-        let mut buf = self.pool.take::<T>();
-        buf.extend_from_slice(data);
-        self.send_internal_box(dest, tag, buf.detach())
+        let buf = self.pooled_copy(data);
+        self.send_internal_box(dest, tag, buf)
     }
 
     /// Internal untimed send of an already-boxed payload (pool path; the
@@ -633,13 +620,6 @@ impl Rank {
         let ser = self.raw_send(dest, env);
         self.note_ser(bytes, ser);
         bytes
-    }
-
-    /// Internal untimed receive used inside collective algorithms.
-    pub(crate) fn recv_internal<T: Msg>(&mut self, src: usize, tag: Tag) -> (Vec<T>, u64) {
-        let env = self.raw_recv(src, tag);
-        let bytes = env.bytes as u64;
-        (env.open(), bytes)
     }
 
     /// Internal untimed receive into a pool-guarded buffer.
@@ -672,13 +652,13 @@ impl Rank {
         &self,
         seq: u64,
         kind: CollKind,
-        elem_type: &'static str,
+        elem: u16,
         len: Option<usize>,
     ) {
         let Some(v) = &self.verify else { return };
         let fp = CollFingerprint {
             kind,
-            elem_type,
+            elem,
             len,
             context: &self.context,
         };

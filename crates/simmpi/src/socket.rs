@@ -41,7 +41,7 @@ use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::envelope::Envelope;
@@ -52,7 +52,7 @@ use crate::stats::CommStats;
 use crate::transport::{RxDrain, SocketConfig, Transport};
 use crate::verify::{CollFingerprint, CollKind, LeakInfo, VerifyHooks};
 use crate::wire::{
-    self, put_str, put_u32, put_u64, put_u8, FrameKind, WireCodec, WireError, WireReader,
+    self, put_str, put_u16, put_u32, put_u64, put_u8, FrameKind, WireCodec, WireError, WireReader,
 };
 use crate::world::{World, WorldResult};
 
@@ -79,7 +79,7 @@ fn auto_addr() -> String {
 }
 
 /// The socket path of a transport address; `unix:<path>` is the only form.
-fn unix_path(addr: &str) -> io::Result<&str> {
+pub(crate) fn unix_path(addr: &str) -> io::Result<&str> {
     addr.strip_prefix("unix:").ok_or_else(|| {
         io::Error::other(format!("bad transport address {addr:?} (want unix:<path>)"))
     })
@@ -329,24 +329,6 @@ fn coll_kind_from_u8(v: u8) -> Result<CollKind, WireError> {
     })
 }
 
-/// Intern a decoded element-type name: [`CollFingerprint::elem_type`]
-/// wants `&'static str`. The distinct type names per program are a
-/// handful, so the leak is bounded.
-fn intern(s: &str) -> &'static str {
-    static CACHE: OnceLock<Mutex<std::collections::HashMap<String, &'static str>>> =
-        OnceLock::new();
-    let mut map = CACHE
-        .get_or_init(|| Mutex::new(std::collections::HashMap::new()))
-        .lock()
-        .unwrap();
-    if let Some(&v) = map.get(s) {
-        return v;
-    }
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    map.insert(s.to_owned(), leaked);
-    leaked
-}
-
 /// A child-side [`VerifyHooks`] proxy: every hook call is serialized to
 /// the hub, where the launcher's real checker runs with global state.
 /// Reply-bearing hooks block on the RPC slot; notification-only hooks
@@ -404,7 +386,7 @@ impl VerifyHooks for VerifyClient {
             put_u8(b, M_COLLECTIVE);
             put_u64(b, seq);
             put_u8(b, coll_kind_to_u8(fp.kind));
-            put_str(b, fp.elem_type);
+            put_u16(b, fp.elem);
             fp.len.map(|v| v as u64).encode(b);
             put_str(b, fp.context);
         });
@@ -732,12 +714,15 @@ fn serve_verify(
         M_COLLECTIVE => {
             let seq = r.u64()?;
             let kind = coll_kind_from_u8(r.u8()?)?;
-            let elem_type = r.str()?;
+            let elem = r.u16()?;
+            if wire::elem_type_name(elem).is_none() {
+                return Err(WireError::UnknownPayloadType(elem).into());
+            }
             let len = Option::<u64>::decode(r)?.map(|v| v as usize);
             let context = r.str()?;
             let fp = CollFingerprint {
                 kind,
-                elem_type: intern(elem_type),
+                elem,
                 len,
                 context,
             };
@@ -1023,6 +1008,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::sealed::Elem;
     use crate::stats::MpiOp;
     use crate::transport::TransportKind;
     use crate::ReduceOp;
@@ -1207,7 +1193,7 @@ mod tests {
         let mut collective = Vec::new();
         put_u64(&mut collective, 5); // seq
         put_u8(&mut collective, coll_kind_to_u8(CollKind::Allreduce));
-        put_str(&mut collective, "f64");
+        put_u16(&mut collective, f64::WIRE_ID);
         Some(4u64).encode(&mut collective);
         put_str(&mut collective, "dot");
         let mut block = Vec::new();
@@ -1412,6 +1398,26 @@ mod tests {
             bent[at] ^= rng.range_u64(1, 256) as u8;
             decide(&bent);
         }
+    }
+
+    /// A collective request naming an element type outside the wire-id
+    /// table is refused before any hook runs: the hub keeps nothing for it.
+    #[test]
+    fn a_collective_of_an_unknown_element_type_is_refused() {
+        let hooks = CountingHooks::default();
+        for elem in [10u16, 0x99, u16::MAX] {
+            let mut req = vec![M_COLLECTIVE];
+            put_u64(&mut req, 5); // seq
+            put_u8(&mut req, coll_kind_to_u8(CollKind::Allreduce));
+            put_u16(&mut req, elem);
+            Some(4u64).encode(&mut req);
+            put_str(&mut req, "dot");
+            assert_eq!(
+                serve_verify(Some(&hooks), R, &req),
+                Err(WireError::UnknownPayloadType(elem).into())
+            );
+        }
+        assert_eq!(hooks.colls.load(Ordering::Relaxed), 0);
     }
 
     /// The hub's request decoder on hostile bodies: every method's valid

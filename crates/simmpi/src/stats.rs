@@ -206,11 +206,6 @@ impl CommStats {
         }
     }
 
-    /// Total bytes moved by this rank.
-    pub fn total_bytes(&self) -> u64 {
-        self.sites.iter().map(|(_, s)| s.bytes).sum()
-    }
-
     /// Look up one site's stats.
     pub fn site(&self, op: MpiOp, context: &str) -> Option<&SiteStats> {
         self.sites
@@ -239,7 +234,6 @@ mod tests {
         assert_eq!(send_a.bytes, 400);
         assert_eq!(send_a.max_bytes, 300);
         assert!((send_a.time_s - 0.030).abs() < 1e-9);
-        assert_eq!(stats.total_bytes(), 457);
         assert!((stats.mpi_time_s() - 0.036).abs() < 1e-9);
         assert!((stats.mpi_fraction() - 0.036).abs() < 1e-9);
     }

@@ -105,6 +105,21 @@ pub enum TransportKind {
     Socket(SocketConfig),
 }
 
+impl TransportKind {
+    /// Check the parts a backend would otherwise refuse only at startup:
+    /// a socket address must be `unix:<path>`.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            TransportKind::Socket(SocketConfig { addr: Some(a), .. }) => {
+                crate::socket::unix_path(a)
+                    .map(|_| ())
+                    .map_err(|e| e.to_string())
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Configuration of the socket backend.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SocketConfig {
@@ -149,5 +164,23 @@ mod tests {
         let s = SocketConfig::default();
         assert!(s.addr.is_none());
         assert!(!s.threads);
+    }
+
+    #[test]
+    fn only_unix_socket_addresses_validate() {
+        let socket = |addr: &str| {
+            TransportKind::Socket(SocketConfig {
+                addr: Some(addr.into()),
+                threads: false,
+            })
+        };
+        assert_eq!(TransportKind::Inproc.validate(), Ok(()));
+        assert_eq!(
+            TransportKind::Socket(SocketConfig::default()).validate(),
+            Ok(())
+        );
+        assert_eq!(socket("unix:/tmp/w.sock").validate(), Ok(()));
+        let err = socket("tcp:127.0.0.1:0").validate().unwrap_err();
+        assert!(err.contains("want unix:<path>"), "{err}");
     }
 }

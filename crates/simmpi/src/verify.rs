@@ -59,13 +59,22 @@ impl CollKind {
 pub struct CollFingerprint<'a> {
     /// The collective's kind.
     pub kind: CollKind,
-    /// Element type name (`std::any::type_name`), empty for barriers.
-    pub elem_type: &'static str,
+    /// The element type as its wire id (a [`crate::Msg`] type's
+    /// `WIRE_ID`), 0 for barriers; [`CollFingerprint::elem_type`] names it.
+    pub elem: u16,
     /// Element count this rank contributed, where the algorithm requires
     /// rank agreement.
     pub len: Option<usize>,
     /// The caller's context label (the mpiP call-site analogue).
     pub context: &'a str,
+}
+
+impl CollFingerprint<'_> {
+    /// The element type's name (`std::any::type_name`), empty for
+    /// barriers.
+    pub fn elem_type(&self) -> &'static str {
+        crate::wire::elem_type_name(self.elem).unwrap_or("<unknown element type>")
+    }
 }
 
 /// One message found unreceived (or consumed as cancelled exchange

@@ -39,8 +39,7 @@
 //! Decoded payloads stage through the receiving rank's
 //! [`BufferPool`] (the box shell and capacity recycle exactly as on the
 //! in-process path), so the zero-allocation steady state survives the
-//! serialization boundary. Inline (eager) payloads are re-materialized
-//! as inline on the receiver, preserving the sender's representation.
+//! serialization boundary.
 //!
 //! The [`WireCodec`] trait is the public composition layer: driver
 //! crates implement it for their per-rank result structs so
@@ -49,7 +48,7 @@
 
 use crate::crystal::RoutedMsg;
 use crate::envelope::sealed::Elem;
-use crate::envelope::{Envelope, Msg, Payload, INLINE_ELEMS};
+use crate::envelope::{Envelope, ErasedVec, Msg};
 use crate::pool::BufferPool;
 use crate::stats::{CommStats, MpiOp, SiteKey, SiteStats};
 use crate::verify::LeakInfo;
@@ -57,7 +56,7 @@ use crate::verify::LeakInfo;
 /// Frame magic: `"SMPW"` (simmpi wire).
 pub(crate) const MAGIC: u32 = 0x534D_5057;
 /// Wire-format version; bumped on any incompatible layout change.
-pub(crate) const VERSION: u16 = 6;
+pub(crate) const VERSION: u16 = 7;
 /// Upper bound on one frame body, to reject absurd lengths from a
 /// corrupt or hostile peer before reading.
 pub(crate) const MAX_FRAME: usize = 1 << 30;
@@ -66,7 +65,7 @@ pub(crate) const LEN_BYTES: usize = 4;
 /// Body header: magic, version, kind.
 const HEADER: usize = 4 + 2 + 1;
 
-pub(crate) const FLAG_INLINE: u8 = 1;
+/// Data-frame flag: the sender's context label follows the payload.
 pub(crate) const FLAG_CTX: u8 = 4;
 
 /// Frame kinds exchanged between rank processes and the launcher hub.
@@ -382,18 +381,16 @@ pub(crate) fn encode_data(buf: &mut Vec<u8>, dest: usize, env: &Envelope) {
     put_u32(buf, dest as u32);
     put_u64(buf, env.tag);
     put_u64(buf, env.bytes as u64);
-    let flags_at = buf.len();
-    put_u8(buf, 0);
-    let inline = encode_payload(&env.payload, buf);
-    let mut flags = 0u8;
-    if inline {
-        flags |= FLAG_INLINE;
-    }
+    let flags = if env.sender_ctx.is_some() {
+        FLAG_CTX
+    } else {
+        0
+    };
+    put_u8(buf, flags);
+    env.payload.put_wire(buf);
     if let Some(ctx) = &env.sender_ctx {
-        flags |= FLAG_CTX;
         put_str(buf, ctx);
     }
-    buf[flags_at] = flags;
     end_frame(buf);
 }
 
@@ -416,10 +413,10 @@ pub(crate) fn decode_data(
     let tag = r.u64()?;
     let bytes = r.u64()? as usize;
     let flags = r.u8()?;
-    if flags & !(FLAG_INLINE | FLAG_CTX) != 0 {
+    if flags & !FLAG_CTX != 0 {
         return Err(WireError::Malformed("data frame flags"));
     }
-    let payload = decode_payload(r, flags & FLAG_INLINE != 0, pool)?;
+    let payload = decode_payload(r, pool)?;
     let sender_ctx = if flags & FLAG_CTX != 0 {
         Some(r.str()?.into())
     } else {
@@ -479,10 +476,9 @@ fn get_words<T, const W: usize>(
 }
 
 /// `Elem` for a fixed-width scalar: its wire id, its width and the
-/// conversions to and from its little-endian bytes, then any overrides
-/// (the inline form).
+/// conversions to and from its little-endian bytes.
 macro_rules! scalar_msg {
-    ($t:ty, $id:expr, $w:expr, $le:expr, $from_le:expr $(, $($extra:tt)*)?) => {
+    ($t:ty, $id:expr, $w:expr, $le:expr, $from_le:expr) => {
         impl Elem for $t {
             const WIRE_ID: u16 = $id;
             const MIN_WIRE_BYTES: usize = $w;
@@ -496,37 +492,14 @@ macro_rules! scalar_msg {
             ) -> Result<(), WireError> {
                 get_words::<$t, $w>(r, n, out, $from_le)
             }
-            $($($extra)*)?
         }
     };
 }
 
-/// The two inline-form methods of a scalar whose `Payload` variant is `$variant`.
-macro_rules! inline_form {
-    ($variant:ident) => {
-        fn to_inline(data: &[Self]) -> Option<Payload> {
-            let mut arr = [Self::default(); INLINE_ELEMS];
-            arr.get_mut(..data.len())?.copy_from_slice(data);
-            Some(Payload::$variant(data.len() as u8, arr))
-        }
-        fn as_inline(p: &Payload) -> Option<&[Self]> {
-            match p {
-                Payload::$variant(n, arr) => Some(&arr[..*n as usize]),
-                _ => None,
-            }
-        }
-    };
-}
-
-scalar_msg!(
-    f64,
-    1,
-    8,
-    |v: f64| v.to_bits().to_le_bytes(),
-    |b| f64::from_bits(u64::from_le_bytes(b)),
-    inline_form!(InlineF64);
-);
-scalar_msg!(u64, 2, 8, u64::to_le_bytes, u64::from_le_bytes, inline_form!(InlineU64););
+scalar_msg!(f64, 1, 8, |v: f64| v.to_bits().to_le_bytes(), |b| {
+    f64::from_bits(u64::from_le_bytes(b))
+});
+scalar_msg!(u64, 2, 8, u64::to_le_bytes, u64::from_le_bytes);
 scalar_msg!(u32, 4, 4, u32::to_le_bytes, u32::from_le_bytes);
 scalar_msg!(
     usize,
@@ -546,7 +519,6 @@ impl Elem for u8 {
         out.extend_from_slice(r.bytes(n)?);
         Ok(())
     }
-    inline_form!(InlineU8);
 }
 
 impl<T: Msg> Elem for RoutedMsg<T> {
@@ -580,57 +552,54 @@ impl<T: Msg> Elem for RoutedMsg<T> {
     }
 }
 
-/// Serialize the payload section; returns whether the payload was inline
-/// (eager).
-fn encode_payload(p: &Payload, buf: &mut Vec<u8>) -> bool {
-    match p {
-        Payload::Boxed(v) => v.put_wire(buf),
-        Payload::InlineF64(n, arr) => put_payload(&arr[..*n as usize], buf),
-        Payload::InlineU64(n, arr) => put_payload(&arr[..*n as usize], buf),
-        Payload::InlineU8(n, arr) => put_payload(&arr[..*n as usize], buf),
-    }
-    !matches!(p, Payload::Boxed(_))
+/// The name (`std::any::type_name`) of the element type with wire id
+/// `id`, `""` for 0 (a barrier carries no element type), `None` for an
+/// id outside the table: what a collective fingerprint names.
+pub(crate) fn elem_type_name(id: u16) -> Option<&'static str> {
+    use std::any::type_name;
+    Some(match id {
+        0 => "",
+        1 => type_name::<f64>(),
+        2 => type_name::<u64>(),
+        3 => type_name::<u8>(),
+        4 => type_name::<u32>(),
+        5 => type_name::<usize>(),
+        6 => type_name::<RoutedMsg<f64>>(),
+        7 => type_name::<RoutedMsg<u64>>(),
+        8 => type_name::<RoutedMsg<u8>>(),
+        9 => type_name::<RoutedMsg<usize>>(),
+        _ => return None,
+    })
 }
 
-/// Decode the count and elements of a `Vec<T>` payload through a buffer
-/// staged from `pool`: it becomes the boxed payload, or — for an inline
-/// payload, rebuilt inline to preserve the sender's representation — is
-/// copied into the envelope and parked again.
+/// Decode the count and elements of a `Vec<T>` payload into a buffer
+/// staged from `pool`: it becomes the boxed payload.
 fn decode_elems<T: Msg>(
     r: &mut WireReader<'_>,
-    inline: bool,
     pool: &BufferPool,
-) -> Result<Payload, WireError> {
+) -> Result<Box<dyn ErasedVec>, WireError> {
     let n = r.count(T::MIN_WIRE_BYTES)?;
-    if inline && n > INLINE_ELEMS {
-        return Err(WireError::Malformed("inline payload too long"));
-    }
     let mut v = pool.take::<T>();
     T::get_all(r, n, &mut v)?;
-    if inline {
-        T::to_inline(&v).ok_or(WireError::Malformed("inline flag on non-inline type"))
-    } else {
-        Ok(Payload::Boxed(v.detach()))
-    }
+    Ok(v.detach())
 }
 
-/// Decode the payload section written by [`encode_payload`]: the one
-/// place a wire id turns back into an element type.
+/// Decode the payload section written by [`put_payload`]: the one place
+/// a wire id turns back into an element type.
 fn decode_payload(
     r: &mut WireReader<'_>,
-    inline: bool,
     pool: &BufferPool,
-) -> Result<Payload, WireError> {
+) -> Result<Box<dyn ErasedVec>, WireError> {
     match r.u16()? {
-        1 => decode_elems::<f64>(r, inline, pool),
-        2 => decode_elems::<u64>(r, inline, pool),
-        3 => decode_elems::<u8>(r, inline, pool),
-        4 => decode_elems::<u32>(r, inline, pool),
-        5 => decode_elems::<usize>(r, inline, pool),
-        6 => decode_elems::<RoutedMsg<f64>>(r, inline, pool),
-        7 => decode_elems::<RoutedMsg<u64>>(r, inline, pool),
-        8 => decode_elems::<RoutedMsg<u8>>(r, inline, pool),
-        9 => decode_elems::<RoutedMsg<usize>>(r, inline, pool),
+        1 => decode_elems::<f64>(r, pool),
+        2 => decode_elems::<u64>(r, pool),
+        3 => decode_elems::<u8>(r, pool),
+        4 => decode_elems::<u32>(r, pool),
+        5 => decode_elems::<usize>(r, pool),
+        6 => decode_elems::<RoutedMsg<f64>>(r, pool),
+        7 => decode_elems::<RoutedMsg<u64>>(r, pool),
+        8 => decode_elems::<RoutedMsg<u8>>(r, pool),
+        9 => decode_elems::<RoutedMsg<usize>>(r, pool),
         other => Err(WireError::UnknownPayloadType(other)),
     }
 }
@@ -928,23 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn inline_payloads_stay_inline_across_the_wire() {
-        for n in 0..=INLINE_ELEMS {
-            let vals: Vec<f64> = (0..n).map(|i| i as f64).collect();
-            let env = Envelope::inline_from(0, 5, &vals).unwrap();
-            let (d, _) = round_trip(env);
-            assert!(matches!(d.env.payload, Payload::InlineF64(k, _) if k as usize == n));
-            assert_eq!(d.env.open::<f64>(), vals);
-        }
-        let env = Envelope::inline_from(0, 5, &[9u64, 8]).unwrap();
-        let (d, _) = round_trip(env);
-        assert!(matches!(d.env.payload, Payload::InlineU64(2, _)));
-        let env = Envelope::inline_from(0, 5, &[1u8]).unwrap();
-        let (d, _) = round_trip(env);
-        assert!(matches!(d.env.payload, Payload::InlineU8(1, _)));
-    }
-
-    #[test]
     fn routed_msg_round_trip() {
         let msgs = vec![
             RoutedMsg {
@@ -976,10 +928,10 @@ mod tests {
         assert_eq!(round_trip(env).0.env.open::<RoutedMsg<u8>>(), msgs);
     }
 
-    /// One value of each of the nine wire ids as a boxed payload, then the
-    /// three inline forms, each with the payload section it must encode to:
-    /// wire id (u16), element count (u64), elements, all little-endian.
-    fn one_of_each_wire_id() -> Vec<(Envelope, bool, String)> {
+    /// One value of each of the nine wire ids, each with the payload
+    /// section it must encode to: wire id (u16), element count (u64),
+    /// elements, all little-endian.
+    fn one_of_each_wire_id() -> Vec<(Envelope, String)> {
         fn routed<T>(v: T) -> Vec<RoutedMsg<T>> {
             vec![RoutedMsg {
                 src: 2,
@@ -1001,78 +953,45 @@ mod tests {
             0x0102usize,
         );
         vec![
-            (
-                Envelope::new(0, 0, vec![f]),
-                false,
-                format!("0100{ONE}{F64}"),
-            ),
-            (
-                Envelope::new(0, 0, vec![u]),
-                false,
-                format!("0200{ONE}{U64}"),
-            ),
-            (Envelope::new(0, 0, vec![b]), false, format!("0300{ONE}ab")),
-            (
-                Envelope::new(0, 0, vec![w]),
-                false,
-                format!("0400{ONE}04030201"),
-            ),
-            (
-                Envelope::new(0, 0, vec![z]),
-                false,
-                format!("0500{ONE}{USIZE}"),
-            ),
+            (Envelope::new(0, 0, vec![f]), format!("0100{ONE}{F64}")),
+            (Envelope::new(0, 0, vec![u]), format!("0200{ONE}{U64}")),
+            (Envelope::new(0, 0, vec![b]), format!("0300{ONE}ab")),
+            (Envelope::new(0, 0, vec![w]), format!("0400{ONE}04030201")),
+            (Envelope::new(0, 0, vec![z]), format!("0500{ONE}{USIZE}")),
             (
                 Envelope::new(0, 0, routed(f)),
-                false,
                 format!("0600{ONE}{ROUTE}{F64}"),
             ),
             (
                 Envelope::new(0, 0, routed(u)),
-                false,
                 format!("0700{ONE}{ROUTE}{U64}"),
             ),
             (
                 Envelope::new(0, 0, routed(b)),
-                false,
                 format!("0800{ONE}{ROUTE}ab"),
             ),
             (
                 Envelope::new(0, 0, routed(z)),
-                false,
                 format!("0900{ONE}{ROUTE}{USIZE}"),
-            ),
-            (
-                Envelope::inline_from(0, 0, &[f]).unwrap(),
-                true,
-                format!("0100{ONE}{F64}"),
-            ),
-            (
-                Envelope::inline_from(0, 0, &[u]).unwrap(),
-                true,
-                format!("0200{ONE}{U64}"),
-            ),
-            (
-                Envelope::inline_from(0, 0, &[b]).unwrap(),
-                true,
-                format!("0300{ONE}ab"),
             ),
         ]
     }
 
-    fn payload_section(env: &Envelope) -> (bool, Vec<u8>) {
+    fn payload_section(env: &Envelope) -> Vec<u8> {
         let mut buf = Vec::new();
-        let inline = encode_payload(&env.payload, &mut buf);
-        (inline, buf)
+        env.payload.put_wire(&mut buf);
+        buf
     }
 
     #[test]
     fn payload_section_golden_bytes() {
-        assert_eq!(VERSION, 6);
-        for (env, inline, want) in one_of_each_wire_id() {
-            let (was_inline, bytes) = payload_section(&env);
-            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-            assert_eq!((was_inline, hex), (inline, want));
+        assert_eq!(VERSION, 7);
+        for (env, want) in one_of_each_wire_id() {
+            let hex: String = payload_section(&env)
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(hex, want);
         }
     }
 
@@ -1094,8 +1013,8 @@ mod tests {
     }
 
     /// [`decode_flagged`] around an arbitrary payload section.
-    fn decode_section(inline: bool, section: &[u8]) -> Result<DecodedData, WireError> {
-        decode_flagged(if inline { FLAG_INLINE } else { 0 }, section)
+    fn decode_section(section: &[u8]) -> Result<DecodedData, WireError> {
+        decode_flagged(0, section)
     }
 
     /// Hostile payload sections behind valid framing, for every wire id:
@@ -1104,26 +1023,25 @@ mod tests {
     #[test]
     fn hostile_payload_sections_are_errors_for_every_wire_id() {
         let mut rng = crate::rng::SmallRng::seed_from_u64(0x0B5E_55ED);
-        for (env, inline, _) in one_of_each_wire_id() {
-            let (_, section) = payload_section(&env);
-            assert!(decode_section(inline, &section).is_ok());
+        for (env, _) in one_of_each_wire_id() {
+            let section = payload_section(&env);
+            assert!(decode_section(&section).is_ok());
             // truncated at every length
             for cut in 0..section.len() {
-                let got = decode_section(inline, &section[..cut]);
+                let got = decode_section(&section[..cut]);
                 assert!(got.is_err(), "{cut} of {} bytes accepted", section.len());
             }
-            // the wire id, then random bytes — under either flag
+            // the wire id, then random bytes
             for _ in 0..64 {
                 let mut bad = section[..2].to_vec();
                 bad.extend((0..rng.range_usize(0, 96)).map(|_| rng.next_u64() as u8));
-                assert!(decode_section(false, &bad).is_err());
-                assert!(decode_section(true, &bad).is_err());
+                assert!(decode_section(&bad).is_err());
             }
             // one flipped bit anywhere: an error or a different value, no panic
             for bit in 0..section.len() * 8 {
                 let mut bad = section.clone();
                 bad[bit / 8] ^= 1 << (bit % 8);
-                let _ = decode_section(inline, &bad);
+                let _ = decode_section(&bad);
             }
             // a count one past what the bytes that follow could hold
             let id = u16::from_le_bytes([section[0], section[1]]);
@@ -1136,7 +1054,7 @@ mod tests {
             let mut bad = section[..2].to_vec();
             put_u64(&mut bad, 4);
             bad.resize(bad.len() + 3 * min_bytes, 0);
-            let got = decode_section(inline, &bad).map(|_| ());
+            let got = decode_section(&bad).map(|_| ());
             assert_eq!(got, Err(WireError::Oversized(4)), "wire id {id}");
         }
     }
@@ -1166,21 +1084,15 @@ mod tests {
         assert_eq!(d.env.sender_ctx.as_deref(), Some("faces/gs:pairwise"));
     }
 
-    /// Every flag byte, over a frame shaped to match its known bits: only
-    /// the four combinations of `FLAG_INLINE` and `FLAG_CTX` decode, and
-    /// any other bit (a stale frame's clock flag among them) is refused
-    /// rather than skipped.
+    /// Every flag byte, over a frame shaped to match its known bit: only
+    /// `0` and `FLAG_CTX` decode, and any other bit (a stale frame's
+    /// inline or clock flag among them) is refused rather than skipped.
     #[test]
     fn unknown_flag_bits_are_rejected() {
-        let (_, boxed) = payload_section(&Envelope::new(0, 0, vec![1.5f64]));
-        let (_, inline) = payload_section(&Envelope::inline_from(0, 0, &[1.5f64]).unwrap());
+        let section = payload_section(&Envelope::new(0, 0, vec![1.5f64]));
         let mut decoded = Vec::new();
         for flags in 0..=u8::MAX {
-            let mut tail = if flags & FLAG_INLINE != 0 {
-                inline.clone()
-            } else {
-                boxed.clone()
-            };
+            let mut tail = section.clone();
             if flags & FLAG_CTX != 0 {
                 put_str(&mut tail, "site");
             }
@@ -1192,7 +1104,7 @@ mod tests {
                 Err(e) => assert_eq!(e, WireError::Malformed("data frame flags"), "{flags:#04x}"),
             }
         }
-        assert_eq!(decoded, [0, FLAG_INLINE, FLAG_CTX, FLAG_INLINE | FLAG_CTX]);
+        assert_eq!(decoded, [0, FLAG_CTX]);
     }
 
     /// Recompute `frame`'s length prefix and checksum after an edit, so
@@ -1309,7 +1221,7 @@ mod tests {
         let buf = sample_frame();
         assert_eq!(buf.len(), 107);
         let trailer = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
-        assert_eq!(trailer, 0x77D1_36E0_CFA4_B59E);
+        assert_eq!(trailer, 0xF4C7_49AA_6081_0390);
     }
 
     /// A version-3 peer sealed its frames with byte-serial FNV-1a; it is

@@ -321,7 +321,7 @@ impl VerifyHooks for Verifier {
                     seq,
                     CollRecord {
                         kind: fp.kind,
-                        elem_type: fp.elem_type,
+                        elem_type: fp.elem_type(),
                         len: fp.len,
                         context: fp.context.to_owned(),
                         first_rank: rank,
@@ -333,10 +333,10 @@ impl VerifyHooks for Verifier {
             Some(rec) => rec,
         };
         // Within one kind `len` is either always or never `Some`.
-        if rec.kind != fp.kind || rec.elem_type != fp.elem_type || rec.len != fp.len {
+        if rec.kind != fp.kind || rec.elem_type != fp.elem_type() || rec.len != fp.len {
             let diag = format!(
                 "cmt-verify: COLLECTIVE MISMATCH at collective #{seq}: rank {rank} called {} at call site {:?}, but rank {} called {} at call site {:?}",
-                describe(fp.kind, fp.elem_type, fp.len),
+                describe(fp.kind, fp.elem_type(), fp.len),
                 fp.context,
                 rec.first_rank,
                 describe(rec.kind, rec.elem_type, rec.len),

@@ -141,6 +141,36 @@ fn cmt_bone_no_pool_baseline_does_allocate() {
     }
 }
 
+/// A user point-to-point send copies into a buffer from the sender's
+/// pool, and `wait_recv_pooled` parks it in the receiver's: two ranks
+/// trading 64-element `f64` messages with `isend` in both directions
+/// allocate nothing once warm.
+#[test]
+fn simmpi_isend_exchange_allocation_free_at_steady_state() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    let res = World::new().run(2, |rank| {
+        let peer = 1 - rank.rank();
+        let data = vec![rank.rank() as f64; 64];
+        let round = |rank: &mut simmpi::Rank| {
+            rank.isend(peer, 5, &data);
+            let req = rank.irecv(peer, 5);
+            let got = rank.wait_recv_pooled::<f64>(req);
+            assert_eq!(got[..], [peer as f64; 64]);
+        };
+        round(rank);
+        round(rank);
+        let (a0, b0) = cmt_perf::alloc::thread_counts();
+        for _ in 0..8 {
+            round(rank);
+        }
+        let (a1, b1) = cmt_perf::alloc::thread_counts();
+        (a1 - a0, b1 - b0)
+    });
+    for (r, counts) in res.results.into_iter().enumerate() {
+        assert_eq!(counts, (0, 0), "rank {r}: warm isend exchange allocated");
+    }
+}
+
 /// The volume-kernel regions (flux-divergence derivatives and the
 /// dealias maps) stay at zero allocations per step on every path of the
 /// chunked element loop: the default single inline chunk (`workers: 1`,
