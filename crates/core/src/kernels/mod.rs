@@ -183,8 +183,8 @@ pub fn grad(
 /// all three directions of each element: the dealiasing map to a finer
 /// (or back to a coarser) mesh, `out = (J (x) J (x) J) u`.
 ///
-/// `u` has `n^3` points per element, `out` has `m^3`. A scratch buffer of
-/// `max(m,n)^3` values is allocated internally per call.
+/// `u` has `n^3` points per element, `out` has `m^3`. Two scratch buffers
+/// of `max(m,n)^3` values each are allocated internally per call.
 pub fn tensor3_apply(m: usize, n: usize, j_mat: &[f64], u: &[f64], out: &mut [f64], nel: usize) {
     let big = m.max(n);
     let mut t1 = vec![0.0; big * big * big];

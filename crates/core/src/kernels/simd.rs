@@ -28,8 +28,11 @@
 //!   whole `k` loop — one store per output instead of `n`.
 //! * **Register tile.** Up to four vectors of adjacent outputs share
 //!   each coefficient broadcast, so four independent add chains hide the
-//!   add latency a single chain would serialize on. Lanes never
-//!   interact, so how many are in flight cannot change any lane's value.
+//!   add latency a single chain would serialize on. The dealias stages
+//!   also block `R = 3` output rows: each source vector is loaded once
+//!   per `k` and feeds all three rows, so a multiply no longer needs its
+//!   own load. Lanes never interact, so how many are in flight cannot
+//!   change any lane's value.
 //! * **No scalar tail.** The ragged end of a run is one *overlapped*
 //!   vector at `len - W`: its lanes redo outputs the previous vector
 //!   already produced, with the same operands in the same order, and
@@ -64,6 +67,13 @@ use super::opt;
 /// the on-stack transposed-operator buffers would not fit and the
 /// kernels fall back to [`super::opt`]. The paper's range is `N <= 25`.
 pub const MAX_SIMD_N: usize = 32;
+
+/// Output rows per register tile in the dealias stages: each loaded
+/// source vector feeds this many rows. The derivatives keep one row per
+/// tile (blocking them measured no gain at `N = 10` and lost at small
+/// `N`).
+#[cfg(target_arch = "x86_64")]
+const DEALIAS_ROWS: usize = 3;
 
 /// The instruction set a simd kernel call runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -182,7 +192,7 @@ macro_rules! simd_kernel_impls {
     ($isa_mod:ident, $feat:literal, $vec:ty, $lanes:expr,
      $setzero:path, $set1:path, $add:path, $mul:path, $loadu:path, $storeu:path) => {
         pub(super) mod $isa_mod {
-            use super::MAX_SIMD_N;
+            use super::{DEALIAS_ROWS, MAX_SIMD_N};
             use core::arch::x86_64::*;
 
             /// Vector width in `f64` lanes.
@@ -194,10 +204,10 @@ macro_rules! simd_kernel_impls {
             fn ld(s: &[f64], at: usize) -> $vec {
                 debug_assert!(at + W <= s.len());
                 // SAFETY: every call site keeps `at + W <= s.len()` —
-                // `tile` inside the window `contract` asserts, `rk_stage`
-                // by its loop bound (re-checked by the debug_assert
-                // above) — so all W f64 lanes are in bounds of the
-                // borrowed slice.
+                // `tile` inside the window `contract` asserts once per
+                // `R`-row call, `rk_stage` by its loop bound (re-checked
+                // by the debug_assert above) — so all W f64 lanes are in
+                // bounds of the borrowed slice.
                 unsafe { $loadu(s.as_ptr().add(at)) }
             }
 
@@ -206,87 +216,108 @@ macro_rules! simd_kernel_impls {
             #[target_feature(enable = $feat)]
             fn st(s: &mut [f64], at: usize, v: $vec) {
                 debug_assert!(at + W <= s.len());
-                // SAFETY: call sites keep `at + W <= s.len()` (see the
-                // debug_assert), so the store stays in bounds of the
+                // SAFETY: call sites keep `at + W <= s.len()` — `tile`
+                // inside the `R` runs whose window `contract` asserts once
+                // per call, `rk_stage` by its loop bound (see the
+                // debug_assert) — so the store stays in bounds of the
                 // exclusively borrowed slice.
                 unsafe { $storeu(s.as_mut_ptr().add(at), v) }
             }
 
-            /// One register tile of [`contract`]: `T` vectors of adjacent
-            /// outputs from `out[at]` share each coefficient broadcast,
-            /// so `T` independent add chains are in flight. A vector
-            /// that would cross the end of the run is pulled back to
-            /// `len - W` and recomputes lanes its neighbour also owns —
-            /// the same per-lane sequence, so the same bits.
+            /// One register tile of [`contract`]: `R` output rows by `T`
+            /// vectors of adjacent outputs from `at` in each row. Per
+            /// `k`, each of the `T` source vectors is loaded once and
+            /// feeds all `R` rows, and each row's coefficient broadcast
+            /// feeds all `T` vectors, so `R * T` independent add chains
+            /// are in flight. A vector that would cross the end of the
+            /// run is pulled back to `len - W` and recomputes lanes its
+            /// neighbour also owns — the same per-lane sequence, so the
+            /// same bits.
             #[inline]
             #[target_feature(enable = $feat)]
-            fn tile<const K: usize, const ZERO: bool, const T: usize>(
+            fn tile<const K: usize, const ZERO: bool, const R: usize, const T: usize>(
                 coef: &[f64],
                 src: &[f64],
                 stride: usize,
                 out: &mut [f64],
+                len: usize,
                 at: usize,
             ) {
                 let mut pos = [0; T];
                 for (t, p) in pos.iter_mut().enumerate() {
-                    *p = (at + t * W).min(out.len() - W);
+                    *p = (at + t * W).min(len - W);
                 }
-                let mut acc = [$setzero(); T];
+                let mut acc = [[$setzero(); T]; R];
                 for k in 0..K {
-                    let c = $set1(coef[k]);
+                    let mut c = [$setzero(); R];
+                    for (r, cr) in c.iter_mut().enumerate() {
+                        *cr = $set1(coef[r * K + k]);
+                    }
                     for t in 0..T {
-                        let prod = $mul(c, ld(src, k * stride + pos[t]));
-                        acc[t] = if ZERO || k > 0 {
-                            $add(acc[t], prod)
-                        } else {
-                            prod
-                        };
+                        let v = ld(src, k * stride + pos[t]);
+                        for r in 0..R {
+                            let prod = $mul(c[r], v);
+                            acc[r][t] = if ZERO || k > 0 {
+                                $add(acc[r][t], prod)
+                            } else {
+                                prod
+                            };
+                        }
                     }
                 }
-                for t in 0..T {
-                    st(out, pos[t], acc[t]);
+                for (r, row) in acc.iter().enumerate() {
+                    for t in 0..T {
+                        st(out, r * len + pos[t], row[t]);
+                    }
                 }
             }
 
             /// The contraction micro-kernel — the only place a lane
-            /// accumulates: `out[i] = sum_k coef[k] * src[k * stride + i]`
-            /// over one unit-stride run, ascending `k`, separate
-            /// multiply and add. `ZERO` picks the scalar code's init
-            /// flavour: start from an explicit `0.0` (`opt::deriv_r`,
-            /// the dealias stages) or let the `k = 0` product assign
-            /// (`opt::deriv_s`/`deriv_t`); they differ on signed zeros.
-            /// `P` is the run length where the caller knows it at
-            /// compile time (0: take `out.len()`); the tile choice below
-            /// then folds whether or not this body gets inlined.
+            /// accumulates: `out[r * len + i] = sum_k coef[r * K + k] *
+            /// src[k * stride + i]` over `R` unit-stride runs of one
+            /// length, ascending `k`, separate multiply and add. The `R`
+            /// rows share every source load and never mix lanes, so each
+            /// row's bits are those of its own `R = 1` call. `ZERO` picks
+            /// the scalar code's init flavour: start from an explicit
+            /// `0.0` (`opt::deriv_r`, the dealias stages) or let the
+            /// `k = 0` product assign (`opt::deriv_s`/`deriv_t`); they
+            /// differ on signed zeros. `P` is the run length where the
+            /// caller knows it at compile time (0: take `out.len() / R`);
+            /// the tile choice below then folds whether or not this body
+            /// gets inlined.
             #[inline]
             #[target_feature(enable = $feat)]
-            fn contract<const K: usize, const ZERO: bool, const P: usize>(
+            fn contract<const K: usize, const ZERO: bool, const P: usize, const R: usize>(
                 coef: &[f64],
                 src: &[f64],
                 stride: usize,
                 out: &mut [f64],
             ) {
-                let len = if P == 0 { out.len() } else { P };
-                // The window every `ld`/`st` of this run stays inside.
-                assert!(out.len() == len && coef.len() >= K);
+                let len = if P == 0 { out.len() / R } else { P };
+                // The window every `ld`/`st` of these `R` runs stays inside.
+                assert!(out.len() == R * len && coef.len() >= R * K);
                 assert!((K - 1) * stride + len <= src.len());
                 if len < W {
-                    for (i, o) in out.iter_mut().enumerate() {
-                        let mut s = if ZERO { 0.0 } else { coef[0] * src[i] };
-                        for k in usize::from(!ZERO)..K {
-                            s += coef[k] * src[k * stride + i];
+                    for r in 0..R {
+                        let row = &mut out[r * len..(r + 1) * len];
+                        let cr = &coef[r * K..r * K + K];
+                        for (i, o) in row.iter_mut().enumerate() {
+                            let mut s = if ZERO { 0.0 } else { cr[0] * src[i] };
+                            for k in usize::from(!ZERO)..K {
+                                s += cr[k] * src[k * stride + i];
+                            }
+                            *o = s;
                         }
-                        *o = s;
                     }
                     return;
                 }
                 let mut at = 0;
                 while at < len {
                     match (len - at).div_ceil(W) {
-                        1 => tile::<K, ZERO, 1>(coef, src, stride, out, at),
-                        2 => tile::<K, ZERO, 2>(coef, src, stride, out, at),
-                        3 => tile::<K, ZERO, 3>(coef, src, stride, out, at),
-                        _ => tile::<K, ZERO, 4>(coef, src, stride, out, at),
+                        1 => tile::<K, ZERO, R, 1>(coef, src, stride, out, len, at),
+                        2 => tile::<K, ZERO, R, 2>(coef, src, stride, out, len, at),
+                        3 => tile::<K, ZERO, R, 3>(coef, src, stride, out, len, at),
+                        _ => tile::<K, ZERO, R, 4>(coef, src, stride, out, len, at),
                     }
                     at += 4 * W;
                 }
@@ -295,12 +326,14 @@ macro_rules! simd_kernel_impls {
             /// Batched small matrix product `out_b = op * src_b` for
             /// `b in 0..nblk`: `op` is `m x K` row-major, each `src_b`
             /// is `K` contiguous planes of `plane` values and each
-            /// `out_b` is `m` such planes — one [`contract`] run per
-            /// output plane. Every deriv direction and dealias stage is
+            /// `out_b` is `m` such planes. The output planes go `R` at a
+            /// time through one [`contract`] call (their `op` rows and
+            /// output runs are both contiguous), and the `m mod R` tail
+            /// one at a time. Every deriv direction and dealias stage is
             /// this with its own `(m, plane, nblk)`; `P` repeats `plane`
             /// where it is a compile-time constant (0 elsewhere).
             #[target_feature(enable = $feat)]
-            fn planes<const K: usize, const ZERO: bool, const P: usize>(
+            fn planes<const K: usize, const ZERO: bool, const P: usize, const R: usize>(
                 m: usize,
                 plane: usize,
                 op: &[f64],
@@ -310,12 +343,17 @@ macro_rules! simd_kernel_impls {
             ) {
                 debug_assert!(P == 0 || P == plane);
                 let plane = if P == 0 { plane } else { P };
+                let full = m - m % R;
                 for b in 0..nblk {
                     let sb = &src[b * K * plane..(b + 1) * K * plane];
                     let ob = &mut out[b * m * plane..(b + 1) * m * plane];
-                    for c in 0..m {
+                    for c in (0..full).step_by(R) {
+                        let rows = &mut ob[c * plane..(c + R) * plane];
+                        contract::<K, ZERO, P, R>(&op[c * K..(c + R) * K], sb, plane, rows);
+                    }
+                    for c in full..m {
                         let run = &mut ob[c * plane..(c + 1) * plane];
-                        contract::<K, ZERO, P>(&op[c * K..c * K + K], sb, plane, run);
+                        contract::<K, ZERO, P, 1>(&op[c * K..c * K + K], sb, plane, run);
                     }
                 }
             }
@@ -337,7 +375,7 @@ macro_rules! simd_kernel_impls {
                         dt[m * K + i] = d[i * K + m];
                     }
                 }
-                planes::<K, true, K>(K * K * nel, K, u, &dt[..K * K], out, 1);
+                planes::<K, true, K, 1>(K * K * nel, K, u, &dt[..K * K], out, 1);
             }
 
             /// `duds`: per `k`-slab, `D` times the slab's `K` rows of
@@ -349,7 +387,7 @@ macro_rules! simd_kernel_impls {
                 u: &[f64],
                 out: &mut [f64],
             ) {
-                planes::<K, false, K>(K, K, d, u, out, K * nel);
+                planes::<K, false, K, 1>(K, K, d, u, out, K * nel);
             }
 
             /// `dudt`: per element, `D` times the element's `K` fused
@@ -361,7 +399,7 @@ macro_rules! simd_kernel_impls {
                 u: &[f64],
                 out: &mut [f64],
             ) {
-                planes::<K, false, 0>(K, K * K, d, u, out, nel);
+                planes::<K, false, 0, 1>(K, K * K, d, u, out, nel);
             }
 
             /// Three-stage dealias contraction (`K = n` in, runtime `m`
@@ -393,9 +431,9 @@ macro_rules! simd_kernel_impls {
                 for e in 0..nel {
                     let ue = &u[e * n2 * K..(e + 1) * n2 * K];
                     let oe = &mut out[e * m2 * m..(e + 1) * m2 * m];
-                    planes::<K, true, 0>(n2, m, ue, &jt[..K * m], t1, 1);
-                    planes::<K, true, 0>(m, m, j_mat, t1, t2, K);
-                    planes::<K, true, 0>(m, m2, j_mat, t2, oe, 1);
+                    planes::<K, true, 0, DEALIAS_ROWS>(n2, m, ue, &jt[..K * m], t1, 1);
+                    planes::<K, true, 0, DEALIAS_ROWS>(m, m, j_mat, t1, t2, K);
+                    planes::<K, true, 0, DEALIAS_ROWS>(m, m2, j_mat, t2, oe, 1);
                 }
             }
 
@@ -709,6 +747,13 @@ mod tests {
         // benchmark's shapes, the largest instantiation, and for each
         // lane width W an m of W-1, W, W+1, 4W, 4W+1 and 5W-1 (stage 1-2
         // run length; stage 3 runs m^2; no GLL rule has m = 1).
+        //
+        // Then every order pair n in 2..=16, m in n..=n+6, up and back
+        // down, pins the row tails of the `DEALIAS_ROWS = 3` tiles:
+        // stages 2-3 have one output row per target node, so their row
+        // counts sweep every residue mod 3 in both directions; stage 1
+        // has a row per source-plane point, a square, so its residues
+        // mod 3 are 0 and 1 only, and both come up.
         let mut shapes = vec![(8usize, 5usize), (5, 8), (7, 6), (3, 2), (2, 3), (13, 9)];
         shapes.extend([
             (15, 10),
@@ -720,6 +765,12 @@ mod tests {
             (32, 21),
         ]);
         shapes.extend([2usize, 3, 4, 5, 8, 9, 16, 17, 19].map(|m| (m, 6)));
+        for n in 2..=16usize {
+            shapes.push((n, n));
+            for m in n + 1..=n + 6 {
+                shapes.extend([(m, n), (n, m)]);
+            }
+        }
         for (m, n) in shapes {
             // The interpolation matrix, and an arbitrary operator whose
             // first row is all negative: on zero data its products are

@@ -162,7 +162,9 @@ impl MpipReport {
     /// for the `k` sites with the most traffic.
     pub fn render_msg_sizes(&self, k: usize) -> String {
         let mut by_bytes: Vec<&SiteAggregate> = self.sites.iter().filter(|s| s.bytes > 0).collect();
-        by_bytes.sort_by_key(|s| std::cmp::Reverse(s.bytes));
+        // Ties break on the site, so equal-byte rows (and the top-k cut)
+        // do not follow the measured-time order of `sites`.
+        by_bytes.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.site.cmp(&b.site)));
         let mut out = String::from(
             "call site                                total bytes   avg bytes/call   max bytes\n",
         );
@@ -246,6 +248,35 @@ mod tests {
         assert!(rep.render_rank_bars().contains("rank    0"));
         assert!(rep.render_top_sites(10).contains("MPI_"));
         assert!(rep.render_msg_sizes(10).contains("@halo"));
+    }
+
+    #[test]
+    fn msg_sizes_order_is_independent_of_time_order() {
+        let site = |context: &str, time_s: f64| SiteAggregate {
+            site: SiteKey {
+                op: MpiOp::Allreduce,
+                context: context.into(),
+            },
+            calls: 1,
+            time_s,
+            bytes: 32,
+            max_bytes: 32,
+        };
+        let report = |sites| MpipReport {
+            app_time_per_rank: vec![1.0],
+            mpi_time_per_rank: vec![0.5],
+            sites,
+        };
+        let a_first = report(vec![site("a", 0.2), site("b", 0.1)]);
+        let b_first = report(vec![site("b", 0.2), site("a", 0.1)]);
+        for k in [1, 2] {
+            assert_eq!(
+                a_first.render_msg_sizes(k),
+                b_first.render_msg_sizes(k),
+                "k={k}"
+            );
+        }
+        assert!(b_first.render_msg_sizes(1).contains("@a"));
     }
 
     #[test]

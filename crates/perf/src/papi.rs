@@ -117,7 +117,11 @@ pub fn kernel_model(variant: KernelVariant, dir: DerivDir) -> KernelModel {
         // step, so the arithmetic and load factors stand; a broadcast
         // now feeds up to four vectors and the `k` loop is unrolled, so
         // 0.5 and 0.4 are upper bounds rather than fits (the lanes an
-        // overlapped last vector redoes are not modelled).
+        // overlapped last vector redoes are not modelled). The tile is
+        // R rows by up to four vectors: in the dealias stages each loaded
+        // source vector feeds R = 3 output rows, a third of a load per
+        // vector step. The derivatives modelled here run R = 1, so the
+        // factors stay as they are; fitting them to counters is open.
         (Simd, d) => {
             let base = kernel_model(Optimized, d);
             KernelModel {
