@@ -46,10 +46,12 @@ fn usage() -> ! {
          findings.\n\
          --particles-per-elem seeds Q passive tracers per element (0 = off);\n\
          --particle-cluster FRAC crowds them into the first FRAC of the x\n\
-         extent (the imbalanced cloud). --lb-every K evaluates the dynamic\n\
-         load balancer every K steps; --lb-threshold T (max/mean load, > 1)\n\
-         sets the rebalance trigger. Balancing never changes the physics:\n\
-         state hashes are bitwise identical with LB on or off."
+         extent (the imbalanced cloud). --lb-every K turns on the dynamic\n\
+         load balancer: its first decision is taken at setup on the seeded\n\
+         counts, then it is evaluated every K steps; --lb-threshold T\n\
+         (max/mean load, > 1) sets the rebalance trigger. Balancing never\n\
+         changes the physics: state hashes are bitwise identical with LB\n\
+         on or off."
     );
     std::process::exit(2);
 }

@@ -148,8 +148,10 @@ pub struct Config {
     /// `particles_per_elem > 0`; `frac` in `(0, 1]`.
     pub particle_cluster: Option<f64>,
     /// Evaluate the dynamic load balancer every this many steps (0
-    /// disables). Requires the particle phase — particle drift is what
-    /// creates the imbalance the balancer redistributes.
+    /// disables). Its first decision is taken at setup, on the seeded
+    /// particle counts, so a run without `restart_from` starts on the
+    /// balanced partition. Requires the particle phase — the particle
+    /// cloud is what creates the imbalance the balancer redistributes.
     pub lb_every: usize,
     /// Rebalance trigger: repartition when max-over-mean effective rank
     /// load exceeds this (1.0 = perfectly balanced; must be > 1.0 so

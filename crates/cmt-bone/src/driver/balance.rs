@@ -1,18 +1,45 @@
-//! The load-balancer step: monitor the per-element cost, and when the
-//! policy fires, migrate elements (with their resident particles) onto
-//! the new partition.
+//! The load balancer in the driver: the first decision at setup, on the
+//! seeded cloud, and the step that monitors the per-element cost and,
+//! when the policy fires, migrates elements (with their resident
+//! particles) onto the new partition.
 
 use std::collections::HashMap;
 
-use cmt_lb::{decide, gather_costs, migrate_blocks, CostModel};
-use cmt_mesh::ElemPartition;
-use cmt_particles::Particle;
+use cmt_lb::{decide, gather_costs, migrate_blocks, CostModel, GlobalCost};
+use cmt_mesh::{ElemPartition, MeshConfig};
+use cmt_particles::{seeded_count, Particle};
 use cmt_perf::Profiler;
 use simmpi::Rank;
 
 use super::block::{particle_from_record, State};
 use super::Env;
+use crate::config::Config;
 use crate::report::LbSummary;
+
+/// The balancer's first decision, taken before the block is built: the
+/// step-0 particle counts are a pure function of the configuration
+/// ([`seeded_count`]) and no delay has been injected yet, so every rank
+/// feeds `decide` the same integers with no gather and adopts the same
+/// partition. Returns that partition (the Cartesian one when the policy
+/// keeps it) and the imbalance the Cartesian partition reads.
+pub(super) fn setup_partition(cfg: &Config, mesh_cfg: &MeshConfig) -> (ElemPartition, f64) {
+    let cartesian = ElemPartition::initial(mesh_cfg);
+    let seeded = GlobalCost {
+        particles: (0..mesh_cfg.total_elems())
+            .map(|gid| {
+                seeded_count(mesh_cfg, cfg.particles_per_elem, cfg.particle_cluster, gid) as u64
+            })
+            .collect(),
+        delay_us: vec![0; cartesian.ranks()],
+    };
+    let model = CostModel::for_shape(cfg.n, cfg.fields);
+    let decision = decide(&model, &cartesian, &seeded, cfg.lb_threshold);
+    let part = match decision.owners {
+        Some(owners) => ElemPartition::from_owner(cartesian.ranks(), owners),
+        None => cartesian,
+    };
+    (part, decision.imbalance)
+}
 
 /// Evaluate the balancer between two steps and adopt the new partition
 /// if it fires. Runs on SPMD-uniform inputs (one allgather), so every

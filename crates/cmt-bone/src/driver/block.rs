@@ -126,10 +126,7 @@ impl State {
             let pmesh = RankMesh::new(env.mesh_cfg.clone(), rank.rank());
             let mut ps = ParticleSet::new(pmesh, &env.basis);
             ps.set_partition(part.clone());
-            match cfg.particle_cluster {
-                Some(frac) => ps.seed_clustered(cfg.particles_per_elem, frac),
-                None => ps.seed_uniform(cfg.particles_per_elem),
-            }
+            ps.seed(cfg.particles_per_elem, cfg.particle_cluster);
             ps
         });
         State {
@@ -164,9 +161,9 @@ impl State {
 
     /// Particle phase: advect in the end-of-step field, then migrate;
     /// returns how many particles left this rank. Interpolation is
-    /// per-element with identical arithmetic on every partition, and the
-    /// migrated set is sorted by particle id — the phase is bitwise
-    /// partition-independent, like the field physics.
+    /// per-element with identical arithmetic on every partition, and each
+    /// element's residents are kept in particle-id order — the phase is
+    /// bitwise partition-independent, like the field physics.
     pub fn particle_phase(&mut self, env: &Env, rank: &mut Rank, prof: &mut Profiler) -> u64 {
         let Some(ps) = self.pset.as_mut() else {
             return 0;
@@ -250,12 +247,16 @@ impl State {
         rank.set_fault_rng_state(ckpt.rng_state);
     }
 
-    /// This rank's tracers as flat `[id, x, y, z]` records (the
-    /// checkpoint and migration layout); `None` without particles.
+    /// This rank's tracers as flat `[id, x, y, z]` records in ascending
+    /// id order (the checkpoint and migration layout); `None` without
+    /// particles. Sorted here, at capture cadence, rather than on every
+    /// particle migration.
     pub fn particle_records(&self) -> Option<Vec<f64>> {
         let ps = self.pset.as_ref()?;
-        let mut rec = Vec::with_capacity(ps.len() * 4);
-        for p in ps.particles() {
+        let mut by_id = ps.particles().to_vec();
+        by_id.sort_unstable_by_key(|p| p.id);
+        let mut rec = Vec::with_capacity(by_id.len() * 4);
+        for p in &by_id {
             rec.push(p.id as f64);
             rec.extend_from_slice(&p.pos);
         }
@@ -276,9 +277,7 @@ impl State {
         }
         if let Some(ps) = self.pset.as_mut() {
             for (slot, h) in hashes.iter_mut().enumerate() {
-                let mut residents: Vec<Particle> = ps.residents_of(slot).to_vec();
-                residents.sort_by_key(|p| p.id);
-                for p in &residents {
+                for p in ps.residents_of(slot) {
                     hash::fnv1a(h, &p.id.to_le_bytes());
                     hash::fnv1a_f64s(h, &p.pos);
                 }

@@ -25,7 +25,7 @@ use simmpi::{Rank, ReduceOp, WorkerPool, World};
 
 use crate::config::Config;
 use crate::report::{modeled_flops, LbSummary, RunReport};
-use balance::balance;
+use balance::{balance, setup_partition};
 use block::{checkpoint_scalars, State};
 use physics::Physics;
 use stage::rk_step;
@@ -146,15 +146,25 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
 
     // A restart checkpoint loads first: with the load balancer on it
     // records the partition its fields were captured under, and the
-    // collective gather-scatter setup must run on that partition.
+    // collective gather-scatter setup must run on that partition. A fresh
+    // balanced run starts on the balancer's decision over the seeded
+    // cloud; the setup reading counts toward the peak imbalance.
     let restart = cfg.restart_from.as_ref().map(|dir| {
         load_checkpoint(dir, rank.rank())
             .unwrap_or_else(|e| panic!("rank {}: restart: {e}", rank.rank()))
     });
-    let part = restart
-        .as_ref()
-        .and_then(|c| checkpoint_scalars(&Physics::of(cfg), c, mesh_cfg, rank.size()).0)
-        .unwrap_or_else(|| ElemPartition::initial(mesh_cfg));
+    let mut lb = LbSummary::default();
+    let part = match &restart {
+        Some(c) => checkpoint_scalars(&Physics::of(cfg), c, mesh_cfg, rank.size())
+            .0
+            .unwrap_or_else(|| ElemPartition::initial(mesh_cfg)),
+        None if cfg.lb_every > 0 => {
+            let (part, imbalance) = setup_partition(cfg, mesh_cfg);
+            lb.peak_imbalance = imbalance;
+            part
+        }
+        None => ElemPartition::initial(mesh_cfg),
+    };
 
     // ---- setup: kernel autotune, partition block + gs discovery, gs autotune
     prof.enter(regions::SETUP);
@@ -179,7 +189,6 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
 
     // ---- timestep loop --------------------------------------------------
     let mut rz = Resilience::new(cfg.checkpoint_every as u64, cfg.checkpoint_dir.clone());
-    let mut lb = LbSummary::default();
     let steps = cfg.steps as u64;
     prof.enter(regions::LOOP);
     while st.step < steps {
@@ -886,12 +895,28 @@ mod tests {
         }
     }
 
-    /// The load balancer's first law: migrating elements must not change
-    /// the physics. The per-element state hash (fields + resident
-    /// particles, merged in global-id order) must be bitwise identical
-    /// with the balancer off and on — including the particle cloud.
+    /// A persistent straggler on rank 1: an imbalance the setup decision
+    /// cannot see (it reads the seeded cloud only), so the in-run monitor
+    /// is what fires and elements migrate. Delays never change the physics.
+    const STRAGGLER: &str = "delay:prob=1.0,us=500,rank=1;seed=9";
+
+    /// [`lb_cfg`] with the balancer on at an aggressive threshold, under
+    /// `plan` (the straggler, optionally with more clauses).
+    fn lb_on(plan: &str) -> Config {
+        Config {
+            lb_every: 2,
+            lb_threshold: 1.05,
+            fault_plan: Some(simmpi::FaultPlan::parse(plan).unwrap()),
+            ..lb_cfg()
+        }
+    }
+
+    /// The balancer's first decision is taken at setup on the seeded
+    /// counts: a clustered run starts on the balanced partition, so no
+    /// element migrates, the setup reading is the peak imbalance, and the
+    /// physics is the static run's.
     #[test]
-    fn rebalanced_run_is_bitwise_identical_to_static_run() {
+    fn clustered_run_starts_balanced() {
         let off = run(&lb_cfg());
         let on = run(&Config {
             lb_every: 2,
@@ -899,9 +924,64 @@ mod tests {
             ..lb_cfg()
         });
         let lb = on.lb.expect("lb summary present when enabled");
+        assert_eq!(lb.rebalances, 0, "the setup partition was not kept: {lb:?}");
+        assert_eq!(lb.elems_moved, 0);
+        assert!(
+            lb.peak_imbalance > 1.05,
+            "the setup reading of the clustered cloud is missing: {lb:?}"
+        );
+        assert!(!on
+            .comm
+            .sites
+            .iter()
+            .any(|s| s.site.op == simmpi::MpiOp::LbMigrate && s.site.context == "lb"));
+        assert_eq!(
+            off.state_hash, on.state_hash,
+            "the setup partition changed the physics"
+        );
+    }
+
+    /// A restart resumes on the partition its checkpoint recorded — here
+    /// the setup decision's — and lands on the uninterrupted run's bits.
+    #[test]
+    fn restart_resumes_on_the_setup_partition() {
+        let dir = std::env::temp_dir().join(format!("cmt_lb_setup_restart_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let base = Config {
+            lb_every: 2,
+            lb_threshold: 1.05,
+            checkpoint_every: 4,
+            ..lb_cfg()
+        };
+        let full = run(&Config {
+            checkpoint_dir: Some(dir.clone()),
+            ..base.clone()
+        });
+        assert_eq!(full.lb.expect("lb summary").rebalances, 0);
+        // steps 8, every 4: the last checkpoint on disk is step 4's
+        let resumed = run(&Config {
+            restart_from: Some(dir.clone()),
+            ..base.clone()
+        });
+        assert_eq!(
+            full.state_hash, resumed.state_hash,
+            "restart from the step-4 checkpoint diverged"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The load balancer's first law: migrating elements must not change
+    /// the physics. The per-element state hash (fields + resident
+    /// particles, merged in global-id order) must be bitwise identical
+    /// with the balancer off and on — including the particle cloud.
+    #[test]
+    fn rebalanced_run_is_bitwise_identical_to_static_run() {
+        let off = run(&lb_cfg());
+        let on = run(&lb_on(STRAGGLER));
+        let lb = on.lb.expect("lb summary present when enabled");
         assert!(
             lb.rebalances >= 1,
-            "clustered particles at threshold 1.05 should trigger: {lb:?}"
+            "a straggler at threshold 1.05 should trigger: {lb:?}"
         );
         assert!(lb.peak_imbalance > 1.05);
         assert_eq!(
@@ -952,9 +1032,7 @@ mod tests {
         let balanced = run(&Config {
             lb_every: 2,
             lb_threshold: 1.1,
-            fault_plan: Some(
-                simmpi::FaultPlan::parse("delay:prob=1.0,us=500,rank=1;seed=9").unwrap(),
-            ),
+            fault_plan: Some(simmpi::FaultPlan::parse(STRAGGLER).unwrap()),
             ..base.clone()
         });
         let lb = balanced.lb.expect("lb summary");
@@ -970,20 +1048,19 @@ mod tests {
     }
 
     /// Converged steady state: once the policy has evened out the load,
-    /// re-evaluations must not keep shuffling elements. With a static
+    /// re-evaluations must not keep shuffling elements. With a steady
     /// imbalance source the rebalance count stays far below the number
     /// of monitor evaluations.
     #[test]
     fn rebalance_converges_instead_of_thrashing() {
         let rep = run(&Config {
             steps: 16,
-            lb_every: 2,
-            lb_threshold: 1.05,
-            ..lb_cfg()
+            ..lb_on(STRAGGLER)
         });
         let lb = rep.lb.expect("lb summary");
-        // 7 in-run evaluations (steps 2..14): the cloud barely moves, so
-        // after the first correction the greedy plan is stable
+        // 7 in-run evaluations (steps 2..14) of a steady straggler over
+        // a cloud that barely moves: after the first correction the
+        // greedy plan is stable
         assert!(
             (1..=3).contains(&lb.rebalances),
             "expected 1-3 rebalances over 16 steps, got {lb:?}"
@@ -998,11 +1075,8 @@ mod tests {
     fn lb_with_kill_and_rollback_stays_identical() {
         let off = run(&lb_cfg());
         let on = run(&Config {
-            lb_every: 2,
-            lb_threshold: 1.05,
             checkpoint_every: 2,
-            fault_plan: Some(simmpi::FaultPlan::parse("kill:rank=2,step=5").unwrap()),
-            ..lb_cfg()
+            ..lb_on(&format!("{STRAGGLER};kill:rank=2,step=5"))
         });
         assert!(on.lb.expect("lb summary").rebalances >= 1);
         assert_eq!(
@@ -1016,10 +1090,8 @@ mod tests {
     #[test]
     fn lb_run_passes_verification() {
         let rep = run(&Config {
-            lb_every: 2,
-            lb_threshold: 1.05,
             verify: true,
-            ..lb_cfg()
+            ..lb_on(STRAGGLER)
         });
         assert!(rep.lb.expect("lb summary").rebalances >= 1);
         let findings = rep.verify.expect("verification ran");

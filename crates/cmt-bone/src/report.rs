@@ -11,15 +11,17 @@ use crate::config::Config;
 /// when `Config::lb_every` enabled the balancer.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LbSummary {
-    /// Times the rebalance trigger fired and a new partition was adopted.
+    /// Times the rebalance trigger fired in the run and elements
+    /// migrated to a new partition (the setup decision moves nothing and
+    /// is not counted).
     pub rebalances: u64,
     /// Elements shipped between ranks by rebalances (sum over ranks).
     pub elems_moved: u64,
     /// Particle ownership moves (advective drift + rebalances, sum over
     /// ranks).
     pub particles_moved: u64,
-    /// Largest max-over-mean effective load the monitor observed at any
-    /// evaluation point.
+    /// Largest max-over-mean effective load the balancer read at any
+    /// evaluation point, the setup decision on the seeded cloud included.
     pub peak_imbalance: f64,
 }
 

@@ -11,12 +11,12 @@ use std::process::Command;
 
 const FIG4: &[&str] = &[
     "--ranks", "4", "--n", "5", "--elems", "8", "--steps", "8", "--fields", "2", "--method",
-    "pairwise", "--quiet",
+    "pairwise",
 ];
 
 /// Run the cmt-bone binary with the Fig. 4 config plus `extra` args and
-/// return the `state {hex}` fingerprint from its quiet output.
-fn state_hash(extra: &[&str]) -> String {
+/// return its standard output.
+fn cmt_bone(extra: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_cmt-bone"))
         .args(FIG4)
         .args(extra)
@@ -28,18 +28,27 @@ fn state_hash(extra: &[&str]) -> String {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).expect("utf8 output");
-    let line = stdout
-        .lines()
-        .find(|l| l.contains("state "))
-        .unwrap_or_else(|| panic!("no state line in output:\n{stdout}"));
-    let hash = line
-        .split("state ")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .unwrap_or_else(|| panic!("malformed state line: {line}"));
-    assert_eq!(hash.len(), 16, "state hash should be 16 hex digits: {line}");
+    String::from_utf8(out.stdout).expect("utf8 output")
+}
+
+/// The first whitespace-delimited token after `key` in `stdout`.
+fn token_after<'a>(stdout: &'a str, key: &str) -> &'a str {
+    stdout
+        .split_once(key)
+        .and_then(|(_, rest)| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no {key:?} in output:\n{stdout}"))
+}
+
+/// The 16-hex-digit state fingerprint after `key` in `stdout`.
+fn hash_after(stdout: &str, key: &str) -> String {
+    let hash = token_after(stdout, key);
+    assert_eq!(hash.len(), 16, "state hash should be 16 hex digits: {hash}");
     hash.to_string()
+}
+
+/// The `state {hex}` fingerprint of a `--quiet` run with `extra` args.
+fn state_hash(extra: &[&str]) -> String {
+    hash_after(&cmt_bone(&[&["--quiet"], extra].concat()), "state ")
 }
 
 #[test]
@@ -58,23 +67,31 @@ fn socket_matches_inproc_under_verify() {
 
 #[test]
 fn socket_matches_inproc_and_static_run_under_load_balancing() {
-    // clustered particle cloud + aggressive threshold: rebalances fire,
-    // and the partition-independent state hash must not move — across
-    // the balancer on/off axis AND the transport axis.
+    // clustered particle cloud + a straggler on rank 1 at an aggressive
+    // threshold: the setup decision balances the cloud, the straggler
+    // makes rebalances fire in the run, and the partition-independent
+    // state hash must not move — across the balancer on/off axis AND
+    // the transport axis.
     let particles = &["--particles-per-elem", "6", "--particle-cluster", "0.25"];
-    let lb = &["--lb-every", "2", "--lb-threshold", "1.05"];
-    let static_inproc = state_hash(particles);
-    let lb_inproc = {
-        let mut args = particles.to_vec();
-        args.extend_from_slice(lb);
-        state_hash(&args)
+    let lb = &[
+        "--lb-every",
+        "2",
+        "--lb-threshold",
+        "1.05",
+        "--fault-plan",
+        "delay:prob=1.0,us=500,rank=1;seed=9",
+    ];
+    let static_inproc = hash_after(&cmt_bone(particles), "state hash: ");
+    let lb_report = |transport: &[&str]| {
+        let out = cmt_bone(&[transport, particles, lb].concat());
+        let rebalances: u64 = token_after(&out, "load balancing: ")
+            .parse()
+            .expect("rebalance count");
+        assert!(rebalances >= 1, "no rebalance fired {transport:?}:\n{out}");
+        hash_after(&out, "state hash: ")
     };
-    let lb_socket = {
-        let mut args = vec!["--transport", "socket"];
-        args.extend_from_slice(particles);
-        args.extend_from_slice(lb);
-        state_hash(&args)
-    };
+    let lb_inproc = lb_report(&[]);
+    let lb_socket = lb_report(&["--transport", "socket"]);
     assert_eq!(
         static_inproc, lb_inproc,
         "load balancing changed the physics"

@@ -27,4 +27,4 @@ pub mod interp;
 pub mod tracker;
 
 pub use interp::ElementInterpolator;
-pub use tracker::{Particle, ParticleSet};
+pub use tracker::{seeded_count, Particle, ParticleSet};

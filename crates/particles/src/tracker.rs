@@ -15,7 +15,7 @@
 
 use cmt_core::poly::Basis;
 use cmt_core::Field;
-use cmt_mesh::{ElemPartition, RankMesh};
+use cmt_mesh::{ElemPartition, MeshConfig, RankMesh};
 use simmpi::{MpiOp, Rank};
 
 use crate::interp::{ElementInterpolator, LANES};
@@ -69,6 +69,31 @@ fn wrap_coord(x: f64, len: f64) -> f64 {
         x
     } else {
         x.rem_euclid(len)
+    }
+}
+
+/// How many particles the seeding places in global element `gid`:
+/// `per_elem` everywhere, or with `cluster = Some(frac)` only in the
+/// elements whose x extent lies within the first `frac` of the domain (at
+/// least one plane of elements, so the cloud is never empty). A pure
+/// function of the configuration and the one definition of the seeded
+/// cloud's shape: [`ParticleSet::seed`] goes through it, and so can a
+/// step-0 decision that needs every element's population on every rank
+/// without communication.
+///
+/// # Panics
+/// Panics if `frac` is outside `(0, 1]`.
+pub fn seeded_count(mesh: &MeshConfig, per_elem: usize, cluster: Option<f64>, gid: usize) -> usize {
+    let Some(frac) = cluster else {
+        return per_elem;
+    };
+    assert!(frac > 0.0 && frac <= 1.0, "cluster fraction in (0, 1]");
+    let planes = mesh.global_elems()[0];
+    let cut = ((frac * planes as f64).ceil() as usize).clamp(1, planes);
+    if mesh.elem_coords(gid)[0] < cut {
+        per_elem
+    } else {
+        0
     }
 }
 
@@ -139,7 +164,7 @@ impl ParticleSet {
     /// (a low-discrepancy-ish lattice offset by the global element id, so
     /// ids and positions are identical regardless of rank count).
     pub fn seed_uniform(&mut self, per_elem: usize) {
-        self.seed_where(per_elem, |_| true);
+        self.seed(per_elem, None);
     }
 
     /// Deterministically seed `per_elem` particles in each owned element
@@ -148,23 +173,18 @@ impl ParticleSet {
     /// shape). Seeding is keyed by global element id, so the cloud is
     /// identical regardless of rank count or partition.
     pub fn seed_clustered(&mut self, per_elem: usize, frac: f64) {
-        assert!(frac > 0.0 && frac <= 1.0, "cluster fraction in (0, 1]");
-        let ge = self.mesh.config().global_elems();
-        // at least one plane of elements, so the cloud is never empty
-        let cut = ((frac * ge[0] as f64).ceil() as usize).clamp(1, ge[0]);
-        let cfg = self.mesh.config().clone();
-        self.seed_where(per_elem, |gid| cfg.elem_coords(gid)[0] < cut);
+        self.seed(per_elem, Some(frac));
     }
 
-    fn seed_where(&mut self, per_elem: usize, want: impl Fn(usize) -> bool) {
+    /// Seed each owned element with its [`seeded_count`] particles:
+    /// uniform without `cluster`, the low-x slab with it.
+    pub fn seed(&mut self, per_elem: usize, cluster: Option<f64>) {
         for slot in 0..self.owned_elems().len() {
             let geid = self.owned_elems()[slot];
-            if !want(geid) {
-                continue;
-            }
+            let count = seeded_count(self.mesh.config(), per_elem, cluster, geid);
             let gc = self.mesh.config().elem_coords(geid);
             let geid = geid as u64;
-            for q in 0..per_elem as u64 {
+            for q in 0..count as u64 {
                 // golden-ratio lattice inside the element, biased off the
                 // faces so a particle never sits exactly on a boundary
                 let g = 0.618_033_988_749_895_f64;
@@ -226,8 +246,9 @@ impl ParticleSet {
     }
 
     /// (Re)build the cell-grid bins: group `self.particles` by home
-    /// element via a stable counting sort. O(particles + owned elements);
-    /// a no-op when the grouping is already fresh.
+    /// element via a stable counting sort, then put each bin in ascending
+    /// id order. O(particles + owned elements) when the bins hold few
+    /// newcomers; a no-op when the grouping is already fresh.
     ///
     /// # Panics
     /// Panics if a particle is not on this rank (migration was skipped).
@@ -267,6 +288,15 @@ impl ParticleSet {
         }
         self.offsets.copy_within(0..nel, 1);
         self.offsets[0] = 0;
+        // A bin is its stayers (ascending, from the last grouping) plus
+        // the few particles advection or migration brought in since: only
+        // a bin holding an out-of-order pair is sorted, in place.
+        for s in 0..nel {
+            let bin = &mut self.spare[self.offsets[s] as usize..self.offsets[s + 1] as usize];
+            if !bin.is_sorted_by_key(|p| p.id) {
+                bin.sort_unstable_by_key(|p| p.id);
+            }
+        }
         std::mem::swap(&mut self.particles, &mut self.spare);
         self.binned = true;
     }
@@ -280,9 +310,8 @@ impl ParticleSet {
             .collect()
     }
 
-    /// The residents of owned-element slot `slot`, ascending by id
-    /// (migration sorts by id and the bin sort is stable). Rebuilds the
-    /// bins if stale.
+    /// The residents of owned-element slot `slot`, ascending by id (the
+    /// bin sort orders each bin). Rebuilds the bins if stale.
     pub fn residents_of(&mut self, slot: usize) -> &[Particle] {
         self.ensure_bins();
         &self.particles[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
@@ -455,8 +484,8 @@ impl ParticleSet {
                 });
             }
         }
-        // deterministic ordering regardless of arrival interleaving
-        keep.sort_by_key(|p| p.id);
+        // arrivals come sorted by source rank, so the order is
+        // deterministic; `ensure_bins` restores id order per element
         self.spare = std::mem::replace(&mut self.particles, keep);
         self.binned = false;
         MigrationStats { sent, received }
@@ -471,7 +500,6 @@ impl ParticleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmt_mesh::MeshConfig;
 
     fn single_rank_set(elems: [usize; 3], n: usize) -> ParticleSet {
         let cfg = MeshConfig {
@@ -517,6 +545,45 @@ mod tests {
         uni.seed_uniform(5);
         for p in set.particles() {
             assert!(uni.particles().contains(p));
+        }
+    }
+
+    /// The seeded cloud is what `seeded_count` says, element by element:
+    /// on 4 ranks, the allgathered bin populations of the seeded set equal
+    /// the function's per-element counts, uniform and clustered.
+    #[test]
+    fn seeded_count_is_the_allgathered_seeded_population() {
+        let ranks = 4;
+        let cfg = MeshConfig::for_ranks(ranks, 8, 4, true);
+        let per_elem = 3;
+        for cluster in [None, Some(0.25), Some(1e-9)] {
+            let mesh = cfg.clone();
+            let res = simmpi::World::new().run(ranks, move |rank| {
+                let pmesh = RankMesh::new(mesh.clone(), rank.rank());
+                let mut set = ParticleSet::new(pmesh, &Basis::new(mesh.n));
+                match cluster {
+                    Some(frac) => set.seed_clustered(per_elem, frac),
+                    None => set.seed_uniform(per_elem),
+                }
+                let owned = set.owned_elems().to_vec();
+                let mut slots = vec![0u64; mesh.total_elems()];
+                for (gid, c) in owned.into_iter().zip(set.counts_per_owned()) {
+                    slots[gid] = c as u64;
+                }
+                rank.allreduce_u64(&slots, simmpi::ReduceOp::Sum)
+            });
+            let want: Vec<u64> = (0..cfg.total_elems())
+                .map(|gid| seeded_count(&cfg, per_elem, cluster, gid) as u64)
+                .collect();
+            for got in &res.results {
+                assert_eq!(got, &want, "cluster {cluster:?}");
+            }
+            // a clustered cloud is a strict, non-empty part of the uniform one
+            let seeded = want.iter().filter(|&&c| c > 0).count();
+            match cluster {
+                None => assert_eq!(seeded, cfg.total_elems()),
+                Some(_) => assert!(seeded > 0 && seeded < cfg.total_elems(), "{seeded}"),
+            }
         }
     }
 

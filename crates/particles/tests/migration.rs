@@ -60,6 +60,30 @@ fn particles_land_on_the_owning_rank() {
 }
 
 #[test]
+fn residents_ascend_by_id_after_migration() {
+    // A shear that moves part of each element's residents into the next
+    // element, across rank boundaries too: arrivals join the stayers of
+    // their new element, and each element's residents must still come
+    // out in ascending id order (the state hash walks them in it).
+    let ranks = 4;
+    let cfg = world_cfg(ranks);
+    let res = World::new().run(ranks, move |rank| {
+        let basis = Basis::new(cfg.n);
+        let mut set = ParticleSet::new(RankMesh::new(cfg.clone(), rank.rank()), &basis);
+        set.seed_uniform(5);
+        let mut ascending = true;
+        for _ in 0..3 {
+            set.advect_analytic(0.6, |p| [1.0, 0.5 + 0.1 * p[0].sin(), 0.3]);
+            set.migrate(rank);
+            ascending &= (0..set.owned_elems().len())
+                .all(|slot| set.residents_of(slot).is_sorted_by_key(|p| p.id));
+        }
+        ascending
+    });
+    assert!(res.results.iter().all(|&ok| ok));
+}
+
+#[test]
 fn long_range_migration_via_crystal_router() {
     // Teleport all particles of rank 0 clear across the box: the
     // destination is not a neighbor rank, exercising multi-stage routing.
