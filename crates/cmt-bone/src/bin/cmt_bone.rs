@@ -43,7 +43,8 @@ fn usage() -> ! {
          identical across worker counts.\n\
          --verify runs the cmt-verify dynamic checker (deadlock, collective\n\
          matching, message leaks, abandoned exchanges); exit status 1 on\n\
-         findings.\n\
+         findings. It runs in-process only: --verify with --transport\n\
+         socket exits 2.\n\
          --particles-per-elem seeds Q passive tracers per element (0 = off);\n\
          --particle-cluster FRAC crowds them into the first FRAC of the x\n\
          extent (the imbalanced cloud). --lb-every K turns on the dynamic\n\

@@ -132,7 +132,8 @@ pub struct Config {
     /// Run under the `cmt-verify` dynamic checker: deadlock detection
     /// over blocked receives, collective-matching verification, and the
     /// finalize sweep for leaked messages and abandoned exchanges.
-    /// Findings land in [`crate::RunReport::verify`].
+    /// Findings land in [`crate::RunReport::verify`]. In-process only:
+    /// [`Config::validate`] refuses it with the socket transport.
     pub verify: bool,
     /// Communication backend: in-process mailboxes (the default, every
     /// rank a thread) or the multi-process socket transport (`--transport
@@ -222,6 +223,11 @@ impl Config {
             return Err("cfl_interval must be positive".into());
         }
         self.transport.validate()?;
+        if self.verify && self.transport != TransportKind::Inproc {
+            return Err("--verify runs in-process only: \
+                 use --transport inproc (the default) or drop --verify"
+                .into());
+        }
         if !(self.cfl > 0.0) {
             return Err("cfl must be positive".into());
         }

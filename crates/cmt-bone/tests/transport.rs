@@ -5,23 +5,30 @@
 //! because the socket launcher re-execs the current executable to spawn
 //! rank children — the full process path only exists for real binaries.
 //! Each scenario runs the paper's Fig. 4 configuration once per backend
-//! and compares the `state` fingerprint printed by `--quiet`.
+//! and compares the `state` fingerprint printed by `--quiet`. The
+//! checker (`--verify`) runs in-process only; with the socket transport
+//! it is refused before any rank starts.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
 const FIG4: &[&str] = &[
     "--ranks", "4", "--n", "5", "--elems", "8", "--steps", "8", "--fields", "2", "--method",
     "pairwise",
 ];
 
-/// Run the cmt-bone binary with the Fig. 4 config plus `extra` args and
-/// return its standard output.
-fn cmt_bone(extra: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_cmt-bone"))
+/// Run the cmt-bone binary with the Fig. 4 config plus `extra` args.
+fn run_bin(extra: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_cmt-bone"))
         .args(FIG4)
         .args(extra)
         .output()
-        .expect("spawn cmt-bone");
+        .expect("spawn cmt-bone")
+}
+
+/// Run the cmt-bone binary with the Fig. 4 config plus `extra` args and
+/// return its standard output.
+fn cmt_bone(extra: &[&str]) -> String {
+    let out = run_bin(extra);
     assert!(
         out.status.success(),
         "cmt-bone {extra:?} failed:\nstdout: {}\nstderr: {}",
@@ -58,11 +65,20 @@ fn socket_matches_inproc() {
     assert_eq!(inproc, socket, "socket backend diverged from inproc");
 }
 
+/// The checker runs in-process only: with the socket transport it exits
+/// 2 before any rank runs. In-process at the same arguments it is clean
+/// and leaves the state bits alone.
 #[test]
-fn socket_matches_inproc_under_verify() {
-    let inproc = state_hash(&["--verify"]);
-    let socket = state_hash(&["--transport", "socket", "--verify"]);
-    assert_eq!(inproc, socket, "verified socket run diverged from inproc");
+fn verify_is_refused_over_sockets_and_clean_inproc() {
+    let out = run_bin(&["--quiet", "--transport", "socket", "--verify"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("runs in-process only"), "{err}");
+    assert!(out.stdout.is_empty(), "a refused run printed a result");
+
+    let verified = cmt_bone(&["--quiet", "--verify"]);
+    assert!(verified.contains("cmt-verify: clean"), "{verified}");
+    assert_eq!(hash_after(&verified, "state "), state_hash(&[]));
 }
 
 #[test]

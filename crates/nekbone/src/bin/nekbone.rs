@@ -32,7 +32,8 @@ fn usage() -> ! {
          pool of W threads (1 = pure MPI); results are bitwise identical.\n\
          --verify runs the cmt-verify dynamic checker (deadlock, collective\n\
          matching, message leaks, abandoned exchanges); exit status 1 on\n\
-         findings.\n\
+         findings. It runs in-process only: --verify with --transport\n\
+         socket exits 2.\n\
          --variant auto autotunes the ax derivative kernel at startup (every\n\
          variant timed, averaged across ranks); --variant simd dispatches to\n\
          the widest vector unit present (avx2/sse2, scalar fallback) with\n\

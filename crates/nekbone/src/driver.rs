@@ -67,7 +67,8 @@ pub struct Config {
     /// schedule without changing any result.
     pub fault_plan: Option<FaultPlan>,
     /// Run under the `cmt-verify` dynamic checker; findings land in
-    /// [`NekboneReport::verify`].
+    /// [`NekboneReport::verify`]. In-process only: [`Config::validate`]
+    /// refuses it with the socket transport.
     pub verify: bool,
     /// Communication backend: in-process mailboxes (default) or the
     /// multi-process socket transport (`--transport socket`). Results are
@@ -401,6 +402,11 @@ impl Config {
             ));
         }
         self.transport.validate()?;
+        if self.verify && self.transport != TransportKind::Inproc {
+            return Err("--verify runs in-process only: \
+                 use --transport inproc (the default) or drop --verify"
+                .into());
+        }
         if let Some(dir) = &self.restart_from {
             if !dir.is_dir() {
                 return Err(format!(

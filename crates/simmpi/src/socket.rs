@@ -7,17 +7,17 @@
 //! [`crate::SocketConfig::threads`] test mode — holding exactly one
 //! connection to the hub. The hub forwards data frames between children
 //! by peeking their source and destination ranks at fixed offsets
-//! ([`crate::wire::peek_data_ends`]), serves verifier-hook RPCs against
-//! the launcher's single [`VerifyHooks`] instance (checker state must be
-//! global across ranks), collects each child's encoded return value +
-//! [`CommStats`], and broadcasts a poison frame when a child dies so
-//! blocked peers abort instead of deadlocking — the same guarantee the
-//! in-process backend gets from its shared poison flag.
+//! ([`crate::wire::peek_data_ends`]), collects each child's encoded
+//! return value + [`CommStats`], and broadcasts a poison frame when a
+//! child dies so blocked peers abort instead of deadlocking — the same
+//! guarantee the in-process backend gets from its shared poison flag.
+//! The transport carries data only: a verifier runs in-process only, and
+//! [`crate::World::run_dist`] refuses a socket world that has one.
 //!
 //! Each of the hub's decisions is a plain function over one frame's
 //! bytes: [`hello`] names a new connection's rank, [`route`] says what to
-//! do with every later frame, [`serve_verify`] answers a verify request,
-//! and [`poisoned_by_close`] names the peers a closed connection poisons.
+//! do with every later frame, and [`poisoned_by_close`] names the peers a
+//! closed connection poisons.
 //! `hub_reader` (one thread per connection, writing straight to the
 //! destination's connection) and `run_launcher` are the I/O shell around
 //! them, so every hostile-input case is a unit test without a socket.
@@ -32,8 +32,8 @@
 //! Process-mode children are spawned as `current_exe()` with the
 //! launcher's own arguments plus three environment variables
 //! (`SIMMPI_SOCKET_RANK`/`_SIZE`/`_ADDR`); the child re-parses the
-//! identical argv, rebuilds the identical `World` (fault plans, verifier,
-//! pooling, workers), and [`crate::World::run_dist`] diverts it
+//! identical argv, rebuilds the identical `World` (fault plan, pooling,
+//! workers), and [`crate::World::run_dist`] diverts it
 //! into [`child_env`]-guided [`run_child_process`], which never returns.
 
 use std::io::{self, Read, Write};
@@ -41,19 +41,16 @@ use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::envelope::Envelope;
 use crate::mailbox::Mailbox;
 use crate::pool::BufferPool;
-use crate::rank::{Rank, Tag};
+use crate::rank::Rank;
 use crate::stats::CommStats;
 use crate::transport::{RxDrain, SocketConfig, Transport};
-use crate::verify::{CollFingerprint, CollKind, LeakInfo, VerifyHooks};
-use crate::wire::{
-    self, put_str, put_u16, put_u32, put_u64, put_u8, FrameKind, WireCodec, WireError, WireReader,
-};
+use crate::wire::{self, put_u32, FrameKind, WireCodec, WireError, WireReader};
 use crate::world::{World, WorldResult};
 
 const ENV_RANK: &str = "SIMMPI_SOCKET_RANK";
@@ -143,50 +140,13 @@ fn control_frame(kind: FrameKind) -> Vec<u8> {
 // child endpoint
 // ---------------------------------------------------------------------
 
-/// Single-slot blocking reply channel for verifier RPCs. At most one
-/// reply-bearing call is outstanding per child (guarded by
-/// [`VerifyClient::call`]), so one slot suffices.
-#[derive(Default)]
-struct RpcSlot {
-    slot: Mutex<Option<Vec<u8>>>,
-    dead: AtomicBool,
-    cv: Condvar,
-}
-
-impl RpcSlot {
-    fn put(&self, v: Vec<u8>) {
-        *self.slot.lock().unwrap() = Some(v);
-        self.cv.notify_all();
-    }
-
-    /// Permanently wake waiters with failure (the hub went away).
-    fn fail(&self) {
-        self.dead.store(true, Ordering::Relaxed);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> Vec<u8> {
-        let mut g = self.slot.lock().unwrap();
-        loop {
-            if let Some(v) = g.take() {
-                return v;
-            }
-            if self.dead.load(Ordering::Relaxed) {
-                panic!("verify channel lost: the launcher hub went away");
-            }
-            let (g2, _) = self.cv.wait_timeout(g, Duration::from_millis(50)).unwrap();
-            g = g2;
-        }
-    }
-}
-
-/// A child rank's shared connection state: the write half (under a lock,
-/// shared by the rank thread and the verify client), the inbox the
-/// reader thread fills, and the receive-side accounting the transport
-/// drains at rank epilogue.
+/// A child rank's shared connection state: the write half (written by
+/// the rank thread alone, so frames need no lock to stay whole), the
+/// inbox the reader thread fills, and the receive-side accounting the
+/// transport drains at rank epilogue.
 struct Endpoint {
     me: usize,
-    writer: Mutex<UnixStream>,
+    writer: UnixStream,
     /// Reused serialization scratch buffer — steady-state sends reuse its
     /// capacity instead of allocating per message.
     tx: Mutex<Vec<u8>>,
@@ -197,20 +157,19 @@ struct Endpoint {
     rx_frames: AtomicU64,
     rx_bytes: AtomicU64,
     rx_max_frame: AtomicU64,
-    rpc: RpcSlot,
 }
 
 impl Endpoint {
     /// Write one complete frame: a single `write_all`, so the peer is
     /// woken once per frame, not once for the prefix and again for the body.
     fn send_frame(&self, frame: &[u8]) -> io::Result<()> {
-        self.writer.lock().unwrap().write_all(frame)
+        (&self.writer).write_all(frame)
     }
 }
 
 /// The child's receive loop, run on a detached thread: decode data
-/// frames into the inbox, hand verify replies to the waiting RPC slot,
-/// and raise the poison flag on a poison frame or on any disconnect.
+/// frames into the inbox and raise the poison flag on a poison frame or
+/// on any disconnect.
 fn reader_loop(ep: Arc<Endpoint>, mut conn: UnixStream) {
     let mut buf = Vec::new();
     while let Ok(true) = read_frame(&mut conn, &mut buf) {
@@ -229,7 +188,6 @@ fn reader_loop(ep: Arc<Endpoint>, mut conn: UnixStream) {
                     Err(_) => break,
                 }
             }
-            Ok((FrameKind::VerifyRep, mut r)) => ep.rpc.put(r.rest().to_vec()),
             Ok((FrameKind::Poison, _)) => {
                 ep.poisoned.store(true, Ordering::Relaxed);
             }
@@ -241,7 +199,6 @@ fn reader_loop(ep: Arc<Endpoint>, mut conn: UnixStream) {
     // a *healthy* child's connection, that child's closure has already
     // returned, so the late poison is unobserved.
     ep.poisoned.store(true, Ordering::Relaxed);
-    ep.rpc.fail();
 }
 
 /// The [`Transport`] over a child endpoint.
@@ -295,193 +252,6 @@ impl Transport for SocketTransport {
 }
 
 // ---------------------------------------------------------------------
-// verifier RPC
-// ---------------------------------------------------------------------
-
-// A request names no rank: the hub takes it from the connection.
-const M_COLLECTIVE: u8 = 1;
-const M_BLOCK: u8 = 2;
-const M_BLOCK_POLL: u8 = 3;
-const M_UNBLOCK: u8 = 4;
-const M_EXCHANGE_START: u8 = 5;
-const M_EXCHANGE_FINISH: u8 = 6;
-const M_DISCARDED: u8 = 7;
-const M_FINALIZE: u8 = 8;
-
-fn coll_kind_to_u8(k: CollKind) -> u8 {
-    match k {
-        CollKind::Barrier => 0,
-        CollKind::Allreduce => 1,
-        CollKind::Exscan => 2,
-        CollKind::Alltoallv => 3,
-        CollKind::CrystalRouter => 4,
-    }
-}
-
-fn coll_kind_from_u8(v: u8) -> Result<CollKind, WireError> {
-    Ok(match v {
-        0 => CollKind::Barrier,
-        1 => CollKind::Allreduce,
-        2 => CollKind::Exscan,
-        3 => CollKind::Alltoallv,
-        4 => CollKind::CrystalRouter,
-        _ => return Err(WireError::Malformed("collective kind")),
-    })
-}
-
-/// A child-side [`VerifyHooks`] proxy: every hook call is serialized to
-/// the hub, where the launcher's real checker runs with global state.
-/// Reply-bearing hooks block on the RPC slot; notification-only hooks
-/// are fire-and-forget (per-stream FIFO keeps them ordered ahead of the
-/// child's result frame). Not an allocation-free path — the verifier is
-/// a debugging mode on every backend.
-struct VerifyClient {
-    ep: Arc<Endpoint>,
-    /// Serializes reply-bearing calls so replies match requests.
-    call: Mutex<()>,
-}
-
-impl std::fmt::Debug for VerifyClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VerifyClient")
-            .field("rank", &self.ep.me)
-            .finish()
-    }
-}
-
-impl VerifyClient {
-    /// Send one request frame, its body written by `build`.
-    fn request(&self, build: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
-        let mut frame = Vec::new();
-        wire::begin_frame(&mut frame, FrameKind::VerifyReq);
-        build(&mut frame);
-        wire::end_frame(&mut frame);
-        self.ep.send_frame(&frame)
-    }
-
-    /// Fire-and-forget notification.
-    fn notify(&self, build: impl FnOnce(&mut Vec<u8>)) {
-        if self.request(build).is_err() {
-            self.ep.poisoned.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Reply-bearing call: send the request and block for the hub's reply.
-    fn rpc(&self, build: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-        let _g = self.call.lock().unwrap();
-        if self.request(build).is_err() {
-            panic!("verify channel lost: the launcher hub went away");
-        }
-        self.ep.rpc.wait()
-    }
-}
-
-impl VerifyHooks for VerifyClient {
-    fn on_start(&self, _size: usize) {
-        // The hub announces the world before spawning children.
-    }
-
-    fn on_collective(&self, _rank: usize, seq: u64, fp: CollFingerprint<'_>) -> Result<(), String> {
-        let rep = self.rpc(|b| {
-            put_u8(b, M_COLLECTIVE);
-            put_u64(b, seq);
-            put_u8(b, coll_kind_to_u8(fp.kind));
-            put_u16(b, fp.elem);
-            fp.len.map(|v| v as u64).encode(b);
-            put_str(b, fp.context);
-        });
-        let mut r = WireReader::new(&rep);
-        match Option::<String>::decode(&mut r).expect("on_collective reply") {
-            None => Ok(()),
-            Some(diag) => Err(diag),
-        }
-    }
-
-    fn on_block(&self, _rank: usize, src: usize, tag: Tag, context: &str) -> u64 {
-        let rep = self.rpc(|b| {
-            put_u8(b, M_BLOCK);
-            put_u32(b, src as u32);
-            put_u64(b, tag);
-            put_str(b, context);
-        });
-        let mut r = WireReader::new(&rep);
-        u64::decode(&mut r).expect("on_block reply")
-    }
-
-    fn on_block_poll(&self, _rank: usize, block_id: u64) -> Option<String> {
-        let rep = self.rpc(|b| {
-            put_u8(b, M_BLOCK_POLL);
-            put_u64(b, block_id);
-        });
-        let mut r = WireReader::new(&rep);
-        Option::<String>::decode(&mut r).expect("on_block_poll reply")
-    }
-
-    fn on_unblock(&self, _rank: usize, block_id: u64) {
-        self.notify(|b| {
-            put_u8(b, M_UNBLOCK);
-            put_u64(b, block_id);
-        });
-    }
-
-    fn on_exchange_start(&self, _rank: usize, context: &str) -> u64 {
-        let rep = self.rpc(|b| {
-            put_u8(b, M_EXCHANGE_START);
-            put_str(b, context);
-        });
-        let mut r = WireReader::new(&rep);
-        u64::decode(&mut r).expect("on_exchange_start reply")
-    }
-
-    fn on_exchange_finish(&self, _rank: usize, epoch: u64) {
-        self.notify(|b| {
-            put_u8(b, M_EXCHANGE_FINISH);
-            put_u64(b, epoch);
-        });
-    }
-
-    fn on_discarded(
-        &self,
-        _rank: usize,
-        src: usize,
-        tag: Tag,
-        bytes: u64,
-        sender_context: Option<&str>,
-    ) {
-        self.notify(|b| {
-            put_u8(b, M_DISCARDED);
-            put_u32(b, src as u32);
-            put_u64(b, tag);
-            put_u64(b, bytes);
-            sender_context.map(String::from).encode(b);
-        });
-    }
-
-    fn on_finalize(
-        &self,
-        _rank: usize,
-        coll_seq: u64,
-        leaked: &[LeakInfo],
-        unclaimed: &[(usize, Tag, u64)],
-    ) {
-        self.notify(|b| {
-            put_u8(b, M_FINALIZE);
-            put_u64(b, coll_seq);
-            put_u64(b, leaked.len() as u64);
-            for l in leaked {
-                l.encode(b);
-            }
-            put_u64(b, unclaimed.len() as u64);
-            for &(src, tag, n) in unclaimed {
-                put_u64(b, src as u64);
-                put_u64(b, tag);
-                put_u64(b, n);
-            }
-        });
-    }
-}
-
-// ---------------------------------------------------------------------
 // child session
 // ---------------------------------------------------------------------
 
@@ -529,19 +299,17 @@ where
     wire::end_frame(&mut buf);
     conn.write_all(&buf)
         .unwrap_or_else(|e| panic!("rank {rank}: hello failed: {e}"));
-    let got =
-        read_frame(&mut conn, &mut buf).unwrap_or_else(|e| panic!("rank {rank}: lost hub: {e}"));
-    assert!(got, "rank {rank}: hub closed before go");
-    match wire::open_frame(&buf) {
-        Ok((FrameKind::Go, _)) => {}
-        other => panic!("rank {rank}: expected go frame, got {other:?}"),
-    }
+    // The hub answers a hello with go, or closes the connection.
+    let go = read_frame(&mut conn, &mut buf)
+        .unwrap_or_else(|e| panic!("rank {rank}: lost hub: {e}"))
+        && matches!(wire::open_frame(&buf), Ok((FrameKind::Go, _)));
+    assert!(go, "rank {rank}: hub closed before go");
 
     let writer = conn.try_clone().expect("connection clone");
     let poisoned = Arc::new(AtomicBool::new(false));
     let ep = Arc::new(Endpoint {
         me: rank,
-        writer: Mutex::new(writer),
+        writer,
         tx: Mutex::new(Vec::new()),
         inbox: Mailbox::new(),
         pool: BufferPool::new(world.pooling),
@@ -550,7 +318,6 @@ where
         rx_frames: AtomicU64::new(0),
         rx_bytes: AtomicU64::new(0),
         rx_max_frame: AtomicU64::new(0),
-        rpc: RpcSlot::default(),
     });
     let ep_r = Arc::clone(&ep);
     // Detached: exits on hub disconnect, which the launcher triggers by
@@ -565,36 +332,17 @@ where
     impl Drop for ShutdownOnPanic {
         fn drop(&mut self) {
             if std::thread::panicking() {
-                if let Ok(w) = self.0.writer.lock() {
-                    let _ = w.shutdown(Shutdown::Write);
-                }
+                let _ = self.0.writer.shutdown(Shutdown::Write);
             }
         }
     }
     let _guard = ShutdownOnPanic(Arc::clone(&ep));
 
-    // Hook calls must reach the *launcher's* checker — verifier state
-    // (wait-for graphs, collective fingerprints) spans ranks, and with
-    // process isolation a local checker instance would see one rank only.
-    let verify: Option<Arc<dyn VerifyHooks>> = world.verify.as_ref().map(|_| {
-        Arc::new(VerifyClient {
-            ep: Arc::clone(&ep),
-            call: Mutex::new(()),
-        }) as Arc<dyn VerifyHooks>
-    });
     let transport = Box::new(SocketTransport {
         ep: Arc::clone(&ep),
     });
-    let (out, stats) = crate::world::execute_rank(
-        world,
-        rank,
-        size,
-        transport,
-        ep.pool.clone(),
-        poisoned,
-        verify,
-        f,
-    );
+    let (out, stats) =
+        crate::world::execute_rank(world, rank, size, transport, ep.pool.clone(), poisoned, f);
 
     let mut body = Vec::new();
     wire::begin_frame(&mut body, FrameKind::Result);
@@ -606,7 +354,7 @@ where
     // Clean-EOF the hub's reader; the write half going down is the
     // "this rank is done" signal, the read half stays open for late
     // traffic until the launcher tears the world down.
-    let _ = ep.writer.lock().unwrap().shutdown(Shutdown::Write);
+    let _ = ep.writer.shutdown(Shutdown::Write);
 }
 
 // ---------------------------------------------------------------------
@@ -625,8 +373,6 @@ enum HubError {
     Misfit { rank: usize, size: usize },
     /// A data frame not from its connection's rank or not to a rank of the world.
     Misaddressed { src: usize, dest: usize },
-    /// A verify request in a world that runs no verifier.
-    NoVerifier,
 }
 
 impl From<WireError> for HubError {
@@ -658,8 +404,6 @@ fn hello(frame: &[u8], p: usize) -> Result<usize, HubError> {
 enum Route<'a> {
     /// Write the frame, verbatim, to rank `dest`.
     Forward(usize),
-    /// Serve this verify-request body for rank `r` ([`serve_verify`]).
-    Verify(&'a [u8]),
     /// Rank `r`'s encoded return value and [`CommStats`].
     Result(&'a [u8]),
     /// Stop reading the connection.
@@ -678,7 +422,6 @@ fn route(r: usize, p: usize, frame: &[u8]) -> Route<'_> {
         };
     }
     match wire::open_frame(frame) {
-        Ok((FrameKind::VerifyReq, mut rd)) => Route::Verify(rd.rest()),
         Ok((FrameKind::Result, mut rd)) => Route::Result(rd.rest()),
         Ok((kind, _)) => Route::Close(HubError::Unexpected(kind)),
         Err(e) => Route::Close(e.into()),
@@ -689,91 +432,6 @@ fn route(r: usize, p: usize, frame: &[u8]) -> Route<'_> {
 /// if `r` never delivered its result (it died), none once it has.
 fn poisoned_by_close(r: usize, p: usize, delivered: bool) -> impl Iterator<Item = usize> {
     (0..p).filter(move |&q| !delivered && q != r)
-}
-
-/// A verify-reply frame carrying `value`.
-fn reply_frame(value: &impl WireCodec) -> Option<Vec<u8>> {
-    let mut frame = Vec::new();
-    wire::begin_frame(&mut frame, FrameKind::VerifyRep);
-    value.encode(&mut frame);
-    wire::end_frame(&mut frame);
-    Some(frame)
-}
-
-/// Serve one verify request `body` from the child connected as `rank`
-/// against the launcher's checker, and return the reply frame of a
-/// reply-bearing method. The whole request decodes before any hook runs.
-fn serve_verify(
-    hooks: Option<&dyn VerifyHooks>,
-    rank: usize,
-    body: &[u8],
-) -> Result<Option<Vec<u8>>, HubError> {
-    let hooks = hooks.ok_or(HubError::NoVerifier)?;
-    let r = &mut WireReader::new(body);
-    Ok(match r.u8()? {
-        M_COLLECTIVE => {
-            let seq = r.u64()?;
-            let kind = coll_kind_from_u8(r.u8()?)?;
-            let elem = r.u16()?;
-            if wire::elem_type_name(elem).is_none() {
-                return Err(WireError::UnknownPayloadType(elem).into());
-            }
-            let len = Option::<u64>::decode(r)?.map(|v| v as usize);
-            let context = r.str()?;
-            let fp = CollFingerprint {
-                kind,
-                elem,
-                len,
-                context,
-            };
-            reply_frame(&hooks.on_collective(rank, seq, fp).err())
-        }
-        M_BLOCK => {
-            let src = r.u32()? as usize;
-            let tag = r.u64()?;
-            let ctx = r.str()?;
-            reply_frame(&hooks.on_block(rank, src, tag, ctx))
-        }
-        M_BLOCK_POLL => {
-            let block_id = r.u64()?;
-            reply_frame(&hooks.on_block_poll(rank, block_id))
-        }
-        M_UNBLOCK => {
-            hooks.on_unblock(rank, r.u64()?);
-            None
-        }
-        M_EXCHANGE_START => {
-            let ctx = r.str()?;
-            reply_frame(&hooks.on_exchange_start(rank, ctx))
-        }
-        M_EXCHANGE_FINISH => {
-            hooks.on_exchange_finish(rank, r.u64()?);
-            None
-        }
-        M_DISCARDED => {
-            let src = r.u32()? as usize;
-            let tag = r.u64()?;
-            let bytes = r.u64()?;
-            let sender_ctx = Option::<String>::decode(r)?;
-            hooks.on_discarded(rank, src, tag, bytes, sender_ctx.as_deref());
-            None
-        }
-        M_FINALIZE => {
-            let coll_seq = r.u64()?;
-            let leaked = Vec::<LeakInfo>::decode(r)?;
-            let n = r.count(24)?;
-            let mut unclaimed = Vec::with_capacity(n);
-            for _ in 0..n {
-                let src = r.u64()? as usize;
-                let tag = r.u64()?;
-                let count = r.u64()?;
-                unclaimed.push((src, tag, count));
-            }
-            hooks.on_finalize(rank, coll_seq, &leaked, &unclaimed);
-            None
-        }
-        _ => return Err(WireError::Malformed("verify method").into()),
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -789,7 +447,6 @@ fn hub_reader(
     p: usize,
     mut conn: UnixStream,
     writers: &[Mutex<UnixStream>],
-    verify: Option<&dyn VerifyHooks>,
 ) -> Option<Vec<u8>> {
     let mut buf = Vec::new();
     let mut result: Option<Vec<u8>> = None;
@@ -802,13 +459,6 @@ fn hub_reader(
             Route::Forward(dest) => {
                 let _ = writers[dest].lock().unwrap().write_all(&buf);
             }
-            Route::Verify(body) => match serve_verify(verify, r, body) {
-                Ok(Some(reply)) => {
-                    let _ = writers[r].lock().unwrap().write_all(&reply);
-                }
-                Ok(None) => {}
-                Err(_) => break,
-            },
             Route::Result(bytes) => result = Some(bytes.to_vec()),
             Route::Close(_) => break,
         }
@@ -836,16 +486,13 @@ where
     let addr = cfg.addr.clone().unwrap_or_else(auto_addr);
     let listener =
         bind(&addr).unwrap_or_else(|e| panic!("socket transport cannot bind {addr}: {e}"));
-    if let Some(v) = &world.verify {
-        v.on_start(p);
-    }
 
     let mut procs: Vec<Child> = Vec::new();
     if !cfg.threads {
         let exe = std::env::current_exe().expect("current_exe for child re-exec");
         for r in 0..p {
             // The child re-parses the identical argv, rebuilds the
-            // identical World (fault plan, verifier, pooling, workers),
+            // identical World (fault plan, pooling, workers),
             // and diverts into child_session via the env triple.
             let child = Command::new(&exe)
                 .args(std::env::args_os().skip(1))
@@ -948,12 +595,12 @@ where
             w.lock().unwrap().write_all(&go).expect("go frame");
         }
 
-        let (writers, verify) = (&writers, world.verify.as_deref());
+        let writers = &writers;
         std::thread::scope(|hub| {
             let readers: Vec<_> = conns
                 .into_iter()
                 .enumerate()
-                .map(|(r, conn)| hub.spawn(move || hub_reader(r, p, conn, writers, verify)))
+                .map(|(r, conn)| hub.spawn(move || hub_reader(r, p, conn, writers)))
                 .collect();
             for (r, h) in readers.into_iter().enumerate() {
                 match h.join() {
@@ -1008,7 +655,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envelope::sealed::Elem;
+    use crate::rank::Tag;
     use crate::stats::MpiOp;
     use crate::transport::TransportKind;
     use crate::ReduceOp;
@@ -1111,30 +758,22 @@ mod tests {
         });
     }
 
-    #[derive(Debug, Default)]
-    struct CountingHooks {
-        starts: AtomicU64,
-        colls: AtomicU64,
-        /// Bit `r` is set once rank `r` finalized.
-        finalized: AtomicU64,
-        leaks: AtomicU64,
-    }
+    /// A hook set no refused world reaches.
+    #[derive(Debug)]
+    struct NoHooks;
 
-    impl VerifyHooks for CountingHooks {
-        fn on_start(&self, _size: usize) {
-            self.starts.fetch_add(1, Ordering::Relaxed);
-        }
+    impl crate::VerifyHooks for NoHooks {
+        fn on_start(&self, _size: usize) {}
         fn on_collective(
             &self,
             _rank: usize,
             _seq: u64,
-            _fp: CollFingerprint<'_>,
+            _fp: crate::CollFingerprint<'_>,
         ) -> Result<(), String> {
-            self.colls.fetch_add(1, Ordering::Relaxed);
             Ok(())
         }
         fn on_block(&self, _rank: usize, _src: usize, _tag: Tag, _ctx: &str) -> u64 {
-            11
+            0
         }
         fn on_block_poll(&self, _rank: usize, _block_id: u64) -> Option<String> {
             None
@@ -1155,85 +794,28 @@ mod tests {
         }
         fn on_finalize(
             &self,
-            rank: usize,
+            _rank: usize,
             _seq: u64,
-            leaked: &[LeakInfo],
-            unclaimed: &[(usize, Tag, u64)],
+            _leaked: &[crate::LeakInfo],
+            _unclaimed: &[(usize, Tag, u64)],
         ) {
-            let n = (leaked.len() + unclaimed.len()) as u64;
-            self.leaks.fetch_add(n, Ordering::Relaxed);
-            self.finalized.fetch_or(1 << rank, Ordering::Relaxed);
         }
     }
 
+    /// A verifier runs in-process only: a socket world that has one is
+    /// refused before the hub binds (the address names a directory that
+    /// does not exist, so a bind would panic with another message).
     #[test]
-    fn socket_verify_hooks_reach_the_hub_checker() {
-        let hooks = Arc::new(CountingHooks::default());
-        let res = socket_world()
-            .with_verifier(hooks.clone())
-            .run_dist(3, |rank: &mut Rank| {
-                let next = (rank.rank() + 1) % rank.size();
-                let prev = (rank.rank() + rank.size() - 1) % rank.size();
-                rank.send(next, 3, &[rank.rank() as f64; 32]);
-                let got = rank.recv::<f64>(prev, 3);
-                rank.allreduce_u64(&[got.len() as u64], ReduceOp::Sum)[0]
-            });
-        assert_eq!(res.results, vec![96, 96, 96]);
-        assert_eq!(hooks.starts.load(Ordering::Relaxed), 1);
-        // allreduce + the finalize barrier, fingerprinted on each rank
-        assert!(hooks.colls.load(Ordering::Relaxed) >= 6);
-        // each rank finalized once, under the rank of its own connection
-        assert_eq!(hooks.finalized.load(Ordering::Relaxed), 0b111);
-        assert_eq!(hooks.leaks.load(Ordering::Relaxed), 0);
-    }
-
-    /// One valid request per verify method, method byte first, in the
-    /// layout `VerifyClient` writes.
-    fn verify_requests() -> Vec<Vec<u8>> {
-        let mut collective = Vec::new();
-        put_u64(&mut collective, 5); // seq
-        put_u8(&mut collective, coll_kind_to_u8(CollKind::Allreduce));
-        put_u16(&mut collective, f64::WIRE_ID);
-        Some(4u64).encode(&mut collective);
-        put_str(&mut collective, "dot");
-        let mut block = Vec::new();
-        put_u32(&mut block, 1);
-        put_u64(&mut block, 9);
-        put_str(&mut block, "halo");
-        let mut exchange_start = Vec::new();
-        put_str(&mut exchange_start, "gs");
-        let mut discarded = Vec::new();
-        put_u32(&mut discarded, 1);
-        put_u64(&mut discarded, 9);
-        put_u64(&mut discarded, 64);
-        Some(String::from("gs")).encode(&mut discarded);
-        let mut finalize = Vec::new();
-        put_u64(&mut finalize, 5); // collective count
-        put_u64(&mut finalize, 1);
-        LeakInfo {
-            src: 1,
-            tag: 9,
-            bytes: 64,
-            sender_context: Some("orphan".into()),
-        }
-        .encode(&mut finalize);
-        put_u64(&mut finalize, 1);
-        for v in [1, 9, 2] {
-            put_u64(&mut finalize, v);
-        }
-        [
-            (M_COLLECTIVE, collective),
-            (M_BLOCK, block),
-            (M_BLOCK_POLL, 11u64.to_le_bytes().to_vec()),
-            (M_UNBLOCK, 11u64.to_le_bytes().to_vec()),
-            (M_EXCHANGE_START, exchange_start),
-            (M_EXCHANGE_FINISH, 0u64.to_le_bytes().to_vec()),
-            (M_DISCARDED, discarded),
-            (M_FINALIZE, finalize),
-        ]
-        .into_iter()
-        .map(|(method, body)| [&[method][..], &body].concat())
-        .collect()
+    #[should_panic(expected = "a verifier runs in-process only")]
+    fn a_socket_world_with_a_verifier_is_refused() {
+        let addr = std::env::temp_dir().join("simmpi-absent-dir/hub.sock");
+        let _ = World::new()
+            .with_transport(TransportKind::Socket(SocketConfig {
+                addr: Some(format!("unix:{}", addr.display())),
+                threads: true,
+            }))
+            .with_verifier(Arc::new(NoHooks))
+            .run_dist(2, |_: &mut Rank| 0u64);
     }
 
     // The hub's decisions, over byte slices: no socket, thread or process.
@@ -1267,15 +849,10 @@ mod tests {
     const RESULT: &[u8] = b"result and stats";
 
     /// Every kind of frame rank `R` sends: its hello, then one data frame
-    /// per peer, one verify request per method and its result.
+    /// per peer and its result.
     fn child_frames() -> Vec<Vec<u8>> {
         let mut frames = vec![hello_frame(R as u32, P as u32)];
         frames.extend((0..P).filter(|&q| q != R).map(|q| data_frame(R, q)));
-        frames.extend(
-            verify_requests()
-                .iter()
-                .map(|req| frame(FrameKind::VerifyReq, req)),
-        );
         frames.push(frame(FrameKind::Result, RESULT));
         frames
     }
@@ -1296,7 +873,7 @@ mod tests {
         for f in &child_frames()[1..] {
             assert!(hello(f, P).is_err());
         }
-        for kind in [FrameKind::Go, FrameKind::Poison, FrameKind::VerifyRep] {
+        for kind in [FrameKind::Go, FrameKind::Poison] {
             assert_eq!(hello(&frame(kind, &[]), P), Err(HubError::Unexpected(kind)));
         }
     }
@@ -1306,19 +883,10 @@ mod tests {
         for q in (0..P).filter(|&q| q != R) {
             assert_eq!(route(R, P, &data_frame(R, q)), Route::Forward(q));
         }
-        for req in verify_requests() {
-            let f = frame(FrameKind::VerifyReq, &req);
-            assert_eq!(route(R, P, &f), Route::Verify(&req));
-        }
         let f = frame(FrameKind::Result, RESULT);
         assert_eq!(route(R, P, &f), Route::Result(RESULT));
         // a second hello, and the kinds only the hub sends
-        for kind in [
-            FrameKind::Hello,
-            FrameKind::Go,
-            FrameKind::Poison,
-            FrameKind::VerifyRep,
-        ] {
+        for kind in [FrameKind::Hello, FrameKind::Go, FrameKind::Poison] {
             let f = frame(kind, &[]);
             assert_eq!(route(R, P, &f), Route::Close(HubError::Unexpected(kind)));
         }
@@ -1367,21 +935,14 @@ mod tests {
             FrameKind::Hello,
             FrameKind::Go,
             FrameKind::Data,
-            FrameKind::VerifyReq,
-            FrameKind::VerifyRep,
             FrameKind::Result,
             FrameKind::Poison,
         ];
         let valid = child_frames();
-        let hooks = CountingHooks::default();
         let decide = |f: &[u8]| {
             let _ = hello(f, P);
-            match route(R, P, f) {
-                Route::Forward(dest) => assert!(dest < P),
-                Route::Verify(body) => {
-                    let _ = serve_verify(Some(&hooks), R, body);
-                }
-                Route::Result(_) | Route::Close(_) => {}
+            if let Route::Forward(dest) = route(R, P, f) {
+                assert!(dest < P);
             }
         };
         let mut rng = SmallRng::seed_from_u64(0x4855_4231);
@@ -1391,104 +952,12 @@ mod tests {
                 .collect();
             assert!(hello(&junk, P).is_err());
             assert!(matches!(route(R, P, &junk), Route::Close(_)));
-            let _ = serve_verify(Some(&hooks), R, &junk);
             decide(&frame(kinds[rng.range_usize(0, kinds.len())], &junk));
             let mut bent = valid[rng.range_usize(0, valid.len())].clone();
             let at = rng.range_usize(0, bent.len());
             bent[at] ^= rng.range_u64(1, 256) as u8;
             decide(&bent);
         }
-    }
-
-    /// A collective request naming an element type outside the wire-id
-    /// table is refused before any hook runs: the hub keeps nothing for it.
-    #[test]
-    fn a_collective_of_an_unknown_element_type_is_refused() {
-        let hooks = CountingHooks::default();
-        for elem in [10u16, 0x99, u16::MAX] {
-            let mut req = vec![M_COLLECTIVE];
-            put_u64(&mut req, 5); // seq
-            put_u8(&mut req, coll_kind_to_u8(CollKind::Allreduce));
-            put_u16(&mut req, elem);
-            Some(4u64).encode(&mut req);
-            put_str(&mut req, "dot");
-            assert_eq!(
-                serve_verify(Some(&hooks), R, &req),
-                Err(WireError::UnknownPayloadType(elem).into())
-            );
-        }
-        assert_eq!(hooks.colls.load(Ordering::Relaxed), 0);
-    }
-
-    /// The hub's request decoder on hostile bodies: every method's valid
-    /// body serves, and a reply-bearing one is answered with one
-    /// verify-reply frame; the same body cut short anywhere is an error
-    /// (before any hook runs), and an unknown method byte is refused.
-    #[test]
-    fn truncated_verify_requests_are_errors() {
-        let hooks = CountingHooks::default();
-        hooks.on_start(2);
-        for req in verify_requests() {
-            let method = req[0];
-            match serve_verify(Some(&hooks), 1, &req) {
-                Ok(Some(reply)) => {
-                    assert!(matches!(
-                        wire::open_frame(&reply),
-                        Ok((FrameKind::VerifyRep, _))
-                    ))
-                }
-                Ok(None) => {}
-                Err(e) => panic!("method {method}: {e:?}"),
-            }
-            for cut in 0..req.len() {
-                let got = serve_verify(Some(&hooks), 1, &req[..cut]);
-                assert!(got.is_err(), "method {method} accepted {cut} bytes");
-            }
-        }
-        assert_eq!(hooks.finalized.load(Ordering::Relaxed), 0b10);
-        for method in [0u8, 9, 0xff] {
-            let got = serve_verify(Some(&hooks), 0, &[method]);
-            assert_eq!(got, Err(WireError::Malformed("verify method").into()));
-        }
-    }
-
-    /// A verify request reaches a world without a verifier only from a
-    /// broken or hostile child: refused, whatever the method.
-    #[test]
-    fn verify_request_without_a_verifier_is_refused() {
-        for req in verify_requests() {
-            assert_eq!(serve_verify(None, 1, &req), Err(HubError::NoVerifier));
-        }
-    }
-
-    /// Counts a request claims are bounded by the bytes that follow them,
-    /// before anything is reserved.
-    #[test]
-    fn claimed_counts_are_bounded_by_the_request() {
-        let hooks = CountingHooks::default();
-        let mut leaks = vec![M_FINALIZE];
-        put_u64(&mut leaks, 5);
-        put_u64(&mut leaks, 1 << 40); // leaked messages
-        leaks.extend_from_slice(&[0u8; 64]);
-        let mut unclaimed = vec![M_FINALIZE];
-        put_u64(&mut unclaimed, 5);
-        put_u64(&mut unclaimed, 0);
-        put_u64(&mut unclaimed, 1 << 40); // unclaimed messages
-        unclaimed.extend_from_slice(&[0u8; 64]);
-        for req in [leaks, unclaimed] {
-            assert_eq!(
-                serve_verify(Some(&hooks), 1, &req),
-                Err(WireError::Oversized(1 << 40).into())
-            );
-        }
-        let mut context = vec![M_EXCHANGE_START];
-        put_u32(&mut context, u32::MAX); // string length
-        context.extend_from_slice(b"gs");
-        assert_eq!(
-            serve_verify(Some(&hooks), 1, &context),
-            Err(WireError::Truncated.into())
-        );
-        assert_eq!(hooks.finalized.load(Ordering::Relaxed), 0);
     }
 
     /// A prefix that claims a gigabyte, sixteen body bytes, then EOF: an

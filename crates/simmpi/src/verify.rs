@@ -7,7 +7,9 @@
 //! split-phase exchange epochs, discarded exchange traffic, and rank
 //! finalization (message-leak detection).
 //! The `cmt-verify` crate supplies the implementation; a world without a
-//! verifier pays one `Option` check per event.
+//! verifier pays one `Option` check per event. A verifier runs
+//! in-process only: [`crate::World::run_dist`] refuses a socket world
+//! that has one.
 //!
 //! Two hook results steer the runtime:
 //!

@@ -23,9 +23,9 @@
 //! **Data frames** carry one envelope: source, destination, tag, the
 //! wire-equivalent byte count (kept verbatim so the mpiP books agree
 //! bitwise with the in-process backend), the payload element type's wire
-//! id, the elements, and — when a verifier is installed — the sender's
-//! context label. A flag bit the decoder does not know is
-//! [`WireError::Malformed`], never skipped.
+//! id and the elements. Nothing else: the send-site label a verifier
+//! stamps on an envelope never crosses a process boundary, because a
+//! verifier runs in-process only.
 //!
 //! **Payload element types.** Payloads are typed `Vec<T>`s behind a
 //! vtable, and `T` is bounded by the sealed [`Msg`] trait, implemented
@@ -51,12 +51,11 @@ use crate::envelope::sealed::Elem;
 use crate::envelope::{Envelope, ErasedVec, Msg};
 use crate::pool::BufferPool;
 use crate::stats::{CommStats, MpiOp, SiteKey, SiteStats};
-use crate::verify::LeakInfo;
 
 /// Frame magic: `"SMPW"` (simmpi wire).
 pub(crate) const MAGIC: u32 = 0x534D_5057;
 /// Wire-format version; bumped on any incompatible layout change.
-pub(crate) const VERSION: u16 = 7;
+pub(crate) const VERSION: u16 = 8;
 /// Upper bound on one frame body, to reject absurd lengths from a
 /// corrupt or hostile peer before reading.
 pub(crate) const MAX_FRAME: usize = 1 << 30;
@@ -64,9 +63,6 @@ pub(crate) const MAX_FRAME: usize = 1 << 30;
 pub(crate) const LEN_BYTES: usize = 4;
 /// Body header: magic, version, kind.
 const HEADER: usize = 4 + 2 + 1;
-
-/// Data-frame flag: the sender's context label follows the payload.
-pub(crate) const FLAG_CTX: u8 = 4;
 
 /// Frame kinds exchanged between rank processes and the launcher hub.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,14 +73,10 @@ pub(crate) enum FrameKind {
     Go = 2,
     /// An envelope in flight (child -> hub -> destination child).
     Data = 3,
-    /// Child -> hub: a verifier hook invocation.
-    VerifyReq = 4,
-    /// Hub -> child: the hook's return value.
-    VerifyRep = 5,
     /// Child -> hub: the rank's encoded return value and CommStats.
-    Result = 6,
+    Result = 4,
     /// Hub -> children: a peer failed; abort instead of deadlocking.
-    Poison = 7,
+    Poison = 5,
 }
 
 impl FrameKind {
@@ -93,10 +85,8 @@ impl FrameKind {
             1 => FrameKind::Hello,
             2 => FrameKind::Go,
             3 => FrameKind::Data,
-            4 => FrameKind::VerifyReq,
-            5 => FrameKind::VerifyRep,
-            6 => FrameKind::Result,
-            7 => FrameKind::Poison,
+            4 => FrameKind::Result,
+            5 => FrameKind::Poison,
             _ => return None,
         })
     }
@@ -375,22 +365,15 @@ pub(crate) fn peek_data_ends(frame: &[u8]) -> Option<(usize, usize)> {
 // ---------------------------------------------------------------------
 
 /// Serialize `env` (headed for `dest`) as a complete data frame in `buf`.
+/// `env.sender_ctx` is not carried: only a verifier sets it, and a
+/// verifier never runs over a socket.
 pub(crate) fn encode_data(buf: &mut Vec<u8>, dest: usize, env: &Envelope) {
     begin_frame(buf, FrameKind::Data);
     put_u32(buf, env.src as u32);
     put_u32(buf, dest as u32);
     put_u64(buf, env.tag);
     put_u64(buf, env.bytes as u64);
-    let flags = if env.sender_ctx.is_some() {
-        FLAG_CTX
-    } else {
-        0
-    };
-    put_u8(buf, flags);
     env.payload.put_wire(buf);
-    if let Some(ctx) = &env.sender_ctx {
-        put_str(buf, ctx);
-    }
     end_frame(buf);
 }
 
@@ -412,16 +395,7 @@ pub(crate) fn decode_data(
     let _dest = r.u32()?;
     let tag = r.u64()?;
     let bytes = r.u64()? as usize;
-    let flags = r.u8()?;
-    if flags & !FLAG_CTX != 0 {
-        return Err(WireError::Malformed("data frame flags"));
-    }
     let payload = decode_payload(r, pool)?;
-    let sender_ctx = if flags & FLAG_CTX != 0 {
-        Some(r.str()?.into())
-    } else {
-        None
-    };
     if r.remaining() != 0 {
         return Err(WireError::TrailingBytes(r.remaining()));
     }
@@ -431,7 +405,7 @@ pub(crate) fn decode_data(
             tag,
             payload,
             bytes,
-            sender_ctx,
+            sender_ctx: None,
         },
         wire_bytes,
     })
@@ -829,23 +803,6 @@ impl WireCodec for CommStats {
     }
 }
 
-impl WireCodec for LeakInfo {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_u64(buf, self.src as u64);
-        put_u64(buf, self.tag);
-        put_u64(buf, self.bytes);
-        self.sender_context.encode(buf);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(LeakInfo {
-            src: r.u64()? as usize,
-            tag: r.u64()?,
-            bytes: r.u64()?,
-            sender_context: Option::decode(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -985,7 +942,7 @@ mod tests {
 
     #[test]
     fn payload_section_golden_bytes() {
-        assert_eq!(VERSION, 7);
+        assert_eq!(VERSION, 8);
         for (env, want) in one_of_each_wire_id() {
             let hex: String = payload_section(&env)
                 .iter()
@@ -995,26 +952,19 @@ mod tests {
         }
     }
 
-    /// A well-framed (magic, version, checksum all valid) data frame with
-    /// flag byte `flags` before an arbitrary tail, decoded against a fresh
-    /// pool.
-    fn decode_flagged(flags: u8, tail: &[u8]) -> Result<DecodedData, WireError> {
+    /// A well-framed (magic, version, checksum all valid) data frame
+    /// around an arbitrary payload section, decoded against a fresh pool.
+    fn decode_section(section: &[u8]) -> Result<DecodedData, WireError> {
         let mut buf = Vec::new();
         begin_frame(&mut buf, FrameKind::Data);
         put_u32(&mut buf, 0); // src
         put_u32(&mut buf, 1); // dest
         put_u64(&mut buf, 7); // tag
         put_u64(&mut buf, 0); // bytes
-        put_u8(&mut buf, flags);
-        buf.extend_from_slice(tail);
+        buf.extend_from_slice(section);
         end_frame(&mut buf);
         let (_, mut r) = open_frame(&buf).expect("framing is valid");
         decode_data(&mut r, &BufferPool::new(true))
-    }
-
-    /// [`decode_flagged`] around an arbitrary payload section.
-    fn decode_section(section: &[u8]) -> Result<DecodedData, WireError> {
-        decode_flagged(0, section)
     }
 
     /// Hostile payload sections behind valid framing, for every wire id:
@@ -1076,37 +1026,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ctx_piggyback_round_trip() {
-        let mut env = Envelope::new(4, 8, vec![1u64]);
-        env.sender_ctx = Some("faces/gs:pairwise".into());
-        let (d, _) = round_trip(env);
-        assert_eq!(d.env.sender_ctx.as_deref(), Some("faces/gs:pairwise"));
-    }
-
-    /// Every flag byte, over a frame shaped to match its known bit: only
-    /// `0` and `FLAG_CTX` decode, and any other bit (a stale frame's
-    /// inline or clock flag among them) is refused rather than skipped.
-    #[test]
-    fn unknown_flag_bits_are_rejected() {
-        let section = payload_section(&Envelope::new(0, 0, vec![1.5f64]));
-        let mut decoded = Vec::new();
-        for flags in 0..=u8::MAX {
-            let mut tail = section.clone();
-            if flags & FLAG_CTX != 0 {
-                put_str(&mut tail, "site");
-            }
-            match decode_flagged(flags, &tail) {
-                Ok(d) => {
-                    assert_eq!(d.env.open::<f64>(), vec![1.5]);
-                    decoded.push(flags);
-                }
-                Err(e) => assert_eq!(e, WireError::Malformed("data frame flags"), "{flags:#04x}"),
-            }
-        }
-        assert_eq!(decoded, [0, FLAG_CTX]);
-    }
-
     /// Recompute `frame`'s length prefix and checksum after an edit, so
     /// only the decoder can object to it.
     fn reseal(frame: &mut [u8]) {
@@ -1116,11 +1035,11 @@ mod tests {
         frame[n - 8..].copy_from_slice(&sum.to_le_bytes());
     }
 
-    /// A data frame whose checksummed body (95 bytes) is two lane blocks
-    /// and a tail of three words and seven bytes.
+    /// A data frame whose checksummed body (89 bytes) is two lane blocks
+    /// and a tail of three words and one byte.
     fn sample_frame() -> Vec<u8> {
-        let mut env = Envelope::new(3, 0x51, vec![1.5f64, -0.0, f64::NAN, 7.25e-300]);
-        env.sender_ctx = Some("faces/gs:pairwise".into());
+        let vals = vec![1.5f64, -0.0, f64::NAN, 7.25e-300, f64::INFINITY, -2.0];
+        let env = Envelope::new(3, 0x51, vals);
         let mut buf = Vec::new();
         encode_data(&mut buf, 1, &env);
         buf
@@ -1219,9 +1138,9 @@ mod tests {
     #[test]
     fn frame_trailer_is_pinned() {
         let buf = sample_frame();
-        assert_eq!(buf.len(), 107);
+        assert_eq!(buf.len(), 101);
         let trailer = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
-        assert_eq!(trailer, 0xF4C7_49AA_6081_0390);
+        assert_eq!(trailer, 0x446B_D541_C88B_17C1);
     }
 
     /// A version-3 peer sealed its frames with byte-serial FNV-1a; it is
@@ -1295,8 +1214,8 @@ mod tests {
     fn unknown_payload_type_is_rejected() {
         let mut buf = Vec::new();
         encode_data(&mut buf, 1, &Envelope::new(0, 1, vec![1u64]));
-        // the wire id sits right after src/dest/tag/bytes/flags
-        let id_at = LEN_BYTES + HEADER + 4 + 4 + 8 + 8 + 1;
+        // the wire id sits right after src/dest/tag/bytes
+        let id_at = LEN_BYTES + HEADER + 4 + 4 + 8 + 8;
         let mut bad = buf.clone();
         bad[id_at] = 0x99;
         reseal(&mut bad);
@@ -1313,7 +1232,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_data(&mut buf, 1, &Envelope::new(0, 1, vec![1.0f64]));
         // corrupt the element count to something enormous
-        let count_at = LEN_BYTES + HEADER + 4 + 4 + 8 + 8 + 1 + 2;
+        let count_at = LEN_BYTES + HEADER + 4 + 4 + 8 + 8 + 2;
         let mut bad = buf.clone();
         bad[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         reseal(&mut bad);

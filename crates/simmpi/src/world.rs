@@ -1,4 +1,10 @@
 //! World construction: spawning ranks and collecting results.
+//!
+//! Both backends run every rank through `execute_rank`, which builds
+//! the [`Rank`] over a boxed transport. A world's verifier runs
+//! in-process only: [`World::run_dist`] refuses a socket world that has
+//! one, because the checker's state (wait-for graph, collective
+//! fingerprints) spans ranks and the socket transport carries data only.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -86,7 +92,8 @@ impl World {
     /// blocked-receive episode, collective fingerprint and split-phase
     /// exchange epoch, stamps each message envelope with its send site,
     /// and runs a finalize-time message-leak sweep as each rank's closure
-    /// returns.
+    /// returns. The verifier runs in-process only: [`World::run_dist`]
+    /// refuses a [`TransportKind::Socket`] world that has one.
     pub fn with_verifier(mut self, hooks: Arc<dyn VerifyHooks>) -> Self {
         self.verify = Some(hooks);
         self
@@ -165,11 +172,10 @@ impl World {
             for r in 0..p {
                 let mailboxes = Arc::clone(&mailboxes);
                 let poisoned = Arc::clone(&poisoned);
-                let verify = self.verify.clone();
                 handles.push(scope.spawn(move || {
                     let transport = Box::new(InprocTransport::new(mailboxes, r));
                     let pool = BufferPool::new(world.pooling);
-                    execute_rank(world, r, p, transport, pool, poisoned, verify, f)
+                    execute_rank(world, r, p, transport, pool, poisoned, f)
                 }));
             }
             for (r, h) in handles.into_iter().enumerate() {
@@ -205,8 +211,10 @@ impl World {
     /// `run_dist` therefore executes on the launcher only.
     ///
     /// # Panics
-    /// Panics if `p == 0`, the fault plan is invalid, any rank fails, or
-    /// the socket handshake cannot be established.
+    /// Panics if `p == 0`, the fault plan is invalid, any rank fails, the
+    /// socket handshake cannot be established, or a socket world has a
+    /// verifier (the verifier runs in-process only; this is refused
+    /// before anything binds or spawns).
     pub fn run_dist<T, F>(&self, p: usize, f: F) -> WorldResult<T>
     where
         T: Send + WireCodec,
@@ -215,6 +223,10 @@ impl World {
         match &self.transport {
             TransportKind::Inproc => self.run(p, f),
             TransportKind::Socket(cfg) => {
+                assert!(
+                    self.verify.is_none(),
+                    "a verifier runs in-process only: run the checked world on TransportKind::Inproc"
+                );
                 if let Some((rank, size, addr)) = crate::socket::child_env() {
                     crate::socket::run_child_process(self, rank, size, &addr, &f)
                 } else {
@@ -235,8 +247,8 @@ impl World {
 /// execute the SPMD closure, run the finalize-time leak check, drain the
 /// transport's receive-side accounting into the mpiP books, and finish
 /// the statistics. Shared by the in-process backend (one call per rank
-/// thread) and the socket backend (one call per rank process).
-#[allow(clippy::too_many_arguments)]
+/// thread) and the socket backend (one call per rank process). The rank
+/// takes the world's own verifier, which only an in-process world has.
 pub(crate) fn execute_rank<T, F>(
     world: &World,
     r: usize,
@@ -244,7 +256,6 @@ pub(crate) fn execute_rank<T, F>(
     transport: Box<dyn Transport>,
     pool: BufferPool,
     poisoned: Arc<AtomicBool>,
-    verify: Option<Arc<dyn VerifyHooks>>,
     f: &F,
 ) -> (T, CommStats)
 where
@@ -281,7 +292,7 @@ where
         injected_delay_us: 0,
         op_badge: None,
         discards: DiscardList::default(),
-        verify,
+        verify: world.verify.clone(),
         finalized: false,
         workers: if world.workers > 1 {
             Some(Arc::new(crate::workers::WorkerPool::new(
