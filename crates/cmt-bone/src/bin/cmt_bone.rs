@@ -42,9 +42,9 @@ fn usage() -> ! {
          work-stealing pool of W threads (1 = pure MPI); results are bitwise\n\
          identical across worker counts.\n\
          --verify runs the cmt-verify dynamic checker (deadlock, collective\n\
-         matching, message leaks, abandoned exchanges); exit status 1 on\n\
-         findings. It runs in-process only: --verify with --transport\n\
-         socket exits 2.\n\
+         matching, message leaks); exit status 1 on findings. It runs\n\
+         in-process only: --verify with --transport socket exits 2. A\n\
+         gather-scatter dropped unfinished panics its rank with or without it.\n\
          --particles-per-elem seeds Q passive tracers per element (0 = off);\n\
          --particle-cluster FRAC crowds them into the first FRAC of the x\n\
          extent (the imbalanced cloud). --lb-every K turns on the dynamic\n\

@@ -131,9 +131,11 @@ pub struct Config {
     pub fault_plan: Option<FaultPlan>,
     /// Run under the `cmt-verify` dynamic checker: deadlock detection
     /// over blocked receives, collective-matching verification, and the
-    /// finalize sweep for leaked messages and abandoned exchanges.
-    /// Findings land in [`crate::RunReport::verify`]. In-process only:
-    /// [`Config::validate`] refuses it with the socket transport.
+    /// finalize sweep for leaked messages. Findings land in
+    /// [`crate::RunReport::verify`]. In-process only: [`Config::validate`]
+    /// refuses it with the socket transport. An exchange dropped
+    /// unfinished is not a finding: `cmt-gs` panics the rank at the drop,
+    /// whether or not this is set.
     pub verify: bool,
     /// Communication backend: in-process mailboxes (the default, every
     /// rank a thread) or the multi-process socket transport (`--transport

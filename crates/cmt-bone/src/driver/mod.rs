@@ -238,10 +238,10 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
     rank.set_context("main");
     let (elem_gids, elem_hashes) = st.hash_elements();
 
-    // Finalize-time verification sweep (leaked messages, abandoned
-    // exchanges), timed as its own region so overhead comparisons can
-    // isolate the checker's cost. `World::run` would run the sweep
-    // anyway; doing it here puts it on this rank's profile.
+    // Finalize-time verification sweep (leaked messages), timed as its
+    // own region so overhead comparisons can isolate the checker's cost.
+    // `World::run` would run the sweep anyway; doing it here puts it on
+    // this rank's profile.
     if rank.verifying() {
         prof.enter(cmt_perf::regions::VERIFY);
         rank.verify_finalize();

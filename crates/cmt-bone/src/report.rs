@@ -76,7 +76,7 @@ pub struct RunReport {
     pub steps: usize,
     /// Conserved-variable fields stepped.
     pub fields: usize,
-    /// [`modeled_flops`] of the run; `None` when it ran work the model
+    /// The modeled flop count of the run; `None` when it ran work the model
     /// does not count.
     pub modeled_flops: Option<u64>,
     /// `cmt-verify` findings when the run was checked (`Config::verify`);

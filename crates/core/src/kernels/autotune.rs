@@ -27,7 +27,7 @@ pub struct KernelAutotuneReport {
     pub avg_s: [f64; KernelVariant::ALL.len()],
 }
 
-/// Time every variant locally: [`TRIALS`] sweeps of all three derivative
+/// Time every variant locally: `TRIALS` sweeps of all three derivative
 /// directions over all `nel` elements each.
 pub fn time_variants(n: usize, nel: usize, d: &[f64]) -> [f64; KernelVariant::ALL.len()] {
     let n3 = n * n * n;

@@ -185,11 +185,6 @@ impl GsHandle {
         }
     }
 
-    /// Ranks this handle exchanges with, ascending.
-    pub fn neighbor_ranks(&self) -> Vec<usize> {
-        self.plan.neighbors.iter().map(|nl| nl.rank).collect()
-    }
-
     /// Total distinct global ids in the world (the all_reduce method's
     /// dense-vector length).
     pub fn total_global_ids(&self) -> u64 {

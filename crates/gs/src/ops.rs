@@ -1,7 +1,7 @@
 //! `gs_op`: the gather–scatter operation with the three exchange methods,
 //! in both blocking and split-phase (start/finish) form.
 
-use simmpi::{DiscardList, Rank, RecvRequest, Tag};
+use simmpi::{Rank, RecvRequest, Tag};
 
 use crate::handle::{GsHandle, PlanBufs};
 
@@ -119,45 +119,41 @@ const SPLIT_SEQ_MASK: Tag = (1 << 40) - 1;
 /// Owns the snapshot of the halo groups' locally combined values, the
 /// identity (address and length) of every array the operation was
 /// started on, and, for the pairwise method, the posted receive
-/// requests. Dropping it without finishing discards the operation —
-/// the arrays keep their started values — and, via the rank's
-/// [`DiscardList`], cancels its in-flight neighbor messages so they
-/// cannot cross-match a later exchange. Not nameable outside this
-/// crate: callers overlap work through [`GsHandle::overlapped`], which
-/// finishes the exchange however its window returns.
+/// requests. It must be finished: dropping it unfinished panics, since
+/// the arrays would keep their started values and the neighbors'
+/// messages would sit unmatched. Not nameable outside this crate:
+/// callers overlap work through [`GsHandle::overlapped`], which finishes
+/// the exchange however its window returns.
 #[must_use = "a started gather–scatter must be finished with gs_op_finish \
-              (dropping it discards the exchange)"]
+              (dropping it unfinished panics)"]
 #[derive(Debug)]
 pub struct GsPending {
     op: GsOp,
     method: GsMethod,
     /// `(address, length)` of each started array, in field order — what
-    /// `gs_op_finish` must be handed back.
+    /// `gs_op_finish` must be handed back. Never empty until
+    /// `gs_op_finish` takes it (`gs_op_start` asserts at least one field).
     arrays: Vec<(usize, usize)>,
     /// Combined values of the halo groups, laid out `[halo group][field]`.
     combined: Vec<f64>,
     /// Posted receives, one per neighbor in neighbor order (pairwise
     /// method only; empty for the collective methods).
     reqs: Vec<RecvRequest>,
-    /// The owning rank's discard list, for cancelling in-flight
-    /// messages if the operation is dropped unfinished.
-    discards: DiscardList,
-    /// The verifier's exchange-epoch id, when the world carries one.
-    /// Closed by `gs_op_finish`; an epoch still open at finalize is an
-    /// abandoned exchange.
-    verify_epoch: Option<u64>,
 }
 
 impl Drop for GsPending {
-    /// Abandoning an unfinished exchange must not poison later matching:
-    /// register every still-posted receive's `(source, tag)` with the
-    /// rank's [`DiscardList`] so the in-flight payloads are consumed
-    /// silently instead of lingering as match candidates for a future
-    /// exchange. `gs_op_finish` empties `reqs` before dropping, making
-    /// the normal path a no-op.
+    /// A started exchange must be finished. `gs_op_finish` takes `arrays`
+    /// before it drops the token, so a token that still holds them was
+    /// abandoned: fail the rank here, whatever the method. A thread that
+    /// is already unwinding (a panic inside an `overlapped` window, or
+    /// `gs_op_finish`'s wrong-arrays assert) keeps its own message.
     fn drop(&mut self) {
-        for req in &self.reqs {
-            self.discards.cancel(req.src, req.tag, 1);
+        if !self.arrays.is_empty() && !std::thread::panicking() {
+            panic!(
+                "a started gather–scatter ({}) was dropped unfinished: hand it to \
+                 gs_op_finish, or run the window through GsHandle::overlapped",
+                self.method.context()
+            );
         }
     }
 }
@@ -279,9 +275,10 @@ impl GsHandle {
     /// exchange and the matching `finish` does only the local work.
     ///
     /// Several operations may be in flight at once (tags carry a
-    /// sequence number), but every started operation must be finished,
-    /// all ranks must start and finish the same operations in the same
-    /// order, and the handle must outlive them.
+    /// sequence number), but every started operation must be finished
+    /// (dropping the returned token unfinished panics), all ranks must
+    /// start and finish the same operations in the same order, and the
+    /// handle must outlive them.
     ///
     /// # Panics
     /// Panics if any array's length differs from `self.nlocal()`.
@@ -314,9 +311,6 @@ impl GsHandle {
                 self.nlocal()
             );
         }
-        // Open a verifier exchange epoch before any message moves, so an
-        // exchange that is never finished is named at finalize.
-        let verify_epoch = rank.verify_exchange_start(method.context());
         // The operation's buffers come off the handle's persistent-plan
         // stacks and go back on them in `gs_op_finish`, so the steady
         // state recycles capacity.
@@ -371,8 +365,6 @@ impl GsHandle {
             arrays,
             combined,
             reqs,
-            discards: rank.discard_list(),
-            verify_epoch,
         }
     }
 
@@ -400,12 +392,11 @@ impl GsHandle {
         combine: impl Fn(f64, f64) -> f64 + Copy,
     ) {
         let method = pending.method;
-        // Take the buffers out so the subsequent drop of `pending` sees
-        // an empty request list and cancels nothing.
+        // Take the buffers out: a token without `arrays` counts as
+        // finished, so dropping it here does not panic.
         let mut arrays = std::mem::take(&mut pending.arrays);
         let mut combined = std::mem::take(&mut pending.combined);
         let mut reqs = std::mem::take(&mut pending.reqs);
-        let verify_epoch = pending.verify_epoch;
         drop(pending);
         assert!(
             fields
@@ -453,8 +444,6 @@ impl GsHandle {
                 }
             }
         }
-        // The exchange's effects are fully landed: close the epoch.
-        rank.verify_exchange_finish(verify_epoch);
         // Return the operation's staging buffers to the persistent plan.
         arrays.clear();
         reqs.clear();

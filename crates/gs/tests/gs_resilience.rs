@@ -3,9 +3,11 @@
 //! Message delays perturb timing and cost but must never perturb *results*: the delivered payloads are
 //! intact and the `(source, tag)` FIFO matching order is preserved. These
 //! tests check that property for all three exchange methods over
-//! randomized fault plans, and that abandoning a split-phase operation
-//! (dropping its `GsPending`) leaves the runtime clean for later
-//! exchanges.
+//! randomized fault plans. A split-phase operation that is started must
+//! be finished: dropping its `GsPending` unfinished fails the rank, while
+//! a panic inside an `overlapped` window keeps its own message.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use cmt_gs::{GsHandle, GsMethod, GsOp};
 use simmpi::rng::SmallRng;
@@ -82,45 +84,80 @@ fn message_faults_never_change_gs_results() {
     assert!(injected_total > 0, "no faults were ever injected");
 }
 
-/// Abandoning a split-phase exchange (dropping the `GsPending` without
-/// finishing) must not corrupt later exchanges or leak its in-flight
-/// messages into later matching, for every method.
+/// The message a panic payload carries (`panic!` with a format string
+/// boxes a `String`, with a literal a `&str`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// Dropping a started exchange without finishing it panics on every rank,
+/// for every method, with a message that names the fix. Each rank catches
+/// its own panic, so the world ends normally and reports every message.
 #[test]
 #[cfg_attr(
     miri,
     ignore = "multi-rank World exchange; too slow under the interpreter"
 )]
-fn dropped_pending_leaves_runtime_clean() {
-    let p = 4;
+fn dropping_an_unfinished_exchange_panics() {
+    let p = 3;
     let ids_of = |r: usize| vec![r as u64, ((r + 1) % p) as u64, 30 + r as u64];
+    let mut wrong = Vec::new();
     for method in GsMethod::ALL {
         let res = World::new().run(p, move |rank| {
-            let me = rank.rank();
-            let handle = GsHandle::setup(rank, &ids_of(me));
-            let base: Vec<f64> = (0..3).map(|i| (me * 7 + i) as f64 + 0.25).collect();
-
-            // reference result on an undisturbed runtime
-            let mut expect = base.clone();
-            handle.gs_op(rank, &mut expect, GsOp::Add, method);
-
-            // start an exchange and abandon it (every rank does, SPMD)
-            let doomed = base.clone();
-            let pending = handle.gs_op_start(rank, &[&doomed], GsOp::Add, method);
-            drop(pending);
-
-            // later exchanges on the same handle must be unaffected
-            let mut after = base.clone();
-            handle.gs_op(rank, &mut after, GsOp::Add, method);
-            let mut maxed = after.clone();
-            let pending = handle.gs_op_start(rank, &[&maxed], GsOp::Max, method);
-            handle.gs_op_finish(rank, pending, &mut [&mut maxed]);
-
-            assert_eq!(
-                after, expect,
-                "rank {me} {method:?}: abandoned exchange leaked"
-            );
-            maxed
+            let handle = GsHandle::setup(rank, &ids_of(rank.rank()));
+            let values = vec![1.0f64; handle.nlocal()];
+            let pending = handle.gs_op_start(rank, &[&values], GsOp::Add, method);
+            let dropped = catch_unwind(AssertUnwindSafe(|| drop(pending)));
+            dropped.err().map(|payload| panic_message(&*payload))
         });
-        assert_eq!(res.results.len(), p);
+        for (r, msg) in res.results.iter().enumerate() {
+            let names_the_fix = msg.as_deref().is_some_and(|m| {
+                m.contains(method.context())
+                    && m.contains("dropped unfinished")
+                    && m.contains("gs_op_finish")
+                    && m.contains("GsHandle::overlapped")
+            });
+            if !names_the_fix {
+                wrong.push(format!("rank {r} {method:?}: {msg:?}"));
+            }
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "drops that did not panic as expected:\n{}",
+        wrong.join("\n")
+    );
+}
+
+/// A panic inside an `overlapped` window unwinds through the in-flight
+/// token: `World::run` re-raises the window's own message, not the
+/// unfinished-exchange one (and a panic in a drop during unwinding would
+/// abort the test binary instead).
+#[test]
+#[cfg_attr(
+    miri,
+    ignore = "multi-rank World exchange; too slow under the interpreter"
+)]
+fn a_panic_inside_an_overlapped_window_keeps_its_message() {
+    for method in GsMethod::ALL {
+        let run = catch_unwind(|| {
+            World::new().run(2, |rank| {
+                let me = rank.rank() as u64;
+                let handle = GsHandle::setup(rank, &[7, 10 + me]);
+                let mut v = vec![1.0, 2.0];
+                handle.overlapped(rank, &mut [&mut v], GsOp::Add, method, |rank, _| {
+                    panic!("window failed on rank {}", rank.rank())
+                });
+            })
+        });
+        let msg = panic_message(&*run.expect_err("the window's panic reaches World::run"));
+        assert!(
+            msg.starts_with("window failed on rank"),
+            "{method:?}: {msg}"
+        );
     }
 }

@@ -1,8 +1,8 @@
 //! The deterministic rebalance policy.
 //!
-//! Inputs are the SPMD-identical [`GlobalCost`](crate::GlobalCost)
-//! vector and the current [`ElemPartition`]; the output is either "keep
-//! the partition" or a complete new owner vector. Everything in between
+//! Inputs are the SPMD-identical [`GlobalCost`] vector and the current
+//! [`ElemPartition`]; the output is either "keep the partition" or a
+//! complete new owner vector. Everything in between
 //! is pure f64 arithmetic over those integers — no wall clock, no RNG,
 //! no rank-dependent branch — so every rank that runs [`decide`] on the
 //! same gathered vector adopts the same partition without any further

@@ -323,23 +323,6 @@ impl RankMesh {
         }
     }
 
-    /// The set of ranks this rank exchanges faces with (its nearest
-    /// neighbors in the processor grid), sorted ascending.
-    pub fn neighbor_ranks(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for le in 0..self.nel() {
-            for f in Face::ALL {
-                if let Neighbor::Remote { rank, .. } = self.neighbor(le, f) {
-                    if !out.contains(&rank) {
-                        out.push(rank);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Global id of GLL point `(i, j, k)` of local element `le` under the
     /// continuous (vertex-conforming) numbering.
     pub fn point_gid(&self, le: usize, i: usize, j: usize, k: usize) -> u64 {
@@ -433,39 +416,6 @@ impl RankMesh {
             }
         }
         false
-    }
-
-    /// Multiplicity of volume point `(i, j, k)` of element `le`: how many
-    /// elements share it under the continuous numbering (1 interior, 2 on
-    /// a face, 4 on an edge, 8 at a corner — fewer at non-periodic domain
-    /// boundaries).
-    pub fn point_multiplicity(&self, le: usize, i: usize, j: usize, k: usize) -> usize {
-        let n = self.cfg.n;
-        let gc = self.global_elem_coords(le);
-        let ge = self.cfg.global_elems();
-        let mut mult = 1;
-        for (d, idx) in [(0usize, i), (1, j), (2, k)] {
-            let on_low = idx == 0;
-            let on_high = idx == n - 1;
-            if !(on_low || on_high) {
-                continue;
-            }
-            let has_nbr = if self.cfg.periodic {
-                ge[d] > 1
-            } else if on_low {
-                gc[d] > 0
-            } else {
-                gc[d] + 1 < ge[d]
-            };
-            // A periodic single-element direction wraps onto itself: the
-            // low and high planes are the *same* global plane, so the
-            // element touches it twice but the sharer count per plane is
-            // still 2 (self twice). Treat it as shared.
-            if has_nbr {
-                mult *= 2;
-            }
-        }
-        mult
     }
 }
 
@@ -711,39 +661,6 @@ mod tests {
     }
 
     #[test]
-    fn multiplicity_matches_global_count() {
-        let cfg = MeshConfig {
-            n: 3,
-            proc_dims: [2, 2, 1],
-            local_elems: [1, 1, 2],
-            periodic: true,
-        };
-        let mut counts = std::collections::HashMap::<u64, usize>::new();
-        for rank in 0..cfg.ranks() {
-            let mesh = RankMesh::new(cfg.clone(), rank);
-            for gid in mesh.volume_point_gids() {
-                *counts.entry(gid).or_insert(0) += 1;
-            }
-        }
-        let mesh = RankMesh::new(cfg.clone(), 0);
-        let n = cfg.n;
-        for le in 0..mesh.nel() {
-            for k in 0..n {
-                for j in 0..n {
-                    for i in 0..n {
-                        let gid = mesh.point_gid(le, i, j, k);
-                        let mult = mesh.point_multiplicity(le, i, j, k);
-                        assert_eq!(
-                            counts[&gid], mult,
-                            "multiplicity mismatch at le={le} ({i},{j},{k})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn face_exchange_gids_are_shared_by_exactly_two_elements() {
         for periodic in [true, false] {
             let cfg = MeshConfig {
@@ -871,14 +788,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn neighbor_ranks_fig7_interior_rank_has_six() {
-        let cfg = MeshConfig::for_ranks(27, 8, 4, true);
-        assert_eq!(cfg.proc_dims, [3, 3, 3]);
-        let mesh = RankMesh::new(cfg, 13); // center rank of 3x3x3
-        assert_eq!(mesh.neighbor_ranks().len(), 6);
     }
 
     #[test]

@@ -31,9 +31,9 @@ fn usage() -> ! {
          --workers shares each rank's ax element loop across a work-stealing\n\
          pool of W threads (1 = pure MPI); results are bitwise identical.\n\
          --verify runs the cmt-verify dynamic checker (deadlock, collective\n\
-         matching, message leaks, abandoned exchanges); exit status 1 on\n\
-         findings. It runs in-process only: --verify with --transport\n\
-         socket exits 2.\n\
+         matching, message leaks); exit status 1 on findings. It runs\n\
+         in-process only: --verify with --transport socket exits 2. A\n\
+         gather-scatter dropped unfinished panics its rank with or without it.\n\
          --variant auto autotunes the ax derivative kernel at startup (every\n\
          variant timed, averaged across ranks); --variant simd dispatches to\n\
          the widest vector unit present (avx2/sse2, scalar fallback) with\n\

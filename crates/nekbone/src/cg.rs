@@ -18,7 +18,7 @@
 //! [`GsHandle::shared_slot_flags`] — accumulates while the face messages
 //! are in flight, and only then does the exchange finish and the shared
 //! portion complete the reduction. Both portions walk ascending runs of
-//! their slots ([`SlotRuns`]), built once per solve, so no per-point
+//! their slots (`SlotRuns`), built once per solve, so no per-point
 //! branch on the flag remains.
 //!
 //! The vector tail is two sweeps: `r -= alpha w` with the local `<r, r>`

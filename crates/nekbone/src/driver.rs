@@ -66,9 +66,12 @@ pub struct Config {
     /// plan such as `delay:prob=0.25,us=150;seed=7` perturbs the message
     /// schedule without changing any result.
     pub fault_plan: Option<FaultPlan>,
-    /// Run under the `cmt-verify` dynamic checker; findings land in
+    /// Run under the `cmt-verify` dynamic checker (deadlocks, collective
+    /// mismatches, leaked messages); findings land in
     /// [`NekboneReport::verify`]. In-process only: [`Config::validate`]
-    /// refuses it with the socket transport.
+    /// refuses it with the socket transport. An exchange dropped
+    /// unfinished is not a finding: `cmt-gs` panics the rank at the drop,
+    /// whether or not this is set.
     pub verify: bool,
     /// Communication backend: in-process mailboxes (default) or the
     /// multi-process socket transport (`--transport socket`). Results are

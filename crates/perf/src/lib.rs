@@ -43,8 +43,8 @@ pub mod regions {
     /// replica holder, restore solver state, re-enter the loop.
     pub const RECOVERY: &str = "recovery (restore + rollback)";
     /// `cmt-verify` finalize sweep: the end-of-run barrier plus the
-    /// mailbox scan for leaked messages and abandoned exchanges. Also
-    /// isolates the verifier's cost in overhead comparisons.
+    /// mailbox scan for leaked messages. Also isolates the verifier's
+    /// cost in overhead comparisons.
     pub const VERIFY: &str = "verify (finalize sweep)";
     /// Load-balancer monitor + decision: gather the per-element /
     /// per-rank cost vector and run the deterministic repartition

@@ -58,7 +58,7 @@ pub mod world;
 pub use envelope::Msg;
 pub use faults::{DelayFault, FaultPlan, KillEvent};
 pub use pool::{BufferPool, PooledVec};
-pub use rank::{DiscardList, Rank, RecvRequest, Tag};
+pub use rank::{Rank, RecvRequest, Tag};
 pub use stats::{CommStats, MpiOp, SiteKey, SiteStats};
 pub use transport::{SocketConfig, TransportKind};
 pub use verify::{CollFingerprint, CollKind, LeakInfo, VerifyHooks};

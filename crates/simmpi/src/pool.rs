@@ -2,7 +2,7 @@
 //!
 //! The steady-state communication path never allocates: a send takes a
 //! recycled `Box<Vec<T>>` from the pool, fills it, and moves the box into
-//! the [`crate::Envelope`]; the receiver adopts the same box out of the
+//! the message envelope; the receiver adopts the same box out of the
 //! envelope behind a [`PooledVec`] guard and, when the guard drops, the
 //! box (shell *and* vector capacity) parks back in the receiver's pool
 //! ready for the next take. After warm-up every rank's pool is balanced —
@@ -11,7 +11,7 @@
 //!
 //! Buffers are keyed by their concrete `Vec<T>` type, so an `f64` field
 //! payload never collides with a `u64` id list. A pool constructed
-//! disabled ([`BufferPool::new(false)`]) degrades to plain allocation:
+//! disabled ([`BufferPool::new`] with `false`) degrades to plain allocation:
 //! takes allocate, parks drop — the baseline tests compare against.
 
 // The double indirection of `Box<Vec<T>>` is deliberate: the *box shell*
@@ -148,7 +148,7 @@ pub struct PooledVec<T: Msg> {
 
 impl<T: Msg> PooledVec<T> {
     /// Surrender the box (nothing returns to the pool): the send path,
-    /// which moves the box into an [`crate::Envelope`] so the *receiver*
+    /// which moves the box into a message envelope so the *receiver*
     /// parks it.
     pub fn detach(mut self) -> Box<Vec<T>> {
         self.buf.take().expect("detach on live guard")

@@ -1,8 +1,8 @@
 //! The per-rank handle: point-to-point messaging and instrumentation.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::envelope::{Envelope, Msg};
@@ -45,92 +45,9 @@ pub struct Rank {
     pub(crate) faults: Option<FaultState>,
     pub(crate) injected_delay_us: u64,
     pub(crate) op_badge: Option<MpiOp>,
-    pub(crate) discards: DiscardList,
     pub(crate) verify: Option<Arc<dyn VerifyHooks>>,
     pub(crate) finalized: bool,
     pub(crate) workers: Option<Arc<crate::workers::WorkerPool>>,
-}
-
-/// A cancellation list for in-flight messages whose receiver abandoned
-/// them — e.g. a dropped, never-finished split-phase gather–scatter
-/// handle. Registering `(src, tag, count)` makes the rank's matching
-/// engine silently consume (rather than enqueue) the next `count`
-/// arrivals from `src` with tag `tag`, so an abandoned exchange cannot
-/// leak stale payloads into later receives on the same `(source, tag)`
-/// FIFO lane.
-///
-/// Cloneable so library handles (which cannot hold `&mut Rank`) can
-/// register cancellations from their `Drop` impls.
-#[derive(Debug, Clone, Default)]
-pub struct DiscardList {
-    inner: Arc<DiscardInner>,
-}
-
-#[derive(Debug, Default)]
-struct DiscardInner {
-    /// Total messages awaiting discard — lets the receive hot path skip
-    /// the mutex entirely in the common (empty) case.
-    outstanding: AtomicU64,
-    map: Mutex<HashMap<(usize, Tag), u64>>,
-}
-
-impl DiscardList {
-    /// Register `count` future (or already-pending) messages from
-    /// `(src, tag)` for silent discard.
-    pub fn cancel(&self, src: usize, tag: Tag, count: u64) {
-        if count == 0 {
-            return;
-        }
-        *self
-            .inner
-            .map
-            .lock()
-            .unwrap()
-            .entry((src, tag))
-            .or_insert(0) += count;
-        self.inner.outstanding.fetch_add(count, Ordering::Release);
-    }
-
-    /// Whether no discards are outstanding (lock-free).
-    fn is_empty(&self) -> bool {
-        self.inner.outstanding.load(Ordering::Acquire) == 0
-    }
-
-    /// Discard credits still outstanding, as `(src, tag, count)` — the
-    /// cancelled messages that never arrived. Consumed by the verifier's
-    /// finalize-time leak check.
-    pub(crate) fn snapshot(&self) -> Vec<(usize, Tag, u64)> {
-        let mut v: Vec<(usize, Tag, u64)> = self
-            .inner
-            .map
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(&(src, tag), &n)| (src, tag, n))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// If `(src, tag)` is registered, consume one discard credit and
-    /// return true (the caller drops the envelope).
-    fn consume(&self, src: usize, tag: Tag) -> bool {
-        if self.is_empty() {
-            return false;
-        }
-        let mut map = self.inner.map.lock().unwrap();
-        match map.get_mut(&(src, tag)) {
-            Some(n) => {
-                *n -= 1;
-                if *n == 0 {
-                    map.remove(&(src, tag));
-                }
-                self.inner.outstanding.fetch_sub(1, Ordering::Release);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 /// A pending non-blocking receive (the analogue of an `MPI_Request` from
@@ -139,9 +56,9 @@ impl DiscardList {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvRequest {
     /// Source rank the request matches.
-    pub src: usize,
+    src: usize,
     /// Tag the request matches.
-    pub tag: Tag,
+    tag: Tag,
 }
 
 impl Rank {
@@ -249,12 +166,6 @@ impl Rank {
         }
     }
 
-    /// A clone of this rank's [`DiscardList`], for library handles that
-    /// must cancel in-flight messages from a `Drop` impl.
-    pub fn discard_list(&self) -> DiscardList {
-        self.discards.clone()
-    }
-
     /// Total injected-fault stall served by this rank so far, in
     /// microseconds (the plan's message delays). The delays are drawn from seeded per-rank streams, so this counter is
     /// bitwise deterministic — the load balancer's straggler signal,
@@ -343,46 +254,8 @@ impl Rank {
         self.context = ctx;
     }
 
-    /// Tell the verifier (if any) that `env` was silently consumed as
-    /// cancelled exchange traffic.
-    fn note_discarded(&self, env: &Envelope) {
-        if let Some(v) = &self.verify {
-            v.on_discarded(
-                self.rank,
-                env.src,
-                env.tag,
-                env.bytes as u64,
-                env.sender_ctx.as_deref(),
-            );
-        }
-    }
-
-    /// Remove pending-queue entries cancelled via the [`DiscardList`].
-    /// Cheap when nothing is cancelled (one relaxed atomic load).
-    fn purge_discarded(&mut self) {
-        if self.discards.is_empty() {
-            return;
-        }
-        // Both are Arc handles, cloned (one refcount bump each) to end the
-        // `&self` borrows before the `retain` below takes
-        // `&mut self.pending`.
-        let (discards, verify) = (self.discards.clone(), self.verify.clone());
-        let rank = self.rank;
-        self.pending.retain(|e| {
-            if discards.consume(e.src, e.tag) {
-                if let Some(v) = &verify {
-                    v.on_discarded(rank, e.src, e.tag, e.bytes as u64, e.sender_ctx.as_deref());
-                }
-                false
-            } else {
-                true
-            }
-        });
-    }
-
     pub(crate) fn raw_recv(&mut self, src: usize, tag: Tag) -> Envelope {
         assert!(src < self.size, "recv from rank {src} of {}", self.size);
-        self.purge_discarded();
         // First, search messages that already arrived but didn't match an
         // earlier receive.
         if let Some(pos) = self
@@ -400,10 +273,6 @@ impl Rank {
         loop {
             match self.transport.pop_timeout(POLL) {
                 Some(env) => {
-                    if self.discards.consume(env.src, env.tag) {
-                        self.note_discarded(&env);
-                        continue;
-                    }
                     if env.src == src && env.tag == tag {
                         if let (Some(v), Some(id)) = (&self.verify, block_id) {
                             v.on_unblock(self.rank, id);
@@ -668,27 +537,9 @@ impl Rank {
         }
     }
 
-    /// Report the start of a split-phase exchange to the verifier; the
-    /// returned epoch id must be closed with
-    /// [`Rank::verify_exchange_finish`]. `None` without a verifier.
-    pub fn verify_exchange_start(&self, label: &str) -> Option<u64> {
-        self.verify
-            .as_ref()
-            .map(|v| v.on_exchange_start(self.rank, label))
-    }
-
-    /// Close a split-phase exchange epoch opened by
-    /// [`Rank::verify_exchange_start`]. No-op for `None`.
-    pub fn verify_exchange_finish(&self, epoch: Option<u64>) {
-        if let (Some(v), Some(e)) = (&self.verify, epoch) {
-            v.on_exchange_finish(self.rank, e);
-        }
-    }
-
     /// Run the verifier's finalize-time leak check: a runtime barrier (so
     /// every peer's pre-finalize sends are already delivered), then a
-    /// sweep of this rank's mailbox for unmatched messages and of its
-    /// [`DiscardList`] for cancelled messages that never arrived.
+    /// sweep of this rank's mailbox for unmatched messages.
     ///
     /// Called automatically by [`crate::World::run`] when the SPMD
     /// closure returns; drivers may call it earlier (it is idempotent) to
@@ -710,7 +561,6 @@ impl Rank {
         while let Some(env) = self.transport.try_pop() {
             self.pending.push_back(env);
         }
-        self.purge_discarded(); // reports cancelled arrivals via on_discarded
         let leaked: Vec<LeakInfo> = self
             .pending
             .iter()
@@ -722,7 +572,6 @@ impl Rank {
             })
             .collect();
         self.pending.clear();
-        let unclaimed = self.discards.snapshot();
-        v.on_finalize(self.rank, self.coll_seq, &leaked, &unclaimed);
+        v.on_finalize(self.rank, self.coll_seq, &leaked);
     }
 }

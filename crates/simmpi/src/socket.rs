@@ -779,27 +779,7 @@ mod tests {
             None
         }
         fn on_unblock(&self, _rank: usize, _block_id: u64) {}
-        fn on_exchange_start(&self, _rank: usize, _ctx: &str) -> u64 {
-            0
-        }
-        fn on_exchange_finish(&self, _rank: usize, _epoch: u64) {}
-        fn on_discarded(
-            &self,
-            _rank: usize,
-            _src: usize,
-            _tag: Tag,
-            _bytes: u64,
-            _ctx: Option<&str>,
-        ) {
-        }
-        fn on_finalize(
-            &self,
-            _rank: usize,
-            _seq: u64,
-            _leaked: &[crate::LeakInfo],
-            _unclaimed: &[(usize, Tag, u64)],
-        ) {
-        }
+        fn on_finalize(&self, _rank: usize, _seq: u64, _leaked: &[crate::LeakInfo]) {}
     }
 
     /// A verifier runs in-process only: a socket world that has one is

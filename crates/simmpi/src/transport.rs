@@ -1,9 +1,9 @@
 //! The pluggable transport seam.
 //!
 //! A [`Rank`](crate::Rank) never touches mailboxes directly; it sends and
-//! receives envelopes through a boxed [`Transport`]. Two backends exist:
+//! receives envelopes through a boxed `Transport`. Two backends exist:
 //!
-//! * **inproc** ([`InprocTransport`]) — the original fast path: every
+//! * **inproc** (`InprocTransport`) — the original fast path: every
 //!   rank is an OS thread in one process, an envelope is a moved `Vec`,
 //!   `send` is a mutex-guarded queue push. Zero serialization, zero
 //!   steady-state allocation; all determinism, verification, and BENCH
@@ -15,7 +15,7 @@
 //!   wire time behind every message.
 //!
 //! The trait is deliberately narrow — the entire matching machinery
-//! (FIFO per source/tag, discard lists, deadlock timers, verifier
+//! (FIFO per source/tag, deadlock timers, verifier
 //! piggybacking) lives above it in `rank.rs` and is therefore *shared*
 //! by both backends, which is what makes cross-backend bitwise identity
 //! checkable rather than aspirational.

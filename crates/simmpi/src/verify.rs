@@ -3,9 +3,10 @@
 //! The runtime stays checker-agnostic: it defines the [`VerifyHooks`]
 //! trait and calls it at every event a dynamic MPI verifier cares about
 //! that no type can rule out — blocking-receive entry/poll/exit (the
-//! wait-for-graph feed), collective entry (fingerprint matching),
-//! split-phase exchange epochs, discarded exchange traffic, and rank
-//! finalization (message-leak detection).
+//! wait-for-graph feed), collective entry (fingerprint matching), and
+//! rank finalization (message-leak detection). An abandoned split-phase
+//! exchange needs no hook: dropping an unfinished `GsPending` panics in
+//! `cmt-gs`, with or without a verifier.
 //! The `cmt-verify` crate supplies the implementation; a world without a
 //! verifier pays one `Option` check per event. A verifier runs
 //! in-process only: [`crate::World::run_dist`] refuses a socket world
@@ -79,8 +80,7 @@ impl CollFingerprint<'_> {
     }
 }
 
-/// One message found unreceived (or consumed as cancelled exchange
-/// traffic) when a rank finalized.
+/// One message found unreceived when a rank finalized.
 #[derive(Debug, Clone)]
 pub struct LeakInfo {
     /// Sending rank.
@@ -118,35 +118,8 @@ pub trait VerifyHooks: Send + Sync + std::fmt::Debug {
     /// The blocked receive `block_id` on `rank` matched a message.
     fn on_unblock(&self, rank: usize, block_id: u64);
 
-    /// `rank` started a split-phase exchange at call site `context`.
-    /// Returns an epoch id the matching
-    /// [`VerifyHooks::on_exchange_finish`] closes; epochs still open at
-    /// finalize are abandoned exchanges.
-    fn on_exchange_start(&self, rank: usize, context: &str) -> u64;
-
-    /// `rank` finished (drained and scattered) exchange `epoch`.
-    fn on_exchange_finish(&self, rank: usize, epoch: u64);
-
-    /// The matching engine on `rank` silently consumed a message whose
-    /// receiver had cancelled it (an abandoned split-phase exchange).
-    fn on_discarded(
-        &self,
-        rank: usize,
-        src: usize,
-        tag: Tag,
-        bytes: u64,
-        sender_context: Option<&str>,
-    );
-
     /// `rank`'s SPMD closure returned. `coll_seq` is its final collective
     /// count; `leaked` are messages still sitting unmatched in its
-    /// mailbox after a finalize barrier; `unclaimed` are discard credits
-    /// `(src, tag, count)` registered for messages that never arrived.
-    fn on_finalize(
-        &self,
-        rank: usize,
-        coll_seq: u64,
-        leaked: &[LeakInfo],
-        unclaimed: &[(usize, Tag, u64)],
-    );
+    /// mailbox after a finalize barrier.
+    fn on_finalize(&self, rank: usize, coll_seq: u64, leaked: &[LeakInfo]);
 }

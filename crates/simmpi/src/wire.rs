@@ -11,7 +11,7 @@
 //!
 //! All integers are little-endian. A frame is built whole in one buffer,
 //! length prefix included, so a sender hands it to the socket in one
-//! write. The checksum ([`frame_sum`]) covers the body before it (magic
+//! write. The checksum (`frame_sum`) covers the body before it (magic
 //! included) and the body's length: four independent 64-bit lanes over
 //! its words, so it runs at memory speed rather than one serial multiply
 //! per byte. Magic and version are checked first, so a peer speaking
@@ -105,7 +105,7 @@ pub enum WireError {
     BadKind(u8),
     /// Payload wire id that no [`crate::Msg`] element type carries.
     UnknownPayloadType(u16),
-    /// The [`frame_sum`] trailer does not match the body: the frame was
+    /// The `frame_sum` trailer does not match the body: the frame was
     /// corrupted, torn or extended in flight.
     ChecksumMismatch,
     /// Bytes left over after the value was fully decoded.

@@ -14,7 +14,7 @@ use std::time::Instant;
 use crate::faults::{FaultPlan, FaultState};
 use crate::mailbox::Mailbox;
 use crate::pool::BufferPool;
-use crate::rank::{DiscardList, Rank};
+use crate::rank::Rank;
 use crate::stats::{CommRecorder, CommStats, MpiOp};
 use crate::transport::{InprocTransport, Transport, TransportKind};
 use crate::verify::VerifyHooks;
@@ -89,8 +89,8 @@ impl World {
 
     /// Install a dynamic verifier (the `cmt-verify` checker, or any
     /// [`VerifyHooks`] implementation). The runtime then feeds it every
-    /// blocked-receive episode, collective fingerprint and split-phase
-    /// exchange epoch, stamps each message envelope with its send site,
+    /// blocked-receive episode and collective fingerprint, stamps each
+    /// message envelope with its send site,
     /// and runs a finalize-time message-leak sweep as each rank's closure
     /// returns. The verifier runs in-process only: [`World::run_dist`]
     /// refuses a [`TransportKind::Socket`] world that has one.
@@ -291,7 +291,6 @@ where
         faults,
         injected_delay_us: 0,
         op_badge: None,
-        discards: DiscardList::default(),
         verify: world.verify.clone(),
         finalized: false,
         workers: if world.workers > 1 {
@@ -673,25 +672,6 @@ mod tests {
     fn out_of_range_kill_is_rejected() {
         let plan = crate::FaultPlan::parse("kill:rank=9,step=1").unwrap();
         let _ = World::new().with_fault_plan(plan).run(2, |_| ());
-    }
-
-    /// The discard list silently consumes cancelled in-flight messages so
-    /// they cannot cross-match a later receive on the same (src, tag).
-    #[test]
-    fn discard_list_consumes_cancelled_messages() {
-        let res = World::new().run(2, |rank| {
-            if rank.rank() == 0 {
-                rank.send(1, 5, &[111.0f64]); // will be cancelled
-                rank.send(1, 5, &[222.0f64]); // second message, same lane
-                Vec::new()
-            } else {
-                // Cancel the first in-flight (0, tag 5) message, then
-                // receive: we must get the *second* payload.
-                rank.discard_list().cancel(0, 5, 1);
-                rank.recv::<f64>(0, 5)
-            }
-        });
-        assert_eq!(res.results[1], vec![222.0]);
     }
 
     /// Failure injection mid-collective: a death during a barrier must

@@ -18,13 +18,14 @@
 //!   collective with both call sites named, before its internal messages
 //!   can entangle the tag space.
 //! * **Message-leak detection** — when a rank's SPMD closure returns,
-//!   the runtime barriers and sweeps its mailbox: unreceived sends,
-//!   discard credits for messages that never came, and split-phase
-//!   exchange epochs never finished are all reported per rank.
+//!   the runtime barriers and sweeps its mailbox and reports every
+//!   unreceived send per rank.
 //!
-//! It holds only what the types cannot: a write to exchanged slots while
-//! an exchange is in flight is a compile error through
-//! `cmt_gs::GsHandle::overlapped`, so no runtime race detector backs it.
+//! It holds only what the types and the gather–scatter layer cannot: a
+//! write to exchanged slots while an exchange is in flight is a compile
+//! error through `cmt_gs::GsHandle::overlapped`, and a split-phase
+//! exchange dropped unfinished panics in `cmt_gs` itself, with or
+//! without a verifier, so neither has a finding here.
 //!
 //! Pair with a seeded delay fault plan
 //! ([`simmpi::World::with_fault_plan`], e.g.
@@ -52,10 +53,6 @@ pub enum FindingKind {
     CollectiveMismatch,
     /// A message was still unmatched in a rank's mailbox at finalize.
     MessageLeak,
-    /// Split-phase exchange traffic was abandoned: a started exchange
-    /// never finished, its in-flight messages were silently discarded,
-    /// or discard credits outlived the run.
-    AbandonedExchange,
 }
 
 impl FindingKind {
@@ -65,7 +62,6 @@ impl FindingKind {
             FindingKind::Deadlock => "deadlock",
             FindingKind::CollectiveMismatch => "collective-mismatch",
             FindingKind::MessageLeak => "message-leak",
-            FindingKind::AbandonedExchange => "abandoned-exchange",
         }
     }
 }
@@ -153,13 +149,6 @@ fn describe(kind: CollKind, elem_type: &str, len: Option<usize>) -> String {
     format!("{}({elem_type}, len={})", kind.name(), fmt_len(len))
 }
 
-/// An open split-phase exchange on one rank.
-#[derive(Debug)]
-struct Epoch {
-    id: u64,
-    context: String,
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     size: usize,
@@ -176,9 +165,6 @@ struct Inner {
     /// Final collective count per rank, filled at finalize.
     final_seqs: Vec<Option<u64>>,
     final_seq_checked: bool,
-    /// Open split-phase exchange epochs, per rank.
-    open_epochs: Vec<Vec<Epoch>>,
-    next_epoch: u64,
     findings: Vec<Finding>,
 }
 
@@ -309,7 +295,6 @@ impl VerifyHooks for Verifier {
         inner.collectives.clear();
         inner.final_seqs = vec![None; size];
         inner.final_seq_checked = false;
-        inner.open_epochs = (0..size).map(|_| Vec::new()).collect();
     }
 
     fn on_collective(&self, rank: usize, seq: u64, fp: CollFingerprint<'_>) -> Result<(), String> {
@@ -408,53 +393,7 @@ impl VerifyHooks for Verifier {
         }
     }
 
-    fn on_exchange_start(&self, rank: usize, context: &str) -> u64 {
-        let mut inner = self.inner.lock().unwrap();
-        let id = inner.next_epoch;
-        inner.next_epoch += 1;
-        inner.open_epochs[rank].push(Epoch {
-            id,
-            context: context.to_owned(),
-        });
-        id
-    }
-
-    fn on_exchange_finish(&self, rank: usize, epoch: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.open_epochs[rank].retain(|e| e.id != epoch);
-    }
-
-    fn on_discarded(
-        &self,
-        rank: usize,
-        src: usize,
-        tag: Tag,
-        bytes: u64,
-        sender_context: Option<&str>,
-    ) {
-        let mut inner = self.inner.lock().unwrap();
-        let sent_at = match sender_context {
-            Some(c) => format!(" sent at call site {c:?}"),
-            None => String::new(),
-        };
-        Self::push_finding(
-            &mut inner,
-            FindingKind::AbandonedExchange,
-            rank,
-            format!(
-                "cmt-verify: ABANDONED EXCHANGE — rank {rank} silently discarded an in-flight message from rank {src} ({}, {bytes} bytes{sent_at}): its receiver dropped a started gather–scatter without finishing it",
-                fmt_tag(tag)
-            ),
-        );
-    }
-
-    fn on_finalize(
-        &self,
-        rank: usize,
-        coll_seq: u64,
-        leaked: &[LeakInfo],
-        unclaimed: &[(usize, Tag, u64)],
-    ) {
+    fn on_finalize(&self, rank: usize, coll_seq: u64, leaked: &[LeakInfo]) {
         let mut inner = self.inner.lock().unwrap();
         for l in leaked {
             let sent_at = match &l.sender_context {
@@ -470,31 +409,6 @@ impl VerifyHooks for Verifier {
                     l.src,
                     fmt_tag(l.tag),
                     l.bytes
-                ),
-            );
-        }
-        for &(src, tag, count) in unclaimed {
-            Self::push_finding(
-                &mut inner,
-                FindingKind::AbandonedExchange,
-                rank,
-                format!(
-                    "cmt-verify: ABANDONED EXCHANGE — rank {rank} finalized with {count} outstanding discard credit(s) for messages from rank {src} ({}) that never arrived",
-                    fmt_tag(tag)
-                ),
-            );
-        }
-        let open: Vec<String> = inner.open_epochs[rank]
-            .iter()
-            .map(|e| e.context.clone())
-            .collect();
-        for ctx in open {
-            Self::push_finding(
-                &mut inner,
-                FindingKind::AbandonedExchange,
-                rank,
-                format!(
-                    "cmt-verify: ABANDONED EXCHANGE — rank {rank} finalized with a split-phase gather–scatter still open (started at call site {ctx:?}): gs_op_start without a matching gs_op_finish; run the window through GsHandle::overlapped, which finishes it on every path"
                 ),
             );
         }

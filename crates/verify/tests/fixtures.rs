@@ -159,51 +159,9 @@ fn leaked_send_is_detected() {
     );
 }
 
-/// A started gather–scatter dropped without `gs_op_finish`: both the
-/// silently-discarded in-flight traffic and the never-closed exchange
-/// epoch are reported.
-#[test]
-fn abandoned_gs_pending_is_detected() {
-    let verifier = run_checked(2, |rank| {
-        // gid 1 is shared between the two ranks.
-        let ids: Vec<u64> = if rank.rank() == 0 {
-            vec![0, 1]
-        } else {
-            vec![1, 2]
-        };
-        let handle = GsHandle::setup(rank, &ids);
-        let values = vec![1.0f64; handle.nlocal()];
-        let pending = handle.gs_op_start(rank, &[&values], GsOp::Add, GsMethod::PairwiseExchange);
-        drop(pending); // bug: never finished
-        rank.barrier();
-    });
-    let abandoned = verifier.findings_of(FindingKind::AbandonedExchange);
-    assert!(
-        abandoned.len() >= 2,
-        "expect discarded traffic and open epochs: {}",
-        verifier.render()
-    );
-    let all = abandoned
-        .iter()
-        .map(|f| f.detail.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(
-        all.contains("gs_op_start without a matching gs_op_finish"),
-        "must report the open epoch: {all}"
-    );
-    assert!(
-        all.contains("silently discarded an in-flight message"),
-        "must report the cancelled traffic: {all}"
-    );
-    // No other defect classes: the drop machinery kept matching sound.
-    assert!(verifier.findings_of(FindingKind::MessageLeak).is_empty());
-    assert!(verifier.findings_of(FindingKind::Deadlock).is_empty());
-}
-
-/// The same exchange through `GsHandle::overlapped`, whose window returns
-/// early: the `return` leaves the closure, the exchange still finishes,
-/// and the finalize sweep finds no abandoned epoch.
+/// A pairwise exchange through `GsHandle::overlapped` whose window
+/// returns early: the `return` leaves the closure, the exchange still
+/// finishes (dropping it unfinished would panic), and the run is clean.
 #[test]
 fn overlapped_window_returning_early_abandons_nothing() {
     let verifier = run_checked(2, |rank| {
