@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cmt-bone [--ranks P] [--elems NEL] [--n N] [--steps S] [--fields F]
-//!          [--variant basic|opt|simd|auto] [--method pairwise|crystal|allreduce]
+//!          [--variant basic|opt|simd] [--method pairwise|crystal|allreduce]
 //!          [--pipeline blocking|overlapped] [--quiet]
 //! ```
 //!
@@ -18,8 +18,7 @@ use simmpi::{FaultPlan, SocketConfig, TransportKind};
 fn usage() -> ! {
     eprintln!(
         "usage: cmt-bone [--ranks P] [--elems NEL_PER_RANK] [--n N] [--steps S]\n\
-         \x20                [--fields F] [--variant basic|opt|simd|auto]\n\
-         \x20                [--workers W]\n\
+         \x20                [--fields F] [--variant basic|opt|simd]\n\
          \x20                [--method pairwise|crystal|allreduce]\n\
          \x20                [--pipeline blocking|overlapped]\n\
          \x20                [--cfl-interval K] [--dealias M] [--quiet]\n\
@@ -36,11 +35,8 @@ fn usage() -> ! {
          unix:/tmp/w.sock). Results are bitwise identical to inproc.\n\
          fault plan SPEC: semicolon-separated events, e.g.\n\
          \x20 'delay:prob=0.1,us=200;kill:rank=2,step=5;seed=7'\n\
-         --variant auto autotunes the derivative kernel at startup (every\n\
-         variant timed, averaged across ranks — the Fig. 7 protocol for compute).\n\
-         --workers shares each rank's overlap-window element loops across a\n\
-         work-stealing pool of W threads (1 = pure MPI); results are bitwise\n\
-         identical across worker counts.\n\
+         --variant simd dispatches to the widest vector unit present\n\
+         (avx2/sse2, scalar fallback) with results bitwise identical to opt.\n\
          --verify runs the cmt-verify dynamic checker (deadlock, collective\n\
          matching, message leaks); exit status 1 on findings. It runs\n\
          in-process only: --verify with --transport socket exits 2. A\n\
@@ -78,10 +74,8 @@ fn main() {
                 Some("basic") => cfg.variant = KernelVariant::Basic,
                 Some("opt") => cfg.variant = KernelVariant::Optimized,
                 Some("simd") => cfg.variant = KernelVariant::Simd,
-                Some("auto") => cfg.kernel_autotune = true,
                 _ => usage(),
             },
-            "--workers" => cfg.workers = parse_usize(args.next()),
             "--method" => {
                 cfg.method = match args.next().as_deref() {
                     Some("pairwise") => Some(GsMethod::PairwiseExchange),

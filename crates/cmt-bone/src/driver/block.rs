@@ -9,7 +9,7 @@ use cmt_mesh::{face_exchange_gids_for, ElemPartition, MeshConfig, RankMesh};
 use cmt_particles::{Particle, ParticleSet};
 use cmt_perf::Profiler;
 use cmt_resilience::{hash, Checkpoint};
-use simmpi::{chunk_count, chunk_grain, Rank};
+use simmpi::Rank;
 
 use super::physics::Physics;
 use super::Env;
@@ -23,10 +23,9 @@ pub(super) struct ViscousWs {
 }
 
 /// Everything on a rank that is sized by (and bound to) its current
-/// element set: the solution fields, every scratch buffer, the
-/// gather-scatter plan, and the chunk grain of the element loops. A
-/// load-balancer migration replaces the whole block — the timestep loop
-/// only ever sees a consistent one.
+/// element set: the solution fields, every scratch buffer and the
+/// gather-scatter plan. A load-balancer migration replaces the whole
+/// block — the timestep loop only ever sees a consistent one.
 pub(super) struct Block {
     /// Global ids of the owned elements, ascending — the local element
     /// order of every buffer below.
@@ -46,10 +45,9 @@ pub(super) struct Block {
     /// interpolation matrices are partition-independent and live in
     /// [`Env`].
     pub dealias_fine: Vec<f64>,
-    /// Dealias contraction scratch: one `t1/t2` pair per element chunk.
+    /// Dealias contraction scratch: one `t1/t2` pair.
     pub dealias_scratch: Vec<f64>,
     pub viscous: Option<ViscousWs>,
-    pub grain: usize,
 }
 
 impl Block {
@@ -66,8 +64,6 @@ impl Block {
         let handle = GsHandle::setup(rank, &gids);
         let (n, nel) = (cfg.n, owned.len());
         let fpe = face::face_values_per_element(n);
-        let grain = chunk_grain(env.pool.as_deref(), nel);
-        let n_chunks = chunk_count(env.pool.as_deref(), nel, grain);
         let fields = || (0..cfg.fields).map(|_| Field::zeros(n, nel)).collect();
         Block {
             owned,
@@ -80,13 +76,12 @@ impl Block {
             flux: env.physics.flux_scratch(n, nel),
             faces_all: (0..cfg.fields).map(|_| vec![0.0; fpe * nel]).collect(),
             dealias_fine: vec![0.0; cfg.dealias_m.map_or(0, |m| m * m * m * nel)],
-            dealias_scratch: vec![0.0; cfg.dealias_m.map_or(0, |m| n_chunks * 2 * m.max(n).pow(3))],
+            dealias_scratch: vec![0.0; cfg.dealias_m.map_or(0, |m| 2 * m.max(n).pow(3))],
             viscous: cfg.viscosity.map(|nu| ViscousWs {
                 nu,
                 q: std::array::from_fn(|_| Field::zeros(n, nel)),
                 qfaces: std::array::from_fn(|_| vec![0.0; fpe * nel]),
             }),
-            grain,
         }
     }
 }

@@ -12,16 +12,14 @@ mod wire;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cmt_core::kernels::autotune::KernelAutotuneReport;
 use cmt_core::ops::ElementGeom;
 use cmt_core::poly::Basis;
 use cmt_gs::{autotune, AutotuneReport, GsMethod};
 use cmt_mesh::{ElemPartition, MeshConfig};
-use cmt_perf::kernel_tune::tune_kernels;
 use cmt_perf::{MpipReport, Profiler};
 use cmt_resilience::{hash, load_checkpoint, Resilience};
 use cmt_verify::Verifier;
-use simmpi::{Rank, ReduceOp, WorkerPool, World};
+use simmpi::{Rank, ReduceOp, World};
 
 use crate::config::Config;
 use crate::report::{modeled_flops, LbSummary, RunReport};
@@ -81,7 +79,6 @@ pub struct SolutionDump {
 struct RankOutput {
     profiler: Profiler,
     autotune: Option<AutotuneReport>,
-    kernel_autotune: Option<KernelAutotuneReport>,
     chosen: GsMethod,
     checksum: f64,
     /// Global ids of the elements this rank finished owning, with their
@@ -97,9 +94,7 @@ struct RankOutput {
 /// Per-rank invariants of a run: everything the step reads that no
 /// migration or rollback changes.
 struct Env<'a> {
-    /// The effective configuration: the kernel autotune's winner
-    /// overrides the requested variant.
-    cfg: Config,
+    cfg: &'a Config,
     /// The physics `cfg` selects.
     physics: Physics,
     mesh_cfg: &'a MeshConfig,
@@ -110,28 +105,15 @@ struct Env<'a> {
     /// m-point fine mesh and back (paper §V: "an element is first mapped
     /// to a finer mesh and later mapped back").
     dealias: Option<(usize, Vec<f64>, Vec<f64>)>,
-    /// The rank's worker pool (`--workers` > 1) sharing the element loops.
-    pool: Option<Arc<WorkerPool>>,
 }
 
 impl<'a> Env<'a> {
-    fn new(
-        rank: &Rank,
-        cfg: &Config,
-        mesh_cfg: &'a MeshConfig,
-        basis: Basis,
-        kernel_tune: Option<&KernelAutotuneReport>,
-    ) -> Self {
-        let mut cfg = cfg.clone();
-        if let Some(t) = kernel_tune {
-            cfg.variant = t.chosen();
-        }
+    fn new(cfg: &'a Config, mesh_cfg: &'a MeshConfig, basis: Basis) -> Self {
         Env {
             dealias: cfg
                 .dealias_m
                 .map(|m| (m, basis.dealias_to(m), basis.dealias_from(m))),
-            pool: rank.worker_pool(),
-            physics: Physics::of(&cfg),
+            physics: Physics::of(cfg),
             cfg,
             mesh_cfg,
             basis,
@@ -166,14 +148,9 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
         None => ElemPartition::initial(mesh_cfg),
     };
 
-    // ---- setup: kernel autotune, partition block + gs discovery, gs autotune
+    // ---- setup: partition block + gs discovery, gs autotune
     prof.enter(regions::SETUP);
-    let basis = Basis::new(cfg.n);
-    let nel0 = part.owned_by(rank.rank()).len();
-    let kernel_tune = cfg
-        .kernel_autotune
-        .then(|| tune_kernels(rank, cfg.n, nel0, &basis.d));
-    let env = Env::new(rank, cfg, mesh_cfg, basis, kernel_tune.as_ref());
+    let env = Env::new(cfg, mesh_cfg, Basis::new(cfg.n));
     let mut st = State::initial(&env, rank, part);
     let (chosen, tune_report) = match cfg.method {
         Some(m) => (m, None),
@@ -251,7 +228,6 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
     RankOutput {
         profiler: prof,
         autotune: tune_report,
-        kernel_autotune: kernel_tune,
         chosen,
         checksum,
         elem_gids,
@@ -271,9 +247,7 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
 fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
     cfg.validate().expect("invalid CMT-bone configuration");
     let mesh_cfg = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, true);
-    let mut world = World::new()
-        .with_workers(cfg.workers)
-        .with_worker_alloc_counters(cmt_perf::alloc::thread_counts);
+    let mut world = World::new();
     if let Some(plan) = &cfg.fault_plan {
         world = world.with_fault_plan(plan.clone());
     }
@@ -289,7 +263,6 @@ fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
 
     let mut merged = Profiler::new();
     let mut autotune_rep = None;
-    let mut kernel_autotune_rep = None;
     let mut chosen = None;
     let mut checksum = f64::NAN;
     let mut elem_pairs: Vec<(u64, u64)> = Vec::new();
@@ -322,9 +295,6 @@ fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
         if out.autotune.is_some() && autotune_rep.is_none() {
             autotune_rep = out.autotune;
         }
-        if out.kernel_autotune.is_some() && kernel_autotune_rep.is_none() {
-            kernel_autotune_rep = out.kernel_autotune;
-        }
         chosen.get_or_insert(out.chosen);
         checksum = out.checksum; // identical on every rank
         elem_pairs.extend(
@@ -356,12 +326,8 @@ fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
         hash::fnv1a(&mut state_hash, &gid.to_le_bytes());
         hash::fnv1a(&mut state_hash, &h.to_le_bytes());
     }
-    // The variant that ran: the autotune winner under `--variant auto`,
-    // otherwise the configured one; the ISA only applies to the simd tier.
-    let kernel_variant = kernel_autotune_rep
-        .as_ref()
-        .map_or(cfg.variant, KernelAutotuneReport::chosen);
-    let kernel_isa = if kernel_variant == cmt_core::KernelVariant::Simd {
+    // The ISA only applies to the simd tier.
+    let kernel_isa = if cfg.variant == cmt_core::KernelVariant::Simd {
         cmt_core::kernels::simd::active_isa().name()
     } else {
         "-"
@@ -372,8 +338,7 @@ fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
         mesh: mesh_cfg,
         chosen_method: chosen.expect("at least one rank"),
         autotune: autotune_rep,
-        kernel_autotune: kernel_autotune_rep,
-        kernel_variant,
+        kernel_variant: cfg.variant,
         kernel_isa,
         profile: merged.report(),
         comm: MpipReport::from_stats(&result.stats),
@@ -432,33 +397,6 @@ mod tests {
         assert!(a.checksum.is_finite());
         assert_eq!(a.checksum, b.checksum, "checksum not deterministic");
         assert_eq!(a.chosen_method, GsMethod::PairwiseExchange);
-    }
-
-    /// The hybrid MPI+workers overlap window must not change a single
-    /// bit: chunked element loops reuse the serial kernels on disjoint
-    /// subslices, so state hash and checksum are invariant in the worker
-    /// count (with and without dealiasing).
-    #[test]
-    fn hybrid_workers_are_bitwise_identical_to_serial() {
-        for dealias_m in [None, Some(7)] {
-            let cfg = Config {
-                method: Some(GsMethod::PairwiseExchange),
-                dealias_m,
-                ..small_cfg()
-            };
-            let serial = run(&cfg);
-            for workers in [2, 4] {
-                let hybrid = run(&Config {
-                    workers,
-                    ..cfg.clone()
-                });
-                assert_eq!(
-                    serial.state_hash, hybrid.state_hash,
-                    "state diverged with {workers} workers (dealias {dealias_m:?})"
-                );
-                assert_eq!(serial.checksum, hybrid.checksum);
-            }
-        }
     }
 
     /// The simd tier's end-to-end contract: runtime-dispatched
@@ -521,26 +459,6 @@ mod tests {
             clean.state_hash, recovered.state_hash,
             "simd recovery diverged"
         );
-    }
-
-    /// `--variant auto`: the startup kernel autotune must produce a
-    /// report, run its winner, and leave the run numerically sane.
-    #[test]
-    fn kernel_autotune_runs_and_reports() {
-        let cfg = Config {
-            kernel_autotune: true,
-            method: Some(GsMethod::PairwiseExchange),
-            steps: 2,
-            ..small_cfg()
-        };
-        let rep = run(&cfg);
-        let tune = rep
-            .kernel_autotune
-            .as_ref()
-            .expect("kernel autotune report");
-        assert_eq!(rep.kernel_variant, tune.chosen());
-        assert!(rep.checksum.is_finite());
-        assert!(rep.render().contains("Kernel autotune"));
     }
 
     #[test]

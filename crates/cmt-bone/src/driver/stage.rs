@@ -14,7 +14,7 @@ use cmt_core::rk;
 use cmt_core::Field;
 use cmt_gs::{GsHandle, GsMethod, GsOp};
 use cmt_perf::Profiler;
-use simmpi::{for_each_chunk, Rank, Stride};
+use simmpi::Rank;
 
 use super::block::Block;
 use super::{regions, Env};
@@ -130,7 +130,6 @@ impl Stepper<'_> {
 /// traces, so it can run while an overlapped exchange holds those.
 pub(super) struct VolumeTerm<'b> {
     nel: usize,
-    grain: usize,
     pub u: &'b [Field],
     pub rhs_all: &'b mut [Field],
     pub scratch: &'b mut Field,
@@ -144,7 +143,6 @@ impl Block {
     fn split(&mut self) -> (&GsHandle, &mut [Vec<f64>], VolumeTerm<'_>) {
         let Block {
             nel,
-            grain,
             handle,
             u,
             rhs_all,
@@ -157,7 +155,6 @@ impl Block {
         } = self;
         let vol = VolumeTerm {
             nel: *nel,
-            grain: *grain,
             u,
             rhs_all,
             scratch,
@@ -170,79 +167,35 @@ impl Block {
 }
 
 impl VolumeTerm<'_> {
-    /// Field `f`'s advective flux divergence. The element loop (like the
-    /// dealias one) is chunked across the rank's worker pool when it has
-    /// one; chunks own disjoint element ranges and nothing is reduced
-    /// across them, so the result is bitwise identical for every worker
-    /// count.
+    /// Field `f`'s advective flux divergence.
     pub(super) fn advect(&mut self, env: &Env, prof: &mut Profiler, f: usize) {
-        let (cfg, pool) = (&env.cfg, env.pool.as_deref());
-        let (n, n3) = (cfg.n, cfg.n.pow(3));
-        let us = self.u[f].as_slice();
-        let rhs = self.rhs_all[f].as_mut_slice();
-
+        let cfg = &env.cfg;
         prof.enter(regions::DERIV);
-        let (allocs, bytes) = for_each_chunk(
-            pool,
+        advect_volume_rhs_slices(
+            cfg.variant,
+            &env.basis,
+            &env.geom,
+            cfg.velocity,
+            cfg.n,
             self.nel,
-            self.grain,
-            [
-                (&mut *rhs, Stride::PerElem(n3)),
-                (self.scratch.as_mut_slice(), Stride::PerElem(n3)),
-            ],
-            |lo, hi, [rhs, scratch]| {
-                advect_volume_rhs_slices(
-                    cfg.variant,
-                    &env.basis,
-                    &env.geom,
-                    cfg.velocity,
-                    n,
-                    hi - lo,
-                    &us[lo * n3..hi * n3],
-                    rhs,
-                    scratch,
-                )
-            },
+            self.u[f].as_slice(),
+            self.rhs_all[f].as_mut_slice(),
+            self.scratch.as_mut_slice(),
         );
-        prof.charge_allocs(allocs, bytes);
         prof.exit();
     }
 
     /// Field `f`'s dealiasing round trip, when dealiasing is on.
     pub(super) fn dealias(&mut self, env: &Env, prof: &mut Profiler, f: usize) {
-        let (cfg, pool) = (&env.cfg, env.pool.as_deref());
-        let (n, n3) = (cfg.n, cfg.n.pow(3));
-        let rhs = self.rhs_all[f].as_mut_slice();
+        let (v, n, nel) = (env.cfg.variant, env.cfg.n, self.nel);
         if let Some((m, up, down)) = &env.dealias {
-            let (m, m3, big3) = (*m, m.pow(3), (*m).max(n).pow(3));
+            let m = *m;
             prof.enter(regions::DEALIAS);
-            let (allocs, bytes) = for_each_chunk(
-                pool,
-                self.nel,
-                self.grain,
-                [
-                    (rhs, Stride::PerElem(n3)),
-                    (&mut *self.dealias_fine, Stride::PerElem(m3)),
-                    (&mut *self.dealias_scratch, Stride::PerChunk(2 * big3)),
-                ],
-                |lo, hi, [rhs, fine, ts]| {
-                    let (t1, t2) = ts.split_at_mut(big3);
-                    let v = cfg.variant;
-                    kernels::tensor3_apply_scratch_variant(v, m, n, up, rhs, fine, hi - lo, t1, t2);
-                    kernels::tensor3_apply_scratch_variant(
-                        v,
-                        n,
-                        m,
-                        down,
-                        fine,
-                        rhs,
-                        hi - lo,
-                        t1,
-                        t2,
-                    );
-                },
-            );
-            prof.charge_allocs(allocs, bytes);
+            let rhs = self.rhs_all[f].as_mut_slice();
+            let fine = &mut *self.dealias_fine;
+            let (t1, t2) = self.dealias_scratch.split_at_mut(m.max(n).pow(3));
+            kernels::tensor3_apply_scratch_variant(v, m, n, up, rhs, fine, nel, t1, t2);
+            kernels::tensor3_apply_scratch_variant(v, n, m, down, fine, rhs, nel, t1, t2);
             prof.exit();
         }
     }

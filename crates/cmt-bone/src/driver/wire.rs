@@ -2,10 +2,8 @@
 //!
 //! The socket transport ships each rank's measurement set back to the
 //! launcher as bytes, so everything in `RankOutput` needs a wire form.
-//! The kernel-autotune report's codec is `cmt_perf::kernel_tune`'s.
 
 use cmt_gs::GsMethod;
-use cmt_perf::kernel_tune::{decode_kernel_tune, encode_kernel_tune};
 use cmt_perf::Profiler;
 use simmpi::{WireCodec, WireError, WireReader};
 
@@ -52,7 +50,6 @@ impl WireCodec for RankOutput {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.profiler.encode(buf);
         self.autotune.encode(buf);
-        encode_kernel_tune(self.kernel_autotune.as_ref(), buf);
         self.chosen.encode(buf);
         self.checksum.encode(buf);
         self.elem_gids.encode(buf);
@@ -65,7 +62,6 @@ impl WireCodec for RankOutput {
         Ok(RankOutput {
             profiler: Profiler::decode(r)?,
             autotune: Option::decode(r)?,
-            kernel_autotune: decode_kernel_tune(r)?,
             chosen: GsMethod::decode(r)?,
             checksum: f64::decode(r)?,
             elem_gids: Vec::decode(r)?,

@@ -36,11 +36,7 @@ pub struct RunReport {
     pub chosen_method: GsMethod,
     /// The startup tuning table (Fig. 7 body), when autotuning ran.
     pub autotune: Option<AutotuneReport>,
-    /// The derivative-kernel tuning table (`--variant auto`): per-variant
-    /// timings averaged across ranks, when the kernel autotune ran.
-    pub kernel_autotune: Option<cmt_core::kernels::autotune::KernelAutotuneReport>,
-    /// The derivative-kernel variant that ran: the configured variant,
-    /// or the autotune winner under `--variant auto`.
+    /// The derivative-kernel variant that ran (the configured one).
     pub kernel_variant: cmt_core::KernelVariant,
     /// The instruction set the simd kernel tier dispatched to
     /// (`avx2` / `sse2` / `scalar`); `-` when a non-simd variant ran.
@@ -201,10 +197,6 @@ impl RunReport {
             out.push_str(
                 "mini-app   | method             |      avg (s) |      min (s) |      max (s)\n",
             );
-            out.push_str(&t.table("CMT-bone"));
-        }
-        if let Some(t) = &self.kernel_autotune {
-            out.push_str("\nKernel autotune (rank-averaged):\n");
             out.push_str(&t.table("CMT-bone"));
         }
         out.push_str("\nExecution profile (Fig. 4):\n");

@@ -49,14 +49,12 @@ fn every_flag_spelling_is_accepted_and_neutral_ones_match_opt() {
     let dir = std::env::temp_dir().join(format!("cmt-bone-cli-{}", std::process::id()));
     let ckpt = dir.to_str().expect("utf8 temp dir");
     // (flags, reproduces the `--variant opt` run bit for bit)
-    let rows: [(&[&str], bool); 12] = [
+    let rows: [(&[&str], bool); 10] = [
         // a seeded delay plan reorders arrivals, never results
         (&["--fault-plan", "delay:prob=0.25,us=150;seed=7"], true),
         (&["--variant", "basic"], false),
         (&["--variant", "simd"], true),
-        (&["--variant", "auto"], false),
         (&["--pipeline", "blocking"], true),
-        (&["--workers", "2"], true),
         (&["--method", "crystal"], true),
         (&["--particles-per-elem", "8", "--lb-every", "2"], false),
         (&["--cfl-interval", "2"], true),
@@ -84,13 +82,14 @@ fn every_flag_spelling_is_accepted_and_neutral_ones_match_opt() {
 
 #[test]
 fn unknown_variant_fails_with_usage_listing_all_tiers() {
-    // never-shipped and removed tiers alike
-    for v in ["avx512", "batched", "unroll", "spec"] {
+    // never-shipped and removed tiers alike (`auto` was the startup
+    // kernel autotune)
+    for v in ["avx512", "batched", "unroll", "spec", "auto"] {
         let out = run_bin(&["--variant", v]);
         assert_eq!(out.status.code(), Some(2), "{out:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains("basic|opt|simd|auto"),
+            err.contains("basic|opt|simd]"),
             "usage does not list every variant:\n{err}"
         );
     }
@@ -118,10 +117,15 @@ fn removed_spellings_fail_with_usage() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("usage:"), "no usage for {flag}:\n{err}");
+    // Ranks are flat: the intra-rank worker pool and its flag are gone.
+    let out = run_bin(&["--workers", "2"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("usage:"), "no usage for --workers:\n{err}");
 }
 
 #[test]
-fn help_lists_simd_and_auto() {
+fn help_lists_simd_and_not_auto() {
     let out = Command::new(env!("CARGO_BIN_EXE_cmt-bone"))
         .arg("--help")
         .output()
@@ -129,5 +133,5 @@ fn help_lists_simd_and_auto() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("simd"), "help misses simd:\n{err}");
-    assert!(err.contains("auto"), "help misses auto:\n{err}");
+    assert!(!err.contains("auto"), "help still offers auto:\n{err}");
 }

@@ -30,7 +30,6 @@
 //! compare with a tight tolerance; `simd` vs `opt` specifically is
 //! asserted bitwise).
 
-pub mod autotune;
 pub mod basic;
 pub mod opt;
 pub mod simd;
@@ -193,8 +192,8 @@ pub fn tensor3_apply(m: usize, n: usize, j_mat: &[f64], u: &[f64], out: &mut [f6
 }
 
 /// [`tensor3_apply`] with caller-provided scratch (each at least
-/// `max(m,n)^3` values) — the allocation-free form the worker-pooled
-/// dealias path uses, where each chunk owns a preallocated scratch pair.
+/// `max(m,n)^3` values) — the allocation-free form the dealias path
+/// uses, with a scratch pair preallocated once per run.
 #[allow(clippy::too_many_arguments)]
 pub fn tensor3_apply_scratch(
     m: usize,
@@ -282,7 +281,7 @@ pub fn tensor3_apply_variant(
 /// [`KernelVariant::Simd`] family routes the dealias contraction through
 /// its vector kernels (bitwise identical to the scalar path); every
 /// other variant runs the scalar implementation. This is what the
-/// drivers' dealias call sites use so `--variant simd`/`auto` covers
+/// drivers' dealias call sites use so `--variant simd` covers
 /// the interpolation contractions too.
 #[allow(clippy::too_many_arguments)]
 pub fn tensor3_apply_scratch_variant(

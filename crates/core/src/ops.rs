@@ -104,11 +104,8 @@ pub fn advect_volume_rhs(
 }
 
 /// Slice form of [`advect_volume_rhs`]: `u`, `rhs`, and `scratch` are
-/// `nel` contiguous elements in `Field` layout. This is the unit the
-/// hybrid worker pool chunks over — each chunk of elements is an
-/// independent call on subslices, and because the per-element arithmetic
-/// is identical for any chunking, the result is bitwise independent of
-/// the chunk grain and worker count.
+/// `nel` contiguous elements in `Field` layout. The per-element
+/// arithmetic is independent, so any element range is a valid call.
 #[allow(clippy::too_many_arguments)]
 pub fn advect_volume_rhs_slices(
     variant: KernelVariant,

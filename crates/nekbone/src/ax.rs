@@ -25,7 +25,6 @@
 use cmt_core::kernels::{deriv, DerivDir};
 use cmt_core::poly::Basis;
 use cmt_core::{Field, KernelVariant};
-use simmpi::{chunk_count, chunk_grain, for_each_chunk, Stride, WorkerPool};
 
 /// Byte budget of one element block's `u`, `w`, `t1` and `t2` (4
 /// elements at N = 10): small enough that the block stays in L2 across
@@ -78,90 +77,48 @@ impl AxOperator {
     /// The caller completes assembly with a `dssum` over the continuous
     /// numbering.
     ///
-    /// `t1` and `t2` are scratch fields of order `n` holding at least
-    /// [`AxOperator::scratch_elems`]`(None, nel)` elements; fields of
-    /// `u`'s shape always do.
-    pub fn apply(&self, u: &Field, w: &mut Field, t1: &mut Field, t2: &mut Field) {
-        let _ = self.apply_pooled(None, u, w, t1, t2);
-    }
-
-    /// `(elements per chunk slab, chunks)` of an apply over `nel`
-    /// elements. A slab is one block — as many elements as keep their
-    /// `u`, `w`, `t1` and `t2` within [`BLOCK_BYTES`], so the three
-    /// directions and the mass term run on data still in cache — or the
-    /// whole chunk when that is smaller.
-    fn scratch_layout(&self, pool: Option<&WorkerPool>, nel: usize) -> (usize, usize) {
-        let n3 = self.basis.n.pow(3);
-        let block = (BLOCK_BYTES / (4 * n3 * std::mem::size_of::<f64>())).max(1);
-        let grain = chunk_grain(pool, nel);
-        let largest = if pool.is_some() { grain } else { nel };
-        (block.min(largest), chunk_count(pool, nel, grain))
-    }
-
-    /// Elements each of `t1` and `t2` must hold for an apply over `nel`
-    /// elements, with or without `pool`: one block per pool chunk.
-    pub fn scratch_elems(&self, pool: Option<&WorkerPool>, nel: usize) -> usize {
-        let (slab, chunks) = self.scratch_layout(pool, nel);
-        slab * chunks
-    }
-
-    /// [`AxOperator::apply`] with the element loop shared across a
-    /// [`WorkerPool`] when one is given: elements are split into
-    /// contiguous chunks, each applied to its own subslice of `w` (and
-    /// its own block of `t1`/`t2` scratch) by whichever worker claims
-    /// (or steals) it. The per-element arithmetic is identical for any
-    /// chunking or blocking and nothing is reduced across chunks, so the
-    /// result is bitwise identical for every worker count. Returns the
-    /// worker-side `(allocations, bytes)` for the caller's profiler
-    /// region.
+    /// Elements run in blocks of [`AxOperator::scratch_elems`]: as many
+    /// as keep their `u`, `w`, `t1` and `t2` within 128 KiB, so
+    /// the three directions and the mass term run on data still in
+    /// cache. The per-element arithmetic is identical for any blocking.
     ///
     /// # Panics
-    /// Panics if `w` is not `u`'s shape, or if `t1`/`t2` are not of
-    /// order `n` with at least [`AxOperator::scratch_elems`] elements.
-    pub fn apply_pooled(
-        &self,
-        pool: Option<&WorkerPool>,
-        u: &Field,
-        w: &mut Field,
-        t1: &mut Field,
-        t2: &mut Field,
-    ) -> (u64, u64) {
+    /// Panics if `w` is not `u`'s shape, or if the scratch fields `t1`
+    /// and `t2` are not of order `n` with at least
+    /// [`AxOperator::scratch_elems`]`(nel)` elements; fields of `u`'s
+    /// shape always are.
+    pub fn apply(&self, u: &Field, w: &mut Field, t1: &mut Field, t2: &mut Field) {
         let n = u.n();
         let nel = u.nel();
         assert_eq!(n, self.basis.n, "order mismatch");
         assert_eq!((w.n(), w.nel()), (n, nel), "w shape");
-        let (slab, chunks) = self.scratch_layout(pool, nel);
+        let slab = self.scratch_elems(nel);
         for (name, t) in [("t1", &*t1), ("t2", &*t2)] {
             assert!(
-                t.n() == n && t.nel() >= slab * chunks,
-                "{name} shape: order {} x {} elements, need order {n} x at least {} \
-                 ({chunks} chunk(s) of {slab}) for {nel} elements",
+                t.n() == n && t.nel() >= slab,
+                "{name} shape: order {} x {} elements, need order {n} x at least {slab} \
+                 for {nel} elements",
                 t.n(),
                 t.nel(),
-                slab * chunks,
             );
         }
         let n3 = n * n * n;
-        let us = u.as_slice();
-        let scratch = Stride::PerChunk(slab * n3);
-        for_each_chunk(
-            pool,
-            nel,
-            chunk_grain(pool, nel),
-            [
-                (w.as_mut_slice(), Stride::PerElem(n3)),
-                (t1.as_mut_slice(), scratch),
-                (t2.as_mut_slice(), scratch),
-            ],
-            |lo, hi, [w, t1, t2]| {
-                // `max`: an empty apply has an empty slab
-                let block = t1.len().max(n3);
-                for (u, w) in us[lo * n3..hi * n3].chunks(block).zip(w.chunks_mut(block)) {
-                    let len = u.len();
-                    self.apply_block(len / n3, u, w, &mut t1[..len], &mut t2[..len]);
-                }
-            },
-        )
+        // `max`: an empty apply has an empty slab
+        let block = slab.max(1) * n3;
+        let (us, ws) = (u.as_slice(), w.as_mut_slice());
+        let (t1, t2) = (t1.as_mut_slice(), t2.as_mut_slice());
+        for (u, w) in us.chunks(block).zip(ws.chunks_mut(block)) {
+            let len = u.len();
+            self.apply_block(len / n3, u, w, &mut t1[..len], &mut t2[..len]);
+        }
+    }
+
+    /// Elements each of `t1` and `t2` must hold for an apply over `nel`
+    /// elements: one block, or all `nel` when that is smaller.
+    pub fn scratch_elems(&self, nel: usize) -> usize {
+        let n3 = self.basis.n.pow(3);
+        let block = (BLOCK_BYTES / (4 * n3 * std::mem::size_of::<f64>())).max(1);
+        block.min(nel)
     }
 
     /// `nel` contiguous elements in `Field` layout, with `t1`/`t2` of
@@ -308,13 +265,12 @@ mod tests {
     }
 
     /// `apply` on `nel` elements equals `apply` on each element alone,
-    /// bit for bit, whatever block and pool chunk an element lands in —
-    /// including minimum-size scratch. At N = 10 a block is 4 elements,
+    /// bit for bit, whatever block an element lands in — including
+    /// minimum-size scratch. At N = 10 a block is 4 elements,
     /// at N = 6 it is 18 and at N = 5 it is 32, so 7, 13 and 37 leave a
     /// partial block for each order.
     #[test]
     fn apply_is_independent_of_blocking() {
-        let pools: Vec<WorkerPool> = [1, 2, 4].map(|w| WorkerPool::new(w, None)).into();
         for variant in KernelVariant::ALL {
             for n in [5, 6, 10] {
                 let n3 = n * n * n;
@@ -331,19 +287,13 @@ mod tests {
                         want.extend(bits(&we));
                     }
                     let label = format!("{} n={n} nel={nel}", variant.name());
-                    for pool in [None].into_iter().chain(pools.iter().map(Some)) {
-                        let need = op.scratch_elems(pool, nel);
-                        assert!(need <= nel || pool.is_some(), "{label}: serial scratch");
-                        let mut w = Field::zeros(n, nel);
-                        let mut t1 = Field::zeros(n, need);
-                        let mut t2 = Field::zeros(n, need);
-                        let _ = op.apply_pooled(pool, &u, &mut w, &mut t1, &mut t2);
-                        let workers = pool.map_or(0, |p| p.workers());
-                        assert!(
-                            bits(&w) == want,
-                            "{label}: blocked apply diverged, workers {workers}"
-                        );
-                    }
+                    let need = op.scratch_elems(nel);
+                    assert!(need <= nel, "{label}: scratch exceeds the field");
+                    let mut w = Field::zeros(n, nel);
+                    let mut t1 = Field::zeros(n, need);
+                    let mut t2 = Field::zeros(n, need);
+                    op.apply(&u, &mut w, &mut t1, &mut t2);
+                    assert!(bits(&w) == want, "{label}: blocked apply diverged");
                 }
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! nekbone [--ranks P] [--elems NEL] [--n N] [--iters K] [--tol T]
-//!         [--variant basic|opt|simd|auto]
+//!         [--variant basic|opt|simd]
 //!         [--method pairwise|crystal|allreduce] [--quiet]
 //! ```
 
@@ -14,8 +14,7 @@ use simmpi::{FaultPlan, SocketConfig, TransportKind};
 fn usage() -> ! {
     eprintln!(
         "usage: nekbone [--ranks P] [--elems NEL_PER_RANK] [--n N] [--iters K]\n\
-         \x20              [--tol T] [--variant basic|opt|simd|auto]\n\
-         \x20              [--workers W]\n\
+         \x20              [--tol T] [--variant basic|opt|simd]\n\
          \x20              [--method pairwise|crystal|allreduce] [--quiet]\n\
          \x20              [--checkpoint-every K] [--checkpoint-dir PATH]\n\
          \x20              [--restart PATH] [--fault-plan SPEC]\n\
@@ -28,16 +27,12 @@ fn usage() -> ! {
          unix:/tmp/w.sock). Results are bitwise identical to inproc.\n\
          fault plan SPEC: semicolon-separated events, e.g.\n\
          \x20 'delay:prob=0.1,us=200;kill:rank=2,step=5;seed=7'\n\
-         --workers shares each rank's ax element loop across a work-stealing\n\
-         pool of W threads (1 = pure MPI); results are bitwise identical.\n\
          --verify runs the cmt-verify dynamic checker (deadlock, collective\n\
          matching, message leaks); exit status 1 on findings. It runs\n\
          in-process only: --verify with --transport socket exits 2. A\n\
          gather-scatter dropped unfinished panics its rank with or without it.\n\
-         --variant auto autotunes the ax derivative kernel at startup (every\n\
-         variant timed, averaged across ranks); --variant simd dispatches to\n\
-         the widest vector unit present (avx2/sse2, scalar fallback) with\n\
-         bitwise-identical results."
+         --variant simd dispatches to the widest vector unit present\n\
+         (avx2/sse2, scalar fallback) with results bitwise identical to opt."
     );
     std::process::exit(2);
 }
@@ -66,10 +61,8 @@ fn main() {
                 Some("basic") => cfg.variant = KernelVariant::Basic,
                 Some("opt") => cfg.variant = KernelVariant::Optimized,
                 Some("simd") => cfg.variant = KernelVariant::Simd,
-                Some("auto") => cfg.kernel_autotune = true,
                 _ => usage(),
             },
-            "--workers" => cfg.workers = parse_usize(args.next()),
             "--method" => {
                 cfg.method = match args.next().as_deref() {
                     Some("pairwise") => Some(GsMethod::PairwiseExchange),

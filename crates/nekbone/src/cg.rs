@@ -127,8 +127,8 @@ pub fn cg_solve_resilient(
         assert_eq!(m.len(), b.len(), "mask length");
     }
     let mut w = Field::zeros(n, nel);
-    // `ax` scratch: one element block per pool chunk.
-    let scratch = op.scratch_elems(rank.worker_pool().as_deref(), nel);
+    // `ax` scratch: one element block.
+    let scratch = op.scratch_elems(nel);
     let mut t1 = Field::zeros(n, scratch);
     let mut t2 = Field::zeros(n, scratch);
     // Interior slots are untouched by dssum: their dot-product partial can
@@ -382,13 +382,8 @@ fn restore_cg_state(
     rank.set_fault_rng_state(ckpt.rng_state);
 }
 
-/// The local `ax` body of an apply, under its profiler region: the
-/// element loop is shared across the rank's worker pool when one is
-/// configured (`--workers`), and worker-side heap counters are charged
-/// to the region, keeping per-region allocation attribution exact under
-/// hybrid runs.
+/// The local `ax` body of an apply, under its profiler region.
 fn apply_ax(
-    rank: &Rank,
     op: &AxOperator,
     u: &Field,
     w: &mut Field,
@@ -397,8 +392,7 @@ fn apply_ax(
     prof: &mut Profiler,
 ) {
     prof.enter("ax_e (local stiffness+mass)");
-    let (allocs, bytes) = op.apply_pooled(rank.worker_pool().as_deref(), u, w, t1, t2);
-    prof.charge_allocs(allocs, bytes);
+    op.apply(u, w, t1, t2);
     prof.exit();
 }
 
@@ -434,7 +428,7 @@ fn apply_assembled_dot(
     t2: &mut Field,
     prof: &mut Profiler,
 ) -> f64 {
-    apply_ax(rank, op, u, w, t1, t2, prof);
+    apply_ax(op, u, w, t1, t2, prof);
 
     prof.enter("dssum (gs_op)");
     prof.enter("dssum_start (post exchange)");
@@ -489,7 +483,7 @@ fn apply_assembled(
     t2: &mut Field,
     prof: &mut Profiler,
 ) {
-    apply_ax(rank, op, u, w, t1, t2, prof);
+    apply_ax(op, u, w, t1, t2, prof);
     prof.enter("dssum (gs_op)");
     rank.set_context("dssum");
     handle.gs_op(rank, w.as_mut_slice(), GsOp::Add, method);

@@ -3,11 +3,9 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use cmt_core::kernels::autotune::KernelAutotuneReport;
 use cmt_core::{Field, KernelVariant};
 use cmt_gs::{autotune, AutotuneOptions, AutotuneReport, GsHandle, GsMethod};
 use cmt_mesh::{MeshConfig, RankMesh};
-use cmt_perf::kernel_tune::{decode_kernel_tune, encode_kernel_tune, tune_kernels};
 use cmt_perf::{MpipReport, ProfileReport, Profiler};
 use cmt_resilience::{hash, load_checkpoint, Resilience};
 use cmt_verify::Verifier;
@@ -35,17 +33,17 @@ pub struct Config {
     pub tol: f64,
     /// Mass coefficient `lambda` of the Helmholtz operator.
     pub lambda: f64,
-    /// Kernel implementation (ignored when `kernel_autotune` is set —
-    /// the startup kernel autotune picks it instead).
+    /// Kernel implementation every rank runs.
     pub variant: KernelVariant,
-    /// Autotune the `ax` derivative kernel at startup (`--variant
-    /// auto`): time every variant on this run's `(N, elems)` shape,
-    /// average across ranks, and run the winner — the same Fig. 7
-    /// protocol CMT-bone applies to compute.
+    /// Always `false`; [`Config::validate`] rejects anything else. The
+    /// startup kernel autotune is gone (`simd` won on every shape); the
+    /// field exists only because the frozen benchmark's unit test
+    /// asserts it, and goes with that test in benchmark v2 (b).
     pub kernel_autotune: bool,
-    /// Worker threads per rank for the hybrid MPI+X element loops (1 =
-    /// pure MPI; >1 shares the `ax` element loop across a work-stealing
-    /// pool while ranks stay the communication unit).
+    /// Always `1`; [`Config::validate`] rejects anything else. Ranks are
+    /// flat (one per core, no intra-rank worker pool); the field exists
+    /// only because the frozen benchmark's unit test asserts it, and goes
+    /// with that test in benchmark v2 (b).
     pub workers: usize,
     /// Periodic domain (`true`, the co-design default) or homogeneous
     /// Dirichlet boundaries enforced through the Nekbone-style 0/1 mask.
@@ -115,11 +113,7 @@ pub struct NekboneReport {
     pub chosen_method: GsMethod,
     /// Startup tuning table (the Fig. 7 Nekbone rows), if autotuned.
     pub autotune: Option<AutotuneReport>,
-    /// The `ax`-kernel tuning table (`--variant auto`): per-variant
-    /// timings averaged across ranks, when the kernel autotune ran.
-    pub kernel_autotune: Option<KernelAutotuneReport>,
-    /// The derivative-kernel variant that ran: the configured variant,
-    /// or the autotune winner under `--variant auto`.
+    /// The derivative-kernel variant that ran (the configured one).
     pub kernel_variant: KernelVariant,
     /// The instruction set the simd kernel tier dispatched to
     /// (`avx2` / `sse2` / `scalar`); `-` when a non-simd variant ran.
@@ -173,10 +167,6 @@ impl NekboneReport {
             );
             out.push_str(&t.table("Nekbone"));
         }
-        if let Some(t) = &self.kernel_autotune {
-            out.push_str("\nKernel autotune (rank-averaged):\n");
-            out.push_str(&t.table("Nekbone"));
-        }
         out.push_str("\nExecution profile:\n");
         out.push_str(&self.profile.render_flat());
         out.push_str("\nTop MPI call sites:\n");
@@ -188,7 +178,6 @@ impl NekboneReport {
 struct RankOutput {
     profiler: Profiler,
     autotune: Option<AutotuneReport>,
-    kernel_autotune: Option<KernelAutotuneReport>,
     chosen: GsMethod,
     cg: CgStats,
     checksum: f64,
@@ -197,8 +186,8 @@ struct RankOutput {
 }
 
 // Wire codecs so the socket transport can ship each rank's measurement
-// set back to the launcher (the `Profiler`, `AutotuneReport`, `GsMethod`
-// and kernel-autotune codecs live with their own crates).
+// set back to the launcher (the `Profiler`, `AutotuneReport` and
+// `GsMethod` codecs live with their own crates).
 
 impl WireCodec for CgStats {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -217,7 +206,6 @@ impl WireCodec for RankOutput {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.profiler.encode(buf);
         self.autotune.encode(buf);
-        encode_kernel_tune(self.kernel_autotune.as_ref(), buf);
         self.chosen.encode(buf);
         self.cg.encode(buf);
         self.checksum.encode(buf);
@@ -228,7 +216,6 @@ impl WireCodec for RankOutput {
         Ok(RankOutput {
             profiler: Profiler::decode(r)?,
             autotune: Option::decode(r)?,
-            kernel_autotune: decode_kernel_tune(r)?,
             chosen: GsMethod::decode(r)?,
             cg: CgStats::decode(r)?,
             checksum: f64::decode(r)?,
@@ -281,15 +268,7 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig) -> RankOutput
         .collect();
     let n = cfg.n;
     let nel = mesh.nel();
-    // Kernel autotune (`--variant auto`): every rank adopts the same
-    // rank-averaged winner for the `ax` kernel.
-    let mut op = AxOperator::new(n, 1.0, cfg.lambda, cfg.variant);
-    let kernel_tune = cfg
-        .kernel_autotune
-        .then(|| tune_kernels(rank, n, nel, &op.basis.d));
-    if let Some(t) = &kernel_tune {
-        op.variant = t.chosen();
-    }
+    let op = AxOperator::new(n, 1.0, cfg.lambda, cfg.variant);
     prof.exit();
 
     // Consistent right-hand side: a smooth function of the global point
@@ -364,7 +343,6 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig) -> RankOutput
     RankOutput {
         profiler: prof,
         autotune: tune_report,
-        kernel_autotune: kernel_tune,
         chosen,
         cg,
         checksum,
@@ -376,8 +354,7 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig) -> RankOutput
 impl Config {
     /// Validate parameter sanity; returns a description of the first
     /// problem found. The CLI-reachable failure modes (zero elements or
-    /// ranks, `n` outside the paper's supported range, zero workers, a
-    /// kill plan without checkpointing) all land here with a message
+    /// ranks, `n` outside the paper's supported range, a kill plan without checkpointing) all land here with a message
     /// instead of panicking deep inside a kernel.
     pub fn validate(&self) -> Result<(), String> {
         if self.n < 2 {
@@ -395,8 +372,14 @@ impl Config {
         if self.elems_per_rank == 0 {
             return Err("elems_per_rank must be positive".into());
         }
-        if self.workers == 0 {
-            return Err("workers must be positive (1 = pure MPI)".into());
+        if self.workers != 1 {
+            return Err(format!(
+                "workers must be 1 (ranks are flat; use more ranks), got {}",
+                self.workers
+            ));
+        }
+        if self.kernel_autotune {
+            return Err("kernel_autotune must be false (pick a variant; simd is fastest)".into());
         }
         if !(self.lambda > 0.0) {
             return Err(format!(
@@ -435,9 +418,7 @@ pub fn run(cfg: &Config) -> NekboneReport {
     cfg.validate()
         .unwrap_or_else(|e| panic!("invalid Nekbone configuration: {e}"));
     let mesh_cfg = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, cfg.periodic);
-    let mut world = World::new()
-        .with_workers(cfg.workers)
-        .with_worker_alloc_counters(cmt_perf::alloc::thread_counts);
+    let mut world = World::new();
     if let Some(plan) = &cfg.fault_plan {
         world = world.with_fault_plan(plan.clone());
     }
@@ -450,7 +431,6 @@ pub fn run(cfg: &Config) -> NekboneReport {
 
     let mut merged = Profiler::new();
     let mut autotune_rep = None;
-    let mut kernel_autotune_rep: Option<KernelAutotuneReport> = None;
     let mut chosen = None;
     let mut cg = None;
     let mut checksum = f64::NAN;
@@ -461,19 +441,13 @@ pub fn run(cfg: &Config) -> NekboneReport {
         if out.autotune.is_some() && autotune_rep.is_none() {
             autotune_rep = out.autotune;
         }
-        if out.kernel_autotune.is_some() && kernel_autotune_rep.is_none() {
-            kernel_autotune_rep = out.kernel_autotune;
-        }
         chosen.get_or_insert(out.chosen);
         cg.get_or_insert(out.cg);
         checksum = out.checksum;
         hash::fnv1a(&mut state_hash, &out.state_hash.to_le_bytes());
         wall.push(out.wall_s);
     }
-    let kernel_variant = kernel_autotune_rep
-        .as_ref()
-        .map_or(cfg.variant, KernelAutotuneReport::chosen);
-    let kernel_isa = if kernel_variant == KernelVariant::Simd {
+    let kernel_isa = if cfg.variant == KernelVariant::Simd {
         cmt_core::kernels::simd::active_isa().name()
     } else {
         "-"
@@ -483,8 +457,7 @@ pub fn run(cfg: &Config) -> NekboneReport {
         mesh: mesh_cfg,
         chosen_method: chosen.expect("ranks > 0"),
         autotune: autotune_rep,
-        kernel_autotune: kernel_autotune_rep,
-        kernel_variant,
+        kernel_variant: cfg.variant,
         kernel_isa,
         profile: merged.report(),
         comm: MpipReport::from_stats(&result.stats),
@@ -712,30 +685,21 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_workers_produce_bitwise_identical_solves() {
-        let base = small_cfg();
-        let reference = run(&base);
-        for workers in [2, 4] {
-            let rep = run(&Config {
-                workers,
-                ..base.clone()
-            });
-            assert_eq!(
-                rep.state_hash, reference.state_hash,
-                "{workers}-worker solve diverged from the serial one"
-            );
-            assert_eq!(rep.checksum, reference.checksum);
-            assert_eq!(rep.cg.res_history, reference.cg.res_history);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid Nekbone configuration")]
-    fn zero_workers_rejected() {
-        let _ = run(&Config {
-            workers: 0,
+    fn shim_fields_accept_only_flat_ranks_and_a_pinned_variant() {
+        let err = Config {
+            workers: 2,
             ..small_cfg()
-        });
+        }
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("workers must be 1"), "{err}");
+        let err = Config {
+            kernel_autotune: true,
+            ..small_cfg()
+        }
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("kernel_autotune must be false"), "{err}");
     }
 
     /// The simd tier must not change a single bit of the CG trajectory
@@ -764,21 +728,6 @@ mod tests {
             ..base
         });
         assert_eq!(opt.state_hash, socket.state_hash, "socket simd diverged");
-    }
-
-    /// `--variant auto`: the startup kernel autotune must produce a
-    /// report and every rank must adopt its winner.
-    #[test]
-    fn kernel_autotune_runs_and_reports() {
-        let rep = run(&Config {
-            kernel_autotune: true,
-            ..small_cfg()
-        });
-        let t = rep.kernel_autotune.as_ref().expect("kernel autotune ran");
-        assert_eq!(rep.kernel_variant, t.chosen());
-        let text = rep.render();
-        assert!(text.contains("Kernel autotune"));
-        assert!(text.contains("kernel variant:"));
     }
 
     #[test]

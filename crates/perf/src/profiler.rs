@@ -66,14 +66,6 @@ struct Frame {
     bytes_start: u64,
     child_allocs: u64,
     child_bytes: u64,
-    /// Allocations charged in from *other* threads (worker pools). The
-    /// thread-local counters only see this rank thread, so worker-side
-    /// allocations would otherwise vanish; they are added on top of the
-    /// counter delta at exit rather than folded into `alloc_start`
-    /// (which would underflow when the `count-alloc` feature is off and
-    /// the counters stay at zero).
-    extra_allocs: u64,
-    extra_bytes: u64,
 }
 
 /// The profiler. Not thread-safe by design: each rank owns one (gprof is
@@ -119,26 +111,7 @@ impl Profiler {
             bytes_start,
             child_allocs: 0,
             child_bytes: 0,
-            extra_allocs: 0,
-            extra_bytes: 0,
         });
-    }
-
-    /// Charge allocations made on *other* threads to the innermost open
-    /// region. Drivers call this after a worker-pool job with the pool's
-    /// drained worker-side counters; without it those allocations are
-    /// lost (each thread has its own counters) and, worse, a worker
-    /// entering regions through a shared profiler would double-count.
-    /// The charge lands in the region that is open *now*, inclusive, and
-    /// flows to parents exactly like same-thread allocations.
-    ///
-    /// No-op when no region is open (e.g. a pool used outside
-    /// instrumented code).
-    pub fn charge_allocs(&mut self, allocs: u64, bytes: u64) {
-        if let Some(frame) = self.stack.last_mut() {
-            frame.extra_allocs += allocs;
-            frame.extra_bytes += bytes;
-        }
     }
 
     /// Exit the innermost open region.
@@ -151,8 +124,8 @@ impl Profiler {
         let (alloc_now, bytes_now) = thread_counts();
         let frame = self.stack.pop().expect("Profiler::exit without enter");
         let elapsed = frame.start.elapsed().as_secs_f64();
-        let allocs = alloc_now - frame.alloc_start + frame.extra_allocs;
-        let bytes = bytes_now - frame.bytes_start + frame.extra_bytes;
+        let allocs = alloc_now - frame.alloc_start;
+        let bytes = bytes_now - frame.bytes_start;
         if !self.regions.contains_key(frame.name.as_str()) {
             self.regions
                 .insert(frame.name.clone(), RegionStats::default());
@@ -169,11 +142,6 @@ impl Profiler {
             parent.child_s += elapsed;
             parent.child_allocs += allocs;
             parent.child_bytes += bytes;
-            // Cross-thread charges are invisible to the parent's own
-            // counter delta, so propagate them up explicitly or the
-            // parent's inclusive count would undercount its children.
-            parent.extra_allocs += frame.extra_allocs;
-            parent.extra_bytes += frame.extra_bytes;
             if !self.edges.contains_key(parent.name.as_str()) {
                 self.edges.insert(parent.name.clone(), HashMap::new());
             }
@@ -559,58 +527,6 @@ mod tests {
         };
         assert_eq!(s.self_allocs(), 3);
         assert_eq!(s.self_alloc_bytes(), 3072);
-    }
-
-    #[test]
-    fn charged_worker_allocs_attributed_like_local_ones() {
-        let mut p = Profiler::new();
-        // Warm pass interns the names so the second pass is steady-state
-        // (the profiler's own bookkeeping then allocates nothing even in
-        // `count-alloc` builds) and the deltas below are exact.
-        p.enter("outer");
-        p.enter("inner");
-        p.exit();
-        p.exit();
-        let before = p.report();
-        p.enter("outer");
-        p.enter("inner");
-        // e.g. drained from a WorkerPool after a pooled element loop
-        p.charge_allocs(5, 512);
-        p.exit();
-        p.charge_allocs(2, 64);
-        p.exit();
-        let after = p.report();
-        let delta = |n: &str| {
-            let find = |r: &ProfileReport| r.flat.iter().find(|(m, _)| m == n).unwrap().1.clone();
-            let (a, b) = (find(&before), find(&after));
-            (
-                b.allocs - a.allocs,
-                b.self_allocs() - a.self_allocs(),
-                b.self_alloc_bytes() - a.self_alloc_bytes(),
-            )
-        };
-        let (inner_incl, inner_self, inner_bytes) = delta("inner");
-        assert_eq!(inner_incl, 5);
-        assert_eq!(inner_self, 5);
-        assert_eq!(inner_bytes, 512);
-        // outer's inclusive count includes inner's charge, its self
-        // count only its own: no double-count, no lost samples
-        let (outer_incl, outer_self, outer_bytes) = delta("outer");
-        assert_eq!(outer_incl, 7);
-        assert_eq!(outer_self, 2);
-        assert_eq!(outer_bytes, 64);
-    }
-
-    #[test]
-    fn charge_with_no_open_region_is_a_noop() {
-        let mut p = Profiler::new();
-        p.charge_allocs(9, 9);
-        p.scope("r", || {});
-        p.charge_allocs(9, 9);
-        let r = p.report();
-        #[cfg(not(feature = "count-alloc"))]
-        assert_eq!(r.flat[0].1.allocs, 0);
-        let _ = r;
     }
 
     #[cfg(feature = "count-alloc")]

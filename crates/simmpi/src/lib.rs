@@ -37,7 +37,7 @@
 //! because their reduction trees are fixed by rank arithmetic.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod collectives;
 pub mod crystal;
@@ -52,7 +52,6 @@ pub mod stats;
 pub mod transport;
 pub mod verify;
 pub mod wire;
-pub mod workers;
 pub mod world;
 
 pub use envelope::Msg;
@@ -63,7 +62,6 @@ pub use stats::{CommStats, MpiOp, SiteKey, SiteStats};
 pub use transport::{SocketConfig, TransportKind};
 pub use verify::{CollFingerprint, CollKind, LeakInfo, VerifyHooks};
 pub use wire::{WireCodec, WireError, WireReader};
-pub use workers::{chunk_count, chunk_grain, for_each_chunk, AllocCounterFn, Stride, WorkerPool};
 pub use world::{World, WorldResult};
 
 /// Elementwise reduction operators for the typed collectives.

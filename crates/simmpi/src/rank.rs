@@ -47,7 +47,6 @@ pub struct Rank {
     pub(crate) op_badge: Option<MpiOp>,
     pub(crate) verify: Option<Arc<dyn VerifyHooks>>,
     pub(crate) finalized: bool,
-    pub(crate) workers: Option<Arc<crate::workers::WorkerPool>>,
 }
 
 /// A pending non-blocking receive (the analogue of an `MPI_Request` from
@@ -72,20 +71,6 @@ impl Rank {
     #[inline]
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    /// This rank's worker pool, if the world was built
-    /// [`crate::World::with_workers`] `> 1`. Cheap to clone; drivers hold
-    /// the `Arc` across a pooled region so the borrow of `self` ends.
-    #[inline]
-    pub fn worker_pool(&self) -> Option<Arc<crate::workers::WorkerPool>> {
-        self.workers.clone()
-    }
-
-    /// Intra-rank worker count (1 when no pool is attached).
-    #[inline]
-    pub fn workers(&self) -> usize {
-        self.workers.as_ref().map_or(1, |p| p.workers())
     }
 
     /// Set the context label under which subsequent operations are

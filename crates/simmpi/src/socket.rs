@@ -32,8 +32,8 @@
 //! Process-mode children are spawned as `current_exe()` with the
 //! launcher's own arguments plus three environment variables
 //! (`SIMMPI_SOCKET_RANK`/`_SIZE`/`_ADDR`); the child re-parses the
-//! identical argv, rebuilds the identical `World` (fault plan, pooling,
-//! workers), and [`crate::World::run_dist`] diverts it
+//! identical argv, rebuilds the identical `World` (fault plan, pooling),
+//! and [`crate::World::run_dist`] diverts it
 //! into [`child_env`]-guided [`run_child_process`], which never returns.
 
 use std::io::{self, Read, Write};
@@ -492,7 +492,7 @@ where
         let exe = std::env::current_exe().expect("current_exe for child re-exec");
         for r in 0..p {
             // The child re-parses the identical argv, rebuilds the
-            // identical World (fault plan, pooling, workers),
+            // identical World (fault plan, pooling)
             // and diverts into child_session via the env triple.
             let child = Command::new(&exe)
                 .args(std::env::args_os().skip(1))

@@ -39,8 +39,6 @@ pub struct World {
     pub(crate) faults: Option<Arc<FaultPlan>>,
     pub(crate) verify: Option<Arc<dyn VerifyHooks>>,
     pub(crate) pooling: bool,
-    pub(crate) workers: usize,
-    pub(crate) worker_counters: Option<crate::workers::AllocCounterFn>,
     pub(crate) transport: TransportKind,
 }
 
@@ -50,8 +48,6 @@ impl Default for World {
             faults: None,
             verify: None,
             pooling: true,
-            workers: 1,
-            worker_counters: None,
             transport: TransportKind::Inproc,
         }
     }
@@ -68,8 +64,8 @@ pub struct WorldResult<T> {
 }
 
 impl World {
-    /// A world with the in-process transport, pooling on, one worker per
-    /// rank, and no fault plan or verifier.
+    /// A world with the in-process transport, pooling on, and no fault
+    /// plan or verifier.
     pub fn new() -> Self {
         World::default()
     }
@@ -96,24 +92,6 @@ impl World {
     /// refuses a [`TransportKind::Socket`] world that has one.
     pub fn with_verifier(mut self, hooks: Arc<dyn VerifyHooks>) -> Self {
         self.verify = Some(hooks);
-        self
-    }
-
-    /// Give every rank a [`crate::WorkerPool`] of `workers` participants
-    /// (the rank thread plus `workers - 1` spawned threads) for intra-rank
-    /// element-loop parallelism — the MPI+X hybrid mode. `workers <= 1`
-    /// (the default) creates no pool and spawns nothing.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Install a thread-local heap-counter function (shaped like
-    /// `cmt_perf::alloc::thread_counts`) that worker pools snapshot
-    /// around each job, so worker-thread allocations can be charged back
-    /// to the dispatching rank's profiler regions.
-    pub fn with_worker_alloc_counters(mut self, f: crate::workers::AllocCounterFn) -> Self {
-        self.worker_counters = Some(f);
         self
     }
 
@@ -293,14 +271,6 @@ where
         op_badge: None,
         verify: world.verify.clone(),
         finalized: false,
-        workers: if world.workers > 1 {
-            Some(Arc::new(crate::workers::WorkerPool::new(
-                world.workers,
-                world.worker_counters,
-            )))
-        } else {
-            None
-        },
     };
     let start = Instant::now();
     let out = f(&mut rank);

@@ -172,14 +172,11 @@ fn simmpi_isend_exchange_allocation_free_at_steady_state() {
 }
 
 /// The volume-kernel regions (flux-divergence derivatives and the
-/// dealias maps) stay at zero allocations per step on every path of the
-/// chunked element loop: the default single inline chunk (`workers: 1`,
-/// which once `vec!`-allocated its dealias scratch per call) and a
-/// 4-worker pool sharing the loops. Worker-side allocations are charged
-/// back to the region via `Profiler::charge_allocs`, so a regression on
-/// either side of the pool shows up here. The simd tier is held to the
-/// same zero: vector dispatch uses stack scratch only (the transposed-D
-/// buffer lives on the stack, dealias reuses the caller's scratch).
+/// dealias maps) stay at zero allocations per step: the dealias scratch
+/// is sized once per partition (it was once `vec!`-allocated per call).
+/// The simd tier is held to the same zero: vector dispatch uses stack
+/// scratch only (the transposed-D buffer lives on the stack, dealias
+/// reuses the caller's scratch).
 #[test]
 fn cmt_bone_volume_kernels_allocation_free_at_steady_state() {
     assert!(cmt_perf::alloc::counting(), "counting allocator not active");
@@ -187,17 +184,13 @@ fn cmt_bone_volume_kernels_allocation_free_at_steady_state() {
         cmt_core::KernelVariant::Optimized,
         cmt_core::KernelVariant::Simd,
     ] {
-        for workers in [1, 4] {
-            let (long, short) = bone_profiles(|steps| Config {
-                variant,
-                workers,
-                dealias_m: Some(8),
-                ..bone_cfg(GsMethod::PairwiseExchange, Pipeline::Overlapped, steps)
-            });
-            let what = format!("{}, {workers} workers", variant.name());
-            for prefix in ["ax_cmt", "dealias"] {
-                assert_quiet(&what, &long, &short, prefix);
-            }
+        let (long, short) = bone_profiles(|steps| Config {
+            variant,
+            dealias_m: Some(8),
+            ..bone_cfg(GsMethod::PairwiseExchange, Pipeline::Overlapped, steps)
+        });
+        for prefix in ["ax_cmt", "dealias"] {
+            assert_quiet(variant.name(), &long, &short, prefix);
         }
     }
 }

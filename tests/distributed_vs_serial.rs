@@ -226,10 +226,10 @@ fn check_euler(cfg: Config) {
     assert_eq!(serial.time(), dumps[0].time);
 
     let label = format!(
-        "Euler ranks={ranks} n={n} {:?} {} workers={}",
+        "Euler ranks={ranks} n={n} {:?} {} dealias={:?}",
         cfg.method,
         cfg.pipeline.name(),
-        cfg.workers
+        cfg.dealias_m
     );
     let dumps = dumps.into_iter().map(|d| (d.global_elem_ids, d.fields));
     let diff = max_diff(n, dumps, serial.state());
@@ -259,12 +259,11 @@ fn euler_blocking_pipeline() {
     });
 }
 
-/// Euler's volume term runs unchunked; the pooled loop under it is the
-/// per-field dealias round trip (identity to roundoff).
+/// The per-field dealias round trip on top of Euler's volume term is
+/// the identity to roundoff.
 #[test]
-fn euler_hybrid_workers() {
+fn euler_dealiased() {
     check_euler(Config {
-        workers: 3,
         dealias_m: Some(7),
         ..euler_cfg(4, 4, 5, GsMethod::PairwiseExchange)
     });

@@ -1,8 +1,8 @@
 //! Golden `state_hash` identities: one literal per configuration,
 //! recorded at the commit before the driver was split, asserted on every
-//! path that must not change a bit — both exchange schedules, serial and
-//! pooled element loops, both transports, every kernel tier, and a
-//! kill + rollback through a rebalanced partition.
+//! path that must not change a bit — both exchange schedules, both
+//! transports, every kernel tier, and a kill + rollback through a
+//! rebalanced partition.
 //!
 //! A refactor of either mini-app's step is bitwise neutral exactly when
 //! this file passes unchanged.
@@ -38,16 +38,6 @@ const VARIANTS: [KernelVariant; 3] = [
     KernelVariant::Simd,
     KernelVariant::Basic,
 ];
-
-/// The kernel column: `(variant, kernel_autotune)` — each fixed tier,
-/// then the startup autotune, which must land on the same bits whichever
-/// tier it picks.
-fn kernels() -> impl Iterator<Item = (KernelVariant, bool)> {
-    VARIANTS
-        .into_iter()
-        .map(|v| (v, false))
-        .chain([(KernelVariant::Optimized, true)])
-}
 
 fn transports() -> [TransportKind; 2] {
     [
@@ -140,29 +130,25 @@ fn g6() -> BoneConfig {
     }
 }
 
-/// Run `base` over workers × transports × kernels under `pipeline` and
-/// assert every run lands on `golden`.
+/// Run `base` over transports × kernels under `pipeline` and assert
+/// every run lands on `golden`.
 fn assert_bone(name: &str, base: &BoneConfig, pipeline: Pipeline, golden: u64) {
-    for workers in [1, 3] {
-        for transport in transports() {
-            for (variant, kernel_autotune) in kernels() {
-                let rep = cmt_bone::run(&BoneConfig {
-                    pipeline,
-                    workers,
-                    transport: transport.clone(),
-                    variant,
-                    kernel_autotune,
-                    ..base.clone()
-                });
-                assert_eq!(
-                    rep.state_hash,
-                    golden,
-                    "{name}: {:016x} != {golden:016x} under {}/workers {workers}/{transport:?}/{} (auto: {kernel_autotune})",
-                    rep.state_hash,
-                    pipeline.name(),
-                    rep.kernel_variant.name(),
-                );
-            }
+    for transport in transports() {
+        for variant in VARIANTS {
+            let rep = cmt_bone::run(&BoneConfig {
+                pipeline,
+                transport: transport.clone(),
+                variant,
+                ..base.clone()
+            });
+            assert_eq!(
+                rep.state_hash,
+                golden,
+                "{name}: {:016x} != {golden:016x} under {}/{transport:?}/{}",
+                rep.state_hash,
+                pipeline.name(),
+                variant.name(),
+            );
         }
     }
 }
@@ -198,32 +184,28 @@ fn g3_particles_rebalance_checkpoints_and_kill() {
     }
 }
 
-/// Nekbone's CG over the workers × transports × kernels grid.
+/// Nekbone's CG over the transports × kernels grid.
 fn assert_nek(name: &str, periodic: bool, golden: u64) {
-    for workers in [1, 3] {
-        for transport in transports() {
-            for (variant, kernel_autotune) in kernels() {
-                let rep = nekbone::run(&NekConfig {
-                    ranks: 4,
-                    n: 6,
-                    elems_per_rank: 8,
-                    cg_iters: 20,
-                    periodic,
-                    method: Some(GsMethod::PairwiseExchange),
-                    workers,
-                    transport: transport.clone(),
-                    variant,
-                    kernel_autotune,
-                    ..Default::default()
-                });
-                assert_eq!(
-                    rep.state_hash,
-                    golden,
-                    "{name}: {:016x} under workers {workers}/{transport:?}/{} (auto: {kernel_autotune})",
-                    rep.state_hash,
-                    rep.kernel_variant.name(),
-                );
-            }
+    for transport in transports() {
+        for variant in VARIANTS {
+            let rep = nekbone::run(&NekConfig {
+                ranks: 4,
+                n: 6,
+                elems_per_rank: 8,
+                cg_iters: 20,
+                periodic,
+                method: Some(GsMethod::PairwiseExchange),
+                transport: transport.clone(),
+                variant,
+                ..Default::default()
+            });
+            assert_eq!(
+                rep.state_hash,
+                golden,
+                "{name}: {:016x} under {transport:?}/{}",
+                rep.state_hash,
+                variant.name(),
+            );
         }
     }
 }

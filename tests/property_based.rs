@@ -39,50 +39,6 @@ fn kernel_variants_agree() {
     }
 }
 
-/// The pooled element-chunked dispatch hands each chunk a disjoint
-/// element range of the output and reuses the serial kernel on it — so
-/// for the paper's whole N range and any worker count (or no pool at
-/// all) the result is bitwise identical, not merely close.
-#[test]
-fn pooled_dispatch_is_bitwise_identical() {
-    use simmpi::{for_each_chunk, Stride, WorkerPool};
-    let mut rng = SmallRng::seed_from_u64(0x7E57_0008);
-    let max_workers = std::thread::available_parallelism().map_or(4, |p| p.get());
-    for n in 5..=25 {
-        let nel = 5;
-        let n3 = n * n * n;
-        let basis = Basis::new(n);
-        let u: Vec<f64> = (0..n3 * nel).map(|_| rng.range_f64(-1.0, 1.0)).collect();
-        for dir in DerivDir::ALL {
-            let variant = KernelVariant::Optimized;
-            let mut reference = vec![0.0; u.len()];
-            deriv(variant, dir, n, nel, &basis.d, &u, &mut reference);
-            for workers in [0usize, 1, 2, max_workers] {
-                let pool = (workers > 0).then(|| WorkerPool::new(workers, None));
-                let mut out = vec![0.0; u.len()];
-                let _ = for_each_chunk(
-                    pool.as_ref(),
-                    nel,
-                    2,
-                    [(&mut out, Stride::PerElem(n3))],
-                    |lo, hi, [out_c]| {
-                        deriv(
-                            variant,
-                            dir,
-                            n,
-                            hi - lo,
-                            &basis.d,
-                            &u[lo * n3..hi * n3],
-                            out_c,
-                        );
-                    },
-                );
-                assert_eq!(reference, out, "n={n} workers={workers} {dir:?}");
-            }
-        }
-    }
-}
-
 /// The simd tier's ISA ladder: every instruction set the host supports
 /// — and the forced scalar fallback — produces results bitwise
 /// identical to the `opt` reference, for all three derivative
