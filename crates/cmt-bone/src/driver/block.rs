@@ -210,30 +210,33 @@ impl State {
         if let Some(ck_part) = ck_part.filter(|p| p.owner_vec() != self.part.owner_vec()) {
             self.repartition(env, rank, ck_part);
         }
-        // the checkpoint may carry one trailing particle record beyond
-        // the field set
+        // the fields, then one particle record when the run has particles
         let nf = self.blk.u.len();
-        assert!(
-            ckpt.fields.len() == nf || ckpt.fields.len() == nf + 1,
-            "checkpoint holds {} fields, run has {nf}",
-            ckpt.fields.len()
-        );
-        for (uf, cf) in self.blk.u.iter_mut().zip(&ckpt.fields) {
-            assert_eq!(
-                uf.as_slice().len(),
-                cf.len(),
-                "checkpoint field size mismatch"
-            );
+        let want = nf + usize::from(self.pset.is_some());
+        if ckpt.fields.len() != want {
+            mismatch(format_args!(
+                "{} arrays, this run restores {want}",
+                ckpt.fields.len()
+            ));
+        }
+        for (f, (uf, cf)) in self.blk.u.iter_mut().zip(&ckpt.fields).enumerate() {
+            if uf.as_slice().len() != cf.len() {
+                mismatch(format_args!(
+                    "field {f} holds {} values, this run has {}",
+                    cf.len(),
+                    uf.as_slice().len()
+                ));
+            }
             uf.as_mut_slice().copy_from_slice(cf);
         }
         if let Some(ps) = self.pset.as_mut() {
-            assert_eq!(
-                ckpt.fields.len(),
-                nf + 1,
-                "checkpoint has no particle record"
-            );
             let rec = &ckpt.fields[nf];
-            assert_eq!(rec.len() % 4, 0, "corrupt particle checkpoint record");
+            if rec.len() % 4 != 0 {
+                mismatch(format_args!(
+                    "a particle record of {} values is not [id, x, y, z] records",
+                    rec.len()
+                ));
+            }
             ps.set_particles(rec.chunks_exact(4).map(particle_from_record).collect());
         }
         self.time = ckpt.time;
@@ -309,13 +312,18 @@ pub(super) fn checkpoint_scalars(
         .split_carried_dt(&ckpt.scalars)
         .filter(|(o, _)| o.is_empty() || (o.len() == total && o.iter().all(is_rank)))
         .unwrap_or_else(|| {
-            panic!(
-                "checkpoint does not match this configuration: {} scalars for {total} \
-                 elements on {ranks} ranks",
+            mismatch(format_args!(
+                "{} scalars for {total} elements on {ranks} ranks",
                 ckpt.scalars.len()
-            )
+            ))
         });
     let part = (!owners.is_empty())
         .then(|| ElemPartition::from_owner(ranks, owners.iter().map(|&r| r as u32).collect()));
     (part, dt)
+}
+
+/// Refuse a restart checkpoint that this configuration cannot have
+/// written: a `--restart` directory is input from outside the run.
+fn mismatch(what: std::fmt::Arguments) -> ! {
+    panic!("checkpoint does not match this configuration: {what}")
 }

@@ -101,7 +101,7 @@ pub fn cg_solve(
 
 /// [`cg_solve`] with checkpoint/restart: a checkpoint of the iteration
 /// state (`x`, `r`, `p`, `rz`, the residual history) is captured through
-/// `rez` every `rez.every()` iterations, scheduled rank kills from the
+/// `rez` at its checkpoint cadence, scheduled rank kills from the
 /// world's fault plan trigger the coordinated rollback, and `restart`
 /// resumes a previous run's solve from its on-disk checkpoint.
 #[allow(clippy::too_many_arguments)]
@@ -362,19 +362,28 @@ fn restore_cg_state(
     history: &mut Vec<f64>,
     iters: &mut usize,
 ) {
-    assert_eq!(ckpt.fields.len(), 3, "CG checkpoint holds x, r, p");
-    for (dst, src) in [&mut *x, r, p].into_iter().zip(&ckpt.fields) {
-        assert_eq!(
-            dst.as_slice().len(),
-            src.len(),
-            "CG checkpoint field size mismatch"
-        );
+    let mismatch =
+        |what: String| -> ! { panic!("checkpoint does not match this configuration: {what}") };
+    if ckpt.fields.len() != 3 {
+        mismatch(format!("{} arrays, CG restores x, r, p", ckpt.fields.len()));
+    }
+    for ((name, dst), src) in ["x", "r", "p"]
+        .into_iter()
+        .zip([&mut *x, r, p])
+        .zip(&ckpt.fields)
+    {
+        if dst.as_slice().len() != src.len() {
+            mismatch(format!(
+                "{name} holds {} values, this run has {}",
+                src.len(),
+                dst.as_slice().len()
+            ));
+        }
         dst.as_mut_slice().copy_from_slice(src);
     }
-    assert!(
-        !ckpt.scalars.is_empty(),
-        "CG checkpoint scalars hold rz + residual history"
-    );
+    if ckpt.scalars.is_empty() {
+        mismatch("no scalars, CG restores rz and the residual history".into());
+    }
     *rz = ckpt.scalars[0];
     history.clear();
     history.extend_from_slice(&ckpt.scalars[1..]);

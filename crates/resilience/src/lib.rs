@@ -8,10 +8,11 @@
 //! checkpoint/restart) assumes mid-run state capture machinery. This
 //! crate provides the storage half of that story:
 //!
-//! * [`Checkpoint`] — a versioned, CRC-64-checksummed byte format for
-//!   one rank's solver state (step/stage indices, simulation time,
-//!   solver scalars and fields, and the fault-RNG state needed for
-//!   bitwise replay);
+//! * [`Checkpoint`] — one rank's solver state (step/stage indices,
+//!   simulation time, solver scalars and fields, and the fault-RNG
+//!   state needed for bitwise replay) as versioned `simmpi` wire bytes
+//!   under a `frame_sum` trailer, refused as a [`simmpi::WireError`]
+//!   when foreign, of another version, truncated or corrupt;
 //! * [`Resilience`] — the driver-facing orchestrator: cadence,
 //!   partner-rank in-memory redundancy over a ring (each rank's
 //!   checkpoint is mirrored on `(r + 1) % P`), optional disk mirroring
@@ -32,7 +33,5 @@ pub mod checkpoint;
 pub mod hash;
 pub mod store;
 
-pub use checkpoint::{crc64, Checkpoint, CheckpointError, MAGIC, VERSION};
-pub use store::{
-    checkpoint_path, load_checkpoint, replica_holder, replica_source, RankVault, Resilience,
-};
+pub use checkpoint::{Checkpoint, MAGIC, VERSION};
+pub use store::{load_checkpoint, Resilience};

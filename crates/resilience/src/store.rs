@@ -30,11 +30,12 @@
 //! would be lost). [`Resilience::recover`] panics loudly on that plan
 //! rather than restoring garbage.
 
+use std::io;
 use std::path::{Path, PathBuf};
 
 use simmpi::{Rank, Tag};
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::Checkpoint;
 
 /// Tag of the replica exchange that rides along with every save.
 const CKPT_TAG: Tag = 0xC0 << 40;
@@ -42,48 +43,28 @@ const CKPT_TAG: Tag = 0xC0 << 40;
 const RECOVERY_TAG: Tag = 0xC1 << 40;
 
 /// The rank holding `r`'s checkpoint replica in a world of `p` ranks.
-pub fn replica_holder(r: usize, p: usize) -> usize {
+fn replica_holder(r: usize, p: usize) -> usize {
     (r + 1) % p
 }
 
 /// The rank whose replica `r` holds in a world of `p` ranks.
-pub fn replica_source(r: usize, p: usize) -> usize {
+fn replica_source(r: usize, p: usize) -> usize {
     (r + p - 1) % p
 }
 
-/// One rank's checkpoint storage: its own latest checkpoint, the replica
-/// it holds for its ring predecessor, and the optional disk directory.
-#[derive(Debug, Default)]
-pub struct RankVault {
-    /// This rank's own latest encoded checkpoint.
-    own: Option<Vec<u8>>,
-    /// Encoded replica of the ring predecessor's latest checkpoint.
-    partner: Option<Vec<u8>>,
-}
-
-impl RankVault {
-    /// Whether a checkpoint has been saved.
-    pub fn has_checkpoint(&self) -> bool {
-        self.own.is_some()
-    }
-
-    /// Simulate this rank's death: every byte it held in memory is gone —
-    /// its own checkpoint and the replica it kept for its predecessor.
-    fn wipe(&mut self) {
-        self.own = None;
-        self.partner = None;
-    }
-}
-
-/// Driver-facing resilience orchestrator: checkpoint cadence, the vault,
-/// kill-event bookkeeping, and the rollback protocol. All communicating
+/// Driver-facing resilience orchestrator: checkpoint cadence, this
+/// rank's encoded checkpoint and the replica it holds, kill-event
+/// bookkeeping, and the rollback protocol. All communicating
 /// methods are SPMD-collective — every rank must call them at the same
 /// point with the same arguments-by-shape.
 #[derive(Debug)]
 pub struct Resilience {
     every: u64,
     dir: Option<PathBuf>,
-    vault: RankVault,
+    /// This rank's own latest encoded checkpoint.
+    own: Option<Vec<u8>>,
+    /// Encoded replica of the ring predecessor's latest checkpoint.
+    partner: Option<Vec<u8>>,
     /// One flag per fault-plan kill event: a kill fires once, so a
     /// post-rollback replay of the same step does not re-kill. Derived
     /// identically on every rank (SPMD).
@@ -97,24 +78,15 @@ impl Resilience {
         Resilience {
             every,
             dir,
-            vault: RankVault::default(),
+            own: None,
+            partner: None,
             consumed: Vec::new(),
         }
-    }
-
-    /// Checkpoint cadence (steps), 0 when disabled.
-    pub fn every(&self) -> u64 {
-        self.every
     }
 
     /// Whether a checkpoint is due at the top of `step`.
     pub fn checkpoint_due(&self, step: u64) -> bool {
         self.every > 0 && step % self.every == 0
-    }
-
-    /// Whether a checkpoint exists to roll back to.
-    pub fn has_checkpoint(&self) -> bool {
-        self.vault.has_checkpoint()
     }
 
     /// Save `ckpt` (collective): keep the encoded bytes, replicate them
@@ -126,13 +98,13 @@ impl Resilience {
     pub fn save(&mut self, rank: &mut Rank, ckpt: &Checkpoint) -> usize {
         let bytes = ckpt.encode();
         let size = bytes.len();
-        self.replicate(rank, bytes);
         if let Some(dir) = &self.dir {
             let path = checkpoint_path(dir, rank.rank());
             std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::write(&path, self.vault.own.as_deref().unwrap()))
+                .and_then(|()| std::fs::write(&path, &bytes))
                 .unwrap_or_else(|e| panic!("writing checkpoint {}: {e}", path.display()));
         }
+        self.replicate(rank, bytes);
         size
     }
 
@@ -145,10 +117,10 @@ impl Resilience {
         if p > 1 {
             rank.with_subcontext("checkpoint", |rank| {
                 rank.isend(replica_holder(r, p), CKPT_TAG, &bytes);
-                self.vault.partner = Some(rank.recv::<u8>(replica_source(r, p), CKPT_TAG));
+                self.partner = Some(rank.recv::<u8>(replica_source(r, p), CKPT_TAG));
             });
         }
-        self.vault.own = Some(bytes);
+        self.own = Some(bytes);
     }
 
     /// The ranks killed by the fault plan at `step` that have not fired
@@ -191,50 +163,53 @@ impl Resilience {
             );
         }
         if killed.contains(&r) {
-            self.vault.wipe();
+            // the rank's memory is gone: its own bytes and its replica
+            self.own = None;
+            self.partner = None;
         }
         rank.with_subcontext("recovery", |rank| {
             // Replica holders of the dead send their replicas back.
             if killed.contains(&replica_source(r, p)) {
                 let replica = self
-                    .vault
                     .partner
-                    .clone()
+                    .as_deref()
                     .expect("no replica held for killed predecessor");
-                rank.isend(replica_source(r, p), RECOVERY_TAG, &replica);
+                rank.isend(replica_source(r, p), RECOVERY_TAG, replica);
             }
             if killed.contains(&r) {
-                self.vault.own = Some(rank.recv::<u8>(replica_holder(r, p), RECOVERY_TAG));
+                self.own = Some(rank.recv::<u8>(replica_holder(r, p), RECOVERY_TAG));
             }
         });
-        // Re-establish every replica: the dead ranks' vaults were wiped,
+        // Re-establish every replica: the dead ranks' memory was wiped,
         // so their predecessors' replicas no longer exist anywhere.
         let own = self
-            .vault
             .own
-            .clone()
+            .as_deref()
             .expect("recover called before any checkpoint was saved");
         rank.with_subcontext("recovery", |rank| {
             if p > 1 {
-                rank.isend(replica_holder(r, p), CKPT_TAG, &own);
-                self.vault.partner = Some(rank.recv::<u8>(replica_source(r, p), CKPT_TAG));
+                rank.isend(replica_holder(r, p), CKPT_TAG, own);
+                self.partner = Some(rank.recv::<u8>(replica_source(r, p), CKPT_TAG));
             }
         });
-        Checkpoint::decode(&own).unwrap_or_else(|e| panic!("rank {r}: restoring checkpoint: {e}"))
+        Checkpoint::decode(own).unwrap_or_else(|e| panic!("rank {r}: restoring checkpoint: {e}"))
     }
 }
 
 /// The on-disk path of rank `r`'s checkpoint under `dir`.
-pub fn checkpoint_path(dir: &Path, r: usize) -> PathBuf {
+fn checkpoint_path(dir: &Path, r: usize) -> PathBuf {
     dir.join(format!("ckpt_rank{r}.cmtr"))
 }
 
-/// Load rank `r`'s checkpoint from a `--restart` directory.
-pub fn load_checkpoint(dir: &Path, r: usize) -> Result<Checkpoint, CheckpointError> {
+/// Load rank `r`'s checkpoint from a `--restart` directory. Every error
+/// names the file; one that does not decode is `InvalidData`.
+pub fn load_checkpoint(dir: &Path, r: usize) -> io::Result<Checkpoint> {
     let path = checkpoint_path(dir, r);
-    let bytes = std::fs::read(&path)
-        .map_err(|e| CheckpointError::Io(format!("{}: {e}", path.display())))?;
-    Checkpoint::decode(&bytes)
+    let named = |kind, e: &dyn std::fmt::Display| {
+        io::Error::new(kind, format!("checkpoint {}: {e}", path.display()))
+    };
+    let bytes = std::fs::read(&path).map_err(|e| named(e.kind(), &e))?;
+    Checkpoint::decode(&bytes).map_err(|e| named(io::ErrorKind::InvalidData, &e))
 }
 
 #[cfg(test)]
@@ -272,7 +247,7 @@ mod tests {
                 rz.save(rank, &ckpt_for(rank.rank(), 4));
                 // rank 0 dies; everyone runs the rollback protocol
                 let back = rz.recover(rank, &[0]);
-                assert!(rz.has_checkpoint());
+                assert!(rz.own.is_some());
                 back
             });
             for (r, ckpt) in res.results.iter().enumerate() {
@@ -355,10 +330,18 @@ mod tests {
             let back = load_checkpoint(&dir, r).unwrap();
             assert_eq!(back, ckpt_for(r, 6));
         }
-        assert!(matches!(
-            load_checkpoint(&dir, 9),
-            Err(CheckpointError::Io(_))
-        ));
+        let missing = load_checkpoint(&dir, 9).unwrap_err();
+        assert_eq!(missing.kind(), io::ErrorKind::NotFound);
+        assert!(missing.to_string().contains("ckpt_rank9.cmtr"), "{missing}");
+        // a file that does not decode is invalid data, named
+        std::fs::write(checkpoint_path(&dir, 1), b"CMTR\x01\0\0\0").unwrap();
+        let corrupt = load_checkpoint(&dir, 1).unwrap_err();
+        assert_eq!(corrupt.kind(), io::ErrorKind::InvalidData);
+        let msg = corrupt.to_string();
+        assert!(
+            msg.contains("ckpt_rank1.cmtr") && msg.contains("version 1"),
+            "{msg}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -61,7 +61,7 @@ pub use rank::{Rank, RecvRequest, Tag};
 pub use stats::{CommStats, MpiOp, SiteKey, SiteStats};
 pub use transport::{SocketConfig, TransportKind};
 pub use verify::{CollFingerprint, CollKind, LeakInfo, VerifyHooks};
-pub use wire::{WireCodec, WireError, WireReader};
+pub use wire::{frame_sum, WireCodec, WireError, WireReader};
 pub use world::{World, WorldResult};
 
 /// Elementwise reduction operators for the typed collectives.

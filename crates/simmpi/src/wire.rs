@@ -44,7 +44,8 @@
 //! The [`WireCodec`] trait is the public composition layer: driver
 //! crates implement it for their per-rank result structs so
 //! [`crate::World::run_dist`] can ship results from rank processes back
-//! to the launcher.
+//! to the launcher, and `cmt-resilience` writes its checkpoints through
+//! it under a [`frame_sum`] trailer.
 
 use crate::crystal::RoutedMsg;
 use crate::envelope::sealed::Elem;
@@ -160,7 +161,7 @@ fn sum_step(lane: u64, word: u64) -> u64 {
 /// into one value. The lanes have no dependency on each other, so the
 /// multiplies overlap; any change confined to one word, every single bit
 /// flip among them, always changes the sum.
-pub(crate) fn frame_sum(bytes: &[u8]) -> u64 {
+pub fn frame_sum(bytes: &[u8]) -> u64 {
     let mut lanes = SUM_SEEDS;
     let mut blocks = bytes.chunks_exact(32);
     for block in &mut blocks {

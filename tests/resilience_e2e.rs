@@ -39,6 +39,12 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// Run `run` expecting a panic, and return its message.
+fn refusal(tag: &str, run: impl FnOnce()) -> String {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).expect_err(tag);
+    err.downcast_ref::<String>().cloned().unwrap_or_default()
+}
+
 #[test]
 fn cmt_bone_kill_and_restart_is_bitwise_identical() {
     let base = bone_cfg();
@@ -183,18 +189,89 @@ fn cmt_bone_restart_across_physics_is_refused() {
             checkpoint_dir: Some(dir.clone()),
             ..written
         });
-        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let msg = refusal(tag, || {
             cmt_bone::run(&cmt_bone::Config {
                 restart_from: Some(dir.clone()),
                 ..restarted
-            })
-        }))
-        .expect_err(tag);
-        let msg = refused.downcast_ref::<String>().map_or("", String::as_str);
+            });
+        });
         assert!(
             msg.contains("checkpoint does not match this configuration"),
             "{tag}: {msg}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A directory written at another polynomial order holds fields of
+/// another length: refused in words, not by a bare assert.
+#[test]
+fn cmt_bone_restart_at_another_n_is_refused() {
+    let dir = scratch("bone_other_n");
+    cmt_bone::run(&cmt_bone::Config {
+        checkpoint_dir: Some(dir.clone()),
+        ..bone_cfg()
+    });
+    let msg = refusal("n = 6", || {
+        cmt_bone::run(&cmt_bone::Config {
+            n: 6,
+            restart_from: Some(dir.clone()),
+            ..bone_cfg()
+        });
+    });
+    assert!(
+        msg.contains("checkpoint does not match this configuration: field 0 holds"),
+        "{msg}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Nekbone handed a cmt-bone directory: two conserved fields are not
+/// CG's `x`, `r`, `p`.
+#[test]
+fn nekbone_restart_from_a_cmt_bone_directory_is_refused() {
+    let dir = scratch("nek_from_bone");
+    cmt_bone::run(&cmt_bone::Config {
+        checkpoint_dir: Some(dir.clone()),
+        ..bone_cfg()
+    });
+    let msg = refusal("nekbone", || {
+        nekbone::run(&nekbone::Config {
+            restart_from: Some(dir.clone()),
+            ..nek_cfg()
+        });
+    });
+    assert!(
+        msg.contains("checkpoint does not match this configuration: 2 arrays"),
+        "{msg}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint file that does not decode is refused naming the file.
+/// Rank 0's file is the corrupt one: the world re-raises rank 0's panic
+/// first, and the peers of a failed rank abort with a message of their own.
+#[test]
+fn corrupt_restart_file_is_refused_by_name() {
+    let dir = scratch("corrupt");
+    cmt_bone::run(&cmt_bone::Config {
+        checkpoint_dir: Some(dir.clone()),
+        ..bone_cfg()
+    });
+    let path = dir.join("ckpt_rank0.cmtr");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&path, bytes).unwrap();
+    let msg = refusal("corrupt", || {
+        cmt_bone::run(&cmt_bone::Config {
+            restart_from: Some(dir.clone()),
+            ..bone_cfg()
+        });
+    });
+    assert!(
+        msg.contains("ckpt_rank0.cmtr") && msg.contains("checksum mismatch"),
+        "{msg}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
