@@ -119,7 +119,7 @@ impl State {
         let dt = env.physics.setup_dt(env, rank, &blk.u);
         let pset = (cfg.particles_per_elem > 0).then(|| {
             let pmesh = RankMesh::new(env.mesh_cfg.clone(), rank.rank());
-            let mut ps = ParticleSet::new(pmesh, &env.basis);
+            let mut ps = ParticleSet::with_variant(pmesh, &env.basis, cfg.variant);
             ps.set_partition(part.clone());
             ps.seed(cfg.particles_per_elem, cfg.particle_cluster);
             ps

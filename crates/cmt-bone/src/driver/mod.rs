@@ -402,12 +402,15 @@ mod tests {
     /// The simd tier's end-to-end contract: runtime-dispatched
     /// lane-parallel kernels must not change a single bit relative to
     /// the scalar `opt` run — on both transports, under the dynamic
-    /// checker, and through a kill + rollback recovery.
+    /// checker, and through a kill + rollback recovery. Particles ride
+    /// along (9 per element: two full lane groups and a ragged one), so
+    /// the particle kernel is held to the same bits.
     #[test]
     fn simd_variant_is_bitwise_identical_to_opt() {
         let base = Config {
             method: Some(GsMethod::PairwiseExchange),
             dealias_m: Some(7),
+            particles_per_elem: 9,
             ..small_cfg()
         };
         let opt = run(&base);

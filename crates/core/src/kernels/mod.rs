@@ -29,6 +29,11 @@
 //! order is *not* guaranteed across variants in general, so tests
 //! compare with a tight tolerance; `simd` vs `opt` specifically is
 //! asserted bitwise).
+//!
+//! The particle kernel ([`interp3_lanes`]: three fields at
+//! [`INTERP_LANES`] points of one element) has one scalar form, which
+//! `basic` and `opt` both run, and a vector form in [`simd`]; every
+//! variant gives the same bits.
 
 pub mod basic;
 pub mod opt;
@@ -300,6 +305,108 @@ pub fn tensor3_apply_scratch_variant(
     } else {
         tensor3_apply_scratch(m, n, j_mat, u, out, nel, t1, t2);
     }
+}
+
+/// Points [`interp3_lanes`] evaluates side by side: one particle per
+/// lane.
+pub const INTERP_LANES: usize = 4;
+
+/// The node `x` coincides with (within `1e-14`), if any — where the
+/// barycentric formula divides by zero and the cardinal functions are a
+/// Lagrange delta instead.
+pub fn node_hit(nodes: &[f64], x: f64) -> Option<usize> {
+    nodes.iter().position(|&xn| (xn - x).abs() < 1e-14)
+}
+
+/// The 1D cardinal values `out[i][l] = l_i(x[l])` of [`INTERP_LANES`]
+/// coordinates, lane-major. Per lane: `o = b_i / (x - x_i)` and
+/// `denom += o` in ascending `i`, then `o /= denom`; a lane on a node
+/// ([`node_hit`]) is the delta instead.
+fn cardinal_lanes(
+    nodes: &[f64],
+    bary: &[f64],
+    x: [f64; INTERP_LANES],
+    out: &mut [[f64; INTERP_LANES]],
+) {
+    let mut denom = [0.0; INTERP_LANES];
+    let mut near = false;
+    for ((o, &xn), &b) in out.iter_mut().zip(nodes).zip(bary) {
+        for l in 0..INTERP_LANES {
+            let d = x[l] - xn;
+            near |= d.abs() < 1e-14;
+            o[l] = b / d;
+            denom[l] += o[l];
+        }
+    }
+    for o in out.iter_mut() {
+        for l in 0..INTERP_LANES {
+            o[l] /= denom[l];
+        }
+    }
+    if near {
+        for l in 0..INTERP_LANES {
+            if let Some(hit) = node_hit(nodes, x[l]) {
+                for (i, o) in out.iter_mut().enumerate() {
+                    o[l] = if i == hit { 1.0 } else { 0.0 };
+                }
+            }
+        }
+    }
+}
+
+/// Tensor-product barycentric interpolation of three fields at
+/// [`INTERP_LANES`] points of one element — the particle kernel, scalar
+/// lanes. `nodes`/`bary` are the `n` GLL nodes and their barycentric
+/// weights, `data[f]` field `f`'s `n^3` element block, `rst[d][l]` lane
+/// `l`'s reference coordinate in direction `d` (it may lie outside
+/// `[-1, 1]`: extrapolation), `scratch` `3 n` lane-major entries.
+/// Returns `out[f][l]`.
+///
+/// Per lane this is one fixed sequence: the cardinal values of each
+/// direction (`o = b_i / (x - x_i)` and `denom += o` in ascending `i`,
+/// then `o /= denom`; the delta on a [`node_hit`]), then
+/// `s = 0 + sum_i l_i(r) u_ijk` in
+/// ascending `i`, then `acc += (l_k(t) l_j(s)) s` over the `(k, j)` rows
+/// in memory order; separate multiply and add. The lane is only the
+/// fast index, so a lane's result does not depend on its neighbours.
+/// [`simd::interp3_lanes`] keeps this sequence per vector lane.
+pub fn interp3_lanes(
+    nodes: &[f64],
+    bary: &[f64],
+    data: [&[f64]; 3],
+    rst: &[[f64; INTERP_LANES]; 3],
+    scratch: &mut [[f64; INTERP_LANES]],
+) -> [[f64; INTERP_LANES]; 3] {
+    let n = nodes.len();
+    assert_eq!(bary.len(), n, "one barycentric weight per node");
+    assert_eq!(scratch.len(), 3 * n, "lane scratch length");
+    let (lr, rest) = scratch.split_at_mut(n);
+    let (ls, lt) = rest.split_at_mut(n);
+    cardinal_lanes(nodes, bary, rst[0], lr);
+    cardinal_lanes(nodes, bary, rst[1], ls);
+    cardinal_lanes(nodes, bary, rst[2], lt);
+    let mut acc = [[0.0; INTERP_LANES]; 3];
+    for k in 0..n {
+        for j in 0..n {
+            let at = (k * n + j) * n;
+            let rows = data.map(|d| &d[at..at + n]);
+            let mut s = [[0.0; INTERP_LANES]; 3];
+            for (i, li) in lr.iter().enumerate() {
+                for f in 0..3 {
+                    let u = rows[f][i];
+                    for l in 0..INTERP_LANES {
+                        s[f][l] += li[l] * u;
+                    }
+                }
+            }
+            for f in 0..3 {
+                for l in 0..INTERP_LANES {
+                    acc[f][l] += (lt[k][l] * ls[j][l]) * s[f][l];
+                }
+            }
+        }
+    }
+    acc
 }
 
 #[cfg(test)]

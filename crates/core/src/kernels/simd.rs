@@ -1,4 +1,5 @@
-//! Hand-written SIMD derivative/dealias kernels with runtime ISA dispatch.
+//! Hand-written SIMD derivative/dealias/particle kernels with runtime ISA
+//! dispatch.
 //!
 //! The `simd` kernel tier vectorizes the tensor-product contractions
 //! **lane-parallel across independent output points**: one vector lane
@@ -43,6 +44,16 @@
 //!   (`with_const_k!`), so the `k` loop unrolls, the tile choice folds
 //!   and `dudr`'s transposed `D` stays in registers across columns.
 //!   Unrolling keeps the ascending-`k` order; it only removes the loop.
+//! * **Particle interpolation.** [`interp3_lanes`] evaluates three fields
+//!   at four particles of one element, one particle per lane (one avx2
+//!   vector, two sse2 ones), each lane in the scalar kernel's sequence
+//!   ([`super::interp3_lanes`]): the cardinal divisions, `s = 0 + sum_i
+//!   l_i u` ascending, `acc += (l_k l_j) s` in row order. The scalar
+//!   lanes compile to the SSE2 baseline's two-lane registers. Here two
+//!   consecutive rows' sums also run side by side, so six add chains (on
+//!   avx2; twelve on sse2) hide the add latency. A group with a lane
+//!   within `1e-14` of a node takes the scalar lanes, whose delta branch
+//!   the vector code does not have.
 //!
 //! ## Dispatch
 //!
@@ -53,15 +64,16 @@
 //! for testing the narrower paths. The override can only *lower* the
 //! ISA — it cannot enable instructions the CPU lacks. Non-x86_64
 //! builds, shapes beyond [`MAX_SIMD_N`], and the `scalar` fallback all
-//! delegate to the [`super::opt`] kernels (trivially bitwise
-//! identical). Every `*_with` form takes an explicit [`SimdIsa`] so
-//! tests can compare the vector and fallback paths in-process.
+//! delegate to the [`super::opt`] kernels, the particle kernel to the
+//! scalar lanes (trivially bitwise identical). Every `*_with` form takes
+//! an explicit [`SimdIsa`] so tests can compare the vector and fallback
+//! paths in-process.
 
 // One of the three modules inside the crate-level `deny(unsafe_code)`
 // boundary; every site carries a SAFETY comment (clippy enforces it).
 #![allow(unsafe_code)]
 
-use super::opt;
+use super::{opt, INTERP_LANES};
 
 /// Largest `n` (and dealias `m`) the vector kernels handle; beyond this
 /// the on-stack transposed-operator buffers would not fit and the
@@ -190,8 +202,10 @@ macro_rules! with_const_k {
 #[cfg(target_arch = "x86_64")]
 macro_rules! simd_kernel_impls {
     ($isa_mod:ident, $feat:literal, $vec:ty, $lanes:expr,
-     $setzero:path, $set1:path, $add:path, $mul:path, $loadu:path, $storeu:path) => {
+     $setzero:path, $set1:path, $add:path, $sub:path, $mul:path, $div:path,
+     $loadu:path, $storeu:path) => {
         pub(super) mod $isa_mod {
+            use super::super::INTERP_LANES;
             use super::{DEALIAS_ROWS, MAX_SIMD_N};
             use core::arch::x86_64::*;
 
@@ -205,9 +219,10 @@ macro_rules! simd_kernel_impls {
                 debug_assert!(at + W <= s.len());
                 // SAFETY: every call site keeps `at + W <= s.len()` —
                 // `tile` inside the window `contract` asserts once per
-                // `R`-row call, `rk_stage` by its loop bound (re-checked
-                // by the debug_assert above) — so all W f64 lanes are in
-                // bounds of the borrowed slice.
+                // `R`-row call, `rk_stage` by its loop bound, `cardinal`
+                // at `v * W` for `v < INTERP_LANES / W` of a lane array
+                // (re-checked by the debug_assert above) — so all W f64
+                // lanes are in bounds of the borrowed slice.
                 unsafe { $loadu(s.as_ptr().add(at)) }
             }
 
@@ -218,8 +233,9 @@ macro_rules! simd_kernel_impls {
                 debug_assert!(at + W <= s.len());
                 // SAFETY: call sites keep `at + W <= s.len()` — `tile`
                 // inside the `R` runs whose window `contract` asserts once
-                // per call, `rk_stage` by its loop bound (see the
-                // debug_assert) — so the store stays in bounds of the
+                // per call, `rk_stage` by its loop bound, `interp3` at
+                // `v * W` for `v < INTERP_LANES / W` of a lane array (see
+                // the debug_assert) — so the store stays in bounds of the
                 // exclusively borrowed slice.
                 unsafe { $storeu(s.as_mut_ptr().add(at), v) }
             }
@@ -466,6 +482,123 @@ macro_rules! simd_kernel_impls {
                     u[ii] = a * u0[ii] + b * u[ii] + cdt * rhs[ii];
                 }
             }
+
+            /// Vectors per particle lane group.
+            const V: usize = INTERP_LANES / W;
+
+            /// One direction's cardinal values for a lane group none of
+            /// whose lanes sits on a node: per lane `o = b_i / (x - x_i)`
+            /// and `denom += o` in ascending `i`, then `o /= denom`, as
+            /// in the scalar `cardinal_lanes`.
+            #[inline]
+            #[target_feature(enable = $feat)]
+            fn cardinal<const K: usize>(
+                nodes: &[f64],
+                bary: &[f64],
+                x: &[f64; INTERP_LANES],
+            ) -> [[$vec; V]; K] {
+                let mut xv = [$setzero(); V];
+                for (v, xv) in xv.iter_mut().enumerate() {
+                    *xv = ld(x, v * W);
+                }
+                let mut o = [[$setzero(); V]; K];
+                let mut denom = [$setzero(); V];
+                for i in 0..K {
+                    let (xn, b) = ($set1(nodes[i]), $set1(bary[i]));
+                    for v in 0..V {
+                        o[i][v] = $div(b, $sub(xv[v], xn));
+                        denom[v] = $add(denom[v], o[i][v]);
+                    }
+                }
+                for oi in o.iter_mut() {
+                    for v in 0..V {
+                        oi[v] = $div(oi[v], denom[v]);
+                    }
+                }
+                o
+            }
+
+            /// `R` consecutive `(k, j)` rows of `interp3` from row `q`:
+            /// their `i` sums run side by side (more independent add
+            /// chains), then fold into `acc` in row order.
+            #[inline]
+            #[target_feature(enable = $feat)]
+            fn rows<const K: usize, const R: usize>(
+                q: usize,
+                lr: &[[$vec; V]; K],
+                ls: &[[$vec; V]; K],
+                lt: &[[$vec; V]; K],
+                data: &[&[f64]; 3],
+                acc: &mut [[$vec; V]; 3],
+            ) {
+                let mut s = [[[$setzero(); V]; 3]; R];
+                for (i, li) in lr.iter().enumerate() {
+                    for (r, sr) in s.iter_mut().enumerate() {
+                        for (f, sf) in sr.iter_mut().enumerate() {
+                            let u = $set1(data[f][(q + r) * K + i]);
+                            for v in 0..V {
+                                sf[v] = $add(sf[v], $mul(li[v], u));
+                            }
+                        }
+                    }
+                }
+                for (r, sr) in s.iter().enumerate() {
+                    let (k, j) = ((q + r) / K, (q + r) % K);
+                    for v in 0..V {
+                        let w = $mul(lt[k][v], ls[j][v]);
+                        for f in 0..3 {
+                            acc[f][v] = $add(acc[f][v], $mul(w, sr[f][v]));
+                        }
+                    }
+                }
+            }
+
+            /// The particle kernel `kernels::interp3_lanes` with each
+            /// lane in a vector lane: the same per-lane sequence
+            /// (`s = 0 + sum_i l_i u` ascending, `acc += (l_k l_j) s` in
+            /// row order, separate multiply and add). `None` when a lane
+            /// is within `1e-14` of a node: the scalar delta path owns
+            /// that group.
+            #[target_feature(enable = $feat)]
+            pub(in super::super) fn interp3<const K: usize>(
+                nodes: &[f64],
+                bary: &[f64],
+                data: [&[f64]; 3],
+                rst: &[[f64; INTERP_LANES]; 3],
+            ) -> Option<[[f64; INTERP_LANES]; 3]> {
+                let (nodes, bary) = (&nodes[..K], &bary[..K]);
+                let mut near = false;
+                for x in rst {
+                    for &xn in nodes {
+                        for &xl in x {
+                            near |= (xl - xn).abs() < 1e-14;
+                        }
+                    }
+                }
+                if near {
+                    return None;
+                }
+                let data = data.map(|d| &d[..K * K * K]);
+                let lr = cardinal::<K>(nodes, bary, &rst[0]);
+                let ls = cardinal::<K>(nodes, bary, &rst[1]);
+                let lt = cardinal::<K>(nodes, bary, &rst[2]);
+                let mut acc = [[$setzero(); V]; 3];
+                let mut q = 0;
+                while q + 2 <= K * K {
+                    rows::<K, 2>(q, &lr, &ls, &lt, &data, &mut acc);
+                    q += 2;
+                }
+                if q < K * K {
+                    rows::<K, 1>(q, &lr, &ls, &lt, &data, &mut acc);
+                }
+                let mut out = [[0.0; INTERP_LANES]; 3];
+                for (o, a) in out.iter_mut().zip(&acc) {
+                    for v in 0..V {
+                        st(o, v * W, a[v]);
+                    }
+                }
+                Some(out)
+            }
         }
     };
 }
@@ -479,7 +612,9 @@ simd_kernel_impls!(
     _mm256_setzero_pd,
     _mm256_set1_pd,
     _mm256_add_pd,
+    _mm256_sub_pd,
     _mm256_mul_pd,
+    _mm256_div_pd,
     _mm256_loadu_pd,
     _mm256_storeu_pd
 );
@@ -493,7 +628,9 @@ simd_kernel_impls!(
     _mm_setzero_pd,
     _mm_set1_pd,
     _mm_add_pd,
+    _mm_sub_pd,
     _mm_mul_pd,
+    _mm_div_pd,
     _mm_loadu_pd,
     _mm_storeu_pd
 );
@@ -639,6 +776,45 @@ pub fn rk_stage_update_with(
             }
         }
     }
+}
+
+/// The particle kernel [`super::interp3_lanes`] with the process-wide
+/// [`active_isa`].
+pub fn interp3_lanes(
+    nodes: &[f64],
+    bary: &[f64],
+    data: [&[f64]; 3],
+    rst: &[[f64; INTERP_LANES]; 3],
+    scratch: &mut [[f64; INTERP_LANES]],
+) -> [[f64; INTERP_LANES]; 3] {
+    interp3_lanes_with(active_isa(), nodes, bary, data, rst, scratch)
+}
+
+/// [`interp3_lanes`] with an explicit ISA; bitwise identical to the
+/// scalar lanes for every ISA. A group with a lane within `1e-14` of a
+/// node takes the scalar lanes (and their delta), as does every group
+/// under [`SimdIsa::Scalar`] or beyond [`MAX_SIMD_N`].
+pub fn interp3_lanes_with(
+    isa: SimdIsa,
+    nodes: &[f64],
+    bary: &[f64],
+    data: [&[f64]; 3],
+    rst: &[[f64; INTERP_LANES]; 3],
+    scratch: &mut [[f64; INTERP_LANES]],
+) -> [[f64; INTERP_LANES]; 3] {
+    let n = nodes.len();
+    assert_eq!(scratch.len(), 3 * n, "lane scratch length");
+    let vector = match clamp(isa, n, n) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Avx2` implies a successful runtime
+        // `is_x86_feature_detected!("avx2")` (see `deriv_r_with`).
+        SimdIsa::Avx2 => unsafe { with_const_k!(n, avx2::interp3(nodes, bary, data, rst)) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: sse2 is the x86_64 baseline (see `deriv_r_with`).
+        SimdIsa::Sse2 => unsafe { with_const_k!(n, sse2::interp3(nodes, bary, data, rst)) },
+        _ => None,
+    };
+    vector.unwrap_or_else(|| super::interp3_lanes(nodes, bary, data, rst, scratch))
 }
 
 #[cfg(test)]
@@ -818,6 +994,65 @@ mod tests {
                 let mut got = u_init.clone();
                 rk_stage_update_with(isa, a, b, cdt, &mut got, &u0, &rhs);
                 assert_eq!(bits(&got), bits(&want), "{} len={len}", isa.name());
+            }
+        }
+    }
+
+    #[test]
+    fn interp3_lanes_bitwise_matches_scalar_lanes() {
+        // Per order: lanes inside and past [-1, 1] (the RK2 midpoint
+        // extrapolates), a lane exactly on a node and one within 1e-14
+        // (both the scalar delta), lanes 2e-14 and 1e-13 off a node (the
+        // vector path, with huge cardinal terms), and ragged groups whose
+        // spare lanes repeat the last particle, as the tracker pads them.
+        for n in 2..=12 {
+            let nodes = gll_nodes(n);
+            let bary = crate::poly::barycentric_weights(&nodes);
+            let fields: Vec<Vec<f64>> = (0..3)
+                .map(|f| pseudo_random(n * n * n, (n * 3 + f) as u64))
+                .collect();
+            let data = [&fields[0][..], &fields[1][..], &fields[2][..]];
+            let r = pseudo_random(12 * 8, 101 + n as u64);
+            let x = |i: usize| 1.3 * r[i];
+            let mid = nodes[n / 2];
+            let mut groups: Vec<[[f64; INTERP_LANES]; 3]> = Vec::new();
+            for g in 0..8 {
+                groups.push(std::array::from_fn(|d| {
+                    std::array::from_fn(|l| x(g * 12 + d * 4 + l))
+                }));
+            }
+            for (d, off) in [(0, 0.0), (1, 1e-15), (2, -5e-15)] {
+                let mut g = groups[d];
+                g[d][1] = mid + off;
+                assert!(super::super::node_hit(&nodes, g[d][1]).is_some());
+                groups.push(g);
+            }
+            for (d, off) in [(0, 2e-14f64), (1, -1e-13), (2, 1e-13)] {
+                let mut g = groups[d + 3];
+                g[d][2] = nodes[0] + off.abs();
+                g[(d + 1) % 3][3] = mid + off;
+                assert!(super::super::node_hit(&nodes, g[d][2]).is_none());
+                groups.push(g);
+            }
+            for used in 1..INTERP_LANES {
+                let g = groups[used];
+                groups.push(g.map(|xs| std::array::from_fn(|l| xs[l.min(used - 1)])));
+            }
+            let mut scratch = vec![[0.0; INTERP_LANES]; 3 * n];
+            for g in &groups {
+                let want = super::super::interp3_lanes(&nodes, &bary, data, g, &mut scratch);
+                for isa in runnable() {
+                    scratch
+                        .iter_mut()
+                        .for_each(|s| *s = [f64::NAN; INTERP_LANES]);
+                    let got = interp3_lanes_with(isa, &nodes, &bary, data, g, &mut scratch);
+                    assert_eq!(
+                        got.map(|f| f.map(f64::to_bits)),
+                        want.map(|f| f.map(f64::to_bits)),
+                        "{} n={n} rst={g:?}",
+                        isa.name()
+                    );
+                }
             }
         }
     }

@@ -6,11 +6,12 @@
 //! stable at and between nodes and costs `O(N)` per direction plus an
 //! `O(N^3)` contraction.
 
+use cmt_core::kernels::{self, KernelVariant};
 use cmt_core::poly::{barycentric_weights, Basis};
 use cmt_core::Field;
 
 /// Points interpolated side by side by [`ElementInterpolator::eval_lanes`].
-pub const LANES: usize = 4;
+pub const LANES: usize = kernels::INTERP_LANES;
 
 /// Precomputed interpolation machinery for one element order.
 #[derive(Debug, Clone)]
@@ -35,16 +36,11 @@ impl ElementInterpolator {
         self.n
     }
 
-    /// The node `x` coincides with, if any.
-    fn node_hit(&self, x: f64) -> Option<usize> {
-        self.nodes.iter().position(|&xn| (xn - x).abs() < 1e-14)
-    }
-
     /// The 1D Lagrange cardinal values `l_i(x)` at one coordinate.
     pub fn cardinal(&self, x: f64, out: &mut [f64]) {
         assert_eq!(out.len(), self.n, "cardinal buffer length");
         // exact node hit: delta
-        if let Some(hit) = self.node_hit(x) {
+        if let Some(hit) = kernels::node_hit(&self.nodes, x) {
             out.fill(0.0);
             out[hit] = 1.0;
             return;
@@ -94,82 +90,33 @@ impl ElementInterpolator {
         acc
     }
 
-    /// [`ElementInterpolator::cardinal`] for [`LANES`] coordinates side by
-    /// side, lane-major (`out[i][l] = l_i(x[l])`). Each lane performs
-    /// `cardinal`'s operations in `cardinal`'s order, so the values are
-    /// bitwise those of `LANES` scalar calls.
-    fn cardinal_lanes(&self, x: [f64; LANES], out: &mut [[f64; LANES]]) {
-        let mut denom = [0.0; LANES];
-        let mut near = false;
-        for ((o, &xn), &b) in out.iter_mut().zip(&self.nodes).zip(&self.bary) {
-            for l in 0..LANES {
-                let d = x[l] - xn;
-                near |= d.abs() < 1e-14;
-                o[l] = b / d;
-                denom[l] += o[l];
-            }
-        }
-        for o in out.iter_mut() {
-            for l in 0..LANES {
-                o[l] /= denom[l];
-            }
-        }
-        if near {
-            // a lane sits on a node: that lane takes the scalar delta
-            for l in 0..LANES {
-                if let Some(hit) = self.node_hit(x[l]) {
-                    for (i, o) in out.iter_mut().enumerate() {
-                        o[l] = if i == hit { 1.0 } else { 0.0 };
-                    }
-                }
-            }
-        }
-    }
-
     /// Evaluate three fields (the velocity vector) at [`LANES`] points of
-    /// one element side by side. `data[f]` is field `f`'s element block,
-    /// `rst[d][l]` lane `l`'s coordinate in direction `d`, `basis` is `3 n`
-    /// entries of caller-owned scratch; returns `out[f][l]`.
+    /// one element side by side with the `variant`'s particle kernel:
+    /// [`kernels::simd::interp3_lanes`] for `simd`, the scalar lanes
+    /// [`kernels::interp3_lanes`] otherwise. `data[f]` is field `f`'s
+    /// element block, `rst[d][l]` lane `l`'s coordinate in direction `d`,
+    /// `basis` is `3 n` entries of caller-owned scratch; returns
+    /// `out[f][l]`.
     ///
     /// Per lane this is one fixed sequence: `s += l_i(r) u_ijk` over `i`,
     /// then `acc += (l_k(t) l_j(s)) s` over `(k, j)` rows in memory order.
     /// The lane is only the fast index, so a lane's result does not
-    /// depend on its neighbours or its position in the group.
+    /// depend on its neighbours, its position in the group or the
+    /// variant.
     pub fn eval_lanes(
         &self,
+        variant: KernelVariant,
         data: [&[f64]; 3],
         rst: &[[f64; LANES]; 3],
         basis: &mut [[f64; LANES]],
     ) -> [[f64; LANES]; 3] {
-        let n = self.n;
-        assert_eq!(basis.len(), 3 * n, "lane scratch length");
-        let (lr, rest) = basis.split_at_mut(n);
-        let (ls, lt) = rest.split_at_mut(n);
-        self.cardinal_lanes(rst[0], lr);
-        self.cardinal_lanes(rst[1], ls);
-        self.cardinal_lanes(rst[2], lt);
-        let mut acc = [[0.0; LANES]; 3];
-        for k in 0..n {
-            for j in 0..n {
-                let at = (k * n + j) * n;
-                let rows = data.map(|d| &d[at..at + n]);
-                let mut s = [[0.0; LANES]; 3];
-                for (i, li) in lr.iter().enumerate() {
-                    for f in 0..3 {
-                        let u = rows[f][i];
-                        for l in 0..LANES {
-                            s[f][l] += li[l] * u;
-                        }
-                    }
-                }
-                for f in 0..3 {
-                    for l in 0..LANES {
-                        acc[f][l] += (lt[k][l] * ls[j][l]) * s[f][l];
-                    }
-                }
+        let (nodes, bary) = (&self.nodes[..], &self.bary[..]);
+        match variant {
+            KernelVariant::Simd => kernels::simd::interp3_lanes(nodes, bary, data, rst, basis),
+            KernelVariant::Basic | KernelVariant::Optimized => {
+                kernels::interp3_lanes(nodes, bary, data, rst, basis)
             }
         }
-        acc
     }
 }
 
@@ -232,8 +179,10 @@ mod tests {
     #[test]
     fn eval_lanes_matches_eval_in_every_lane() {
         // `eval` is the independent oracle: its own scalar loop, with a
-        // zero-weight skip `eval_lanes` does not have. One lane sits on a
-        // node in every direction (the delta branch), one extrapolates.
+        // zero-weight skip `eval_lanes` does not have. In the first group
+        // one lane sits on a node in every direction (the delta branch);
+        // the second has no node hit, so `simd` runs its vector kernel.
+        // One lane extrapolates in both.
         let n = 4;
         let basis = Basis::new(n);
         let interp = ElementInterpolator::new(&basis);
@@ -243,25 +192,40 @@ mod tests {
             Field::from_fn(n, 2, |_, i, j, k| 0.5 - (i * i) as f64 + (j * k) as f64),
         ];
         let x = &basis.nodes;
-        let pts = [
-            [0.25, -0.4, 0.8],
-            [x[1], x[0], x[3]],
-            [-1.02, 0.0, 1.01],
-            [0.999, x[2], -0.3],
+        let groups = [
+            [
+                [0.25, -0.4, 0.8],
+                [x[1], x[0], x[3]],
+                [-1.02, 0.0, 1.01],
+                [0.999, x[2], -0.3],
+            ],
+            [
+                [0.25, -0.4, 0.8],
+                [0.1, -0.9, 0.3],
+                [-1.02, 0.0, 1.01],
+                [0.999, 0.6, -0.3],
+            ],
         ];
-        let rst: [[f64; LANES]; 3] = std::array::from_fn(|d| std::array::from_fn(|l| pts[l][d]));
         let mut scratch = vec![[0.0; LANES]; 3 * n];
-        for e in 0..2 {
-            let data = [0, 1, 2].map(|f| fields[f].element(e));
-            let got = interp.eval_lanes(data, &rst, &mut scratch);
-            for f in 0..3 {
-                for l in 0..LANES {
-                    let want = interp.eval(&fields[f], e, pts[l]);
-                    assert!(
-                        (got[f][l] - want).abs() < 1e-12,
-                        "field {f} lane {l}: {} vs {want}",
-                        got[f][l]
-                    );
+        for (pts, variant) in groups
+            .iter()
+            .flat_map(|g| KernelVariant::ALL.map(|v| (g, v)))
+        {
+            let rst: [[f64; LANES]; 3] =
+                std::array::from_fn(|d| std::array::from_fn(|l| pts[l][d]));
+            for e in 0..2 {
+                let data = [0, 1, 2].map(|f| fields[f].element(e));
+                let got = interp.eval_lanes(variant, data, &rst, &mut scratch);
+                for f in 0..3 {
+                    for l in 0..LANES {
+                        let want = interp.eval(&fields[f], e, pts[l]);
+                        assert!(
+                            (got[f][l] - want).abs() < 1e-12,
+                            "{} field {f} lane {l}: {} vs {want}",
+                            variant.name(),
+                            got[f][l]
+                        );
+                    }
                 }
             }
         }

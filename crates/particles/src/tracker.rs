@@ -14,7 +14,7 @@
 //! element's residents as one contiguous slice.
 
 use cmt_core::poly::Basis;
-use cmt_core::Field;
+use cmt_core::{Field, KernelVariant};
 use cmt_mesh::{ElemPartition, MeshConfig, RankMesh};
 use simmpi::{MpiOp, Rank};
 
@@ -44,6 +44,8 @@ pub struct ParticleSet {
     mesh: RankMesh,
     part: ElemPartition,
     interp: ElementInterpolator,
+    /// The kernel tier [`ParticleSet::advect_field`] interpolates with.
+    variant: KernelVariant,
     nodes_n: usize,
     lengths: [f64; 3],
     particles: Vec<Particle>,
@@ -59,6 +61,13 @@ pub struct ParticleSet {
     homes: Vec<u32>,
     spare: Vec<Particle>,
     lane_basis: Vec<[f64; LANES]>,
+    /// `migrate`'s staging, kept across calls: one `[id, x, y, z]`
+    /// bucket per owner rank, and the crystal router's outgoing and
+    /// arrived lists. A shipped bucket is replaced by a payload that
+    /// arrived on the previous call, so capacities circulate.
+    buckets: Vec<Vec<f64>>,
+    outgoing: Vec<(usize, Vec<f64>)>,
+    arrived: Vec<(usize, Vec<f64>)>,
 }
 
 /// Wrap one coordinate into the periodic `[0, len)`. A coordinate already
@@ -99,13 +108,21 @@ pub fn seeded_count(mesh: &MeshConfig, per_elem: usize, cluster: Option<f64>, gi
 
 impl ParticleSet {
     /// An empty set on this rank's mesh, under the initial Cartesian
-    /// partition.
+    /// partition, interpolating with the [`KernelVariant::Simd`] kernel.
     pub fn new(mesh: RankMesh, basis: &Basis) -> Self {
+        Self::with_variant(mesh, basis, KernelVariant::Simd)
+    }
+
+    /// [`ParticleSet::new`] interpolating with `variant`'s particle
+    /// kernel: `basic`/`optimized` run scalar lanes, `simd` the active
+    /// ISA. Every variant gives the same bits.
+    pub fn with_variant(mesh: RankMesh, basis: &Basis, variant: KernelVariant) -> Self {
         assert_eq!(mesh.config().n, basis.n, "basis order must match mesh");
         let ge = mesh.config().global_elems();
         let part = ElemPartition::initial(mesh.config());
         ParticleSet {
             interp: ElementInterpolator::new(basis),
+            variant,
             nodes_n: basis.n,
             lengths: [ge[0] as f64, ge[1] as f64, ge[2] as f64],
             particles: Vec::new(),
@@ -115,6 +132,9 @@ impl ParticleSet {
             homes: Vec::new(),
             spare: Vec::new(),
             lane_basis: vec![[0.0; LANES]; 3 * basis.n],
+            buckets: Vec::new(),
+            outgoing: Vec::new(),
+            arrived: Vec::new(),
             mesh,
         }
     }
@@ -415,15 +435,15 @@ impl ParticleSet {
                 let last = group.len() - 1;
                 let pos: [[f64; LANES]; 3] =
                     std::array::from_fn(|d| std::array::from_fn(|l| group[l.min(last)].pos[d]));
-                let v1 = self
-                    .interp
-                    .eval_lanes(data, &to_rst(&pos), &mut self.lane_basis);
+                let v1 =
+                    self.interp
+                        .eval_lanes(self.variant, data, &to_rst(&pos), &mut self.lane_basis);
                 let mid: [[f64; LANES]; 3] = std::array::from_fn(|d| {
                     std::array::from_fn(|l| pos[d][l] + 0.5 * dt * v1[d][l])
                 });
-                let v2 = self
-                    .interp
-                    .eval_lanes(data, &to_rst(&mid), &mut self.lane_basis);
+                let v2 =
+                    self.interp
+                        .eval_lanes(self.variant, data, &to_rst(&mid), &mut self.lane_basis);
                 for (l, p) in group.iter_mut().enumerate() {
                     p.pos =
                         std::array::from_fn(|d| wrap_coord(pos[d][l] + dt * v2[d][l], lengths[d]));
@@ -444,10 +464,9 @@ impl ParticleSet {
     pub fn migrate(&mut self, rank: &mut Rank) -> MigrationStats {
         let my_rank = self.mesh.rank();
         debug_assert_eq!(my_rank, rank.rank(), "mesh/world rank mismatch");
-        let p = self.part.ranks();
         let mut keep = std::mem::take(&mut self.spare);
         keep.clear();
-        let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); p];
+        self.buckets.resize_with(self.part.ranks(), Vec::new);
         for &prt in &self.particles {
             let owner = self.part.owner_of(self.cell_of(prt.pos));
             if owner == my_rank {
@@ -455,26 +474,28 @@ impl ParticleSet {
             } else {
                 // wire format: 4 f64 per particle [id, x, y, z] — ids fit
                 // f64 exactly up to 2^53, far beyond any population here
-                let b = &mut buckets[owner];
+                let b = &mut self.buckets[owner];
                 b.push(prt.id as f64);
                 b.extend_from_slice(&prt.pos);
             }
         }
         let mut sent = 0;
-        let outgoing: Vec<(usize, Vec<f64>)> = buckets
-            .into_iter()
-            .enumerate()
-            .filter(|(_, b)| !b.is_empty())
-            .map(|(owner, b)| {
+        debug_assert!(self.outgoing.is_empty());
+        for (owner, b) in self.buckets.iter_mut().enumerate() {
+            if !b.is_empty() {
                 sent += b.len() / 4;
-                (owner, b)
-            })
-            .collect();
+                let mut refill = self.arrived.pop().map(|(_, v)| v).unwrap_or_default();
+                refill.clear();
+                self.outgoing.push((owner, std::mem::replace(b, refill)));
+            }
+        }
         rank.set_context("particle_migration");
-        let arrived = rank.with_op_badge(MpiOp::LbMigrate, |rank| rank.crystal_router(outgoing));
+        rank.with_op_badge(MpiOp::LbMigrate, |rank| {
+            rank.crystal_router_into(&mut self.outgoing, &mut self.arrived)
+        });
         rank.set_context("main");
         let mut received = 0;
-        for (_src, data) in arrived {
+        for (_src, data) in &self.arrived {
             assert_eq!(data.len() % 4, 0, "corrupt particle payload");
             for chunk in data.chunks_exact(4) {
                 received += 1;
@@ -485,7 +506,8 @@ impl ParticleSet {
             }
         }
         // arrivals come sorted by source rank, so the order is
-        // deterministic; `ensure_bins` restores id order per element
+        // deterministic; `ensure_bins` restores id order per element.
+        // `arrived` keeps its payloads to refill the next call's buckets.
         self.spare = std::mem::replace(&mut self.particles, keep);
         self.binned = false;
         MigrationStats { sent, received }
@@ -502,6 +524,10 @@ mod tests {
     use super::*;
 
     fn single_rank_set(elems: [usize; 3], n: usize) -> ParticleSet {
+        single_rank_set_with(elems, n, KernelVariant::Simd)
+    }
+
+    fn single_rank_set_with(elems: [usize; 3], n: usize, variant: KernelVariant) -> ParticleSet {
         let cfg = MeshConfig {
             n,
             proc_dims: [1, 1, 1],
@@ -509,7 +535,7 @@ mod tests {
             periodic: true,
         };
         let basis = Basis::new(n);
-        ParticleSet::new(RankMesh::new(cfg, 0), &basis)
+        ParticleSet::with_variant(RankMesh::new(cfg, 0), &basis, variant)
     }
 
     #[test]
@@ -750,10 +776,12 @@ mod tests {
     #[test]
     fn lane_batched_advection_is_bitwise_the_per_particle_reference() {
         // one bin of every group shape, an empty element between two
-        // populated ones, and the special residents in element 6
+        // populated ones, and the special residents in element 6; the
+        // scalar lanes and the active ISA's vector kernel alike
         let pops = [1, LANES - 1, 0, LANES, LANES + 1, 257, 0];
-        for n in 2..=10 {
-            let mut set = single_rank_set([pops.len(), 1, 1], n);
+        let variants = [KernelVariant::Optimized, KernelVariant::Simd];
+        for (n, variant) in (2..=10).flat_map(|n| variants.map(|v| (n, v))) {
+            let mut set = single_rank_set_with([pops.len(), 1, 1], n, variant);
             let nodes = Basis::new(n).nodes;
             let vel: [Field; 3] = std::array::from_fn(|c| {
                 Field::from_fn(n, pops.len(), |e, i, j, k| {
@@ -813,7 +841,8 @@ mod tests {
                     assert_eq!(
                         p.pos.map(f64::to_bits),
                         moved.map(f64::to_bits),
-                        "n = {n}, step {step}, particle {}: {:?} vs {moved:?}",
+                        "{} n = {n}, step {step}, particle {}: {:?} vs {moved:?}",
+                        variant.name(),
                         p.id,
                         p.pos
                     );

@@ -27,6 +27,11 @@ const POLL: Duration = Duration::from_millis(25);
 /// machines can stall for scheduler quanta, not minutes.
 const DEADLOCK: Duration = Duration::from_secs(300);
 
+/// How the panic of a rank that finds a peer already failed ends: a
+/// secondary abort, which `World::run` passes over when it picks the
+/// panic to re-raise.
+pub(crate) const PEER_FAILED: &str = "a peer rank failed";
+
 /// Handle to one simulated MPI rank. Created by [`crate::World::run`];
 /// every communication method both performs the operation and records it
 /// in the rank's task-local statistics.
@@ -269,7 +274,7 @@ impl Rank {
                 None => {
                     if self.poisoned.load(Ordering::Relaxed) {
                         panic!(
-                            "rank {}: aborting receive (src {src}, tag {tag:#x}): a peer rank failed",
+                            "rank {}: aborting receive (src {src}, tag {tag:#x}): {PEER_FAILED}",
                             self.rank
                         );
                     }

@@ -47,11 +47,11 @@ use std::time::{Duration, Instant};
 use crate::envelope::Envelope;
 use crate::mailbox::Mailbox;
 use crate::pool::BufferPool;
-use crate::rank::Rank;
+use crate::rank::{Rank, PEER_FAILED};
 use crate::stats::CommStats;
 use crate::transport::{RxDrain, SocketConfig, Transport};
 use crate::wire::{self, put_u32, FrameKind, WireCodec, WireError, WireReader};
-use crate::world::{World, WorldResult};
+use crate::world::{root_cause, World, WorldResult};
 
 const ENV_RANK: &str = "SIMMPI_SOCKET_RANK";
 const ENV_SIZE: &str = "SIMMPI_SOCKET_SIZE";
@@ -221,7 +221,7 @@ impl Transport for SocketTransport {
         if let Err(e) = self.ep.send_frame(&tx) {
             if self.ep.poisoned.load(Ordering::Relaxed) {
                 panic!(
-                    "rank {}: aborting send to rank {dest}: a peer rank failed",
+                    "rank {}: aborting send to rank {dest}: {PEER_FAILED}",
                     self.ep.me
                 );
             }
@@ -609,13 +609,7 @@ where
                 }
             }
         });
-        for h in kids {
-            if let Err(payload) = h.join() {
-                if child_panic.is_none() {
-                    child_panic = Some(payload);
-                }
-            }
-        }
+        child_panic = root_cause(kids.into_iter().filter_map(|h| h.join().err()).collect());
     });
 
     for (r, mut c) in procs.into_iter().enumerate() {

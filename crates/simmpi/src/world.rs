@@ -6,6 +6,7 @@
 //! one, because the checker's state (wait-for graph, collective
 //! fingerprints) spans ranks and the socket transport carries data only.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -14,7 +15,7 @@ use std::time::Instant;
 use crate::faults::{FaultPlan, FaultState};
 use crate::mailbox::Mailbox;
 use crate::pool::BufferPool;
-use crate::rank::Rank;
+use crate::rank::{Rank, PEER_FAILED};
 use crate::stats::{CommRecorder, CommStats, MpiOp};
 use crate::transport::{InprocTransport, Transport, TransportKind};
 use crate::verify::VerifyHooks;
@@ -156,11 +157,15 @@ impl World {
                     execute_rank(world, r, p, transport, pool, poisoned, f)
                 }));
             }
+            let mut failures = Vec::new();
             for (r, h) in handles.into_iter().enumerate() {
                 match h.join() {
                     Ok(pair) => slots[r] = Some(pair),
-                    Err(payload) => std::panic::resume_unwind(payload),
+                    Err(payload) => failures.push(payload),
                 }
+            }
+            if let Some(cause) = root_cause(failures) {
+                std::panic::resume_unwind(cause);
             }
         });
 
@@ -219,6 +224,24 @@ impl World {
             }
         }
     }
+}
+
+/// The panic a failed world re-raises: the first, in rank order, that
+/// is not a secondary abort of a rank that found a peer already failed
+/// ([`PEER_FAILED`]); the first of all if every one is.
+pub(crate) fn root_cause(mut failures: Vec<Box<dyn Any + Send>>) -> Option<Box<dyn Any + Send>> {
+    if failures.is_empty() {
+        return None;
+    }
+    let is_peer_abort = |p: &Box<dyn Any + Send>| {
+        let msg = p
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| p.downcast_ref::<&str>().copied());
+        msg.is_some_and(|m| m.ends_with(PEER_FAILED))
+    };
+    let at = failures.iter().position(|p| !is_peer_abort(p)).unwrap_or(0);
+    Some(failures.swap_remove(at))
 }
 
 /// Run one rank to completion over `transport`: build the [`Rank`],
@@ -504,10 +527,10 @@ mod tests {
 
     /// Failure injection: when one rank dies, peers blocked in receives
     /// must abort promptly (poisoned world) instead of deadlocking, and
-    /// a panic must propagate to the caller (whichever rank's panic is
-    /// joined first — the injected one or a poisoned receiver's abort).
+    /// the caller gets the failed rank's own panic, not rank 0's
+    /// secondary peer-failed abort.
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "rank 1 exploded")]
     fn peer_failure_poisons_blocked_ranks() {
         let _ = World::new().run(3, |rank| match rank.rank() {
             1 => panic!("rank 1 exploded"),

@@ -16,6 +16,7 @@
 use cmt_bone::{Config, Pipeline};
 use cmt_gs::{GsHandle, GsMethod, GsOp};
 use cmt_mesh::{MeshConfig, RankMesh};
+use cmt_particles::ParticleSet;
 use cmt_perf::ProfileReport;
 use simmpi::World;
 
@@ -195,23 +196,77 @@ fn cmt_bone_volume_kernels_allocation_free_at_steady_state() {
     }
 }
 
-/// The particle phase's advection allocates nothing per step: the lane
-/// scratch and the cell-grid sort's buffers live in the `ParticleSet`
-/// (the per-particle interpolation this replaced made six `Vec`s per
-/// particle per step, the sort four per call). 5 residents per element
-/// is a ragged lane group.
+/// The particle phase allocates nothing per step: the lane scratch, the
+/// cell-grid sort's buffers and the migration's per-owner buckets and
+/// router lists live in the `ParticleSet` (the per-particle
+/// interpolation this replaced made six `Vec`s per particle per step,
+/// the sort four per call, the migration a bucket table per call). 5
+/// residents per element is a ragged lane group.
 #[test]
 fn cmt_bone_particle_advect_allocation_free_at_steady_state() {
     assert!(cmt_perf::alloc::counting(), "counting allocator not active");
-    let (long, short) = bone_profiles(|steps| Config {
-        particles_per_elem: 5,
-        ..bone_cfg(GsMethod::PairwiseExchange, Pipeline::Overlapped, steps)
+    for variant in [
+        cmt_core::KernelVariant::Optimized,
+        cmt_core::KernelVariant::Simd,
+    ] {
+        let (long, short) = bone_profiles(|steps| Config {
+            particles_per_elem: 5,
+            variant,
+            ..bone_cfg(GsMethod::PairwiseExchange, Pipeline::Overlapped, steps)
+        });
+        assert!(
+            long.flat.iter().any(|(name, _)| name == "particle_advect"),
+            "the particle phase did not run"
+        );
+        let what = format!("5 particles/elem, {}", variant.name());
+        assert_quiet(&what, &long, &short, "particle_advect");
+        assert_quiet(&what, &long, &short, "particle_migrate");
+    }
+}
+
+/// A warm `ParticleSet::migrate` allocates nothing even when particles
+/// cross ranks every call: a shipped bucket is refilled with a payload
+/// that arrived on the previous call. Four ranks in an x ring; before
+/// each call the uniform cloud moves one element in +x, so every rank
+/// ships its last element plane to its right neighbour and receives as
+/// many from its left one. (A population or payload above every earlier
+/// one still grows its buffer once; that is amortized, not per call.)
+#[test]
+fn particle_migrate_with_traffic_allocation_free_when_warm() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    let mesh = MeshConfig {
+        n: 4,
+        proc_dims: [4, 1, 1],
+        local_elems: [2, 2, 1],
+        periodic: true,
+    };
+    let res = World::new().run(4, |rank| {
+        let pmesh = RankMesh::new(mesh.clone(), rank.rank());
+        let mut set = ParticleSet::new(pmesh, &cmt_core::Basis::new(mesh.n));
+        set.seed_uniform(8);
+        let mut moved = 0;
+        let mut counts = (0, 0);
+        for call in 0..12 {
+            set.advect_analytic(1.0, |_| [1.0, 0.0, 0.0]);
+            let (a0, b0) = cmt_perf::alloc::thread_counts();
+            let stats = set.migrate(rank);
+            let (a1, b1) = cmt_perf::alloc::thread_counts();
+            assert_eq!((stats.sent, stats.received), (16, 16), "call {call}");
+            if call >= 4 {
+                counts = (counts.0 + a1 - a0, counts.1 + b1 - b0);
+                moved += stats.sent;
+            }
+        }
+        (counts, moved)
     });
-    assert!(
-        long.flat.iter().any(|(name, _)| name == "particle_advect"),
-        "the particle phase did not run"
-    );
-    assert_quiet("5 particles/elem", &long, &short, "particle_advect");
+    for (r, (counts, moved)) in res.results.into_iter().enumerate() {
+        assert!(moved > 0);
+        assert_eq!(
+            counts,
+            (0, 0),
+            "rank {r}: warm migrate of {moved} particles allocated"
+        );
+    }
 }
 
 /// The load-balance monitor is the one steady-state region that does

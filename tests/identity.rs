@@ -2,7 +2,8 @@
 //! recorded at the commit before the driver was split, asserted on every
 //! path that must not change a bit — both exchange schedules, both
 //! transports, every kernel tier, and a kill + rollback through a
-//! rebalanced partition.
+//! rebalanced partition. Rank count is an axis too: decompositions of
+//! one global grid are asserted equal to each other.
 //!
 //! A refactor of either mini-app's step is bitwise neutral exactly when
 //! this file passes unchanged.
@@ -274,5 +275,50 @@ fn g6_euler_tracers_adaptive_dt() {
 fn g7_mixed_sign_velocity() {
     for pipeline in [Pipeline::Overlapped, Pipeline::Blocking] {
         assert_bone("G7", &g7(), pipeline, G7);
+    }
+}
+
+/// Rank count is an identity axis: the hash folds per-element hashes in
+/// global-id order, so two decompositions of one global grid must agree
+/// bit for bit, under both the scalar and the vector kernels. The third
+/// row adds dealiasing and a clustered particle cloud.
+#[test]
+fn equal_global_grids_hash_equal_across_rank_counts() {
+    let cli = BoneConfig {
+        steps: 4,
+        method: Some(GsMethod::PairwiseExchange),
+        ..Default::default()
+    };
+    let particles = BoneConfig {
+        n: 5,
+        dealias_m: Some(7),
+        particles_per_elem: 16,
+        particle_cluster: Some(0.3),
+        ..cli.clone()
+    };
+    let rows = [
+        (&cli, [(1, 64), (8, 8)]),
+        (&cli, [(2, 32), (4, 16)]),
+        (&particles, [(1, 64), (8, 8)]),
+    ];
+    for (base, shapes) in rows {
+        let hashes: Vec<(usize, KernelVariant, u64)> = shapes
+            .into_iter()
+            .flat_map(|(ranks, elems_per_rank)| {
+                [KernelVariant::Optimized, KernelVariant::Simd].map(|variant| {
+                    let cfg = BoneConfig {
+                        ranks,
+                        elems_per_rank,
+                        variant,
+                        ..base.clone()
+                    };
+                    (ranks, variant, cmt_bone::run(&cfg).state_hash)
+                })
+            })
+            .collect();
+        assert!(
+            hashes.iter().all(|&(.., h)| h == hashes[0].2),
+            "{shapes:?}: {hashes:x?}"
+        );
     }
 }

@@ -248,30 +248,34 @@ fn nekbone_restart_from_a_cmt_bone_directory_is_refused() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A checkpoint file that does not decode is refused naming the file.
-/// Rank 0's file is the corrupt one: the world re-raises rank 0's panic
-/// first, and the peers of a failed rank abort with a message of their own.
+/// A checkpoint file that does not decode is refused naming the file,
+/// whichever rank reads it: the world re-raises the failed rank's own
+/// panic, not a peer's secondary abort, so rank 1's corrupt file is
+/// named as well as rank 0's.
 #[test]
 fn corrupt_restart_file_is_refused_by_name() {
-    let dir = scratch("corrupt");
-    cmt_bone::run(&cmt_bone::Config {
-        checkpoint_dir: Some(dir.clone()),
-        ..bone_cfg()
-    });
-    let path = dir.join("ckpt_rank0.cmtr");
-    let mut bytes = std::fs::read(&path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&path, bytes).unwrap();
-    let msg = refusal("corrupt", || {
+    for r in [0, 1] {
+        let dir = scratch(&format!("corrupt{r}"));
         cmt_bone::run(&cmt_bone::Config {
-            restart_from: Some(dir.clone()),
+            checkpoint_dir: Some(dir.clone()),
             ..bone_cfg()
         });
-    });
-    assert!(
-        msg.contains("ckpt_rank0.cmtr") && msg.contains("checksum mismatch"),
-        "{msg}"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
+        let name = format!("ckpt_rank{r}.cmtr");
+        let path = dir.join(&name);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&path, bytes).unwrap();
+        let msg = refusal("corrupt", || {
+            cmt_bone::run(&cmt_bone::Config {
+                restart_from: Some(dir.clone()),
+                ..bone_cfg()
+            });
+        });
+        assert!(
+            msg.contains(&name) && msg.contains("checksum mismatch"),
+            "rank {r}: {msg}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
