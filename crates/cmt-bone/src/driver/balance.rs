@@ -78,7 +78,7 @@ pub(super) fn balance(
     // Rebuild the block on the new partition first (collective gs setup —
     // every rank is here, by the SPMD argument above), so arrivals can
     // unpack straight into it.
-    let (old_part, old) = st.repartition(env, rank, new_part);
+    let (old_part, old) = st.repartition(env, rank, prof, new_part);
     let (part, nb) = (&st.part, &mut st.blk);
     let ps = st.pset.as_mut().expect("checked above");
     // Kept elements copy over; gained elements are written by the unpack

@@ -2,6 +2,8 @@
 //! cloud and the clock — what a checkpoint captures and what a rollback
 //! or a rebalance replaces.
 
+use std::f64::consts::PI;
+
 use cmt_core::face;
 use cmt_core::Field;
 use cmt_gs::GsHandle;
@@ -57,11 +59,18 @@ impl Block {
     /// setup discovers the face neighbors, so every rank must call it
     /// with the same partition. All scratch is sized here, once per
     /// partition, keeping the steady state allocation-free.
-    pub fn for_partition(env: &Env, rank: &mut Rank, part: &ElemPartition) -> Block {
+    pub fn for_partition(
+        env: &Env,
+        rank: &mut Rank,
+        prof: &mut Profiler,
+        part: &ElemPartition,
+    ) -> Block {
         let cfg = &env.cfg;
         let owned = part.owned_by(rank.rank()).to_vec();
         let gids = face_exchange_gids_for(env.mesh_cfg, &owned);
+        prof.enter(cmt_perf::regions::GS_SETUP);
         let handle = GsHandle::setup(rank, &gids);
+        prof.exit();
         let (n, nel) = (cfg.n, owned.len());
         let fpe = face::face_values_per_element(n);
         let fields = || (0..cfg.fields).map(|_| Field::zeros(n, nel)).collect();
@@ -102,20 +111,16 @@ impl State {
     /// The step-0 state on `part`: fields on their smooth initial
     /// profiles, particles seeded, and the stable timestep. Collective
     /// (builds the block; the setup dt may reduce).
-    pub fn initial(env: &Env, rank: &mut Rank, part: ElemPartition) -> State {
+    pub fn initial(env: &Env, rank: &mut Rank, prof: &mut Profiler, part: ElemPartition) -> State {
         let cfg = &env.cfg;
-        let mut blk = Block::for_partition(env, rank, &part);
-        let lengths = env.mesh_cfg.global_elems().map(|e| e as f64);
-        let nodes = &env.basis.nodes;
-        for (f, uf) in blk.u.iter_mut().enumerate() {
-            *uf = Field::from_fn(cfg.n, blk.nel, |e, i, j, k| {
-                let gc = env.mesh_cfg.elem_coords(blk.owned[e]);
-                let x = gc[0] as f64 + (nodes[i] + 1.0) / 2.0;
-                let y = gc[1] as f64 + (nodes[j] + 1.0) / 2.0;
-                let z = gc[2] as f64 + (nodes[k] + 1.0) / 2.0;
-                env.physics.initial_value(f, [x, y, z], lengths)
-            });
-        }
+        let mut blk = Block::for_partition(env, rank, prof, &part);
+        fill_initial(
+            &env.physics,
+            env.mesh_cfg,
+            &env.basis.nodes,
+            &blk.owned,
+            &mut blk.u,
+        );
         let dt = env.physics.setup_dt(env, rank, &blk.u);
         let pset = (cfg.particles_per_elem > 0).then(|| {
             let pmesh = RankMesh::new(env.mesh_cfg.clone(), rank.rank());
@@ -142,9 +147,10 @@ impl State {
         &mut self,
         env: &Env,
         rank: &mut Rank,
+        prof: &mut Profiler,
         new_part: ElemPartition,
     ) -> (ElemPartition, Block) {
-        let blk = Block::for_partition(env, rank, &new_part);
+        let blk = Block::for_partition(env, rank, prof, &new_part);
         if let Some(ps) = self.pset.as_mut() {
             ps.set_partition(new_part.clone());
         }
@@ -205,10 +211,10 @@ impl State {
     /// first rebuilt on the checkpoint's partition — its owner vector is
     /// identical on every rank (captured from SPMD-uniform state), so
     /// the collective gather-scatter setup is safe here.
-    pub fn restore(&mut self, env: &Env, rank: &mut Rank, ckpt: &Checkpoint) {
+    pub fn restore(&mut self, env: &Env, rank: &mut Rank, prof: &mut Profiler, ckpt: &Checkpoint) {
         let (ck_part, dt) = checkpoint_scalars(&env.physics, ckpt, env.mesh_cfg, rank.size());
         if let Some(ck_part) = ck_part.filter(|p| p.owner_vec() != self.part.owner_vec()) {
-            self.repartition(env, rank, ck_part);
+            self.repartition(env, rank, prof, ck_part);
         }
         // the fields, then one particle record when the run has particles
         let nf = self.blk.u.len();
@@ -286,6 +292,48 @@ impl State {
     }
 }
 
+/// Write the step-0 profile ([`Physics::initial_factor`]) of every field
+/// in `u` on the elements `owned`, in place. The profile is separable, so
+/// each element evaluates its `3 n` per-axis factors per field and
+/// combines them at its `n^3` points: the same libm calls on the same
+/// arguments as a per-point evaluation, hence the same bits.
+fn fill_initial(
+    physics: &Physics,
+    mesh_cfg: &MeshConfig,
+    nodes: &[f64],
+    owned: &[usize],
+    u: &mut [Field],
+) {
+    let n = nodes.len();
+    let lengths = mesh_cfg.global_elems().map(|e| e as f64);
+    let mut phase = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+    let mut factor = phase.clone();
+    for (e, &gid) in owned.iter().enumerate() {
+        let gc = mesh_cfg.elem_coords(gid);
+        for (d, t) in phase.iter_mut().enumerate() {
+            for (t, &node) in t.iter_mut().zip(nodes) {
+                *t = 2.0 * PI * (gc[d] as f64 + (node + 1.0) / 2.0) / lengths[d];
+            }
+        }
+        for (f, uf) in u.iter_mut().enumerate() {
+            for (d, (fac, t)) in factor.iter_mut().zip(&phase).enumerate() {
+                for (fac, &t) in fac.iter_mut().zip(t) {
+                    *fac = physics.initial_factor(f, d, t);
+                }
+            }
+            let [a, b, c] = &factor;
+            let mut pts = uf.as_mut_slice()[e * n * n * n..(e + 1) * n * n * n].iter_mut();
+            for &c in c {
+                for &b in b {
+                    for &a in a {
+                        *pts.next().expect("n^3 points") = physics.initial_combine(f, [a, b, c]);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// One `[id, x, y, z]` record back to a particle (checkpoints and
 /// migration payloads share the layout).
 pub(super) fn particle_from_record(c: &[f64]) -> Particle {
@@ -326,4 +374,82 @@ pub(super) fn checkpoint_scalars(
 /// written: a `--restart` directory is input from outside the run.
 fn mismatch(what: std::fmt::Arguments) -> ! {
     panic!("checkpoint does not match this configuration: {what}")
+}
+
+#[cfg(test)]
+mod tests {
+    use std::f64::consts::PI;
+
+    use cmt_core::eos::{IdealGas, Primitive};
+    use cmt_core::poly::Basis;
+
+    use super::*;
+    use crate::config::Config;
+    use crate::driver::balance::setup_partition;
+
+    /// The per-point formula [`fill_initial`] replaced, kept as its
+    /// oracle: the field value at `(x, y, z)` from the coordinates.
+    fn per_point(physics: &Physics, f: usize, [x, y, z]: [f64; 3], lengths: [f64; 3]) -> f64 {
+        let fx = 2.0 * PI * x / lengths[0];
+        let fy = 2.0 * PI * y / lengths[1];
+        let fz = 2.0 * PI * z / lengths[2];
+        match physics {
+            Physics::Advection => {
+                (fx + 0.3 * f as f64).sin() * fy.cos() + 0.25 * (fz + 0.7 * f as f64).cos()
+            }
+            Physics::Euler(gas) => gas.conserved(Primitive {
+                rho: 1.0 + 0.15 * fx.sin(),
+                vel: [0.6, 0.1 * fy.cos(), 0.0],
+                p: 1.0,
+            })[f],
+        }
+    }
+
+    /// The table fill writes the per-point formula's bits at every point
+    /// of both physics, on a clustered balancer partition and on
+    /// hand-picked elements — owned sets that are not boxes.
+    #[test]
+    fn table_fill_matches_the_per_point_formula_bit_for_bit() {
+        for n in [2, 5, 10] {
+            let cfg = Config {
+                ranks: 2,
+                n,
+                elems_per_rank: 27,
+                particles_per_elem: 64,
+                particle_cluster: Some(0.22),
+                lb_every: 1,
+                lb_threshold: 1.05,
+                ..Default::default()
+            };
+            let mesh_cfg = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, n, true);
+            let (clustered, _) = setup_partition(&cfg, &mesh_cfg);
+            assert_ne!(
+                clustered.owner_vec(),
+                ElemPartition::initial(&mesh_cfg).owner_vec(),
+                "the clustered cloud must move the setup partition off the boxes"
+            );
+            let picked = vec![0, 3, 7, 11, 22, mesh_cfg.total_elems() - 1];
+            let lengths = mesh_cfg.global_elems().map(|e| e as f64);
+            let nodes = Basis::new(n).nodes;
+            for owned in [clustered.owned_by(1).to_vec(), picked] {
+                for physics in [Physics::Advection, Physics::Euler(IdealGas::default())] {
+                    let mut u: Vec<Field> = (0..5).map(|_| Field::zeros(n, owned.len())).collect();
+                    fill_initial(&physics, &mesh_cfg, &nodes, &owned, &mut u);
+                    for (f, uf) in u.iter().enumerate() {
+                        let want = Field::from_fn(n, owned.len(), |e, i, j, k| {
+                            let gc = mesh_cfg.elem_coords(owned[e]);
+                            let x = gc[0] as f64 + (nodes[i] + 1.0) / 2.0;
+                            let y = gc[1] as f64 + (nodes[j] + 1.0) / 2.0;
+                            let z = gc[2] as f64 + (nodes[k] + 1.0) / 2.0;
+                            per_point(&physics, f, [x, y, z], lengths)
+                        });
+                        let bits = |v: &Field| {
+                            v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                        };
+                        assert_eq!(bits(uf), bits(&want), "n {n}, field {f}, owned {owned:?}");
+                    }
+                }
+            }
+        }
+    }
 }

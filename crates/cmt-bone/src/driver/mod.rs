@@ -52,7 +52,10 @@ pub(crate) mod regions {
     pub const DEALIAS: &str = "dealias (fine-mesh map)";
     /// BR1 viscous passes (gradient + viscous divergence).
     pub const VISCOUS: &str = "viscous_br1 (grad + div)";
-    /// Whole setup phase (mesh + gs_setup + autotune).
+    /// Whole setup phase: the step-0 state (the partition's block with
+    /// its `gs_setup` child region, the initial profile, the setup `dt`,
+    /// the seeded particles), then the gs autotune, which runs only when
+    /// no `--method` is given.
     pub const SETUP: &str = "setup (gs_setup + autotune)";
     /// The whole timestep loop.
     pub const LOOP: &str = "timestep_loop";
@@ -148,10 +151,10 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
         None => ElemPartition::initial(mesh_cfg),
     };
 
-    // ---- setup: partition block + gs discovery, gs autotune
+    // ---- setup: the step-0 state (gs discovery included), gs autotune
     prof.enter(regions::SETUP);
     let env = Env::new(cfg, mesh_cfg, Basis::new(cfg.n));
-    let mut st = State::initial(&env, rank, part);
+    let mut st = State::initial(&env, rank, &mut prof, part);
     let (chosen, tune_report) = match cfg.method {
         Some(m) => (m, None),
         None => {
@@ -161,7 +164,7 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
     };
     prof.exit();
     if let Some(ck) = &restart {
-        st.restore(&env, rank, ck);
+        st.restore(&env, rank, &mut prof, ck);
     }
 
     // ---- timestep loop --------------------------------------------------
@@ -183,7 +186,7 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
         if !killed.is_empty() {
             prof.enter(cmt_perf::regions::RECOVERY);
             let back = rz.recover(rank, &killed);
-            st.restore(&env, rank, &back);
+            st.restore(&env, rank, &mut prof, &back);
             prof.exit();
             continue;
         }

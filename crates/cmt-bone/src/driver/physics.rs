@@ -6,8 +6,6 @@
 //! the checkpoint code and the particle phase call these without knowing
 //! which physics runs.
 
-use std::f64::consts::PI;
-
 use cmt_core::eos::{IdealGas, Primitive, NVARS};
 use cmt_core::euler::{max_wave_speed, rusanov_lift, volume_rhs};
 use cmt_core::ops::{stable_dt, upwind_lift};
@@ -38,22 +36,34 @@ impl Physics {
         }
     }
 
-    /// Field `f`'s smooth initial value at `(x, y, z)`, periodic in the
-    /// global box of extents `lengths`. The proxy fields are phase-shifted
-    /// waves; Euler starts on a density wave carried by a uniform stream
-    /// with a transverse shear: `rho = 1 + 0.15 sin(2 pi x / Lx)`,
-    /// `vel = [0.6, 0.1 cos(2 pi y / Ly), 0]`, `p = 1`.
-    pub fn initial_value(&self, f: usize, [x, y, z]: [f64; 3], lengths: [f64; 3]) -> f64 {
-        let fx = 2.0 * PI * x / lengths[0];
-        let fy = 2.0 * PI * y / lengths[1];
-        let fz = 2.0 * PI * z / lengths[2];
+    /// Field `f`'s smooth initial profile is separable, periodic in the
+    /// global box: each axis contributes a factor of its phase
+    /// `t = 2 pi x / L` (this method), and [`Physics::initial_combine`]
+    /// joins one point's three factors. The proxy fields are phase-shifted
+    /// waves, `sin(tx + 0.3 f) cos(ty) + 0.25 cos(tz + 0.7 f)`; Euler
+    /// starts on a density wave carried by a uniform stream with a
+    /// transverse shear: `rho = 1 + 0.15 sin(tx)`,
+    /// `vel = [0.6, 0.1 cos(ty), 0]`, `p = 1`.
+    pub fn initial_factor(&self, f: usize, axis: usize, t: f64) -> f64 {
+        match (self, axis) {
+            (Physics::Advection, 0) => (t + 0.3 * f as f64).sin(),
+            (Physics::Advection, 1) => t.cos(),
+            (Physics::Advection, _) => (t + 0.7 * f as f64).cos(),
+            (Physics::Euler(_), 0) => t.sin(),
+            (Physics::Euler(_), 1) => t.cos(),
+            // uniform along z
+            (Physics::Euler(_), _) => 0.0,
+        }
+    }
+
+    /// Field `f`'s initial value at a point whose per-axis factors
+    /// ([`Physics::initial_factor`]) are `[a, b, c]`.
+    pub fn initial_combine(&self, f: usize, [a, b, c]: [f64; 3]) -> f64 {
         match self {
-            Physics::Advection => {
-                (fx + 0.3 * f as f64).sin() * fy.cos() + 0.25 * (fz + 0.7 * f as f64).cos()
-            }
+            Physics::Advection => a * b + 0.25 * c,
             Physics::Euler(gas) => gas.conserved(Primitive {
-                rho: 1.0 + 0.15 * fx.sin(),
-                vel: [0.6, 0.1 * fy.cos(), 0.0],
+                rho: 1.0 + 0.15 * a,
+                vel: [0.6, 0.1 * b, 0.0],
                 p: 1.0,
             })[f],
         }

@@ -56,7 +56,12 @@ pub struct RunReport {
     /// of rank computes — partition-independent — so balancing effects
     /// are only visible here.)
     pub rank_compute_s: Vec<f64>,
-    /// Deterministic global checksum of the final fields.
+    /// Sum of every final field value: each rank sums its own, and an
+    /// allreduce adds the ranks' sums in rank order. Deterministic for
+    /// one configuration, but a floating sum grouped by rank, so it can
+    /// differ between decompositions of one global grid (1 × 64 against
+    /// 8 × 8 elements) at an equal [`RunReport::state_hash`]: the hash,
+    /// not the checksum, is the identity across rank counts.
     pub checksum: f64,
     /// FNV-1a hash over every element's final state (field bytes plus
     /// resident particles), combined in ascending global-element-id

@@ -4,7 +4,7 @@ use std::cell::RefCell;
 
 use simmpi::{Rank, RecvRequest, ReduceOp};
 
-use crate::plan::{Plan, NOT_HALO};
+use crate::plan::{sorted_by_gid, Plan, NOT_HALO};
 
 /// A configured gather–scatter handle (the result of `gs_setup`).
 ///
@@ -90,43 +90,62 @@ impl GsHandle {
     fn setup_inner(rank: &mut Rank, ids: &[u64]) -> GsHandle {
         let p = rank.size();
         let me = rank.rank();
+        let home = |gid: u64| (gid % p as u64) as usize;
+
+        // One sort of (gid, slot): its runs are round 1's distinct gids,
+        // and the plan is built from it without sorting again. The round
+        // buffers are sized from counts before they are filled, and each
+        // is dropped when its round is done: these transients, not the
+        // plan, set a small run's peak memory.
+        let by_gid = sorted_by_gid(ids);
+        let gid_runs = || by_gid.chunk_by(|a, b| a.0 == b.0).map(|run| run[0].0);
 
         // ---- round 1: report each distinct gid to its home rank ---------
-        let mut distinct = ids.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let mut to_home: Vec<Vec<u64>> = vec![Vec::new(); p];
-        for gid in distinct {
-            to_home[(gid % p as u64) as usize].push(gid);
+        let mut per_home = vec![0; p];
+        for gid in gid_runs() {
+            per_home[home(gid)] += 1;
+        }
+        let mut to_home: Vec<Vec<u64>> = per_home.into_iter().map(Vec::with_capacity).collect();
+        for gid in gid_runs() {
+            to_home[home(gid)].push(gid);
         }
         let reported = rank.alltoallv(to_home);
 
         // ---- home side: sharer lists + compact numbering ----------------
-        // Sorted (gid, reporter) pairs: each run is one gid's sharer list
-        // in ascending rank (a rank reports a gid once), and the run's
+        // Each reporter's gids ascend, so the (gid, reporter) pairs are p
+        // ascending runs in reporter order, which a stable sort by gid
+        // merges. Each run of one gid is then its sharer list in
+        // ascending rank (a rank reports a gid once), and the run's
         // position is the gid's deterministic compact number at this home.
-        let mut held: Vec<(u64, u64)> = reported
-            .iter()
-            .enumerate()
-            .flat_map(|(src, gids)| gids.iter().map(move |&gid| (gid, src as u64)))
-            .collect();
-        held.sort_unstable();
+        let mut held: Vec<(u64, u64)> = Vec::with_capacity(reported.iter().map(Vec::len).sum());
+        for (src, gids) in reported.into_iter().enumerate() {
+            held.extend(gids.into_iter().map(|gid| (gid, src as u64)));
+        }
+        held.sort_by_key(|&(gid, _)| gid);
+        let held_runs = || held.chunk_by(|a, b| a.0 == b.0);
         // Exclusive prefix over per-home distinct counts gives each home
         // its compact-id base; the sum is the universe size.
-        let my_count = held.chunk_by(|a, b| a.0 == b.0).count() as u64;
+        let my_count = held_runs().count() as u64;
         let my_base = rank.exscan_u64(my_count);
         let total_compact = rank.allreduce_u64(&[my_count], ReduceOp::Sum)[0];
 
         // ---- round 2: answer each reporter ------------------------------
         // Per reporter: flat u64 records [gid, compact, nsharers, sharers...]
-        let mut replies: Vec<Vec<u64>> = vec![Vec::new(); p];
-        for (compact, run) in (my_base..).zip(held.chunk_by(|a, b| a.0 == b.0)) {
+        let mut reply_len = vec![0; p];
+        for run in held_runs() {
+            for &(_, src) in run {
+                reply_len[src as usize] += 3 + run.len();
+            }
+        }
+        let mut replies: Vec<Vec<u64>> = reply_len.into_iter().map(Vec::with_capacity).collect();
+        for (compact, run) in (my_base..).zip(held_runs()) {
             for &(gid, src) in run {
                 let reply = &mut replies[src as usize];
                 reply.extend([gid, compact, run.len() as u64]);
                 reply.extend(run.iter().map(|&(_, sharer)| sharer));
             }
         }
+        drop(held);
         let answers = rank.alltoallv(replies);
 
         // ---- parse answers: remote sharers + compact ids of shared gids --
@@ -150,6 +169,7 @@ impl GsHandle {
                 );
             }
         }
+        drop(answers);
 
         // ---- the plan: neighbor lists sorted by gid on both sides --------
         shared_with.sort_unstable();
@@ -157,7 +177,7 @@ impl GsHandle {
             .chunk_by(|a, b| a.0 == b.0)
             .map(|run| (run[0].0, run.iter().map(|&(_, gid)| gid).collect()))
             .collect();
-        let plan = Plan::build(ids, &shared);
+        let plan = Plan::from_sorted(&by_gid, &shared);
         compact_of.sort_unstable();
         debug_assert!(compact_of.iter().map(|c| &c.0).eq(&plan.halo_gids));
 
@@ -215,5 +235,73 @@ impl GsHandle {
         let mut ones = vec![1.0; self.nlocal()];
         self.gs_op(rank, &mut ones, crate::GsOp::Add, method);
         ones
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use simmpi::rng::SmallRng;
+    use simmpi::World;
+
+    use super::*;
+    use crate::plan::tests::{oracle, shuffle};
+
+    /// Discovery end to end on seeded worlds: every gid has 1-4 copies
+    /// placed on random ranks, and each rank's plan must equal the oracle
+    /// classification against the gids it really shares, with one
+    /// compact number per gid, the same on every rank that holds it.
+    #[test]
+    fn discovered_plans_match_the_oracle() {
+        let mut rng = SmallRng::seed_from_u64(0x6E5_5E7);
+        for p in [1, 2, 3, 5] {
+            for trial in 0..8 {
+                let ngids = rng.range_usize(0, 120);
+                let mut held: Vec<Vec<u64>> = vec![Vec::new(); p];
+                let mut gids = BTreeSet::new();
+                while gids.len() < ngids {
+                    gids.insert(rng.range_u64(0, 4 * ngids as u64 + 1));
+                }
+                for &gid in &gids {
+                    for _ in 0..rng.range_usize(1, 5) {
+                        held[rng.range_usize(0, p)].push(gid);
+                    }
+                }
+                for ids in &mut held {
+                    shuffle(&mut rng, ids);
+                }
+                let world = held.clone();
+                let res = World::new().run(p, move |rank| {
+                    let h = GsHandle::setup(rank, &world[rank.rank()]);
+                    (h.plan, h.halo_compact, h.total_compact)
+                });
+                let mut compact_of: BTreeMap<u64, u64> = BTreeMap::new();
+                for (r, (plan, halo_compact, total)) in res.results.into_iter().enumerate() {
+                    let mine: BTreeSet<u64> = held[r].iter().copied().collect();
+                    let shared: Vec<(usize, Vec<u64>)> = (0..p)
+                        .filter(|&q| q != r)
+                        .map(|q| {
+                            let theirs: BTreeSet<u64> = held[q].iter().copied().collect();
+                            (q, mine.intersection(&theirs).copied().collect::<Vec<_>>())
+                        })
+                        .filter(|(_, g)| !g.is_empty())
+                        .collect();
+                    let what = format!("p {p}, trial {trial}, rank {r}");
+                    assert_eq!(plan, oracle(&held[r], &shared), "{what}");
+                    assert_eq!(total, gids.len() as u64, "{what}");
+                    for (&gid, &c) in plan.halo_gids.iter().zip(&halo_compact) {
+                        assert!(c < total, "{what}");
+                        assert_eq!(*compact_of.entry(gid).or_insert(c), c, "{what}");
+                    }
+                }
+                let numbers: BTreeSet<u64> = compact_of.values().copied().collect();
+                assert_eq!(
+                    numbers.len(),
+                    compact_of.len(),
+                    "one compact number per gid"
+                );
+            }
+        }
     }
 }

@@ -16,8 +16,8 @@
 //!   it, so it appears nowhere in the plan.
 //!
 //! Building the plan is a pure function of the local ids and the gids
-//! each neighbor shares ([`Plan::build`]); the discovery phase that finds
-//! the latter lives in `handle.rs`.
+//! each neighbor shares ([`Plan::from_sorted`]); the discovery phase that
+//! finds the latter lives in `handle.rs`, and sorts the ids once for both.
 
 /// [`Plan::slot_halo`] entry of a slot that belongs to no halo group.
 pub(crate) const NOT_HALO: u32 = u32::MAX;
@@ -57,31 +57,44 @@ pub(crate) struct Plan {
     pub slot_halo: Vec<u32>,
 }
 
+/// `ids` paired with their slots and sorted: each gid's copies form one
+/// run, slots ascending within it — the documented local combine order.
+///
+/// # Panics
+/// Panics if there are `u32::MAX` slots or more.
+pub(crate) fn sorted_by_gid(ids: &[u64]) -> Vec<(u64, u32)> {
+    assert!(
+        ids.len() < NOT_HALO as usize,
+        "gs plan indexes slots with u32"
+    );
+    let mut by_gid: Vec<(u64, u32)> = ids.iter().copied().zip(0..).collect();
+    by_gid.sort_unstable();
+    by_gid
+}
+
 impl Plan {
-    /// Classify `ids` (one global id per local slot) against `shared`,
-    /// the gids each neighbor rank also holds.
+    /// [`Plan::from_sorted`] on unsorted `ids`, one global id per local
+    /// slot.
+    #[cfg(test)]
+    pub fn build(ids: &[u64], shared: &[(usize, Vec<u64>)]) -> Plan {
+        Plan::from_sorted(&sorted_by_gid(ids), shared)
+    }
+
+    /// Classify the ids of `by_gid`, already paired with their slots and
+    /// sorted ([`sorted_by_gid`]), against `shared`, the gids each
+    /// neighbor rank also holds.
     ///
     /// # Panics
-    /// Panics if a neighbor is said to share a gid that `ids` lacks, or if
-    /// there are `u32::MAX` slots or more.
-    pub fn build(ids: &[u64], shared: &[(usize, Vec<u64>)]) -> Plan {
-        assert!(
-            ids.len() < NOT_HALO as usize,
-            "gs plan indexes slots with u32"
-        );
+    /// Panics if a neighbor is said to share a gid that `by_gid` lacks.
+    pub fn from_sorted(by_gid: &[(u64, u32)], shared: &[(usize, Vec<u64>)]) -> Plan {
         let mut halo_gids: Vec<u64> = shared.iter().flat_map(|(_, g)| g).copied().collect();
         halo_gids.sort_unstable();
         halo_gids.dedup();
 
-        // Sorting (gid, slot) groups the copies of each id with their
-        // slots ascending — the documented local combine order.
-        let mut by_gid: Vec<(u64, u32)> = ids.iter().copied().zip(0..).collect();
-        by_gid.sort_unstable();
-
         let mut plan = Plan {
             halo_offsets: vec![0],
             multi_offsets: vec![0],
-            slot_halo: vec![NOT_HALO; ids.len()],
+            slot_halo: vec![NOT_HALO; by_gid.len()],
             ..Plan::default()
         };
         for run in by_gid.chunk_by(|a, b| a.0 == b.0) {
@@ -144,8 +157,109 @@ fn csr_groups<'a>(offsets: &'a [u32], slots: &'a [u32]) -> impl Iterator<Item = 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use simmpi::rng::SmallRng;
+
     use super::*;
+
+    /// The classification of the module docs, built from ordered maps:
+    /// the oracle the plan is checked against.
+    pub(crate) fn oracle(ids: &[u64], shared: &[(usize, Vec<u64>)]) -> Plan {
+        let mut slots: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        for (slot, &gid) in (0..).zip(ids) {
+            slots.entry(gid).or_default().push(slot);
+        }
+        let mut sharers: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
+        for (rank, gids) in shared {
+            for &gid in gids {
+                sharers.entry(gid).or_default().insert(*rank);
+            }
+        }
+        let mut plan = Plan {
+            distinct: slots.len(),
+            halo_offsets: vec![0],
+            multi_offsets: vec![0],
+            slot_halo: vec![NOT_HALO; ids.len()],
+            ..Plan::default()
+        };
+        let mut by_rank: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
+        for (&gid, s) in &slots {
+            if let Some(ranks) = sharers.get(&gid) {
+                let h = plan.halo_gids.len() as u32;
+                plan.halo_gids.push(gid);
+                for &slot in s {
+                    plan.slot_halo[slot as usize] = h;
+                }
+                plan.halo_slots.extend(s);
+                plan.halo_offsets.push(plan.halo_slots.len() as u32);
+                for &rank in ranks {
+                    by_rank.entry(rank).or_default().push(h);
+                }
+            } else if s.len() == 2 {
+                plan.pairs.push([s[0], s[1]]);
+            } else if s.len() > 2 {
+                plan.multi_slots.extend(s);
+                plan.multi_offsets.push(plan.multi_slots.len() as u32);
+            }
+        }
+        plan.pairs.sort();
+        plan.neighbors = by_rank
+            .into_iter()
+            .map(|(rank, halo)| NeighborList { rank, halo })
+            .collect();
+        plan
+    }
+
+    /// Fisher-Yates with the seeded generator.
+    pub(crate) fn shuffle<T>(rng: &mut SmallRng, v: &mut [T]) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.range_usize(0, i + 1));
+        }
+    }
+
+    /// Seeded trials: distinct gids of 1-4 local copies in shuffled
+    /// slots, each shared with a random set of neighbor ranks listed in
+    /// random order. Gids span the full `u64` range.
+    #[test]
+    fn random_plans_match_the_oracle() {
+        let mut rng = SmallRng::seed_from_u64(0x6E5_0047);
+        for trial in 0..300 {
+            let mut gids: Vec<u64> = (0..rng.range_usize(0, 80))
+                .map(|_| match rng.range_usize(0, 3) {
+                    0 => rng.range_u64(0, 200),
+                    _ => rng.next_u64(),
+                })
+                .collect();
+            gids.sort_unstable();
+            gids.dedup();
+            let mut ids: Vec<u64> = gids
+                .iter()
+                .flat_map(|&gid| std::iter::repeat_n(gid, rng.range_usize(1, 5)))
+                .collect();
+            shuffle(&mut rng, &mut ids);
+            let mut ranks: Vec<usize> = (0..16).collect();
+            shuffle(&mut rng, &mut ranks);
+            let shared: Vec<(usize, Vec<u64>)> = ranks[..rng.range_usize(0, 6)]
+                .iter()
+                .filter_map(|&rank| {
+                    let mut mine: Vec<u64> = gids
+                        .iter()
+                        .copied()
+                        .filter(|_| rng.range_usize(0, 3) == 0)
+                        .collect();
+                    shuffle(&mut rng, &mut mine);
+                    (!mine.is_empty()).then_some((rank, mine))
+                })
+                .collect();
+            assert_eq!(
+                Plan::build(&ids, &shared),
+                oracle(&ids, &shared),
+                "trial {trial}: ids {ids:?}, shared {shared:?}"
+            );
+        }
+    }
 
     #[test]
     fn classifies_halo_pair_multi_and_singleton() {

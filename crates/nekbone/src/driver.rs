@@ -252,7 +252,9 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig) -> RankOutput
         }
         m
     });
+    prof.enter(cmt_perf::regions::GS_SETUP);
     let handle = GsHandle::setup(rank, &gids);
+    prof.exit();
     let (chosen, tune_report) = match cfg.method {
         Some(m) => (m, None),
         None => {

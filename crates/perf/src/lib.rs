@@ -43,6 +43,11 @@ pub mod regions {
     /// mailbox scan for leaked messages. Also isolates the verifier's
     /// cost in overhead comparisons.
     pub const VERIFY: &str = "verify (finalize sweep)";
+    /// `gs_setup`: the gather–scatter discovery of shared ids (two
+    /// all-to-all rounds) and the exchange plan built from it. A child of
+    /// each driver's setup region, and in CMT-bone also of every
+    /// partition rebuild (load-balancer migration, rollback).
+    pub const GS_SETUP: &str = "gs_setup (discovery)";
     /// Load-balancer monitor + decision: gather the per-element /
     /// per-rank cost vector and run the deterministic repartition
     /// policy.

@@ -12,6 +12,9 @@
 //! first-touch pool warm-up, and teardown are excluded and only the
 //! steady-state steps remain. A failing assertion prints every region's
 //! delta, so the stray allocation is localised without a second run.
+//!
+//! One row bounds setup rather than the steady state: the bytes
+//! `GsHandle::setup` allocates per local id.
 
 use cmt_bone::{Config, Pipeline};
 use cmt_gs::{GsHandle, GsMethod, GsOp};
@@ -319,4 +322,49 @@ fn nekbone_dssum_regions_allocation_free_at_steady_state() {
     for prefix in ["dssum", "ax_e"] {
         assert_quiet("8 CG iterations", &long, &short, prefix);
     }
+}
+
+/// `GsHandle::setup`'s allocated bytes per local id, the most over the
+/// two ranks, at the benchmark's two gather shapes: CMT-bone's face ids
+/// (`surf_n5`: N=5, 782 elements per rank) and Nekbone's vertex-conforming
+/// point ids (`cg_n10`: N=10, 100 elements per rank). Discovery's
+/// transients are buffers sized from counts; a buffer grown by doubling
+/// shows here as bytes allocated more than once.
+fn gs_setup_bytes_per_id(n: usize, elems_per_rank: usize, face: bool) -> f64 {
+    let mesh = MeshConfig::for_ranks(2, elems_per_rank, n, true);
+    World::new()
+        .run(2, move |rank| {
+            let rm = RankMesh::new(mesh.clone(), rank.rank());
+            let ids = if face {
+                rm.face_exchange_gids()
+            } else {
+                rm.volume_point_gids()
+            };
+            let (_, b0) = cmt_perf::alloc::thread_counts();
+            let handle = GsHandle::setup(rank, &ids);
+            let (_, b1) = cmt_perf::alloc::thread_counts();
+            drop(handle);
+            (b1 - b0) as f64 / ids.len() as f64
+        })
+        .results
+        .into_iter()
+        .fold(0.0, f64::max)
+}
+
+/// The bounds sit just above today's figures (67.3 and 84.7 bytes per
+/// id); before discovery sized its buffers and sorted once they read
+/// 95.5 and 161.6.
+#[test]
+fn gs_setup_allocated_bytes_per_id_are_bounded() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    let surf = gs_setup_bytes_per_id(5, 782, true);
+    assert!(
+        surf <= 72.0,
+        "surf_n5 face ids: {surf:.1} bytes per id (was 95.5)"
+    );
+    let cg = gs_setup_bytes_per_id(10, 100, false);
+    assert!(
+        cg <= 90.0,
+        "cg_n10 point ids: {cg:.1} bytes per id (was 161.6)"
+    );
 }

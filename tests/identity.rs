@@ -33,6 +33,11 @@ const G7: u64 = 0xaa1d3736840007f4;
 /// too, but its `* mask` factor cannot move a bit: `p` is already zero
 /// wherever the mask is.
 const G8: u64 = 0xe8063245e96a038a;
+/// The step-0 state (`--steps 0`) at the benchmark's `surf_n5` shape:
+/// the initial profile alone, as the setup phase writes it.
+const S0_SURF: u64 = 0x75af74a953b09803;
+/// The step-0 state at the benchmark's `vol_n10` shape (dealiased, N=10).
+const S0_VOL: u64 = 0x619d61e776208c24;
 
 const VARIANTS: [KernelVariant; 3] = [
     KernelVariant::Optimized,
@@ -276,6 +281,29 @@ fn g7_mixed_sign_velocity() {
     for pipeline in [Pipeline::Overlapped, Pipeline::Blocking] {
         assert_bone("G7", &g7(), pipeline, G7);
     }
+}
+
+/// The initial profile at the benchmark's two cmt-bone shapes, with no
+/// step taken: pins the setup phase's table fill at N=5 and N=10.
+#[test]
+fn step0_state_at_the_benchmark_shapes() {
+    let surf = BoneConfig {
+        ranks: 2,
+        n: 5,
+        elems_per_rank: 782,
+        steps: 0,
+        fields: 5,
+        method: Some(GsMethod::PairwiseExchange),
+        ..Default::default()
+    };
+    let vol = BoneConfig {
+        n: 10,
+        elems_per_rank: 100,
+        dealias_m: Some(15),
+        ..surf.clone()
+    };
+    assert_bone("S0 surf_n5", &surf, Pipeline::Overlapped, S0_SURF);
+    assert_bone("S0 vol_n10", &vol, Pipeline::Overlapped, S0_VOL);
 }
 
 /// Rank count is an identity axis: the hash folds per-element hashes in
