@@ -10,10 +10,11 @@ use cmt_gs::GsHandle;
 use cmt_mesh::{face_exchange_gids_for, ElemPartition, MeshConfig, RankMesh};
 use cmt_particles::{Particle, ParticleSet};
 use cmt_perf::Profiler;
-use cmt_resilience::{hash, Checkpoint};
+use cmt_resilience::{hash, App, Checkpoint};
 use simmpi::Rank;
 
 use super::physics::Physics;
+use super::stage::BlockScratch;
 use super::Env;
 
 /// BR1 viscous workspace: the gradient fields plus one face-trace buffer
@@ -24,10 +25,12 @@ pub(super) struct ViscousWs {
     pub qfaces: [Vec<f64>; 3],
 }
 
-/// Everything on a rank that is sized by (and bound to) its current
-/// element set: the solution fields, every scratch buffer and the
-/// gather-scatter plan. A load-balancer migration replaces the whole
-/// block — the timestep loop only ever sees a consistent one.
+/// Everything on a rank that is bound to its current element set: the
+/// solution fields, every scratch buffer and the gather-scatter plan. A
+/// load-balancer migration replaces the whole block — the timestep loop
+/// only ever sees a consistent one. The fields, the face traces and the
+/// viscous workspace are sized by the element count; the volume term's
+/// scratch holds one element block ([`BlockScratch`]).
 pub(super) struct Block {
     /// Global ids of the owned elements, ascending — the local element
     /// order of every buffer below.
@@ -37,18 +40,13 @@ pub(super) struct Block {
     pub u: Vec<Field>,
     pub u0: Vec<Field>,
     pub rhs_all: Vec<Field>,
-    pub scratch: Field,
-    /// [`Physics::flux_scratch`].
-    pub flux: Vec<Field>,
+    /// The volume term's element-block scratch.
+    pub work: BlockScratch,
+    /// [`Physics::velocity_scratch`].
+    pub velocity: Vec<Field>,
     /// Each field's face traces ([`cmt_core::face::full2face`]), which
     /// the exchange turns into own + neighbor sums in place.
     pub faces_all: Vec<Vec<f64>>,
-    /// Fine-mesh dealias buffer (empty when dealiasing is off); the
-    /// interpolation matrices are partition-independent and live in
-    /// [`Env`].
-    pub dealias_fine: Vec<f64>,
-    /// Dealias contraction scratch: one `t1/t2` pair.
-    pub dealias_scratch: Vec<f64>,
     pub viscous: Option<ViscousWs>,
 }
 
@@ -81,11 +79,11 @@ impl Block {
             u: fields(),
             u0: fields(),
             rhs_all: fields(),
-            scratch: Field::zeros(n, nel),
-            flux: env.physics.flux_scratch(n, nel),
+            work: BlockScratch::new(env, nel),
+            velocity: env
+                .physics
+                .velocity_scratch(n, nel, cfg.particles_per_elem > 0),
             faces_all: (0..cfg.fields).map(|_| vec![0.0; fpe * nel]).collect(),
-            dealias_fine: vec![0.0; cfg.dealias_m.map_or(0, |m| m * m * m * nel)],
-            dealias_scratch: vec![0.0; cfg.dealias_m.map_or(0, |m| 2 * m.max(n).pow(3))],
             viscous: cfg.viscosity.map(|nu| ViscousWs {
                 nu,
                 q: std::array::from_fn(|_| Field::zeros(n, nel)),
@@ -169,9 +167,9 @@ impl State {
         let Some(ps) = self.pset.as_mut() else {
             return 0;
         };
-        let Block { u, flux, .. } = &mut self.blk;
+        let Block { u, velocity, .. } = &mut self.blk;
         prof.enter(cmt_perf::regions::PARTICLE_ADVECT);
-        ps.advect_field(self.dt, env.physics.tracer_velocity(u, flux));
+        ps.advect_field(self.dt, env.physics.tracer_velocity(u, velocity));
         prof.exit();
         prof.enter(cmt_perf::regions::PARTICLE_MIGRATE);
         let sent = ps.migrate(rank).sent as u64;
@@ -179,30 +177,35 @@ impl State {
         sent
     }
 
-    /// Capture the loop state at the top of a step (stage 0). With the
-    /// load balancer on, the scalars record the full element-owner
-    /// vector (identical on every rank), so a rollback — or a cross-run
-    /// restart — can rebuild the partition the fields were captured
-    /// under; [`Physics::carried_dt`] follows as the last scalar.
-    /// With particles on, their `[id, x, y, z]` records ride along as
-    /// one extra field entry.
-    pub fn capture(&self, env: &Env, rank: &Rank) -> Checkpoint {
-        let mut scalars: Vec<f64> = if env.cfg.lb_every > 0 {
-            self.part.owner_vec().iter().map(|&r| r as f64).collect()
-        } else {
-            Vec::new()
-        };
-        scalars.extend(env.physics.carried_dt(self.dt));
-        let mut fields: Vec<Vec<f64>> = self.blk.u.iter().map(|f| f.as_slice().to_vec()).collect();
-        fields.extend(self.particle_records());
-        Checkpoint {
-            rank: rank.rank() as u64,
-            step: self.step,
-            stage: 0,
-            time: self.time,
-            rng_state: rank.fault_rng_state().unwrap_or(0),
-            scalars,
-            fields,
+    /// Capture the loop state at the top of a step (stage 0) into
+    /// `ckpt`, refilling its buffers in place. The scalars open with the
+    /// app tag and the world size ([`Checkpoint::begin_scalars`]); with
+    /// the load balancer on, the full element-owner vector follows
+    /// (identical on every rank), so a rollback — or a cross-run restart
+    /// — can rebuild the partition the fields were captured under;
+    /// [`Physics::carried_dt`] comes last. With particles on, their
+    /// `[id, x, y, z]` records ride along as one extra field entry.
+    pub fn capture(&self, env: &Env, rank: &Rank, ckpt: &mut Checkpoint) {
+        ckpt.rank = rank.rank() as u64;
+        ckpt.step = self.step;
+        ckpt.stage = 0;
+        ckpt.time = self.time;
+        ckpt.rng_state = rank.fault_rng_state().unwrap_or(0);
+        ckpt.begin_scalars(App::CmtBone, rank.size());
+        if env.cfg.lb_every > 0 {
+            let owners = self.part.owner_vec().iter().map(|&r| r as f64);
+            ckpt.scalars.extend(owners);
+        }
+        ckpt.scalars.extend(env.physics.carried_dt(self.dt));
+        let nf = self.blk.u.len();
+        ckpt.fields
+            .resize_with(nf + usize::from(self.pset.is_some()), Vec::new);
+        for (dst, f) in ckpt.fields.iter_mut().zip(&self.blk.u) {
+            dst.clear();
+            dst.extend_from_slice(f.as_slice());
+        }
+        if let Some(rec) = ckpt.fields.get_mut(nf) {
+            self.write_particle_records(rec);
         }
     }
 
@@ -251,20 +254,22 @@ impl State {
         rank.set_fault_rng_state(ckpt.rng_state);
     }
 
-    /// This rank's tracers as flat `[id, x, y, z]` records in ascending
-    /// id order (the checkpoint and migration layout); `None` without
-    /// particles. Sorted here, at capture cadence, rather than on every
-    /// particle migration.
-    pub fn particle_records(&self) -> Option<Vec<f64>> {
-        let ps = self.pset.as_ref()?;
-        let mut by_id = ps.particles().to_vec();
-        by_id.sort_unstable_by_key(|p| p.id);
-        let mut rec = Vec::with_capacity(by_id.len() * 4);
-        for p in &by_id {
+    /// Write this rank's tracers into `rec` as flat `[id, x, y, z]`
+    /// records in ascending id order (the checkpoint and migration
+    /// layout); nothing without particles. Sorted here, at capture
+    /// cadence, rather than on every particle migration, and in place.
+    pub fn write_particle_records(&self, rec: &mut Vec<f64>) {
+        rec.clear();
+        let Some(ps) = self.pset.as_ref() else {
+            return;
+        };
+        for p in ps.particles() {
             rec.push(p.id as f64);
             rec.extend_from_slice(&p.pos);
         }
-        Some(rec)
+        // ids are distinct integers below 2^53, exact as `f64`
+        let (records, _) = rec.as_chunks_mut::<4>();
+        records.sort_unstable_by(|a, b| a[0].total_cmp(&b[0]));
     }
 
     /// Hash the final state element by element: each owned element's
@@ -346,8 +351,8 @@ pub(super) fn particle_from_record(c: &[f64]) -> Particle {
 /// A checkpoint's scalars: the element partition it was captured under
 /// (recorded when the load balancer is on) and the timestep the physics
 /// carries. Panics when they cannot come from this configuration — a
-/// restart directory written by another run, e.g. under the other
-/// physics.
+/// restart directory written by nekbone, at another world size, or under
+/// the other physics.
 pub(super) fn checkpoint_scalars(
     physics: &Physics,
     ckpt: &Checkpoint,
@@ -355,14 +360,17 @@ pub(super) fn checkpoint_scalars(
     ranks: usize,
 ) -> (Option<ElemPartition>, Option<f64>) {
     let total = mesh_cfg.total_elems();
+    let scalars = ckpt
+        .body_scalars(App::CmtBone, ranks)
+        .unwrap_or_else(|what| mismatch(format_args!("{what}")));
     let is_rank = |r: &f64| r.fract() == 0.0 && (0.0..ranks as f64).contains(r);
     let (owners, dt) = physics
-        .split_carried_dt(&ckpt.scalars)
+        .split_carried_dt(scalars)
         .filter(|(o, _)| o.is_empty() || (o.len() == total && o.iter().all(is_rank)))
         .unwrap_or_else(|| {
             mismatch(format_args!(
                 "{} scalars for {total} elements on {ranks} ranks",
-                ckpt.scalars.len()
+                scalars.len()
             ))
         });
     let part = (!owners.is_empty())

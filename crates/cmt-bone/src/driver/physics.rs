@@ -70,12 +70,36 @@ impl Physics {
     }
 
     /// The per-axis flux scratch of every conserved variable Euler's
-    /// volume term needs (empty for the proxy); the particle phase reuses
-    /// it for the fluid velocity.
+    /// volume term needs for one block of `nel` elements (empty for the
+    /// proxy).
     pub fn flux_scratch(&self, n: usize, nel: usize) -> Vec<Field> {
         match self {
             Physics::Advection => Vec::new(),
             Physics::Euler(_) => (0..NVARS).map(|_| Field::zeros(n, nel)).collect(),
+        }
+    }
+
+    /// Arrays the volume term touches per point of one derivative block,
+    /// the count [`super::stage::BlockScratch`] sizes its block by: the
+    /// proxy's field, right-hand side and derivative (the viscous
+    /// divergence's `q`, right-hand side and derivative alike); Euler's
+    /// five conserved variables, five flux components, five right-hand
+    /// sides and the derivative.
+    pub fn volume_arrays(&self) -> usize {
+        match self {
+            Physics::Advection => 3,
+            Physics::Euler(_) => 3 * NVARS + 1,
+        }
+    }
+
+    /// The fluid velocity the tracers ride, one field per axis over the
+    /// rank's `nel` elements, which [`Physics::tracer_velocity`] fills:
+    /// empty without `particles`, and for the proxy, whose tracers ride
+    /// its fields.
+    pub fn velocity_scratch(&self, n: usize, nel: usize, particles: bool) -> Vec<Field> {
+        match self {
+            Physics::Euler(_) if particles => (0..3).map(|_| Field::zeros(n, nel)).collect(),
+            _ => Vec::new(),
         }
     }
 
@@ -137,15 +161,10 @@ impl Physics {
             }
             Physics::Euler(gas) => {
                 let (basis, geom) = (&env.basis, &env.geom);
-                let VolumeTerm {
-                    u,
-                    flux,
-                    scratch,
-                    rhs_all,
-                    ..
-                } = vol;
+                let VolumeTerm { u, rhs_all, work } = vol;
                 prof.enter(regions::DERIV);
-                volume_rhs(env.cfg.variant, basis, geom, gas, u, flux, scratch, rhs_all);
+                let (flux, deriv) = (&mut work.flux, &mut work.deriv);
+                volume_rhs(env.cfg.variant, basis, geom, gas, u, flux, deriv, rhs_all);
                 prof.exit();
                 for f in 0..env.cfg.fields {
                     vol.dealias(env, prof, f);
@@ -185,8 +204,8 @@ impl Physics {
 
     /// The velocity the tracers ride: the first three proxy fields
     /// (cycled when fewer), or the fluid velocity `m / rho`, written into
-    /// the flux scratch the RK stages are done with.
-    pub fn tracer_velocity<'a>(&self, u: &'a [Field], flux: &'a mut [Field]) -> [&'a Field; 3] {
+    /// `velocity` ([`Physics::velocity_scratch`]).
+    pub fn tracer_velocity<'a>(&self, u: &'a [Field], velocity: &'a mut [Field]) -> [&'a Field; 3] {
         match self {
             Physics::Advection => {
                 let fields = u.len();
@@ -194,13 +213,13 @@ impl Physics {
             }
             Physics::Euler(_) => {
                 let rho = u[0].as_slice();
-                for (v, m) in flux.iter_mut().zip(&u[1..4]) {
+                for (v, m) in velocity.iter_mut().zip(&u[1..4]) {
                     let (v, m) = (v.as_mut_slice(), m.as_slice());
                     for (v, (m, r)) in v.iter_mut().zip(m.iter().zip(rho)) {
                         *v = m / r;
                     }
                 }
-                [&flux[0], &flux[1], &flux[2]]
+                [&velocity[0], &velocity[1], &velocity[2]]
             }
         }
     }

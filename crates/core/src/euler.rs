@@ -56,11 +56,18 @@ pub fn is_admissible(gas: &IdealGas, u: &[Field]) -> bool {
 }
 
 /// Volume term of the Euler right-hand side,
-/// `rhs_c = -sum_a dscale_a D_a F_a,c(U)`.
+/// `rhs_c = -sum_a dscale_a D_a F_a,c(U)`, one element block at a time:
+/// `scratch` and the five `flux` fields hold one block, any number of
+/// elements from one up (`u`'s count or more is one block of all).
 ///
-/// Per axis, one fused pointwise pass evaluates each point's full
-/// five-component flux vector once into `flux`; each component is then
-/// differentiated into `scratch` and accumulated into `rhs`.
+/// Per block and axis, one fused pointwise pass evaluates each point's
+/// full five-component flux vector once into `flux`; each component is
+/// then differentiated into `scratch` and accumulated into the block's
+/// part of `rhs`. Every point gets the same operations for any blocking.
+///
+/// # Panics
+/// Panics if `scratch` holds no element, or a `flux` field is not
+/// `scratch`'s shape.
 #[allow(clippy::too_many_arguments)]
 pub fn volume_rhs(
     variant: KernelVariant,
@@ -73,20 +80,37 @@ pub fn volume_rhs(
     rhs: &mut [Field],
 ) {
     let (n, nel) = (u[0].n(), u[0].nel());
-    for r in rhs.iter_mut() {
-        r.fill(0.0);
+    let n3 = n * n * n;
+    let block = scratch.nel();
+    assert!(
+        block >= 1 && scratch.n() == n,
+        "scratch: order {n}, at least one element"
+    );
+    for fc in flux.iter() {
+        assert_eq!((fc.n(), fc.nel()), (n, block), "flux shape");
     }
-    for (axis, dir) in [(0, DerivDir::R), (1, DerivDir::S), (2, DerivDir::T)] {
-        for idx in 0..u[0].len() {
-            let f = gas.flux(&point_state(u, idx), axis);
-            for (c, &fc) in f.iter().enumerate() {
-                flux[c].as_mut_slice()[idx] = fc;
-            }
+    for first in (0..nel).step_by(block) {
+        let pts = first * n3..(first + block).min(nel) * n3;
+        let len = pts.len();
+        for r in rhs.iter_mut() {
+            r.as_mut_slice()[pts.clone()].fill(0.0);
         }
-        for c in 0..NVARS {
-            let (fc, s) = (flux[c].as_slice(), scratch.as_mut_slice());
-            kernels::deriv(variant, dir, n, nel, &basis.d, fc, s);
-            rhs[c].axpy(-geom.dscale(axis), scratch);
+        for (axis, dir) in [(0, DerivDir::R), (1, DerivDir::S), (2, DerivDir::T)] {
+            for (i, idx) in pts.clone().enumerate() {
+                let f = gas.flux(&point_state(u, idx), axis);
+                for (c, &fc) in f.iter().enumerate() {
+                    flux[c].as_mut_slice()[i] = fc;
+                }
+            }
+            let a = -geom.dscale(axis);
+            let s = &mut scratch.as_mut_slice()[..len];
+            for (fc, r) in flux.iter().zip(rhs.iter_mut()) {
+                let fc = &fc.as_slice()[..len];
+                kernels::deriv(variant, dir, n, len / n3, &basis.d, fc, s);
+                for (r, &s) in r.as_mut_slice()[pts.clone()].iter_mut().zip(s.iter()) {
+                    *r += a * s;
+                }
+            }
         }
     }
 }

@@ -97,6 +97,19 @@ impl KernelVariant {
     }
 }
 
+/// Byte budget of one element block: the one blocking rule of both
+/// mini-apps' element loops (nekbone's `ax`, cmt-bone's volume term). A
+/// blocked loop runs as many elements at a time as keep the arrays it
+/// touches per element within 128 KiB, so each pass over a block finds
+/// the block still in L2 and every block-sized buffer stays small.
+pub const BLOCK_BYTES: usize = 128 * 1024;
+
+/// Elements in one block of a loop that touches `bytes_per_elem` bytes
+/// per element: as many as fit [`BLOCK_BYTES`], and at least one.
+pub fn block_elems(bytes_per_elem: usize) -> usize {
+    (BLOCK_BYTES / bytes_per_elem.max(1)).max(1)
+}
+
 /// Validate shapes shared by every derivative kernel entry point.
 ///
 /// `u` and `out` are flat `[e][k][j][i]` buffers of `n^3 * nel` values and

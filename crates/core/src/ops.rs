@@ -73,8 +73,17 @@ pub fn phys_grad(
 }
 
 /// Volume term of the advection RHS:
-/// `rhs = -(cx du/dx + cy du/dy + cz du/dz)`, computed with a single
-/// scratch field (one derivative at a time, accumulated).
+/// `rhs = -(cx du/dx + cy du/dy + cz du/dz)`, one derivative at a time
+/// through `scratch`, which holds one element block: any number of
+/// elements from one up (`u`'s count or more is one block of all). Each
+/// block takes its three derivatives into `scratch` and accumulates them
+/// into its part of `rhs` before the next block starts, so the block's
+/// `u`, `rhs` and `scratch` stay in cache across the three axes. Every
+/// point gets the same operations for any blocking.
+///
+/// # Panics
+/// Panics if `rhs` is not `u`'s shape, or `scratch` is not of `u`'s
+/// order with at least one element.
 pub fn advect_volume_rhs(
     variant: KernelVariant,
     basis: &Basis,
@@ -84,69 +93,44 @@ pub fn advect_volume_rhs(
     rhs: &mut Field,
     scratch: &mut Field,
 ) {
-    assert_eq!((u.n(), u.nel()), (rhs.n(), rhs.nel()), "rhs shape");
-    assert_eq!(
-        (u.n(), u.nel()),
-        (scratch.n(), scratch.nel()),
-        "scratch shape"
+    let n = u.n();
+    assert_eq!((rhs.n(), rhs.nel()), (n, u.nel()), "rhs shape");
+    assert!(
+        scratch.n() == n && scratch.nel() >= 1,
+        "scratch: order {n}, at least one element"
     );
-    advect_volume_rhs_slices(
-        variant,
-        basis,
-        geom,
-        vel,
-        u.n(),
-        u.nel(),
-        u.as_slice(),
-        rhs.as_mut_slice(),
-        scratch.as_mut_slice(),
-    );
-}
-
-/// Slice form of [`advect_volume_rhs`]: `u`, `rhs`, and `scratch` are
-/// `nel` contiguous elements in `Field` layout. The per-element
-/// arithmetic is independent, so any element range is a valid call.
-#[allow(clippy::too_many_arguments)]
-pub fn advect_volume_rhs_slices(
-    variant: KernelVariant,
-    basis: &Basis,
-    geom: &ElementGeom,
-    vel: [f64; 3],
-    n: usize,
-    nel: usize,
-    u: &[f64],
-    rhs: &mut [f64],
-    scratch: &mut [f64],
-) {
     let n3 = n * n * n;
-    assert_eq!(u.len(), n3 * nel, "u length");
-    assert_eq!(rhs.len(), n3 * nel, "rhs length");
-    assert_eq!(scratch.len(), n3 * nel, "scratch length");
-    // Fused accumulation: the first contributing axis *assigns*
-    // `0.0 + a*s` (the explicit `0.0 +` preserves the zero-fill-then-add
-    // value sequence bitwise — `-0.0` inputs round-trip identically, and
-    // LLVM may not fold `0.0 + x`), later axes accumulate. This removes
-    // the separate zero-fill pass over `rhs` between contractions.
-    let mut wrote = false;
-    for (axis, dir) in [(0, DerivDir::R), (1, DerivDir::S), (2, DerivDir::T)] {
-        if vel[axis] == 0.0 {
-            continue;
-        }
-        kernels::deriv(variant, dir, n, nel, &basis.d, u, scratch);
-        let a = -vel[axis] * geom.dscale(axis);
-        if wrote {
-            for (r, &s) in rhs.iter_mut().zip(scratch.iter()) {
-                *r += a * s;
+    let (u, rhs, scratch) = (u.as_slice(), rhs.as_mut_slice(), scratch.as_mut_slice());
+    let block = scratch.len();
+    for (u, rhs) in u.chunks(block).zip(rhs.chunks_mut(block)) {
+        let scratch = &mut scratch[..u.len()];
+        // Fused accumulation: the first contributing axis *assigns*
+        // `0.0 + a*s` (the explicit `0.0 +` preserves the
+        // zero-fill-then-add value sequence bitwise — `-0.0` inputs
+        // round-trip identically, and LLVM may not fold `0.0 + x`), later
+        // axes accumulate. This removes the separate zero-fill pass over
+        // `rhs` between contractions.
+        let mut wrote = false;
+        for (axis, dir) in [(0, DerivDir::R), (1, DerivDir::S), (2, DerivDir::T)] {
+            if vel[axis] == 0.0 {
+                continue;
             }
-        } else {
-            for (r, &s) in rhs.iter_mut().zip(scratch.iter()) {
-                *r = 0.0 + a * s;
+            kernels::deriv(variant, dir, n, u.len() / n3, &basis.d, u, scratch);
+            let a = -vel[axis] * geom.dscale(axis);
+            if wrote {
+                for (r, &s) in rhs.iter_mut().zip(scratch.iter()) {
+                    *r += a * s;
+                }
+            } else {
+                for (r, &s) in rhs.iter_mut().zip(scratch.iter()) {
+                    *r = 0.0 + a * s;
+                }
+                wrote = true;
             }
-            wrote = true;
         }
-    }
-    if !wrote {
-        rhs.fill(0.0); // zero velocity: no axis contributed
+        if !wrote {
+            rhs.fill(0.0); // zero velocity: no axis contributed
+        }
     }
 }
 

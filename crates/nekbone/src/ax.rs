@@ -22,14 +22,9 @@
 //! what makes Nekbone the natural computational sibling of CMT-bone's
 //! flux-divergence kernel.
 
-use cmt_core::kernels::{deriv, DerivDir};
+use cmt_core::kernels::{block_elems, deriv, DerivDir};
 use cmt_core::poly::Basis;
 use cmt_core::{Field, KernelVariant};
-
-/// Byte budget of one element block's `u`, `w`, `t1` and `t2` (4
-/// elements at N = 10): small enough that the block stays in L2 across
-/// the six contractions and the mass term of one apply.
-const BLOCK_BYTES: usize = 128 * 1024;
 
 /// Precomputed operator data shared by all `ax` applications.
 #[derive(Debug, Clone)]
@@ -78,7 +73,8 @@ impl AxOperator {
     /// numbering.
     ///
     /// Elements run in blocks of [`AxOperator::scratch_elems`]: as many
-    /// as keep their `u`, `w`, `t1` and `t2` within 128 KiB, so
+    /// as keep their `u`, `w`, `t1` and `t2` within
+    /// [`cmt_core::kernels::BLOCK_BYTES`] (4 elements at N = 10), so
     /// the three directions and the mass term run on data still in
     /// cache. The per-element arithmetic is identical for any blocking.
     ///
@@ -117,8 +113,7 @@ impl AxOperator {
     /// elements: one block, or all `nel` when that is smaller.
     pub fn scratch_elems(&self, nel: usize) -> usize {
         let n3 = self.basis.n.pow(3);
-        let block = (BLOCK_BYTES / (4 * n3 * std::mem::size_of::<f64>())).max(1);
-        block.min(nel)
+        block_elems(4 * n3 * std::mem::size_of::<f64>()).min(nel)
     }
 
     /// `nel` contiguous elements in `Field` layout, with `t1`/`t2` of

@@ -30,7 +30,7 @@ use std::ops::Range;
 use cmt_core::Field;
 use cmt_gs::{GsHandle, GsMethod, GsOp};
 use cmt_perf::Profiler;
-use cmt_resilience::{Checkpoint, Resilience};
+use cmt_resilience::{App, Checkpoint, Resilience};
 use simmpi::{Rank, ReduceOp};
 
 use crate::ax::AxOperator;
@@ -322,7 +322,8 @@ fn runs_dot(
 }
 
 /// Capture the CG iteration state at the top of iteration `iters`:
-/// fields `x`, `r`, `p`, and `rz` plus the residual history as scalars.
+/// fields `x`, `r`, `p`, and as scalars the head (app tag and world
+/// size, [`Checkpoint::begin_scalars`]), `rz` and the residual history.
 fn capture_cg_state(
     rank: &Rank,
     iters: usize,
@@ -332,22 +333,23 @@ fn capture_cg_state(
     rz: f64,
     history: &[f64],
 ) -> Checkpoint {
-    let mut scalars = Vec::with_capacity(1 + history.len());
-    scalars.push(rz);
-    scalars.extend_from_slice(history);
-    Checkpoint {
+    let mut ckpt = Checkpoint {
         rank: rank.rank() as u64,
         step: iters as u64,
         stage: 0,
         time: 0.0,
         rng_state: rank.fault_rng_state().unwrap_or(0),
-        scalars,
+        scalars: Vec::with_capacity(3 + history.len()),
         fields: vec![
             x.as_slice().to_vec(),
             r.as_slice().to_vec(),
             p.as_slice().to_vec(),
         ],
-    }
+    };
+    ckpt.begin_scalars(App::Nekbone, rank.size());
+    ckpt.scalars.push(rz);
+    ckpt.scalars.extend_from_slice(history);
+    ckpt
 }
 
 /// Restore the iteration state captured by [`capture_cg_state`].
@@ -364,6 +366,9 @@ fn restore_cg_state(
 ) {
     let mismatch =
         |what: String| -> ! { panic!("checkpoint does not match this configuration: {what}") };
+    let scalars = ckpt
+        .body_scalars(App::Nekbone, rank.size())
+        .unwrap_or_else(|what| mismatch(what));
     if ckpt.fields.len() != 3 {
         mismatch(format!("{} arrays, CG restores x, r, p", ckpt.fields.len()));
     }
@@ -381,12 +386,12 @@ fn restore_cg_state(
         }
         dst.as_mut_slice().copy_from_slice(src);
     }
-    if ckpt.scalars.is_empty() {
+    let [first, rest @ ..] = scalars else {
         mismatch("no scalars, CG restores rz and the residual history".into());
-    }
-    *rz = ckpt.scalars[0];
+    };
+    *rz = *first;
     history.clear();
-    history.extend_from_slice(&ckpt.scalars[1..]);
+    history.extend_from_slice(rest);
     *iters = ckpt.step as usize;
     rank.set_fault_rng_state(ckpt.rng_state);
 }

@@ -35,7 +35,7 @@ pub const MAGIC: [u8; 4] = *b"CMTR";
 pub const VERSION: u16 = 2;
 
 /// One rank's captured solver state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Checkpoint {
     /// The rank this state belongs to.
     pub rank: u64,
@@ -51,17 +51,94 @@ pub struct Checkpoint {
     /// installed.
     pub rng_state: u64,
     /// Solver-specific scalars (dt, CG's `r·z`, residual history, ...),
-    /// in a solver-defined order.
+    /// in a solver-defined order after the head the drivers write
+    /// ([`Checkpoint::begin_scalars`]).
     pub scalars: Vec<f64>,
     /// Solver field arrays (conserved variables, Krylov vectors, ...),
     /// in a solver-defined order.
     pub fields: Vec<Vec<f64>>,
 }
 
+/// The mini-app that wrote a checkpoint. Its tag and the world size the
+/// run had open every checkpoint's `scalars`
+/// ([`Checkpoint::begin_scalars`]), so a restart refuses a directory
+/// written by the other mini-app or at another rank count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum App {
+    /// The CMT-bone driver.
+    CmtBone,
+    /// The Nekbone driver.
+    Nekbone,
+}
+
+impl App {
+    const ALL: [App; 2] = [App::CmtBone, App::Nekbone];
+
+    /// The first scalar of this app's checkpoints: its name's ASCII
+    /// bytes as an integer, exact in an `f64` and unlike any owner rank
+    /// or timestep an older checkpoint opened with.
+    fn tag(self) -> f64 {
+        f64::from(u32::from_le_bytes(match self {
+            App::CmtBone => *b"CMTB",
+            App::Nekbone => *b"NEKB",
+        }))
+    }
+
+    /// The app's name in refusals.
+    pub fn name(self) -> &'static str {
+        match self {
+            App::CmtBone => "cmt-bone",
+            App::Nekbone => "nekbone",
+        }
+    }
+}
+
 impl Checkpoint {
+    /// Clear `scalars` and write their head: `app`'s tag, then the world
+    /// size `ranks`. The solver's own scalars follow.
+    pub fn begin_scalars(&mut self, app: App, ranks: usize) {
+        self.scalars.clear();
+        self.scalars.extend([app.tag(), ranks as f64]);
+    }
+
+    /// The solver's scalars after the head, or, when the head says
+    /// another app or another world size wrote them, why this run
+    /// (`app` at `ranks` ranks) cannot restore them, naming both values.
+    pub fn body_scalars(&self, app: App, ranks: usize) -> Result<&[f64], String> {
+        let [tag, size, body @ ..] = &self.scalars[..] else {
+            return Err(format!(
+                "{} scalars hold no app tag and world size",
+                self.scalars.len()
+            ));
+        };
+        let Some(writer) = App::ALL.into_iter().find(|a| a.tag() == *tag) else {
+            return Err(format!("scalar tag {tag} names no app"));
+        };
+        if writer != app {
+            return Err(format!(
+                "written by {}, this run is {}",
+                writer.name(),
+                app.name()
+            ));
+        }
+        if *size != ranks as f64 {
+            return Err(format!("written at {size} ranks, this run has {ranks}"));
+        }
+        Ok(body)
+    }
+
     /// Serialize to the versioned byte format, in one buffer sized up
     /// front (the vault keeps it, so growth slack would stay resident).
     pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// [`Checkpoint::encode`] into `buf`, replacing its contents: a
+    /// buffer that already holds a checkpoint of this size is reused
+    /// without allocating.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         // header, the five fixed-width values, the scalars, the field
         // count, the fields and the trailer
         let vec_len = |n: usize| 8 + 8 * n;
@@ -71,19 +148,19 @@ impl Checkpoint {
             + 8
             + self.fields.iter().map(|f| vec_len(f.len())).sum::<usize>()
             + 8;
-        let mut buf = Vec::with_capacity(len);
+        buf.clear();
+        buf.reserve_exact(len);
         buf.extend_from_slice(&MAGIC);
-        put_u16(&mut buf, VERSION);
-        self.rank.encode(&mut buf);
-        self.step.encode(&mut buf);
-        self.stage.encode(&mut buf);
-        self.time.encode(&mut buf);
-        self.rng_state.encode(&mut buf);
-        self.scalars.encode(&mut buf);
-        self.fields.encode(&mut buf);
-        frame_sum(&buf).encode(&mut buf);
+        put_u16(buf, VERSION);
+        self.rank.encode(buf);
+        self.step.encode(buf);
+        self.stage.encode(buf);
+        self.time.encode(buf);
+        self.rng_state.encode(buf);
+        self.scalars.encode(buf);
+        self.fields.encode(buf);
+        frame_sum(buf).encode(buf);
         debug_assert_eq!(buf.len(), len);
-        buf
     }
 
     /// Decode and verify a buffer produced by [`Checkpoint::encode`].

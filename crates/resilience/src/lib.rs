@@ -33,5 +33,5 @@ pub mod checkpoint;
 pub mod hash;
 pub mod store;
 
-pub use checkpoint::{Checkpoint, MAGIC, VERSION};
+pub use checkpoint::{App, Checkpoint, MAGIC, VERSION};
 pub use store::{load_checkpoint, Resilience};

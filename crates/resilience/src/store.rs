@@ -89,38 +89,51 @@ impl Resilience {
         self.every > 0 && step % self.every == 0
     }
 
-    /// Save `ckpt` (collective): keep the encoded bytes, replicate them
-    /// to this rank's replica holder over the ring, and mirror to disk
-    /// if a directory is configured. Returns the encoded size in bytes.
+    /// Save `ckpt` (collective): encode it into this rank's own buffer,
+    /// replicate the bytes to this rank's replica holder over the ring,
+    /// and mirror to disk if a directory is configured. Returns the
+    /// encoded size in bytes. Once every buffer has held a checkpoint of
+    /// this size, a save allocates nothing.
     ///
     /// # Panics
     /// Panics on a disk write error.
     pub fn save(&mut self, rank: &mut Rank, ckpt: &Checkpoint) -> usize {
-        let bytes = ckpt.encode();
-        let size = bytes.len();
+        let own = self.own.get_or_insert_with(Vec::new);
+        ckpt.encode_into(own);
         if let Some(dir) = &self.dir {
             let path = checkpoint_path(dir, rank.rank());
             std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::write(&path, &bytes))
+                .and_then(|()| std::fs::write(&path, &own))
                 .unwrap_or_else(|e| panic!("writing checkpoint {}: {e}", path.display()));
         }
-        self.replicate(rank, bytes);
+        let size = own.len();
+        self.replicate(rank, "checkpoint");
         size
     }
 
-    /// Ring replica exchange: send own bytes to the replica holder,
-    /// receive the predecessor's. Traffic is recorded under the
-    /// `checkpoint` context so its cost is a distinct line in the
-    /// mpiP-style report.
-    fn replicate(&mut self, rank: &mut Rank, bytes: Vec<u8>) {
+    /// Ring replica exchange: send a pooled copy of the own bytes to the
+    /// replica holder and swap the predecessor's into `partner`, so the
+    /// replaced replica parks in this rank's pool, where the next save's
+    /// copy finds it. Traffic is recorded under `context` so its cost is
+    /// a distinct line in the mpiP-style report.
+    fn replicate(&mut self, rank: &mut Rank, context: &str) {
         let (r, p) = (rank.rank(), rank.size());
-        if p > 1 {
-            rank.with_subcontext("checkpoint", |rank| {
-                rank.isend(replica_holder(r, p), CKPT_TAG, &bytes);
-                self.partner = Some(rank.recv::<u8>(replica_source(r, p), CKPT_TAG));
-            });
+        if p == 1 {
+            return;
         }
-        self.own = Some(bytes);
+        let own = self.own.as_deref().expect("replicating before any save");
+        let partner = &mut self.partner;
+        rank.with_subcontext(context, |rank| {
+            let mut copy = rank.pooled_vec::<u8>();
+            copy.extend_from_slice(own);
+            rank.isend_pooled(replica_holder(r, p), CKPT_TAG, copy);
+            let req = rank.irecv(replica_source(r, p), CKPT_TAG);
+            let mut got = rank.wait_recv_pooled::<u8>(req);
+            match partner {
+                Some(held) => std::mem::swap(held, &mut *got),
+                None => *partner = Some(got.to_vec()),
+            }
+        });
     }
 
     /// The ranks killed by the fault plan at `step` that have not fired
@@ -182,16 +195,12 @@ impl Resilience {
         });
         // Re-establish every replica: the dead ranks' memory was wiped,
         // so their predecessors' replicas no longer exist anywhere.
-        let own = self
-            .own
-            .as_deref()
-            .expect("recover called before any checkpoint was saved");
-        rank.with_subcontext("recovery", |rank| {
-            if p > 1 {
-                rank.isend(replica_holder(r, p), CKPT_TAG, own);
-                self.partner = Some(rank.recv::<u8>(replica_source(r, p), CKPT_TAG));
-            }
-        });
+        assert!(
+            self.own.is_some(),
+            "recover called before any checkpoint was saved"
+        );
+        self.replicate(rank, "recovery");
+        let own = self.own.as_deref().expect("checked above");
         Checkpoint::decode(own).unwrap_or_else(|e| panic!("rank {r}: restoring checkpoint: {e}"))
     }
 }

@@ -368,3 +368,81 @@ fn gs_setup_allocated_bytes_per_id_are_bounded() {
         "cg_n10 point ids: {cg:.1} bytes per id (was 161.6)"
     );
 }
+
+/// Bytes the setup region allocates per element at a two-rank cmt-bone
+/// shape with zero steps: the block's fields, face traces and volume
+/// scratch, and the face ids handed to `GsHandle::setup` (whose own
+/// allocations land in its `gs_setup` child region, not counted here).
+fn setup_bytes_per_elem(cfg: Config) -> f64 {
+    let elems = cfg.ranks * cfg.elems_per_rank;
+    let report = cmt_bone::run(&Config { steps: 0, ..cfg });
+    let (_, setup) = report
+        .profile
+        .flat
+        .iter()
+        .find(|(name, _)| name.starts_with("setup ("))
+        .expect("a setup region");
+    setup.self_alloc_bytes() as f64 / elems as f64
+}
+
+/// The volume term's scratch holds one element block, not one value per
+/// point of the partition: at `vol_n10` (N = 10, 100 elements per rank,
+/// 5 fields, M = 15) setup allocates 150.6 KB per element, where it
+/// allocated 184.4 KB when the fine dealias mesh and the derivative
+/// scratch were sized by the element count; at `surf_n5` (N = 5, 782
+/// elements per rank, no dealias) 22.3 KB, where it allocated 23.2 KB.
+/// The bounds sit just above today's figures.
+#[test]
+fn block_bytes_per_element_are_bounded() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    let shape = |n, elems_per_rank, dealias_m| Config {
+        ranks: 2,
+        n,
+        elems_per_rank,
+        fields: 5,
+        dealias_m,
+        method: Some(GsMethod::PairwiseExchange),
+        ..Default::default()
+    };
+    let vol = setup_bytes_per_elem(shape(10, 100, Some(15)));
+    assert!(
+        vol <= 152_000.0,
+        "vol_n10: {vol:.0} bytes per element (was 184 417)"
+    );
+    let surf = setup_bytes_per_elem(shape(5, 782, None));
+    assert!(
+        surf <= 22_500.0,
+        "surf_n5: {surf:.0} bytes per element (was 23 211)"
+    );
+}
+
+/// A warm checkpoint save allocates nothing: the capture refills one
+/// persistent `Checkpoint`, the encoder writes into the rank's own
+/// buffer, and the replica exchange sends a pooled copy and swaps the
+/// received bytes into the held replica, whose old buffer parks in the
+/// pool for the next copy. Three saves against one (every 2 steps), so
+/// the difference is the two saves after the first.
+#[test]
+fn cmt_bone_checkpoint_allocation_free_after_the_first_save() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    let cfg = |steps| Config {
+        checkpoint_every: 2,
+        ..bone_cfg(GsMethod::PairwiseExchange, Pipeline::Overlapped, steps)
+    };
+    let (long, short) = (
+        cmt_bone::run(&cfg(5)).profile,
+        cmt_bone::run(&cfg(1)).profile,
+    );
+    assert!(
+        long.flat
+            .iter()
+            .any(|(name, _)| name == cmt_perf::regions::CHECKPOINT),
+        "no checkpoint was saved"
+    );
+    assert_quiet(
+        "3 saves against 1",
+        &long,
+        &short,
+        cmt_perf::regions::CHECKPOINT,
+    );
+}

@@ -226,8 +226,8 @@ fn cmt_bone_restart_at_another_n_is_refused() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Nekbone handed a cmt-bone directory: two conserved fields are not
-/// CG's `x`, `r`, `p`.
+/// Nekbone handed a cmt-bone directory: the app tag at the head of the
+/// scalars names the other mini-app.
 #[test]
 fn nekbone_restart_from_a_cmt_bone_directory_is_refused() {
     let dir = scratch("nek_from_bone");
@@ -242,9 +242,58 @@ fn nekbone_restart_from_a_cmt_bone_directory_is_refused() {
         });
     });
     assert!(
-        msg.contains("checkpoint does not match this configuration: 2 arrays"),
+        msg.contains(
+            "checkpoint does not match this configuration: written by cmt-bone, this run is nekbone"
+        ),
         "{msg}"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The refusal of a directory written at 4 ranks and restarted at 2 with
+/// the same elements per rank: every field has the length the run
+/// expects, so only the world size at the head of the scalars tells the
+/// meshes apart.
+const OTHER_WORLD_SIZE: &str =
+    "checkpoint does not match this configuration: written at 4 ranks, this run has 2";
+
+#[test]
+fn cmt_bone_restart_at_another_world_size_is_refused() {
+    let dir = scratch("bone_other_ranks");
+    let cfg = cmt_bone::Config {
+        steps: 6,
+        ..bone_cfg()
+    };
+    cmt_bone::run(&cmt_bone::Config {
+        checkpoint_dir: Some(dir.clone()),
+        ..cfg.clone()
+    });
+    let msg = refusal("cmt-bone at 2 ranks", || {
+        cmt_bone::run(&cmt_bone::Config {
+            ranks: 2,
+            restart_from: Some(dir.clone()),
+            ..cfg
+        });
+    });
+    assert!(msg.contains(OTHER_WORLD_SIZE), "{msg}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn nekbone_restart_at_another_world_size_is_refused() {
+    let dir = scratch("nek_other_ranks");
+    nekbone::run(&nekbone::Config {
+        checkpoint_dir: Some(dir.clone()),
+        ..nek_cfg()
+    });
+    let msg = refusal("nekbone at 2 ranks", || {
+        nekbone::run(&nekbone::Config {
+            ranks: 2,
+            restart_from: Some(dir.clone()),
+            ..nek_cfg()
+        });
+    });
+    assert!(msg.contains(OTHER_WORLD_SIZE), "{msg}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
