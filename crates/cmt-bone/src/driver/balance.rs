@@ -11,7 +11,7 @@ use cmt_particles::{seeded_count, Particle};
 use cmt_perf::Profiler;
 use simmpi::Rank;
 
-use super::block::{particle_from_record, State};
+use super::block::{particle_from_record, particle_record, State};
 use super::Env;
 use crate::config::Config;
 use crate::report::LbSummary;
@@ -109,10 +109,7 @@ pub(super) fn balance(
                 vals.extend_from_slice(&uf.as_slice()[slot * n3..(slot + 1) * n3]);
             }
             vals.push(res.len() as f64);
-            for p in res {
-                vals.push(p.id as f64);
-                vals.extend_from_slice(&p.pos);
-            }
+            vals.extend(res.iter().flat_map(particle_record));
             vals
         },
         |gid, data| {

@@ -10,7 +10,7 @@ use cmt_gs::GsHandle;
 use cmt_mesh::{face_exchange_gids_for, ElemPartition, MeshConfig, RankMesh};
 use cmt_particles::{Particle, ParticleSet};
 use cmt_perf::Profiler;
-use cmt_resilience::{hash, App, Checkpoint};
+use cmt_resilience::{hash, App, Checkpoint, Encoder, Head, Shape};
 use simmpi::Rank;
 
 use super::physics::Physics;
@@ -177,43 +177,72 @@ impl State {
         sent
     }
 
-    /// Capture the loop state at the top of a step (stage 0) into
-    /// `ckpt`, refilling its buffers in place. The scalars open with the
-    /// app tag and the world size ([`Checkpoint::begin_scalars`]); with
-    /// the load balancer on, the full element-owner vector follows
-    /// (identical on every rank), so a rollback — or a cross-run restart
-    /// — can rebuild the partition the fields were captured under;
+    /// Encode the loop state at the top of a step (stage 0) into `buf`,
+    /// straight from the live state through one
+    /// [`cmt_resilience::Encoder`]. The scalars open with the app tag and
+    /// the world size ([`Checkpoint::begin_scalars`]); with the load
+    /// balancer on, the full element-owner vector follows (identical on
+    /// every rank), so a rollback — or a cross-run restart — can rebuild
+    /// the partition the fields were captured under;
     /// [`Physics::carried_dt`] comes last. With particles on, their
-    /// `[id, x, y, z]` records ride along as one extra field entry.
-    pub fn capture(&self, env: &Env, rank: &Rank, ckpt: &mut Checkpoint) {
-        ckpt.rank = rank.rank() as u64;
-        ckpt.step = self.step;
-        ckpt.stage = 0;
-        ckpt.time = self.time;
-        ckpt.rng_state = rank.fault_rng_state().unwrap_or(0);
-        ckpt.begin_scalars(App::CmtBone, rank.size());
-        if env.cfg.lb_every > 0 {
-            let owners = self.part.owner_vec().iter().map(|&r| r as f64);
-            ckpt.scalars.extend(owners);
+    /// `[id, x, y, z]` records ride along as one extra field, written
+    /// into the buffer and sorted there by id.
+    pub fn encode_checkpoint(&self, env: &Env, rank: &Rank, buf: &mut Vec<u8>) {
+        let owners: &[u32] = if env.cfg.lb_every > 0 {
+            self.part.owner_vec()
+        } else {
+            &[]
+        };
+        let dt = env.physics.carried_dt(self.dt);
+        let particles = self.pset.as_ref().map(ParticleSet::particles);
+        let values = self.blk.u.iter().map(|f| f.as_slice().len()).sum::<usize>()
+            + particles.map_or(0, |ps| 4 * ps.len());
+        let shape = Shape {
+            scalars: 2 + owners.len() + usize::from(dt.is_some()),
+            fields: self.blk.u.len() + usize::from(particles.is_some()),
+            values,
+        };
+        let head = Head {
+            rank: rank.rank() as u64,
+            step: self.step,
+            stage: 0,
+            time: self.time,
+            rng_state: rank.fault_rng_state().unwrap_or(0),
+        };
+        let mut enc = Encoder::new(buf, &head, shape);
+        enc.begin_scalars(App::CmtBone, rank.size());
+        for &r in owners {
+            enc.scalar(f64::from(r));
         }
-        ckpt.scalars.extend(env.physics.carried_dt(self.dt));
-        let nf = self.blk.u.len();
-        ckpt.fields
-            .resize_with(nf + usize::from(self.pset.is_some()), Vec::new);
-        for (dst, f) in ckpt.fields.iter_mut().zip(&self.blk.u) {
-            dst.clear();
-            dst.extend_from_slice(f.as_slice());
+        if let Some(dt) = dt {
+            enc.scalar(dt);
         }
-        if let Some(rec) = ckpt.fields.get_mut(nf) {
-            self.write_particle_records(rec);
+        let mut fields = enc.fields();
+        for f in &self.blk.u {
+            fields.field(f.as_slice());
         }
+        if let Some(ps) = particles {
+            fields.field_with(4 * ps.len(), |bytes| {
+                let (records, _) = bytes.as_chunks_mut::<32>();
+                for (rec, p) in records.iter_mut().zip(ps) {
+                    let (words, _) = rec.as_chunks_mut::<8>();
+                    for (w, v) in words.iter_mut().zip(particle_record(p)) {
+                        *w = v.to_le_bytes();
+                    }
+                }
+                // ids are distinct integers below 2^53, exact as `f64`
+                let id = |rec: &[u8; 32]| f64::from_le_bytes(*rec.first_chunk().expect("8 bytes"));
+                records.sort_unstable_by(|a, b| id(a).total_cmp(&id(b)));
+            });
+        }
+        fields.finish();
     }
 
-    /// Inverse of [`State::capture`], for `--restart` and for rollback
-    /// alike. When the checkpoint predates a rebalance, the block is
-    /// first rebuilt on the checkpoint's partition — its owner vector is
-    /// identical on every rank (captured from SPMD-uniform state), so
-    /// the collective gather-scatter setup is safe here.
+    /// Inverse of [`State::encode_checkpoint`], for `--restart` and for
+    /// rollback alike. When the checkpoint predates a rebalance, the
+    /// block is first rebuilt on the checkpoint's partition — its owner
+    /// vector is identical on every rank (captured from SPMD-uniform
+    /// state), so the collective gather-scatter setup is safe here.
     pub fn restore(&mut self, env: &Env, rank: &mut Rank, prof: &mut Profiler, ckpt: &Checkpoint) {
         let (ck_part, dt) = checkpoint_scalars(&env.physics, ckpt, env.mesh_cfg, rank.size());
         if let Some(ck_part) = ck_part.filter(|p| p.owner_vec() != self.part.owner_vec()) {
@@ -256,17 +285,13 @@ impl State {
 
     /// Write this rank's tracers into `rec` as flat `[id, x, y, z]`
     /// records in ascending id order (the checkpoint and migration
-    /// layout); nothing without particles. Sorted here, at capture
-    /// cadence, rather than on every particle migration, and in place.
+    /// layout) for the solution dump; nothing without particles.
     pub fn write_particle_records(&self, rec: &mut Vec<f64>) {
         rec.clear();
         let Some(ps) = self.pset.as_ref() else {
             return;
         };
-        for p in ps.particles() {
-            rec.push(p.id as f64);
-            rec.extend_from_slice(&p.pos);
-        }
+        rec.extend(ps.particles().iter().flat_map(particle_record));
         // ids are distinct integers below 2^53, exact as `f64`
         let (records, _) = rec.as_chunks_mut::<4>();
         records.sort_unstable_by(|a, b| a[0].total_cmp(&b[0]));
@@ -339,6 +364,12 @@ fn fill_initial(
     }
 }
 
+/// A particle as one `[id, x, y, z]` record (checkpoints, the solution
+/// dump and migration payloads share the layout).
+pub(super) fn particle_record(p: &Particle) -> [f64; 4] {
+    [p.id as f64, p.pos[0], p.pos[1], p.pos[2]]
+}
+
 /// One `[id, x, y, z]` record back to a particle (checkpoints and
 /// migration payloads share the layout).
 pub(super) fn particle_from_record(c: &[f64]) -> Particle {
@@ -391,9 +422,102 @@ mod tests {
     use cmt_core::eos::{IdealGas, Primitive};
     use cmt_core::poly::Basis;
 
+    use cmt_perf::Profiler;
+    use simmpi::{FaultPlan, World};
+
     use super::*;
     use crate::config::Config;
     use crate::driver::balance::setup_partition;
+    use crate::driver::Env;
+
+    /// The capture [`State::encode_checkpoint`] replaced, kept as its
+    /// oracle: the live state gathered into a [`Checkpoint`].
+    fn captured(st: &State, env: &Env, rank: &Rank) -> Checkpoint {
+        let mut ckpt = Checkpoint {
+            rank: rank.rank() as u64,
+            step: st.step,
+            stage: 0,
+            time: st.time,
+            rng_state: rank.fault_rng_state().unwrap_or(0),
+            ..Checkpoint::default()
+        };
+        ckpt.begin_scalars(App::CmtBone, rank.size());
+        if env.cfg.lb_every > 0 {
+            let owners = st.part.owner_vec().iter().map(|&r| r as f64);
+            ckpt.scalars.extend(owners);
+        }
+        ckpt.scalars.extend(env.physics.carried_dt(st.dt));
+        ckpt.fields = st.blk.u.iter().map(|f| f.as_slice().to_vec()).collect();
+        if st.pset.is_some() {
+            let mut rec = Vec::new();
+            st.write_particle_records(&mut rec);
+            ckpt.fields.push(rec);
+        }
+        ckpt
+    }
+
+    /// Encoding from the live state writes the bytes
+    /// `Checkpoint::encode` writes for the old capture: the proxy, the
+    /// proxy with a clustered particle cloud and the balancer (owner
+    /// scalars; particles held in reverse id order, so the in-buffer sort
+    /// has work to do), and Euler with its carried `dt`. A delay plan
+    /// gives the head a fault-RNG state, and the clock is moved off zero.
+    #[test]
+    fn encoding_from_state_matches_the_captured_checkpoint() {
+        let proxy = Config {
+            ranks: 2,
+            n: 4,
+            elems_per_rank: 8,
+            fields: 3,
+            ..Default::default()
+        };
+        let multiphase = Config {
+            particles_per_elem: 40,
+            particle_cluster: Some(0.22),
+            lb_every: 2,
+            ..proxy.clone()
+        };
+        let euler = Config {
+            euler: true,
+            fields: 5,
+            ..proxy.clone()
+        };
+        for cfg in [proxy, multiphase, euler] {
+            let mesh_cfg = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, true);
+            let plan = FaultPlan::parse("delay:prob=0.5,us=1;seed=3").unwrap();
+            let res = World::new().with_fault_plan(plan).run(cfg.ranks, |rank| {
+                let env = Env::new(&cfg, &mesh_cfg, Basis::new(cfg.n));
+                let part = if cfg.lb_every > 0 {
+                    setup_partition(&cfg, &mesh_cfg).0
+                } else {
+                    ElemPartition::initial(&mesh_cfg)
+                };
+                let mut st = State::initial(&env, rank, &mut Profiler::new(), part);
+                (st.step, st.time, st.dt) = (6, 0.375, st.dt * 0.75);
+                if let Some(ps) = st.pset.as_mut() {
+                    let mut reversed = ps.particles().to_vec();
+                    reversed.reverse();
+                    ps.set_particles(reversed);
+                }
+                let mut buf = vec![0xAB; 5];
+                st.encode_checkpoint(&env, rank, &mut buf);
+                (buf, captured(&st, &env, rank))
+            });
+            for (r, (bytes, ckpt)) in res.results.iter().enumerate() {
+                let what = format!(
+                    "euler {} particles {} rank {r}",
+                    cfg.euler, cfg.particles_per_elem
+                );
+                assert!(ckpt.rng_state != 0, "{what}: the delay plan sets the RNG");
+                assert_eq!(
+                    ckpt.scalars.len() > 2,
+                    cfg.lb_every > 0 || cfg.euler,
+                    "{what}"
+                );
+                assert!(*bytes == ckpt.encode(), "{what}: bytes differ");
+            }
+        }
+    }
 
     /// The per-point formula [`fill_initial`] replaced, kept as its
     /// oracle: the field value at `(x, y, z)` from the coordinates.

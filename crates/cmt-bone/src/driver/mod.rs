@@ -17,7 +17,7 @@ use cmt_core::poly::Basis;
 use cmt_gs::{autotune, AutotuneReport, GsMethod};
 use cmt_mesh::{ElemPartition, MeshConfig};
 use cmt_perf::{MpipReport, Profiler};
-use cmt_resilience::{hash, load_checkpoint, Checkpoint, Resilience};
+use cmt_resilience::{hash, load_checkpoint, Resilience};
 use cmt_verify::Verifier;
 use simmpi::{Rank, ReduceOp, World};
 
@@ -169,8 +169,6 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
 
     // ---- timestep loop --------------------------------------------------
     let mut rz = Resilience::new(cfg.checkpoint_every as u64, cfg.checkpoint_dir.clone());
-    // refilled at every capture, so a save reuses its buffers
-    let mut ckpt = Checkpoint::default();
     let steps = cfg.steps as u64;
     prof.enter(regions::LOOP);
     while st.step < steps {
@@ -179,8 +177,7 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
         // taken at (or before) s.
         if rz.checkpoint_due(st.step) {
             prof.enter(cmt_perf::regions::CHECKPOINT);
-            st.capture(&env, rank, &mut ckpt);
-            rz.save(rank, &ckpt);
+            rz.save_with(rank, |rank, buf| st.encode_checkpoint(&env, rank, buf));
             prof.exit();
         }
         // Scheduled rank kills: SPMD-known, so every rank detects them

@@ -222,7 +222,11 @@ impl GsHandle {
     pub fn shared_slot_flags(&self) -> Vec<bool> {
         let plan = &self.plan;
         let mut flags: Vec<bool> = plan.slot_halo.iter().map(|&h| h != NOT_HALO).collect();
-        for &slot in plan.pairs.iter().flatten().chain(&plan.multi_slots) {
+        for &[a, b, len] in &plan.runs {
+            flags[a as usize..][..len as usize].fill(true);
+            flags[b as usize..][..len as usize].fill(true);
+        }
+        for &slot in &plan.multi_slots {
             flags[slot as usize] = true;
         }
         flags

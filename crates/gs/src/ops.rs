@@ -428,12 +428,18 @@ impl GsHandle {
                 }
             }
         }
-        // Combine the interior in place, from the arrays as they are now.
+        // Combine the interior in place, from the arrays as they are now:
+        // each run of pairs as two disjoint slices, operands in `(a, b)`
+        // order.
         for f in fields.iter_mut() {
-            for &[a, b] in &plan.pairs {
-                let v = combine(f[a as usize], f[b as usize]);
-                f[a as usize] = v;
-                f[b as usize] = v;
+            for &[a, b, len] in &plan.runs {
+                let (lo, hi) = f.split_at_mut(b as usize);
+                let lo = &mut lo[a as usize..][..len as usize];
+                for (x, y) in lo.iter_mut().zip(&mut hi[..len as usize]) {
+                    let v = combine(*x, *y);
+                    *x = v;
+                    *y = v;
+                }
             }
             for slots in plan.multi_groups() {
                 let v = slots[1..]

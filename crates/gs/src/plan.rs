@@ -8,8 +8,11 @@
 //!   both sides order by gid, position `i` of our list and of theirs name
 //!   the same id.
 //! * **interior pair** — exactly two local copies and no remote one: the
-//!   DG face case. One `[u32; 2]` per id, sorted by slot so the combine
-//!   sweep streams through the value array.
+//!   DG face case. Pairs are kept as runs `[a, b, len]`: slots
+//!   `a..a + len` pair with `b..b + len` in order, so the combine sweeps
+//!   two disjoint slices (a DG face's points are contiguous on both
+//!   sides). Runs are sorted by `a`, so the sweep streams through the
+//!   value array.
 //! * **interior multi** — three or more local copies, none remote
 //!   (nekbone's rank-interior edges and vertices). A second CSR.
 //! * **singleton** — one copy in the whole world. No combine can change
@@ -45,9 +48,10 @@ pub(crate) struct Plan {
     pub halo_slots: Vec<u32>,
     /// Per-neighbor halo lists, ascending rank.
     pub neighbors: Vec<NeighborList>,
-    /// Rank-interior ids with two local copies, `[lower, higher]` slot,
-    /// sorted by lower slot.
-    pub pairs: Vec<[u32; 2]>,
+    /// Rank-interior ids with two local copies as runs `[a, b, len]`:
+    /// slot `a + i` pairs with `b + i` for `i < len`, `a + len <= b`.
+    /// Sorted by `a`, and maximal: no run continues the one before it.
+    pub runs: Vec<[u32; 3]>,
     /// CSR offsets into `multi_slots`, one more than multi groups.
     pub multi_offsets: Vec<u32>,
     /// Local slots of rank-interior ids with three or more copies,
@@ -97,6 +101,7 @@ impl Plan {
             slot_halo: vec![NOT_HALO; by_gid.len()],
             ..Plan::default()
         };
+        let mut pairs = Vec::new();
         for run in by_gid.chunk_by(|a, b| a.0 == b.0) {
             plan.distinct += 1;
             let slots = run.iter().map(|&(_, slot)| slot);
@@ -109,7 +114,7 @@ impl Plan {
                 plan.halo_slots.extend(slots);
                 plan.halo_offsets.push(plan.halo_slots.len() as u32);
             } else if run.len() == 2 {
-                plan.pairs.push([run[0].1, run[1].1]);
+                pairs.push([run[0].1, run[1].1]);
             } else if run.len() > 2 {
                 plan.multi_slots.extend(slots);
                 plan.multi_offsets.push(plan.multi_slots.len() as u32);
@@ -120,7 +125,8 @@ impl Plan {
             halo_gids.len(),
             "a neighbor shares a global id this rank does not hold"
         );
-        plan.pairs.sort_unstable();
+        pairs.sort_unstable();
+        plan.runs = runs_of(&pairs);
 
         plan.neighbors = shared
             .iter()
@@ -148,6 +154,21 @@ impl Plan {
     pub fn multi_groups(&self) -> impl Iterator<Item = &[u32]> {
         csr_groups(&self.multi_offsets, &self.multi_slots)
     }
+}
+
+/// `pairs`, each `[lower, higher]` slot and sorted, merged into maximal
+/// runs: a pair joins the run before it when both of its slots follow
+/// on. The run stays disjoint (`a + len <= b`) because every slot is in
+/// one pair only, so slot `b` can never follow on from `a + len - 1`.
+fn runs_of(pairs: &[[u32; 2]]) -> Vec<[u32; 3]> {
+    let mut runs: Vec<[u32; 3]> = Vec::new();
+    for &[a, b] in pairs {
+        match runs.last_mut() {
+            Some([ra, rb, len]) if *ra + *len == a && *rb + *len == b => *len += 1,
+            _ => runs.push([a, b, 1]),
+        }
+    }
+    runs
 }
 
 fn csr_groups<'a>(offsets: &'a [u32], slots: &'a [u32]) -> impl Iterator<Item = &'a [u32]> {
@@ -185,6 +206,8 @@ pub(crate) mod tests {
             ..Plan::default()
         };
         let mut by_rank: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
+        // interior pairs, lower slot to higher
+        let mut pairs: BTreeMap<u32, u32> = BTreeMap::new();
         for (&gid, s) in &slots {
             if let Some(ranks) = sharers.get(&gid) {
                 let h = plan.halo_gids.len() as u32;
@@ -198,13 +221,25 @@ pub(crate) mod tests {
                     by_rank.entry(rank).or_default().push(h);
                 }
             } else if s.len() == 2 {
-                plan.pairs.push([s[0], s[1]]);
+                pairs.insert(s[0], s[1]);
             } else if s.len() > 2 {
                 plan.multi_slots.extend(s);
                 plan.multi_offsets.push(plan.multi_slots.len() as u32);
             }
         }
-        plan.pairs.sort();
+        // A run starts at each pair whose slots do not both follow on
+        // from another pair's, and takes every pair that does, in turn.
+        for (&a, &b) in &pairs {
+            if a > 0 && pairs.get(&(a - 1)) == Some(&(b - 1)) {
+                continue;
+            }
+            let len = (1..)
+                .take_while(|&i| pairs.get(&(a + i)) == Some(&(b + i)))
+                .count() as u32;
+            plan.runs.push([a, b, len + 1]);
+        }
+        let covered: u32 = plan.runs.iter().map(|r| r[2]).sum();
+        assert_eq!(covered as usize, pairs.len(), "every pair in one run");
         plan.neighbors = by_rank
             .into_iter()
             .map(|(rank, halo)| NeighborList { rank, halo })
@@ -220,11 +255,14 @@ pub(crate) mod tests {
     }
 
     /// Seeded trials: distinct gids of 1-4 local copies in shuffled
-    /// slots, each shared with a random set of neighbor ranks listed in
-    /// random order. Gids span the full `u64` range.
+    /// slots (even trials) or laid out twice in the same order with gaps,
+    /// so interior pairs form runs (odd trials), each shared with a
+    /// random set of neighbor ranks listed in random order. Gids span the
+    /// full `u64` range.
     #[test]
     fn random_plans_match_the_oracle() {
         let mut rng = SmallRng::seed_from_u64(0x6E5_0047);
+        let mut longest = 0;
         for trial in 0..300 {
             let mut gids: Vec<u64> = (0..rng.range_usize(0, 80))
                 .map(|_| match rng.range_usize(0, 3) {
@@ -234,11 +272,23 @@ pub(crate) mod tests {
                 .collect();
             gids.sort_unstable();
             gids.dedup();
-            let mut ids: Vec<u64> = gids
-                .iter()
-                .flat_map(|&gid| std::iter::repeat_n(gid, rng.range_usize(1, 5)))
-                .collect();
-            shuffle(&mut rng, &mut ids);
+            let ids: Vec<u64> = if trial % 2 == 0 {
+                let mut ids: Vec<u64> = gids
+                    .iter()
+                    .flat_map(|&gid| std::iter::repeat_n(gid, rng.range_usize(1, 5)))
+                    .collect();
+                shuffle(&mut rng, &mut ids);
+                ids
+            } else {
+                // the DG face layout: the ids, then most of them again in
+                // the same order, so pairs form runs with gaps
+                let again: Vec<u64> = gids
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.range_usize(0, 5) != 0)
+                    .collect();
+                [&gids[..], &again].concat()
+            };
             let mut ranks: Vec<usize> = (0..16).collect();
             shuffle(&mut rng, &mut ranks);
             let shared: Vec<(usize, Vec<u64>)> = ranks[..rng.range_usize(0, 6)]
@@ -253,12 +303,15 @@ pub(crate) mod tests {
                     (!mine.is_empty()).then_some((rank, mine))
                 })
                 .collect();
+            let plan = Plan::build(&ids, &shared);
             assert_eq!(
-                Plan::build(&ids, &shared),
+                plan,
                 oracle(&ids, &shared),
                 "trial {trial}: ids {ids:?}, shared {shared:?}"
             );
+            longest = plan.runs.iter().map(|r| r[2]).fold(longest, u32::max);
         }
+        assert!(longest > 8, "no trial formed a long run ({longest})");
     }
 
     #[test]
@@ -275,7 +328,7 @@ pub(crate) mod tests {
         let multi: Vec<&[u32]> = plan.multi_groups().collect();
         assert_eq!(multi, [&[3, 6, 7][..], &[0, 2, 9][..]]);
         // gid 5 is a singleton: it appears nowhere
-        assert!(plan.pairs.is_empty());
+        assert!(plan.runs.is_empty());
         assert_eq!(plan.slot_halo[5], NOT_HALO);
         assert_eq!(plan.slot_halo[8], 0);
         assert_eq!(plan.slot_halo[1], 1);
@@ -287,11 +340,22 @@ pub(crate) mod tests {
     fn pairs_are_sorted_by_slot_not_gid() {
         let ids = [90, 10, 50, 50, 10, 90, 1];
         let plan = Plan::build(&ids, &[]);
-        assert_eq!(plan.pairs, [[0, 5], [1, 4], [2, 3]]);
+        assert_eq!(plan.runs, [[0, 5, 1], [1, 4, 1], [2, 3, 1]]);
         assert!(plan.halo_gids.is_empty());
         assert!(plan.neighbors.is_empty());
         assert_eq!(plan.multi_groups().count(), 0);
         assert_eq!(plan.distinct, 4);
+    }
+
+    #[test]
+    fn contiguous_pairs_form_one_run_per_stretch() {
+        //    slot: 0  1  2  3  4  5  6  7  8  9
+        let ids = [5, 6, 7, 8, 1, 5, 6, 7, 2, 8];
+        let plan = Plan::build(&ids, &[]);
+        assert_eq!(plan.runs, [[0, 5, 3], [3, 9, 1]]);
+        // gid 6 shared with a neighbor splits the first stretch
+        let plan = Plan::build(&ids, &[(1, vec![6])]);
+        assert_eq!(plan.runs, [[0, 5, 1], [2, 7, 1], [3, 9, 1]]);
     }
 
     #[test]

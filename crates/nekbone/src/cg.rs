@@ -30,7 +30,7 @@ use std::ops::Range;
 use cmt_core::Field;
 use cmt_gs::{GsHandle, GsMethod, GsOp};
 use cmt_perf::Profiler;
-use cmt_resilience::{App, Checkpoint, Resilience};
+use cmt_resilience::{App, Checkpoint, Encoder, Head, Resilience, Shape};
 use simmpi::{Rank, ReduceOp};
 
 use crate::ax::AxOperator;
@@ -172,10 +172,9 @@ pub fn cg_solve_resilient(
         // capture taken at (or before) i.
         if rez.checkpoint_due(iters as u64) {
             prof.enter(cmt_perf::regions::CHECKPOINT);
-            rez.save(
-                rank,
-                &capture_cg_state(rank, iters, x, &r, &p, rz, &history),
-            );
+            rez.save_with(rank, |rank, buf| {
+                encode_cg_state(rank, iters, x, &r, &p, rz, &history, buf)
+            });
             prof.exit();
         }
         let killed = rez.killed_at(rank, iters as u64);
@@ -321,10 +320,12 @@ fn runs_dot(
     acc
 }
 
-/// Capture the CG iteration state at the top of iteration `iters`:
-/// fields `x`, `r`, `p`, and as scalars the head (app tag and world
-/// size, [`Checkpoint::begin_scalars`]), `rz` and the residual history.
-fn capture_cg_state(
+/// Encode the CG iteration state at the top of iteration `iters` into
+/// `buf`, straight from the live vectors: fields `x`, `r`, `p`, and as
+/// scalars the head (app tag and world size,
+/// [`Checkpoint::begin_scalars`]), `rz` and the residual history.
+#[allow(clippy::too_many_arguments)]
+fn encode_cg_state(
     rank: &Rank,
     iters: usize,
     x: &Field,
@@ -332,27 +333,32 @@ fn capture_cg_state(
     p: &Field,
     rz: f64,
     history: &[f64],
-) -> Checkpoint {
-    let mut ckpt = Checkpoint {
+    buf: &mut Vec<u8>,
+) {
+    let head = Head {
         rank: rank.rank() as u64,
         step: iters as u64,
         stage: 0,
         time: 0.0,
         rng_state: rank.fault_rng_state().unwrap_or(0),
-        scalars: Vec::with_capacity(3 + history.len()),
-        fields: vec![
-            x.as_slice().to_vec(),
-            r.as_slice().to_vec(),
-            p.as_slice().to_vec(),
-        ],
     };
-    ckpt.begin_scalars(App::Nekbone, rank.size());
-    ckpt.scalars.push(rz);
-    ckpt.scalars.extend_from_slice(history);
-    ckpt
+    let shape = Shape {
+        scalars: 3 + history.len(),
+        fields: 3,
+        values: x.len() + r.len() + p.len(),
+    };
+    let mut enc = Encoder::new(buf, &head, shape);
+    enc.begin_scalars(App::Nekbone, rank.size());
+    enc.scalar(rz);
+    enc.scalars(history);
+    let mut fields = enc.fields();
+    for f in [x, r, p] {
+        fields.field(f.as_slice());
+    }
+    fields.finish();
 }
 
-/// Restore the iteration state captured by [`capture_cg_state`].
+/// Restore the iteration state encoded by [`encode_cg_state`].
 #[allow(clippy::too_many_arguments)]
 fn restore_cg_state(
     rank: &mut Rank,
@@ -648,6 +654,54 @@ mod tests {
                     "shared, {first}/{last} seed {seed}"
                 );
             }
+        }
+    }
+
+    /// The capture [`encode_cg_state`] replaced, kept as its oracle: the
+    /// iteration state copied into a fresh [`Checkpoint`].
+    fn captured(
+        rank: &Rank,
+        iters: usize,
+        fields: [&Field; 3],
+        rz: f64,
+        history: &[f64],
+    ) -> Checkpoint {
+        let mut ckpt = Checkpoint {
+            rank: rank.rank() as u64,
+            step: iters as u64,
+            stage: 0,
+            time: 0.0,
+            rng_state: rank.fault_rng_state().unwrap_or(0),
+            scalars: Vec::with_capacity(3 + history.len()),
+            fields: fields.map(|f| f.as_slice().to_vec()).to_vec(),
+        };
+        ckpt.begin_scalars(App::Nekbone, rank.size());
+        ckpt.scalars.push(rz);
+        ckpt.scalars.extend_from_slice(history);
+        ckpt
+    }
+
+    /// Encoding the CG state from the live vectors writes the bytes
+    /// `Checkpoint::encode` writes for the old capture, with a delay plan
+    /// setting the fault-RNG state in the head.
+    #[test]
+    fn encoding_from_state_matches_the_captured_checkpoint() {
+        let plan = simmpi::FaultPlan::parse("delay:prob=0.5,us=1;seed=5").unwrap();
+        let res = simmpi::World::new().with_fault_plan(plan).run(3, |rank| {
+            let seed = rank.rank() as u64;
+            let [x, r, p] = [1, 2, 3].map(|k| Field::from_vec(4, 5, values(320, 10 * seed + k)));
+            let history = values(7 + rank.rank(), 99 + seed);
+            let mut buf = vec![0x5A; 3];
+            encode_cg_state(rank, 11, &x, &r, &p, 0.125, &history, &mut buf);
+            let want = captured(rank, 11, [&x, &r, &p], 0.125, &history);
+            (buf, want)
+        });
+        for (rank, (bytes, want)) in res.results.iter().enumerate() {
+            assert!(
+                want.rng_state != 0,
+                "rank {rank}: the delay plan sets the RNG"
+            );
+            assert!(*bytes == want.encode(), "rank {rank}: bytes differ");
         }
     }
 }

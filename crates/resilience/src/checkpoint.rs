@@ -93,6 +93,184 @@ impl App {
     }
 }
 
+/// The fixed-width values a checkpoint opens with, before its scalars:
+/// [`Checkpoint`]'s first five fields.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Head {
+    /// [`Checkpoint::rank`].
+    pub rank: u64,
+    /// [`Checkpoint::step`].
+    pub step: u64,
+    /// [`Checkpoint::stage`].
+    pub stage: u32,
+    /// [`Checkpoint::time`].
+    pub time: f64,
+    /// [`Checkpoint::rng_state`].
+    pub rng_state: u64,
+}
+
+/// How much an [`Encoder`] writes: the scalar count, the field count and
+/// the values of all fields together, which fix the encoded length.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Shape {
+    /// Scalars, the app tag and world size included.
+    pub scalars: usize,
+    /// Field arrays.
+    pub fields: usize,
+    /// Values summed over the fields.
+    pub values: usize,
+}
+
+impl Shape {
+    /// The encoded length in bytes: header, the five fixed-width values,
+    /// the scalar vector, the field count, each field's length and
+    /// values, and the trailer.
+    pub fn encoded_len(self) -> usize {
+        6 + 36 + 8 + 8 * self.scalars + 8 + 8 * self.fields + 8 * self.values + 8
+    }
+}
+
+/// Make `buf` an empty buffer that holds `len` bytes without growing. A
+/// buffer that must grow gets `len / 64` bytes of headroom on top, so a
+/// checkpoint that grows by a little from save to save (nekbone's
+/// residual history, a few particles migrating in) is not reallocated at
+/// every save.
+pub(crate) fn fit(buf: &mut Vec<u8>, len: usize) {
+    buf.clear();
+    if buf.capacity() < len {
+        buf.reserve_exact(len + len / 64);
+    }
+}
+
+/// The one writer of the checkpoint layout, over borrowed parts: `new`
+/// writes the header and the [`Head`], then the scalars follow
+/// ([`Encoder::begin_scalars`], [`Encoder::scalar`], [`Encoder::scalars`]),
+/// then [`Encoder::fields`] hands over to a [`FieldSink`] that takes the
+/// fields in order and seals the trailer. The [`Shape`] given to `new`
+/// sizes the buffer once and is checked as the parts arrive, so a solver
+/// encodes from its live state without gathering it into a
+/// [`Checkpoint`] first, and the bytes are those of
+/// [`Checkpoint::encode`] on the same values.
+#[derive(Debug)]
+pub struct Encoder<'b> {
+    buf: &'b mut Vec<u8>,
+    shape: Shape,
+    /// Scalars still to come.
+    scalars: usize,
+}
+
+impl<'b> Encoder<'b> {
+    /// Start a checkpoint of `shape` in `buf`, replacing its contents.
+    pub fn new(buf: &'b mut Vec<u8>, head: &Head, shape: Shape) -> Encoder<'b> {
+        fit(buf, shape.encoded_len());
+        buf.extend_from_slice(&MAGIC);
+        put_u16(buf, VERSION);
+        head.rank.encode(buf);
+        head.step.encode(buf);
+        head.stage.encode(buf);
+        head.time.encode(buf);
+        head.rng_state.encode(buf);
+        shape.scalars.encode(buf);
+        Encoder {
+            buf,
+            shape,
+            scalars: shape.scalars,
+        }
+    }
+
+    /// The first two scalars, as [`Checkpoint::begin_scalars`] writes them:
+    /// `app`'s tag, then the world size `ranks`.
+    pub fn begin_scalars(&mut self, app: App, ranks: usize) {
+        self.scalars(&[app.tag(), ranks as f64]);
+    }
+
+    /// The next scalar.
+    pub fn scalar(&mut self, v: f64) {
+        self.scalars(&[v]);
+    }
+
+    /// The next scalars, in order.
+    ///
+    /// # Panics
+    /// Panics if they overrun the shape's scalar count.
+    pub fn scalars(&mut self, vs: &[f64]) {
+        self.scalars = self
+            .scalars
+            .checked_sub(vs.len())
+            .expect("more scalars than the shape declares");
+        f64::encode_slice(vs, self.buf);
+    }
+
+    /// End the scalars and start the fields.
+    ///
+    /// # Panics
+    /// Panics if fewer scalars were written than the shape declares.
+    pub fn fields(self) -> FieldSink<'b> {
+        assert_eq!(self.scalars, 0, "scalars missing from the shape's count");
+        self.shape.fields.encode(self.buf);
+        FieldSink {
+            buf: self.buf,
+            fields: self.shape.fields,
+            values: self.shape.values,
+        }
+    }
+}
+
+/// The fields half of an [`Encoder`]: one call per field, in order, then
+/// [`FieldSink::finish`].
+#[derive(Debug)]
+pub struct FieldSink<'b> {
+    buf: &'b mut Vec<u8>,
+    /// Fields and values still to come.
+    fields: usize,
+    values: usize,
+}
+
+impl FieldSink<'_> {
+    /// The next field, from its values.
+    pub fn field(&mut self, values: &[f64]) {
+        self.begin(values.len());
+        f64::encode_slice(values, self.buf);
+    }
+
+    /// The next field, `len` values that `fill` writes as little-endian
+    /// bytes into the `8 * len` (zeroed) bytes it is handed, where it may
+    /// also reorder them: how cmt-bone writes and sorts its particle
+    /// records in place.
+    pub fn field_with(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) {
+        self.begin(len);
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * len, 0);
+        fill(&mut self.buf[start..]);
+    }
+
+    fn begin(&mut self, len: usize) {
+        self.fields = self
+            .fields
+            .checked_sub(1)
+            .expect("more fields than the shape declares");
+        self.values = self
+            .values
+            .checked_sub(len)
+            .expect("more field values than the shape declares");
+        len.encode(self.buf);
+    }
+
+    /// Seal the checkpoint with its trailer.
+    ///
+    /// # Panics
+    /// Panics if fewer fields or values were written than the shape
+    /// declares.
+    pub fn finish(self) {
+        assert_eq!(
+            (self.fields, self.values),
+            (0, 0),
+            "fields or values missing from the shape's counts"
+        );
+        frame_sum(self.buf).encode(self.buf);
+    }
+}
+
 impl Checkpoint {
     /// Clear `scalars` and write their head: `app`'s tag, then the world
     /// size `ranks`. The solver's own scalars follow.
@@ -127,40 +305,45 @@ impl Checkpoint {
         Ok(body)
     }
 
+    /// The fixed-width values this checkpoint opens with.
+    fn head(&self) -> Head {
+        Head {
+            rank: self.rank,
+            step: self.step,
+            stage: self.stage,
+            time: self.time,
+            rng_state: self.rng_state,
+        }
+    }
+
+    /// The sizes this checkpoint encodes.
+    fn shape(&self) -> Shape {
+        Shape {
+            scalars: self.scalars.len(),
+            fields: self.fields.len(),
+            values: self.fields.iter().map(Vec::len).sum(),
+        }
+    }
+
     /// Serialize to the versioned byte format, in one buffer sized up
-    /// front (the vault keeps it, so growth slack would stay resident).
+    /// front.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.shape().encoded_len());
         self.encode_into(&mut buf);
         buf
     }
 
-    /// [`Checkpoint::encode`] into `buf`, replacing its contents: a
-    /// buffer that already holds a checkpoint of this size is reused
-    /// without allocating.
+    /// [`Checkpoint::encode`] into `buf`, replacing its contents, through
+    /// the [`Encoder`]: a buffer that already holds a checkpoint of this
+    /// size is reused without allocating.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        // header, the five fixed-width values, the scalars, the field
-        // count, the fields and the trailer
-        let vec_len = |n: usize| 8 + 8 * n;
-        let len = 6
-            + 36
-            + vec_len(self.scalars.len())
-            + 8
-            + self.fields.iter().map(|f| vec_len(f.len())).sum::<usize>()
-            + 8;
-        buf.clear();
-        buf.reserve_exact(len);
-        buf.extend_from_slice(&MAGIC);
-        put_u16(buf, VERSION);
-        self.rank.encode(buf);
-        self.step.encode(buf);
-        self.stage.encode(buf);
-        self.time.encode(buf);
-        self.rng_state.encode(buf);
-        self.scalars.encode(buf);
-        self.fields.encode(buf);
-        frame_sum(buf).encode(buf);
-        debug_assert_eq!(buf.len(), len);
+        let mut enc = Encoder::new(buf, &self.head(), self.shape());
+        enc.scalars(&self.scalars);
+        let mut fields = enc.fields();
+        for f in &self.fields {
+            fields.field(f);
+        }
+        fields.finish();
     }
 
     /// Decode and verify a buffer produced by [`Checkpoint::encode`].
@@ -359,6 +542,70 @@ mod tests {
             bent[at] ^= rng.range_u64(1, 256) as u8;
             reseal(&mut bent);
             let _ = Checkpoint::decode(&bent);
+        }
+    }
+
+    /// The encoder fed part by part — head scalars, one scalar, a slice,
+    /// a field from values and one filled in place — writes the bytes
+    /// `Checkpoint::encode` writes, into a buffer that held other bytes.
+    #[test]
+    fn encoder_parts_write_what_encode_writes() {
+        let mut ckpt = sample();
+        ckpt.begin_scalars(App::Nekbone, 6);
+        ckpt.scalars.extend([0.5, -2.0, 1e300]);
+        let mut buf = vec![9; 1000];
+        let mut enc = Encoder::new(&mut buf, &ckpt.head(), ckpt.shape());
+        enc.begin_scalars(App::Nekbone, 6);
+        enc.scalar(0.5);
+        enc.scalars(&[-2.0, 1e300]);
+        let mut fields = enc.fields();
+        fields.field(&ckpt.fields[0]);
+        fields.field_with(0, |bytes| assert!(bytes.is_empty()));
+        fields.field_with(17, |bytes| {
+            for b in bytes.as_chunks_mut::<8>().0 {
+                *b = (-0.5f64).to_le_bytes();
+            }
+        });
+        fields.finish();
+        assert_eq!(buf, ckpt.encode());
+        assert_eq!(buf.len(), ckpt.shape().encoded_len());
+    }
+
+    /// Parts that overrun or fall short of the declared shape panic
+    /// rather than write a checkpoint of another length.
+    #[test]
+    fn encoder_refuses_parts_outside_its_shape() {
+        let shape = Shape {
+            scalars: 1,
+            fields: 1,
+            values: 2,
+        };
+        type Case = fn(&mut Vec<u8>, Shape);
+        let cases: [(&str, Case); 4] = [
+            ("more scalars", |buf, shape| {
+                Encoder::new(buf, &Head::default(), shape).scalars(&[1.0, 2.0])
+            }),
+            ("scalars missing", |buf, shape| {
+                let _ = Encoder::new(buf, &Head::default(), shape).fields();
+            }),
+            ("more field values", |buf, shape| {
+                let mut enc = Encoder::new(buf, &Head::default(), shape);
+                enc.scalar(1.0);
+                enc.fields().field(&[1.0; 3]);
+            }),
+            ("fields or values missing", |buf, shape| {
+                let mut enc = Encoder::new(buf, &Head::default(), shape);
+                enc.scalar(1.0);
+                enc.fields().finish();
+            }),
+        ];
+        for (want, case) in cases {
+            let err = std::panic::catch_unwind(|| case(&mut Vec::new(), shape)).expect_err(want);
+            let msg = err.downcast_ref::<&str>().map(|s| s.to_string());
+            let msg = msg
+                .or_else(|| err.downcast_ref::<String>().cloned())
+                .unwrap();
+            assert!(msg.contains(want), "{want}: {msg}");
         }
     }
 

@@ -12,10 +12,13 @@
 //!   simulation time, solver scalars and fields, and the fault-RNG
 //!   state needed for bitwise replay) as versioned `simmpi` wire bytes
 //!   under a `frame_sum` trailer, refused as a [`simmpi::WireError`]
-//!   when foreign, of another version, truncated or corrupt;
+//!   when foreign, of another version, truncated or corrupt. One
+//!   [`Encoder`] writes that layout, from a `Checkpoint` or straight
+//!   from a solver's live state;
 //! * [`Resilience`] — the driver-facing orchestrator: cadence,
 //!   partner-rank in-memory redundancy over a ring (each rank's
-//!   checkpoint is mirrored on `(r + 1) % P`), optional disk mirroring
+//!   checkpoint is mirrored on `(r + 1) % P`, moved in [`CHUNK`]-sized
+//!   messages into the replica the holder already has), optional disk mirroring
 //!   for cross-run `--restart`, and the coordinated-rollback recovery
 //!   protocol that restores a killed rank's state from its replica
 //!   holder.
@@ -33,5 +36,5 @@ pub mod checkpoint;
 pub mod hash;
 pub mod store;
 
-pub use checkpoint::{App, Checkpoint, MAGIC, VERSION};
-pub use store::{load_checkpoint, Resilience};
+pub use checkpoint::{App, Checkpoint, Encoder, FieldSink, Head, Shape, MAGIC, VERSION};
+pub use store::{load_checkpoint, Resilience, CHUNK};

@@ -29,18 +29,40 @@
 //! holder must not die at the same step (both copies of one checkpoint
 //! would be lost). [`Resilience::recover`] panics loudly on that plan
 //! rather than restoring garbage.
+//!
+//! ## Two copies, moved in chunks
+//!
+//! A rank holds two encoded checkpoints: its own, which the solver
+//! encodes straight from its live state ([`Resilience::save_with`]), and
+//! its predecessor's replica. The replica moves in [`CHUNK`]-byte
+//! messages, each copied into the held replica in place and its buffer
+//! handed back to the sender as the acknowledgement that lets the next
+//! chunk go, so no rank ever holds a third full copy in flight and the
+//! chunk buffers return to the pool they came from. The first chunk
+//! carries the replica's length, and the held replica takes exactly
+//! that many bytes, so a checkpoint that shrank leaves no stale tail.
+//! Recovery's re-fetch of a killed rank's checkpoint takes the same
+//! path.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use simmpi::{Rank, Tag};
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{fit, Checkpoint};
 
-/// Tag of the replica exchange that rides along with every save.
+/// Tag of the replica exchange that rides along with every save; the
+/// acknowledgements go back on the next tag.
 const CKPT_TAG: Tag = 0xC0 << 40;
-/// Tag of the replica re-fetch during recovery.
+/// Tag of the replica re-fetch during recovery (acknowledgements on the
+/// next tag).
 const RECOVERY_TAG: Tag = 0xC1 << 40;
+
+/// Bytes per replica message: the replica's length (a `u64`) followed
+/// by the checkpoint bytes, cut into messages of this size, the last one
+/// partial. On the `multiphase` shape (1.15 MB per rank) 64 KiB and
+/// 256 KiB save in the same time; the smaller keeps less in flight.
+pub const CHUNK: usize = 64 << 10;
 
 /// The rank holding `r`'s checkpoint replica in a world of `p` ranks.
 fn replica_holder(r: usize, p: usize) -> usize {
@@ -52,6 +74,92 @@ fn replica_source(r: usize, p: usize) -> usize {
     (r + p - 1) % p
 }
 
+/// Messages that carry a replica of `len` bytes, its length included.
+fn chunk_count(len: usize) -> usize {
+    (8 + len).div_ceil(CHUNK)
+}
+
+/// Append message `i` of `bytes`' replica stream to `msg`: the stream is
+/// the length as a little-endian `u64`, then the bytes.
+fn put_chunk(msg: &mut Vec<u8>, bytes: &[u8], i: usize) {
+    let end = ((i + 1) * CHUNK).min(8 + bytes.len()) - 8;
+    if i == 0 {
+        msg.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        msg.extend_from_slice(&bytes[..end]);
+    } else {
+        msg.extend_from_slice(&bytes[i * CHUNK - 8..end]);
+    }
+}
+
+/// Move a replica stream in [`CHUNK`]-byte messages (collective over the
+/// ranks named): `out`'s bytes to their destination rank and, from its
+/// source rank, another stream into `into`'s buffer, in place. Message
+/// `i` goes out and message `i` comes in, and each received message's
+/// buffer goes back empty on `tag + 1` as the acknowledgement the sender
+/// waits for before message `i + 1`: one message in flight per link, and
+/// every buffer parks in the pool it was taken from.
+///
+/// # Panics
+/// Panics if a received message is not the size its stream's length
+/// implies.
+fn transfer(
+    rank: &mut Rank,
+    tag: Tag,
+    out: Option<(usize, &[u8])>,
+    mut into: Option<(usize, &mut Vec<u8>)>,
+) {
+    let ack = tag + 1;
+    let nsend = out.map_or(0, |(_, bytes)| chunk_count(bytes.len()));
+    // the incoming length, and with it the message count, arrives with
+    // the first message
+    let (mut want, mut nrecv) = (0, usize::from(into.is_some()));
+    let mut i = 0;
+    while i < nsend || i < nrecv {
+        let out = out.filter(|_| i < nsend);
+        if let Some((dest, bytes)) = out {
+            let mut msg = rank.pooled_vec::<u8>();
+            msg.reserve_exact(CHUNK);
+            put_chunk(&mut msg, bytes, i);
+            rank.isend_pooled(dest, tag, msg);
+        }
+        if let Some((src, held)) = into.as_mut().filter(|_| i < nrecv) {
+            let req = rank.irecv(*src, tag);
+            let mut msg = rank.wait_recv_pooled::<u8>(req);
+            let data = if i == 0 {
+                let (len, data) = msg
+                    .split_first_chunk::<8>()
+                    .expect("a replica stream opens with its length");
+                want = u64::from_le_bytes(*len) as usize;
+                nrecv = chunk_count(want);
+                fit(held, want);
+                data
+            } else {
+                &msg[..]
+            };
+            assert_eq!(
+                held.len() + data.len(),
+                ((i + 1) * CHUNK).min(8 + want) - 8,
+                "replica message {i} of a {want}-byte stream from rank {src}"
+            );
+            held.extend_from_slice(data);
+            msg.clear();
+            rank.isend_pooled(*src, ack, msg);
+        }
+        if let Some((dest, _)) = out {
+            let req = rank.irecv(dest, ack);
+            drop(rank.wait_recv_pooled::<u8>(req));
+        }
+        i += 1;
+    }
+    if let Some((src, held)) = into {
+        assert_eq!(
+            held.len(),
+            want,
+            "replica stream from rank {src} ended short"
+        );
+    }
+}
+
 /// Driver-facing resilience orchestrator: checkpoint cadence, this
 /// rank's encoded checkpoint and the replica it holds, kill-event
 /// bookkeeping, and the rollback protocol. All communicating
@@ -61,10 +169,11 @@ fn replica_source(r: usize, p: usize) -> usize {
 pub struct Resilience {
     every: u64,
     dir: Option<PathBuf>,
-    /// This rank's own latest encoded checkpoint.
-    own: Option<Vec<u8>>,
+    /// This rank's own latest encoded checkpoint; empty before the first
+    /// save and after this rank is killed.
+    own: Vec<u8>,
     /// Encoded replica of the ring predecessor's latest checkpoint.
-    partner: Option<Vec<u8>>,
+    partner: Vec<u8>,
     /// One flag per fault-plan kill event: a kill fires once, so a
     /// post-rollback replay of the same step does not re-kill. Derived
     /// identically on every rank (SPMD).
@@ -78,8 +187,8 @@ impl Resilience {
         Resilience {
             every,
             dir,
-            own: None,
-            partner: None,
+            own: Vec::new(),
+            partner: Vec::new(),
             consumed: Vec::new(),
         }
     }
@@ -89,50 +198,57 @@ impl Resilience {
         self.every > 0 && step % self.every == 0
     }
 
-    /// Save `ckpt` (collective): encode it into this rank's own buffer,
-    /// replicate the bytes to this rank's replica holder over the ring,
-    /// and mirror to disk if a directory is configured. Returns the
-    /// encoded size in bytes. Once every buffer has held a checkpoint of
-    /// this size, a save allocates nothing.
+    /// Save (collective): `encode` writes this rank's checkpoint into its
+    /// own buffer, emptied of the last one (through a
+    /// [`crate::Encoder`], handed this rank for the head), then the bytes
+    /// go to this rank's replica holder over the ring and to disk if a
+    /// directory is configured. Returns the encoded size in bytes. Once
+    /// both buffers have held a checkpoint of this size (give or take
+    /// their headroom), a save allocates nothing.
     ///
     /// # Panics
-    /// Panics on a disk write error.
-    pub fn save(&mut self, rank: &mut Rank, ckpt: &Checkpoint) -> usize {
-        let own = self.own.get_or_insert_with(Vec::new);
-        ckpt.encode_into(own);
+    /// Panics if `encode` writes nothing, and on a disk write error.
+    pub fn save_with(
+        &mut self,
+        rank: &mut Rank,
+        encode: impl FnOnce(&Rank, &mut Vec<u8>),
+    ) -> usize {
+        self.own.clear();
+        encode(rank, &mut self.own);
+        assert!(!self.own.is_empty(), "a checkpoint save encoded nothing");
         if let Some(dir) = &self.dir {
             let path = checkpoint_path(dir, rank.rank());
             std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::write(&path, &own))
+                .and_then(|()| std::fs::write(&path, &self.own))
                 .unwrap_or_else(|e| panic!("writing checkpoint {}: {e}", path.display()));
         }
-        let size = own.len();
         self.replicate(rank, "checkpoint");
-        size
+        self.own.len()
     }
 
-    /// Ring replica exchange: send a pooled copy of the own bytes to the
-    /// replica holder and swap the predecessor's into `partner`, so the
-    /// replaced replica parks in this rank's pool, where the next save's
-    /// copy finds it. Traffic is recorded under `context` so its cost is
-    /// a distinct line in the mpiP-style report.
+    /// [`Resilience::save_with`] of an assembled `ckpt`.
+    pub fn save(&mut self, rank: &mut Rank, ckpt: &Checkpoint) -> usize {
+        self.save_with(rank, |_, buf| ckpt.encode_into(buf))
+    }
+
+    /// Ring replica exchange: the own bytes to the replica holder, the
+    /// predecessor's into `partner`, chunk by chunk ([`transfer`]).
+    /// Traffic is recorded under `context` so its cost is a distinct line
+    /// in the mpiP-style report.
     fn replicate(&mut self, rank: &mut Rank, context: &str) {
         let (r, p) = (rank.rank(), rank.size());
         if p == 1 {
             return;
         }
-        let own = self.own.as_deref().expect("replicating before any save");
-        let partner = &mut self.partner;
+        assert!(!self.own.is_empty(), "replicating before any save");
+        let (own, partner) = (&self.own, &mut self.partner);
         rank.with_subcontext(context, |rank| {
-            let mut copy = rank.pooled_vec::<u8>();
-            copy.extend_from_slice(own);
-            rank.isend_pooled(replica_holder(r, p), CKPT_TAG, copy);
-            let req = rank.irecv(replica_source(r, p), CKPT_TAG);
-            let mut got = rank.wait_recv_pooled::<u8>(req);
-            match partner {
-                Some(held) => std::mem::swap(held, &mut *got),
-                None => *partner = Some(got.to_vec()),
-            }
+            transfer(
+                rank,
+                CKPT_TAG,
+                Some((replica_holder(r, p), own)),
+                Some((replica_source(r, p), partner)),
+            );
         });
     }
 
@@ -156,10 +272,10 @@ impl Resilience {
 
     /// Coordinated rollback after `killed` ranks died (collective):
     /// killed ranks lose their memory and re-fetch their checkpoint from
-    /// their replica holder; then *every* rank re-replicates (restoring
-    /// the ring invariant) and decodes its own last checkpoint, which the
-    /// caller restores solver state from. Recovery traffic is recorded
-    /// under the `recovery` context.
+    /// their replica holder, chunk by chunk like a replica; then *every*
+    /// rank re-replicates (restoring the ring invariant) and decodes its
+    /// own last checkpoint, which the caller restores solver state from.
+    /// Recovery traffic is recorded under the `recovery` context.
     ///
     /// # Panics
     /// Panics if no checkpoint exists, if a rank and its replica holder
@@ -177,31 +293,30 @@ impl Resilience {
         }
         if killed.contains(&r) {
             // the rank's memory is gone: its own bytes and its replica
-            self.own = None;
-            self.partner = None;
+            self.own = Vec::new();
+            self.partner = Vec::new();
         }
-        rank.with_subcontext("recovery", |rank| {
-            // Replica holders of the dead send their replicas back.
-            if killed.contains(&replica_source(r, p)) {
-                let replica = self
-                    .partner
-                    .as_deref()
-                    .expect("no replica held for killed predecessor");
-                rank.isend(replica_source(r, p), RECOVERY_TAG, replica);
-            }
-            if killed.contains(&r) {
-                self.own = Some(rank.recv::<u8>(replica_holder(r, p), RECOVERY_TAG));
-            }
+        // Replica holders of the dead send their replicas back.
+        let out = killed.contains(&replica_source(r, p)).then(|| {
+            assert!(
+                !self.partner.is_empty(),
+                "no replica held for killed predecessor"
+            );
+            (replica_source(r, p), &self.partner[..])
         });
+        let into = killed
+            .contains(&r)
+            .then_some((replica_holder(r, p), &mut self.own));
+        rank.with_subcontext("recovery", |rank| transfer(rank, RECOVERY_TAG, out, into));
         // Re-establish every replica: the dead ranks' memory was wiped,
         // so their predecessors' replicas no longer exist anywhere.
         assert!(
-            self.own.is_some(),
+            !self.own.is_empty(),
             "recover called before any checkpoint was saved"
         );
         self.replicate(rank, "recovery");
-        let own = self.own.as_deref().expect("checked above");
-        Checkpoint::decode(own).unwrap_or_else(|e| panic!("rank {r}: restoring checkpoint: {e}"))
+        Checkpoint::decode(&self.own)
+            .unwrap_or_else(|e| panic!("rank {r}: restoring checkpoint: {e}"))
     }
 }
 
@@ -226,6 +341,8 @@ mod tests {
     use super::*;
     use simmpi::{FaultPlan, World};
 
+    /// Rank `r`'s checkpoint at `step`: sizes differ by rank and span
+    /// several chunks from rank 1 on (rank 0's fits in one).
     fn ckpt_for(r: usize, step: u64) -> Checkpoint {
         Checkpoint {
             rank: r as u64,
@@ -234,8 +351,19 @@ mod tests {
             time: step as f64 * 0.1,
             rng_state: 7 * r as u64,
             scalars: vec![r as f64],
-            fields: vec![vec![r as f64 + 0.5; 8]],
+            fields: vec![
+                vec![r as f64 + 0.5; 8],
+                (0..r * 9_000 + 3).map(|i| i as f64 * 0.25).collect(),
+            ],
         }
+    }
+
+    /// Raw bytes of `len` that differ by `round` and `r`: replication
+    /// moves bytes and never decodes them, so any length is a stream.
+    fn pattern(round: usize, r: usize, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i * 31 + round * 7 + r * 13) as u8)
+            .collect()
     }
 
     #[test]
@@ -249,18 +377,93 @@ mod tests {
     }
 
     #[test]
+    fn chunks_cover_the_stream_once() {
+        for len in [0, 1, CHUNK - 9, CHUNK - 8, CHUNK - 7, CHUNK, 3 * CHUNK + 5] {
+            let bytes = pattern(0, 1, len);
+            let mut stream = Vec::new();
+            for i in 0..chunk_count(len) {
+                let start = stream.len();
+                put_chunk(&mut stream, &bytes, i);
+                assert!(stream.len() - start <= CHUNK, "len {len}: message {i}");
+            }
+            assert_eq!(stream[..8], (len as u64).to_le_bytes(), "len {len}");
+            assert_eq!(stream[8..], bytes[..], "len {len}");
+        }
+    }
+
+    /// Every rank's held replica equals its predecessor's bytes after
+    /// every save, at P = 1, 2, 3 and 5, with per-rank sizes that differ
+    /// and change from save to save: below one chunk, streams of exactly
+    /// one, two and three chunks and a byte either side, and saves that
+    /// shrink (the replica keeps no stale tail). The chunk buffers go
+    /// back to the pool they came from, so after the first save no rank
+    /// takes a fresh one however unequal the sizes.
+    #[test]
+    fn replicas_equal_their_predecessors_bytes_at_every_chunk_boundary() {
+        let sizes = [
+            10,
+            CHUNK - 9,
+            3 * CHUNK - 7,
+            CHUNK - 8,
+            2 * CHUNK - 9,
+            CHUNK - 7,
+            2 * CHUNK - 8,
+            1,
+            2 * CHUNK - 7,
+            3 * CHUNK - 8,
+            CHUNK,
+        ];
+        for p in [1usize, 2, 3, 5] {
+            let res = World::new().run(p, move |rank| {
+                let r = rank.rank();
+                let size = |round: usize, r: usize| sizes[(round + 3 * r) % sizes.len()];
+                let mut rz = Resilience::new(1, None);
+                let mut warm = None;
+                for round in 0..sizes.len() {
+                    let mine = pattern(round, r, size(round, r));
+                    let saved = rz.save_with(rank, |_, buf| buf.extend_from_slice(&mine));
+                    assert_eq!(saved, mine.len());
+                    assert_eq!(rz.own, mine, "p={p} rank {r} round {round}: own");
+                    let src = replica_source(r, p);
+                    let want = if p == 1 {
+                        Vec::new()
+                    } else {
+                        pattern(round, src, size(round, src))
+                    };
+                    assert!(
+                        rz.partner == want,
+                        "p={p} rank {r} round {round}: held {} bytes, predecessor saved {}",
+                        rz.partner.len(),
+                        want.len()
+                    );
+                    let (_, misses) = rank.pool().counters();
+                    assert_eq!(*warm.get_or_insert(misses), misses, "p={p} rank {r}");
+                }
+            });
+            assert_eq!(res.results.len(), p);
+        }
+    }
+
+    #[test]
     fn killed_rank_restores_from_replica_holder() {
         for p in [2usize, 3, 5] {
-            let res = World::new().run(p, move |rank| {
-                let mut rz = Resilience::new(2, None);
-                rz.save(rank, &ckpt_for(rank.rank(), 4));
-                // rank 0 dies; everyone runs the rollback protocol
-                let back = rz.recover(rank, &[0]);
-                assert!(rz.own.is_some());
-                back
-            });
-            for (r, ckpt) in res.results.iter().enumerate() {
-                assert_eq!(ckpt, &ckpt_for(r, 4), "p={p} rank {r}");
+            for dead in [0, p - 1] {
+                let res = World::new().run(p, move |rank| {
+                    let mut rz = Resilience::new(2, None);
+                    rz.save(rank, &ckpt_for(rank.rank(), 4));
+                    // one rank dies; everyone runs the rollback protocol
+                    let back = rz.recover(rank, &[dead]);
+                    let src = replica_source(rank.rank(), p);
+                    assert_eq!(
+                        rz.partner,
+                        ckpt_for(src, 4).encode(),
+                        "replica re-established"
+                    );
+                    back
+                });
+                for (r, ckpt) in res.results.iter().enumerate() {
+                    assert_eq!(ckpt, &ckpt_for(r, 4), "p={p} dead {dead} rank {r}");
+                }
             }
         }
     }

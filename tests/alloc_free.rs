@@ -416,12 +416,11 @@ fn block_bytes_per_element_are_bounded() {
     );
 }
 
-/// A warm checkpoint save allocates nothing: the capture refills one
-/// persistent `Checkpoint`, the encoder writes into the rank's own
-/// buffer, and the replica exchange sends a pooled copy and swaps the
-/// received bytes into the held replica, whose old buffer parks in the
-/// pool for the next copy. Three saves against one (every 2 steps), so
-/// the difference is the two saves after the first.
+/// A warm checkpoint save allocates nothing: the state is encoded
+/// straight into the rank's own buffer, and the replica moves in chunks
+/// copied into the held replica in place, each chunk's pooled buffer
+/// handed back to its sender. Three saves against one (every 2 steps),
+/// so the difference is the two saves after the first.
 #[test]
 fn cmt_bone_checkpoint_allocation_free_after_the_first_save() {
     assert!(cmt_perf::alloc::counting(), "counting allocator not active");
@@ -444,5 +443,82 @@ fn cmt_bone_checkpoint_allocation_free_after_the_first_save() {
         &long,
         &short,
         cmt_perf::regions::CHECKPOINT,
+    );
+}
+
+/// Nekbone's twin of the row above: a warm save encodes `x`, `r` and
+/// `p` straight into the rank's own buffer and moves the replica in
+/// recycled chunks, so it allocates nothing, although the residual
+/// history makes each save 16 bytes longer than the last (the buffers'
+/// headroom takes that). Three saves against one (every 2 iterations).
+#[test]
+fn nekbone_checkpoint_allocation_free_after_the_first_save() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    let cfg = |iters| nekbone::Config {
+        ranks: 4,
+        n: 6,
+        elems_per_rank: 8,
+        cg_iters: iters,
+        tol: 0.0,
+        checkpoint_every: 2,
+        method: Some(GsMethod::PairwiseExchange),
+        ..Default::default()
+    };
+    let (long, short) = (nekbone::run(&cfg(5)).profile, nekbone::run(&cfg(1)).profile);
+    assert!(
+        long.flat
+            .iter()
+            .any(|(name, _)| name == cmt_perf::regions::CHECKPOINT),
+        "no checkpoint was saved"
+    );
+    assert_quiet(
+        "3 saves against 1",
+        &long,
+        &short,
+        cmt_perf::regions::CHECKPOINT,
+    );
+}
+
+/// A save holds two copies of a rank's checkpoint: the first save's
+/// `checkpoint` region allocates at most twice the encoded size plus two
+/// replica chunks per rank — this rank's bytes and its predecessor's
+/// replica, each with its growth headroom, and the chunk buffer in
+/// flight. Each rank's checkpoint here spans six chunks. Gathering the
+/// state into a `Checkpoint` first and replicating a full pooled copy
+/// allocated about four times the encoded size.
+#[test]
+fn cmt_bone_first_checkpoint_save_allocates_two_copies() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    let cfg = Config {
+        ranks: 2,
+        n: 8,
+        elems_per_rank: 16,
+        fields: 5,
+        steps: 1,
+        checkpoint_every: 1,
+        method: Some(GsMethod::PairwiseExchange),
+        ..Default::default()
+    };
+    let report = cmt_bone::run(&cfg);
+    let (_, save) = report
+        .profile
+        .flat
+        .iter()
+        .find(|(name, _)| name == cmt_perf::regions::CHECKPOINT)
+        .expect("a checkpoint was saved");
+    let values = cfg.fields * cfg.elems_per_rank * cfg.n.pow(3);
+    let encoded = cmt_resilience::Shape {
+        scalars: 2,
+        fields: cfg.fields,
+        values,
+    }
+    .encoded_len();
+    assert!(encoded > 5 * cmt_resilience::CHUNK, "{encoded} bytes");
+    let per_rank = save.self_alloc_bytes() as f64 / cfg.ranks as f64;
+    let bound = 2 * encoded + 2 * cmt_resilience::CHUNK;
+    assert!(
+        per_rank <= bound as f64,
+        "first save: {per_rank:.0} bytes per rank, bound {bound} ({:.2}x the {encoded}-byte checkpoint)",
+        per_rank / encoded as f64
     );
 }
