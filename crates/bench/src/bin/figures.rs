@@ -242,8 +242,8 @@ fn overlap_fig(full: bool) {
             // start + finish under a near-zero parent).
             let gs: f64 = [
                 "gs_op_ (numerical flux exchange)",
-                "gs_op_start (post exchange)",
-                "gs_op_finish (wait + combine)",
+                "gs_op_start (post + interior combine)",
+                "gs_op_finish (wait + halo)",
             ]
             .iter()
             .map(|r| rep.profile.share(r))

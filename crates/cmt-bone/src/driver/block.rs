@@ -14,7 +14,7 @@ use cmt_resilience::{hash, App, Checkpoint, Encoder, Head, Shape};
 use simmpi::Rank;
 
 use super::physics::Physics;
-use super::stage::BlockScratch;
+use super::stage::{BlockScratch, Elements};
 use super::Env;
 
 /// BR1 viscous workspace: the gradient fields plus one face-trace buffer
@@ -26,21 +26,25 @@ pub(super) struct ViscousWs {
 }
 
 /// Everything on a rank that is bound to its current element set: the
-/// solution fields, every scratch buffer and the gather-scatter plan. A
-/// load-balancer migration replaces the whole block — the timestep loop
-/// only ever sees a consistent one. The fields, the face traces and the
-/// viscous workspace are sized by the element count; the volume term's
-/// scratch holds one element block ([`BlockScratch`]).
+/// solution fields, every scratch buffer, the gather-scatter plan and
+/// the elements' interior/halo classification. A load-balancer
+/// migration, a rollback onto another partition and the setup each
+/// build a whole new block — the timestep loop only ever sees a
+/// consistent one. The fields, the face traces and the viscous
+/// workspace are sized by the element count; the element pass's scratch,
+/// its right-hand side included, holds one element block
+/// ([`BlockScratch`]).
 pub(super) struct Block {
     /// Global ids of the owned elements, ascending — the local element
     /// order of every buffer below.
     pub owned: Vec<usize>,
     pub nel: usize,
     pub handle: GsHandle,
+    /// Which elements' face sums are final inside an exchange window.
+    pub elems: Elements,
     pub u: Vec<Field>,
     pub u0: Vec<Field>,
-    pub rhs_all: Vec<Field>,
-    /// The volume term's element-block scratch.
+    /// The element pass's block scratch.
     pub work: BlockScratch,
     /// [`Physics::velocity_scratch`].
     pub velocity: Vec<Field>,
@@ -72,14 +76,15 @@ impl Block {
         let (n, nel) = (cfg.n, owned.len());
         let fpe = face::face_values_per_element(n);
         let fields = || (0..cfg.fields).map(|_| Field::zeros(n, nel)).collect();
+        let work = BlockScratch::new(env, nel);
         Block {
             owned,
             nel,
+            elems: Elements::classify(&handle, fpe, nel, work.deriv.nel().div_ceil(4)),
             handle,
             u: fields(),
             u0: fields(),
-            rhs_all: fields(),
-            work: BlockScratch::new(env, nel),
+            work,
             velocity: env
                 .physics
                 .velocity_scratch(n, nel, cfg.particles_per_elem > 0),

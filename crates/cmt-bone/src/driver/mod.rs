@@ -37,11 +37,13 @@ pub(crate) mod regions {
     pub const FULL2FACE: &str = "full2face_cmt";
     /// The gather-scatter surface exchange — the paper's `gs_op_`.
     pub const GS_OP: &str = "gs_op_ (numerical flux exchange)";
-    /// Split-phase exchange start (gather + post sends/recvs). Nested
-    /// under [`GS_OP`] so the parent row keeps the total exchange time.
-    pub const GS_START: &str = "gs_op_start (post exchange)";
-    /// Split-phase exchange finish (wait + combine + scatter).
-    pub const GS_FINISH: &str = "gs_op_finish (wait + combine)";
+    /// Split-phase exchange start: gather and post the halo, then combine
+    /// the rank-interior ids in place. Nested under [`GS_OP`] so the
+    /// parent row keeps the total exchange time.
+    pub const GS_START: &str = "gs_op_start (post + interior combine)";
+    /// Split-phase exchange finish: wait, fold the neighbors' halo
+    /// values and scatter them.
+    pub const GS_FINISH: &str = "gs_op_finish (wait + halo)";
     /// Upwind lifting of the exchanged fluxes back into the volume.
     pub const FLUX_LIFT: &str = "add_face2full (flux lift)";
     /// Runge-Kutta stage update.

@@ -145,7 +145,14 @@ impl AdvDiffSolver {
         advect_volume_rhs(variant, basis, geom, vel, u, rhs, scratch);
         face::full2face(bx.n, bx.nel(), u.as_slice(), &mut self.faces);
         bx.exchange(&mut self.faces);
-        upwind_lift(basis, geom, vel, u.as_slice(), &self.faces, rhs);
+        upwind_lift(
+            basis,
+            geom,
+            vel,
+            u.as_slice(),
+            &self.faces,
+            rhs.as_mut_slice(),
+        );
         if let Some(v) = &mut self.viscous {
             v.add_to(bx, variant, u, &self.faces, rhs);
         }

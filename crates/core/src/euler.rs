@@ -38,8 +38,8 @@ use crate::rk;
 
 /// The conserved state at flat point index `idx` of the five fields `u`.
 #[inline]
-fn point_state(u: &[Field], idx: usize) -> [f64; NVARS] {
-    std::array::from_fn(|c| u[c].as_slice()[idx])
+fn point_state<U: AsRef<[f64]>>(u: &[U], idx: usize) -> [f64; NVARS] {
+    std::array::from_fn(|c| u[c].as_ref()[idx])
 }
 
 /// Largest wave speed `|u_n| + c` over every point and axis of `u`.
@@ -58,7 +58,9 @@ pub fn is_admissible(gas: &IdealGas, u: &[Field]) -> bool {
 /// Volume term of the Euler right-hand side,
 /// `rhs_c = -sum_a dscale_a D_a F_a,c(U)`, one element block at a time:
 /// `scratch` and the five `flux` fields hold one block, any number of
-/// elements from one up (`u`'s count or more is one block of all).
+/// elements from one up (`u`'s count or more is one block of all). `u`
+/// and `rhs` hold the same whole elements of `basis`'s order: whole
+/// fields, or one element range of each.
 ///
 /// Per block and axis, one fused pointwise pass evaluates each point's
 /// full five-component flux vector once into `flux`; each component is
@@ -69,18 +71,19 @@ pub fn is_admissible(gas: &IdealGas, u: &[Field]) -> bool {
 /// Panics if `scratch` holds no element, or a `flux` field is not
 /// `scratch`'s shape.
 #[allow(clippy::too_many_arguments)]
-pub fn volume_rhs(
+pub fn volume_rhs<U: AsRef<[f64]>, R: AsMut<[f64]>>(
     variant: KernelVariant,
     basis: &Basis,
     geom: &ElementGeom,
     gas: &IdealGas,
-    u: &[Field],
+    u: &[U],
     flux: &mut [Field],
     scratch: &mut Field,
-    rhs: &mut [Field],
+    rhs: &mut [R],
 ) {
-    let (n, nel) = (u[0].n(), u[0].nel());
+    let n = basis.n;
     let n3 = n * n * n;
+    let nel = u[0].as_ref().len() / n3;
     let block = scratch.nel();
     assert!(
         block >= 1 && scratch.n() == n,
@@ -93,7 +96,7 @@ pub fn volume_rhs(
         let pts = first * n3..(first + block).min(nel) * n3;
         let len = pts.len();
         for r in rhs.iter_mut() {
-            r.as_mut_slice()[pts.clone()].fill(0.0);
+            r.as_mut()[pts.clone()].fill(0.0);
         }
         for (axis, dir) in [(0, DerivDir::R), (1, DerivDir::S), (2, DerivDir::T)] {
             for (i, idx) in pts.clone().enumerate() {
@@ -107,7 +110,7 @@ pub fn volume_rhs(
             for (fc, r) in flux.iter().zip(rhs.iter_mut()) {
                 let fc = &fc.as_slice()[..len];
                 kernels::deriv(variant, dir, n, len / n3, &basis.d, fc, s);
-                for (r, &s) in r.as_mut_slice()[pts.clone()].iter_mut().zip(s.iter()) {
+                for (r, &s) in r.as_mut()[pts.clone()].iter_mut().zip(s.iter()) {
                     *r += a * s;
                 }
             }
@@ -125,21 +128,24 @@ pub fn volume_rhs(
 /// with `F*` the Rusanov flux of the own and neighbor traces. Each face
 /// point reads its own state from the conserved fields `u` and recovers
 /// the neighbor's as `sum[c] - own`, where `sum[c]` is component `c`'s
-/// exchanged trace sum, as for [`ops::upwind_lift`].
-pub fn rusanov_lift(
+/// exchanged trace sum, as for [`ops::upwind_lift`]. `u`, `sum` and
+/// `rhs` hold the same whole elements of `basis`'s order: whole fields,
+/// or one element range of each.
+pub fn rusanov_lift<U: AsRef<[f64]>, S: AsRef<[f64]>, R: AsMut<[f64]>>(
     gas: &IdealGas,
     basis: &Basis,
     geom: &ElementGeom,
-    u: &[Field],
-    sum: &[Vec<f64>],
-    rhs: &mut [Field],
+    u: &[U],
+    sum: &[S],
+    rhs: &mut [R],
 ) {
-    let (n, nel) = (rhs[0].n(), rhs[0].nel());
+    let n = basis.n;
     let (n2, n3) = (n * n, n * n * n);
     let fpe = face::face_values_per_element(n);
+    let nel = rhs[0].as_mut().len() / n3;
     for (uc, sc) in u.iter().zip(sum) {
-        assert_eq!(uc.len(), n3 * nel, "volume length");
-        assert_eq!(sc.len(), fpe * nel, "trace sum length");
+        assert_eq!(uc.as_ref().len(), n3 * nel, "volume length");
+        assert_eq!(sc.as_ref().len(), fpe * nel, "trace sum length");
     }
     let w_end = basis.weights[0];
     for e in 0..nel {
@@ -151,11 +157,11 @@ pub fn rusanov_lift(
             face::for_each_face_index(n, f, |p, i| {
                 let idx = e * n3 + i;
                 let ul = point_state(u, idx);
-                let ur: [f64; NVARS] = std::array::from_fn(|c| sum[c][off + p] - ul[c]);
+                let ur: [f64; NVARS] = std::array::from_fn(|c| sum[c].as_ref()[off + p] - ul[c]);
                 let fstar = gas.rusanov_flux(&ul, &ur, axis, sign);
                 let fown = gas.flux(&ul, axis);
                 for c in 0..NVARS {
-                    rhs[c].as_mut_slice()[idx] -= lift * (fstar[c] - sign * fown[c]);
+                    rhs[c].as_mut()[idx] -= lift * (fstar[c] - sign * fown[c]);
                 }
             });
         }
@@ -736,7 +742,7 @@ mod tests {
                     let fown = gas.flux(&ul, axis);
                     let idx = e * n3 + face::face_point_volume_index(n, f, p);
                     for c in 0..NVARS {
-                        rhs[c].as_mut_slice()[idx] -= lift * (fstar[c] - sign * fown[c]);
+                        rhs[c].as_mut()[idx] -= lift * (fstar[c] - sign * fown[c]);
                     }
                 }
             }

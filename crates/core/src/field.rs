@@ -18,6 +18,18 @@ pub struct Field {
     data: Vec<f64>,
 }
 
+impl AsRef<[f64]> for Field {
+    fn as_ref(&self) -> &[f64] {
+        &self.data
+    }
+}
+
+impl AsMut<[f64]> for Field {
+    fn as_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+}
+
 impl Field {
     /// A zero-initialized field with `nel` elements of `n^3` points.
     ///

@@ -164,12 +164,14 @@ impl Viscous {
             let scale = bx.geom.dscale(axis);
             kernels::deriv(variant, dir, n, nel, d, u.as_slice(), self.q.as_mut_slice());
             self.q.scale(scale);
-            br1_gradient_lift(&bx.basis, &bx.geom, axis, u.as_slice(), sum, &mut self.q);
+            let q = self.q.as_mut_slice();
+            br1_gradient_lift(&bx.basis, &bx.geom, axis, u.as_slice(), sum, q);
             let (q, scratch) = (self.q.as_slice(), self.scratch.as_mut_slice());
             kernels::deriv(variant, dir, n, nel, d, q, scratch);
             rhs.axpy(self.nu * scale, &self.scratch);
             face::full2face(n, nel, q, &mut self.qfaces);
             bx.exchange(&mut self.qfaces);
+            let rhs = rhs.as_mut_slice();
             br1_central_correction(&bx.basis, &bx.geom, axis, self.nu, q, &self.qfaces, rhs);
         }
     }

@@ -232,6 +232,14 @@ impl GsHandle {
         flags
     }
 
+    /// Per slot, in slot order: `true` iff the slot's id is shared with
+    /// a neighbor rank — the slots whose combined value lands only when
+    /// an exchange finishes. Inside a [`GsHandle::overlapped`] window
+    /// every slot flagged `false` already holds its final value.
+    pub fn halo_slots(&self) -> impl ExactSizeIterator<Item = bool> + '_ {
+        self.plan.slot_halo.iter().map(|&h| h != NOT_HALO)
+    }
+
     /// The multiplicity (total occurrence count across the world) of each
     /// local slot's id — computed with a unit `gs_op(Add)`; commonly used
     /// to build the inverse-multiplicity weights of an averaging exchange.

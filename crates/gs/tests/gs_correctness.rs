@@ -752,6 +752,87 @@ fn unshared_slots_keep_their_bits_under_every_method() {
     }
 }
 
+/// `overlapped` combines the rank-interior ids at start: inside the
+/// window, under every method, a slot `halo_slots` leaves unflagged
+/// reads its final value (the one `gs_op` gives) and a halo slot the
+/// value it was started with; after the window every slot equals `gs_op`
+/// bit for bit. Random id maps with 1–6 copies per id over 2–5 ranks
+/// give interior pairs, interior multi groups and halo ids at once, and
+/// two fields check the vector form.
+#[test]
+#[cfg_attr(
+    miri,
+    ignore = "multi-rank World exchange; too slow under the interpreter"
+)]
+fn interior_sums_are_final_inside_the_window() {
+    let mut rng = SmallRng::seed_from_u64(0x5417_0003);
+    for _trial in 0..4 {
+        let p = rng.range_usize(2, 6);
+        let mut ids: Vec<Vec<u64>> = vec![Vec::new(); p];
+        for gid in 0..rng.range_u64(8, 40) {
+            for _copy in 0..rng.range_usize(1, 7) {
+                let holder = rng.range_usize(0, p);
+                let at = rng.range_usize(0, ids[holder].len() + 1);
+                ids[holder].insert(at, gid);
+            }
+        }
+        let vals: Vec<Vec<Vec<f64>>> = (0..2)
+            .map(|_| {
+                ids.iter()
+                    .map(|v| v.iter().map(|_| rng.range_f64(-2.0, 2.0)).collect())
+                    .collect()
+            })
+            .collect();
+        for method in GsMethod::ALL {
+            let (ids, vals) = (ids.clone(), vals.clone());
+            let res = World::new().run(p, move |rank| {
+                let me = rank.rank();
+                let handle = GsHandle::setup(rank, &ids[me]);
+                let halo: Vec<bool> = handle.halo_slots().collect();
+                let started: Vec<Vec<f64>> = vals.iter().map(|f| f[me].clone()).collect();
+                let mut want = started.clone();
+                for f in &mut want {
+                    handle.gs_op(rank, f, GsOp::Add, method);
+                }
+                let mut got = started.clone();
+                let (mut interior, mut halo_slots) = (0, 0);
+                handle.overlapped(
+                    rank,
+                    &mut views(&mut got),
+                    GsOp::Add,
+                    method,
+                    |_, inside| {
+                        for (fi, f) in inside.iter().enumerate() {
+                            for (i, &v) in f.iter().enumerate() {
+                                let expect = if halo[i] {
+                                    halo_slots += 1;
+                                    started[fi][i]
+                                } else {
+                                    interior += 1;
+                                    want[fi][i]
+                                };
+                                assert_eq!(
+                                    v.to_bits(),
+                                    expect.to_bits(),
+                                    "{method:?} rank {me} field {fi} slot {i} (halo {})",
+                                    halo[i]
+                                );
+                            }
+                        }
+                    },
+                );
+                assert_eq!(bits(&got), bits(&want), "{method:?} rank {me}");
+                (interior, halo_slots)
+            });
+            let (interior, halo_slots) = res
+                .results
+                .iter()
+                .fold((0, 0), |(a, b), &(i, h)| (a + i, b + h));
+            assert!(interior > 0 && halo_slots > 0, "{method:?} p={p}");
+        }
+    }
+}
+
 /// The operation is in place: finishing into arrays other than the ones
 /// the exchange was started on is refused, not silently mis-combined.
 #[test]

@@ -451,7 +451,7 @@ fn apply_assembled_dot(
     apply_ax(op, u, w, t1, t2, prof);
 
     prof.enter("dssum (gs_op)");
-    prof.enter("dssum_start (post exchange)");
+    prof.enter("dssum_start (post + interior combine)");
     rank.set_context("dssum");
     let exchanged = &mut [w.as_mut_slice()];
     let interior = handle.overlapped(rank, exchanged, GsOp::Add, method, |rank, w| {
@@ -467,7 +467,7 @@ fn apply_assembled_dot(
         prof.exit();
 
         prof.enter("dssum (gs_op)");
-        prof.enter("dssum_finish (wait + combine)");
+        prof.enter("dssum_finish (wait + halo)");
         rank.set_context("dssum");
         interior
     });

@@ -625,8 +625,8 @@ mod tests {
     fn dssum_runs_split_phase_with_overlap_window() {
         let rep = run(&small_cfg());
         for name in [
-            "dssum_start (post exchange)",
-            "dssum_finish (wait + combine)",
+            "dssum_start (post + interior combine)",
+            "dssum_finish (wait + halo)",
             "glsc3_interior (overlap window)",
         ] {
             assert!(

@@ -58,8 +58,17 @@ impl RegionStats {
     }
 }
 
-struct Frame {
+/// One interned region: its name, its statistics and its call edges.
+struct Region {
     name: String,
+    stats: RegionStats,
+    /// `(child id, calls, inclusive seconds)` per child region, in the
+    /// order the children were first seen.
+    children: Vec<(usize, u64, f64)>,
+}
+
+struct Frame {
+    id: usize,
     start: Instant,
     child_s: f64,
     alloc_start: u64,
@@ -68,23 +77,31 @@ struct Frame {
     child_bytes: u64,
 }
 
+/// Slots of the pointer cache ([`Profiler::intern`]); a power of two.
+const CACHE_SLOTS: usize = 64;
+
 /// The profiler. Not thread-safe by design: each rank owns one (gprof is
 /// per-process too); cross-rank aggregation happens at reporting time.
 ///
-/// The hot path is allocation-free at steady state, so the profiler's own
-/// bookkeeping never pollutes the per-region allocation counters: frame
-/// names recycle through a spare-string pool, and the region/edge maps
-/// use borrowed-`&str` lookups, cloning keys only the first time a name
-/// appears (the same idiom as `simmpi`'s `CommRecorder`).
+/// Region names are interned: each distinct name gets an id the first
+/// time it is seen, and the stack, the statistics and the call edges
+/// are kept by id. The hot path looks a name up by its address and
+/// length in a small direct-mapped cache — the region names of the
+/// drivers are `&'static str` constants, so one name keeps one address —
+/// and confirms the hit by comparing the cached name with it; only a
+/// miss (the first sight of a name, or a slot another name took) goes
+/// through the name map. The steady state therefore allocates nothing,
+/// so the profiler's own bookkeeping never pollutes the per-region
+/// allocation counters.
 #[derive(Default)]
 pub struct Profiler {
-    regions: HashMap<String, RegionStats>,
-    /// parent -> child -> (calls, inclusive_s), two-level so the steady
-    /// state needs no owned key to look an edge up.
-    edges: HashMap<String, HashMap<String, (u64, f64)>>,
+    regions: Vec<Region>,
+    /// Region id by name: the lookup of a name the cache has not seen.
+    by_name: HashMap<String, usize>,
+    /// `(address, length, id)` of recently entered names, by a hash of
+    /// the address; empty until the first `enter`.
+    cache: Vec<(usize, usize, usize)>,
     stack: Vec<Frame>,
-    /// Retired frame-name strings, reused by the next `enter`.
-    spares: Vec<String>,
 }
 
 impl Profiler {
@@ -93,18 +110,47 @@ impl Profiler {
         Self::default()
     }
 
+    /// The id of region `name`, interning it on first sight.
+    fn intern(&mut self, name: &str) -> usize {
+        let addr = name.as_ptr().addr();
+        let slot = (addr as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58;
+        if self.cache.is_empty() {
+            self.cache = vec![(0, 0, usize::MAX); CACHE_SLOTS];
+        }
+        let (a, len, id) = self.cache[slot as usize];
+        if a == addr && len == name.len() && self.regions[id].name == name {
+            return id;
+        }
+        let id = self.id_of(name);
+        self.cache[slot as usize] = (addr, name.len(), id);
+        id
+    }
+
+    /// The id of region `name` by its text, interning it on first sight.
+    fn id_of(&mut self, name: &str) -> usize {
+        if let Some(&id) = self.by_name.get(name) {
+            return id;
+        }
+        let id = self.regions.len();
+        self.regions.push(Region {
+            name: name.to_owned(),
+            stats: RegionStats::default(),
+            children: Vec::new(),
+        });
+        self.by_name.insert(name.to_owned(), id);
+        id
+    }
+
     /// Enter a region.
     pub fn enter(&mut self, name: &str) {
-        // Build the owned name from a recycled spare and pre-reserve the
-        // stack before snapshotting the counters: after a few calls every
-        // piece has its capacity and the enter itself allocates nothing.
-        let mut owned = self.spares.pop().unwrap_or_default();
-        owned.clear();
-        owned.push_str(name);
+        // Intern the name and pre-reserve the stack before snapshotting
+        // the counters: after a name's first sight the enter itself
+        // allocates nothing.
+        let id = self.intern(name);
         self.stack.reserve(1);
         let (alloc_start, bytes_start) = thread_counts();
         self.stack.push(Frame {
-            name: owned,
+            id,
             start: Instant::now(),
             child_s: 0.0,
             alloc_start,
@@ -120,17 +166,14 @@ impl Profiler {
     /// Panics if no region is open.
     pub fn exit(&mut self) {
         // Snapshot first: anything the bookkeeping below might allocate
-        // (first-appearance key clones) must not be charged to the region.
+        // (a parent's first edge to this child) must not be charged to
+        // the region.
         let (alloc_now, bytes_now) = thread_counts();
         let frame = self.stack.pop().expect("Profiler::exit without enter");
         let elapsed = frame.start.elapsed().as_secs_f64();
         let allocs = alloc_now - frame.alloc_start;
         let bytes = bytes_now - frame.bytes_start;
-        if !self.regions.contains_key(frame.name.as_str()) {
-            self.regions
-                .insert(frame.name.clone(), RegionStats::default());
-        }
-        let stats = self.regions.get_mut(frame.name.as_str()).expect("present");
+        let stats = &mut self.regions[frame.id].stats;
         stats.calls += 1;
         stats.inclusive_s += elapsed;
         stats.child_s += frame.child_s;
@@ -142,18 +185,8 @@ impl Profiler {
             parent.child_s += elapsed;
             parent.child_allocs += allocs;
             parent.child_bytes += bytes;
-            if !self.edges.contains_key(parent.name.as_str()) {
-                self.edges.insert(parent.name.clone(), HashMap::new());
-            }
-            let by_child = self.edges.get_mut(parent.name.as_str()).expect("present");
-            if !by_child.contains_key(frame.name.as_str()) {
-                by_child.insert(frame.name.clone(), (0, 0.0));
-            }
-            let edge = by_child.get_mut(frame.name.as_str()).expect("present");
-            edge.0 += 1;
-            edge.1 += elapsed;
+            add_edge(&mut self.regions[parent.id].children, frame.id, 1, elapsed);
         }
-        self.spares.push(frame.name);
     }
 
     /// Run `f` inside a region (convenience wrapper around enter/exit).
@@ -162,6 +195,15 @@ impl Profiler {
         let out = f();
         self.exit();
         out
+    }
+
+    /// Every `(parent, child, calls, inclusive seconds)` call edge.
+    fn edges(&self) -> impl Iterator<Item = (&String, &String, u64, f64)> {
+        self.regions.iter().flat_map(move |p| {
+            p.children
+                .iter()
+                .map(move |&(c, n, t)| (&p.name, &self.regions[c].name, n, t))
+        })
     }
 
     /// Freeze into a report.
@@ -177,17 +219,12 @@ impl Profiler {
         let mut flat: Vec<(String, RegionStats)> = self
             .regions
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|r| (r.name.clone(), r.stats.clone()))
             .collect();
         flat.sort_by(|a, b| b.1.self_s().total_cmp(&a.1.self_s()));
         let mut edges: Vec<(String, String, u64, f64)> = self
-            .edges
-            .iter()
-            .flat_map(|(p, by_child)| {
-                by_child
-                    .iter()
-                    .map(move |(c, &(n, t))| (p.clone(), c.clone(), n, t))
-            })
+            .edges()
+            .map(|(p, c, n, t)| (p.clone(), c.clone(), n, t))
             .collect();
         edges.sort_by(|a, b| b.3.total_cmp(&a.3));
         ProfileReport { flat, edges }
@@ -197,8 +234,9 @@ impl Profiler {
     /// aggregation; both must be fully exited).
     pub fn merge(&mut self, other: &Profiler) {
         assert!(self.stack.is_empty() && other.stack.is_empty());
-        for (name, st) in &other.regions {
-            let mine = self.regions.entry(name.clone()).or_default();
+        for r in &other.regions {
+            let id = self.id_of(&r.name);
+            let (mine, st) = (&mut self.regions[id].stats, &r.stats);
             mine.calls += st.calls;
             mine.inclusive_s += st.inclusive_s;
             mine.child_s += st.child_s;
@@ -207,14 +245,21 @@ impl Profiler {
             mine.alloc_bytes += st.alloc_bytes;
             mine.child_alloc_bytes += st.child_alloc_bytes;
         }
-        for (parent, by_child) in &other.edges {
-            let mine = self.edges.entry(parent.clone()).or_default();
-            for (child, &(n, t)) in by_child {
-                let e = mine.entry(child.clone()).or_insert((0, 0.0));
-                e.0 += n;
-                e.1 += t;
-            }
+        for (parent, child, n, t) in other.edges() {
+            let (p, c) = (self.id_of(parent), self.id_of(child));
+            add_edge(&mut self.regions[p].children, c, n, t);
         }
+    }
+}
+
+/// Add `calls` calls and `secs` seconds to the edge to child `id`.
+fn add_edge(children: &mut Vec<(usize, u64, f64)>, id: usize, calls: u64, secs: f64) {
+    match children.iter_mut().find(|e| e.0 == id) {
+        Some(edge) => {
+            edge.1 += calls;
+            edge.2 += secs;
+        }
+        None => children.push((id, calls, secs)),
     }
 }
 
@@ -308,10 +353,10 @@ impl simmpi::WireCodec for Profiler {
             self.stack.is_empty(),
             "cannot serialize a profiler with open regions"
         );
-        let mut regions: Vec<(&String, &RegionStats)> = self.regions.iter().collect();
-        regions.sort_by_key(|(name, _)| name.as_str());
+        let mut regions: Vec<&Region> = self.regions.iter().collect();
+        regions.sort_by_key(|r| r.name.as_str());
         (regions.len()).encode(buf);
-        for (name, s) in regions {
+        for Region { name, stats: s, .. } in regions {
             name.encode(buf);
             s.calls.encode(buf);
             s.inclusive_s.encode(buf);
@@ -321,12 +366,8 @@ impl simmpi::WireCodec for Profiler {
             s.alloc_bytes.encode(buf);
             s.child_alloc_bytes.encode(buf);
         }
-        let mut edges: Vec<(&String, &String, u64, f64)> = self
-            .edges
-            .iter()
-            .flat_map(|(p, by_child)| by_child.iter().map(move |(c, &(n, t))| (p, c, n, t)))
-            .collect();
-        edges.sort_by_key(|(p, c, _, _)| (p.as_str(), c.as_str()));
+        let mut edges: Vec<(&String, &String, u64, f64)> = self.edges().collect();
+        edges.sort_by_key(|&(p, c, _, _)| (p, c));
         edges.len().encode(buf);
         for (p, c, n, t) in edges {
             p.encode(buf);
@@ -350,7 +391,8 @@ impl simmpi::WireCodec for Profiler {
                 alloc_bytes: r.u64()?,
                 child_alloc_bytes: r.u64()?,
             };
-            prof.regions.insert(name, stats);
+            let id = prof.id_of(&name);
+            prof.regions[id].stats = stats;
         }
         let nedges = r.count(18)?;
         for _ in 0..nedges {
@@ -358,10 +400,8 @@ impl simmpi::WireCodec for Profiler {
             let child = String::decode(r)?;
             let calls = r.u64()?;
             let time = r.f64()?;
-            prof.edges
-                .entry(parent)
-                .or_default()
-                .insert(child, (calls, time));
+            let (p, c) = (prof.id_of(&parent), prof.id_of(&child));
+            add_edge(&mut prof.regions[p].children, c, calls, time);
         }
         Ok(prof)
     }

@@ -169,6 +169,9 @@ fn transfer(
 pub struct Resilience {
     every: u64,
     dir: Option<PathBuf>,
+    /// This rank's checkpoint file in `dir`, resolved (and `dir`
+    /// created) by the first save.
+    file: Option<PathBuf>,
     /// This rank's own latest encoded checkpoint; empty before the first
     /// save and after this rank is killed.
     own: Vec<u8>,
@@ -187,6 +190,7 @@ impl Resilience {
         Resilience {
             every,
             dir,
+            file: None,
             own: Vec::new(),
             partner: Vec::new(),
             consumed: Vec::new(),
@@ -202,9 +206,10 @@ impl Resilience {
     /// own buffer, emptied of the last one (through a
     /// [`crate::Encoder`], handed this rank for the head), then the bytes
     /// go to this rank's replica holder over the ring and to disk if a
-    /// directory is configured. Returns the encoded size in bytes. Once
-    /// both buffers have held a checkpoint of this size (give or take
-    /// their headroom), a save allocates nothing.
+    /// directory is configured (the first save creates the directory and
+    /// names this rank's file in it). Returns the encoded size in bytes.
+    /// Once both buffers have held a checkpoint of this size (give or
+    /// take their headroom), a save allocates nothing.
     ///
     /// # Panics
     /// Panics if `encode` writes nothing, and on a disk write error.
@@ -217,9 +222,16 @@ impl Resilience {
         encode(rank, &mut self.own);
         assert!(!self.own.is_empty(), "a checkpoint save encoded nothing");
         if let Some(dir) = &self.dir {
-            let path = checkpoint_path(dir, rank.rank());
-            std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::write(&path, &self.own))
+            let path = match &self.file {
+                Some(path) => path,
+                None => {
+                    std::fs::create_dir_all(dir).unwrap_or_else(|e| {
+                        panic!("creating checkpoint directory {}: {e}", dir.display())
+                    });
+                    self.file.insert(checkpoint_path(dir, rank.rank()))
+                }
+            };
+            std::fs::write(path, &self.own)
                 .unwrap_or_else(|e| panic!("writing checkpoint {}: {e}", path.display()));
         }
         self.replicate(rank, "checkpoint");

@@ -385,13 +385,15 @@ fn setup_bytes_per_elem(cfg: Config) -> f64 {
     setup.self_alloc_bytes() as f64 / elems as f64
 }
 
-/// The volume term's scratch holds one element block, not one value per
-/// point of the partition: at `vol_n10` (N = 10, 100 elements per rank,
-/// 5 fields, M = 15) setup allocates 150.6 KB per element, where it
-/// allocated 184.4 KB when the fine dealias mesh and the derivative
-/// scratch were sized by the element count; at `surf_n5` (N = 5, 782
-/// elements per rank, no dealias) 22.3 KB, where it allocated 23.2 KB.
-/// The bounds sit just above today's figures.
+/// The element pass's scratch holds one element block, not one value per
+/// point of the partition, and no right-hand side the size of the
+/// partition exists: at `vol_n10` (N = 10, 100 elements per rank,
+/// 5 fields, M = 15) setup allocates 111.0 KB per element, where it
+/// allocated 150.6 KB with a rank-sized right-hand side per field and
+/// 184.4 KB when the fine dealias mesh and the derivative scratch were
+/// sized by the element count too; at `surf_n5` (N = 5, 782 elements per
+/// rank, no dealias) 17.3 KB, where it allocated 22.3 and 23.2 KB. The
+/// bounds sit just above today's figures.
 #[test]
 fn block_bytes_per_element_are_bounded() {
     assert!(cmt_perf::alloc::counting(), "counting allocator not active");
@@ -406,13 +408,13 @@ fn block_bytes_per_element_are_bounded() {
     };
     let vol = setup_bytes_per_elem(shape(10, 100, Some(15)));
     assert!(
-        vol <= 152_000.0,
-        "vol_n10: {vol:.0} bytes per element (was 184 417)"
+        vol <= 111_500.0,
+        "vol_n10: {vol:.0} bytes per element (was 150 627)"
     );
     let surf = setup_bytes_per_elem(shape(5, 782, None));
     assert!(
-        surf <= 22_500.0,
-        "surf_n5: {surf:.0} bytes per element (was 23 211)"
+        surf <= 17_500.0,
+        "surf_n5: {surf:.0} bytes per element (was 22 266)"
     );
 }
 
@@ -446,8 +448,38 @@ fn cmt_bone_checkpoint_allocation_free_after_the_first_save() {
     );
 }
 
-/// Nekbone's twin of the row above: a warm save encodes `x`, `r` and
-/// `p` straight into the rank's own buffer and moves the replica in
+/// Mirroring to a `--checkpoint-dir` keeps a warm save allocation-free:
+/// the first save creates the directory and names the rank's file, and
+/// later saves write the bytes to that file. Three saves against one,
+/// as above.
+#[test]
+fn cmt_bone_checkpoint_to_disk_allocation_free_after_the_first_save() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    let dir = std::env::temp_dir().join(format!("cmt_alloc_ckpt_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = |steps| Config {
+        checkpoint_every: 2,
+        checkpoint_dir: Some(dir.clone()),
+        ..bone_cfg(GsMethod::PairwiseExchange, Pipeline::Overlapped, steps)
+    };
+    let (long, short) = (
+        cmt_bone::run(&cfg(5)).profile,
+        cmt_bone::run(&cfg(1)).profile,
+    );
+    assert!(dir.join("ckpt_rank0.cmtr").is_file(), "no checkpoint file");
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_quiet(
+        "3 saves to disk against 1",
+        &long,
+        &short,
+        cmt_perf::regions::CHECKPOINT,
+    );
+}
+
+/// Nekbone's twin of
+/// `cmt_bone_checkpoint_allocation_free_after_the_first_save`: a warm
+/// save encodes `x`, `r` and `p` straight into the rank's own buffer
+/// and moves the replica in
 /// recycled chunks, so it allocates nothing, although the residual
 /// history makes each save 16 bytes longer than the last (the buffers'
 /// headroom takes that). Three saves against one (every 2 iterations).
