@@ -39,8 +39,6 @@ pub mod basic;
 pub mod opt;
 pub mod simd;
 
-use crate::field::Field;
-
 /// Which reference-element direction to differentiate in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DerivDir {
@@ -150,50 +148,6 @@ pub fn deriv(
         (KernelVariant::Simd, DerivDir::S) => simd::deriv_s(n, nel, d, u, out),
         (KernelVariant::Simd, DerivDir::T) => simd::deriv_t(n, nel, d, u, out),
     }
-}
-
-/// Compute all three partial derivatives of a [`Field`] at once.
-///
-/// The outputs are overwritten. All four fields must share `(n, nel)`.
-pub fn grad(
-    variant: KernelVariant,
-    d: &[f64],
-    u: &Field,
-    ur: &mut Field,
-    us: &mut Field,
-    ut: &mut Field,
-) {
-    let (n, nel) = (u.n(), u.nel());
-    assert_eq!((ur.n(), ur.nel()), (n, nel), "ur shape mismatch");
-    assert_eq!((us.n(), us.nel()), (n, nel), "us shape mismatch");
-    assert_eq!((ut.n(), ut.nel()), (n, nel), "ut shape mismatch");
-    deriv(
-        variant,
-        DerivDir::R,
-        n,
-        nel,
-        d,
-        u.as_slice(),
-        ur.as_mut_slice(),
-    );
-    deriv(
-        variant,
-        DerivDir::S,
-        n,
-        nel,
-        d,
-        u.as_slice(),
-        us.as_mut_slice(),
-    );
-    deriv(
-        variant,
-        DerivDir::T,
-        n,
-        nel,
-        d,
-        u.as_slice(),
-        ut.as_mut_slice(),
-    );
 }
 
 /// Apply a rectangular tensor-product operator `J` (`m x n`, row-major) to
@@ -425,6 +379,7 @@ pub fn interp3_lanes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::Field;
     use crate::poly::{gll_nodes, interp_matrix, Basis};
 
     /// Reference (obviously-correct) derivative used to pin all variants.
@@ -502,17 +457,11 @@ mod tests {
             let (r, s, t) = (x[i], x[j], x[k]);
             r.powi(3) + 2.0 * s * s - t + r * s * t
         });
-        let mut ur = Field::zeros(n, 2);
-        let mut us = Field::zeros(n, 2);
-        let mut ut = Field::zeros(n, 2);
-        grad(
-            KernelVariant::Optimized,
-            &b.d,
-            &u,
-            &mut ur,
-            &mut us,
-            &mut ut,
-        );
+        let [mut ur, mut us, mut ut] = [(); 3].map(|_| Field::zeros(n, 2));
+        for (dir, out) in DerivDir::ALL.into_iter().zip([&mut ur, &mut us, &mut ut]) {
+            let (u, out) = (u.as_slice(), out.as_mut_slice());
+            deriv(KernelVariant::Optimized, dir, n, 2, &b.d, u, out);
+        }
         for e in 0..2 {
             for k in 0..n {
                 for j in 0..n {
