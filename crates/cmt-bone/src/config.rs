@@ -263,14 +263,6 @@ impl Config {
                 return Err("viscosity applies to the advection proxy, not to Euler".into());
             }
         }
-        if let Some(dir) = &self.restart_from {
-            if !dir.is_dir() {
-                return Err(format!(
-                    "restart directory {} does not exist",
-                    dir.display()
-                ));
-            }
-        }
         if let Some(frac) = self.particle_cluster {
             if self.particles_per_elem == 0 {
                 return Err("particle_cluster requires particles_per_elem > 0".into());
@@ -292,15 +284,12 @@ impl Config {
                 ));
             }
         }
-        if let Some(plan) = &self.fault_plan {
-            plan.validate(self.ranks)?;
-            if !plan.kills.is_empty() && self.checkpoint_every == 0 {
-                return Err("fault plan schedules rank kills but checkpointing is off \
-                     (set checkpoint_every)"
-                    .into());
-            }
-        }
-        Ok(())
+        cmt_resilience::validate(
+            self.ranks,
+            self.checkpoint_every,
+            self.restart_from.as_deref(),
+            self.fault_plan.as_ref(),
+        )
     }
 }
 

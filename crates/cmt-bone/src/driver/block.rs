@@ -10,7 +10,7 @@ use cmt_gs::GsHandle;
 use cmt_mesh::{face_exchange_gids_for, ElemPartition, MeshConfig, RankMesh};
 use cmt_particles::{Particle, ParticleSet};
 use cmt_perf::Profiler;
-use cmt_resilience::{hash, App, Checkpoint, Encoder, Head, Shape};
+use cmt_resilience::{hash, mismatch, App, Decoder, Encoder, Head, Mismatch, Shape};
 use simmpi::Rank;
 
 use super::physics::Physics;
@@ -185,7 +185,7 @@ impl State {
     /// Encode the loop state at the top of a step (stage 0) into `buf`,
     /// straight from the live state through one
     /// [`cmt_resilience::Encoder`]. The scalars open with the app tag and
-    /// the world size ([`Checkpoint::begin_scalars`]); with the load
+    /// the world size ([`Encoder::begin_scalars`]); with the load
     /// balancer on, the full element-owner vector follows (identical on
     /// every rank), so a rollback — or a cross-run restart — can rebuild
     /// the partition the fields were captured under;
@@ -244,48 +244,48 @@ impl State {
     }
 
     /// Inverse of [`State::encode_checkpoint`], for `--restart` and for
-    /// rollback alike. When the checkpoint predates a rebalance, the
-    /// block is first rebuilt on the checkpoint's partition — its owner
-    /// vector is identical on every rank (captured from SPMD-uniform
-    /// state), so the collective gather-scatter setup is safe here.
-    pub fn restore(&mut self, env: &Env, rank: &mut Rank, prof: &mut Profiler, ckpt: &Checkpoint) {
-        let (ck_part, dt) = checkpoint_scalars(&env.physics, ckpt, env.mesh_cfg, rank.size());
+    /// rollback alike: `dec` decodes straight into the fields and the
+    /// particle set. When the checkpoint predates a rebalance, the block
+    /// is first rebuilt on the checkpoint's partition — its owner vector
+    /// is identical on every rank (captured from SPMD-uniform state), so
+    /// the collective gather-scatter setup is safe here.
+    pub fn restore(
+        &mut self,
+        env: &Env,
+        rank: &mut Rank,
+        prof: &mut Profiler,
+        mut dec: Decoder,
+    ) -> Result<(), Mismatch> {
+        let (ck_part, dt) = checkpoint_scalars(&env.physics, &dec, env.mesh_cfg, rank)?;
         if let Some(ck_part) = ck_part.filter(|p| p.owner_vec() != self.part.owner_vec()) {
             self.repartition(env, rank, prof, ck_part);
         }
         // the fields, then one particle record when the run has particles
-        let nf = self.blk.u.len();
-        let want = nf + usize::from(self.pset.is_some());
-        if ckpt.fields.len() != want {
-            mismatch(format_args!(
-                "{} arrays, this run restores {want}",
-                ckpt.fields.len()
-            ));
-        }
-        for (f, (uf, cf)) in self.blk.u.iter_mut().zip(&ckpt.fields).enumerate() {
-            if uf.as_slice().len() != cf.len() {
-                mismatch(format_args!(
-                    "field {f} holds {} values, this run has {}",
-                    cf.len(),
-                    uf.as_slice().len()
-                ));
-            }
-            uf.as_mut_slice().copy_from_slice(cf);
+        for uf in &mut self.blk.u {
+            dec.field_into(uf.as_mut_slice())?;
         }
         if let Some(ps) = self.pset.as_mut() {
-            let rec = &ckpt.fields[nf];
-            if rec.len() % 4 != 0 {
-                mismatch(format_args!(
-                    "a particle record of {} values is not [id, x, y, z] records",
-                    rec.len()
-                ));
+            let rec = dec.field_bytes()?;
+            let (records, rest) = rec.as_chunks::<32>();
+            if !rest.is_empty() {
+                let values = rec.len() / 8;
+                return mismatch!(
+                    "a particle record of {values} values is not [id, x, y, z] records"
+                );
             }
-            ps.set_particles(rec.chunks_exact(4).map(particle_from_record).collect());
+            let particle = |rec: &[u8; 32]| {
+                let words = rec.as_chunks::<8>().0;
+                particle_from_record(&[0, 1, 2, 3].map(|i| f64::from_le_bytes(words[i])))
+            };
+            ps.set_particles(records.iter().map(particle).collect());
         }
-        self.time = ckpt.time;
-        self.step = ckpt.step;
+        let head = dec.head();
+        dec.finish()?;
+        self.time = head.time;
+        self.step = head.step;
         self.dt = dt.unwrap_or(self.dt);
-        rank.set_fault_rng_state(ckpt.rng_state);
+        rank.set_fault_rng_state(head.rng_state);
+        Ok(())
     }
 
     /// Write this rank's tracers into `rec` as flat `[id, x, y, z]`
@@ -386,38 +386,28 @@ pub(super) fn particle_from_record(c: &[f64]) -> Particle {
 
 /// A checkpoint's scalars: the element partition it was captured under
 /// (recorded when the load balancer is on) and the timestep the physics
-/// carries. Panics when they cannot come from this configuration — a
-/// restart directory written by nekbone, at another world size, or under
-/// the other physics.
+/// carries. Refused when they cannot come from this configuration — a
+/// restart directory written by nekbone, at another world size, by
+/// another rank, or under the other physics.
 pub(super) fn checkpoint_scalars(
     physics: &Physics,
-    ckpt: &Checkpoint,
+    dec: &Decoder,
     mesh_cfg: &MeshConfig,
-    ranks: usize,
-) -> (Option<ElemPartition>, Option<f64>) {
-    let total = mesh_cfg.total_elems();
-    let scalars = ckpt
-        .body_scalars(App::CmtBone, ranks)
-        .unwrap_or_else(|what| mismatch(format_args!("{what}")));
-    let is_rank = |r: &f64| r.fract() == 0.0 && (0.0..ranks as f64).contains(r);
-    let (owners, dt) = physics
-        .split_carried_dt(scalars)
-        .filter(|(o, _)| o.is_empty() || (o.len() == total && o.iter().all(is_rank)))
-        .unwrap_or_else(|| {
-            mismatch(format_args!(
-                "{} scalars for {total} elements on {ranks} ranks",
-                scalars.len()
-            ))
-        });
-    let part = (!owners.is_empty())
-        .then(|| ElemPartition::from_owner(ranks, owners.iter().map(|&r| r as u32).collect()));
-    (part, dt)
-}
-
-/// Refuse a restart checkpoint that this configuration cannot have
-/// written: a `--restart` directory is input from outside the run.
-fn mismatch(what: std::fmt::Arguments) -> ! {
-    panic!("checkpoint does not match this configuration: {what}")
+    rank: &Rank,
+) -> Result<(Option<ElemPartition>, Option<f64>), Mismatch> {
+    let (total, ranks) = (mesh_cfg.total_elems(), rank.size());
+    let mut owners = dec.body_scalars(App::CmtBone, rank)?;
+    let n = owners.len();
+    let is_rank = |r: f64| r.fract() == 0.0 && (0.0..ranks as f64).contains(&r);
+    let Some(dt) = physics
+        .take_carried_dt(&mut owners)
+        .filter(|_| owners.len() == 0 || (owners.len() == total && owners.clone().all(is_rank)))
+    else {
+        return mismatch!("{n} scalars for {total} elements on {ranks} ranks");
+    };
+    let part = (owners.len() > 0)
+        .then(|| ElemPartition::from_owner(ranks, owners.map(|r| r as u32).collect()));
+    Ok((part, dt))
 }
 
 #[cfg(test)]
@@ -428,6 +418,7 @@ mod tests {
     use cmt_core::poly::Basis;
 
     use cmt_perf::Profiler;
+    use cmt_resilience::Checkpoint;
     use simmpi::{FaultPlan, World};
 
     use super::*;
@@ -444,9 +435,9 @@ mod tests {
             stage: 0,
             time: st.time,
             rng_state: rank.fault_rng_state().unwrap_or(0),
+            scalars: vec![App::CmtBone.tag(), rank.size() as f64],
             ..Checkpoint::default()
         };
-        ckpt.begin_scalars(App::CmtBone, rank.size());
         if env.cfg.lb_every > 0 {
             let owners = st.part.owner_vec().iter().map(|&r| r as f64);
             ckpt.scalars.extend(owners);

@@ -17,7 +17,7 @@ use cmt_core::poly::Basis;
 use cmt_gs::{autotune, AutotuneReport, GsMethod};
 use cmt_mesh::{ElemPartition, MeshConfig};
 use cmt_perf::{MpipReport, Profiler};
-use cmt_resilience::{hash, load_checkpoint, Resilience};
+use cmt_resilience::{hash, load_checkpoint, Decoder, Resilience};
 use cmt_verify::Verifier;
 use simmpi::{Rank, ReduceOp, World};
 
@@ -136,13 +136,17 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
     // collective gather-scatter setup must run on that partition. A fresh
     // balanced run starts on the balancer's decision over the seeded
     // cloud; the setup reading counts toward the peak imbalance.
-    let restart = cfg.restart_from.as_ref().map(|dir| {
+    let bytes = cfg.restart_from.as_ref().map(|dir| {
         load_checkpoint(dir, rank.rank())
             .unwrap_or_else(|e| panic!("rank {}: restart: {e}", rank.rank()))
     });
+    let restart = bytes
+        .as_deref()
+        .map(|b| Decoder::new(b).expect("checked at load"));
     let mut lb = LbSummary::default();
     let part = match &restart {
-        Some(c) => checkpoint_scalars(&Physics::of(cfg), c, mesh_cfg, rank.size())
+        Some(dec) => checkpoint_scalars(&Physics::of(cfg), dec, mesh_cfg, rank)
+            .unwrap_or_else(|e| panic!("rank {}: restart: {e}", rank.rank()))
             .0
             .unwrap_or_else(|| ElemPartition::initial(mesh_cfg)),
         None if cfg.lb_every > 0 => {
@@ -165,8 +169,9 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
         }
     };
     prof.exit();
-    if let Some(ck) = &restart {
-        st.restore(&env, rank, &mut prof, ck);
+    if let Some(dec) = restart {
+        st.restore(&env, rank, &mut prof, dec)
+            .unwrap_or_else(|e| panic!("rank {}: restart: {e}", rank.rank()));
     }
 
     // ---- timestep loop --------------------------------------------------
@@ -188,7 +193,8 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
         if !killed.is_empty() {
             prof.enter(cmt_perf::regions::RECOVERY);
             let back = rz.recover(rank, &killed);
-            st.restore(&env, rank, &mut prof, &back);
+            st.restore(&env, rank, &mut prof, back)
+                .expect("a rollback restores this run's own checkpoint");
             prof.exit();
             continue;
         }

@@ -15,6 +15,7 @@ use cmt_core::face;
 use cmt_core::ops::{advect_volume, stable_dt, upwind_lift};
 use cmt_core::Field;
 use cmt_perf::Profiler;
+use cmt_resilience::Values;
 use simmpi::{Rank, ReduceOp};
 
 use super::stage::BlockScratch;
@@ -140,13 +141,13 @@ impl Physics {
         matches!(self, Physics::Euler(_)).then_some(dt)
     }
 
-    /// Split a checkpoint's scalars into the leading element-owner vector
-    /// and the carried timestep; `None` when the timestep this physics
-    /// carries is missing.
-    pub fn split_carried_dt<'c>(&self, scalars: &'c [f64]) -> Option<(&'c [f64], Option<f64>)> {
+    /// Take the carried timestep from the back of a checkpoint's scalars,
+    /// leaving the element-owner vector; `None` when the timestep this
+    /// physics carries is missing.
+    pub fn take_carried_dt(&self, scalars: &mut Values) -> Option<Option<f64>> {
         match self {
-            Physics::Advection => Some((scalars, None)),
-            Physics::Euler(_) => scalars.split_last().map(|(dt, owners)| (owners, Some(*dt))),
+            Physics::Advection => Some(None),
+            Physics::Euler(_) => scalars.next_back().map(Some),
         }
     }
 

@@ -30,7 +30,7 @@ use std::ops::Range;
 use cmt_core::Field;
 use cmt_gs::{GsHandle, GsMethod, GsOp};
 use cmt_perf::Profiler;
-use cmt_resilience::{App, Checkpoint, Encoder, Head, Resilience, Shape};
+use cmt_resilience::{mismatch, App, Decoder, Encoder, Head, Mismatch, Resilience, Shape};
 use simmpi::{Rank, ReduceOp};
 
 use crate::ax::AxOperator;
@@ -118,7 +118,7 @@ pub fn cg_solve_resilient(
     max_iter: usize,
     prof: &mut Profiler,
     rez: &mut Resilience,
-    restart: Option<&Checkpoint>,
+    restart: Option<Decoder>,
 ) -> CgStats {
     let (n, nel) = (b.n(), b.nel());
     assert_eq!((x.n(), x.nel()), (n, nel), "x shape");
@@ -146,65 +146,51 @@ pub fn cg_solve_resilient(
     if let Some(m) = mask {
         apply_mask(&mut r, m);
     }
-    let mut p = r.clone();
-    let mut rz = glsc3(rank, &r, &r, inv_mult);
-    let mut history = vec![rz.max(0.0).sqrt()];
-    let mut iters = 0;
+    let rz = glsc3(rank, &r, &r, inv_mult);
+    let mut st = CgState {
+        p: r.clone(),
+        r,
+        rz,
+        history: vec![rz.max(0.0).sqrt()],
+        iters: 0,
+    };
 
     // Disk restart: overwrite the freshly built iteration state with the
     // checkpointed one and resume at its iteration index.
-    if let Some(ckpt) = restart {
-        restore_cg_state(
-            rank,
-            ckpt,
-            x,
-            &mut r,
-            &mut p,
-            &mut rz,
-            &mut history,
-            &mut iters,
-        );
+    if let Some(dec) = restart {
+        st.restore(rank, dec, x)
+            .unwrap_or_else(|e| panic!("rank {}: restart: {e}", rank.rank()));
     }
 
-    while iters < max_iter {
+    while st.iters < max_iter {
         // Checkpoint at the top of the iteration, before any kill
         // scheduled here fires, so a kill at iteration i rolls back to a
         // capture taken at (or before) i.
-        if rez.checkpoint_due(iters as u64) {
+        if rez.checkpoint_due(st.iters as u64) {
             prof.enter(cmt_perf::regions::CHECKPOINT);
-            rez.save_with(rank, |rank, buf| {
-                encode_cg_state(rank, iters, x, &r, &p, rz, &history, buf)
-            });
+            rez.save_with(rank, |rank, buf| st.encode(rank, x, buf));
             prof.exit();
         }
-        let killed = rez.killed_at(rank, iters as u64);
+        let killed = rez.killed_at(rank, st.iters as u64);
         if !killed.is_empty() {
             prof.enter(cmt_perf::regions::RECOVERY);
             let back = rez.recover(rank, &killed);
-            restore_cg_state(
-                rank,
-                &back,
-                x,
-                &mut r,
-                &mut p,
-                &mut rz,
-                &mut history,
-                &mut iters,
-            );
+            st.restore(rank, back, x)
+                .expect("a rollback restores this run's own checkpoint");
             prof.exit();
             continue;
         }
-        if history.last().copied().unwrap_or(0.0) <= tol {
+        if st.history.last().copied().unwrap_or(0.0) <= tol {
             break;
         }
         let pap = apply_assembled_dot(
-            rank, op, handle, method, mask, inv_mult, &runs, &p, &mut w, &mut t1, &mut t2, prof,
+            rank, op, handle, method, mask, inv_mult, &runs, &st.p, &mut w, &mut t1, &mut t2, prof,
         );
         assert!(
             pap > 0.0,
             "CG breakdown: p^T A p = {pap} (operator not SPD?)"
         );
-        let alpha = rz / pap;
+        let alpha = st.rz / pap;
         // The vector tail in two sweeps. The first needs only `w`:
         // `r -= alpha w` and the local `<r, r>` in ascending order,
         // before the allreduce. The second waits for beta and reads each
@@ -213,29 +199,29 @@ pub fn cg_solve_resilient(
         // the one `axpy`/`axpby` computes, so each bit holds (the
         // kill+rollback test pins the residual history).
         prof.enter("cg_residual (r -= alpha w, <r, r>)");
-        let local = residual_sweep(r.as_mut_slice(), w.as_slice(), inv_mult, alpha);
+        let local = residual_sweep(st.r.as_mut_slice(), w.as_slice(), inv_mult, alpha);
         prof.exit();
         rank.set_context("glsc3");
         let rz_new = rank.allreduce_scalar(local, ReduceOp::Sum);
         rank.set_context("main");
-        let beta = rz_new / rz;
-        rz = rz_new;
+        let beta = rz_new / st.rz;
+        st.rz = rz_new;
         prof.enter("cg_update (x += alpha p, p = r + beta p)");
         update_sweep(
             x.as_mut_slice(),
-            p.as_mut_slice(),
-            r.as_slice(),
+            st.p.as_mut_slice(),
+            st.r.as_slice(),
             alpha,
             beta,
         );
         prof.exit();
-        history.push(rz.max(0.0).sqrt());
-        iters += 1;
+        st.history.push(st.rz.max(0.0).sqrt());
+        st.iters += 1;
     }
 
     CgStats {
-        iterations: iters,
-        res_history: history,
+        iterations: st.iters,
+        res_history: st.history,
     }
 }
 
@@ -320,86 +306,70 @@ fn runs_dot(
     acc
 }
 
-/// Encode the CG iteration state at the top of iteration `iters` into
-/// `buf`, straight from the live vectors: fields `x`, `r`, `p`, and as
-/// scalars the head (app tag and world size,
-/// [`Checkpoint::begin_scalars`]), `rz` and the residual history.
-#[allow(clippy::too_many_arguments)]
-fn encode_cg_state(
-    rank: &Rank,
-    iters: usize,
-    x: &Field,
-    r: &Field,
-    p: &Field,
+/// The CG iteration state besides `x`: what a checkpoint captures with
+/// it, and a rollback or restart restores.
+struct CgState {
+    r: Field,
+    p: Field,
     rz: f64,
-    history: &[f64],
-    buf: &mut Vec<u8>,
-) {
-    let head = Head {
-        rank: rank.rank() as u64,
-        step: iters as u64,
-        stage: 0,
-        time: 0.0,
-        rng_state: rank.fault_rng_state().unwrap_or(0),
-    };
-    let shape = Shape {
-        scalars: 3 + history.len(),
-        fields: 3,
-        values: x.len() + r.len() + p.len(),
-    };
-    let mut enc = Encoder::new(buf, &head, shape);
-    enc.begin_scalars(App::Nekbone, rank.size());
-    enc.scalar(rz);
-    enc.scalars(history);
-    let mut fields = enc.fields();
-    for f in [x, r, p] {
-        fields.field(f.as_slice());
-    }
-    fields.finish();
+    /// Residual norms, the initial one first.
+    history: Vec<f64>,
+    iters: usize,
 }
 
-/// Restore the iteration state encoded by [`encode_cg_state`].
-#[allow(clippy::too_many_arguments)]
-fn restore_cg_state(
-    rank: &mut Rank,
-    ckpt: &Checkpoint,
-    x: &mut Field,
-    r: &mut Field,
-    p: &mut Field,
-    rz: &mut f64,
-    history: &mut Vec<f64>,
-    iters: &mut usize,
-) {
-    let mismatch =
-        |what: String| -> ! { panic!("checkpoint does not match this configuration: {what}") };
-    let scalars = ckpt
-        .body_scalars(App::Nekbone, rank.size())
-        .unwrap_or_else(|what| mismatch(what));
-    if ckpt.fields.len() != 3 {
-        mismatch(format!("{} arrays, CG restores x, r, p", ckpt.fields.len()));
-    }
-    for ((name, dst), src) in ["x", "r", "p"]
-        .into_iter()
-        .zip([&mut *x, r, p])
-        .zip(&ckpt.fields)
-    {
-        if dst.as_slice().len() != src.len() {
-            mismatch(format!(
-                "{name} holds {} values, this run has {}",
-                src.len(),
-                dst.as_slice().len()
-            ));
+impl CgState {
+    /// Encode the state and `x` at the top of iteration `iters` into
+    /// `buf`, straight from the live vectors: fields `x`, `r`, `p`, and
+    /// as scalars the head (app tag and world size,
+    /// [`Encoder::begin_scalars`]), `rz` and the residual history.
+    fn encode(&self, rank: &Rank, x: &Field, buf: &mut Vec<u8>) {
+        let head = Head {
+            rank: rank.rank() as u64,
+            step: self.iters as u64,
+            stage: 0,
+            time: 0.0,
+            rng_state: rank.fault_rng_state().unwrap_or(0),
+        };
+        let shape = Shape {
+            scalars: 3 + self.history.len(),
+            fields: 3,
+            values: x.len() + self.r.len() + self.p.len(),
+        };
+        let mut enc = Encoder::new(buf, &head, shape);
+        enc.begin_scalars(App::Nekbone, rank.size());
+        enc.scalar(self.rz);
+        enc.scalars(&self.history);
+        let mut fields = enc.fields();
+        for f in [x, &self.r, &self.p] {
+            fields.field(f.as_slice());
         }
-        dst.as_mut_slice().copy_from_slice(src);
+        fields.finish();
     }
-    let [first, rest @ ..] = scalars else {
-        mismatch("no scalars, CG restores rz and the residual history".into());
-    };
-    *rz = *first;
-    history.clear();
-    history.extend_from_slice(rest);
-    *iters = ckpt.step as usize;
-    rank.set_fault_rng_state(ckpt.rng_state);
+
+    /// Restore what [`CgState::encode`] wrote, decoding straight into the
+    /// live vectors.
+    fn restore(
+        &mut self,
+        rank: &mut Rank,
+        mut dec: Decoder,
+        x: &mut Field,
+    ) -> Result<(), Mismatch> {
+        let mut scalars = dec.body_scalars(App::Nekbone, rank)?;
+        let Some(rz) = scalars.next() else {
+            return mismatch!("no scalars, CG restores rz and the residual history");
+        };
+        for f in [x, &mut self.r, &mut self.p] {
+            dec.field_into(f.as_mut_slice())?;
+        }
+        let head = dec.head();
+        dec.finish()?;
+        self.rz = rz;
+        self.history.clear();
+        self.history.extend(scalars);
+        self.iters = head.step as usize;
+        rank.set_fault_rng_state(head.rng_state);
+        Ok(())
+    }
 }
 
 /// The local `ax` body of an apply, under its profiler region.
@@ -517,6 +487,7 @@ fn apply_assembled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmt_resilience::Checkpoint;
 
     /// Xorshift values in `[-1, 1)` scaled by `10^-3 .. 10^3`, so that
     /// any change of summation order shows in the low bits.
@@ -657,7 +628,7 @@ mod tests {
         }
     }
 
-    /// The capture [`encode_cg_state`] replaced, kept as its oracle: the
+    /// The capture [`CgState::encode`] replaced, kept as its oracle: the
     /// iteration state copied into a fresh [`Checkpoint`].
     fn captured(
         rank: &Rank,
@@ -672,18 +643,17 @@ mod tests {
             stage: 0,
             time: 0.0,
             rng_state: rank.fault_rng_state().unwrap_or(0),
-            scalars: Vec::with_capacity(3 + history.len()),
+            scalars: vec![App::Nekbone.tag(), rank.size() as f64, rz],
             fields: fields.map(|f| f.as_slice().to_vec()).to_vec(),
         };
-        ckpt.begin_scalars(App::Nekbone, rank.size());
-        ckpt.scalars.push(rz);
         ckpt.scalars.extend_from_slice(history);
         ckpt
     }
 
     /// Encoding the CG state from the live vectors writes the bytes
     /// `Checkpoint::encode` writes for the old capture, with a delay plan
-    /// setting the fault-RNG state in the head.
+    /// setting the fault-RNG state in the head, and restoring them into
+    /// zeroed vectors gives back every bit.
     #[test]
     fn encoding_from_state_matches_the_captured_checkpoint() {
         let plan = simmpi::FaultPlan::parse("delay:prob=0.5,us=1;seed=5").unwrap();
@@ -691,9 +661,34 @@ mod tests {
             let seed = rank.rank() as u64;
             let [x, r, p] = [1, 2, 3].map(|k| Field::from_vec(4, 5, values(320, 10 * seed + k)));
             let history = values(7 + rank.rank(), 99 + seed);
+            let st = CgState {
+                r,
+                p,
+                rz: 0.125,
+                history,
+                iters: 11,
+            };
             let mut buf = vec![0x5A; 3];
-            encode_cg_state(rank, 11, &x, &r, &p, 0.125, &history, &mut buf);
-            let want = captured(rank, 11, [&x, &r, &p], 0.125, &history);
+            st.encode(rank, &x, &mut buf);
+            let want = captured(rank, 11, [&x, &st.r, &st.p], 0.125, &st.history);
+            let zero = || Field::zeros(4, 5);
+            let mut back = CgState {
+                r: zero(),
+                p: zero(),
+                rz: 0.0,
+                history: Vec::new(),
+                iters: 0,
+            };
+            let mut x_back = zero();
+            back.restore(rank, Decoder::new(&buf).unwrap(), &mut x_back)
+                .unwrap();
+            let bits = |f: &Field| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&x_back), bits(&x));
+            assert_eq!([bits(&back.r), bits(&back.p)], [bits(&st.r), bits(&st.p)]);
+            assert_eq!(
+                (back.rz, &back.history, back.iters),
+                (0.125, &st.history, 11)
+            );
             (buf, want)
         });
         for (rank, (bytes, want)) in res.results.iter().enumerate() {

@@ -7,7 +7,7 @@ use cmt_core::{Field, KernelVariant};
 use cmt_gs::{autotune, AutotuneOptions, AutotuneReport, GsHandle, GsMethod};
 use cmt_mesh::{MeshConfig, RankMesh};
 use cmt_perf::{MpipReport, ProfileReport, Profiler};
-use cmt_resilience::{hash, load_checkpoint, Resilience};
+use cmt_resilience::{hash, load_checkpoint, Decoder, Resilience};
 use cmt_verify::Verifier;
 use simmpi::{FaultPlan, Rank, TransportKind, WireCodec, WireError, WireReader, World};
 use std::sync::Arc;
@@ -314,7 +314,9 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig) -> RankOutput
         cfg.cg_iters,
         &mut prof,
         &mut rez,
-        restart.as_ref(),
+        restart
+            .as_deref()
+            .map(|bytes| Decoder::new(bytes).expect("checked at load")),
     );
     prof.exit();
 
@@ -395,23 +397,12 @@ impl Config {
                  use --transport inproc (the default) or drop --verify"
                 .into());
         }
-        if let Some(dir) = &self.restart_from {
-            if !dir.is_dir() {
-                return Err(format!(
-                    "restart directory {} does not exist",
-                    dir.display()
-                ));
-            }
-        }
-        if let Some(plan) = &self.fault_plan {
-            plan.validate(self.ranks)?;
-            if !plan.kills.is_empty() && self.checkpoint_every == 0 {
-                return Err("fault plan schedules rank kills but checkpointing is off \
-                     (set checkpoint_every)"
-                    .into());
-            }
-        }
-        Ok(())
+        cmt_resilience::validate(
+            self.ranks,
+            self.checkpoint_every,
+            self.restart_from.as_deref(),
+            self.fault_plan.as_ref(),
+        )
     }
 }
 

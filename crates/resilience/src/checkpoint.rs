@@ -23,9 +23,11 @@
 //! trailer is verified before any declared length is trusted, so a
 //! foreign file, a file of another version, a truncated file or a
 //! flipped bit is a [`WireError`] rather than a silently-wrong restart.
+//! [`Encoder`] is the one writer of the layout and [`Decoder`] the one
+//! reader; both work on live state, so neither gathers a copy.
 
 use simmpi::wire::put_u16;
-use simmpi::{frame_sum, WireCodec, WireError, WireReader};
+use simmpi::{frame_sum, Rank, WireCodec, WireError, WireReader};
 
 /// File magic: the first four bytes of every encoded checkpoint.
 pub const MAGIC: [u8; 4] = *b"CMTR";
@@ -34,7 +36,13 @@ pub const MAGIC: [u8; 4] = *b"CMTR";
 /// versions they do not know.
 pub const VERSION: u16 = 2;
 
-/// One rank's captured solver state.
+/// One rank's captured solver state, as owned values. No driver builds
+/// or reads one: they write through [`Encoder`] and read through
+/// [`Decoder`]. It stays public, with [`Checkpoint::encode`],
+/// [`Checkpoint::encode_into`] and `Resilience::save`, only because the
+/// frozen benchmark builds one (`benchmark/src/probes.rs`, `replay.rs`),
+/// and goes when the benchmark's v2 times the encoder and decoder over
+/// live state instead (ROADMAP, v2 (k)).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Checkpoint {
     /// The rank this state belongs to.
@@ -52,7 +60,7 @@ pub struct Checkpoint {
     pub rng_state: u64,
     /// Solver-specific scalars (dt, CG's `r·z`, residual history, ...),
     /// in a solver-defined order after the head the drivers write
-    /// ([`Checkpoint::begin_scalars`]).
+    /// ([`Encoder::begin_scalars`]).
     pub scalars: Vec<f64>,
     /// Solver field arrays (conserved variables, Krylov vectors, ...),
     /// in a solver-defined order.
@@ -61,8 +69,9 @@ pub struct Checkpoint {
 
 /// The mini-app that wrote a checkpoint. Its tag and the world size the
 /// run had open every checkpoint's `scalars`
-/// ([`Checkpoint::begin_scalars`]), so a restart refuses a directory
-/// written by the other mini-app or at another rank count.
+/// ([`Encoder::begin_scalars`]), so a restart refuses a directory
+/// written by the other mini-app or at another rank count
+/// ([`Decoder::body_scalars`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum App {
     /// The CMT-bone driver.
@@ -77,7 +86,7 @@ impl App {
     /// The first scalar of this app's checkpoints: its name's ASCII
     /// bytes as an integer, exact in an `f64` and unlike any owner rank
     /// or timestep an older checkpoint opened with.
-    fn tag(self) -> f64 {
+    pub fn tag(self) -> f64 {
         f64::from(u32::from_le_bytes(match self {
             App::CmtBone => *b"CMTB",
             App::Nekbone => *b"NEKB",
@@ -178,8 +187,7 @@ impl<'b> Encoder<'b> {
         }
     }
 
-    /// The first two scalars, as [`Checkpoint::begin_scalars`] writes them:
-    /// `app`'s tag, then the world size `ranks`.
+    /// The first two scalars: `app`'s tag, then the world size `ranks`.
     pub fn begin_scalars(&mut self, app: App, ranks: usize) {
         self.scalars(&[app.tag(), ranks as f64]);
     }
@@ -271,40 +279,165 @@ impl FieldSink<'_> {
     }
 }
 
-impl Checkpoint {
-    /// Clear `scalars` and write their head: `app`'s tag, then the world
-    /// size `ranks`. The solver's own scalars follow.
-    pub fn begin_scalars(&mut self, app: App, ranks: usize) {
-        self.scalars.clear();
-        self.scalars.extend([app.tag(), ranks as f64]);
+/// Why a [`Decoder`] refuses a sound checkpoint: this configuration
+/// cannot have written it (a `--restart` directory is input from outside
+/// the run). Holds what differs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Mismatch(pub String);
+
+impl std::fmt::Display for Mismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "checkpoint does not match this configuration: {}",
+            self.0
+        )
+    }
+}
+
+/// `Err(Mismatch(..))` saying what differs, with the arguments of
+/// `format!`.
+#[macro_export]
+macro_rules! mismatch {
+    ($($what:tt)*) => {
+        Err($crate::Mismatch(format!($($what)*)))
+    };
+}
+
+/// Values read in place: each `f64` decoded from its little-endian bytes
+/// as it is taken.
+pub type Values<'a> = std::iter::Map<std::slice::Iter<'a, [u8; 8]>, fn(&[u8; 8]) -> f64>;
+
+fn values(bytes: &[u8]) -> Values<'_> {
+    bytes.as_chunks().0.iter().map(|w| f64::from_le_bytes(*w))
+}
+
+/// A `Vec<f64>`'s bytes: its length, then `8 ×` that many.
+fn words<'a>(r: &mut WireReader<'a>) -> Result<&'a [u8], WireError> {
+    let n = r.count(1)?;
+    r.bytes(n.saturating_mul(8))
+}
+
+/// The one reader of the layout [`Encoder`] writes, in place over the
+/// bytes: `new` checks them whole, then the [`Head`], the scalars and
+/// each field in order come out, and [`Decoder::finish`] refuses fields
+/// left over. A checkpoint another configuration wrote is a
+/// [`Mismatch`].
+#[derive(Debug)]
+pub struct Decoder<'a> {
+    head: Head,
+    scalars: &'a [u8],
+    /// The fields not yet read; fields read and fields written.
+    fields: WireReader<'a>,
+    read: usize,
+    declared: usize,
+}
+
+impl<'a> Decoder<'a> {
+    /// Check magic and version, then the trailer before any declared
+    /// length is trusted, then every length against the bytes.
+    pub fn new(bytes: &'a [u8]) -> Result<Decoder<'a>, WireError> {
+        let mut r = WireReader::new(bytes);
+        let magic = r.u32()?;
+        if magic != u32::from_le_bytes(MAGIC) {
+            return Err(WireError::BadMagic(magic));
+        }
+        let version = r.u16()?;
+        if version != VERSION {
+            return Err(WireError::BadVersion(version));
+        }
+        let body = r.bytes(r.remaining().checked_sub(8).ok_or(WireError::Truncated)?)?;
+        if r.u64()? != frame_sum(&bytes[..bytes.len() - 8]) {
+            return Err(WireError::ChecksumMismatch);
+        }
+        let mut r = WireReader::new(body);
+        let head = Head {
+            rank: r.u64()?,
+            step: r.u64()?,
+            stage: r.u32()?,
+            time: r.f64()?,
+            rng_state: r.u64()?,
+        };
+        let scalars = words(&mut r)?;
+        let declared = r.count(1)?;
+        let fields = WireReader::new(&body[body.len() - r.remaining()..]);
+        for _ in 0..declared {
+            words(&mut r)?;
+        }
+        match r.remaining() {
+            0 => Ok(Decoder {
+                head,
+                scalars,
+                fields,
+                read: 0,
+                declared,
+            }),
+            n => Err(WireError::TrailingBytes(n)),
+        }
     }
 
-    /// The solver's scalars after the head, or, when the head says
-    /// another app or another world size wrote them, why this run
-    /// (`app` at `ranks` ranks) cannot restore them, naming both values.
-    pub fn body_scalars(&self, app: App, ranks: usize) -> Result<&[f64], String> {
-        let [tag, size, body @ ..] = &self.scalars[..] else {
-            return Err(format!(
-                "{} scalars hold no app tag and world size",
-                self.scalars.len()
-            ));
+    /// The fixed-width values the checkpoint opens with.
+    pub fn head(&self) -> Head {
+        self.head
+    }
+
+    /// The solver's scalars after the head [`Encoder::begin_scalars`]
+    /// wrote; refused when another app, world size or rank wrote them.
+    pub fn body_scalars(&self, app: App, rank: &Rank) -> Result<Values<'a>, Mismatch> {
+        let (mut scalars, n) = (values(self.scalars), self.scalars.len() / 8);
+        let (Some(tag), Some(size)) = (scalars.next(), scalars.next()) else {
+            return mismatch!("{n} scalars hold no app tag and world size");
         };
-        let Some(writer) = App::ALL.into_iter().find(|a| a.tag() == *tag) else {
-            return Err(format!("scalar tag {tag} names no app"));
+        let Some(writer) = App::ALL.into_iter().find(|a| a.tag() == tag) else {
+            return mismatch!("scalar tag {tag} names no app");
         };
+        let (r, ranks, written) = (rank.rank(), rank.size(), self.head.rank);
         if writer != app {
-            return Err(format!(
-                "written by {}, this run is {}",
-                writer.name(),
-                app.name()
-            ));
+            mismatch!("written by {}, this run is {}", writer.name(), app.name())
+        } else if size != ranks as f64 {
+            mismatch!("written at {size} ranks, this run has {ranks}")
+        } else if written != r as u64 {
+            mismatch!("written by rank {written}, this is rank {r}")
+        } else {
+            Ok(scalars)
         }
-        if *size != ranks as f64 {
-            return Err(format!("written at {size} ranks, this run has {ranks}"));
-        }
-        Ok(body)
     }
 
+    /// The next field's values as little-endian bytes, as
+    /// [`FieldSink::field_with`] writes them.
+    pub fn field_bytes(&mut self) -> Result<&'a [u8], Mismatch> {
+        if self.read == self.declared {
+            return mismatch!("{} arrays, this run restores more", self.declared);
+        }
+        self.read += 1;
+        Ok(words(&mut self.fields).expect("lengths checked by new"))
+    }
+
+    /// Decode the next field straight into `dst`; refused when its
+    /// length differs.
+    pub fn field_into(&mut self, dst: &mut [f64]) -> Result<(), Mismatch> {
+        let (src, _) = self.field_bytes()?.as_chunks::<8>();
+        let (f, len) = (self.read - 1, src.len());
+        if len != dst.len() {
+            return mismatch!("field {f} holds {len} values, this run has {}", dst.len());
+        }
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = f64::from_le_bytes(*s);
+        }
+        Ok(())
+    }
+
+    /// Refuse fields left unread.
+    pub fn finish(self) -> Result<(), Mismatch> {
+        let (read, declared) = (self.read, self.declared);
+        if read != declared {
+            return mismatch!("{declared} arrays, this run restores {read}");
+        }
+        Ok(())
+    }
+}
+
+impl Checkpoint {
     /// The fixed-width values this checkpoint opens with.
     fn head(&self) -> Head {
         Head {
@@ -346,35 +479,27 @@ impl Checkpoint {
         fields.finish();
     }
 
-    /// Decode and verify a buffer produced by [`Checkpoint::encode`].
+    /// Decode and verify a buffer produced by [`Checkpoint::encode`],
+    /// through a [`Decoder`].
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, WireError> {
-        let mut r = WireReader::new(bytes);
-        let magic = r.u32()?;
-        if magic != u32::from_le_bytes(MAGIC) {
-            return Err(WireError::BadMagic(magic));
-        }
-        let version = r.u16()?;
-        if version != VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-        let body = r.bytes(r.remaining().checked_sub(8).ok_or(WireError::Truncated)?)?;
-        if r.u64()? != frame_sum(&bytes[..bytes.len() - 8]) {
-            return Err(WireError::ChecksumMismatch);
-        }
-        let mut r = WireReader::new(body);
-        let ckpt = Checkpoint {
-            rank: r.u64()?,
-            step: r.u64()?,
-            stage: r.u32()?,
-            time: r.f64()?,
-            rng_state: r.u64()?,
-            scalars: Vec::decode(&mut r)?,
-            fields: Vec::decode(&mut r)?,
+        let mut dec = Decoder::new(bytes)?;
+        let (h, scalars) = (dec.head, values(dec.scalars).collect());
+        let mut field = || {
+            let (words, _) = words(&mut dec.fields)
+                .expect("checked by new")
+                .as_chunks::<8>();
+            words.iter().map(|w| f64::from_le_bytes(*w)).collect()
         };
-        match r.remaining() {
-            0 => Ok(ckpt),
-            n => Err(WireError::TrailingBytes(n)),
-        }
+        let fields = (0..dec.declared).map(|_| field());
+        Ok(Checkpoint {
+            rank: h.rank,
+            step: h.step,
+            stage: h.stage,
+            time: h.time,
+            rng_state: h.rng_state,
+            scalars,
+            fields: fields.collect(),
+        })
     }
 }
 
@@ -399,6 +524,29 @@ mod tests {
     /// five fixed-width values, the scalar count and three scalars.
     const NFIELDS_AT: usize = 6 + 36 + 8 + 3 * 8;
 
+    /// Walk `bytes` through the [`Decoder`] as a restore does: the head,
+    /// every field, then `finish`.
+    fn walk(bytes: &[u8]) -> Result<Head, WireError> {
+        let mut dec = Decoder::new(bytes)?;
+        for _ in 0..dec.declared {
+            dec.field_bytes().unwrap();
+        }
+        let head = dec.head();
+        dec.finish().unwrap();
+        Ok(head)
+    }
+
+    /// [`Checkpoint::decode`], asserting that [`walk`] accepts and refuses
+    /// the same bytes with the same error.
+    fn decode(bytes: &[u8]) -> Result<Checkpoint, WireError> {
+        let got = Checkpoint::decode(bytes);
+        assert_eq!(
+            walk(bytes),
+            got.as_ref().map(Checkpoint::head).map_err(Clone::clone)
+        );
+        got
+    }
+
     /// Rewrite the trailer so the checksum matches whatever `bytes` now
     /// hold, and the decoder gets past it to the check under test.
     fn reseal(bytes: &mut [u8]) {
@@ -412,13 +560,13 @@ mod tests {
         let ckpt = sample();
         let bytes = ckpt.encode();
         assert_eq!(bytes.len(), bytes.capacity(), "sized once");
-        let back = Checkpoint::decode(&bytes).unwrap();
+        let back = decode(&bytes).unwrap();
         assert_eq!(ckpt, back);
         // NaN-free sample: PartialEq suffices. Also check bit patterns of
         // a negative zero survive.
         let mut z = sample();
         z.scalars[2] = -0.0;
-        let back = Checkpoint::decode(&z.encode()).unwrap();
+        let back = decode(&z.encode()).unwrap();
         assert_eq!(back.scalars[2].to_bits(), (-0.0f64).to_bits());
     }
 
@@ -433,7 +581,7 @@ mod tests {
             scalars: vec![],
             fields: vec![],
         };
-        assert_eq!(Checkpoint::decode(&ckpt.encode()).unwrap(), ckpt);
+        assert_eq!(decode(&ckpt.encode()).unwrap(), ckpt);
     }
 
     /// Every single-bit flip is refused: in the magic as `BadMagic`, in
@@ -444,7 +592,7 @@ mod tests {
         for bit in 0..8 * bytes.len() {
             let mut bad = bytes.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
-            let got = Checkpoint::decode(&bad);
+            let got = decode(&bad);
             let want = match bit / 8 {
                 0..4 => WireError::BadMagic(u32::from_le_bytes(bad[..4].try_into().unwrap())),
                 4..6 => WireError::BadVersion(u16::from_le_bytes([bad[4], bad[5]])),
@@ -458,7 +606,7 @@ mod tests {
     fn every_truncation_is_refused() {
         let bytes = sample().encode();
         for len in 0..bytes.len() {
-            let got = Checkpoint::decode(&bytes[..len]);
+            let got = decode(&bytes[..len]);
             let want = if len < 14 {
                 WireError::Truncated
             } else {
@@ -468,7 +616,7 @@ mod tests {
         }
         let mut long = bytes;
         long.push(0);
-        assert_eq!(Checkpoint::decode(&long), Err(WireError::ChecksumMismatch));
+        assert_eq!(decode(&long), Err(WireError::ChecksumMismatch));
     }
 
     /// Version 1 (the previous format) and a future version are refused by
@@ -479,14 +627,11 @@ mod tests {
             let mut bytes = sample().encode();
             bytes[4..6].copy_from_slice(&v.to_le_bytes());
             reseal(&mut bytes);
-            assert_eq!(Checkpoint::decode(&bytes), Err(WireError::BadVersion(v)));
+            assert_eq!(decode(&bytes), Err(WireError::BadVersion(v)));
         }
         let mut bad = sample().encode();
         bad[0] = b'X';
-        assert!(matches!(
-            Checkpoint::decode(&bad),
-            Err(WireError::BadMagic(_))
-        ));
+        assert!(matches!(decode(&bad), Err(WireError::BadMagic(_))));
     }
 
     /// A field count no file could hold, under a valid trailer, is
@@ -504,7 +649,7 @@ mod tests {
             } else {
                 WireError::Oversized(nfields)
             };
-            assert_eq!(Checkpoint::decode(&bytes), Err(want), "nfields = {nfields}");
+            assert_eq!(decode(&bytes), Err(want), "nfields = {nfields}");
         }
     }
 
@@ -516,7 +661,7 @@ mod tests {
         let n = bytes.len();
         bytes.insert(n - 8, 0);
         reseal(&mut bytes);
-        assert_eq!(Checkpoint::decode(&bytes), Err(WireError::TrailingBytes(1)));
+        assert_eq!(decode(&bytes), Err(WireError::TrailingBytes(1)));
     }
 
     /// Seeded arbitrary bytes — raw, behind a valid header, and as a
@@ -530,18 +675,104 @@ mod tests {
             let junk: Vec<u8> = (0..rng.range_usize(0, 160))
                 .map(|_| rng.next_u64() as u8)
                 .collect();
-            assert!(Checkpoint::decode(&junk).is_err());
+            assert!(decode(&junk).is_err());
             let mut framed = valid[..6].to_vec();
             framed.extend_from_slice(&junk);
-            assert!(Checkpoint::decode(&framed).is_err());
+            assert!(decode(&framed).is_err());
             framed.extend_from_slice(&[0; 8]);
             reseal(&mut framed);
-            let _ = Checkpoint::decode(&framed);
+            let _ = decode(&framed);
             let mut bent = valid.clone();
             let at = rng.range_usize(6, bent.len() - 8);
             bent[at] ^= rng.range_u64(1, 256) as u8;
             reseal(&mut bent);
-            let _ = Checkpoint::decode(&bent);
+            let _ = decode(&bent);
+        }
+    }
+
+    /// Restore `bytes` as rank `me` of `ranks` running `app`: the body
+    /// scalars, then one field of each of `lens`, then `finish`. Returns
+    /// what was restored, or the refusal.
+    fn restore(
+        bytes: &[u8],
+        (me, ranks): (usize, usize),
+        app: App,
+        lens: &[usize],
+    ) -> Result<(Vec<f64>, Vec<Vec<f64>>), String> {
+        let res = simmpi::World::new().run(ranks, |rank| {
+            (rank.rank() == me).then(|| {
+                let mut dec = Decoder::new(bytes).unwrap();
+                let scalars = dec.body_scalars(app, rank)?.collect();
+                let mut fields = Vec::new();
+                for &len in lens {
+                    fields.push(vec![f64::NAN; len]);
+                    dec.field_into(fields.last_mut().unwrap())?;
+                }
+                dec.finish().map(|()| (scalars, fields))
+            })
+        });
+        let got = res.results.into_iter().flatten().next().unwrap();
+        got.map_err(|e| e.to_string())
+    }
+
+    /// A restore's reads: the body scalars after the app tag and world
+    /// size, and each field decoded bitwise into a slice of its length.
+    /// A checkpoint another app, world size or rank wrote, a field of
+    /// another length, a missing field and a field left over are each
+    /// refused, saying what differs.
+    #[test]
+    fn decoder_restores_in_place_and_refuses_another_configuration() {
+        let mut ckpt = sample();
+        ckpt.rank = 1;
+        ckpt.scalars = vec![App::Nekbone.tag(), 2.0, -0.0, 7.5];
+        let bytes = ckpt.encode();
+        let (scalars, fields) = restore(&bytes, (1, 2), App::Nekbone, &[3, 0, 17]).unwrap();
+        assert_eq!(scalars[..], ckpt.scalars[2..]);
+        assert_eq!(scalars[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(fields, ckpt.fields);
+        for (at, app, lens, what) in [
+            (
+                (0, 2),
+                App::Nekbone,
+                &[3, 0, 17][..],
+                "written by rank 1, this is rank 0",
+            ),
+            (
+                (1, 3),
+                App::Nekbone,
+                &[3, 0, 17],
+                "written at 2 ranks, this run has 3",
+            ),
+            (
+                (1, 2),
+                App::CmtBone,
+                &[3, 0, 17],
+                "written by nekbone, this run is cmt-bone",
+            ),
+            (
+                (1, 2),
+                App::Nekbone,
+                &[3, 1, 17],
+                "field 1 holds 0 values, this run has 1",
+            ),
+            (
+                (1, 2),
+                App::Nekbone,
+                &[3, 0, 17, 1],
+                "3 arrays, this run restores more",
+            ),
+            (
+                (1, 2),
+                App::Nekbone,
+                &[3, 0],
+                "3 arrays, this run restores 2",
+            ),
+        ] {
+            let got = restore(&bytes, at, app, lens).unwrap_err();
+            assert_eq!(
+                got,
+                format!("checkpoint does not match this configuration: {what}")
+            );
         }
     }
 
@@ -551,8 +782,7 @@ mod tests {
     #[test]
     fn encoder_parts_write_what_encode_writes() {
         let mut ckpt = sample();
-        ckpt.begin_scalars(App::Nekbone, 6);
-        ckpt.scalars.extend([0.5, -2.0, 1e300]);
+        ckpt.scalars = vec![App::Nekbone.tag(), 6.0, 0.5, -2.0, 1e300];
         let mut buf = vec![9; 1000];
         let mut enc = Encoder::new(&mut buf, &ckpt.head(), ckpt.shape());
         enc.begin_scalars(App::Nekbone, 6);

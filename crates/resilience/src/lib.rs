@@ -8,20 +8,18 @@
 //! checkpoint/restart) assumes mid-run state capture machinery. This
 //! crate provides the storage half of that story:
 //!
-//! * [`Checkpoint`] — one rank's solver state (step/stage indices,
-//!   simulation time, solver scalars and fields, and the fault-RNG
-//!   state needed for bitwise replay) as versioned `simmpi` wire bytes
-//!   under a `frame_sum` trailer, refused as a [`simmpi::WireError`]
-//!   when foreign, of another version, truncated or corrupt. One
-//!   [`Encoder`] writes that layout, from a `Checkpoint` or straight
-//!   from a solver's live state;
+//! * the checkpoint layout — one rank's solver state (step/stage
+//!   indices, simulation time, solver scalars and fields, and the
+//!   fault-RNG state needed for bitwise replay) as versioned `simmpi`
+//!   wire bytes under a `frame_sum` trailer, which one [`Encoder`]
+//!   writes from a solver's live state and one [`Decoder`] reads back
+//!   into it, refusing foreign, truncated or corrupt bytes;
 //! * [`Resilience`] — the driver-facing orchestrator: cadence,
 //!   partner-rank in-memory redundancy over a ring (each rank's
 //!   checkpoint is mirrored on `(r + 1) % P`, moved in [`CHUNK`]-sized
-//!   messages into the replica the holder already has), optional disk mirroring
-//!   for cross-run `--restart`, and the coordinated-rollback recovery
-//!   protocol that restores a killed rank's state from its replica
-//!   holder.
+//!   messages into the replica the holder already has), optional disk
+//!   mirroring for cross-run `--restart`, the coordinated-rollback
+//!   recovery protocol, and [`validate`], which both drivers run.
 //!
 //! The solvers stay deterministic, so rolling every rank back to the
 //! same checkpoint replays the identical trajectory: a run that
@@ -36,5 +34,7 @@ pub mod checkpoint;
 pub mod hash;
 pub mod store;
 
-pub use checkpoint::{App, Checkpoint, Encoder, FieldSink, Head, Shape, MAGIC, VERSION};
-pub use store::{load_checkpoint, Resilience, CHUNK};
+pub use checkpoint::{
+    App, Checkpoint, Decoder, Encoder, FieldSink, Head, Mismatch, Shape, Values, MAGIC, VERSION,
+};
+pub use store::{load_checkpoint, validate, Resilience, CHUNK};

@@ -27,8 +27,8 @@
 //!
 //! A limitation follows from the ring topology: a rank and its replica
 //! holder must not die at the same step (both copies of one checkpoint
-//! would be lost). [`Resilience::recover`] panics loudly on that plan
-//! rather than restoring garbage.
+//! would be lost). [`validate`] refuses that plan before any rank
+//! starts, and [`Resilience::recover`] asserts it.
 //!
 //! ## Two copies, moved in chunks
 //!
@@ -42,14 +42,15 @@
 //! carries the replica's length, and the held replica takes exactly
 //! that many bytes, so a checkpoint that shrank leaves no stale tail.
 //! Recovery's re-fetch of a killed rank's checkpoint takes the same
-//! path.
+//! path. A rollback or a restart decodes the held or loaded bytes straight
+//! into the live state through a [`Decoder`]: no decoded copy exists.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-use simmpi::{Rank, Tag};
+use simmpi::{FaultPlan, KillEvent, Rank, Tag};
 
-use crate::checkpoint::{fit, Checkpoint};
+use crate::checkpoint::{fit, Checkpoint, Decoder};
 
 /// Tag of the replica exchange that rides along with every save; the
 /// acknowledgements go back on the next tag.
@@ -67,6 +68,48 @@ pub const CHUNK: usize = 64 << 10;
 /// The rank holding `r`'s checkpoint replica in a world of `p` ranks.
 fn replica_holder(r: usize, p: usize) -> usize {
     (r + 1) % p
+}
+
+/// Check a run's resilience settings at `ranks` ranks before any rank
+/// starts: a restart directory holds every rank's file, kills need
+/// checkpointing (`every > 0`), and no rank dies at the same step as its
+/// replica holder (both copies of its checkpoint would be lost).
+pub fn validate(
+    ranks: usize,
+    every: usize,
+    restart: Option<&Path>,
+    plan: Option<&FaultPlan>,
+) -> Result<(), String> {
+    if let Some(dir) = restart {
+        let mut files = (0..ranks).map(|r| checkpoint_path(dir, r));
+        if let Some(file) = files.find(|f| !f.is_file()) {
+            let what = if dir.is_dir() {
+                format!("checkpoint {}", file.display())
+            } else {
+                format!("directory {}", dir.display())
+            };
+            return Err(format!("restart {what} does not exist"));
+        }
+    }
+    let Some(plan) = plan else { return Ok(()) };
+    plan.validate(ranks)?;
+    if !plan.kills.is_empty() && every == 0 {
+        return Err("fault plan schedules rank kills but checkpointing is off \
+             (set checkpoint_every)"
+            .into());
+    }
+    for k in &plan.kills {
+        let holder = replica_holder(k.rank, ranks);
+        let lost = |h: &KillEvent| (h.rank, h.step) == (holder, k.step);
+        if plan.kills.iter().any(lost) {
+            return Err(format!(
+                "fault plan kills ranks {} and {holder} (its replica holder) at step {}: \
+                 both copies of its checkpoint would be lost",
+                k.rank, k.step
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// The rank whose replica `r` holds in a world of `p` ranks.
@@ -285,15 +328,16 @@ impl Resilience {
     /// Coordinated rollback after `killed` ranks died (collective):
     /// killed ranks lose their memory and re-fetch their checkpoint from
     /// their replica holder, chunk by chunk like a replica; then *every*
-    /// rank re-replicates (restoring the ring invariant) and decodes its
-    /// own last checkpoint, which the caller restores solver state from.
-    /// Recovery traffic is recorded under the `recovery` context.
+    /// rank re-replicates (restoring the ring invariant) and gets a
+    /// [`Decoder`] over its own last checkpoint, which the caller
+    /// restores solver state from. Recovery traffic is recorded under the
+    /// `recovery` context.
     ///
     /// # Panics
     /// Panics if no checkpoint exists, if a rank and its replica holder
     /// died together (both copies lost), or if a replica fails its
     /// checksum.
-    pub fn recover(&mut self, rank: &mut Rank, killed: &[usize]) -> Checkpoint {
+    pub fn recover(&mut self, rank: &mut Rank, killed: &[usize]) -> Decoder<'_> {
         let (r, p) = (rank.rank(), rank.size());
         for &k in killed {
             assert!(
@@ -327,8 +371,7 @@ impl Resilience {
             "recover called before any checkpoint was saved"
         );
         self.replicate(rank, "recovery");
-        Checkpoint::decode(&self.own)
-            .unwrap_or_else(|e| panic!("rank {r}: restoring checkpoint: {e}"))
+        Decoder::new(&self.own).unwrap_or_else(|e| panic!("rank {r}: restoring checkpoint: {e}"))
     }
 }
 
@@ -337,15 +380,17 @@ fn checkpoint_path(dir: &Path, r: usize) -> PathBuf {
     dir.join(format!("ckpt_rank{r}.cmtr"))
 }
 
-/// Load rank `r`'s checkpoint from a `--restart` directory. Every error
-/// names the file; one that does not decode is `InvalidData`.
-pub fn load_checkpoint(dir: &Path, r: usize) -> io::Result<Checkpoint> {
+/// Load rank `r`'s checkpoint bytes from a `--restart` directory, checked
+/// by [`Decoder::new`]. Every error names the file; bytes that fail the
+/// check are `InvalidData`.
+pub fn load_checkpoint(dir: &Path, r: usize) -> io::Result<Vec<u8>> {
     let path = checkpoint_path(dir, r);
     let named = |kind, e: &dyn std::fmt::Display| {
         io::Error::new(kind, format!("checkpoint {}: {e}", path.display()))
     };
     let bytes = std::fs::read(&path).map_err(|e| named(e.kind(), &e))?;
-    Checkpoint::decode(&bytes).map_err(|e| named(io::ErrorKind::InvalidData, &e))
+    Decoder::new(&bytes).map_err(|e| named(io::ErrorKind::InvalidData, &e))?;
+    Ok(bytes)
 }
 
 #[cfg(test)]
@@ -464,14 +509,15 @@ mod tests {
                     let mut rz = Resilience::new(2, None);
                     rz.save(rank, &ckpt_for(rank.rank(), 4));
                     // one rank dies; everyone runs the rollback protocol
-                    let back = rz.recover(rank, &[dead]);
+                    let head = rz.recover(rank, &[dead]).head();
+                    assert_eq!(head.step, 4);
                     let src = replica_source(rank.rank(), p);
                     assert_eq!(
                         rz.partner,
                         ckpt_for(src, 4).encode(),
                         "replica re-established"
                     );
-                    back
+                    Checkpoint::decode(&rz.own).unwrap()
                 });
                 for (r, ckpt) in res.results.iter().enumerate() {
                     assert_eq!(ckpt, &ckpt_for(r, 4), "p={p} dead {dead} rank {r}");
@@ -487,9 +533,10 @@ mod tests {
         let res = World::new().run(3, |rank| {
             let mut rz = Resilience::new(1, None);
             rz.save(rank, &ckpt_for(rank.rank(), 9));
-            let a = rz.recover(rank, &[1]);
-            let b = rz.recover(rank, &[1]);
-            (a, b)
+            rz.recover(rank, &[1]);
+            let a = Checkpoint::decode(&rz.own).unwrap();
+            rz.recover(rank, &[1]);
+            (a, Checkpoint::decode(&rz.own).unwrap())
         });
         for (r, (a, b)) in res.results.iter().enumerate() {
             assert_eq!(a, &ckpt_for(r, 9));
@@ -503,8 +550,42 @@ mod tests {
         let _ = World::new().run(4, |rank| {
             let mut rz = Resilience::new(1, None);
             rz.save(rank, &ckpt_for(rank.rank(), 0));
-            rz.recover(rank, &[2, 3])
+            rz.recover(rank, &[2, 3]);
         });
+    }
+
+    /// `validate` refuses a rank killed at the same step as its replica
+    /// holder (the ring wraps), kills without checkpointing, and a
+    /// restart directory that lacks a rank's file. Ranks 1 and 3 of 4 at
+    /// one step, or 1 and 2 at different steps, are recoverable.
+    #[test]
+    fn validate_refuses_unrecoverable_settings() {
+        let plan = |s: &str| FaultPlan::parse(s).unwrap();
+        for p in [
+            "kill:rank=1,step=5;kill:rank=2,step=5",
+            "kill:rank=0,step=2;kill:rank=3,step=2",
+        ] {
+            let err = validate(4, 1, None, Some(&plan(p))).unwrap_err();
+            assert!(err.contains("(its replica holder) at step"), "{p}: {err}");
+        }
+        for p in [
+            "kill:rank=1,step=5;kill:rank=3,step=5",
+            "kill:rank=1,step=5;kill:rank=2,step=6",
+        ] {
+            assert_eq!(validate(4, 1, None, Some(&plan(p))), Ok(()), "{p}");
+        }
+        let off = validate(4, 0, None, Some(&plan("kill:rank=1,step=5"))).unwrap_err();
+        assert!(off.contains("checkpointing is off"), "{off}");
+        let dir = std::env::temp_dir().join(format!("cmtr_validate_{}", std::process::id()));
+        let err = validate(2, 0, Some(&dir), None).unwrap_err();
+        assert!(err.contains("does not exist"), "{err}");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(checkpoint_path(&dir, 0), b"").unwrap();
+        let err = validate(2, 0, Some(&dir), None).unwrap_err();
+        assert!(err.contains("ckpt_rank1.cmtr"), "{err}");
+        std::fs::write(checkpoint_path(&dir, 1), b"").unwrap();
+        assert_eq!(validate(2, 0, Some(&dir), None), Ok(()));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -552,7 +633,7 @@ mod tests {
         });
         for r in 0..2 {
             let back = load_checkpoint(&dir, r).unwrap();
-            assert_eq!(back, ckpt_for(r, 6));
+            assert_eq!(back, ckpt_for(r, 6).encode());
         }
         let missing = load_checkpoint(&dir, 9).unwrap_err();
         assert_eq!(missing.kind(), io::ErrorKind::NotFound);

@@ -554,3 +554,78 @@ fn cmt_bone_first_checkpoint_save_allocates_two_copies() {
         per_rank / encoded as f64
     );
 }
+
+/// The `recovery` region's allocations, summed over ranks, after one
+/// kill of a 4-rank run whose `encoded`-byte checkpoints span several
+/// chunks: at most the killed rank's two refilled buffers — its own
+/// checkpoint, re-fetched from its replica holder, and the replica it
+/// holds again, each with its growth headroom — plus two replica chunks
+/// per rank. A rollback decodes straight into the live state, so no
+/// rank holds a decoded copy; decoding one allocated about one more
+/// encoded checkpoint per rank.
+fn assert_rollback_refills_only(what: &str, profile: &ProfileReport, encoded: usize) {
+    let (_, recovery) = profile
+        .flat
+        .iter()
+        .find(|(name, _)| name == cmt_perf::regions::RECOVERY)
+        .expect("a rollback ran");
+    assert!(
+        encoded > 3 * cmt_resilience::CHUNK,
+        "{what}: {encoded} bytes"
+    );
+    let bytes = recovery.self_alloc_bytes();
+    let bound = 2 * (encoded + encoded / 64) + 4 * 2 * cmt_resilience::CHUNK;
+    assert!(
+        bytes <= bound as u64,
+        "{what}: rollback allocated {bytes} bytes over 4 ranks, bound {bound} \
+         ({:.2}x the {encoded}-byte checkpoint)",
+        bytes as f64 / encoded as f64
+    );
+}
+
+#[test]
+fn cmt_bone_rollback_allocates_only_the_killed_ranks_buffers() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    let cfg = Config {
+        ranks: 4,
+        n: 8,
+        elems_per_rank: 16,
+        fields: 5,
+        steps: 4,
+        checkpoint_every: 2,
+        fault_plan: Some(simmpi::FaultPlan::parse("kill:rank=1,step=3").unwrap()),
+        method: Some(GsMethod::PairwiseExchange),
+        ..Default::default()
+    };
+    let encoded = cmt_resilience::Shape {
+        scalars: 2,
+        fields: cfg.fields,
+        values: cfg.fields * cfg.elems_per_rank * cfg.n.pow(3),
+    }
+    .encoded_len();
+    assert_rollback_refills_only("cmt-bone", &cmt_bone::run(&cfg).profile, encoded);
+}
+
+#[test]
+fn nekbone_rollback_allocates_only_the_killed_ranks_buffers() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    let cfg = nekbone::Config {
+        ranks: 4,
+        n: 8,
+        elems_per_rank: 16,
+        cg_iters: 4,
+        tol: 0.0,
+        checkpoint_every: 2,
+        fault_plan: Some(simmpi::FaultPlan::parse("kill:rank=1,step=3").unwrap()),
+        method: Some(GsMethod::PairwiseExchange),
+        ..Default::default()
+    };
+    // the save at iteration 2 holds rz and three residual norms
+    let encoded = cmt_resilience::Shape {
+        scalars: 6,
+        fields: 3,
+        values: 3 * cfg.elems_per_rank * cfg.n.pow(3),
+    }
+    .encoded_len();
+    assert_rollback_refills_only("nekbone", &nekbone::run(&cfg).profile, encoded);
+}

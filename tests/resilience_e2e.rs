@@ -374,3 +374,217 @@ fn cmt_bone_kill_with_multi_chunk_checkpoints_of_unequal_size() {
         "recovery through chunked replicas diverged from the uninterrupted run"
     );
 }
+
+/// Swap two ranks' files in a restart directory: each file is sound and
+/// its checksum matches, but the head names the rank that wrote it, so
+/// the restart is refused in words instead of resuming another rank's
+/// state. `swapped` writes the directory with `write`, swaps ranks 0 and
+/// 1, and expects `restart` to refuse.
+fn swapped(
+    tag: &str,
+    write: impl FnOnce(&std::path::Path),
+    restart: impl FnOnce(&std::path::Path),
+) {
+    let dir = scratch(tag);
+    write(&dir);
+    let (a, b) = (dir.join("ckpt_rank0.cmtr"), dir.join("ckpt_rank1.cmtr"));
+    let tmp = dir.join("swap");
+    std::fs::rename(&a, &tmp).unwrap();
+    std::fs::rename(&b, &a).unwrap();
+    std::fs::rename(&tmp, &b).unwrap();
+    let msg = refusal(tag, || restart(&dir));
+    let prefix = "checkpoint does not match this configuration: written by rank";
+    assert!(
+        msg.contains(&format!("{prefix} 1, this is rank 0"))
+            || msg.contains(&format!("{prefix} 0, this is rank 1")),
+        "{tag}: {msg}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn cmt_bone_restart_from_another_ranks_file_is_refused() {
+    let cfg = cmt_bone::Config {
+        ranks: 2,
+        steps: 6,
+        ..bone_cfg()
+    };
+    swapped(
+        "bone_swapped",
+        |dir| {
+            cmt_bone::run(&cmt_bone::Config {
+                checkpoint_dir: Some(dir.into()),
+                ..cfg.clone()
+            });
+        },
+        |dir| {
+            cmt_bone::run(&cmt_bone::Config {
+                restart_from: Some(dir.into()),
+                ..cfg.clone()
+            });
+        },
+    );
+}
+
+#[test]
+fn nekbone_restart_from_another_ranks_file_is_refused() {
+    let cfg = nekbone::Config {
+        ranks: 2,
+        ..nek_cfg()
+    };
+    swapped(
+        "nek_swapped",
+        |dir| {
+            nekbone::run(&nekbone::Config {
+                cg_iters: 8,
+                checkpoint_dir: Some(dir.into()),
+                ..cfg.clone()
+            });
+        },
+        |dir| {
+            nekbone::run(&nekbone::Config {
+                restart_from: Some(dir.into()),
+                ..cfg.clone()
+            });
+        },
+    );
+}
+
+/// A rank killed at the same step as its replica holder loses both
+/// copies of its checkpoint: both apps refuse that plan before any rank
+/// starts. Two ranks that do not hold each other's replica (1 and 3 of
+/// 4) may die at the same step and the run still recovers bitwise.
+#[test]
+fn kills_of_a_rank_and_its_replica_holder_are_refused_at_validation() {
+    let adjacent = FaultPlan::parse("kill:rank=1,step=5;kill:rank=2,step=5").unwrap();
+    let apart = FaultPlan::parse("kill:rank=1,step=5;kill:rank=3,step=5").unwrap();
+    let want = "fault plan kills ranks 1 and 2 (its replica holder) at step 5";
+    let bone = cmt_bone::Config {
+        fault_plan: Some(adjacent.clone()),
+        ..bone_cfg()
+    };
+    assert!(bone.validate().unwrap_err().contains(want));
+    let msg = refusal("cmt-bone", || {
+        cmt_bone::run(&bone);
+    });
+    assert!(msg.contains(want), "{msg}");
+    let nek = nekbone::Config {
+        fault_plan: Some(adjacent),
+        ..nek_cfg()
+    };
+    assert!(nek.validate().unwrap_err().contains(want));
+    let msg = refusal("nekbone", || {
+        nekbone::run(&nek);
+    });
+    assert!(msg.contains(want), "{msg}");
+
+    let clean = cmt_bone::run(&bone_cfg());
+    let faulty = cmt_bone::run(&cmt_bone::Config {
+        fault_plan: Some(apart.clone()),
+        ..bone_cfg()
+    });
+    assert_eq!(
+        clean.state_hash, faulty.state_hash,
+        "cmt-bone, ranks 1 and 3"
+    );
+    let clean = nekbone::run(&nek_cfg());
+    let faulty = nekbone::run(&nekbone::Config {
+        fault_plan: Some(apart),
+        ..nek_cfg()
+    });
+    assert_eq!(
+        clean.state_hash, faulty.state_hash,
+        "nekbone, ranks 1 and 3"
+    );
+    assert_eq!(clean.cg.res_history, faulty.cg.res_history);
+}
+
+/// A restart directory without a checkpoint for every rank is refused
+/// at validation, naming the missing file, by both apps.
+#[test]
+fn restart_from_a_directory_without_every_ranks_file_is_refused() {
+    let dir = scratch("empty");
+    std::fs::create_dir_all(&dir).unwrap();
+    let bone = cmt_bone::Config {
+        restart_from: Some(dir.clone()),
+        ..bone_cfg()
+    };
+    let nek = nekbone::Config {
+        restart_from: Some(dir.clone()),
+        ..nek_cfg()
+    };
+    for err in [bone.validate(), nek.validate()] {
+        let err = err.unwrap_err();
+        assert!(
+            err.contains("ckpt_rank0.cmtr") && err.contains("does not exist"),
+            "{err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A directory written with another field count: a run that restores
+/// more fields than the file holds, and one that restores fewer, are
+/// both refused by the decoder, naming the counts.
+#[test]
+fn cmt_bone_restart_with_another_field_count_is_refused() {
+    let dir = scratch("bone_other_fields");
+    cmt_bone::run(&cmt_bone::Config {
+        checkpoint_dir: Some(dir.clone()),
+        ..bone_cfg()
+    });
+    for (fields, what) in [
+        (3, "2 arrays, this run restores more"),
+        (1, "2 arrays, this run restores 1"),
+    ] {
+        let msg = refusal("fields", || {
+            cmt_bone::run(&cmt_bone::Config {
+                fields,
+                restart_from: Some(dir.clone()),
+                ..bone_cfg()
+            });
+        });
+        let want = format!("checkpoint does not match this configuration: {what}");
+        assert!(msg.contains(&want), "fields = {fields}: {msg}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A sound file whose particle field is not whole `[id, x, y, z]`
+/// records (rank 0's loses its last value, resealed under a valid
+/// checksum) is refused before any particle is built from it.
+#[test]
+fn cmt_bone_restart_with_a_torn_particle_record_is_refused() {
+    let dir = scratch("bone_torn_particles");
+    let cfg = cmt_bone::Config {
+        particles_per_elem: 4,
+        ..bone_cfg()
+    };
+    cmt_bone::run(&cmt_bone::Config {
+        checkpoint_dir: Some(dir.clone()),
+        ..cfg.clone()
+    });
+    let path = dir.join("ckpt_rank0.cmtr");
+    let mut ckpt = cmt_resilience::Checkpoint::decode(&std::fs::read(&path).unwrap()).unwrap();
+    let rec = ckpt.fields.last_mut().unwrap();
+    assert!(
+        rec.len() % 4 == 0 && !rec.is_empty(),
+        "{} values",
+        rec.len()
+    );
+    rec.pop();
+    let values = rec.len();
+    std::fs::write(&path, ckpt.encode()).unwrap();
+    let msg = refusal("torn record", || {
+        cmt_bone::run(&cmt_bone::Config {
+            restart_from: Some(dir.clone()),
+            ..cfg.clone()
+        });
+    });
+    let want = format!(
+        "checkpoint does not match this configuration: \
+         a particle record of {values} values is not [id, x, y, z] records"
+    );
+    assert!(msg.contains(&want), "{msg}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
